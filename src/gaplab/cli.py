@@ -102,9 +102,18 @@ def _emit(payload: Dict[str, Any], args: argparse.Namespace) -> None:
         fh.write(text)
 
 
+def _circle_values(points: Tuple[Tuple[Fraction, ...], ...], flag: str) -> list:
+    """One value per point: these commands work on the circle, not the d-torus."""
+    for v in points:
+        if len(v) != 1:
+            raise ValueError(f"{flag} takes points on the circle (dimension 1); "
+                             f"got a point of dimension {len(v)}")
+    return [v[0] for v in points]
+
+
 def _points_or_orbit(args: argparse.Namespace) -> CircularSet:
     if args.points is not None:
-        return CircularSet.from_values([v[0] for v in args.points])
+        return CircularSet.from_values(_circle_values(args.points, "--points"))
     if args.alpha is None or args.n is None:
         raise ValueError("give either --points or both --alpha and --n")
     return fractional_orbit(args.alpha, args.n)
@@ -208,7 +217,7 @@ def _cmd_cover(args) -> Tuple[Dict[str, Any], bool]:
 def _cmd_generators(args) -> Tuple[Dict[str, Any], bool]:
     b = _points_or_orbit(args)
     if args.cover is not None:
-        c = CircularSet.from_values([v[0] for v in args.cover])
+        c = CircularSet.from_values(_circle_values(args.cover, "--cover"))
     else:
         cov = minimal_difference_cover(b.to_exact_set(), exact_limit=args.exact_limit)
         c = CircularSet.from_values([p.value for p in cov.cover])

@@ -6,14 +6,17 @@ certificates are all decided by exact comparisons.  Points of R/Z are
 stored by their canonical representative in [0, 1); signed differences
 use the representative in [-1/2, 1/2), so the distance to the nearest
 integer is a plain abs().  d-dimensional work sticks to squared norms,
-which keeps everything inside Q.
+which keeps everything inside Q.  Bulk work clears a common denominator
+once with residues() and runs on integers; TorusPoint._from_residue lifts
+the results back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from math import lcm
+from typing import Iterable, Iterator, Sequence, Tuple, Union
 
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
@@ -64,6 +67,17 @@ class TorusPoint:
         if not 0 <= self.value < 1:
             raise ValueError(f"representative {self.value} not in [0, 1)")
 
+    @classmethod
+    def _from_residue(cls, n: int, q: int) -> "TorusPoint":
+        """The point n/q for a residue n already reduced into [0, q).
+
+        Skips the range check of the public constructor, which costs two
+        Fraction comparisons per point on bulk lifts of integer results.
+        """
+        p = object.__new__(cls)
+        object.__setattr__(p, "value", Fraction(n, q))
+        return p
+
     def __add__(self, other) -> "TorusPoint":
         return TorusPoint((self.value + _coerce(other)) % 1)
 
@@ -85,6 +99,18 @@ class TorusPoint:
 
     def __str__(self) -> str:
         return str(self.value)
+
+
+def residues(points: Iterable) -> Tuple[list, int]:
+    """Clear a common denominator: (ints, q) with points[i] == ints[i] / q.
+
+    q is the least common denominator of the inputs (1 when there are none).
+    Torus points contribute their representatives, so their ints are
+    residues in [0, q).
+    """
+    vals = [p.value if isinstance(p, TorusPoint) else p for p in points]
+    q = lcm(*{v.denominator for v in vals})
+    return [v.numerator * (q // v.denominator) for v in vals], q
 
 
 def reduce_mod1(x: RationalLike) -> TorusPoint:

@@ -12,6 +12,12 @@ The successor-gap side is the predecessor-gap side on the reflected circle
 x -> -x, so one engine serves both orientations.  An independent
 unbounded-coin dynamic program over a common denominator confirms every
 membership, so the constructive certificates never check themselves.
+
+The engines run on integer residues mod q, the common denominator of B:
+witness tables, gap tilings and the per-target checks are numpy arrays
+(int64 while q < 2^62, Python ints in object arrays beyond) and Python
+ints.  Fractions appear only in reports: the gap families, mismatches,
+certificate parts, subdivision trees and error messages.
 """
 
 from __future__ import annotations
@@ -20,14 +26,17 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from math import gcd
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .exact_torus import TorusPoint, as_rational
+from .exact_torus import TorusPoint, as_rational, residues
 from .gap_spectrum import CircularSet, SubsetViolationError, TooFewPointsError
-from .sumset_engine import FiniteExactSet, difference_set
+
+# Residues below this bound have differences and prefix sums inside int64;
+# larger moduli keep them as Python ints in object arrays.
+_INT64_RESIDUE_LIMIT = 1 << 62
 
 
 class PremiseViolationError(ValueError):
@@ -83,40 +92,61 @@ class DecompositionCertificate:
 
 
 class _OrientedEngine:
-    """Predecessor-gap decomposition machinery for one orientation of B, C."""
+    """Predecessor-gap decomposition machinery for one orientation of B, C.
 
-    def __init__(self, b_points: tuple, c_points: tuple):
-        self.points = b_points
-        self.n = len(b_points)
-        self.index = {p: i for i, p in enumerate(b_points)}
-        vals = [p.value for p in b_points]
-        self.gap_after = tuple(
-            (vals[(i + 1) % self.n] - vals[i]) % 1 for i in range(self.n))
-        prefix = [Fraction(0)]
-        for g in self.gap_after:
-            prefix.append(prefix[-1] + g)
-        self.prefix = prefix
-        self.c_points = c_points
-        # Smallest c in canonical order witnessing each difference as c - b.
-        witnesses: Dict[Fraction, tuple] = {}
-        for c in c_points:
-            for b in b_points:
-                d = (c.value - b.value) % 1
-                if d not in witnesses:
-                    witnesses[d] = (c, b)
-        self.witnesses = witnesses
-        self._gap_parts: Optional[Dict[Fraction, Counter]] = None
+    B is held as its residues mod q in canonical order and C as positions
+    into them; witnesses, gaps and decompositions are residues and
+    positions too.  reflect marks the orientation x -> -x, whose points
+    the subdivision tree reports back in original coordinates.
+    """
 
-    def arc_length(self, i_from: int, i_to: int) -> Fraction:
-        return (self.prefix[i_to] - self.prefix[i_from]) % 1
+    def __init__(self, res: np.ndarray, c_pos: np.ndarray, q: int, reflect: bool):
+        self.q = q
+        self.n = n = len(res)
+        self.points = res.tolist()
+        self.reflect = reflect
+        gaps = (np.roll(res, -1) - res) % q
+        self.gap_after = gaps.tolist()
+        self._gaps_twice = self.gap_after * 2
+        self.prefix = np.concatenate((np.zeros(1, dtype=res.dtype), np.cumsum(gaps)))
+        # Smallest c in canonical order witnessing each difference as c - b:
+        # the table is c-major and np.unique reports first occurrences.
+        diffs = (res[c_pos][:, None] - res[None, :]) % q
+        self.keys, first = np.unique(diffs.ravel(), return_index=True)
+        self.wit_c = c_pos[first // n]
+        self.wit_b = first % n
+        self._gap_witness: Dict[int, Tuple[int, int]] = {}
+        self._gap_parts: Optional[Dict[int, Counter]] = None
 
-    def pieces(self, b: TorusPoint, c: TorusPoint) -> list:
-        """Single B-gaps tiling the anticlockwise arc from b to c."""
-        i_b, i_c = self.index[b], self.index[c]
-        r = (i_c - i_b) % self.n
-        return [self.gap_after[(i_b + j) % self.n] for j in range(r)]
+    def find(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Witness table row of each value, and whether the value has one."""
+        k = np.minimum(np.searchsorted(self.keys, values), len(self.keys) - 1)
+        return k, self.keys[k] == values
 
-    def gap_parts(self) -> Dict[Fraction, Counter]:
+    def witness(self, value: int) -> Tuple[int, int]:
+        """Positions (i_c, i_b) of the witness of a difference that has one."""
+        w = self._gap_witness.get(value)
+        if w is None:
+            k = int(np.searchsorted(self.keys, value))
+            w = int(self.wit_c[k]), int(self.wit_b[k])
+        return w
+
+    def arc_length(self, i_from, i_to):
+        """Anticlockwise arc between positions (scalars or arrays), from prefix sums."""
+        return (self.prefix[i_to] - self.prefix[i_from]) % self.q
+
+    def pieces(self, i_b: int, i_c: int) -> list:
+        """Single B-gaps tiling the anticlockwise arc from position i_b to i_c."""
+        return self._gaps_twice[i_b:i_b + (i_c - i_b) % self.n]
+
+    def _tile(self, table: Dict[int, Counter], i_b: int, i_c: int) -> Counter:
+        acc: Counter = Counter()
+        for piece, mult in Counter(self.pieces(i_b, i_c)).items():
+            for part, m in table[piece].items():
+                acc[part] += mult * m
+        return acc
+
+    def gap_parts(self) -> Dict[int, Counter]:
         """Decomposition of every single B-gap value into predecessor gaps.
 
         Gaps are processed in increasing order: a non-terminal gap splits
@@ -125,82 +155,103 @@ class _OrientedEngine:
         """
         if self._gap_parts is not None:
             return self._gap_parts
-        table: Dict[Fraction, Counter] = {}
-        for g in sorted(set(self.gap_after)):
-            c, b = self.witnesses[g]
-            if (self.index[c] - self.index[b]) % self.n == 1:
+        distinct = sorted(set(self.gap_after))
+        k = np.searchsorted(self.keys, distinct)
+        self._gap_witness = dict(zip(distinct, zip(self.wit_c[k].tolist(),
+                                                   self.wit_b[k].tolist())))
+        table: Dict[int, Counter] = {}
+        for g in distinct:
+            i_c, i_b = self._gap_witness[g]
+            if (i_c - i_b) % self.n == 1:
                 table[g] = Counter({g: 1})
-                continue
-            acc: Counter = Counter()
-            for piece in self.pieces(b, c):
-                acc.update(table[piece])
-            table[g] = acc
+            else:
+                table[g] = self._tile(table, i_b, i_c)
         self._gap_parts = table
         return table
 
-    def decompose_value(self, target: Fraction) -> Counter:
+    def decompose_value(self, target: int) -> Counter:
         if target == 0:
             return Counter()
-        c, b = self.witnesses[target]
         table = self.gap_parts()
-        acc: Counter = Counter()
-        for piece in self.pieces(b, c):
-            acc.update(table[piece])
-        return acc
+        i_c, i_b = self.witness(target)
+        return self._tile(table, i_b, i_c)
 
-    def subdivision_tree(self, target: Fraction, reflect: bool) -> dict:
-        """Nested arc-subdivision record; points reported in original coordinates."""
-        def show(p: TorusPoint) -> str:
-            return str(-p) if reflect else str(p)
+    def subdivision_tree(self, target: int) -> dict:
+        """Nested arc-subdivision record; points reported in original coordinates.
 
-        def node(value: Fraction) -> dict:
-            c, b = self.witnesses[value]
-            i_b, i_c = self.index[b], self.index[c]
-            entry = {"arc": str(value), "c": show(c), "b": show(b)}
-            if (i_c - i_b) % self.n == 1:
-                entry["generator"] = True
-                return entry
-            entry["pieces"] = [node(piece) for piece in self.pieces(b, c)]
-            return entry
-
+        Built with an explicit stack, since the nesting depth can reach the
+        number of distinct gaps.
+        """
         if target == 0:
             return {"arc": "0", "pieces": []}
-        c, b = self.witnesses[target]
-        root = {"arc": str(target), "c": show(c), "b": show(b),
-                "pieces": [node(piece) for piece in self.pieces(b, c)]}
-        if (self.index[c] - self.index[b]) % self.n == 1:
-            root.pop("pieces")
-            root["generator"] = True
+        self.gap_parts()
+        q, n, points = self.q, self.n, self.points
+        shown: Dict[int, str] = {}
+
+        def show(v: int) -> str:
+            text = shown.get(v)
+            if text is None:
+                text = shown[v] = str(Fraction(v, q))
+            return text
+
+        root: dict = {}
+        stack = [(target, root)]
+        while stack:
+            value, entry = stack.pop()
+            i_c, i_b = self.witness(value)
+            c, b = points[i_c], points[i_b]
+            if self.reflect:
+                c, b = -c % q, -b % q
+            entry.update(arc=show(value), c=show(c), b=show(b))
+            if (i_c - i_b) % n == 1:
+                entry["generator"] = True
+                continue
+            pieces = self.pieces(i_b, i_c)
+            entry["pieces"] = [{} for _ in pieces]
+            stack.extend(zip(pieces, entry["pieces"]))
         return root
 
 
+def _residue_array(ints: list, q: int) -> np.ndarray:
+    """Residues mod q as int64 while their differences fit, Python ints otherwise."""
+    return np.asarray(ints, dtype=np.int64 if q < _INT64_RESIDUE_LIMIT else object)
+
+
 class _Instance:
-    """Both orientations of one (B, C) pair, premise-checked."""
+    """Both orientations of one (B, C) pair, premise-checked, on residues mod q."""
 
     def __init__(self, b: CircularSet, c: CircularSet):
         if len(b) < 2:
             raise TooFewPointsError("B needs at least two points")
         if not c.issubset(b):
             raise SubsetViolationError("C must be a subset of B")
-        b_set = b.to_exact_set()
-        c_set = c.to_exact_set()
-        full = difference_set(b_set, b_set)
-        covered = difference_set(c_set, b_set)
-        if covered.elements != full.elements:
-            missing = sorted(set(full.elements) - set(covered.elements))[0]
-            raise PremiseViolationError(
-                f"C - B misses the difference {missing}; C - B = B - B is required")
+        ints, q = residues(b.points + c.points)
+        res = _residue_array(ints[:len(b)], q)
+        c_pos = np.searchsorted(res, _residue_array(ints[len(b):], q))
         self.b = b
         self.c = c
-        self.universe = tuple(p.value for p in full.elements)
-        self.universe_set = frozenset(self.universe)
-        self.minus = _OrientedEngine(b.points, c.points)
-        reflect_b = tuple(sorted(-p for p in b.points))
-        reflect_c = tuple(sorted(-p for p in c.points))
-        self.plus = _OrientedEngine(reflect_b, reflect_c)
+        self.q = q
+        self.minus = _OrientedEngine(res, c_pos, q, reflect=False)
+        self.universe = np.unique(((res[:, None] - res[None, :]) % q).ravel())
+        _, covered = self.minus.find(self.universe)
+        if not covered.all():
+            missing = Fraction(int(self.universe[np.argmin(covered)]), q)
+            raise PremiseViolationError(
+                f"C - B misses the difference {missing}; C - B = B - B is required")
+        reflect = np.sort(-res % q)
+        reflect_c = np.sort(np.searchsorted(reflect, -res[c_pos] % q))
+        self.plus = _OrientedEngine(reflect, reflect_c, q, reflect=True)
 
     def engine(self, side: Side) -> _OrientedEngine:
         return self.minus if Side(side) is Side.MINUS else self.plus
+
+    def member_residue(self, value: Fraction) -> Optional[int]:
+        """value * q when value lies in B - B, None otherwise."""
+        if self.q % value.denominator:
+            return None
+        r = value.numerator * (self.q // value.denominator)
+        k = int(np.searchsorted(self.universe, r))
+        return r if k < len(self.universe) and self.universe[k] == r else None
 
 
 def neighbour_gaps(b: CircularSet, c: CircularSet,
@@ -235,13 +286,14 @@ def decompose(target, b: CircularSet, c: CircularSet, side: Side = Side.MINUS,
     side = Side(side)
     inst = _inst if _inst is not None else _Instance(b, c)
     value = target.value if isinstance(target, TorusPoint) else as_rational(target) % 1
-    if value not in inst.universe_set:
+    r = inst.member_residue(value)
+    if r is None:
         raise NonMemberTargetError(f"{value} is not an element of B - B")
     engine = inst.engine(side)
-    counts = engine.decompose_value(value)
-    parts = tuple(sorted(counts.elements(), reverse=True))
-    tree = engine.subdivision_tree(value, reflect=side is Side.PLUS)
-    return DecompositionCertificate(value, side, parts, tree)
+    counts = engine.decompose_value(r)
+    lifted = {p: Fraction(p, inst.q) for p in counts}
+    parts = tuple(lifted[p] for p in sorted(counts.elements(), reverse=True))
+    return DecompositionCertificate(value, side, parts, engine.subdivision_tree(r))
 
 
 def _span_table(coin_ints: tuple, scale: int) -> np.ndarray:
@@ -249,16 +301,14 @@ def _span_table(coin_ints: tuple, scale: int) -> np.ndarray:
     dp = np.zeros(scale + 1, dtype=bool)
     dp[0] = True
     for coin in sorted(set(coin_ints)):
-        if coin * coin <= scale:
-            # saturate each residue class in one accumulate pass
-            for r in range(coin):
-                seg = dp[r::coin]
-                np.logical_or.accumulate(seg, out=seg)
-        else:
-            # few multiples fit, so repeated shifted ORs reach the closure;
-            # the copy keeps the source clear of the aliased destination
-            for _ in range(scale // coin):
-                dp[coin:] |= dp[:-coin].copy()
+        # one row per multiple of the coin: accumulating down the columns
+        # saturates every residue class in a single pass
+        rows = -(-(scale + 1) // coin)
+        grid = np.zeros(rows * coin, dtype=bool)
+        grid[:scale + 1] = dp
+        grid = grid.reshape(rows, coin)
+        np.logical_or.accumulate(grid, axis=0, out=grid)
+        dp = grid.ravel()[:scale + 1]
     return dp
 
 
@@ -289,12 +339,10 @@ class SpanOracle:
 
     def __init__(self, coins: tuple, dp_limit: int = 1 << 24, set_cap: int = 2_000_000):
         self.coins = tuple(sorted(set(coins)))
-        scale = 1
-        for g in self.coins:
-            scale = lcm(scale, g.denominator)
+        ints, scale = residues(self.coins)
         self.scale = scale
         if scale <= dp_limit:
-            self.table = _span_table(tuple(int(g * scale) for g in self.coins), scale)
+            self.table = _span_table(tuple(ints), scale)
             self.values = None
         else:
             self.table = None
@@ -308,6 +356,21 @@ class SpanOracle:
             n = x * self.scale
             return n.denominator == 1 and bool(self.table[int(n)])
         return x in self.values
+
+    def contains_scaled(self, ints: np.ndarray, q: int) -> np.ndarray:
+        """Membership of each value ints[i] / q, as a boolean array.
+
+        ints is an int64 or object array.  The DP table is read directly:
+        n / q sits on its grid exactly when q / gcd(q, scale) divides n.
+        """
+        if self.table is None:
+            return np.fromiter((Fraction(int(n), q) in self for n in ints),
+                               dtype=bool, count=len(ints))
+        g = gcd(q, self.scale)
+        step = q // g
+        on_grid = (ints % step == 0) & (ints >= 0) & (ints <= q)
+        index = (np.where(on_grid, ints, 0) // step * (self.scale // g)).astype(np.intp)
+        return on_grid & self.table[index]
 
     def reachable_scaled(self, scale: int) -> frozenset:
         """All span elements of denominator dividing scale, as integers 0..scale."""
@@ -355,41 +418,33 @@ def verify_generation(b: CircularSet, c: CircularSet) -> GenerationReport:
     report = neighbour_gaps(b, c, _inst=inst)
     oracle_minus = SpanOracle(report.r_minus)
     oracle_plus = SpanOracle(report.r_plus)
+    q, universe = inst.q, inst.universe
+    nonzero = universe != 0
     mismatches = []
-    done_minus = 0
-    done_plus = 0
+    done = []
     for side, engine, oracle in ((Side.MINUS, inst.minus, oracle_minus),
                                  (Side.PLUS, inst.plus, oracle_plus)):
-        table = engine.gap_parts()
-        for g, counts in table.items():
-            total = sum((part * mult for part, mult in counts.items()), Fraction(0))
-            if total != g or not set(counts) <= set(oracle.coins):
-                mismatches.append((side.value, g, "gap table"))
-        for d in inst.universe:
-            if d != 0:
-                cw, bw = engine.witnesses.get(d, (None, None))
-                if cw is None:
-                    mismatches.append((side.value, d, "no witness"))
-                    continue
-                if engine.arc_length(engine.index[bw], engine.index[cw]) != d:
-                    mismatches.append((side.value, d, "arc length"))
-                    continue
-            if d not in oracle:
-                mismatches.append((side.value, d, "oracle rejects"))
-                continue
-            if side is Side.MINUS:
-                done_minus += 1
-            else:
-                done_plus += 1
+        coins = {g.numerator * (q // g.denominator) for g in oracle.coins}
+        for g, counts in engine.gap_parts().items():
+            total = sum(part * mult for part, mult in counts.items())
+            if total != g or not counts.keys() <= coins:
+                mismatches.append((side.value, Fraction(g, q), "gap table"))
+        k, found = engine.find(universe)
+        arc = engine.arc_length(engine.wit_b[k], engine.wit_c[k])
+        # the first failing check names each rejected target
+        failure = np.select([nonzero & ~found, nonzero & (arc != universe),
+                             ~oracle.contains_scaled(universe, q)], [1, 2, 3], 0)
+        for i in np.flatnonzero(failure).tolist():
+            reason = ("no witness", "arc length", "oracle rejects")[failure[i] - 1]
+            mismatches.append((side.value, Fraction(int(universe[i]), q), reason))
+        done.append(int(np.count_nonzero(failure == 0)))
     cross = all(g in oracle_plus for g in report.r_minus) and \
         all(g in oracle_minus for g in report.r_plus)
-    scale = 1
-    for p in b.points:
-        scale = lcm(scale, p.value.denominator)
-    spans_agree = oracle_minus.reachable_scaled(scale) == oracle_plus.reachable_scaled(scale)
+    spans_agree = oracle_minus.reachable_scaled(q) == oracle_plus.reachable_scaled(q)
+    done_minus, done_plus = done
     passed = not mismatches and cross and spans_agree and \
-        done_minus == len(inst.universe) and done_plus == len(inst.universe)
-    return GenerationReport(len(b), len(c), len(inst.universe),
+        done_minus == len(universe) and done_plus == len(universe)
+    return GenerationReport(len(b), len(c), len(universe),
                             report.r_minus, report.r_plus,
                             done_minus, done_plus,
                             not mismatches, cross, spans_agree,

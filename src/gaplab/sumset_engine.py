@@ -14,12 +14,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Iterable
 
 import numpy as np
 
-from .exact_torus import TorusPoint, as_rational, reduce_mod1
+from .exact_torus import TorusPoint, as_rational, reduce_mod1, residues
 
 # Dense path budgets: output bitmap at most 2^26 bits (8 MB), the shifted
 # segment table at most 64 * 2^22 bits (32 MB), overflow-free int64 sums.
@@ -131,19 +130,6 @@ def _require_same_domain(x: FiniteExactSet, y: FiniteExactSet) -> None:
         raise DomainMismatchError(f"cannot combine {x.domain.value} with {y.domain.value}")
 
 
-def _cleared(values: Sequence[Fraction], scale: int) -> list:
-    return [int(v * scale) for v in values]
-
-
-def _common_scale(xs: Sequence[Fraction], ys: Sequence[Fraction]) -> int:
-    scale = 1
-    for v in xs:
-        scale = lcm(scale, v.denominator)
-    for v in ys:
-        scale = lcm(scale, v.denominator)
-    return scale
-
-
 def sumset(x: FiniteExactSet, y: FiniteExactSet) -> FiniteExactSet:
     """The set {a + b : a in x, b in y}, exactly, in the common domain."""
     _require_same_domain(x, y)
@@ -153,16 +139,13 @@ def sumset(x: FiniteExactSet, y: FiniteExactSet) -> FiniteExactSet:
     if dom is Domain.INTEGERS:
         sums = _pairsums_int(list(x.elements), list(y.elements))
         return FiniteExactSet._from_sorted(tuple(sums), dom)
+    ints, scale = residues(x.elements + y.elements)
+    sums = _pairsums_int(ints[:len(x)], ints[len(x):])
     if dom is Domain.RATIONALS:
-        scale = _common_scale(x.elements, y.elements)
-        sums = _pairsums_int(_cleared(x.elements, scale), _cleared(y.elements, scale))
         return FiniteExactSet._from_sorted(tuple(Fraction(n, scale) for n in sums), dom)
-    vx = [p.value for p in x.elements]
-    vy = [p.value for p in y.elements]
-    scale = _common_scale(vx, vy)
-    raw = _pairsums_int(_cleared(vx, scale), _cleared(vy, scale))
-    folded = sorted({n % scale for n in raw})
-    return FiniteExactSet._from_sorted(tuple(TorusPoint(Fraction(n, scale)) for n in folded), dom)
+    folded = sorted({n % scale for n in sums})
+    return FiniteExactSet._from_sorted(
+        tuple(TorusPoint._from_residue(n, scale) for n in folded), dom)
 
 
 def difference_set(x: FiniteExactSet, y: FiniteExactSet) -> FiniteExactSet:
@@ -273,14 +256,11 @@ def minimal_difference_cover(b: FiniteExactSet, exact_limit: int = 24,
         ints = list(elems)
         lift = None
     elif dom is Domain.RATIONALS:
-        scale = _common_scale(elems, ())
-        ints = _cleared(elems, scale)
+        ints, scale = residues(elems)
         lift = lambda n: Fraction(n, scale)
     else:
-        vals = [p.value for p in elems]
-        scale = _common_scale(vals, ())
-        ints = _cleared(vals, scale)
-        lift = lambda n: TorusPoint(Fraction(n, scale))
+        ints, scale = residues(elems)
+        lift = lambda n: TorusPoint._from_residue(n, scale)
     wrap = (lambda d: d % scale) if dom is Domain.TORUS else (lambda d: d)
     orig = dict(zip(ints, elems))
     universe = sorted({wrap(p - q) for p in ints for q in ints})
@@ -375,5 +355,7 @@ def minimal_difference_cover(b: FiniteExactSet, exact_limit: int = 24,
         certificate = {d: witness[d] for d in universe}
         return CoverResult(cover, exact, tuple(universe), certificate)
     cover = tuple(orig[n] for n in cover_ints)
-    certificate = {lift(d): (orig[witness[d][0]], orig[witness[d][1]]) for d in universe}
-    return CoverResult(cover, exact, tuple(lift(d) for d in universe), certificate)
+    lifted = tuple(lift(d) for d in universe)
+    certificate = {key: (orig[witness[d][0]], orig[witness[d][1]])
+                   for key, d in zip(lifted, universe)}
+    return CoverResult(cover, exact, lifted, certificate)

@@ -123,3 +123,16 @@ def test_verify_subset_prints_status_lines(capsys):
 def test_verify_rejects_unknown_suite():
     rc = main(["verify", "--suite", "no-such-check"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["generators", "--points", "0,1/2;1/3,1/5;2/3,0"],
+    ["cover", "--points", "0;1/3,1/5;2/3"],
+    ["generators", "--points", "0;1/3;2/3", "--cover", "0,1/2"],
+])
+def test_multi_coordinate_circle_points_are_input_errors(argv, capsys):
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "dimension 2" in err
+    assert len(err.strip().splitlines()) == 1

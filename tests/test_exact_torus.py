@@ -1,6 +1,7 @@
 """Canonical representatives, norms and arcs on the circle and the d-torus."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from gaplab.exact_torus import (TorusPoint, TorusVector, as_rational, ccw_arc,
                                 circular_sort, embed_reals, point, reduce_mod1,
-                                signed_mod1, torus_dist_sq, torus_norm,
-                                torus_norm_sq_d)
+                                residues, signed_mod1, torus_dist_sq,
+                                torus_norm, torus_norm_sq_d)
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=997)
 unit_rationals = st.fractions(min_value=0, max_value=Fraction(996, 997),
@@ -116,3 +117,26 @@ def test_embed_reals_preserves_order_and_scales():
 def test_as_rational_accepts_ints_and_strings():
     assert as_rational(3) == 3
     assert as_rational(Fraction(1, 3)) == Fraction(1, 3)
+
+
+@given(st.one_of(st.integers(1, 10 ** 6), st.integers(1 << 61, 1 << 70)), st.data())
+@settings(deadline=None)
+def test_residue_constructor_matches_public_constructor(q, data):
+    n = data.draw(st.integers(0, q - 1))
+    m = data.draw(st.integers(0, q - 1))
+    fast = TorusPoint._from_residue(n, q)
+    slow = TorusPoint(Fraction(n, q))
+    other = TorusPoint(Fraction(m, q))
+    assert fast == slow and hash(fast) == hash(slow) and str(fast) == str(slow)
+    assert (fast < other) == (slow < other) and (fast > other) == (slow > other)
+    assert (other <= fast) == (other <= slow)
+
+
+@given(st.lists(unit_rationals, max_size=12))
+@settings(deadline=None)
+def test_residues_clear_a_common_denominator(values):
+    ints, q = residues([point(v) for v in values] + values)
+    assert ints[:len(values)] == ints[len(values):]
+    assert all(0 <= n < q for n in ints)
+    assert [Fraction(n, q) for n in ints[:len(values)]] == values
+    assert gcd(q, *ints) == 1  # q is the least common denominator

@@ -1,17 +1,22 @@
 """Decomposition of differences over neighbour gaps, with the span oracle."""
 
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaplab.gap_spectrum import CircularSet, SubsetViolationError, fractional_orbit
 from gaplab.generator_decomposition import (NonMemberTargetError,
                                             OracleScaleError,
                                             PremiseViolationError, Side,
-                                            SpanOracle, decompose,
+                                            SpanOracle, _Instance, decompose,
                                             neighbour_gaps, verify_generation)
-from gaplab.sumset_engine import minimal_difference_cover
+from gaplab.sumset_engine import difference_set, minimal_difference_cover
 
 
 def tenths(*nums):
@@ -146,3 +151,142 @@ def test_plus_side_mirrors_minus_side_of_reflection():
     mirror = neighbour_gaps(refl_b, refl_c)
     assert rep.r_plus == mirror.r_minus
     assert rep.r_minus == mirror.r_plus
+
+
+def test_premise_violation_message_names_the_smallest_missing_difference():
+    b = tenths(0, 1, 2, 3)
+    with pytest.raises(PremiseViolationError) as err:
+        neighbour_gaps(b, tenths(0))
+    assert str(err.value) == \
+        "C - B misses the difference 1/10; C - B = B - B is required"
+    with pytest.raises(PremiseViolationError) as err:
+        verify_generation(b, tenths(3))
+    assert str(err.value) == \
+        "C - B misses the difference 7/10; C - B = B - B is required"
+
+
+@contextmanager
+def recursion_allowance(frames):
+    """Cap the recursion limit at the current frame depth plus frames."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def tree_depth(node):
+    deepest, stack = 0, [(node, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((child, depth + 1) for child in node.get("pieces", ()))
+    return deepest
+
+
+def test_deep_subdivision_tree_needs_no_recursion():
+    # Block k holds x, x + g(k-1), x + g(k) with g(k) = k + 2.  The smallest
+    # witness of g(k) is block k's outer pair, whose arc splits into g(k-1)
+    # and 1, so the tree of g(K) nests K + 1 levels deep.
+    levels, spacing = 120, 1000
+    q = spacing * (levels + 2)
+    vals = []
+    for k in range(1, levels + 1):
+        x = k * spacing
+        vals += [x, x + k + 1, x + k + 2]
+    b = CircularSet.from_values([Fraction(v, q) for v in vals])
+    target = Fraction(levels + 2, q)
+    with recursion_allowance(100):
+        cert = decompose(target, b, b, Side.MINUS)
+    assert tree_depth(cert.tree) == levels + 1
+    assert cert.parts == (Fraction(2, q),) + (Fraction(1, q),) * levels
+    assert cert.total() == target
+
+
+def circle_sets(max_q=120, max_size=12):
+    return st.integers(6, max_q).flatmap(lambda q: st.lists(
+        st.integers(0, q - 1), min_size=2, max_size=min(max_size, q), unique=True
+    ).map(lambda vs: CircularSet.from_values([Fraction(v, q) for v in vs])))
+
+
+def min_cover(b):
+    cov = minimal_difference_cover(b.to_exact_set())
+    return CircularSet.from_values([p.value for p in cov.cover])
+
+
+@given(circle_sets())
+@settings(max_examples=40, deadline=None)
+def test_certificates_are_exact_sums_of_neighbour_gaps(b):
+    c = min_cover(b)
+    rep = neighbour_gaps(b, c)
+    gaps = {Side.MINUS: set(rep.r_minus), Side.PLUS: set(rep.r_plus)}
+    universe = difference_set(b.to_exact_set(), b.to_exact_set()).elements
+    for target in universe:
+        for side in Side:
+            cert = decompose(target, b, c, side)
+            assert sum(cert.parts, Fraction(0)) == target.value
+            assert set(cert.parts) <= gaps[side]
+            stack = [cert.tree]
+            while stack:
+                node = stack.pop()
+                if node.get("generator"):
+                    assert Fraction(node["arc"]) in gaps[side]
+                    continue
+                pieces = node["pieces"]
+                assert sum((Fraction(p["arc"]) for p in pieces), Fraction(0)) == \
+                    Fraction(node["arc"])
+                stack.extend(pieces)
+
+
+# Prime pairs whose products sit just below and just above 2^62, where the
+# residue arrays switch from int64 to Python ints.
+BELOW_2_62 = (2147483629, 2147483647)
+ABOVE_2_62 = (2147483659, 2147483693)
+
+
+@pytest.mark.parametrize("primes, dtype", [(BELOW_2_62, np.int64), (ABOVE_2_62, object)])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_generation_on_both_sides_of_the_int64_switch(primes, dtype, data):
+    size = data.draw(st.integers(2, 5))
+    # point i sits in the first half of the i-th of size equal arcs, over
+    # alternating prime denominators, so every gap is at least 1/(2 size)
+    vals = []
+    for i in range(size):
+        p = primes[i % 2]
+        lo = p * 2 * i // (2 * size) + 1
+        vals.append(Fraction(data.draw(st.integers(lo, lo + p // (2 * size) - 2)), p))
+    b = CircularSet.from_values(vals)
+    c = min_cover(b)
+    inst = _Instance(b, c)
+    assert inst.q == primes[0] * primes[1]
+    assert inst.universe.dtype == dtype
+    rep = verify_generation(b, c)
+    assert rep.passed and rep.mismatches == ()
+    assert rep.decomposed_minus == rep.decomposed_plus == rep.universe_size
+
+
+@given(st.lists(st.integers(1, 12), min_size=1, max_size=4), st.integers(1, 12),
+       st.integers(1, 90), st.data())
+@settings(max_examples=60, deadline=None)
+def test_vectorised_oracle_lookup_matches_membership(nums, den, q, data):
+    coins = tuple(Fraction(n, den + n) for n in nums)
+    dp = SpanOracle(coins)
+    bfs = SpanOracle(coins, dp_limit=1)
+    assert dp.table is not None and bfs.table is None
+    assert dp.as_fractions() == bfs.values
+    # q a multiple of the DP scale puts every value on the grid; any other
+    # q puts some off it
+    q = data.draw(st.sampled_from([q, q * dp.scale]))
+    ints = [-1, 0, q, q + 1] + data.draw(st.lists(st.integers(-2, q + 2), max_size=40))
+    expected = [Fraction(n, q) in dp for n in ints]
+    assert expected == [Fraction(n, q) in bfs for n in ints]
+    for oracle in (dp, bfs):
+        for dtype in (np.int64, object):
+            got = oracle.contains_scaled(np.array(ints, dtype=dtype), q)
+            assert got.dtype == bool and got.tolist() == expected

@@ -164,3 +164,25 @@ def test_sorted_output_across_domains():
     t = FiniteExactSet.torus(vals)
     got = [p.value for p in t.elements]
     assert got == sorted(set(v % 1 for v in vals))
+
+
+def test_torus_lifts_keep_their_values():
+    tenths = [Fraction(n, 10) for n in (0, 1, 2, 3)]
+    b = FiniteExactSet.torus(tenths)
+    s = sumset(b, FiniteExactSet.torus([Fraction(1, 2), Fraction(3, 4)]))
+    assert [str(p) for p in s.elements] == ["1/20", "1/2", "3/5", "7/10", "3/4",
+                                            "4/5", "17/20", "19/20"]
+    cov = minimal_difference_cover(b)
+    assert [str(p) for p in cov.cover] == ["0", "3/10"]
+    assert [str(p) for p in cov.universe] == ["0", "1/10", "1/5", "3/10", "7/10",
+                                              "4/5", "9/10"]
+    assert {str(d): (str(c), str(e)) for d, (c, e) in cov.certificate.items()} == {
+        "0": ("0", "0"), "1/10": ("3/10", "1/5"), "1/5": ("3/10", "1/10"),
+        "3/10": ("3/10", "0"), "7/10": ("0", "3/10"), "4/5": ("0", "1/5"),
+        "9/10": ("0", "1/10")}
+    # the certificate is keyed by the universe's own point objects
+    assert all(k is u for k, u in zip(cov.certificate, cov.universe))
+    rat = minimal_difference_cover(FiniteExactSet.rationals(tenths))
+    assert [str(d) for d in rat.universe] == ["-3/10", "-1/5", "-1/10", "0", "1/10",
+                                              "1/5", "3/10"]
+    assert rat.certificate[Fraction(-1, 5)] == (Fraction(0), Fraction(1, 5))
