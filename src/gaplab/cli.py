@@ -18,7 +18,6 @@ import os
 import sys
 import time
 from fractions import Fraction
-from math import isqrt
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .exact_torus import TorusVector
@@ -26,9 +25,9 @@ from .extremal_constructions import (ap_free_check, behrend_set,
                                      build_cover_forcing_set, exact_ap_free,
                                      greedy_ap_free, lattice_projection)
 from .gap_spectrum import (APUnionSpec, CircularSet, ap_union_gap_check,
-                           arc_counting_diagnostic, fractional_orbit,
-                           gap_bound_check, greedy_max_distinct, spectrum,
-                           three_gap_check)
+                           fractional_orbit, gap_bound_check,
+                           greedy_max_distinct, greedy_target, spectrum,
+                           sumset_size, three_gap_check)
 from .generator_decomposition import verify_generation
 from .nn_census import (PointCloud, extract_core, kissing_check,
                         kronecker_census, max_ball_depth, nn_census,
@@ -158,16 +157,15 @@ def _cmd_greedy(args) -> Tuple[Dict[str, Any], bool]:
     a = greedy_max_distinct(b)
     bound = gap_bound_check(a, b)
     n = len(b)
-    root = isqrt(2 * n)
-    target = root - 1 if root * root == 2 * n else root  # ceil(sqrt(2n)) - 1
-    distinct = len(spectrum(a).distinct)
+    target = greedy_target(n)
+    distinct = bound.distinct_gaps
     achieved = distinct >= target
-    double = sumset(b.to_exact_set(), b.to_exact_set())
-    doubling_ok = len(double) == 2 * n - 1
+    double = sumset_size(b, b)
+    doubling_ok = double == 2 * n - 1
     verdicts = [
         _verdict("greedy-target", achieved, distinct_gaps=distinct, target=target),
         _verdict("gap-bound", bound.passed, lhs=bound.lhs, rhs=bound.rhs),
-        _verdict("orbit-doubling", doubling_ok, sumset_size=len(double),
+        _verdict("orbit-doubling", doubling_ok, sumset_size=double,
                  expected=2 * n - 1),
     ]
     metrics = {"b_size": n, "a_size": len(a), "distinct_gaps": distinct}

@@ -7,28 +7,26 @@ of the spectrum sit the classical verifications: the three-gap property of
 orbits {n*alpha}, its union-of-progressions generalization, the sumset bound
 on the number of distinct gaps of any subset, the arc-partition pair count
 that proves it, a greedy subset maximizing distinct gaps, and greedy Sidon
-extraction.  Everything is exact; verdicts are equalities and inequalities
-between Fractions and integers.
+extraction.  Everything is exact: a set's points are cleared once to
+integer residues mod a common denominator q (an orbit of p/q is just the
+sorted residues n*p mod q), every gap, subset test, sum and verdict is
+decided on those integers, and Fractions and torus points are built only
+for what a report or return value shows.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from functools import cached_property
+from math import isqrt, lcm
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .exact_torus import (
-    DuplicatePointError,
-    RationalLike,
-    TorusPoint,
-    as_rational,
-    embed_reals,
-    reduce_mod1,
-)
-from .sumset_engine import FiniteExactSet, sumset
+from .exact_torus import (DuplicatePointError, RationalLike, TorusPoint,
+                          as_rational, reduce_mod1, residues)
+from .sumset_engine import FiniteExactSet, Domain, torus_pairsums
 
 
 class TooFewPointsError(ValueError):
@@ -94,8 +92,21 @@ class CircularSet:
         return cls(tuple(sorted(points)), None, wrap)
 
     @classmethod
-    def from_reals(cls, xs: Iterable[RationalLike]) -> "CircularSet":
-        return cls(embed_reals(xs), None, Wrap.EXCLUDE)
+    def _from_residues(cls, ints: list, q: int, labels: Optional[tuple] = None,
+                       wrap: Wrap = Wrap.INCLUDE) -> "CircularSet":
+        # Internal: ints must be distinct residues in [0, q), ascending, so
+        # the points are strictly increasing without a Fraction comparison.
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "points", tuple(TorusPoint._from_residue(n, q) for n in ints))
+        object.__setattr__(inst, "labels", labels)
+        object.__setattr__(inst, "wrap", wrap)
+        inst.__dict__["_residues"] = (ints, q)
+        return inst
+
+    @cached_property
+    def _residues(self) -> Tuple[list, int]:
+        """(ints, q): ascending residues mod q with points[i] == ints[i] / q."""
+        return residues(self.points)
 
     def values(self) -> tuple:
         return tuple(p.value for p in self.points)
@@ -104,7 +115,8 @@ class CircularSet:
         return frozenset(self.points)
 
     def to_exact_set(self) -> FiniteExactSet:
-        return FiniteExactSet.torus(self.points)
+        # The points are already canonical and strictly increasing.
+        return FiniteExactSet._from_sorted(self.points, Domain.TORUS)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -116,7 +128,39 @@ class CircularSet:
         return p in self.point_set()
 
     def issubset(self, other: "CircularSet") -> bool:
-        return self.point_set() <= other.point_set()
+        return self._first_missing(other) is None
+
+    def _first_missing(self, other: "CircularSet") -> Optional[TorusPoint]:
+        """The smallest point of self that other lacks, or None."""
+        mine, theirs, q = _common_residues(self, other)
+        present = set(theirs)
+        for n in mine:
+            if n not in present:
+                return TorusPoint._from_residue(n, q)
+        return None
+
+
+def _common_residues(a: CircularSet, b: CircularSet) -> Tuple[list, list, int]:
+    """Both sets' ascending residues over one common denominator q."""
+    (xs, qa), (ys, qb) = a._residues, b._residues
+    if qa == qb:
+        return xs, ys, qa
+    q = lcm(qa, qb)
+    return [x * (q // qa) for x in xs], [y * (q // qb) for y in ys], q
+
+
+def sumset_size(a: CircularSet, b: CircularSet) -> int:
+    """|A + B|, counted on residues without lifting the sums to points."""
+    xs, ys, q = _common_residues(a, b)
+    return len(torus_pairsums(xs, ys, q))
+
+
+def _gaps(ints: list, q: int, wrap: Wrap) -> list:
+    """Consecutive differences of ascending residues, closing arc per wrap."""
+    gaps = [y - x for x, y in zip(ints, ints[1:])]
+    if wrap is Wrap.INCLUDE:
+        gaps.append(ints[0] + q - ints[-1])
+    return gaps
 
 
 @dataclass(frozen=True)
@@ -136,12 +180,28 @@ def spectrum(a: CircularSet) -> GapSpectrum:
     """Anticlockwise consecutive differences of a, honouring its wrap policy."""
     if len(a) < 2:
         raise TooFewPointsError("a spectrum needs at least two points")
-    vals = a.values()
-    gaps = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
-    if a.wrap is Wrap.INCLUDE:
-        gaps.append(vals[0] + 1 - vals[-1])
+    ints, q = a._residues
+    gaps = _gaps(ints, q, a.wrap)
     mult = Counter(gaps)
-    return GapSpectrum(tuple(gaps), frozenset(mult), dict(mult))
+    # One Fraction per distinct gap, shared by every gap equal to it.
+    lifted = {g: Fraction(g, q) for g in mult}
+    return GapSpectrum(tuple(lifted[g] for g in gaps), frozenset(lifted.values()),
+                       {lifted[g]: c for g, c in mult.items()})
+
+
+def _orbit_residues(alpha: RationalLike, n_points: int) -> Tuple[Fraction, list, tuple, int]:
+    """alpha mod 1, the orbit's ascending residues n*p mod q, their multipliers n, and q."""
+    alpha = as_rational(alpha) % 1
+    if n_points < 1:
+        raise ValueError("need at least one point")
+    p, q = alpha.numerator, alpha.denominator
+    if q <= n_points:
+        raise InsufficientDenominatorError(
+            f"alpha = {alpha} has denominator {q} <= N = {n_points}; multiples would collide")
+    ints = sorted([(n * p) % q for n in range(1, n_points + 1)])
+    # p is a unit mod q, so the residue r = n*p names its multiplier n = r/p.
+    p_inv = pow(p, -1, q)
+    return alpha, ints, tuple([r * p_inv % q for r in ints]), q
 
 
 def fractional_orbit(alpha: RationalLike, n_points: int) -> CircularSet:
@@ -150,16 +210,8 @@ def fractional_orbit(alpha: RationalLike, n_points: int) -> CircularSet:
     alpha = p/q must have q > N so the N points are pairwise distinct; this
     is the exact-arithmetic model of an irrational rotation at finite scale.
     """
-    alpha = as_rational(alpha) % 1
-    if n_points < 1:
-        raise ValueError("need at least one point")
-    p, q = alpha.numerator, alpha.denominator
-    if q <= n_points:
-        raise InsufficientDenominatorError(
-            f"alpha = {alpha} has denominator {q} <= N = {n_points}; multiples would collide")
-    residues = sorted(((n * p) % q, n) for n in range(1, n_points + 1))
-    return CircularSet(tuple(TorusPoint(Fraction(r, q)) for r, _ in residues),
-                       tuple(n for _, n in residues), Wrap.INCLUDE)
+    _, ints, labels, q = _orbit_residues(alpha, n_points)
+    return CircularSet._from_residues(ints, q, labels)
 
 
 @dataclass(frozen=True)
@@ -183,18 +235,18 @@ def three_gap_check(alpha: RationalLike, n_points: int) -> ThreeGapReport:
     and largest orbit point: 1 - b_N, b_1, and their sum.  Every gap,
     including the closing arc, must equal one of them.
     """
-    orbit = fractional_orbit(alpha, n_points)
-    b1 = orbit.points[0].value
-    bn = orbit.points[-1].value
-    refs = tuple(sorted({b1, 1 - bn, b1 + 1 - bn}))
+    alpha, ints, labels, q = _orbit_residues(alpha, n_points)
+    b1, bn = ints[0], ints[-1]
+    refs = sorted({b1, q - bn, b1 + q - bn})
+    lifted_refs = tuple(Fraction(r, q) for r in refs)
     if n_points == 1:
         # A single point has just the closing arc of length 1 = b_1 + 1 - b_N.
-        return ThreeGapReport(as_rational(alpha) % 1, 1, (Fraction(1),), refs,
-                              orbit.labels[0], orbit.labels[-1], True)
-    distinct = tuple(sorted(spectrum(orbit).distinct))
+        return ThreeGapReport(alpha, 1, (Fraction(1),), lifted_refs,
+                              labels[0], labels[-1], True)
+    distinct = sorted(set(_gaps(ints, q, Wrap.INCLUDE)))
     passed = len(distinct) <= 3 and set(distinct) <= set(refs)
-    return ThreeGapReport(as_rational(alpha) % 1, n_points, distinct, refs,
-                          orbit.labels[0], orbit.labels[-1], passed)
+    return ThreeGapReport(alpha, n_points, tuple(Fraction(g, q) for g in distinct),
+                          lifted_refs, labels[0], labels[-1], passed)
 
 
 @dataclass(frozen=True)
@@ -218,20 +270,26 @@ class APUnionSpec:
         return len(self.arms)
 
 
+def _ap_union_residues(spec: APUnionSpec) -> Tuple[list, int]:
+    """Ascending residues of the union over the lcm q of all denominators."""
+    ints, q = residues([spec.alpha] + [beta for beta, _ in spec.arms])
+    step = ints[0]
+    seen: Dict[int, tuple] = {}
+    for i, (val, (_, length)) in enumerate(zip(ints[1:], spec.arms), start=1):
+        for n in range(1, length + 1):
+            val = (val + step) % q
+            if val in seen:
+                raise CollisionError(
+                    f"point {TorusPoint._from_residue(val, q)} generated twice: "
+                    f"arm {seen[val]} and arm {(i, n)}")
+            seen[val] = (i, n)
+    return sorted(seen), q
+
+
 def ap_union_points(spec: APUnionSpec) -> CircularSet:
     """The union of the k progressions as a circular set; collisions are errors."""
-    seen: Dict[TorusPoint, tuple] = {}
-    for i, (beta, length) in enumerate(spec.arms, start=1):
-        step = spec.alpha
-        val = beta.value
-        for n in range(1, length + 1):
-            val = (val + step) % 1
-            pt = TorusPoint(val)
-            if pt in seen:
-                raise CollisionError(
-                    f"point {pt} generated twice: arm {seen[pt]} and arm {(i, n)}")
-            seen[pt] = (i, n)
-    return CircularSet.from_points(seen, Wrap.INCLUDE)
+    ints, q = _ap_union_residues(spec)
+    return CircularSet._from_residues(ints, q)
 
 
 @dataclass(frozen=True)
@@ -246,17 +304,17 @@ class APUnionGapReport:
 
 
 def ap_union_gap_check(spec: APUnionSpec) -> APUnionGapReport:
-    points = ap_union_points(spec)
+    ints, q = _ap_union_residues(spec)
     bound = 3 * spec.k
-    if len(points) == 1:
+    if len(ints) == 1:
         return APUnionGapReport(spec.k, 1, (Fraction(1),), bound, 1 <= bound)
-    distinct = tuple(sorted(spectrum(points).distinct))
-    return APUnionGapReport(spec.k, len(points), distinct, bound, len(distinct) <= bound)
+    distinct = tuple(Fraction(g, q) for g in sorted(set(_gaps(ints, q, Wrap.INCLUDE))))
+    return APUnionGapReport(spec.k, len(ints), distinct, bound, len(distinct) <= bound)
 
 
 def _require_subset(a: CircularSet, b: CircularSet) -> None:
-    if not a.issubset(b):
-        missing = sorted(a.point_set() - b.point_set())[0]
+    missing = a._first_missing(b)
+    if missing is not None:
         raise SubsetViolationError(f"A is not a subset of B: {missing} missing from B")
 
 
@@ -287,7 +345,7 @@ def gap_bound_check(a: CircularSet, b: CircularSet) -> GapBoundReport:
         raise TooFewPointsError("B needs at least two points")
     _require_subset(a, b)
     m = _distinct_gap_count(a)
-    s = len(sumset(a.to_exact_set(), b.to_exact_set()))
+    s = sumset_size(a, b)
     lhs = (m - 1) ** 2 * len(b)
     rhs = 2 * s * s
     return GapBoundReport(len(a), len(b), m, s, lhs, rhs, m <= 1 or lhs <= rhs)
@@ -336,9 +394,10 @@ def arc_counting_diagnostic(a: CircularSet, b: CircularSet, k: int) -> ArcCounti
             witness[g] = i
     j_a = tuple(sorted(witness.values()))
 
-    s = sumset(a.to_exact_set(), b.to_exact_set())
-    pos = {p: t for t, p in enumerate(s.elements)}
-    total = len(s)
+    xs, ys, q = _common_residues(a, b)
+    sums = torus_pairsums(xs, ys, q)
+    pos = {n: t for t, n in enumerate(sums)}
+    total = len(sums)
     floor_size, oversized = divmod(total, k)
 
     def arc_of(t: int) -> int:
@@ -347,13 +406,12 @@ def arc_counting_diagnostic(a: CircularSet, b: CircularSet, k: int) -> ArcCounti
             return t // (floor_size + 1)
         return oversized + (t - head) // floor_size if floor_size else t
 
-    pts = a.points
-    m = len(pts)
+    m = len(xs)
     count = 0
     for i in j_a:
-        u, v = pts[i], pts[(i + 1) % m]
-        for q in b.points:
-            if arc_of(pos[u + q]) == arc_of(pos[v + q]):
+        u, v = xs[i], xs[(i + 1) % m]
+        for y in ys:
+            if arc_of(pos[(u + y) % q]) == arc_of(pos[(v + y) % q]):
                 count += 1
 
     sizes = [floor_size + 1] * oversized + [floor_size] * (k - oversized)
@@ -362,7 +420,8 @@ def arc_counting_diagnostic(a: CircularSet, b: CircularSet, k: int) -> ArcCounti
     bounds: list = []
     t = 0
     for sz in sizes:
-        bounds.append((s.elements[t], s.elements[t + sz - 1]) if sz else None)
+        bounds.append((TorusPoint._from_residue(sums[t], q),
+                       TorusPoint._from_residue(sums[t + sz - 1], q)) if sz else None)
         t += sz
     sum_cap = Fraction(total * total, 2 * k)
     derived = k + Fraction(total * total, 2 * k * len(b))
@@ -381,16 +440,22 @@ def greedy_max_distinct(b: CircularSet) -> CircularSet:
     """
     if len(b) < 2:
         raise TooFewPointsError("the greedy construction needs at least two points")
-    vals = b.values()
+    ints, q = b._residues
     chosen = [0, 1]
-    used = {vals[1] - vals[0]}
-    for idx in range(2, len(vals)):
-        d = vals[idx] - vals[chosen[-1]]
+    used = {ints[1] - ints[0]}
+    for idx in range(2, len(ints)):
+        d = ints[idx] - ints[chosen[-1]]
         if d not in used:
             used.add(d)
             chosen.append(idx)
     labels = None if b.labels is None else tuple(b.labels[i] for i in chosen)
-    return CircularSet(tuple(b.points[i] for i in chosen), labels, b.wrap)
+    return CircularSet._from_residues([ints[i] for i in chosen], q, labels, b.wrap)
+
+
+def greedy_target(n: int) -> int:
+    """ceil(sqrt(2n)) - 1: the distinct-gap count the greedy subset of n points must reach."""
+    root = isqrt(2 * n)
+    return root - 1 if root * root == 2 * n else root
 
 
 def sidon_subset(b: CircularSet) -> CircularSet:
@@ -402,24 +467,25 @@ def sidon_subset(b: CircularSet) -> CircularSet:
     """
     if len(b) < 1:
         raise TooFewPointsError("need at least one point")
+    ints, q = b._residues
     chosen: list = []
     diffs: set = set()
-    for p in b.points:
+    for x in ints:
         new = set()
         ok = True
         for u in chosen:
-            d1 = (p - u).value
-            d2 = (u - p).value
+            d1 = (x - u) % q
+            d2 = (u - x) % q
             if d1 in diffs or d2 in diffs or d1 in new or d2 in new or d1 == d2:
                 ok = False
                 break
             new.add(d1)
             new.add(d2)
         if ok:
-            chosen.append(p)
+            chosen.append(x)
             diffs |= new
     labels = None
     if b.labels is not None:
-        keep = {p: lab for p, lab in zip(b.points, b.labels)}
-        labels = tuple(keep[p] for p in chosen)
-    return CircularSet(tuple(chosen), labels, b.wrap)
+        keep = dict(zip(ints, b.labels))
+        labels = tuple(keep[x] for x in chosen)
+    return CircularSet._from_residues(chosen, q, labels, b.wrap)

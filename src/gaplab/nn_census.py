@@ -245,6 +245,8 @@ def nn_census(cloud: PointCloud, method: str = "auto",
     brute (all pairs), grid (bucket accelerator), auto (grid for large
     integer-scalable clouds, brute otherwise).  All methods agree exactly.
     """
+    if cells is not None and cells < 1:
+        raise InvalidConfigurationError(f"cells must be at least 1, got {cells}")
     n = len(cloud)
     if n < 2:
         raise TooFewPointsError("a census needs at least two points")
@@ -259,7 +261,8 @@ def nn_census(cloud: PointCloud, method: str = "auto",
         rows = cloud.scaled_rows(scale)
         raw = _grid_rows(rows, scale, cells)
     elif method == "brute":
-        if use_int:
+        # int64 squared norms: each coordinate folds to at most scale // 2
+        if use_int and cloud.dim * (scale // 2) ** 2 < np.iinfo(np.int64).max:
             raw = _brute_rows_numpy(cloud.scaled_rows(scale), scale)
         else:
             raw = _brute_rows_exact(cloud)

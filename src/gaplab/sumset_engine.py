@@ -140,12 +140,19 @@ def sumset(x: FiniteExactSet, y: FiniteExactSet) -> FiniteExactSet:
         sums = _pairsums_int(list(x.elements), list(y.elements))
         return FiniteExactSet._from_sorted(tuple(sums), dom)
     ints, scale = residues(x.elements + y.elements)
-    sums = _pairsums_int(ints[:len(x)], ints[len(x):])
     if dom is Domain.RATIONALS:
+        sums = _pairsums_int(ints[:len(x)], ints[len(x):])
         return FiniteExactSet._from_sorted(tuple(Fraction(n, scale) for n in sums), dom)
-    folded = sorted({n % scale for n in sums})
+    folded = torus_pairsums(ints[:len(x)], ints[len(x):], scale)
     return FiniteExactSet._from_sorted(
         tuple(TorusPoint._from_residue(n, scale) for n in folded), dom)
+
+
+def torus_pairsums(xs: list, ys: list, q: int) -> list:
+    """Sorted distinct residues mod q of x + y, for ascending residue lists."""
+    if not xs or not ys:
+        return []
+    return sorted({n % q for n in _pairsums_int(xs, ys)})
 
 
 def difference_set(x: FiniteExactSet, y: FiniteExactSet) -> FiniteExactSet:

@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, gcd, isqrt, log
+from math import ceil, gcd, log
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .exact_torus import TorusVector
@@ -21,7 +21,8 @@ from .extremal_constructions import build_cover_forcing_set, exact_ap_free
 from .gap_spectrum import (APUnionSpec, CircularSet, CollisionError,
                            ap_union_gap_check, arc_counting_diagnostic,
                            fractional_orbit, gap_bound_check,
-                           greedy_max_distinct, spectrum, three_gap_check)
+                           greedy_max_distinct, greedy_target, spectrum,
+                           sumset_size, three_gap_check)
 from .generator_decomposition import verify_generation
 from .nn_census import (PointCloud, extract_core, gram_kissing_check,
                         hexagon_gram, kissing_check, kronecker_census,
@@ -109,18 +110,13 @@ def check_ap_union(seed: int = 0, trials: int = 200) -> CheckResult:
         {"trials": trials, "failures": failures, "retries": retries}, elapsed)
 
 
-def _ceil_sqrt(x: int) -> int:
-    r = isqrt(x)
-    return r if r * r == x else r + 1
-
-
 def check_greedy_gaps(seed: int = 0, trials_per_n: int = 5) -> CheckResult:
     """Greedy subsets of seeded orbits hit the distinct-gap target and bound."""
     t0 = time.perf_counter()
     failures = []
     achieved: Dict[int, List[int]] = {}
     for n in (100, 1000, 2000):
-        target = _ceil_sqrt(2 * n) - 1
+        target = greedy_target(n)
         achieved[n] = []
         for trial in range(trials_per_n):
             rng = random.Random(f"greedy:{n}:{trial}")
@@ -134,18 +130,17 @@ def check_greedy_gaps(seed: int = 0, trials_per_n: int = 5) -> CheckResult:
             m_b = spectrum(b).size
             achieved[n].append(m_a)
             bound = gap_bound_check(a, b)
-            b_set = b.to_exact_set()
-            double = sumset(b_set, b_set)
+            double = sumset_size(b, b)
             ok = (m_a >= target
                   and (m_a - 1) ** 2 <= 8 * n
                   and (m_b - 1) ** 2 <= 8 * n
                   and bound.passed
-                  and len(double) == 2 * n - 1)
+                  and double == 2 * n - 1)
             if not ok:
-                failures.append((n, trial, m_a, target, len(double)))
+                failures.append((n, trial, m_a, target, double))
     elapsed = time.perf_counter() - t0
     summary = "; ".join(
-        f"n={n}: greedy gaps {min(v)}..{max(v)} vs target {_ceil_sqrt(2 * n) - 1}"
+        f"n={n}: greedy gaps {min(v)}..{max(v)} vs target {greedy_target(n)}"
         for n, v in achieved.items())
     return CheckResult(
         "greedy-gaps", not failures,

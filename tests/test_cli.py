@@ -136,3 +136,13 @@ def test_multi_coordinate_circle_points_are_input_errors(argv, capsys):
     assert rc == 2
     assert err.startswith("error:") and "dimension 2" in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("cells", ["0", "-1"])
+def test_nonpositive_cells_is_input_error(cells, capsys):
+    rc = main(["nn-census", "--points", "0,0;1/7,0;3/7,1/2", "--method", "grid",
+               "--cells", cells])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error:") and "cells" in err
+    assert len(err.strip().splitlines()) == 1

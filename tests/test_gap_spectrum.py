@@ -1,6 +1,7 @@
 """Gap spectra of circular sets: orbits, progression unions, greedy subsets."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -14,7 +15,9 @@ from gaplab.gap_spectrum import (APUnionSpec, CircularSet, CollisionError,
                                  ap_union_gap_check, ap_union_points,
                                  arc_counting_diagnostic, fractional_orbit,
                                  gap_bound_check, greedy_max_distinct,
-                                 sidon_subset, spectrum, three_gap_check)
+                                 sidon_subset, spectrum, sumset_size,
+                                 three_gap_check)
+from gaplab.sumset_engine import FiniteExactSet, sumset
 
 
 def test_orbit_of_five_eighths():
@@ -89,8 +92,9 @@ def test_ap_union_within_three_k():
 
 def test_ap_union_collision_detected():
     spec = APUnionSpec(Fraction(1, 10), ((Fraction(0), 3), (Fraction(1, 10), 3)))
-    with pytest.raises(CollisionError):
+    with pytest.raises(CollisionError) as err:
         ap_union_points(spec)
+    assert str(err.value) == "point 1/5 generated twice: arm (1, 2) and arm (2, 1)"
 
 
 @given(st.integers(1, 4), st.data())
@@ -186,3 +190,125 @@ def test_arc_counting_needs_three_points():
     a = CircularSet.from_points(b.points[:2])
     with pytest.raises(TooFewPointsError):
         arc_counting_diagnostic(a, b, 2)
+
+
+# ---- differential checks of the residue kernels against plain Fractions
+
+def reference_orbit(alpha, n):
+    """Sorted Fraction orbit of alpha with its multipliers."""
+    alpha = Fraction(alpha) % 1
+    p, q = alpha.numerator, alpha.denominator
+    pairs = sorted(((m * p) % q, m) for m in range(1, n + 1))
+    return tuple(Fraction(r, q) for r, _ in pairs), tuple(m for _, m in pairs)
+
+
+def reference_gaps(vals, wrap=True):
+    gaps = [vals[i + 1] - vals[i] for i in range(len(vals) - 1)]
+    if wrap:
+        gaps.append(vals[0] + 1 - vals[-1])
+    return gaps
+
+
+def reference_greedy(vals):
+    chosen, used = [0, 1], {vals[1] - vals[0]}
+    for idx in range(2, len(vals)):
+        d = vals[idx] - vals[chosen[-1]]
+        if d not in used:
+            used.add(d)
+            chosen.append(idx)
+    return chosen
+
+
+def reference_ap_union(spec):
+    """The union's sorted values, or the collision message."""
+    seen = {}
+    for i, (beta, length) in enumerate(spec.arms, start=1):
+        val = beta.value
+        for n in range(1, length + 1):
+            val = (val + spec.alpha) % 1
+            if val in seen:
+                return f"point {val} generated twice: arm {seen[val]} and arm {(i, n)}"
+            seen[val] = (i, n)
+    return sorted(seen)
+
+
+denominators = st.one_of(st.integers(2, 3000), st.integers(1 << 62, 1 << 70))
+
+
+@given(denominators, st.data())
+@settings(deadline=None, max_examples=80)
+def test_orbit_kernels_match_fraction_reference(q, data):
+    p = data.draw(st.integers(1, q - 1))
+    den = Fraction(p, q).denominator
+    assume(den > 1)
+    n = data.draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, min(den - 1, 300))))
+    assume(n < den)
+    vals, labels = reference_orbit(Fraction(p, q), n)
+    orbit = fractional_orbit(Fraction(p, q), n)
+    assert orbit.values() == vals and orbit.labels == labels
+    gaps = reference_gaps(vals)
+    refs = tuple(sorted({vals[0], 1 - vals[-1], vals[0] + 1 - vals[-1]}))
+    rep = three_gap_check(Fraction(p, q), n)
+    distinct = (Fraction(1),) if n == 1 else tuple(sorted(set(gaps)))
+    assert rep.alpha == Fraction(p, q)
+    assert (rep.n_points, rep.distinct_gaps, rep.reference_distances) == (n, distinct, refs)
+    assert (rep.first_label, rep.last_label) == (labels[0], labels[-1])
+    assert rep.passed == (len(distinct) <= 3 and set(distinct) <= set(refs))
+    if n >= 2:
+        spec = spectrum(orbit)
+        assert spec.gaps == tuple(gaps)
+        assert spec.distinct == frozenset(gaps)
+        assert spec.multiplicity == dict(Counter(gaps))
+        assert list(spec.multiplicity) == list(Counter(gaps))
+        a = greedy_max_distinct(orbit)
+        chosen = reference_greedy(vals)
+        assert a.values() == tuple(vals[i] for i in chosen)
+        assert a.labels == tuple(labels[i] for i in chosen)
+
+
+@given(denominators, st.integers(1, 4), st.data())
+@settings(deadline=None, max_examples=60)
+def test_ap_union_matches_fraction_reference(q, k, data):
+    alpha = Fraction(data.draw(st.integers(0, q - 1)), q)
+    arms = tuple((Fraction(data.draw(st.integers(0, 40)),
+                           data.draw(st.sampled_from([q, 2 * q, 7, 13]))),
+                  data.draw(st.integers(1, 12))) for _ in range(k))
+    spec = APUnionSpec(alpha, arms)
+    expected = reference_ap_union(spec)
+    if isinstance(expected, str):
+        with pytest.raises(CollisionError) as err:
+            ap_union_points(spec)
+        assert str(err.value) == expected
+        with pytest.raises(CollisionError):
+            ap_union_gap_check(spec)
+        return
+    assert ap_union_points(spec).values() == tuple(expected)
+    rep = ap_union_gap_check(spec)
+    distinct = ((Fraction(1),) if len(expected) == 1
+                else tuple(sorted(set(reference_gaps(expected)))))
+    assert (rep.k, rep.total_points, rep.distinct_gaps) == (k, len(expected), distinct)
+    assert rep.passed == (len(distinct) <= 3 * k)
+
+
+@given(denominators, st.sampled_from(list(Wrap)), st.data())
+@settings(deadline=None, max_examples=60)
+def test_residue_constructor_matches_public_constructor(q, wrap, data):
+    ints = sorted(data.draw(st.sets(st.integers(0, q - 1), min_size=1, max_size=30)))
+    labels = data.draw(st.one_of(st.none(), st.permutations(range(len(ints))).map(tuple)))
+    fast = CircularSet._from_residues(ints, q, labels, wrap)
+    public = CircularSet.from_values([Fraction(r, q) for r in ints], labels, wrap)
+    assert fast == public and hash(fast) == hash(public)
+    assert fast.points == public.points and fast.labels == public.labels
+    assert fast.to_exact_set().elements == public.to_exact_set().elements
+    assert fast.to_exact_set().elements == FiniteExactSet.torus(public.points).elements
+
+
+@given(st.lists(st.fractions(min_value=0, max_value=Fraction(99, 100), max_denominator=400),
+                min_size=1, max_size=25, unique=True),
+       st.lists(st.fractions(min_value=0, max_value=Fraction(99, 100), max_denominator=(1 << 64)),
+                min_size=1, max_size=25, unique=True))
+@settings(deadline=None, max_examples=60)
+def test_count_only_sumset_size_matches_sumset(xs, ys):
+    a, b = CircularSet.from_values(xs), CircularSet.from_values(ys)
+    for u, v in ((a, b), (b, a), (a, a)):
+        assert sumset_size(u, v) == len(sumset(u.to_exact_set(), v.to_exact_set()))

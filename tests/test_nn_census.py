@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from gaplab.exact_torus import TorusVector, torus_dist_sq
 from gaplab.nn_census import (EpsilonRangeError, InvalidConfigurationError,
-                              PointCloud, ball_depth, cloud_sumset,
-                              extract_core, gram_kissing_check, hexagon_gram,
-                              kissing_check, kronecker_census, max_ball_depth,
-                              nn_census, pentagon_cloud, tightness_example)
+                              PointCloud, _brute_rows_exact, ball_depth,
+                              cloud_sumset, extract_core, gram_kissing_check,
+                              hexagon_gram, kissing_check, kronecker_census,
+                              max_ball_depth, nn_census, pentagon_cloud,
+                              tightness_example)
 from gaplab.gap_spectrum import CollisionError
 
 
@@ -81,6 +82,21 @@ def test_exact_fallback_for_huge_denominators():
     assert by_point[Fraction(5, q)].diff == (Fraction(-4, q),)
     with pytest.raises(InvalidConfigurationError):
         nn_census(cloud, method="grid")
+
+
+def test_brute_census_past_int64_norms_matches_exact_rows():
+    # d * (q/2)^2 >= 2^63 with q under the integer-grid limit: int64 squared
+    # norms would wrap, so brute force must take the exact path
+    q = (1 << 30) - 35
+    h = q // 2
+    rows = [(0,) * 40, (h,) * 40, (h + 1,) + (h,) * 39]
+    cloud = PointCloud.from_values([[Fraction(v, q) for v in r] for r in rows])
+    for method in ("auto", "brute"):
+        rep = nn_census(cloud, method=method)
+        got = [(rec.dist_sq, rec.diff, cloud.points.index(rec.nearest))
+               for rec in rep.records]
+        assert got == _brute_rows_exact(cloud)
+        assert all(rec.dist_sq > 0 for rec in rep.records)
 
 
 def test_record_distances_are_true_minima():
