@@ -36,8 +36,8 @@ from .nn_census import (BallDepthReport, CensusReport, CoreExtractionTrace,
                         gram_kissing_check, hexagon_gram, kissing_check,
                         kronecker_census, max_ball_depth, nn_census,
                         pentagon_cloud, tightness_example)
-from .reports import (SCHEMA_VERSION, canonical_json, identity_view,
-                      report_payload, to_csv, to_jsonable)
+from .reports import (SCHEMA_VERSION, canonical_json, identity_view, to_csv,
+                      to_jsonable)
 from .sumset_engine import (CoverResult, Domain, DomainMismatchError,
                             FiniteExactSet, difference_set, doubling_ratio,
                             minimal_difference_cover, negate, sumset)

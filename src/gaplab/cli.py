@@ -26,8 +26,9 @@ from .extremal_constructions import (ap_free_check, behrend_set,
                                      greedy_ap_free, lattice_projection)
 from .gap_spectrum import (APUnionSpec, CircularSet, ap_union_gap_check,
                            fractional_orbit, gap_bound_check,
-                           greedy_max_distinct, greedy_target, spectrum,
-                           sumset_size, three_gap_check)
+                           greedy_max_distinct, greedy_target,
+                           orbit_three_gap_check, spectrum, sumset_size,
+                           three_gap_check)
 from .generator_decomposition import verify_generation
 from .nn_census import (PointCloud, extract_core, kissing_check,
                         kronecker_census, max_ball_depth, nn_census,
@@ -120,8 +121,8 @@ def _points_or_orbit(args: argparse.Namespace) -> CircularSet:
 
 def _cmd_orbit(args) -> Tuple[Dict[str, Any], bool]:
     b = fractional_orbit(args.alpha, args.n)
-    rep = three_gap_check(args.alpha, args.n)
     spect = spectrum(b) if len(b) > 1 else None
+    rep = orbit_three_gap_check(args.alpha, b, spect)
     verdicts = [_verdict("three-gap", rep.passed,
                          distinct_gaps=rep.distinct_gaps,
                          reference_distances=rep.reference_distances)]
@@ -441,7 +442,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nn-census", help="nearest-neighbour census of a torus cloud")
     p.add_argument("--points", type=_vector_list, required=True)
     p.add_argument("--method", choices=("auto", "brute", "grid"), default="auto")
-    p.add_argument("--cells", type=int, default=None)
+    p.add_argument("--cells", type=int, default=None,
+                   help="kept for compatibility: must be at least 1 and sizes "
+                        "nothing, since the grid method is a sweep without cells")
     common(p)
     p.set_defaults(fn=_cmd_nn_census)
 

@@ -41,7 +41,7 @@ def as_rational(x: RationalLike) -> Fraction:
     """
     if isinstance(x, (bool, float)):
         raise TypeError(f"{x!r} is not an exact rational; pass str, int or Fraction")
-    return Fraction(x)
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def signed_mod1(x: Fraction) -> Fraction:
@@ -150,6 +150,17 @@ class TorusVector:
     @classmethod
     def of(cls, *xs: RationalLike) -> "TorusVector":
         return cls(tuple(xs))
+
+    @classmethod
+    def _from_points(cls, coords: tuple) -> "TorusVector":
+        """The vector of a nonempty tuple of TorusPoints, taken as they are.
+
+        Skips the per-coordinate canonicalisation of the public constructor
+        on bulk lifts of integer rows.
+        """
+        v = object.__new__(cls)
+        object.__setattr__(v, "coords", coords)
+        return v
 
     @property
     def dim(self) -> int:

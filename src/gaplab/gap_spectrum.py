@@ -236,17 +236,30 @@ def three_gap_check(alpha: RationalLike, n_points: int) -> ThreeGapReport:
     including the closing arc, must equal one of them.
     """
     alpha, ints, labels, q = _orbit_residues(alpha, n_points)
+    return _three_gap_report(alpha, ints, labels, q, set(_gaps(ints, q, Wrap.INCLUDE)))
+
+
+def orbit_three_gap_check(alpha: RationalLike, orbit: CircularSet,
+                          spect: Optional[GapSpectrum]) -> ThreeGapReport:
+    """three_gap_check(alpha, N) read off fractional_orbit(alpha, N) and its spectrum.
+
+    spect is None for a single point, whose one gap is the whole circle.
+    Neither the orbit nor its gaps are built again.
+    """
+    ints, q = orbit._residues
+    distinct = spect.distinct if spect is not None else {Fraction(1)}
+    return _three_gap_report(as_rational(alpha) % 1, ints, orbit.labels, q,
+                             {int(g * q) for g in distinct})
+
+
+def _three_gap_report(alpha: Fraction, ints: list, labels: tuple, q: int,
+                      distinct: set) -> ThreeGapReport:
+    """The verdict for an orbit's ascending residues and its distinct gaps, over q."""
     b1, bn = ints[0], ints[-1]
     refs = sorted({b1, q - bn, b1 + q - bn})
-    lifted_refs = tuple(Fraction(r, q) for r in refs)
-    if n_points == 1:
-        # A single point has just the closing arc of length 1 = b_1 + 1 - b_N.
-        return ThreeGapReport(alpha, 1, (Fraction(1),), lifted_refs,
-                              labels[0], labels[-1], True)
-    distinct = sorted(set(_gaps(ints, q, Wrap.INCLUDE)))
-    passed = len(distinct) <= 3 and set(distinct) <= set(refs)
-    return ThreeGapReport(alpha, n_points, tuple(Fraction(g, q) for g in distinct),
-                          lifted_refs, labels[0], labels[-1], passed)
+    passed = len(distinct) <= 3 and distinct <= set(refs)
+    return ThreeGapReport(alpha, len(ints), tuple(Fraction(g, q) for g in sorted(distinct)),
+                          tuple(Fraction(r, q) for r in refs), labels[0], labels[-1], passed)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,15 @@
 """Nearest-neighbour structure of finite sets on the d-dimensional torus.
 
-Everything runs on exact rationals: distances are compared through squared
-torus norms over a common denominator, so censuses, depth counts, and the
-core-extraction rounds are reproducible bit for bit.  Floating point only
-appears in logged summary ratios, never in a decision.
+Decisions run on residues: a cloud keeps its points as integer rows over
+the least common denominator of its coordinates, and distances compare as
+folded squared norms over that scale, in numpy int64 while d*(scale//2)^2
+fits and on Python ints (object arrays) beyond.  Fractions are lifted for
+reports only, so every decision is reproducible bit for bit; floats only
+appear in logged summary ratios.
 
 The census of a cloud is the set of difference vectors to a nearest
-neighbour, one deterministic choice per point.  On top of it sit: the
+neighbour, one deterministic choice per point: by all pairs ("brute") or
+by an exact circular sweep along one axis ("grid").  On top of it sit: the
 orbit census of a multi-dimensional rotation, checks for configurations
 whose pairwise distances dominate their norms, depth counts of points in
 nearest-neighbour balls, a greedy extraction of a large sub-cloud with few
@@ -18,19 +21,22 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact_torus import (TorusVector, as_rational, signed_mod1,
-                          torus_dist_sq)
+from .exact_torus import (TorusPoint, TorusVector, as_rational, residues,
+                          signed_mod1, torus_dist_sq)
 from .gap_spectrum import CollisionError, TooFewPointsError
 
 INT_GRID_LIMIT = 1 << 30
+# offsets the census sweep scores per round: amortises numpy call overhead
+_SWEEP_BLOCK = 16
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class InvalidConfigurationError(ValueError):
@@ -45,9 +51,24 @@ class GreedyStallError(ValueError):
     """No center makes progress; the threshold parameter is too small."""
 
 
+def _int_dtype(*bounds: int):
+    """int64 when every bound on an intermediate fits, Python ints beyond."""
+    return np.int64 if max(bounds) < _INT64_MAX else object
+
+
+def _sq_norms(diffs, scale: int):
+    """Folded squared norms over scale**2 of per-coordinate residue differences."""
+    total = 0
+    for m in diffs:
+        m = np.abs(m)
+        total = total + np.minimum(m, scale - m) ** 2
+    return total
+
+
 @dataclass(frozen=True)
 class PointCloud:
-    """Finite set of distinct points on the d-torus."""
+    """Finite set of distinct points on the d-torus, kept sorted; _rows holds
+    them as residue rows over the least common denominator, in that order."""
 
     points: Tuple[TorusVector, ...]
 
@@ -63,7 +84,41 @@ class PointCloud:
 
     @classmethod
     def from_values(cls, rows: Iterable[Sequence]) -> "PointCloud":
-        return cls(tuple(TorusVector.of(*row) for row in rows))
+        vals = []
+        for row in rows:
+            coords = [c.value if isinstance(c, TorusPoint) else as_rational(c) for c in row]
+            if not coords:
+                raise ValueError("torus vectors need at least one coordinate")
+            vals.append(coords)
+        if not vals:
+            raise TooFewPointsError("a cloud needs at least one point")
+        if len({len(v) for v in vals}) != 1:
+            raise InvalidConfigurationError("mixed dimensions in one cloud")
+        ints, scale = residues(c for v in vals for c in v)
+        int_rows = list(zip(*[iter([x % scale for x in ints])] * len(vals[0])))
+        if len(set(int_rows)) != len(int_rows):
+            raise InvalidConfigurationError("cloud points must be distinct")
+        return cls._from_rows(int_rows, scale)
+
+    @classmethod
+    def _from_rows(cls, rows, scale: int) -> "PointCloud":
+        # Internal: distinct rows of residues mod scale, reduced to lowest terms.
+        g = math.gcd(scale, *itertools.chain.from_iterable(rows))
+        rows = sorted(tuple(x // g for x in r) for r in rows)
+        scale //= g
+        lift = {x: TorusPoint._from_residue(x, scale)
+                for x in set(itertools.chain.from_iterable(rows))}
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "points", tuple(
+            TorusVector._from_points(tuple(map(lift.__getitem__, r))) for r in rows))
+        inst.__dict__["_rows"] = (rows, scale)
+        return inst
+
+    @cached_property
+    def _rows(self) -> Tuple[List[Tuple[int, ...]], int]:
+        """(rows, scale) with points[i] == rows[i] / scale coordinatewise."""
+        ints, scale = residues(c for p in self.points for c in p.coords)
+        return list(zip(*[iter(ints)] * self.dim)), scale
 
     @property
     def dim(self) -> int:
@@ -79,24 +134,32 @@ class PointCloud:
         return p in set(self.points)
 
     def negate(self) -> "PointCloud":
-        return PointCloud(tuple(-p for p in self.points))
+        rows, scale = self._rows
+        return PointCloud._from_rows([tuple(-x % scale for x in r) for r in rows], scale)
 
     def common_scale(self) -> int:
-        scale = 1
-        for p in self.points:
-            for c in p.coords:
-                scale = lcm(scale, c.value.denominator)
-        return scale
+        return self._rows[1]
 
     def scaled_rows(self, scale: int) -> List[Tuple[int, ...]]:
-        return [tuple(int(c.value * scale) for c in p.coords) for p in self.points]
+        rows, q = self._rows
+        return [tuple(x * scale // q for x in r) for r in rows]
+
+
+def _pair_sum_rows(a: PointCloud, b: PointCloud) -> Tuple[List[Tuple[int, ...]], int]:
+    """Rows of p + r for every pair, a-major, over the lcm of both scales."""
+    (ra, qa), (rb, qb) = a._rows, b._rows
+    scale = lcm(qa, qb)
+    ka, kb = scale // qa, scale // qb
+    return [tuple((x * ka + y * kb) % scale for x, y in zip(p, r))
+            for p in ra for r in rb], scale
 
 
 def cloud_sumset(a: PointCloud, b: PointCloud) -> PointCloud:
     """All pairwise sums of two clouds, as a cloud."""
     if a.dim != b.dim:
         raise InvalidConfigurationError("dimension mismatch in cloud sum")
-    return PointCloud(tuple({p + q for p in a for q in b}))
+    sums, scale = _pair_sum_rows(a, b)
+    return PointCloud._from_rows(set(sums), scale)
 
 
 @dataclass(frozen=True)
@@ -121,10 +184,6 @@ class CensusReport:
     @property
     def census_size(self) -> int:
         return len(self.census)
-
-
-def _signed_int(m: int, scale: int) -> int:
-    return m - scale if 2 * m >= scale else m
 
 
 def _brute_rows_numpy(rows: List[Tuple[int, ...]], scale: int) -> List[Tuple[int, tuple, int]]:
@@ -163,78 +222,56 @@ def _brute_rows_exact(cloud: PointCloud) -> List[Tuple[Fraction, tuple, int]]:
     return out
 
 
-def _candidate_update(best, rows, scale, i, j):
-    """Fold candidate j into the running (nsq, signed, j) minimum for point i."""
-    nsq = 0
-    signed = []
-    for xi, xj in zip(rows[i], rows[j]):
-        m = (xj - xi) % scale
-        nsq += min(m, scale - m) ** 2
-        signed.append(_signed_int(m, scale))
-    cand = (nsq, tuple(signed), j)
-    if best is None or cand[:2] < best[:2]:
-        return cand
-    return best
+def _grid_rows(rows: List[Tuple[int, ...]], scale: int) -> List[Tuple[int, tuple, int]]:
+    """Exact nearest neighbours by a circular sweep; agrees with brute force.
 
-
-def _iroot(n: int, k: int) -> int:
-    """Integer k-th root: largest r with r**k <= n."""
-    if n < 1:
-        return 0
-    r = int(round(n ** (1.0 / k)))
-    while r > 1 and r ** k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
-
-
-def _grid_rows(rows: List[Tuple[int, ...]], scale: int,
-               cells: Optional[int]) -> List[Tuple[int, tuple, int]]:
-    """Bucketed nearest-neighbour search; agrees with brute force exactly.
-
-    A point outside the explored Chebyshev ring r of cells differs in some
-    coordinate by at least r full cells minus one unit, so the search stops
-    only when even that floor distance strictly beats the current best; no
-    minimizer can hide outside, and tie-breaks see every minimizer.
+    Sorted along the axis with the most distinct residues, all points are
+    scored against their w-th successor and predecessor, w = 1, 2, ....
+    The axis offset never shrinks as w grows and bounds every distance
+    beyond it, so a direction stops once that offset squared strictly
+    exceeds the point's best (tied minimisers are all seen), or where the
+    other direction has been.
     """
-    n = len(rows)
-    d = len(rows[0])
-    g = cells if cells is not None else max(2, _iroot(n, d))
-    g = min(g, scale)
-    width = scale // g
-    buckets: Dict[tuple, List[int]] = {}
-    cell_of = [tuple((x * g) // scale for x in row) for row in rows]
-    for i, cell in enumerate(cell_of):
-        buckets.setdefault(cell, []).append(i)
-    out = []
-    for i in range(n):
-        home = cell_of[i]
-        best = None
-        seen_cells = set()
-        r = 0
-        while True:
-            if r * 2 + 1 > g and len(seen_cells) >= len(buckets):
-                break
-            for off in itertools.product(range(-r, r + 1), repeat=d):
-                if max(abs(o) for o in off) != r and r > 0:
-                    continue
-                cell = tuple((h + o) % g for h, o in zip(home, off))
-                if cell in seen_cells:
-                    continue
-                seen_cells.add(cell)
-                for j in buckets.get(cell, ()):
-                    if j != i:
-                        best = _candidate_update(best, rows, scale, i, j)
-            r += 1
-            if best is not None:
-                # unexplored cells sit >= r rings out: >= (r-1) whole cell
-                # widths of separation in some coordinate
-                floor_dist = (r - 1) * width
-                if floor_dist > 0 and floor_dist * floor_dist > best[0]:
-                    break
-        out.append(best)
-    return out
+    n, d = len(rows), len(rows[0])
+    dtype = _int_dtype(d * (scale // 2) ** 2)
+    axis = max(range(d), key=lambda t: len({r[t] for r in rows}))
+    arr = np.array(rows, dtype=dtype)
+    order = np.argsort(arr[:, axis], kind="stable")
+    pts = arr[order]
+    cols = list(pts.T.copy())
+    key = cols[axis]
+    best_nsq = np.full(n, d * (scale // 2) ** 2 + 1, dtype=dtype)
+    best_vec = np.zeros((n, d), dtype=dtype)
+    best_j = np.zeros(n, dtype=np.int64)
+    # last offset scored from i through successors (t = 0), predecessors (t = 1)
+    reach = (np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64))
+    for w0 in range(1, n, _SWEEP_BLOCK):
+        ws = np.arange(w0, min(w0 + _SWEEP_BLOCK, n))
+        for t, sign in ((0, 1), (1, -1)):
+            i = np.flatnonzero(reach[t] == w0 - 1)
+            gap = sign * (key[(i + sign * w0) % n] - key[i]) % scale
+            i = i[(gap * gap <= best_nsq[i]) & (reach[1 - t][i] < n - w0)]
+            reach[t][i] = ws[-1]
+            j = (i[:, None] + sign * ws) % n
+            nsq = _sq_norms((c[j] - c[i, None] for c in cols), scale)
+            # each row's nearest candidates join its best so far, and each
+            # point keeps the smallest (nsq, signed vector)
+            near = np.minimum(nsq.min(axis=1), best_nsq[i])
+            r, k = np.nonzero(nsq <= near[:, None])
+            diff = (pts[j[r, k]] - pts[i[r]]) % scale
+            own = np.unique(i[r])
+            p = np.concatenate([own, i[r]])
+            m = np.concatenate([best_nsq[own], nsq[r, k]])
+            v = np.concatenate([best_vec[own], np.where(2 * diff >= scale, diff - scale, diff)])
+            q = np.concatenate([best_j[own], order[j[r, k]]])
+            o = np.lexsort((*v.T[::-1], m, p))
+            o = o[np.unique(p[o], return_index=True)[1]]
+            best_nsq[p[o]], best_vec[p[o]], best_j[p[o]] = m[o], v[o], q[o]
+        if not (reach[0] == ws[-1]).any() and not (reach[1] == ws[-1]).any():
+            break
+    back = np.argsort(order)  # sorted position of each input row
+    return list(zip(best_nsq[back].tolist(), map(tuple, best_vec[back].tolist()),
+                    best_j[back].tolist()))
 
 
 def nn_census(cloud: PointCloud, method: str = "auto",
@@ -242,15 +279,17 @@ def nn_census(cloud: PointCloud, method: str = "auto",
     """Nearest neighbour of every point; ties pick the smallest signed vector.
 
     The census is the sorted set of chosen difference vectors.  Methods:
-    brute (all pairs), grid (bucket accelerator), auto (grid for large
+    brute (all pairs), grid (exact circular sweep), auto (grid for large
     integer-scalable clouds, brute otherwise).  All methods agree exactly.
+    cells must be at least 1 when given but sizes nothing: the sweep has
+    no grid.
     """
     if cells is not None and cells < 1:
         raise InvalidConfigurationError(f"cells must be at least 1, got {cells}")
     n = len(cloud)
     if n < 2:
         raise TooFewPointsError("a census needs at least two points")
-    scale = cloud.common_scale()
+    rows, scale = cloud._rows
     use_int = scale <= INT_GRID_LIMIT
     if method == "auto":
         method = "grid" if (use_int and n > 512) else "brute"
@@ -258,26 +297,25 @@ def nn_census(cloud: PointCloud, method: str = "auto",
         raise InvalidConfigurationError(
             "grid method needs a common denominator within the integer limit")
     if method == "grid":
-        rows = cloud.scaled_rows(scale)
-        raw = _grid_rows(rows, scale, cells)
+        raw = _grid_rows(rows, scale)
     elif method == "brute":
         # int64 squared norms: each coordinate folds to at most scale // 2
-        if use_int and cloud.dim * (scale // 2) ** 2 < np.iinfo(np.int64).max:
-            raw = _brute_rows_numpy(cloud.scaled_rows(scale), scale)
+        if use_int and cloud.dim * (scale // 2) ** 2 < _INT64_MAX:
+            raw = _brute_rows_numpy(rows, scale)
         else:
             raw = _brute_rows_exact(cloud)
     else:
         raise InvalidConfigurationError(f"unknown method {method!r}")
-    records = []
-    for i, (nsq, signed, j) in enumerate(raw):
-        if isinstance(nsq, Fraction):
-            dist_sq, diff = nsq, signed
-        else:
-            dist_sq = Fraction(nsq, scale * scale)
-            diff = tuple(Fraction(s, scale) for s in signed)
-        records.append(NNRecord(cloud.points[i], cloud.points[j], diff, dist_sq))
-    census = tuple(sorted({rec.diff for rec in records}))
-    return CensusReport(cloud.dim, method, tuple(records), census)
+    # one Fraction per distinct value; the exact oracle's rows come lifted
+    lift = not isinstance(raw[0][0], Fraction)
+    vecs = {r[1] for r in raw}
+    coord = {x: Fraction(x, scale) if lift else x for x in set(itertools.chain(*vecs))}
+    vecs = {v: tuple(map(coord.__getitem__, v)) for v in vecs}
+    dists = {m: Fraction(m, scale * scale) if lift else m for m in {r[0] for r in raw}}
+    records = tuple(NNRecord(cloud.points[i], cloud.points[j], vecs[v], dists[m])
+                    for i, (m, v, j) in enumerate(raw))
+    census = tuple(vecs[v] for v in sorted(vecs))
+    return CensusReport(cloud.dim, method, records, census)
 
 
 @dataclass(frozen=True)
@@ -317,70 +355,48 @@ def kronecker_census(alphas: Sequence, n: int) -> KroneckerReport:
 
     For each orbit index i the partner j != i minimizes the orbit distance,
     ties to the smallest j; both signs of every chosen difference enter the
-    census.  Distinctness of the orbit is checked up front.
+    census.  Distinctness of the orbit is checked up front.  Offsets agreeing
+    mod the orbit's order q give the same vector, so the census is kept as
+    offsets mod q and only its own vectors are lifted.
     """
     avals = tuple(as_rational(a) % 1 for a in alphas)
     if not avals:
         raise InvalidConfigurationError("at least one rotation is required")
     if n < 2:
         raise TooFewPointsError("an orbit census needs n >= 2")
-    order = 1
-    for a in avals:
-        order = lcm(order, a.denominator)
-    if order < n:
+    steps, big_q = residues(avals)
+    if big_q < n:
         raise CollisionError(
-            f"orbit points 1 and {1 + order} coincide; denominators too small")
-    big_q = order
-    steps = [int(a * big_q) for a in avals]
-    # squared norms of k*alpha scaled by big_q**2, k = 1..n-1
-    nsq = [0] * n
-    residues = [0] * len(steps)
-    for k in range(1, n):
-        total = 0
-        for t, step in enumerate(steps):
-            residues[t] = (residues[t] + step) % big_q
-            m = residues[t]
-            total += min(m, big_q - m) ** 2
-        nsq[k] = total
+            f"orbit points 1 and {1 + big_q} coincide; denominators too small")
+    # squared norms of k*alpha scaled by big_q**2, k = 0..n-1
+    ks = np.arange(n, dtype=_int_dtype(n * big_q, len(steps) * (big_q // 2) ** 2))
+    nsq = _sq_norms((ks * step % big_q for step in steps), big_q).tolist()
     # prefix minima with first and last achieving index
-    premin = [None] * n
-    first_at = [0] * n
-    last_at = [0] * n
-    best = None
+    premin, first_at, last_at = [None] * n, [0] * n, [0] * n
     for k in range(1, n):
-        if best is None or nsq[k] < best:
-            best = nsq[k]
-            first_at[k] = k
-            last_at[k] = k
+        if k == 1 or nsq[k] < premin[k - 1]:
+            premin[k], first_at[k], last_at[k] = nsq[k], k, k
         else:
-            first_at[k] = first_at[k - 1]
-            last_at[k] = last_at[k - 1] if nsq[k] != best else k
-        premin[k] = best
-    census = set()
+            premin[k], first_at[k] = premin[k - 1], first_at[k - 1]
+            last_at[k] = k if nsq[k] == premin[k] else last_at[k - 1]
+    offsets = {}
     for i in range(1, n + 1):
-        left = premin[i - 1] if i > 1 else None
-        right = premin[n - i] if i < n else None
-        target = min(v for v in (left, right) if v is not None)
-        if left == target:
-            j = i - last_at[i - 1]
-        else:
+        # the nearer side wins, ties to the left, whose partner j is smaller
+        if i < n and (i == 1 or premin[n - i] < premin[i - 1]):
             j = i + first_at[n - i]
-        vec = _signed_multiple(i - j, avals)
-        census.add(vec)
-        census.add(tuple(signed_mod1(-v) for v in vec))
+        else:
+            j = i - last_at[i - 1]
+        offsets.setdefault((i - j) % big_q, i - j)
+        offsets.setdefault((j - i) % big_q, j - i)
     ordered = sorted(range(1, n), key=lambda k: (nsq[k], k))
     ell = next(pos + 1 for pos, k in enumerate(ordered) if 2 * k <= n)
-    allowed = set()
-    for k in ordered[:ell]:
-        vec = _signed_multiple(k, avals)
-        allowed.add(vec)
-        allowed.add(tuple(signed_mod1(-v) for v in vec))
-    contained = census <= allowed
+    allowed = {s * k % big_q for k in ordered[:ell] for s in (1, -1)}
+    contained = offsets.keys() <= allowed
+    census = sorted(_signed_multiple(off, avals) for off in offsets.values())
     tie_free = ell >= len(ordered) or nsq[ordered[ell - 1]] != nsq[ordered[ell]]
     ratio = len(census) / ((4.0 / 3.0) ** len(avals))
-    return KroneckerReport(avals, n, ell, tuple(ordered[:ell]),
-                           tuple(sorted(census)), 2 * ell, contained,
-                           tie_free, ratio)
+    return KroneckerReport(avals, n, ell, tuple(ordered[:ell]), tuple(census),
+                           2 * ell, contained, tie_free, ratio)
 
 
 @dataclass(frozen=True)
@@ -550,19 +566,21 @@ class BallDepthReport:
 
 
 def max_ball_depth(a: PointCloud, b: PointCloud) -> BallDepthReport:
-    """Max depth over z in A+B, and the implied constant max_depth*(3/4)^d."""
+    """Max depth over z in A+B (the first deepest z), and max_depth*(3/4)^d."""
     rep = nn_census(a)
     zs = cloud_sumset(a, b)
-    best = -1
-    arg = None
-    for z in zs:
-        depth = ball_depth(z, a, rep)
-        if depth > best:
-            best = depth
-            arg = z
+    (ra, qa), (rz, qz) = a._rows, zs._rows
+    scale = lcm(qa, qz)
     d = a.dim
-    kappa_hat = Fraction(best * 3 ** d, 4 ** d)
-    return BallDepthReport(d, best, arg, kappa_hat)
+    dtype = _int_dtype(d * (scale // 2) ** 2)
+    za = np.array(rz, dtype=dtype) * (scale // qz)
+    aa = np.array(ra, dtype=dtype) * (scale // qa)
+    radii = np.array([math.floor(r.dist_sq * scale ** 2) for r in rep.records], dtype)
+    nsq = _sq_norms((z[:, None] - x[None, :] for z, x in zip(za.T, aa.T)), scale)
+    depth = (nsq <= radii).sum(axis=1)
+    deepest = int(np.argmax(depth))
+    best = int(depth[deepest])
+    return BallDepthReport(d, best, zs.points[deepest], Fraction(best * 3 ** d, 4 ** d))
 
 
 @dataclass(frozen=True)
@@ -621,73 +639,55 @@ def extract_core(a: PointCloud, b: PointCloud, epsilon,
     if a.dim != b.dim:
         raise InvalidConfigurationError("dimension mismatch")
     rep = nn_census(a)
-    radii = {rec.point: rec.dist_sq for rec in rep.records}
-    s_cloud = cloud_sumset(a, b)
+    sums, sum_scale = _pair_sum_rows(a, b)
+    s_cloud = PointCloud._from_rows(set(sums), sum_scale)
     s_points = s_cloud.points
     d = a.dim
     threshold = (2 * kap / eps) * Fraction(4 ** d, 3 ** d) * Fraction(len(s_points), len(a))
     l = 1 + int(threshold)
-    b_set = set(b.points)
-    # per center: sorted squared distances to all sumset points
-    dist_lists = {c: sorted(torus_dist_sq(c, s) for s in s_points) for c in s_points}
-
-    def count_ball(center: TorusVector, radius_sq: Fraction) -> int:
-        return bisect_right(dist_lists[center], radius_sq)
-
-    a_sets: Dict[TorusVector, set] = {c: set() for c in s_points}
-    upsilon_sizes: Dict[TorusVector, int] = {bv: 0 for bv in b.points}
-    for pa in a.points:
-        r_sq = radii[pa]
-        for bv in b.points:
-            c = pa + bv
-            if count_ball(c, r_sq) > threshold:
-                upsilon_sizes[bv] += 1
-            else:
-                a_sets[c].add(pa)
-    upsilon_max = max(upsilon_sizes.values())
-    upsilon_ok = all(2 * v < eps * len(a) for v in upsilon_sizes.values())
-    covered: set = set()
-    centers: List[TorusVector] = []
-    r_sizes: List[int] = [0]
-    thetas: List[Fraction] = [Fraction(1)]
+    rows, scale = s_cloud._rows
+    s_arr = np.array(rows, dtype=_int_dtype(d * (scale // 2) ** 2))
+    # per center: ascending squared distances to all sumset points, over scale**2
+    dist_rows = np.sort(_sq_norms((c[:, None] - c[None, :] for c in s_arr.T), scale), axis=1)
+    index = {r: c for c, r in enumerate(rows)}
+    g = sum_scale // scale
+    center = np.array([index[tuple(x // g for x in r)] for r in sums]).reshape(len(a), -1)
+    # ball counts of every (a, b) pair; a count is an integer, so it exceeds
+    # the threshold exactly when it exceeds its floor
+    radii = [math.floor(rec.dist_sq * scale * scale) for rec in rep.records]
+    counts = np.array([[np.searchsorted(dist_rows[c], r, side="right") for c in row]
+                       for row, r in zip(center.tolist(), radii)])
+    over = counts > math.floor(threshold)
+    upsilon_sizes = over.sum(axis=0).tolist()
+    upsilon_ok = all(2 * v < eps * len(a) for v in upsilon_sizes)
+    # member[c, i]: center c covers a.points[i]
+    member = np.zeros((len(s_points), len(a)), dtype=bool)
+    member[center[~over], np.nonzero(~over)[0]] = True
+    covered = np.zeros(len(a), dtype=bool)
+    centers, r_sizes, thetas = [], [0], [Fraction(1)]
     while thetas[-1] >= eps:
-        best_gain = -1
-        best_c = None
-        for c in s_points:
-            gain = len(a_sets[c] - covered)
-            if gain > best_gain:
-                best_gain = gain
-                best_c = c
-        if best_gain <= 0:
-            worst = upsilon_needed_count(a, b, radii, dist_lists)
+        gains = (member & ~covered).sum(axis=1)
+        best_c = int(np.argmax(gains))
+        if gains[best_c] <= 0:
+            worst = int(counts.max())
             kappa_min = eps * len(a) * worst * Fraction(3 ** d, 4 ** d) / (2 * len(s_points))
             raise GreedyStallError(
                 f"no center adds coverage; retry with kappa >= {kappa_min}")
-        centers.append(best_c)
-        covered |= a_sets[best_c]
-        r_sizes.append(len(covered))
-        thetas.append(Fraction(len(a) - len(covered), len(a)))
-    core = PointCloud(tuple(covered))
-    core_census = {rec.diff for rec in rep.records if rec.point in covered}
+        centers.append(s_points[best_c])
+        covered |= member[best_c]
+        r_sizes.append(int(covered.sum()))
+        thetas.append(Fraction(len(a) - r_sizes[-1], len(a)))
+    kept = np.flatnonzero(covered).tolist()
+    core = PointCloud._from_rows([a._rows[0][i] for i in kept], a._rows[1])
+    core_census = {rep.records[i].diff for i in kept}
     rounds = len(r_sizes)
     size_ok = len(core) >= (1 - eps) * len(a)
     census_ok = len(core_census) <= rounds * l
     return CoreExtractionTrace(eps, kap, d, len(a), len(b), len(s_points),
                                threshold, l, tuple(centers), tuple(r_sizes),
                                tuple(thetas), core, len(core_census),
-                               rounds * l, upsilon_max, upsilon_ok,
+                               rounds * l, max(upsilon_sizes), upsilon_ok,
                                size_ok, census_ok)
-
-
-def upsilon_needed_count(a, b, radii, dist_lists) -> int:
-    """Largest ball count over all (a, b) pairs; sizes the stall suggestion."""
-    worst = 0
-    for pa in a.points:
-        r_sq = radii[pa]
-        for bv in b.points:
-            c = pa + bv
-            worst = max(worst, bisect_right(dist_lists[c], r_sq))
-    return worst
 
 
 @dataclass(frozen=True)

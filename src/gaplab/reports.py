@@ -14,7 +14,7 @@ import io
 import json
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from .exact_torus import TorusPoint, TorusVector
 
@@ -60,20 +60,6 @@ def _key(k: Any) -> str:
         j = to_jsonable(k)
         return j if isinstance(j, str) else json.dumps(j)
     return str(k)
-
-
-def report_payload(report: Any, command: Optional[str] = None,
-                   timings: Optional[Dict[str, float]] = None) -> Dict[str, Any]:
-    """Wrap a report for output; timings stay outside the identity surface."""
-    payload: Dict[str, Any] = {
-        "schema_version": SCHEMA_VERSION,
-        "report": to_jsonable(report),
-    }
-    if command is not None:
-        payload["command"] = command
-    if timings:
-        payload["timings"] = {k: float(v) for k, v in timings.items()}
-    return payload
 
 
 def canonical_json(payload: Dict[str, Any]) -> str:

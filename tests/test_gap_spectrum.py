@@ -15,8 +15,8 @@ from gaplab.gap_spectrum import (APUnionSpec, CircularSet, CollisionError,
                                  ap_union_gap_check, ap_union_points,
                                  arc_counting_diagnostic, fractional_orbit,
                                  gap_bound_check, greedy_max_distinct,
-                                 sidon_subset, spectrum, sumset_size,
-                                 three_gap_check)
+                                 orbit_three_gap_check, sidon_subset, spectrum,
+                                 sumset_size, three_gap_check)
 from gaplab.sumset_engine import FiniteExactSet, sumset
 
 
@@ -31,6 +31,16 @@ def test_orbit_of_five_eighths():
 def test_orbit_labels_are_multipliers():
     b = fractional_orbit(Fraction(5, 8), 4)
     assert {(n * 5) % 8 for n in b.labels} == {p.value * 8 for p in b.points}
+
+
+@pytest.mark.parametrize("alpha,n", [(Fraction(5, 8), 1), (Fraction(5, 8), 4),
+                                     (Fraction(-5, 3), 2), (Fraction(3, 7), 6),
+                                     (Fraction(13, 97), 40), (Fraction(7, 3000), 41),
+                                     (Fraction(1234567, 9999991), 3000)])
+def test_three_gap_verdict_read_off_a_built_orbit(alpha, n):
+    b = fractional_orbit(alpha, n)
+    spect = spectrum(b) if n > 1 else None
+    assert orbit_three_gap_check(alpha, b, spect) == three_gap_check(alpha, n)
 
 
 def test_single_point_orbit_has_closing_arc_only():

@@ -1,20 +1,26 @@
 """Nearest-neighbour censuses, dominance families, and core extraction."""
 
+import itertools
 import random
+from bisect import bisect_right
+from dataclasses import fields
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaplab.exact_torus import TorusVector, torus_dist_sq
-from gaplab.nn_census import (EpsilonRangeError, InvalidConfigurationError,
+from gaplab.exact_torus import (TorusVector, as_rational, signed_mod1,
+                                torus_dist_sq)
+from gaplab.nn_census import (EpsilonRangeError, GreedyStallError,
+                              InvalidConfigurationError, KroneckerReport,
                               PointCloud, _brute_rows_exact, ball_depth,
                               cloud_sumset, extract_core, gram_kissing_check,
                               hexagon_gram, kissing_check, kronecker_census,
                               max_ball_depth, nn_census, pentagon_cloud,
                               tightness_example)
-from gaplab.gap_spectrum import CollisionError
+from gaplab.gap_spectrum import CollisionError, TooFewPointsError
 
 
 def cloud_1d(*vals):
@@ -261,3 +267,311 @@ def test_census_vectors_are_nonzero_and_consistent(vals):
         assert sum(c * c for c in rec.diff) == rec.dist_sq
         assert (rec.nearest - rec.point).signed() == rec.diff
         assert rec.nearest in cloud and rec.nearest != rec.point
+
+
+# ---------------------------------------------------------------- sweep
+
+def _records(rep, cloud):
+    """A report's records in the exact oracle's form: (dist_sq, diff, index)."""
+    return [(rec.dist_sq, rec.diff, cloud.points.index(rec.nearest))
+            for rec in rep.records]
+
+
+def _int_cloud(rows, q):
+    return PointCloud.from_values([[Fraction(x, q) for x in r] for r in rows])
+
+
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    st.just(d), st.sampled_from((2, 3, 5, 8, 31, 1024)),
+    st.lists(st.lists(st.integers(0, 1023), min_size=d, max_size=d),
+             min_size=2, max_size=60))))
+@settings(deadline=None, max_examples=150)
+def test_sweep_matches_exact_oracle(case):
+    d, q, raw = case
+    rows = sorted({tuple(x % q for x in r) for r in raw})
+    if len(rows) < 2:
+        return
+    cloud = _int_cloud(rows, q)
+    want = _brute_rows_exact(cloud)
+    rep = nn_census(cloud, method="grid")
+    assert rep.method == "grid"
+    assert _records(rep, cloud) == want
+    assert rep.census == tuple(sorted({diff for _, diff, _ in want}))
+
+
+def test_grid_accepts_scale_two_to_the_thirty_and_rejects_one_more():
+    q = 1 << 30
+    cloud = _int_cloud([(0, 5), (q - 1, 3), (q // 2, q - 7), (17, q // 3)], q)
+    assert cloud.common_scale() == q
+    rep = nn_census(cloud, method="grid")
+    assert _records(rep, cloud) == _brute_rows_exact(cloud)
+    over = _int_cloud([(0,), (1,), (q,)], q + 1)
+    assert over.common_scale() == q + 1
+    with pytest.raises(InvalidConfigurationError):
+        nn_census(over, method="grid")
+    assert nn_census(over, method="auto").method == "brute"
+
+
+def test_sweep_past_int64_norms_matches_exact_rows():
+    # the 40-dimensional cloud of the brute-force test: the sweep runs the
+    # same code on Python ints once d * (q/2)^2 leaves int64
+    q = (1 << 30) - 35
+    h = q // 2
+    cloud = _int_cloud([(0,) * 40, (h,) * 40, (h + 1,) + (h,) * 39], q)
+    rep = nn_census(cloud, method="grid")
+    assert _records(rep, cloud) == _brute_rows_exact(cloud)
+    assert all(rec.dist_sq > 0 for rec in rep.records)
+
+
+@pytest.mark.parametrize("d", [31, 32])
+def test_sweep_on_both_sides_of_the_int64_guard(d):
+    # q = 2^30: 31 * (q/2)^2 < 2^63 runs on int64, 32 * (q/2)^2 = 2^63 does not
+    q = 1 << 30
+    rng = random.Random(d)
+    rows = {tuple(rng.choice((0, 1, q // 2, q - 1, rng.randrange(q))) for _ in range(d))
+            for _ in range(30)}
+    cloud = _int_cloud(sorted(rows), q)
+    assert cloud.common_scale() == q
+    assert _records(nn_census(cloud, method="grid"), cloud) == _brute_rows_exact(cloud)
+
+
+def test_sweep_on_points_sharing_sort_axis_coordinates():
+    # The sweep sorts along the axis with the most distinct residues, so a
+    # sort axis shared by every point only occurs for one point.  Its worst
+    # reachable cases: points sharing all coordinates but one, and a cube
+    # lattice in which every sort-axis value is shared by a third of the
+    # points, all at axis offset 0 from each other.
+    q = 211
+    line = _int_cloud([(7, y, 7) for y in range(0, q, 3)], q)
+    lattice = _int_cloud([(x, y, z, t) for x in range(3) for y in range(3)
+                          for z in range(3) for t in range(3)], 3)
+    for cloud in (line, lattice):
+        rep = nn_census(cloud, method="grid")
+        assert _records(rep, cloud) == _brute_rows_exact(cloud)
+
+
+@pytest.mark.parametrize("k,d", [(2, 1), (5, 2), (4, 3), (3, 4)])
+def test_sweep_resolves_fully_tied_lattices(k, d):
+    # every point of the full lattice (Z/k)^d has 2d neighbours at 1/k
+    # (d for k = 2); each must pick the smallest signed vector
+    cloud = _int_cloud(list(itertools.product(range(k), repeat=d)), k)
+    rep = nn_census(cloud, method="grid")
+    assert _records(rep, cloud) == _brute_rows_exact(cloud)
+    smallest = tuple([Fraction(-1, k) if k > 2 else Fraction(-1, 2)] + [Fraction(0)] * (d - 1))
+    assert rep.census == (smallest,)
+    assert all(rec.dist_sq == Fraction(1, k * k) for rec in rep.records)
+
+
+def test_sweep_on_two_points():
+    for rows, q in ([(0,), (1,)], 2), ([(3, 1), (1, 3)], 5), ([(0, 0), (0, 1)], 7):
+        cloud = _int_cloud(rows, q)
+        rep = nn_census(cloud, method="grid")
+        assert _records(rep, cloud) == _brute_rows_exact(cloud)
+
+
+@pytest.mark.parametrize("n,method", [(512, "brute"), (513, "grid")])
+def test_auto_switches_after_512_points(n, method):
+    rng = random.Random(n)
+    rows = sorted({(rng.randrange(997), rng.randrange(997)) for _ in range(2 * n)})[:n]
+    cloud = _int_cloud(rows, 997)
+    rep = nn_census(cloud, method="auto")
+    assert rep.method == method
+    assert len(rep.records) == n
+    other = nn_census(cloud, method="grid" if method == "brute" else "brute")
+    assert rep.records == other.records and rep.census == other.census
+
+
+def test_residue_rows_match_public_constructor():
+    rng = random.Random(41)
+    for _ in range(30):
+        d = rng.randrange(1, 4)
+        dens = [rng.choice((1, 2, 6, 9, 35)) for _ in range(d)]
+        rows = {tuple(Fraction(rng.randrange(-40, 40), den) for den in dens)
+                for _ in range(rng.randrange(1, 12))}
+        rows = {tuple(x % 1 for x in r) for r in rows}
+        fast = PointCloud.from_values(sorted(rows, reverse=True))
+        public = PointCloud(tuple(TorusVector.of(*r) for r in rows))
+        assert fast == public
+        assert fast._rows == public._rows
+        assert fast.common_scale() == public.common_scale()
+        assert fast.negate() == PointCloud(tuple(-p for p in public.points))
+        assert cloud_sumset(fast, fast) == PointCloud(
+            tuple({p + r for p in public for r in public}))
+    # sums can have a smaller common denominator than either summand
+    a = cloud_1d(Fraction(1, 6), Fraction(1, 2))
+    assert cloud_sumset(a, a).common_scale() == 3
+
+
+# ---------------------------------------------------------------- kronecker
+
+def _kronecker_reference(alphas, n):
+    """kronecker_census on Fractions, one orbit vector per index."""
+    avals = tuple(as_rational(a) % 1 for a in alphas)
+    if not avals:
+        raise InvalidConfigurationError("at least one rotation is required")
+    if n < 2:
+        raise TooFewPointsError("an orbit census needs n >= 2")
+    order = 1
+    for a in avals:
+        order = lcm(order, a.denominator)
+    if order < n:
+        raise CollisionError(
+            f"orbit points 1 and {1 + order} coincide; denominators too small")
+
+    def vec(k):
+        return tuple(signed_mod1(k * a) for a in avals)
+
+    nsq = [None] + [sum((v * v for v in vec(k)), Fraction(0)) for k in range(1, n)]
+    census = set()
+    for i in range(1, n + 1):
+        j = min((j for j in range(1, n + 1) if j != i), key=lambda j: (nsq[abs(i - j)], j))
+        census.add(vec(i - j))
+        census.add(vec(j - i))
+    ordered = sorted(range(1, n), key=lambda k: (nsq[k], k))
+    ell = next(pos + 1 for pos, k in enumerate(ordered) if 2 * k <= n)
+    allowed = {vec(s * k) for k in ordered[:ell] for s in (1, -1)}
+    tie_free = ell >= len(ordered) or nsq[ordered[ell - 1]] != nsq[ordered[ell]]
+    ratio = len(census) / ((4.0 / 3.0) ** len(avals))
+    return KroneckerReport(avals, n, ell, tuple(ordered[:ell]), tuple(sorted(census)),
+                           2 * ell, census <= allowed, tie_free, ratio)
+
+
+def test_kronecker_matches_fraction_reference():
+    rng = random.Random(43)
+    cases = [((Fraction(5, 8),), 4), ((Fraction(1, 2),), 2), ((Fraction(0), Fraction(1, 3)), 3),
+             ((Fraction(2, 7), Fraction(3, 7)), 7), ((Fraction(-9, 4), Fraction(1, 2)), 4)]
+    for d in (1, 2, 3, 4):
+        for n in (2, 3, 17, 120, 300):
+            alphas = tuple(Fraction(rng.randrange(-50 * n, 50 * n), rng.randrange(n, 3 * n + 2))
+                           for _ in range(d))
+            cases.append((alphas, n))
+    # full orbits of small order, where norms tie across offsets and the
+    # left-before-right rule shows in the census
+    cases += [((Fraction(a, q), Fraction(b, q)), q)
+              for q in range(3, 10) for a in range(1, q) for b in range(a, q)]
+    # denominators whose lcm exceeds 2^63: the norms run on Python ints
+    big = (Fraction(12345678901, 2 ** 40 + 15), Fraction(3, 2 ** 31 - 1), Fraction(5, 999983))
+    cases += [(big, 150), (big[:2], 300)]
+    for alphas, n in cases:
+        try:
+            want = _kronecker_reference(alphas, n)
+        except CollisionError as exc:
+            with pytest.raises(CollisionError) as got:
+                kronecker_census(alphas, n)
+            assert str(got.value) == str(exc)
+            continue
+        assert kronecker_census(alphas, n) == want
+
+
+def test_kronecker_collision_message_is_unchanged():
+    with pytest.raises(CollisionError) as exc:
+        kronecker_census((Fraction(1, 4), Fraction(1, 6)), 13)
+    assert str(exc.value) == "orbit points 1 and 13 coincide; denominators too small"
+
+
+# ---------------------------------------------------------------- core
+
+def _depth_reference(a, b):
+    """max_ball_depth on Fractions: (max depth, first deepest point of A+B)."""
+    pts = a.points
+    radii = [nsq for nsq, _, _ in _brute_rows_exact(a)]
+    best, arg = -1, None
+    for z in sorted({p + r for p in a for r in b}):
+        depth = sum(1 for p, r_sq in zip(pts, radii) if torus_dist_sq(z, p) <= r_sq)
+        if depth > best:
+            best, arg = depth, z
+    return best, arg
+
+
+def _core_reference(a, b, eps, kap):
+    """extract_core on Fractions with sorted distance lists per center."""
+    rows = _brute_rows_exact(a)
+    radii = {p: nsq for p, (nsq, _, _) in zip(a.points, rows)}
+    diffs = {p: diff for p, (_, diff, _) in zip(a.points, rows)}
+    s_points = sorted({p + r for p in a for r in b})
+    d = a.dim
+    threshold = (2 * kap / eps) * Fraction(4 ** d, 3 ** d) * Fraction(len(s_points), len(a))
+    l = 1 + int(threshold)
+    dist_lists = {c: sorted(torus_dist_sq(c, s) for s in s_points) for c in s_points}
+    a_sets = {c: set() for c in s_points}
+    upsilon = {r: 0 for r in b.points}
+    worst = 0
+    for p in a.points:
+        for r in b.points:
+            count = bisect_right(dist_lists[p + r], radii[p])
+            worst = max(worst, count)
+            if count > threshold:
+                upsilon[r] += 1
+            else:
+                a_sets[p + r].add(p)
+    covered, centers, r_sizes, thetas = set(), [], [0], [Fraction(1)]
+    while thetas[-1] >= eps:
+        best_gain, best_c = -1, None
+        for c in s_points:
+            if len(a_sets[c] - covered) > best_gain:
+                best_gain, best_c = len(a_sets[c] - covered), c
+        if best_gain <= 0:
+            kappa_min = eps * len(a) * worst * Fraction(3 ** d, 4 ** d) / (2 * len(s_points))
+            raise GreedyStallError(f"no center adds coverage; retry with kappa >= {kappa_min}")
+        centers.append(best_c)
+        covered |= a_sets[best_c]
+        r_sizes.append(len(covered))
+        thetas.append(Fraction(len(a) - len(covered), len(a)))
+    census = {diffs[p] for p in covered}
+    rounds = len(r_sizes)
+    return dict(epsilon=eps, kappa=kap, dim=d, a_size=len(a), b_size=len(b),
+                sumset_size=len(s_points), threshold=threshold, l=l,
+                centers=tuple(centers), r_sizes=tuple(r_sizes), thetas=tuple(thetas),
+                core=PointCloud(tuple(covered)), core_census_size=len(census),
+                census_bound=rounds * l, upsilon_max=max(upsilon.values()),
+                upsilon_ok=all(2 * v < eps * len(a) for v in upsilon.values()),
+                size_ok=len(covered) >= (1 - eps) * len(a),
+                census_ok=len(census) <= rounds * l)
+
+
+def _check_core(a, b, eps, kap):
+    """extract_core against the reference; False when both stall alike."""
+    try:
+        want = _core_reference(a, b, eps, kap)
+    except GreedyStallError as exc:
+        with pytest.raises(GreedyStallError) as got:
+            extract_core(a, b, eps, kap)
+        assert str(got.value) == str(exc)
+        return False
+    got = extract_core(a, b, eps, kap)
+    assert {f.name: getattr(got, f.name) for f in fields(got)} == want
+    assert got.core._rows == want["core"]._rows
+    return True
+
+
+def test_ball_depth_and_core_match_fraction_reference():
+    clouds = [tightness_example(m).cloud for m in range(2, 7)]
+    rng = random.Random(47)
+    for _ in range(12):
+        q = rng.choice((6, 10, 24, 35))
+        n = rng.randrange(2, 16)
+        pts = {(Fraction(rng.randrange(q), q), Fraction(rng.randrange(2 * q), 2 * q))
+               for _ in range(n)}
+        if len(pts) > 1:
+            clouds.append(PointCloud.from_values(sorted(pts)))
+    extracted = 0
+    for cloud in clouds:
+        rep = max_ball_depth(cloud, cloud)
+        assert (rep.max_depth, rep.deepest) == _depth_reference(cloud, cloud)
+        for eps, kap in ((Fraction(1, 4), rep.kappa_hat), (Fraction(1, 2), Fraction(1)),
+                         (Fraction(2, 3), Fraction(1, 40))):
+            extracted += _check_core(cloud, cloud, eps, kap)
+    assert extracted > 10
+    a = clouds[-1]
+    b = PointCloud.from_values([(Fraction(1, 7), Fraction(0)), (Fraction(1, 3), Fraction(1, 2))])
+    assert (max_ball_depth(a, b).max_depth, max_ball_depth(a, b).deepest) == _depth_reference(a, b)
+    _check_core(a, b, Fraction(1, 3), Fraction(1, 2))
+
+
+def test_stalling_kappa_message_matches_reference():
+    tight = tightness_example(4)
+    eps, kap = tight.epsilon, Fraction(1, 100)
+    assert not _check_core(tight.cloud, tight.cloud, eps, kap)
+    with pytest.raises(GreedyStallError) as exc:
+        extract_core(tight.cloud, tight.cloud, eps, kap)
+    assert str(exc.value) == "no center adds coverage; retry with kappa >= 11/60"
