@@ -176,6 +176,8 @@ def _cmd_greedy(args) -> Tuple[Dict[str, Any], bool]:
 
 
 def _cmd_sumset(args) -> Tuple[Dict[str, Any], bool]:
+    if args.print_limit < 0:
+        raise ValueError(f"--print-limit must be at least 0, got {args.print_limit}")
     dom = Domain(args.domain)
     if dom is Domain.INTEGERS:
         for v in args.a + (args.b or ()):

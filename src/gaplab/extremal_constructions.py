@@ -297,7 +297,7 @@ def lattice_projection(alphas: Sequence, box: Sequence[int]) -> LatticeProjectio
     corners = CircularSet.from_values(corner_vals)
     b = points.to_exact_set()
     c = corners.to_exact_set()
-    cover_equal = difference_set(c, b).elements == difference_set(b, b).elements
+    cover_equal = difference_set(c, b) == difference_set(b, b)
     double = sumset(b, b)
     return LatticeProjectionReport(avals, dims, points, corners,
                                    2 ** len(dims), cover_equal,

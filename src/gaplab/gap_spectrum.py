@@ -26,7 +26,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .exact_torus import (DuplicatePointError, RationalLike, TorusPoint,
                           as_rational, reduce_mod1, residues)
-from .sumset_engine import FiniteExactSet, Domain, torus_pairsums
+from .sumset_engine import FiniteExactSet, Domain, _ascending, torus_pairsums
 
 
 class TooFewPointsError(ValueError):
@@ -115,8 +115,8 @@ class CircularSet:
         return frozenset(self.points)
 
     def to_exact_set(self) -> FiniteExactSet:
-        # The points are already canonical and strictly increasing.
-        return FiniteExactSet._from_sorted(self.points, Domain.TORUS)
+        ints, q = self._residues
+        return FiniteExactSet._from_ints(ints, q, Domain.TORUS)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -408,7 +408,7 @@ def arc_counting_diagnostic(a: CircularSet, b: CircularSet, k: int) -> ArcCounti
     j_a = tuple(sorted(witness.values()))
 
     xs, ys, q = _common_residues(a, b)
-    sums = torus_pairsums(xs, ys, q)
+    sums = _ascending(torus_pairsums(xs, ys, q))
     pos = {n: t for t, n in enumerate(sums)}
     total = len(sums)
     floor_size, oversized = divmod(total, k)

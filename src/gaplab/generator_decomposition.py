@@ -33,6 +33,7 @@ import numpy as np
 
 from .exact_torus import TorusPoint, as_rational, residues
 from .gap_spectrum import CircularSet, SubsetViolationError, TooFewPointsError
+from .sumset_engine import sorted_unique
 
 # Residues below this bound have differences and prefix sums inside int64;
 # larger moduli keep them as Python ints in object arrays.
@@ -232,7 +233,7 @@ class _Instance:
         self.c = c
         self.q = q
         self.minus = _OrientedEngine(res, c_pos, q, reflect=False)
-        self.universe = np.unique(((res[:, None] - res[None, :]) % q).ravel())
+        self.universe = sorted_unique(((res[:, None] - res[None, :]) % q).ravel())
         _, covered = self.minus.find(self.universe)
         if not covered.all():
             missing = Fraction(int(self.universe[np.argmin(covered)]), q)

@@ -32,6 +32,7 @@ import numpy as np
 from .exact_torus import (TorusPoint, TorusVector, as_rational, residues,
                           signed_mod1, torus_dist_sq)
 from .gap_spectrum import CollisionError, TooFewPointsError
+from .sumset_engine import sorted_unique
 
 INT_GRID_LIMIT = 1 << 30
 # offsets the census sweep scores per round: amortises numpy call overhead
@@ -259,7 +260,7 @@ def _grid_rows(rows: List[Tuple[int, ...]], scale: int) -> List[Tuple[int, tuple
             near = np.minimum(nsq.min(axis=1), best_nsq[i])
             r, k = np.nonzero(nsq <= near[:, None])
             diff = (pts[j[r, k]] - pts[i[r]]) % scale
-            own = np.unique(i[r])
+            own = sorted_unique(i[r])
             p = np.concatenate([own, i[r]])
             m = np.concatenate([best_nsq[own], nsq[r, k]])
             v = np.concatenate([best_vec[own], np.where(2 * diff >= scale, diff - scale, diff)])

@@ -146,3 +146,68 @@ def test_nonpositive_cells_is_input_error(cells, capsys):
     assert rc == 2
     assert err.startswith("error:") and "cells" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_negative_print_limit_is_input_error(capsys):
+    rc = main(["sumset", "--a", "0,1/2", "--print-limit", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: --print-limit must be at least 0, got -1\n"
+
+
+def test_truncated_sumset_lifts_no_sums(tmp_path, monkeypatch):
+    import random
+    from collections import Counter
+    from fractions import Fraction
+
+    from gaplab import sumset_engine
+    from gaplab.exact_torus import TorusPoint
+
+    counts = Counter()
+    from_residue = TorusPoint._from_residue.__func__
+    lift = sumset_engine._lift
+
+    def counted_from_residue(cls, n, q):
+        counts["points"] += 1
+        return from_residue(cls, n, q)
+
+    def counted_fraction(*args):
+        counts["fractions"] += 1
+        return Fraction(*args)
+
+    def counted_lift(*args):
+        counts["lifts"] += 1
+        return lift(*args)
+
+    monkeypatch.setattr(TorusPoint, "_from_residue", classmethod(counted_from_residue))
+    monkeypatch.setattr(sumset_engine, "Fraction", counted_fraction)
+    monkeypatch.setattr(sumset_engine, "_lift", counted_lift)
+    rng = random.Random(6)
+    values = ",".join(f"{n}/999983" for n in rng.sample(range(999983), 300))
+    for domain in ("torus", "rationals"):
+        rc, payload = run_json(tmp_path, ["sumset", "--a", values, "--domain", domain])
+        assert rc == 0
+        assert payload["report"] == {"elements": [], "truncated": True}
+        assert payload["metrics"]["sum_size"] > 10000
+    assert counts == Counter()
+    # the counters see the lifts of a printed sum
+    for domain in ("torus", "rationals"):
+        run_json(tmp_path, ["sumset", "--a", "0,1/8", "--b", "1/4", "--domain", domain])
+    assert counts == Counter(points=2, fractions=2, lifts=2)
+
+
+def test_python_dash_m_runs_the_command_line():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "gaplab", "sumset", "--a", "0,1/8",
+                           "--b", "1/4"], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["report"]["elements"] == ["1/4", "3/8"]

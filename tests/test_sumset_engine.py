@@ -1,13 +1,16 @@
 """Exact sumsets across domains, and the minimum difference cover solver."""
 
+import functools
 import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaplab import sumset_engine as se
 from gaplab.exact_torus import TorusPoint
 from gaplab.sumset_engine import (Domain, DomainMismatchError, FiniteExactSet,
                                   difference_set, doubling_ratio,
@@ -186,3 +189,229 @@ def test_torus_lifts_keep_their_values():
     assert [str(d) for d in rat.universe] == ["-3/10", "-1/5", "-1/10", "0", "1/10",
                                               "1/5", "3/10"]
     assert rat.certificate[Fraction(-1, 5)] == (Fraction(0), Fraction(1, 5))
+
+
+# ---------------------------------------------------------------------------
+# Path thresholds of the pair-sum kernel, in all three domains.  Each case
+# gives numerators xs, ys (ascending) and the path that must run; the
+# rational operands are n / RAT_DEN and the torus operands n / q, so every
+# domain clears to exactly these ints and reaches the same switch.
+
+I64_MAX = (1 << 63) - 1
+RAT_DEN = 3
+
+
+def _run(n):
+    return list(range(n))
+
+
+def _threshold_cases():
+    cases = []
+    for delta in (-1, 0, 1):
+        side = {-1: "below", 0: "at", 1: "above"}[delta]
+        # output span hi - lo + 1 == DENSE_SPAN_LIMIT + delta, 2^22 pairs
+        far = se.DENSE_SPAN_LIMIT + delta - 2048
+        cases.append((f"dense-span-{side}", _run(2047) + [far], _run(2048),
+                      far + 1, "dense" if delta <= 0 else "outer"))
+        # the narrower operand spans DENSE_SEG_LIMIT + delta bits
+        far = se.DENSE_SEG_LIMIT - 1 + delta
+        cases.append((f"dense-seg-{side}", _run(724) + [far], _run(724) + [far],
+                      far + 1, "dense" if delta <= 0 else "outer"))
+        # sums reach I64_MAX + delta at the top, -I64_MAX + delta at the bottom
+        top = I64_MAX + delta - 6 - (1 << 62)
+        cases.append((f"int64-hi-{side}", [(1 << 62) + i for i in range(4)],
+                      [top + i for i in range(4)], None, "dense" if delta <= 0 else "hash"))
+        cases.append((f"int64-lo-{side}", [-(1 << 62) - 3 + i for i in range(4)],
+                      [-I64_MAX + delta + (1 << 62) + 3 + i for i in range(4)], None,
+                      "dense" if delta >= 0 else "hash"))
+        # one operand element itself at I64_MAX + delta or -I64_MAX - delta
+        cases.append((f"int64-element-hi-{side}", [-10, -5, -1], [I64_MAX + delta],
+                      None, "dense" if delta <= 0 else "hash"))
+        cases.append((f"int64-element-lo-{side}", [-I64_MAX - delta], [1, 5, 10],
+                      None, "dense" if delta <= 0 else "hash"))
+        # the smallest sum at +-2^62 + delta, on the dense path
+        for sign in (1, -1):
+            lo = sign * (1 << 62) + delta
+            cases.append((f"lo-{'plus' if sign > 0 else 'minus'}-2^62-{side}",
+                          [lo + i for i in range(0, 12, 3)], _run(5), None, "dense"))
+    return cases
+
+
+THRESHOLD_CASES = {c[0]: c[1:] for c in _threshold_cases()}
+
+
+@functools.cache
+def _brute(case):
+    # one pass over every pair per case, shared by the three domains
+    xs, ys = THRESHOLD_CASES[case][:2]
+    return tuple(brute_sum(xs, ys))
+
+
+def _spy_paths(monkeypatch):
+    seen = []
+    for name, path in (("_dense_pairsums", "dense"), ("_outer_pairsums", "outer")):
+        kernel = getattr(se, name)
+
+        def spy(*args, _kernel=kernel, _path=path):
+            seen.append(_path)
+            return _kernel(*args)
+        monkeypatch.setattr(se, name, spy)
+    return seen
+
+
+def _check_domain(monkeypatch, xs, ys, q, domain, expected_path, brute):
+    seen = _spy_paths(monkeypatch)
+    if domain == "integers":
+        got = sumset(FiniteExactSet.integers(xs), FiniteExactSet.integers(ys))
+        want = tuple(brute)
+    elif domain == "rationals":
+        got = sumset(FiniteExactSet.rationals([Fraction(n, RAT_DEN) for n in xs]),
+                     FiniteExactSet.rationals([Fraction(n, RAT_DEN) for n in ys]))
+        # a/s + b/s == (a + b)/s: the brute sums of numerators, over s
+        want = tuple(Fraction(m, RAT_DEN) for m in brute)
+    else:
+        got = sumset(FiniteExactSet.torus([Fraction(n, q) for n in xs]),
+                     FiniteExactSet.torus([Fraction(n, q) for n in ys]))
+        want = tuple(TorusPoint(Fraction(m, q)) for m in sorted({m % q for m in brute}))
+    assert (seen or ["hash"]) == [expected_path]
+    assert len(got) == len(want)
+    assert got.elements == want
+
+
+# Negative and int64-edge numerators are no torus residues; the torus int64
+# edge is the fold guard below.
+@pytest.mark.parametrize("case, domain", [
+    (case, domain) for case in sorted(THRESHOLD_CASES)
+    for domain in ("integers", "rationals", "torus")
+    if domain != "torus" or THRESHOLD_CASES[case][2] is not None])
+def test_sumset_on_both_sides_of_each_path_threshold(monkeypatch, case, domain):
+    xs, ys, q, expected_path = THRESHOLD_CASES[case]
+    _check_domain(monkeypatch, xs, ys, q, domain, expected_path, _brute(case))
+
+
+def _outer_limit_case(n_pairs, rows):
+    # n_pairs == rows * cols; the far element keeps the dense path out
+    cols = n_pairs // rows
+    assert rows * cols == n_pairs
+    return _run(rows - 1) + [1 << 27], _run(cols)
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_integer_sumset_at_the_outer_pair_limit(monkeypatch, delta):
+    # 2^25 - 1 = 1801 * 18631, 2^25 = 4096 * 8192, 2^25 + 1 = 4051 * 8283
+    rows = {-1: 1801, 0: 4096, 1: 4051}[delta]
+    xs, ys = _outer_limit_case(se.OUTER_PAIR_LIMIT + delta, rows)
+    _check_domain(monkeypatch, xs, ys, None, "integers",
+                  "outer" if delta <= 0 else "hash", brute_sum(xs, ys))
+
+
+@pytest.mark.parametrize("domain", ["rationals", "torus"])
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_rational_and_torus_sumsets_at_a_lowered_outer_pair_limit(monkeypatch, domain,
+                                                                  delta):
+    # 2^25 pairs cost seconds per domain, so these two domains meet the same
+    # comparison at 2^12 pairs: 4095 = 63 * 65, 4096 = 64 * 64, 4097 = 17 * 241
+    monkeypatch.setattr(se, "OUTER_PAIR_LIMIT", 1 << 12)
+    rows = {-1: 63, 0: 64, 1: 17}[delta]
+    xs, ys = _outer_limit_case((1 << 12) + delta, rows)
+    _check_domain(monkeypatch, xs, ys, (1 << 27) + 1, domain,
+                  "outer" if delta <= 0 else "hash", brute_sum(xs, ys))
+
+
+@pytest.mark.parametrize("q, expected_path", [
+    ((1 << 62) - 1, "outer"), (1 << 62, "outer"), ((1 << 62) + 1, "hash"),
+    (1 << 70, "dense")])
+def test_torus_fold_on_both_sides_of_its_int64_guard(monkeypatch, q, expected_path):
+    # the largest sum 2q - 2 passes I64_MAX first at q = 2^62 + 1; a modulus
+    # past int64 with small residues keeps int64 sums that never wrap
+    xs = [0, 1, 2, q - 2, q - 1] if q < (1 << 64) else [0, 1, 2, 3]
+    ys = [0, 1, q - 1] if q < (1 << 64) else [0, 5]
+    brute = brute_sum(xs, ys)
+    _check_domain(monkeypatch, xs, ys, q, "torus", expected_path, brute)
+    s = sumset(FiniteExactSet.torus([Fraction(n, q) for n in xs]),
+               FiniteExactSet.torus([Fraction(n, q) for n in ys]))
+    assert negate(s).elements == tuple(
+        TorusPoint(Fraction(m, q)) for m in sorted({-m % q for m in brute}))
+
+
+def test_sorted_unique_matches_numpy_unique():
+    rng = np.random.default_rng(4)
+    for a in (np.array([], dtype=np.int64), np.array([7]), rng.integers(-5, 5, 200),
+              rng.integers(-(1 << 62), 1 << 62, 5000),
+              np.array([3, 1 << 70, 3, -(1 << 70)], dtype=object)):
+        got, want = se.sorted_unique(a), np.unique(a)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+
+
+# ---------------------------------------------------------------------------
+# Lazily lifted sets against an eager Fraction / TorusPoint reference.
+
+def _eager(values, domain):
+    """The elements the eager set held: sorted, distinct and canonical."""
+    if domain is Domain.INTEGERS:
+        return tuple(sorted(set(values)))
+    if domain is Domain.RATIONALS:
+        return tuple(sorted(set(values)))
+    return tuple(TorusPoint(v) for v in sorted({v % 1 for v in values}))
+
+
+def _value(e):
+    return e.value if isinstance(e, TorusPoint) else e
+
+
+def _eager_negate(elems, domain):
+    return _eager([-_value(e) for e in elems], domain)
+
+
+def _eager_difference(xe, ye, domain):
+    return _eager([_value(a) - _value(b) for a in xe for b in ye], domain)
+
+
+def _eager_sum(xe, ye, domain):
+    return _eager([_value(a) + _value(b) for a in xe for b in ye], domain)
+
+
+_numerators = st.one_of(st.integers(-40, 40), st.integers(-(1 << 70), 1 << 70))
+_denominators = st.sampled_from([1, 2, 3, 4, 6, 12, 97, (1 << 62) + 1, 1 << 64])
+
+
+@st.composite
+def _operands(draw):
+    domain = draw(st.sampled_from(list(Domain)))
+    if domain is Domain.INTEGERS:
+        values = st.one_of(st.integers(-40, 40), st.integers(-(1 << 66), 1 << 66))
+    else:
+        values = st.builds(Fraction, _numerators, _denominators)
+    xs = draw(st.lists(values, max_size=10))
+    ys = draw(st.lists(values, max_size=10))
+    return domain, xs, ys
+
+
+@given(_operands())
+@settings(deadline=None, max_examples=250)
+def test_lazy_elements_match_eager_reference(operands):
+    domain, xs, ys = operands
+    a, b = FiniteExactSet(xs, domain), FiniteExactSet(ys, domain)
+    ea, eb = _eager(xs, domain), _eager(ys, domain)
+    derived = {
+        "a": (a, ea), "b": (b, eb),
+        "neg a": (negate(a), _eager_negate(ea, domain)),
+        "a+b": (sumset(a, b), _eager_sum(ea, eb, domain)),
+        "a-b": (difference_set(a, b), _eager_difference(ea, eb, domain)),
+        "b-a": (difference_set(b, a), _eager_difference(eb, ea, domain)),
+        "-(a+b)": (negate(sumset(a, b)), _eager_negate(_eager_sum(ea, eb, domain), domain)),
+        "(a+b)-b": (difference_set(sumset(a, b), b),
+                    _eager_difference(_eager_sum(ea, eb, domain), eb, domain)),
+    }
+    for name, (got, want) in derived.items():
+        assert len(got) == len(want), name
+        assert got.elements == want, name
+        rebuilt = FiniteExactSet(want, domain)
+        assert got == rebuilt and hash(got) == hash(rebuilt), name
+    items = list(derived.values())
+    for s, es in items:
+        for t, et in items:
+            assert (s == t) == (es == et)
+            if es == et:
+                assert hash(s) == hash(t)
