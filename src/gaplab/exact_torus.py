@@ -9,6 +9,12 @@ integer is a plain abs().  d-dimensional work sticks to squared norms,
 which keeps everything inside Q.  Bulk work clears a common denominator
 once with residues() and runs on integers; TorusPoint._from_residue lifts
 the results back.
+
+This module is the one home of that integer-residue format: residues()
+clears denominators, common_scale() brings residue families to the lcm of
+their scales, signed_residues() maps residues mod q to [-q/2, q/2),
+sorted_unique() dedupes residue arrays, and int_dtype() with INT64_MAX is
+the guard that keeps numpy int64 only while every intermediate fits.
 """
 
 from __future__ import annotations
@@ -18,10 +24,13 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Sequence, Tuple, Union
 
+import numpy as np
+
 Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 HALF = Fraction(1, 2)
+INT64_MAX = (1 << 63) - 1
 
 
 class DuplicatePointError(ValueError):
@@ -111,6 +120,39 @@ def residues(points: Iterable) -> Tuple[list, int]:
     vals = [p.value if isinstance(p, TorusPoint) else p for p in points]
     q = lcm(*{v.denominator for v in vals})
     return [v.numerator * (q // v.denominator) for v in vals], q
+
+
+def common_scale(*families) -> Tuple[list, int]:
+    """([ints, ...], q): residue families (ints, scale) brought to q, the lcm of their scales.
+
+    Each ints is a list of Python ints; a family already over q comes back
+    as it is, every other one multiplied by q // scale.
+    """
+    q = lcm(*(s for _, s in families))
+    return [ints if s == q else [n * (q // s) for n in ints] for ints, s in families], q
+
+
+def signed_residues(r: np.ndarray, q: int) -> np.ndarray:
+    """Representatives in [-q/2, q/2) of an int64 or object array of residues in [0, q)."""
+    return np.where(2 * r >= q, r - q, r)
+
+
+def int_dtype(*bounds: int):
+    """np.int64 when every bound an intermediate reaches is below INT64_MAX, object beyond."""
+    return np.int64 if max(bounds) < INT64_MAX else object
+
+
+def sorted_unique(a: np.ndarray) -> np.ndarray:
+    """np.unique(a) of a 1-d array: one sort and an adjacent-difference mask.
+
+    Without return_index, numpy 2's np.unique hashes integer arrays, which
+    took over 30x longer than this sort on a million int64 values.
+    """
+    s = np.sort(a)
+    keep = np.empty(len(s), dtype=bool)
+    keep[:1] = True
+    np.not_equal(s[1:], s[:-1], out=keep[1:])
+    return s[keep]
 
 
 def reduce_mod1(x: RationalLike) -> TorusPoint:

@@ -21,11 +21,11 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt, lcm
+from math import isqrt
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .exact_torus import (DuplicatePointError, RationalLike, TorusPoint,
-                          as_rational, reduce_mod1, residues)
+                          as_rational, common_scale, reduce_mod1, residues)
 from .sumset_engine import FiniteExactSet, Domain, _ascending, torus_pairsums
 
 
@@ -65,9 +65,10 @@ class CircularSet:
     wrap: Wrap = Wrap.INCLUDE
 
     def __post_init__(self) -> None:
-        for a, b in zip(self.points, self.points[1:]):
+        ints = self._residues[0]
+        for p, a, b in zip(self.points, ints, ints[1:]):
             if not a < b:
-                raise DuplicatePointError(f"points not strictly increasing at {a}")
+                raise DuplicatePointError(f"points not strictly increasing at {p}")
         if self.labels is not None:
             if len(self.labels) != len(self.points):
                 raise ValueError("labels must match points one to one")
@@ -78,18 +79,19 @@ class CircularSet:
     @classmethod
     def from_values(cls, values: Iterable[RationalLike], labels: Optional[Sequence[int]] = None,
                     wrap: Wrap = Wrap.INCLUDE) -> "CircularSet":
-        pts = [reduce_mod1(v) for v in values]
-        if labels is None:
-            order = sorted(range(len(pts)), key=lambda i: pts[i])
-            return cls(tuple(pts[i] for i in order), None, wrap)
-        if len(labels) != len(pts):
+        ints, q = residues([as_rational(v) for v in values])
+        ints = [n % q for n in ints]
+        if labels is not None and len(labels) != len(ints):
             raise ValueError("labels must match points one to one")
-        order = sorted(range(len(pts)), key=lambda i: pts[i])
-        return cls(tuple(pts[i] for i in order), tuple(labels[i] for i in order), wrap)
+        order = sorted(range(len(ints)), key=ints.__getitem__)
+        labels = None if labels is None else tuple(labels[i] for i in order)
+        inst = cls._from_residues([ints[i] for i in order], q, labels, wrap)
+        inst.__post_init__()  # the dataclass checks, on the integer residues
+        return inst
 
     @classmethod
     def from_points(cls, points: Iterable[TorusPoint], wrap: Wrap = Wrap.INCLUDE) -> "CircularSet":
-        return cls(tuple(sorted(points)), None, wrap)
+        return cls.from_values([p.value for p in points], wrap=wrap)
 
     @classmethod
     def _from_residues(cls, ints: list, q: int, labels: Optional[tuple] = None,
@@ -132,7 +134,7 @@ class CircularSet:
 
     def _first_missing(self, other: "CircularSet") -> Optional[TorusPoint]:
         """The smallest point of self that other lacks, or None."""
-        mine, theirs, q = _common_residues(self, other)
+        (mine, theirs), q = common_scale(self._residues, other._residues)
         present = set(theirs)
         for n in mine:
             if n not in present:
@@ -140,18 +142,9 @@ class CircularSet:
         return None
 
 
-def _common_residues(a: CircularSet, b: CircularSet) -> Tuple[list, list, int]:
-    """Both sets' ascending residues over one common denominator q."""
-    (xs, qa), (ys, qb) = a._residues, b._residues
-    if qa == qb:
-        return xs, ys, qa
-    q = lcm(qa, qb)
-    return [x * (q // qa) for x in xs], [y * (q // qb) for y in ys], q
-
-
 def sumset_size(a: CircularSet, b: CircularSet) -> int:
     """|A + B|, counted on residues without lifting the sums to points."""
-    xs, ys, q = _common_residues(a, b)
+    (xs, ys), q = common_scale(a._residues, b._residues)
     return len(torus_pairsums(xs, ys, q))
 
 
@@ -407,7 +400,7 @@ def arc_counting_diagnostic(a: CircularSet, b: CircularSet, k: int) -> ArcCounti
             witness[g] = i
     j_a = tuple(sorted(witness.values()))
 
-    xs, ys, q = _common_residues(a, b)
+    (xs, ys), q = common_scale(a._residues, b._residues)
     sums = _ascending(torus_pairsums(xs, ys, q))
     pos = {n: t for t, n in enumerate(sums)}
     total = len(sums)

@@ -14,10 +14,11 @@ unbounded-coin dynamic program over a common denominator confirms every
 membership, so the constructive certificates never check themselves.
 
 The engines run on integer residues mod q, the common denominator of B:
-witness tables, gap tilings and the per-target checks are numpy arrays
-(int64 while q < 2^62, Python ints in object arrays beyond) and Python
-ints.  Fractions appear only in reports: the gap families, mismatches,
-certificate parts, subdivision trees and error messages.
+witness tables, gap tilings and the per-target checks are numpy arrays,
+whose dtype exact_torus.int_dtype picks from the differences and prefix
+sums they reach (below 2q), and Python ints.  Fractions appear only in
+reports: the gap families, mismatches, certificate parts, subdivision
+trees and error messages.
 """
 
 from __future__ import annotations
@@ -31,13 +32,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .exact_torus import TorusPoint, as_rational, residues
+from .exact_torus import (TorusPoint, as_rational, common_scale, int_dtype,
+                          residues, sorted_unique)
 from .gap_spectrum import CircularSet, SubsetViolationError, TooFewPointsError
-from .sumset_engine import sorted_unique
-
-# Residues below this bound have differences and prefix sums inside int64;
-# larger moduli keep them as Python ints in object arrays.
-_INT64_RESIDUE_LIMIT = 1 << 62
 
 
 class PremiseViolationError(ValueError):
@@ -213,11 +210,6 @@ class _OrientedEngine:
         return root
 
 
-def _residue_array(ints: list, q: int) -> np.ndarray:
-    """Residues mod q as int64 while their differences fit, Python ints otherwise."""
-    return np.asarray(ints, dtype=np.int64 if q < _INT64_RESIDUE_LIMIT else object)
-
-
 class _Instance:
     """Both orientations of one (B, C) pair, premise-checked, on residues mod q."""
 
@@ -226,9 +218,14 @@ class _Instance:
             raise TooFewPointsError("B needs at least two points")
         if not c.issubset(b):
             raise SubsetViolationError("C must be a subset of B")
-        ints, q = residues(b.points + c.points)
-        res = _residue_array(ints[:len(b)], q)
-        c_pos = np.searchsorted(res, _residue_array(ints[len(b):], q))
+        (res_b, res_c), q = common_scale(b._residues, c._residues)
+        # lowest terms: q becomes the lcm of B's denominators, C lying in B
+        g = gcd(q, *res_b)
+        q //= g
+        # differences and prefix sums of residues stay below 2q in absolute value
+        dtype = int_dtype(2 * q)
+        res = np.array([n // g for n in res_b], dtype=dtype)
+        c_pos = np.searchsorted(res, np.array([n // g for n in res_c], dtype=dtype))
         self.b = b
         self.c = c
         self.q = q
@@ -375,13 +372,11 @@ class SpanOracle:
 
     def reachable_scaled(self, scale: int) -> frozenset:
         """All span elements of denominator dividing scale, as integers 0..scale."""
-        if self.table is not None:
-            if scale % self.scale == 0:
-                step = scale // self.scale
-                return frozenset((np.flatnonzero(self.table) * step).tolist())
-            return frozenset(int(x * scale) for x in self.as_fractions()
-                             if (x * scale).denominator == 1)
-        return frozenset(int(x * scale) for x in self.values if (x * scale).denominator == 1)
+        if self.table is not None and scale % self.scale == 0:
+            step = scale // self.scale
+            return frozenset((np.flatnonzero(self.table) * step).tolist())
+        return frozenset(int(x * scale) for x in self.as_fractions()
+                         if (x * scale).denominator == 1)
 
     def as_fractions(self) -> frozenset:
         if self.table is not None:

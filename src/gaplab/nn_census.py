@@ -2,10 +2,10 @@
 
 Decisions run on residues: a cloud keeps its points as integer rows over
 the least common denominator of its coordinates, and distances compare as
-folded squared norms over that scale, in numpy int64 while d*(scale//2)^2
-fits and on Python ints (object arrays) beyond.  Fractions are lifted for
-reports only, so every decision is reproducible bit for bit; floats only
-appear in logged summary ratios.
+folded squared norms over that scale, whose largest value d*(scale//2)^2
+picks the array dtype through exact_torus.int_dtype.  Fractions are lifted
+for reports only, so every decision is reproducible bit for bit; floats
+only appear in logged summary ratios.
 
 The census of a cloud is the set of difference vectors to a nearest
 neighbour, one deterministic choice per point: by all pairs ("brute") or
@@ -24,20 +24,18 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact_torus import (TorusPoint, TorusVector, as_rational, residues,
-                          signed_mod1, torus_dist_sq)
+from .exact_torus import (INT64_MAX, TorusPoint, TorusVector, as_rational,
+                          common_scale, int_dtype, residues, signed_residues,
+                          sorted_unique, torus_dist_sq)
 from .gap_spectrum import CollisionError, TooFewPointsError
-from .sumset_engine import sorted_unique
 
 INT_GRID_LIMIT = 1 << 30
 # offsets the census sweep scores per round: amortises numpy call overhead
 _SWEEP_BLOCK = 16
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class InvalidConfigurationError(ValueError):
@@ -52,9 +50,9 @@ class GreedyStallError(ValueError):
     """No center makes progress; the threshold parameter is too small."""
 
 
-def _int_dtype(*bounds: int):
-    """int64 when every bound on an intermediate fits, Python ints beyond."""
-    return np.int64 if max(bounds) < _INT64_MAX else object
+def _norm_bound(d: int, scale: int) -> int:
+    """The largest folded squared norm, over scale**2, of a d-dimensional residue difference."""
+    return d * (scale // 2) ** 2
 
 
 def _sq_norms(diffs, scale: int):
@@ -141,18 +139,19 @@ class PointCloud:
     def common_scale(self) -> int:
         return self._rows[1]
 
-    def scaled_rows(self, scale: int) -> List[Tuple[int, ...]]:
-        rows, q = self._rows
-        return [tuple(x * scale // q for x in r) for r in rows]
+
+def _common_rows(a: PointCloud, b: PointCloud) -> Tuple[list, int]:
+    """Both clouds' rows as object arrays over the common scale of the two."""
+    flat, scale = common_scale(*(([x for r in rows for x in r], q)
+                                 for rows, q in (a._rows, b._rows)))
+    return [np.array(f, dtype=object).reshape(-1, a.dim) for f in flat], scale
 
 
 def _pair_sum_rows(a: PointCloud, b: PointCloud) -> Tuple[List[Tuple[int, ...]], int]:
-    """Rows of p + r for every pair, a-major, over the lcm of both scales."""
-    (ra, qa), (rb, qb) = a._rows, b._rows
-    scale = lcm(qa, qb)
-    ka, kb = scale // qa, scale // qb
-    return [tuple((x * ka + y * kb) % scale for x, y in zip(p, r))
-            for p in ra for r in rb], scale
+    """Rows of p + r for every pair, a-major, over the common scale."""
+    (ra, rb), scale = _common_rows(a, b)
+    sums = (ra[:, None] + rb[None, :]) % scale
+    return list(map(tuple, sums.reshape(-1, a.dim).tolist())), scale
 
 
 def cloud_sumset(a: PointCloud, b: PointCloud) -> PointCloud:
@@ -195,10 +194,10 @@ def _brute_rows_numpy(rows: List[Tuple[int, ...]], scale: int) -> List[Tuple[int
         diff = (arr - arr[i]) % scale
         folded = np.minimum(diff, scale - diff)
         nsq = (folded * folded).sum(axis=1)
-        nsq[i] = np.iinfo(np.int64).max
+        nsq[i] = INT64_MAX
         best = int(nsq.min())
         cands = np.flatnonzero(nsq == best)
-        signed = np.where(2 * diff[cands] >= scale, diff[cands] - scale, diff[cands])
+        signed = signed_residues(diff[cands], scale)
         order = np.lexsort(signed.T[::-1])
         j = int(cands[order[0]])
         out.append((best, tuple(int(v) for v in signed[order[0]]), j))
@@ -234,14 +233,15 @@ def _grid_rows(rows: List[Tuple[int, ...]], scale: int) -> List[Tuple[int, tuple
     other direction has been.
     """
     n, d = len(rows), len(rows[0])
-    dtype = _int_dtype(d * (scale // 2) ** 2)
+    bound = _norm_bound(d, scale)
+    dtype = int_dtype(bound)
     axis = max(range(d), key=lambda t: len({r[t] for r in rows}))
     arr = np.array(rows, dtype=dtype)
     order = np.argsort(arr[:, axis], kind="stable")
     pts = arr[order]
     cols = list(pts.T.copy())
     key = cols[axis]
-    best_nsq = np.full(n, d * (scale // 2) ** 2 + 1, dtype=dtype)
+    best_nsq = np.full(n, bound + 1, dtype=dtype)
     best_vec = np.zeros((n, d), dtype=dtype)
     best_j = np.zeros(n, dtype=np.int64)
     # last offset scored from i through successors (t = 0), predecessors (t = 1)
@@ -263,7 +263,7 @@ def _grid_rows(rows: List[Tuple[int, ...]], scale: int) -> List[Tuple[int, tuple
             own = sorted_unique(i[r])
             p = np.concatenate([own, i[r]])
             m = np.concatenate([best_nsq[own], nsq[r, k]])
-            v = np.concatenate([best_vec[own], np.where(2 * diff >= scale, diff - scale, diff)])
+            v = np.concatenate([best_vec[own], signed_residues(diff, scale)])
             q = np.concatenate([best_j[own], order[j[r, k]]])
             o = np.lexsort((*v.T[::-1], m, p))
             o = o[np.unique(p[o], return_index=True)[1]]
@@ -300,8 +300,7 @@ def nn_census(cloud: PointCloud, method: str = "auto",
     if method == "grid":
         raw = _grid_rows(rows, scale)
     elif method == "brute":
-        # int64 squared norms: each coordinate folds to at most scale // 2
-        if use_int and cloud.dim * (scale // 2) ** 2 < _INT64_MAX:
+        if use_int and int_dtype(_norm_bound(cloud.dim, scale)) is np.int64:
             raw = _brute_rows_numpy(rows, scale)
         else:
             raw = _brute_rows_exact(cloud)
@@ -347,10 +346,6 @@ class KroneckerReport:
         return self.contained and self.census_size <= self.bound
 
 
-def _signed_multiple(k: int, alphas: Tuple[Fraction, ...]) -> Tuple[Fraction, ...]:
-    return tuple(signed_mod1(k * a) for a in alphas)
-
-
 def kronecker_census(alphas: Sequence, n: int) -> KroneckerReport:
     """Nearest-neighbour census of the first n multiples of a rational rotation.
 
@@ -370,8 +365,8 @@ def kronecker_census(alphas: Sequence, n: int) -> KroneckerReport:
         raise CollisionError(
             f"orbit points 1 and {1 + big_q} coincide; denominators too small")
     # squared norms of k*alpha scaled by big_q**2, k = 0..n-1
-    ks = np.arange(n, dtype=_int_dtype(n * big_q, len(steps) * (big_q // 2) ** 2))
-    nsq = _sq_norms((ks * step % big_q for step in steps), big_q).tolist()
+    dtype = int_dtype(n * big_q, _norm_bound(len(steps), big_q))
+    nsq = _sq_norms((np.arange(n, dtype=dtype) * step % big_q for step in steps), big_q).tolist()
     # prefix minima with first and last achieving index
     premin, first_at, last_at = [None] * n, [0] * n, [0] * n
     for k in range(1, n):
@@ -393,7 +388,10 @@ def kronecker_census(alphas: Sequence, n: int) -> KroneckerReport:
     ell = next(pos + 1 for pos, k in enumerate(ordered) if 2 * k <= n)
     allowed = {s * k % big_q for k in ordered[:ell] for s in (1, -1)}
     contained = offsets.keys() <= allowed
-    census = sorted(_signed_multiple(off, avals) for off in offsets.values())
+    # each census vector is the signed residue of off * step, |off| < n
+    signed = signed_residues(np.array(list(offsets.values()), dtype)[:, None]
+                             * np.array(steps, dtype) % big_q, big_q).tolist()
+    census = [tuple(Fraction(x, big_q) for x in v) for v in sorted(map(tuple, signed))]
     tie_free = ell >= len(ordered) or nsq[ordered[ell - 1]] != nsq[ordered[ell]]
     ratio = len(census) / ((4.0 / 3.0) ** len(avals))
     return KroneckerReport(avals, n, ell, tuple(ordered[:ell]), tuple(census),
@@ -570,12 +568,10 @@ def max_ball_depth(a: PointCloud, b: PointCloud) -> BallDepthReport:
     """Max depth over z in A+B (the first deepest z), and max_depth*(3/4)^d."""
     rep = nn_census(a)
     zs = cloud_sumset(a, b)
-    (ra, qa), (rz, qz) = a._rows, zs._rows
-    scale = lcm(qa, qz)
+    (aa, za), scale = _common_rows(a, zs)
     d = a.dim
-    dtype = _int_dtype(d * (scale // 2) ** 2)
-    za = np.array(rz, dtype=dtype) * (scale // qz)
-    aa = np.array(ra, dtype=dtype) * (scale // qa)
+    dtype = int_dtype(_norm_bound(d, scale))
+    aa, za = aa.astype(dtype), za.astype(dtype)
     radii = np.array([math.floor(r.dist_sq * scale ** 2) for r in rep.records], dtype)
     nsq = _sq_norms((z[:, None] - x[None, :] for z, x in zip(za.T, aa.T)), scale)
     depth = (nsq <= radii).sum(axis=1)
@@ -647,7 +643,7 @@ def extract_core(a: PointCloud, b: PointCloud, epsilon,
     threshold = (2 * kap / eps) * Fraction(4 ** d, 3 ** d) * Fraction(len(s_points), len(a))
     l = 1 + int(threshold)
     rows, scale = s_cloud._rows
-    s_arr = np.array(rows, dtype=_int_dtype(d * (scale // 2) ** 2))
+    s_arr = np.array(rows, dtype=int_dtype(_norm_bound(d, scale)))
     # per center: ascending squared distances to all sumset points, over scale**2
     dist_rows = np.sort(_sq_norms((c[:, None] - c[None, :] for c in s_arr.T), scale), axis=1)
     index = {r: c for c, r in enumerate(rows)}

@@ -18,19 +18,19 @@ from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from typing import Dict, Iterable
 
 import numpy as np
 
-from .exact_torus import TorusPoint, as_rational, reduce_mod1, residues
+from .exact_torus import (INT64_MAX, TorusPoint, as_rational, common_scale,
+                          reduce_mod1, residues, sorted_unique)
 
 # Dense path budgets: output bitmap at most 2^26 bits (8 MB), the shifted
 # segment table at most 64 * 2^22 bits (32 MB), overflow-free int64 sums.
 DENSE_SPAN_LIMIT = 1 << 26
 DENSE_SEG_LIMIT = 1 << 22
 OUTER_PAIR_LIMIT = 1 << 25
-_I64_MAX = (1 << 63) - 1
 
 
 class DomainMismatchError(ValueError):
@@ -41,19 +41,6 @@ class Domain(str, Enum):
     INTEGERS = "integers"
     RATIONALS = "rationals"
     TORUS = "torus"
-
-
-def sorted_unique(a: np.ndarray) -> np.ndarray:
-    """np.unique(a) of a 1-d array: one sort and an adjacent-difference mask.
-
-    Without return_index, numpy 2's np.unique hashes integer arrays, which
-    took over 30x longer than this sort on a million int64 values.
-    """
-    s = np.sort(a)
-    keep = np.empty(len(s), dtype=bool)
-    keep[:1] = True
-    np.not_equal(s[1:], s[:-1], out=keep[1:])
-    return s[keep]
 
 
 def _ascending(ints) -> list:
@@ -181,11 +168,7 @@ def sumset(x: FiniteExactSet, y: FiniteExactSet) -> FiniteExactSet:
         return FiniteExactSet((), dom)
     xs = _ascending(x._ints)
     ys = xs if y is x else _ascending(y._ints)
-    scale = lcm(x._scale, y._scale)
-    if x._scale != scale:
-        xs = [n * (scale // x._scale) for n in xs]
-    if y._scale != scale:
-        ys = [n * (scale // y._scale) for n in ys]
+    (xs, ys), scale = common_scale((xs, x._scale), (ys, y._scale))
     if dom is Domain.TORUS:
         return FiniteExactSet._from_ints(torus_pairsums(xs, ys, scale), scale, dom)
     return FiniteExactSet._from_ints(_pairsums_int(xs, ys), scale, dom)
@@ -228,9 +211,9 @@ def _pairsums_int(xs: list, ys: list):
     """
     lo = xs[0] + ys[0]
     hi = xs[-1] + ys[-1]
-    int64_ok = (-_I64_MAX <= lo and hi <= _I64_MAX
-                and -_I64_MAX <= xs[0] and xs[-1] <= _I64_MAX
-                and -_I64_MAX <= ys[0] and ys[-1] <= _I64_MAX)
+    int64_ok = (-INT64_MAX <= lo and hi <= INT64_MAX
+                and -INT64_MAX <= xs[0] and xs[-1] <= INT64_MAX
+                and -INT64_MAX <= ys[0] and ys[-1] <= INT64_MAX)
     if int64_ok:
         n_pairs = len(xs) * len(ys)
         span_out = hi - lo + 1
@@ -315,12 +298,6 @@ def minimal_difference_cover(b: FiniteExactSet, exact_limit: int = 24,
         return CoverResult((), True, (), {})
     # The set algebra below runs on the set's own ints, in step with elems.
     dom, ints, scale = b.domain, _ascending(b._ints), b._scale
-    if dom is Domain.INTEGERS:
-        lift = None
-    elif dom is Domain.RATIONALS:
-        lift = lambda n: Fraction(n, scale)
-    else:
-        lift = lambda n: TorusPoint._from_residue(n, scale)
     wrap = (lambda d: d % scale) if dom is Domain.TORUS else (lambda d: d)
     orig = dict(zip(ints, elems))
     universe = sorted({wrap(p - q) for p in ints for q in ints})
@@ -410,12 +387,8 @@ def minimal_difference_cover(b: FiniteExactSet, exact_limit: int = 24,
             d = wrap(cn - en)
             if d not in witness:
                 witness[d] = (cn, en)
-    if lift is None:
-        cover = tuple(cover_ints)
-        certificate = {d: witness[d] for d in universe}
-        return CoverResult(cover, exact, tuple(universe), certificate)
     cover = tuple(orig[n] for n in cover_ints)
-    lifted = tuple(lift(d) for d in universe)
+    lifted = _lift(universe, scale, dom)
     certificate = {key: (orig[witness[d][0]], orig[witness[d][1]])
                    for key, d in zip(lifted, universe)}
     return CoverResult(cover, exact, lifted, certificate)

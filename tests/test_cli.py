@@ -197,6 +197,50 @@ def test_truncated_sumset_lifts_no_sums(tmp_path, monkeypatch):
     assert counts == Counter(points=2, fractions=2, lifts=2)
 
 
+def test_cover_check_lifts_no_points(tmp_path, monkeypatch):
+    import dataclasses
+
+    from gaplab import cli
+    from gaplab.exact_torus import TorusPoint
+
+    lifts = []
+    from_residue = TorusPoint._from_residue.__func__
+
+    def counted_from_residue(cls, n, q):
+        lifts.append(n)
+        return from_residue(cls, n, q)
+
+    monkeypatch.setattr(TorusPoint, "_from_residue", classmethod(counted_from_residue))
+    cover = cli.minimal_difference_cover
+    lifts_by_cover = []
+
+    def spy(*args, **kwargs):
+        result = cover(*args, **kwargs)
+        lifts_by_cover.append(len(lifts))
+        return result
+
+    monkeypatch.setattr(cli, "minimal_difference_cover", spy)
+    values = ";".join(f"{n}/1000003" for n in range(0, 1000003, 7919)[:120])
+    for argv in (["cover", "--alpha", "89/144", "--n", "40"], ["cover", "--points", values]):
+        lifts.clear()
+        lifts_by_cover.clear()
+        rc, payload = run_json(tmp_path, argv)
+        assert rc == 0 and payload["verdicts"][0]["passed"]
+        # the counter sees the cover routine lift its universe; the check
+        # that C - B = B - B, after it, lifts nothing
+        assert lifts_by_cover[0] >= payload["metrics"]["universe_size"]
+        assert len(lifts) == lifts_by_cover[0]
+
+    # a cover that misses differences fails the check
+    def one_point_cover(*args, **kwargs):
+        result = cover(*args, **kwargs)
+        return dataclasses.replace(result, cover=result.cover[:1])
+
+    monkeypatch.setattr(cli, "minimal_difference_cover", one_point_cover)
+    rc, payload = run_json(tmp_path, ["cover", "--alpha", "89/144", "--n", "40"])
+    assert rc == 1 and not payload["verdicts"][0]["passed"]
+
+
 def test_python_dash_m_runs_the_command_line():
     import os
     import subprocess

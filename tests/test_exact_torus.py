@@ -1,16 +1,20 @@
 """Canonical representatives, norms and arcs on the circle and the d-torus."""
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaplab.exact_torus import (TorusPoint, TorusVector, as_rational, ccw_arc,
-                                circular_sort, embed_reals, point, reduce_mod1,
-                                residues, signed_mod1, torus_dist_sq,
-                                torus_norm, torus_norm_sq_d)
+from gaplab.exact_torus import (INT64_MAX, TorusPoint, TorusVector, as_rational,
+                                ccw_arc, circular_sort, common_scale,
+                                embed_reals, int_dtype, point, reduce_mod1,
+                                residues, signed_mod1, signed_residues,
+                                torus_dist_sq, torus_norm, torus_norm_sq_d)
+from gaplab.nn_census import _norm_bound, _sq_norms
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=997)
 unit_rationals = st.fractions(min_value=0, max_value=Fraction(996, 997),
@@ -140,3 +144,74 @@ def test_residues_clear_a_common_denominator(values):
     assert all(0 <= n < q for n in ints)
     assert [Fraction(n, q) for n in ints[:len(values)]] == values
     assert gcd(q, *ints) == 1  # q is the least common denominator
+
+
+# The shared residue helpers, each against a Fraction reference.  Scales
+# reach past int64 so the object-array paths run too.
+scales = st.one_of(st.integers(1, 10 ** 6), st.integers((1 << 62) - 3, (1 << 62) + 3),
+                   st.integers(1 << 63, 1 << 70))
+
+
+@given(st.lists(scales, min_size=1, max_size=4), st.data())
+@settings(deadline=None)
+def test_common_scale_matches_fraction_reference(qs, data):
+    families = [(data.draw(st.lists(st.integers(0, s - 1), max_size=6)), s) for s in qs]
+    got, q = common_scale(*families)
+    assert q == reduce(lambda a, b: a * b // gcd(a, b), qs)
+    for (ints, s), scaled in zip(families, got):
+        assert [Fraction(n, q) for n in scaled] == [Fraction(n, s) for n in ints]
+        if s == q:
+            assert scaled is ints
+
+
+@given(scales, st.data())
+@settings(deadline=None)
+def test_signed_residues_match_fraction_reference(q, data):
+    rs = [0, q - 1, q // 2, (q - 1) // 2] + data.draw(st.lists(st.integers(0, q - 1), max_size=12))
+    want = [signed_mod1(Fraction(r, q)) for r in rs]
+    dtypes = [object] + ([np.int64] if int_dtype(2 * q) is np.int64 else [])
+    for dtype in dtypes:
+        got = signed_residues(np.array(rs, dtype=dtype), q)
+        assert got.dtype == np.dtype(dtype)
+        assert [Fraction(int(x), q) for x in got] == want
+        assert all(-q <= 2 * int(x) < q for x in got)
+
+
+@given(st.lists(st.integers(INT64_MAX - 3, INT64_MAX + 3), min_size=1, max_size=3))
+def test_int64_guard_keeps_int64_only_below_the_limit(bounds):
+    dtype = int_dtype(*bounds)
+    assert (dtype is np.int64) == (max(bounds) < (1 << 63) - 1)
+    if dtype is np.int64:
+        assert np.array(bounds, dtype=dtype).tolist() == bounds
+
+
+# Residue decomposition: differences and prefix sums below 2q, so 2q is the
+# bound, and int64 holds exactly while q < 2^62.
+@pytest.mark.parametrize("q, dtype", [((1 << 62) - 1, np.int64), (1 << 62, object),
+                                      ((1 << 62) + 1, object)])
+def test_int64_guard_at_the_decomposition_switch(q, dtype):
+    assert int_dtype(2 * q) is dtype
+    res = np.array([0, 1, q // 2, q - 2, q - 1], dtype=dtype)
+    gaps = (np.roll(res, -1) - res) % q
+    prefix = np.concatenate((np.zeros(1, dtype=dtype), np.cumsum(gaps)))
+    want = [(b - a) % q for a, b in zip(res.tolist(), np.roll(res, -1).tolist())]
+    assert gaps.tolist() == want and prefix.tolist()[-1] == q
+
+
+# Census: folded squared norms reach d * (q // 2)^2, which must stay below
+# 2^63 - 1.  (d, q) with that bound one below the limit, at it and past it,
+# and a 1-d cloud at 2^62.
+@pytest.mark.parametrize("d, q, bound, dtype", [
+    ((1 << 63) - 2, 3, INT64_MAX - 1, np.int64),
+    (188232082384791343, 14, INT64_MAX, object),
+    (2, 1 << 32, INT64_MAX + 1, object),
+    (1, 1 << 32, 1 << 62, np.int64)])
+def test_int64_guard_at_the_census_switch(d, q, bound, dtype):
+    assert _norm_bound(d, q) == bound
+    assert int_dtype(bound) is dtype
+    if d <= 4:
+        # the farthest residue differences fold to q // 2 in every coordinate
+        rows = np.array([[0] * d, [q // 2] * d], dtype=dtype)
+        got = _sq_norms((c[1:] - c[:1] for c in rows.T), q)
+        want = sum(TorusPoint(Fraction(q // 2, q)).norm() ** 2 for _ in range(d)) * q * q
+        assert int(got[0]) == want == bound

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gaplab.exact_torus import DuplicatePointError, point
 from gaplab.gap_spectrum import (APUnionSpec, CircularSet, CollisionError,
                                  InsufficientDenominatorError,
                                  SubsetViolationError, TooFewPointsError, Wrap,
@@ -311,6 +312,38 @@ def test_residue_constructor_matches_public_constructor(q, wrap, data):
     assert fast.points == public.points and fast.labels == public.labels
     assert fast.to_exact_set().elements == public.to_exact_set().elements
     assert fast.to_exact_set().elements == FiniteExactSet.torus(public.points).elements
+
+
+def test_public_constructors_keep_their_checks():
+    third = Fraction(1, 3)
+    cases = [
+        (lambda: CircularSet.from_values([Fraction(4, 3), third]), DuplicatePointError,
+         "points not strictly increasing at 1/3"),
+        (lambda: CircularSet.from_points([point(third), point(Fraction(1, 2)), point(third)]),
+         DuplicatePointError, "points not strictly increasing at 1/3"),
+        (lambda: CircularSet((point(Fraction(1, 2)), point(third))), DuplicatePointError,
+         "points not strictly increasing at 1/2"),
+        # the label count is checked before duplicates, distinctness after them
+        (lambda: CircularSet.from_values([third, third], labels=[1]), ValueError,
+         "labels must match points one to one"),
+        (lambda: CircularSet.from_values([third, third], labels=[1, 1]), DuplicatePointError,
+         "points not strictly increasing at 1/3"),
+        (lambda: CircularSet.from_values([third, Fraction(1, 2)], labels=[1, 1]), ValueError,
+         "labels must be distinct"),
+        (lambda: CircularSet.from_values([third], wrap="sideways"), ValueError,
+         "'sideways' is not a valid Wrap"),
+        (lambda: CircularSet.from_values([0.5]), TypeError,
+         "0.5 is not an exact rational; pass str, int or Fraction"),
+    ]
+    for build, error, text in cases:
+        with pytest.raises(error) as err:
+            build()
+        assert str(err.value) == text
+    a = CircularSet.from_values(["7/6", 0, "0.25"], labels=[5, 6, 7], wrap="exclude_wrap")
+    assert a.values() == (0, Fraction(1, 6), Fraction(1, 4)) and a.labels == (6, 5, 7)
+    assert a.wrap is Wrap.EXCLUDE and a._residues == ([0, 2, 3], 12)
+    b = CircularSet.from_points(reversed(a.points))
+    assert b.points == a.points and b.labels is None and b.wrap is Wrap.INCLUDE
 
 
 @given(st.lists(st.fractions(min_value=0, max_value=Fraction(99, 100), max_denominator=400),

@@ -290,3 +290,34 @@ def test_vectorised_oracle_lookup_matches_membership(nums, den, q, data):
         for dtype in (np.int64, object):
             got = oracle.contains_scaled(np.array(ints, dtype=dtype), q)
             assert got.dtype == bool and got.tolist() == expected
+
+
+@given(st.integers(2, 90), st.data())
+@settings(max_examples=60, deadline=None)
+def test_span_oracle_dp_and_bfs_agree_at_the_dp_limit(den, data):
+    nums = data.draw(st.lists(st.integers(1, den - 1), min_size=1, max_size=4))
+    coins = tuple(Fraction(n, den) for n in nums)
+    scale = SpanOracle(coins).scale
+    dp = SpanOracle(coins, dp_limit=scale)          # scale == dp_limit: the table
+    bfs = SpanOracle(coins, dp_limit=scale - 1)     # scale == dp_limit + 1: the set
+    assert dp.table is not None and bfs.table is None
+    assert dp.as_fractions() == bfs.as_fractions()
+    for q in (scale, 2 * scale, scale + 1):
+        assert dp.reachable_scaled(q) == bfs.reachable_scaled(q)
+        values = [Fraction(n, q) for n in range(-1, q + 2)]
+        assert [v in dp for v in values] == [v in bfs for v in values]
+        ints = np.arange(-1, q + 2)
+        assert dp.contains_scaled(ints, q).tolist() == bfs.contains_scaled(ints, q).tolist()
+
+
+@pytest.mark.parametrize("p, dtype", [((1 << 62) - 57, np.int64), ((1 << 62) + 135, object)])
+def test_instance_scale_is_the_least_common_denominator(p, dtype):
+    # Sets built from residues (greedy and Sidon subsets, progression
+    # unions) may keep a scale above their least common denominator: here
+    # 2p, though every point lies on 1/p.  The instance still works over p,
+    # so the int64 switch sits where the points' own denominators put it.
+    b = CircularSet._from_residues([0, 2 * (p // 3), 2 * (2 * p // 3)], 2 * p)
+    c = CircularSet.from_values([pt.value for pt in b.points])
+    inst = _Instance(b, c)
+    assert inst.q == p and inst.universe.dtype == dtype
+    assert verify_generation(b, c).passed

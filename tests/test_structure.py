@@ -1,0 +1,58 @@
+"""Structure guard: the integer-residue format has one home, gaplab.exact_torus.
+
+Common scales (lcm) and int64 limits are defined there once; a module that
+needs either imports the shared helper instead of keeping its own copy.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "gaplab"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.stem != "exact_torus")
+
+
+def _lcm_uses(tree: ast.AST) -> list:
+    """Lines importing lcm, or reaching it as an attribute (math.lcm, np.lcm)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and any(a.name == "lcm" for a in node.names):
+            found.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "lcm":
+            found.append(node.lineno)
+    return found
+
+
+def _int64_limits(tree: ast.AST) -> list:
+    """Lines writing an int64 limit: 1 << 62, 1 << 63 or np.iinfo(np.int64).max."""
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.LShift)
+                and isinstance(node.left, ast.Constant) and node.left.value == 1
+                and isinstance(node.right, ast.Constant) and node.right.value in (62, 63)):
+            found.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr == "max"
+              and isinstance(node.value, ast.Call)
+              and getattr(node.value.func, "attr", getattr(node.value.func, "id", None))
+              == "iinfo"):
+            found.append(node.lineno)
+    return found
+
+
+def test_guard_sees_every_module():
+    assert {p.stem for p in MODULES} >= {"sumset_engine", "gap_spectrum", "nn_census",
+                                         "generator_decomposition"}
+    home = ast.parse((SRC / "exact_torus.py").read_text())
+    # the helpers' own home is where the guard would look: it finds them there
+    assert _lcm_uses(home) and _int64_limits(home)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_residue_helpers_are_not_copied(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert not _lcm_uses(tree), \
+        f"{path.name} uses lcm at lines {_lcm_uses(tree)}; call exact_torus.common_scale"
+    assert not _int64_limits(tree), \
+        (f"{path.name} writes an int64 limit at lines {_int64_limits(tree)}; "
+         "use exact_torus.int_dtype or INT64_MAX")
