@@ -36,7 +36,7 @@ def main():
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     rng = random.Random(args.seed)
     print(f"{'n':>4} {'alpha':>12} {'|B+B|':>6} {'ratio':>7} "
-          f"{'cover':>5} {'exact':>5}")
+          f"{'cover':>5} {'exact':>5} {'nodes':>7}")
     for n in sizes:
         for _ in range(args.trials):
             alpha, q = sample_orbit(rng, n)
@@ -45,7 +45,7 @@ def main():
             cov = minimal_difference_cover(b, exact_limit=args.exact_limit)
             print(f"{n:>4} {str(alpha):>12} {len(b) * 2 - 1:>6} "
                   f"{float(ratio):>7.3f} {len(cov.cover):>5} "
-                  f"{'yes' if cov.exact else 'no':>5}")
+                  f"{'yes' if cov.exact else 'no':>5} {cov.nodes:>7}")
 
 
 if __name__ == "__main__":

@@ -210,7 +210,8 @@ def _cmd_cover(args) -> Tuple[Dict[str, Any], bool]:
     verdicts = [_verdict("cover-valid", valid, cover_size=len(cov.cover),
                          universe_size=len(cov.universe), exact=cov.exact)]
     metrics = {"b_size": len(b), "cover_size": len(cov.cover),
-               "universe_size": len(cov.universe)}
+               "universe_size": len(cov.universe), "nodes": cov.nodes,
+               "budget_exhausted": cov.budget_exhausted}
     report = {"cover": cov.cover, "exact": cov.exact}
     return {"verdicts": verdicts, "metrics": metrics, "report": report}, valid
 

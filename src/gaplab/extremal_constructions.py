@@ -42,15 +42,17 @@ def ap_free_check(values: Iterable[int]) -> bool:
 
 
 def greedy_ap_free(n: int) -> Tuple[int, ...]:
-    """Greedily keep each of 1..n that closes no progression with earlier picks."""
+    """Greedily keep each of 1..n that closes no progression with earlier picks.
+
+    That greedy sequence is exactly {x : x - 1 has no digit 2 in base 3}
+    (Erdos-Turan; Odlyzko-Stanley 1978), so it is listed directly: element
+    k, counting from 0, is 1 plus the binary digits of k read in base 3.
+    """
     chosen: List[int] = []
-    chosen_set = set()
-    for x in range(1, n + 1):
-        # x enters as the largest element, so only a < b < x can be closed
-        if any(2 * b - x in chosen_set for b in chosen):
-            continue
+    x = 1
+    while x <= n:
         chosen.append(x)
-        chosen_set.add(x)
+        x = int(format(len(chosen), "b"), 3) + 1
     return tuple(chosen)
 
 

@@ -10,10 +10,18 @@ needs the order.  A set lifts its elements in the input domain (ints,
 Fractions, or canonical torus points) only when ``elements`` is first read,
 so a sum that nobody prints is never lifted, and the CLI's
 ``timings.sumset_s`` no longer includes any lifting.
+
+The minimum difference cover also runs on the set's ints: B - B is one
+sorted int64 array (object past int64) of the |B| x |B| differences, each
+candidate's cover mask is packed from its row of positions in it, the greedy
+cover is the lazy (accelerated) greedy on a heap of stale gains, and the
+witness table is one pass over the cover's rows.  Small sets get an exact
+branch and bound, whose node count and budget are reported.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from fractions import Fraction
@@ -24,7 +32,7 @@ from typing import Dict, Iterable
 import numpy as np
 
 from .exact_torus import (INT64_MAX, TorusPoint, as_rational, common_scale,
-                          reduce_mod1, residues, sorted_unique)
+                          int_dtype, reduce_mod1, residues, sorted_unique)
 
 # Dense path budgets: output bitmap at most 2^26 bits (8 MB), the shifted
 # segment table at most 64 * 2^22 bits (32 MB), overflow-free int64 sums.
@@ -270,16 +278,41 @@ def _dense_pairsums(xs: list, ys: list, lo: int, span_out: int) -> np.ndarray:
 class CoverResult:
     """Outcome of the minimum difference cover search for a set B.
 
-    cover        elements c_1 < ... < c_k with B - B contained in cover - B
-    exact        True when the size is provably minimum, False for greedy only
-    universe     the difference set B - B that was covered
-    certificate  for each d in B - B, one witness pair (c, b) with d = c - b
+    cover             elements c_1 < ... < c_k with B - B contained in cover - B
+    exact             True when the size is provably minimum, False for greedy only
+    universe          the difference set B - B that was covered
+    certificate       for each d in B - B, one witness pair (c, b) with d = c - b
+    nodes             branch-and-bound nodes expanded, at most the node budget;
+                      0 when |B| > exact_limit and only the greedy cover ran
+    budget_exhausted  True when the search stopped at the node budget, which
+                      leaves exact False although |B| <= exact_limit
     """
 
     cover: tuple
     exact: bool
     universe: tuple
     certificate: dict
+    nodes: int = 0
+    budget_exhausted: bool = False
+
+
+def _difference_table(ints: list, scale: int, dom: Domain):
+    """(universe, pos): B - B as a sorted array, and pos[i, j] the index of b_i - b_j in it.
+
+    ints are the set's ascending ints.  Differences do not change under
+    translation, so integers and rationals run on offsets from the smallest
+    int; the torus folds each difference of residues into [0, scale).
+    """
+    if dom is Domain.TORUS:
+        o = np.array(ints, dtype=int_dtype(scale))
+        d = np.subtract.outer(o, o)
+        d[d < 0] += scale
+    else:
+        lo = ints[0]
+        o = np.array([n - lo for n in ints], dtype=int_dtype(ints[-1] - lo))
+        d = np.subtract.outer(o, o)
+    universe = sorted_unique(d.ravel())
+    return universe, np.searchsorted(universe, d)
 
 
 def minimal_difference_cover(b: FiniteExactSet, exact_limit: int = 24,
@@ -296,38 +329,44 @@ def minimal_difference_cover(b: FiniteExactSet, exact_limit: int = 24,
     elems = b.elements
     if not elems:
         return CoverResult((), True, (), {})
-    # The set algebra below runs on the set's own ints, in step with elems.
+    # Candidates are the rows i of the set's ascending ints, in step with elems.
     dom, ints, scale = b.domain, _ascending(b._ints), b._scale
-    wrap = (lambda d: d % scale) if dom is Domain.TORUS else (lambda d: d)
-    orig = dict(zip(ints, elems))
-    universe = sorted({wrap(p - q) for p in ints for q in ints})
-    index = {d: i for i, d in enumerate(universe)}
+    universe, pos = _difference_table(ints, scale, dom)
     full = (1 << len(universe)) - 1
+    # One bit row at a time: candidate i covers the bits pos[i].
+    row = np.zeros(len(universe), dtype=bool)
     cand_by_mask: Dict[int, int] = {}
-    for c in ints:
-        mask = 0
-        for e in ints:
-            mask |= 1 << index[wrap(c - e)]
-        if mask not in cand_by_mask:
-            cand_by_mask[mask] = c
-    cands = sorted((c, m) for m, c in cand_by_mask.items())
+    for i, p in enumerate(pos):
+        row[p] = True
+        mask = int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
+        row[p] = False
+        cand_by_mask.setdefault(mask, i)
+    # Insertion order keeps the first row of each mask, in ascending order.
+    cands = [(c, m) for m, c in cand_by_mask.items()]
 
-    def greedy(start_uncovered: int) -> list:
+    def greedy(uncovered: int) -> list:
+        # Lazy greedy (Minoux 1978): gains only shrink as the cover grows, so
+        # the heap holds upper bounds keyed (-gain, candidate index).  A popped
+        # candidate whose fresh key still leads the heap is the first maximum
+        # in candidate order, the one a full rescoring pass would pick.
+        heap = [(-m.bit_count(), ci) for ci, (_, m) in enumerate(cands)]
+        heapq.heapify(heap)
         chosen = []
-        uncovered = start_uncovered
         while uncovered:
-            best_gain, best_c, best_m = -1, None, 0
-            for c, m in cands:
-                gain = (m & uncovered).bit_count()
-                if gain > best_gain:
-                    best_gain, best_c, best_m = gain, c, m
-            chosen.append((best_c, best_m))
-            uncovered &= ~best_m
+            _, ci = heapq.heappop(heap)
+            c, m = cands[ci]
+            key = (-(m & uncovered).bit_count(), ci)
+            if heap and key > heap[0]:
+                heapq.heappush(heap, key)
+                continue
+            chosen.append(c)
+            uncovered &= ~m
         return chosen
 
-    greedy_cover = greedy(full)
-    best = [c for c, _ in greedy_cover]
+    best = greedy(full)
     exact = False
+    nodes = 0
+    budget_exhausted = False
     if len(elems) <= exact_limit:
         covering = [[] for _ in universe]
         for ci, (_, m) in enumerate(cands):
@@ -337,7 +376,6 @@ def minimal_difference_cover(b: FiniteExactSet, exact_limit: int = 24,
                 covering[low.bit_length() - 1].append(ci)
                 mm ^= low
         max_set = max(m.bit_count() for _, m in cands)
-        nodes = 0
         seen: Dict[int, int] = {}
         best_list = [list(best)]
 
@@ -378,17 +416,16 @@ def minimal_difference_cover(b: FiniteExactSet, exact_limit: int = 24,
         completed = descend(full, [])
         best = best_list[0]
         exact = completed
+        budget_exhausted = not completed
+        nodes = min(nodes, node_budget)
 
-    cover_ints = sorted(best)
-    # Witness each difference by its smallest covering c (first write wins).
-    witness: Dict[int, tuple] = {}
-    for cn in cover_ints:
-        for en in ints:
-            d = wrap(cn - en)
-            if d not in witness:
-                witness[d] = (cn, en)
-    cover = tuple(orig[n] for n in cover_ints)
-    lifted = _lift(universe, scale, dom)
-    certificate = {key: (orig[witness[d][0]], orig[witness[d][1]])
-                   for key, d in zip(lifted, universe)}
-    return CoverResult(cover, exact, lifted, certificate)
+    cover_rows = sorted(best)
+    cover = tuple(elems[i] for i in cover_rows)
+    # Witness each difference by its smallest covering c, then its smallest
+    # b: the first occurrence of its index in the cover rows, row-major.
+    _, first = np.unique(pos[cover_rows].ravel(), return_index=True)
+    wit_c, wit_b = np.divmod(first, len(ints))
+    lifted = _lift(universe.tolist(), scale, dom)
+    certificate = {key: (cover[r], elems[e])
+                   for key, r, e in zip(lifted, wit_c.tolist(), wit_b.tolist())}
+    return CoverResult(cover, exact, lifted, certificate, nodes, budget_exhausted)

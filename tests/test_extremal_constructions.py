@@ -143,3 +143,24 @@ def test_lattice_corners_feed_the_decomposer():
     gen = verify_generation(b, c)
     assert gen.passed
     assert gen.c_size <= rep.corner_bound
+
+
+def greedy_ap_free_oracle(n):
+    """The greedy scan itself: keep each of 1..n that closes no progression."""
+    chosen = []
+    chosen_set = set()
+    for x in range(1, n + 1):
+        # x enters as the largest element, so only a < b < x can be closed
+        if any(2 * b - x in chosen_set for b in chosen):
+            continue
+        chosen.append(x)
+        chosen_set.add(x)
+    return tuple(chosen)
+
+
+def test_greedy_ap_free_matches_the_greedy_scan():
+    # the scan never revisits a choice, so each result is a prefix of the next
+    top = greedy_ap_free_oracle(20_000)
+    sizes = [20_000, 0, -1] + [3 ** k + d for k in range(10) for d in (0, 1)]
+    for n in sizes:
+        assert greedy_ap_free(n) == tuple(x for x in top if x <= n), n

@@ -4,6 +4,7 @@ import functools
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import Dict
 
 import numpy as np
 import pytest
@@ -415,3 +416,212 @@ def test_lazy_elements_match_eager_reference(operands):
             assert (s == t) == (es == et)
             if es == et:
                 assert hash(s) == hash(t)
+
+
+# ---------------------------------------------------------------------------
+# The cover kernel against the full-rescoring cover it replaced, kept here
+# verbatim as the reference: every field must match, certificate order too.
+
+def reference_cover(b: FiniteExactSet, exact_limit: int = 24,
+                    node_budget: int = 500_000) -> se.CoverResult:
+    """Smallest C inside B with C - B = B - B; exact up to |B| <= exact_limit.
+
+    Each candidate c in B covers the differences c - B, so this is a set
+    cover over the universe B - B.  Small instances run an exact branch and
+    bound that branches on the difference with the fewest remaining writers
+    (unit propagation on uniquely representable differences); larger ones, or
+    budget exhaustion, fall back to the classical greedy cover, flagged
+    exact=False.  C = B always covers, so a cover always exists.
+    """
+    elems = b.elements
+    if not elems:
+        return se.CoverResult((), True, (), {})
+    # The set algebra below runs on the set's own ints, in step with elems.
+    dom, ints, scale = b.domain, se._ascending(b._ints), b._scale
+    wrap = (lambda d: d % scale) if dom is Domain.TORUS else (lambda d: d)
+    orig = dict(zip(ints, elems))
+    universe = sorted({wrap(p - q) for p in ints for q in ints})
+    index = {d: i for i, d in enumerate(universe)}
+    full = (1 << len(universe)) - 1
+    cand_by_mask: Dict[int, int] = {}
+    for c in ints:
+        mask = 0
+        for e in ints:
+            mask |= 1 << index[wrap(c - e)]
+        if mask not in cand_by_mask:
+            cand_by_mask[mask] = c
+    cands = sorted((c, m) for m, c in cand_by_mask.items())
+
+    def greedy(start_uncovered: int) -> list:
+        chosen = []
+        uncovered = start_uncovered
+        while uncovered:
+            best_gain, best_c, best_m = -1, None, 0
+            for c, m in cands:
+                gain = (m & uncovered).bit_count()
+                if gain > best_gain:
+                    best_gain, best_c, best_m = gain, c, m
+            chosen.append((best_c, best_m))
+            uncovered &= ~best_m
+        return chosen
+
+    greedy_cover = greedy(full)
+    best = [c for c, _ in greedy_cover]
+    exact = False
+    if len(elems) <= exact_limit:
+        covering = [[] for _ in universe]
+        for ci, (_, m) in enumerate(cands):
+            mm = m
+            while mm:
+                low = mm & -mm
+                covering[low.bit_length() - 1].append(ci)
+                mm ^= low
+        max_set = max(m.bit_count() for _, m in cands)
+        nodes = 0
+        seen: Dict[int, int] = {}
+        best_list = [list(best)]
+
+        def descend(uncovered: int, chosen: list) -> bool:
+            nonlocal nodes
+            nodes += 1
+            if nodes > node_budget:
+                return False
+            if not uncovered:
+                if len(chosen) < len(best_list[0]):
+                    best_list[0] = list(chosen)
+                return True
+            depth = len(chosen)
+            if depth + (uncovered.bit_count() + max_set - 1) // max_set >= len(best_list[0]):
+                return True
+            prior = seen.get(uncovered)
+            if prior is not None and prior <= depth:
+                return True
+            seen[uncovered] = depth
+            # Branch on the difference with the fewest remaining writers.
+            pick, fewest = -1, None
+            mm = uncovered
+            while mm:
+                low = mm & -mm
+                i = low.bit_length() - 1
+                k = len(covering[i])
+                if fewest is None or k < fewest:
+                    pick, fewest = i, k
+                mm ^= low
+            ok = True
+            for ci in covering[pick]:
+                c, m = cands[ci]
+                chosen.append(c)
+                ok = descend(uncovered & ~m, chosen) and ok
+                chosen.pop()
+            return ok
+
+        completed = descend(full, [])
+        best = best_list[0]
+        exact = completed
+
+    cover_ints = sorted(best)
+    # Witness each difference by its smallest covering c (first write wins).
+    witness: Dict[int, tuple] = {}
+    for cn in cover_ints:
+        for en in ints:
+            d = wrap(cn - en)
+            if d not in witness:
+                witness[d] = (cn, en)
+    cover = tuple(orig[n] for n in cover_ints)
+    lifted = se._lift(universe, scale, dom)
+    certificate = {key: (orig[witness[d][0]], orig[witness[d][1]])
+                   for key, d in zip(lifted, universe)}
+    return se.CoverResult(cover, exact, lifted, certificate)
+
+
+def _assert_cover_matches_reference(b, **kwargs):
+    got = minimal_difference_cover(b, **kwargs)
+    want = reference_cover(b, **kwargs)
+    assert got.cover == want.cover
+    assert got.exact == want.exact
+    assert got.universe == want.universe
+    assert list(got.certificate.items()) == list(want.certificate.items())
+    # the certificate is keyed by the universe's own point objects
+    assert all(k is u for k, u in zip(got.certificate, got.universe))
+    exact_limit = kwargs.get("exact_limit", 24)
+    node_budget = kwargs.get("node_budget", 500_000)
+    if 0 < len(b) <= exact_limit:
+        assert 1 <= got.nodes <= node_budget
+        assert got.budget_exhausted is (not got.exact)
+    else:
+        assert got.nodes == 0 and not got.budget_exhausted
+    return got
+
+
+@st.composite
+def _cover_instances(draw):
+    domain = draw(st.sampled_from(list(Domain)))
+    if domain is Domain.INTEGERS:
+        values = st.one_of(st.integers(-30, 30), st.integers(-(1 << 66), 1 << 66))
+    elif domain is Domain.RATIONALS:
+        values = st.builds(Fraction, st.integers(-30, 30), st.sampled_from([1, 2, 3, 12]))
+    else:
+        # small moduli give periodic sets, whose candidates share masks
+        q = draw(st.sampled_from([4, 6, 12, 24, 97, (1 << 62) + 1]))
+        values = st.builds(Fraction, st.integers(0, 200), st.just(q))
+    b = FiniteExactSet(draw(st.lists(values, max_size=13)), domain)
+    exact_limit = len(b) + draw(st.sampled_from([-1, 0]))
+    node_budget = draw(st.sampled_from([1, 2, 5, 500_000]))
+    return b, exact_limit, node_budget
+
+
+@given(_cover_instances())
+@settings(deadline=None, max_examples=300)
+def test_cover_matches_reference(instance):
+    # exact_limit is |B| or |B| - 1: both sides of the switch to greedy only
+    b, exact_limit, node_budget = instance
+    _assert_cover_matches_reference(b, exact_limit=exact_limit, node_budget=node_budget)
+
+
+def test_cover_matches_reference_on_random_sets():
+    rng = random.Random(12)
+    for size in (24, 25, 60, 200):
+        q = rng.randrange(45_000, 50_001)
+        vals = rng.sample(range(q), size)
+        _assert_cover_matches_reference(FiniteExactSet.torus([Fraction(v, q) for v in vals]))
+        _assert_cover_matches_reference(FiniteExactSet.integers(vals))
+        _assert_cover_matches_reference(FiniteExactSet.rationals(
+            [Fraction(v, rng.choice([1, 7, 10])) for v in vals]))
+
+
+def test_cover_node_budget_runs_out_on_the_greedy_cover():
+    # the exact search finds 8 covers, the greedy one 9
+    b = FiniteExactSet.integers([4, 11, 15, 16, 19, 22, 23, 25, 28, 30])
+    full = _assert_cover_matches_reference(b)
+    assert full.exact and len(full.cover) == 8 and full.nodes > 2
+    greedy = _assert_cover_matches_reference(b, exact_limit=0)
+    assert not greedy.exact and len(greedy.cover) == 9
+    for node_budget in (1, 2):
+        cut = _assert_cover_matches_reference(b, node_budget=node_budget)
+        assert not cut.exact and cut.budget_exhausted
+        assert cut.nodes == node_budget
+        assert cut.cover == greedy.cover
+
+
+@pytest.mark.parametrize("spread, dtype", [
+    (I64_MAX - 1, np.int64), (I64_MAX, object), (I64_MAX + 1, object)])
+@pytest.mark.parametrize("lo", [0, -(1 << 62), 1 << 70])
+def test_integer_cover_at_the_int64_spread(spread, dtype, lo):
+    # differences of offsets from lo reach +-spread
+    vals = [lo, lo + 1, lo + 3, lo + spread - 2, lo + spread]
+    assert se._difference_table([v - lo for v in vals], 1, Domain.INTEGERS)[0].dtype == dtype
+    cov = _assert_cover_matches_reference(FiniteExactSet.integers(vals))
+    assert max(cov.universe) == spread
+
+
+@pytest.mark.parametrize("q, dtype", [
+    ((1 << 62) - 1, np.int64), ((1 << 62) + 1, np.int64), (I64_MAX - 1, np.int64),
+    (I64_MAX, object), (1 << 70, object)])
+def test_torus_cover_at_the_int64_fold(q, dtype):
+    # residues near 0 and near q: differences reach -(q - 1) before the fold
+    # adds q, and folded ones reach both ends of [0, q)
+    ints = [0, 1, 2, q - 3, q - 1]
+    assert se._difference_table(ints, q, Domain.TORUS)[0].dtype == dtype
+    cov = _assert_cover_matches_reference(
+        FiniteExactSet.torus([Fraction(n, q) for n in ints]))
+    assert cov.universe[-1] == TorusPoint(Fraction(q - 1, q))
