@@ -8,6 +8,10 @@ carries the counterexample), 2 means the input was invalid.
 
 Rationals cross the boundary as "p/q" strings; exact decimal literals are
 accepted and converted exactly (0.625 -> 5/8).
+
+A subcommand is declared once, by ``@_command(name, help, *options)`` on its
+handler, each option an ``_arg(*flags, **add_argument_kwargs)``.  Converters
+are named by string and looked up when ``build_parser`` runs.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from .exact_torus import TorusVector
 from .extremal_constructions import (ap_free_check, behrend_set,
@@ -39,6 +43,32 @@ from .sumset_engine import (Domain, FiniteExactSet, difference_set,
 from .verify import CHECKS, run_checks
 
 OUTPUT_DIR_VAR = "GAPLAB_OUTPUT_DIR"
+
+_Option = Tuple[Tuple[str, ...], Dict[str, Any]]
+# name -> (help, options, handler), in declaration order
+_COMMANDS: Dict[str, Tuple[str, Tuple[_Option, ...], Callable]] = {}
+
+
+def _arg(*flags: str, **options: Any) -> _Option:
+    return flags, options
+
+
+def _command(name: str, summary: str, *options: _Option) -> Callable:
+    def register(handler: Callable) -> Callable:
+        _COMMANDS[name] = (summary, options, handler)
+        return handler
+    return register
+
+
+_ALPHA = _arg("--alpha", type="_rational", required=True)
+_N = _arg("--n", type=int, required=True)
+_ORBIT = (_ALPHA, _N)
+_SET_SOURCE = (_arg("--points", type="_vector_list", help="semicolon-separated torus points"),
+               _arg("--alpha", type="_rational"), _arg("--n", type=int))
+_EXACT_LIMIT = _arg("--exact-limit", type=int, default=24)
+_REPORT_OPTIONS = (
+    _arg("--format", choices=("json", "csv"), default="json"),
+    _arg("--output", help=f"write the report here (relative paths land in ${OUTPUT_DIR_VAR})"))
 
 
 def _rational(text: str) -> Fraction:
@@ -71,35 +101,23 @@ def _vector_list(text: str) -> Tuple[Tuple[Fraction, ...], ...]:
 
 
 def _verdict(name: str, passed: bool, **certificate: Any) -> Dict[str, Any]:
-    entry: Dict[str, Any] = {"name": name, "passed": bool(passed)}
-    entry.update(certificate)
-    return entry
+    return {"name": name, "passed": bool(passed), **certificate}
 
 
-def _payload(command: str, config: Dict[str, Any], verdicts: List[Dict[str, Any]],
-             metrics: Dict[str, Any], report: Any, elapsed: float) -> Dict[str, Any]:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "config": to_jsonable(config),
-        "verdicts": to_jsonable(verdicts),
-        "metrics": to_jsonable(metrics),
-        "report": to_jsonable(report),
-        "timings": {"total_s": float(elapsed)},
-    }
-
-
-def _emit(payload: Dict[str, Any], args: argparse.Namespace) -> None:
+def _emit(payload: Dict[str, Any], args: argparse.Namespace) -> Optional[int]:
+    """Print or write the document; exit status 2 when the file cannot be written."""
     text = to_csv(payload) if args.format == "csv" else canonical_json(payload) + "\n"
-    path = args.output
-    if path is None:
+    if args.output is None:
         sys.stdout.write(text)
-        return
-    base = os.environ.get(OUTPUT_DIR_VAR)
-    if base and not os.path.isabs(path):
-        path = os.path.join(base, path)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        return None
+    # an absolute path, or an unset or empty variable, leaves the path as given
+    path = os.path.join(os.environ.get(OUTPUT_DIR_VAR, ""), args.output)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
 
 
 def _circle_values(points: Tuple[Tuple[Fraction, ...], ...], flag: str) -> list:
@@ -119,33 +137,37 @@ def _points_or_orbit(args: argparse.Namespace) -> CircularSet:
     return fractional_orbit(args.alpha, args.n)
 
 
+def _three_gap(rep, report: Any, **metrics: Any) -> Tuple[Dict[str, Any], bool]:
+    verdicts = [_verdict("three-gap", rep.passed, distinct_gaps=rep.distinct_gaps,
+                         reference_distances=rep.reference_distances)]
+    metrics["distinct_gap_count"] = len(rep.distinct_gaps)
+    return {"verdicts": verdicts, "metrics": metrics, "report": report}, rep.passed
+
+
+@_command("orbit", "fractional-part orbit of alpha with its gaps", *_ORBIT)
 def _cmd_orbit(args) -> Tuple[Dict[str, Any], bool]:
     b = fractional_orbit(args.alpha, args.n)
     spect = spectrum(b) if len(b) > 1 else None
     rep = orbit_three_gap_check(args.alpha, b, spect)
-    verdicts = [_verdict("three-gap", rep.passed,
-                         distinct_gaps=rep.distinct_gaps,
-                         reference_distances=rep.reference_distances)]
-    metrics = {"size": len(b), "distinct_gap_count": len(rep.distinct_gaps)}
     report = {"points": b, "multiplicities": spect.multiplicity if spect else {}}
-    return {"verdicts": verdicts, "metrics": metrics, "report": report}, rep.passed
+    return _three_gap(rep, report, size=len(b))
 
 
+@_command("gaps", "distinct gaps of the orbit against reference distances", *_ORBIT)
 def _cmd_gaps(args) -> Tuple[Dict[str, Any], bool]:
     rep = three_gap_check(args.alpha, args.n)
-    verdicts = [_verdict("three-gap", rep.passed,
-                         distinct_gaps=rep.distinct_gaps,
-                         reference_distances=rep.reference_distances)]
-    metrics = {"distinct_gap_count": len(rep.distinct_gaps)}
-    return {"verdicts": verdicts, "metrics": metrics, "report": rep}, rep.passed
+    return _three_gap(rep, rep)
 
 
+@_command("ap-union", "gap count of a union of progressions vs 3k", _ALPHA,
+          _arg("--betas", type="_rational_list", required=True,
+               help="comma-separated starting offsets"),
+          _arg("--lengths", type="_int_list", required=True,
+               help="comma-separated progression lengths"))
 def _cmd_ap_union(args) -> Tuple[Dict[str, Any], bool]:
-    arms = tuple(zip(args.betas, args.lengths))
     if len(args.betas) != len(args.lengths):
         raise ValueError("--betas and --lengths must have equal length")
-    spec = APUnionSpec(args.alpha, arms)
-    rep = ap_union_gap_check(spec)
+    rep = ap_union_gap_check(APUnionSpec(args.alpha, tuple(zip(args.betas, args.lengths))))
     verdicts = [_verdict("gap-bound-3k", rep.passed, bound=rep.bound,
                          distinct_gaps=rep.distinct_gaps)]
     metrics = {"k": rep.k, "total_points": rep.total_points,
@@ -153,6 +175,7 @@ def _cmd_ap_union(args) -> Tuple[Dict[str, Any], bool]:
     return {"verdicts": verdicts, "metrics": metrics, "report": rep}, rep.passed
 
 
+@_command("greedy", "greedy distinct-gap subset of an orbit", *_ORBIT)
 def _cmd_greedy(args) -> Tuple[Dict[str, Any], bool]:
     b = fractional_orbit(args.alpha, args.n)
     a = greedy_max_distinct(b)
@@ -175,6 +198,11 @@ def _cmd_greedy(args) -> Tuple[Dict[str, Any], bool]:
     return {"verdicts": verdicts, "metrics": metrics, "report": report}, passed
 
 
+@_command("sumset", "exact sumset of two finite sets",
+          _arg("--a", type="_rational_list", required=True),
+          _arg("--b", type="_rational_list"),
+          _arg("--domain", choices=tuple(d.value for d in Domain), default="torus"),
+          _arg("--print-limit", type=int, default=10000))
 def _cmd_sumset(args) -> Tuple[Dict[str, Any], bool]:
     if args.print_limit < 0:
         raise ValueError(f"--print-limit must be at least 0, got {args.print_limit}")
@@ -202,6 +230,7 @@ def _cmd_sumset(args) -> Tuple[Dict[str, Any], bool]:
             "timings_extra": {"sumset_s": elapsed}}, True
 
 
+@_command("cover", "minimum difference cover of a torus set", *_SET_SOURCE, _EXACT_LIMIT)
 def _cmd_cover(args) -> Tuple[Dict[str, Any], bool]:
     b = _points_or_orbit(args).to_exact_set()
     cov = minimal_difference_cover(b, exact_limit=args.exact_limit)
@@ -216,6 +245,10 @@ def _cmd_cover(args) -> Tuple[Dict[str, Any], bool]:
     return {"verdicts": verdicts, "metrics": metrics, "report": report}, valid
 
 
+@_command("generators", "decompose every difference over both gap families", *_SET_SOURCE,
+          _arg("--cover", type="_vector_list",
+               help="explicit C; defaults to the minimum difference cover"),
+          _EXACT_LIMIT)
 def _cmd_generators(args) -> Tuple[Dict[str, Any], bool]:
     b = _points_or_orbit(args)
     if args.cover is not None:
@@ -224,17 +257,15 @@ def _cmd_generators(args) -> Tuple[Dict[str, Any], bool]:
         cov = minimal_difference_cover(b.to_exact_set(), exact_limit=args.exact_limit)
         c = CircularSet.from_values([p.value for p in cov.cover])
     rep = verify_generation(b, c)
-    verdicts = [_verdict("generators", rep.passed,
-                         decomposed_minus=rep.decomposed_minus,
-                         decomposed_plus=rep.decomposed_plus,
-                         universe_size=rep.universe_size,
-                         spans_agree=rep.spans_agree,
-                         mismatches=rep.mismatches)]
+    verdicts = [_verdict("generators", rep.passed, decomposed_minus=rep.decomposed_minus,
+                         decomposed_plus=rep.decomposed_plus, universe_size=rep.universe_size,
+                         spans_agree=rep.spans_agree, mismatches=rep.mismatches)]
     metrics = {"b_size": rep.b_size, "c_size": rep.c_size,
                "r_minus_size": len(rep.r_minus), "r_plus_size": len(rep.r_plus)}
     return {"verdicts": verdicts, "metrics": metrics, "report": rep}, rep.passed
 
 
+@_command("behrend", "digit-sphere progression-free set in [1, n]", _N)
 def _cmd_behrend(args) -> Tuple[Dict[str, Any], bool]:
     rep = behrend_set(args.n)
     greedy = greedy_ap_free(args.n)
@@ -246,6 +277,10 @@ def _cmd_behrend(args) -> Tuple[Dict[str, Any], bool]:
     return {"verdicts": verdicts, "metrics": metrics, "report": rep}, ok
 
 
+@_command("forced-cover", "set whose covers must contain a mirrored block", _N,
+          _arg("--s", type="_int_list",
+               help="progression-free seed; defaults to the exact maximizer"),
+          _EXACT_LIMIT)
 def _cmd_forced_cover(args) -> Tuple[Dict[str, Any], bool]:
     seed = args.s if args.s is not None else exact_ap_free(args.n)
     rep = build_cover_forcing_set(args.n, seed, exact_limit=args.exact_limit)
@@ -263,6 +298,9 @@ def _cmd_forced_cover(args) -> Tuple[Dict[str, Any], bool]:
     return {"verdicts": verdicts, "metrics": metrics, "report": rep}, rep.passed
 
 
+@_command("lattice", "multi-frequency orbit with corner-set cover",
+          _arg("--alphas", type="_rational_list", required=True),
+          _arg("--box", type="_int_list", required=True))
 def _cmd_lattice(args) -> Tuple[Dict[str, Any], bool]:
     rep = lattice_projection(args.alphas, args.box)
     verdicts = [
@@ -275,6 +313,11 @@ def _cmd_lattice(args) -> Tuple[Dict[str, Any], bool]:
     return {"verdicts": verdicts, "metrics": metrics, "report": rep}, rep.passed
 
 
+@_command("nn-census", "nearest-neighbour census of a torus cloud",
+          _arg("--points", type="_vector_list", required=True),
+          _arg("--method", choices=("auto", "brute", "grid"), default="auto"),
+          _arg("--cells", type=int, help="kept for compatibility: must be at least 1 and "
+               "sizes nothing, since the grid method is a sweep without cells"))
 def _cmd_nn_census(args) -> Tuple[Dict[str, Any], bool]:
     cloud = PointCloud.from_values(args.points)
     rep = nn_census(cloud, method=args.method, cells=args.cells)
@@ -283,6 +326,8 @@ def _cmd_nn_census(args) -> Tuple[Dict[str, Any], bool]:
     return {"verdicts": [], "metrics": metrics, "report": rep}, True
 
 
+@_command("kronecker", "census of a Kronecker orbit on the d-torus",
+          _arg("--alphas", type="_rational_list", required=True), _N)
 def _cmd_kronecker(args) -> Tuple[Dict[str, Any], bool]:
     rep = kronecker_census(args.alphas, args.n)
     verdicts = [_verdict("census-contained", rep.contained,
@@ -292,6 +337,8 @@ def _cmd_kronecker(args) -> Tuple[Dict[str, Any], bool]:
     return {"verdicts": verdicts, "metrics": metrics, "report": rep}, rep.passed
 
 
+@_command("kissing", "pairwise-dominance check for torus vectors",
+          _arg("--vectors", type="_vector_list", required=True))
 def _cmd_kissing(args) -> Tuple[Dict[str, Any], bool]:
     vectors = [TorusVector(v) for v in args.vectors]
     rep = kissing_check(vectors)
@@ -301,6 +348,12 @@ def _cmd_kissing(args) -> Tuple[Dict[str, Any], bool]:
     return {"verdicts": verdicts, "metrics": metrics, "report": rep}, rep.passed
 
 
+@_command("extract-core", "large low-census core of a cloud",
+          _arg("--points", type="_vector_list"),
+          _arg("--m", type=int, help="use the square-block cloud of parameter m"),
+          _arg("--epsilon", type="_rational"),
+          _arg("--kappa", type="_rational",
+               help="ball-depth constant; defaults to the measured value"))
 def _cmd_extract_core(args) -> Tuple[Dict[str, Any], bool]:
     if args.points is not None:
         cloud = PointCloud.from_values(args.points)
@@ -328,6 +381,8 @@ def _cmd_extract_core(args) -> Tuple[Dict[str, Any], bool]:
     return {"verdicts": verdicts, "metrics": metrics, "report": trace}, trace.passed
 
 
+@_command("tightness", "square-block cloud with large census",
+          _arg("--m", type=int, required=True))
 def _cmd_tightness(args) -> Tuple[Dict[str, Any], bool]:
     rep = tightness_example(args.m)
     verdicts = [
@@ -341,10 +396,17 @@ def _cmd_tightness(args) -> Tuple[Dict[str, Any], bool]:
     return {"verdicts": verdicts, "metrics": metrics, "report": rep}, rep.passed
 
 
+@_command("verify", "run the verification suites",
+          _arg("--suite", default="all", help="'all' or comma-separated check names"),
+          _arg("--seed", type=int, default=0),
+          _arg("--trials", type=int,
+               help="override the trial count of checks that accept one"))
 def _cmd_verify(args) -> Tuple[Dict[str, Any], bool]:
     names = None if args.suite == "all" else [s.strip() for s in args.suite.split(",")]
     overrides: Dict[str, Dict[str, Any]] = {}
     if args.trials is not None:
+        if args.trials < 1:
+            raise ValueError(f"--trials must be at least 1, got {args.trials}")
         for name, fn in CHECKS.items():
             if "trials" in inspect.signature(fn).parameters:
                 overrides[name] = {"trials": args.trials}
@@ -353,9 +415,8 @@ def _cmd_verify(args) -> Tuple[Dict[str, Any], bool]:
         print(r.line)
     verdicts = [_verdict(r.name, r.passed, summary=r.summary) for r in results]
     metrics = {"checks": len(results), "failures": sum(not r.passed for r in results)}
-    payload = {"verdicts": verdicts, "metrics": metrics,
-               "report": {r.name: r.details for r in results}}
-    return payload, all(r.passed for r in results)
+    return {"verdicts": verdicts, "metrics": metrics,
+            "report": {r.name: r.details for r in results}}, all(r.passed for r in results)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -363,135 +424,18 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gaplab",
         description="Exact gap spectra, sumsets, covers, and torus censuses.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--output", default=None,
-                       help=f"write the report here (relative paths land in ${OUTPUT_DIR_VAR})")
-
-    p = sub.add_parser("orbit", help="fractional-part orbit of alpha with its gaps")
-    p.add_argument("--alpha", type=_rational, required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_orbit)
-
-    p = sub.add_parser("gaps", help="distinct gaps of the orbit against reference distances")
-    p.add_argument("--alpha", type=_rational, required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_gaps)
-
-    p = sub.add_parser("ap-union", help="gap count of a union of progressions vs 3k")
-    p.add_argument("--alpha", type=_rational, required=True)
-    p.add_argument("--betas", type=_rational_list, required=True,
-                   help="comma-separated starting offsets")
-    p.add_argument("--lengths", type=_int_list, required=True,
-                   help="comma-separated progression lengths")
-    common(p)
-    p.set_defaults(fn=_cmd_ap_union)
-
-    p = sub.add_parser("greedy", help="greedy distinct-gap subset of an orbit")
-    p.add_argument("--alpha", type=_rational, required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_greedy)
-
-    p = sub.add_parser("sumset", help="exact sumset of two finite sets")
-    p.add_argument("--a", type=_rational_list, required=True)
-    p.add_argument("--b", type=_rational_list, default=None)
-    p.add_argument("--domain", choices=tuple(d.value for d in Domain), default="torus")
-    p.add_argument("--print-limit", type=int, default=10000)
-    common(p)
-    p.set_defaults(fn=_cmd_sumset)
-
-    p = sub.add_parser("cover", help="minimum difference cover of a torus set")
-    p.add_argument("--points", type=_vector_list, default=None,
-                   help="semicolon-separated torus points")
-    p.add_argument("--alpha", type=_rational, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--exact-limit", type=int, default=24)
-    common(p)
-    p.set_defaults(fn=_cmd_cover)
-
-    p = sub.add_parser("generators", help="decompose every difference over both gap families")
-    p.add_argument("--points", type=_vector_list, default=None)
-    p.add_argument("--alpha", type=_rational, default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--cover", type=_vector_list, default=None,
-                   help="explicit C; defaults to the minimum difference cover")
-    p.add_argument("--exact-limit", type=int, default=24)
-    common(p)
-    p.set_defaults(fn=_cmd_generators)
-
-    p = sub.add_parser("behrend", help="digit-sphere progression-free set in [1, n]")
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_behrend)
-
-    p = sub.add_parser("forced-cover", help="set whose covers must contain a mirrored block")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=_int_list, default=None,
-                   help="progression-free seed; defaults to the exact maximizer")
-    p.add_argument("--exact-limit", type=int, default=24)
-    common(p)
-    p.set_defaults(fn=_cmd_forced_cover)
-
-    p = sub.add_parser("lattice", help="multi-frequency orbit with corner-set cover")
-    p.add_argument("--alphas", type=_rational_list, required=True)
-    p.add_argument("--box", type=_int_list, required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_lattice)
-
-    p = sub.add_parser("nn-census", help="nearest-neighbour census of a torus cloud")
-    p.add_argument("--points", type=_vector_list, required=True)
-    p.add_argument("--method", choices=("auto", "brute", "grid"), default="auto")
-    p.add_argument("--cells", type=int, default=None,
-                   help="kept for compatibility: must be at least 1 and sizes "
-                        "nothing, since the grid method is a sweep without cells")
-    common(p)
-    p.set_defaults(fn=_cmd_nn_census)
-
-    p = sub.add_parser("kronecker", help="census of a Kronecker orbit on the d-torus")
-    p.add_argument("--alphas", type=_rational_list, required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_kronecker)
-
-    p = sub.add_parser("kissing", help="pairwise-dominance check for torus vectors")
-    p.add_argument("--vectors", type=_vector_list, required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_kissing)
-
-    p = sub.add_parser("extract-core", help="large low-census core of a cloud")
-    p.add_argument("--points", type=_vector_list, default=None)
-    p.add_argument("--m", type=int, default=None,
-                   help="use the square-block cloud of parameter m")
-    p.add_argument("--epsilon", type=_rational, default=None)
-    p.add_argument("--kappa", type=_rational, default=None,
-                   help="ball-depth constant; defaults to the measured value")
-    common(p)
-    p.set_defaults(fn=_cmd_extract_core)
-
-    p = sub.add_parser("tightness", help="square-block cloud with large census")
-    p.add_argument("--m", type=int, required=True)
-    common(p)
-    p.set_defaults(fn=_cmd_tightness)
-
-    p = sub.add_parser("verify", help="run the verification suites")
-    p.add_argument("--suite", default="all",
-                   help="'all' or comma-separated check names")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=None,
-                   help="override the trial count of checks that accept one")
-    common(p)
-    p.set_defaults(fn=_cmd_verify)
-
+    for name, (summary, options, handler) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flags, kwargs in options + _REPORT_OPTIONS:
+            if isinstance(kwargs.get("type"), str):
+                kwargs = {**kwargs, "type": globals()[kwargs["type"]]}
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(fn=handler)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
         body, passed = args.fn(args)
@@ -501,14 +445,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     elapsed = time.perf_counter() - t0
     config = {k: v for k, v in vars(args).items()
               if k not in ("fn", "format", "output", "command") and v is not None}
-    payload = _payload(args.command, config, body["verdicts"], body["metrics"],
-                       body["report"], elapsed)
-    for key, value in body.get("timings_extra", {}).items():
-        payload["timings"][key] = float(value)
+    timings = {"total_s": elapsed, **body.pop("timings_extra", {})}
+    payload = {"schema_version": SCHEMA_VERSION, "command": args.command,
+               "config": to_jsonable(config),
+               **{key: to_jsonable(value) for key, value in body.items()},
+               "timings": {key: float(value) for key, value in timings.items()}}
     if args.command == "verify" and args.output is None:
         return 0 if passed else 1
-    _emit(payload, args)
-    return 0 if passed else 1
+    return _emit(payload, args) or (0 if passed else 1)
 
 
 if __name__ == "__main__":

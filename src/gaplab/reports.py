@@ -47,11 +47,6 @@ def to_jsonable(obj: Any) -> Any:
         if isinstance(obj, (set, frozenset)):
             items.sort(key=json.dumps)
         return items
-    if hasattr(obj, "points") and hasattr(obj, "wrap"):
-        # circular sets carry points, optional labels, and a wrap policy
-        return {"points": [str(p.value) for p in obj.points],
-                "labels": to_jsonable(obj.labels),
-                "wrap": obj.wrap.value}
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 

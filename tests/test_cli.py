@@ -255,3 +255,106 @@ def test_python_dash_m_runs_the_command_line():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["report"]["elements"] == ["1/4", "3/8"]
+
+
+# Frozen outputs: sha256 of the identity view (the payload without its
+# timings, as json.dumps(..., sort_keys=True, indent=2)), or of the CSV text.
+# The first block is the README's "Command line" examples, in order, without
+# `verify --suite all`, whose summaries carry wall-clock seconds.
+README_FROZEN = {
+    'gaps --alpha 5/8 --n 4': (0, "a020d92413a9f35c8f2670b6df9f482312e6ff441ec36d90a00c0ce2b7eab2e4"),
+    'orbit --alpha 89/144 --n 21': (0, "ddc970b86a09c56c51bfeb003d9d309fd453d76f901c2557afca005bfd786173"),
+    'ap-union --alpha 7/1003 --betas 0,1/3 --lengths 5,4': (0, "35cc5dac20e22d55622d62d210f92a2d6fc5338c79bcacf32c0164282f688dac"),
+    'greedy --alpha 89/144 --n 21': (0, "31fb3ce2bca06087dc5de106c8699df48b07e80f32d9955b9aa427561d6e527a"),
+    'sumset --a 0,1/8,1/2 --b 1/4,3/8 --domain torus': (0, "bb7a5070e78504ecca2b5500bad8dc45713708fa4ae330f0b79bb3e6d2f3d42c"),
+    'cover --alpha 7/41 --n 8': (0, "deff0fe95182ab1d28ae90bfa4c8df9fd2424ac4318979f1f561c38ee5a9658d"),
+    'generators --alpha 7/41 --n 8': (0, "c7af9b21cfa78227ab2a9af83e04d1d6c599ee9243a2d289b5bc3e9206959370"),
+    'behrend --n 300': (0, "996678d2f67fc5fc1460c6d58c3fdb14272e62d61e0bfb85455078f290e1415a"),
+    'forced-cover --n 4 --s 1,2': (0, "ed1896755ca4d994b2c29b5dc2a61b155ebf3732d3a12a9f594ec4d771bed0c1"),
+    'lattice --alphas 5/101,23/101 --box 4,4': (0, "900c96f37ff069f1d4995ea62ce64e82c552d60b552541ff100a88647242181f"),
+    'nn-census --points "0,0;1/7,0;3/7,1/2" --method auto': (0, "8ce31257a2cd584061488558bb8f61af31d4feacceb905ce9f81cdb34ae4b809"),
+    'kronecker --alphas 5/8 --n 4': (0, "880ed782b6d9765abd11d7a9d70da3ccc8c92647e72f4e3330f652816fd3eae4"),
+    'kissing --vectors "1/8;7/8"': (0, "5891357a5b70668a5087883a51ea8baae3fc9bef183bfc49a0339283b0cea605"),
+    'extract-core --m 3': (0, "fc4701928257be422332fd10ad6ad11175c45d999debfa9e02c40bde9769a016"),
+    'tightness --m 4': (0, "1579e72bb163c420aac858864c004e084dc21520832890e2da97de7cd6568b2b"),
+}
+VARIANT_FROZEN = {
+    'sumset --a 0,2,5,9 --b 1,3 --domain integers --print-limit 1': (0, "2896445720ec8f56cc1fb4663001b922bd4fd579eb46305aa1e8cb457a943410"),
+    'sumset --a 0,1/3,5/7 --domain rationals --print-limit 1': (0, "00d5d08ccc83987e3e33799f3db438a8797666a08f959e4f72909cbf13a17dd5"),
+    'cover --points "0;1/8;1/4;3/8;1/2"': (0, "0e92d570f23e0605fcf050129c2531c9d151109c2fa68fa9c0d07fa5979c72a7"),
+    'cover --points "0;1/5;2/7;1/2;5/6" --exact-limit 3': (0, "e1bf8020b1cbc45aaef413362d214767003cbd8972dd949d4ebfe4b09f602370"),
+    'generators --points "0;1/8;1/4;3/8;1/2" --cover "0;1/2"': (0, "7bbd483147c5ce35c0c61e97f31b41e564f545b6c929e65a43e9f0032cdc136a"),
+    'generators --points "0;1/5;2/7;1/2;5/6" --exact-limit 3': (0, "1b48f6095baa5a53c1a6a14b925cee22e6858d02b20fb1a65fe4a26d2736b6b8"),
+    'extract-core --points "0,0;1/7,0;3/7,1/2;1/2,1/3;5/6,2/3" --epsilon 1/4': (0, "abfd898962aaff93e0c4a8dd94ff1762a736a49375ed04fa8c93a14a6291d872"),
+    'nn-census --points "0,0;1/7,0;3/7,1/2;1/2,1/3" --method brute --cells 3': (0, "2b1467cb0829dceb3c74034580d9c08b85953ebfe16813d84b9a89397128e748"),
+    'kissing --vectors "1/3,0;2/5,0;1/7,0"': (1, "84496512df7f8372a7459b985c837c3bd1f23a4efbf6ac3ec7fbe01471484b48"),
+    'tightness --m 2 --format csv': (0, "fe9de02b885743fccf697aee296cc1f47210296de1bf047553709c7cd796474d"),
+}
+SUBCOMMANDS = ["orbit", "gaps", "ap-union", "greedy", "sumset", "cover", "generators",
+               "behrend", "forced-cover", "lattice", "nn-census", "kronecker",
+               "kissing", "extract-core", "tightness", "verify"]
+
+
+def readme_command_lines():
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    return [line[len("gaplab "):] for line in block.splitlines()
+            if line.startswith("gaplab ")]
+
+
+def test_readme_examples_are_the_frozen_block():
+    lines = readme_command_lines()
+    assert lines[-1] == "verify --suite all --seed 0"
+    assert lines[:-1] == list(README_FROZEN)
+
+
+@pytest.mark.parametrize("line", list(README_FROZEN) + list(VARIANT_FROZEN))
+def test_frozen_output(line, tmp_path):
+    import hashlib
+    import shlex
+
+    rc_expected, digest = {**README_FROZEN, **VARIANT_FROZEN}[line]
+    path = tmp_path / "out"
+    argv = shlex.split(line)
+    assert main(argv + ["--output", str(path)]) == rc_expected
+    raw = path.read_bytes()
+    if "csv" not in argv:
+        payload = json.loads(raw)
+        payload.pop("timings")
+        raw = json.dumps(payload, sort_keys=True, indent=2).encode()
+    assert hashlib.sha256(raw).hexdigest() == digest
+
+
+def test_help_lists_the_subcommands(capsys):
+    import re
+
+    with pytest.raises(SystemExit) as err:
+        main(["--help"])
+    assert err.value.code == 0
+    out = capsys.readouterr().out
+    assert re.search(r"\{([a-z,-]+)\}", out).group(1).split(",") == SUBCOMMANDS
+    listed = re.findall(r"^    ([a-z-]+) ", out, flags=re.M)
+    assert listed == SUBCOMMANDS
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_is_input_error(where, tmp_path, capsys):
+    path = tmp_path / "no-such-dir" / "x.json" if where == "missing-directory" else tmp_path
+    rc = main(["gaps", "--alpha", "5/8", "--n", "4", "--output", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    reason = "No such file or directory" if where == "missing-directory" else "Is a directory"
+    assert captured.err == f"error: cannot write {path}: {reason}\n"
+
+
+@pytest.mark.parametrize("suite, trials", [("generators", "0"), ("three-gap", "0"),
+                                           ("kissing", "-1")])
+def test_nonpositive_trials_is_input_error(suite, trials, capsys):
+    rc = main(["verify", "--suite", suite, "--trials", trials])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"error: --trials must be at least 1, got {trials}\n"
