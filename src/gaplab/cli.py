@@ -320,7 +320,9 @@ def _cmd_lattice(args) -> Tuple[Dict[str, Any], bool]:
                "sizes nothing, since the grid method is a sweep without cells"))
 def _cmd_nn_census(args) -> Tuple[Dict[str, Any], bool]:
     cloud = PointCloud.from_values(args.points)
-    rep = nn_census(cloud, method=args.method, cells=args.cells)
+    if args.cells is not None and args.cells < 1:
+        raise ValueError(f"cells must be at least 1, got {args.cells}")
+    rep = nn_census(cloud, method=args.method)
     metrics = {"size": len(cloud.points), "dim": rep.dim,
                "census_size": rep.census_size, "method": rep.method}
     return {"verdicts": [], "metrics": metrics, "report": rep}, True

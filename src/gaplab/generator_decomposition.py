@@ -278,11 +278,11 @@ def neighbour_gaps(b: CircularSet, c: CircularSet,
                            neighbours)
 
 
-def decompose(target, b: CircularSet, c: CircularSet, side: Side = Side.MINUS,
-              _inst: Optional[_Instance] = None) -> DecompositionCertificate:
+def decompose(target, b: CircularSet, c: CircularSet,
+              side: Side = Side.MINUS) -> DecompositionCertificate:
     """Write target (an arc length in B - B) as an exact sum of neighbour gaps."""
     side = Side(side)
-    inst = _inst if _inst is not None else _Instance(b, c)
+    inst = _Instance(b, c)
     value = target.value if isinstance(target, TorusPoint) else as_rational(target) % 1
     r = inst.member_residue(value)
     if r is None:

@@ -3,18 +3,21 @@
 Decisions run on residues: a cloud keeps its points as integer rows over
 the least common denominator of its coordinates, and distances compare as
 folded squared norms over that scale, whose largest value d*(scale//2)^2
-picks the array dtype through exact_torus.int_dtype.  Fractions are lifted
-for reports only, so every decision is reproducible bit for bit; floats
-only appear in logged summary ratios.
+picks the array dtype through exact_torus.int_dtype: int64 while it fits,
+Python ints on object arrays beyond.  Fractions are lifted for reports
+only, so every decision is reproducible bit for bit; floats only appear in
+logged summary ratios.
 
 The census of a cloud is the set of difference vectors to a nearest
-neighbour, one deterministic choice per point: by all pairs ("brute") or
-by an exact circular sweep along one axis ("grid").  On top of it sit: the
-orbit census of a multi-dimensional rotation, checks for configurations
-whose pairwise distances dominate their norms, depth counts of points in
-nearest-neighbour balls, a greedy extraction of a large sub-cloud with few
-census vectors, and the square-block example showing the extraction bound
-is close to tight.
+neighbour, one deterministic choice per point: by all pairs ("brute", on
+residue rows at every scale) or by an exact circular sweep along one axis
+("grid").  _brute_rows_exact, an all-pairs loop on the Fraction points, is
+kept as the independent oracle the tests check both against.  On top of
+the census sit: the orbit census of a multi-dimensional rotation, checks
+for configurations whose pairwise distances dominate their norms, depth
+counts of points in nearest-neighbour balls, a greedy extraction of a
+large sub-cloud with few census vectors, and the square-block example
+showing the extraction bound is close to tight.
 """
 
 from __future__ import annotations
@@ -23,14 +26,13 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact_torus import (INT64_MAX, TorusPoint, TorusVector, as_rational,
-                          common_scale, int_dtype, residues, signed_residues,
-                          sorted_unique, torus_dist_sq)
+from .exact_torus import (TorusPoint, TorusVector, as_rational, common_scale,
+                          int_dtype, residues, signed_residues, sorted_unique,
+                          torus_dist_sq)
 from .gap_spectrum import CollisionError, TooFewPointsError
 
 INT_GRID_LIMIT = 1 << 30
@@ -72,14 +74,9 @@ class PointCloud:
     points: Tuple[TorusVector, ...]
 
     def __post_init__(self):
-        if not self.points:
-            raise TooFewPointsError("a cloud needs at least one point")
-        dims = {p.dim for p in self.points}
-        if len(dims) != 1:
-            raise InvalidConfigurationError("mixed dimensions in one cloud")
-        if len(set(self.points)) != len(self.points):
-            raise InvalidConfigurationError("cloud points must be distinct")
-        object.__setattr__(self, "points", tuple(sorted(self.points)))
+        cleared = PointCloud.from_values(p.coords for p in self.points)
+        object.__setattr__(self, "points", cleared.points)
+        self.__dict__["_rows"] = cleared._rows
 
     @classmethod
     def from_values(cls, rows: Iterable[Sequence]) -> "PointCloud":
@@ -110,14 +107,9 @@ class PointCloud:
         inst = object.__new__(cls)
         object.__setattr__(inst, "points", tuple(
             TorusVector._from_points(tuple(map(lift.__getitem__, r))) for r in rows))
+        # (rows, scale) with points[i] == rows[i] / scale coordinatewise
         inst.__dict__["_rows"] = (rows, scale)
         return inst
-
-    @cached_property
-    def _rows(self) -> Tuple[List[Tuple[int, ...]], int]:
-        """(rows, scale) with points[i] == rows[i] / scale coordinatewise."""
-        ints, scale = residues(c for p in self.points for c in p.coords)
-        return list(zip(*[iter(ints)] * self.dim)), scale
 
     @property
     def dim(self) -> int:
@@ -187,14 +179,16 @@ class CensusReport:
 
 
 def _brute_rows_numpy(rows: List[Tuple[int, ...]], scale: int) -> List[Tuple[int, tuple, int]]:
-    arr = np.asarray(rows, dtype=np.int64)
+    """Exact nearest neighbours by all pairs, one point's row at a time."""
+    bound = _norm_bound(len(rows[0]), scale)
+    arr = np.array(rows, dtype=int_dtype(bound))
     n = len(rows)
     out = []
     for i in range(n):
         diff = (arr - arr[i]) % scale
         folded = np.minimum(diff, scale - diff)
         nsq = (folded * folded).sum(axis=1)
-        nsq[i] = INT64_MAX
+        nsq[i] = bound + 1
         best = int(nsq.min())
         cands = np.flatnonzero(nsq == best)
         signed = signed_residues(diff[cands], scale)
@@ -205,6 +199,7 @@ def _brute_rows_numpy(rows: List[Tuple[int, ...]], scale: int) -> List[Tuple[int
 
 
 def _brute_rows_exact(cloud: PointCloud) -> List[Tuple[Fraction, tuple, int]]:
+    """The all-pairs census on Fractions: the oracle the residue kernels are tested against."""
     pts = cloud.points
     out = []
     for i, p in enumerate(pts):
@@ -275,18 +270,13 @@ def _grid_rows(rows: List[Tuple[int, ...]], scale: int) -> List[Tuple[int, tuple
                     best_j[back].tolist()))
 
 
-def nn_census(cloud: PointCloud, method: str = "auto",
-              cells: Optional[int] = None) -> CensusReport:
+def nn_census(cloud: PointCloud, method: str = "auto") -> CensusReport:
     """Nearest neighbour of every point; ties pick the smallest signed vector.
 
     The census is the sorted set of chosen difference vectors.  Methods:
     brute (all pairs), grid (exact circular sweep), auto (grid for large
     integer-scalable clouds, brute otherwise).  All methods agree exactly.
-    cells must be at least 1 when given but sizes nothing: the sweep has
-    no grid.
     """
-    if cells is not None and cells < 1:
-        raise InvalidConfigurationError(f"cells must be at least 1, got {cells}")
     n = len(cloud)
     if n < 2:
         raise TooFewPointsError("a census needs at least two points")
@@ -300,18 +290,14 @@ def nn_census(cloud: PointCloud, method: str = "auto",
     if method == "grid":
         raw = _grid_rows(rows, scale)
     elif method == "brute":
-        if use_int and int_dtype(_norm_bound(cloud.dim, scale)) is np.int64:
-            raw = _brute_rows_numpy(rows, scale)
-        else:
-            raw = _brute_rows_exact(cloud)
+        raw = _brute_rows_numpy(rows, scale)
     else:
         raise InvalidConfigurationError(f"unknown method {method!r}")
-    # one Fraction per distinct value; the exact oracle's rows come lifted
-    lift = not isinstance(raw[0][0], Fraction)
+    # one Fraction per distinct value
     vecs = {r[1] for r in raw}
-    coord = {x: Fraction(x, scale) if lift else x for x in set(itertools.chain(*vecs))}
+    coord = {x: Fraction(x, scale) for x in set(itertools.chain(*vecs))}
     vecs = {v: tuple(map(coord.__getitem__, v)) for v in vecs}
-    dists = {m: Fraction(m, scale * scale) if lift else m for m in {r[0] for r in raw}}
+    dists = {m: Fraction(m, scale * scale) for m in {r[0] for r in raw}}
     records = tuple(NNRecord(cloud.points[i], cloud.points[j], vecs[v], dists[m])
                     for i, (m, v, j) in enumerate(raw))
     census = tuple(vecs[v] for v in sorted(vecs))
@@ -482,42 +468,23 @@ def gram_kissing_check(gram: Sequence[Sequence], rank_bound: int = 2) -> GramKis
         raise InvalidConfigurationError("Gram matrix must be symmetric")
     if any(g[i][i] <= 0 for i in range(k)):
         raise InvalidConfigurationError("zero vector in configuration")
-    # exact symmetric elimination: PSD iff every pivot is positive and rows
-    # with zero pivot vanish entirely
+    # exact symmetric elimination: pivot on the first active row that is not
+    # all zero; the matrix is PSD iff every such pivot is positive
     work = [row[:] for row in g]
     active = list(range(k))
     rank = 0
-    psd = True
-    while active:
-        pivot = None
-        for idx, i in enumerate(active):
-            if work[i][i] > 0:
-                pivot = idx
-                break
-            if work[i][i] < 0:
-                psd = False
-                break
-            if any(work[i][j] != 0 for j in active):
-                psd = False
-                break
-        if not psd or pivot is None:
+    while True:
+        i = next((i for i in active if any(work[i][c] for c in active)), None)
+        if i is None or work[i][i] <= 0:
+            psd = i is None
             break
-        i = active.pop(pivot)
+        active.remove(i)
         rank += 1
-        piv = work[i][i]
         for r in active:
-            f = work[r][i] / piv
-            if f == 0:
-                continue
-            for c in active:
-                work[r][c] -= f * work[i][c]
-            work[r][i] = Fraction(0)
-        if all(work[r][r] == 0 and all(work[r][c] == 0 for c in active)
-               for r in active):
-            break
-    if psd and active:
-        psd = all(work[r][r] == 0 and all(work[r][c] == 0 for c in active)
-                  for r in active)
+            f = work[r][i] / work[i][i]
+            if f:
+                for c in active:
+                    work[r][c] -= f * work[i][c]
     pairwise = all(
         g[i][i] + g[j][j] - 2 * g[i][j] >= max(g[i][i], g[j][j])
         for i in range(k) for j in range(i + 1, k))

@@ -119,12 +119,9 @@ def check_greedy_gaps(seed: int = 0, trials_per_n: int = 5) -> CheckResult:
         target = greedy_target(n)
         achieved[n] = []
         for trial in range(trials_per_n):
-            rng = random.Random(f"greedy:{n}:{trial}")
+            rng = _rng(seed, "greedy-gaps", f"{n}:{trial}")
             q = rng.randrange(4 * n + 1, 50 * n)
-            p = rng.randrange(1, q)
-            while gcd(p, q) != 1:
-                p += 1
-            b = fractional_orbit(Fraction(p, q), n)
+            b = fractional_orbit(Fraction(_coprime_from(rng, q), q), n)
             a = greedy_max_distinct(b)
             m_a = spectrum(a).size
             m_b = spectrum(b).size
@@ -265,14 +262,11 @@ def check_kronecker(seed: int = 0, trials_per_d: int = 20,
     for d in (1, 2, 3, 4):
         ratios[d] = []
         for trial in range(trials_per_d):
-            rng = random.Random(f"kron:{d}:{trial}")
+            rng = _rng(seed, "kronecker", f"{d}:{trial}")
             alphas = []
             for _ in range(d):
                 q = rng.randrange(n + 1, 20 * n) | 1
-                p = rng.randrange(1, q)
-                while gcd(p, q) != 1:
-                    p += 1
-                alphas.append(Fraction(p, q))
+                alphas.append(Fraction(_coprime_from(rng, q), q))
             rep = kronecker_census(alphas, n)
             if not rep.passed:
                 failures.append((d, trial))
@@ -284,7 +278,7 @@ def check_kronecker(seed: int = 0, trials_per_d: int = 20,
         f"d={d}: {min(v):.2f}..{max(v):.2f}" for d, v in ratios.items())
     return CheckResult(
         "kronecker", not failures,
-        f"80 orbit censuses contained with |D| <= 2*ell; |D|/(4/3)^d {ratio_txt}; "
+        f"{4 * trials_per_d} orbit censuses contained with |D| <= 2*ell; |D|/(4/3)^d {ratio_txt}; "
         f"{ties} norm ties observed; {elapsed:.1f}s",
         {"failures": failures, "ratios": ratios, "ties": ties}, elapsed)
 

@@ -4,7 +4,7 @@ Each test runs one named check from gaplab.verify and prints its one-line
 verdict even under captured output.  The checks carry their own budgets:
 orbit spectra (500 trials, 60s), progression unions (200 trials), greedy
 subsets, arc counts (100 trials), generator decompositions (50 instances),
-the forced-cover construction, orbit censuses on up to three dimensions,
+the forced-cover construction, orbit censuses on up to four dimensions,
 dominance configurations (200 trials), core extraction, and the large
 sumset timing gate (10^5 x 10^5 in under 10s) with 200 census cross-checks.
 All arithmetic underneath is exact; the only tolerances anywhere are the

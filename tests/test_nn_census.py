@@ -1,19 +1,25 @@
 """Nearest-neighbour censuses, dominance families, and core extraction."""
 
+import ast
+import importlib
+import inspect
 import itertools
 import random
 from bisect import bisect_right
 from dataclasses import fields
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaplab.exact_torus import (TorusVector, as_rational, signed_mod1,
-                                torus_dist_sq)
-from gaplab.nn_census import (EpsilonRangeError, GreedyStallError,
+from gaplab.exact_torus import (INT64_MAX, TorusVector, as_rational, int_dtype,
+                                signed_mod1, torus_dist_sq)
+from gaplab.nn_census import (EpsilonRangeError, GramKissingReport, GreedyStallError,
                               InvalidConfigurationError, KroneckerReport,
                               PointCloud, _brute_rows_exact, ball_depth,
                               cloud_sumset, extract_core, gram_kissing_check,
@@ -575,3 +581,189 @@ def test_stalling_kappa_message_matches_reference():
     with pytest.raises(GreedyStallError) as exc:
         extract_core(tight.cloud, tight.cloud, eps, kap)
     assert str(exc.value) == "no center adds coverage; retry with kappa >= 11/60"
+
+
+# ---------------------------------------------------------------- brute force at every scale
+
+_nn_module = importlib.import_module("gaplab.nn_census")
+
+
+def _edge_residues(q):
+    """Residues mod q that meet the fold: 0, 1, q//2, q//2 + 1, q - 1, or any."""
+    return st.one_of(st.sampled_from((0, 1, q // 2, q // 2 + 1, q - 1)),
+                     st.integers(0, q - 1))
+
+
+@given(st.sampled_from(((1 << 30) + 1, (1 << 31) + 1, (1 << 62) + 7, 1 << 70)).flatmap(
+    lambda q: st.integers(1, 3).flatmap(lambda d: st.tuples(
+        st.just(q), st.just(d),
+        st.lists(st.lists(_edge_residues(q), min_size=d, max_size=d),
+                 min_size=1, max_size=12)))))
+@settings(deadline=None, max_examples=80)
+def test_brute_force_past_the_grid_limit_matches_exact_oracle(case):
+    q, d, raw = case
+    # the row (1, 0, ...) keeps the cloud's common scale at q
+    rows = sorted({tuple(r) for r in raw} | {(1,) + (0,) * (d - 1)})
+    if len(rows) < 2:
+        return
+    cloud = _int_cloud(rows, q)
+    assert cloud.common_scale() == q
+    want = _brute_rows_exact(cloud)
+    for method in ("brute", "auto"):
+        rep = nn_census(cloud, method=method)
+        assert rep.method == "brute"
+        assert _records(rep, cloud) == want
+        assert rep.census == tuple(sorted({diff for _, diff, _ in want}))
+
+
+@pytest.mark.parametrize("q, dtype", [((1 << 32) - 1, np.int64), (1 << 32, object)])
+def test_brute_force_on_both_sides_of_the_int64_norm_bound(q, dtype):
+    # d = 2: 2 * (q//2)^2 is 2^63 - 2^33 + 2 below 2^32 and exactly 2^63 at it
+    assert int_dtype(_nn_module._norm_bound(2, q)) is dtype
+    h = q // 2
+    cloud = _int_cloud([(0, 0), (1, h), (h, h + 1), (q - 1, q - 1), (h + 1, 1), (h, 0)], q)
+    assert cloud.common_scale() == q
+    assert _records(nn_census(cloud, method="brute"), cloud) == _brute_rows_exact(cloud)
+
+
+@pytest.mark.parametrize("bound, dtype", [(INT64_MAX - 1, np.int64), (INT64_MAX, object)])
+def test_brute_force_self_distance_sentinel_at_the_int64_edge(bound, dtype, monkeypatch):
+    # with the norm bound forced to 2^63 - 2 the self-distance sentinel
+    # bound + 1 is exactly INT64_MAX in int64; one more moves to object rows
+    assert int_dtype(bound) is dtype
+    monkeypatch.setattr(_nn_module, "_norm_bound", lambda d, scale: bound)
+    q = (1 << 31) + 1
+    cloud = _int_cloud([(0, 0, 0), (1, 0, q - 1), (q // 2, 1, 0), (q - 1, q // 2, 2)], q)
+    assert _records(nn_census(cloud, method="brute"), cloud) == _brute_rows_exact(cloud)
+
+
+# ---------------------------------------------------------------- one constructor
+
+def test_every_cloud_holds_its_residue_rows():
+    assert not any(isinstance(v, cached_property) for v in vars(PointCloud).values())
+    public = PointCloud((TorusVector.of(Fraction(1, 2), Fraction(1, 3)),
+                         TorusVector.of(Fraction(0), Fraction(1, 6))))
+    fast = PointCloud.from_values([(Fraction(0), Fraction(1, 6)), ("1/2", "1/3")])
+    assert public._rows == fast._rows == ([(0, 1), (3, 2)], 6)
+    for cloud in (public, fast, public.negate(), cloud_sumset(public, fast),
+                  tightness_example(3).cloud):
+        assert "_rows" in vars(cloud)
+
+
+@pytest.mark.parametrize("points, error, text", [
+    ((), TooFewPointsError, "a cloud needs at least one point"),
+    ((TorusVector.of(0), TorusVector.of(0, 0)), InvalidConfigurationError,
+     "mixed dimensions in one cloud"),
+    ((TorusVector.of("1/2"), TorusVector.of("3/2")), InvalidConfigurationError,
+     "cloud points must be distinct"),
+])
+def test_public_constructor_errors(points, error, text):
+    with pytest.raises(error) as exc:
+        PointCloud(points)
+    assert str(exc.value) == text
+
+
+def test_census_takes_no_cells_option():
+    assert "cells" not in inspect.signature(nn_census).parameters
+
+
+def test_library_dispatches_to_residue_kernels_only():
+    # _brute_rows_exact is the tests' oracle: no library module calls it
+    src = Path(_nn_module.__file__).parent
+    called = {node.func.id for path in src.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+    assert {"_brute_rows_numpy", "_grid_rows"} <= called
+    assert "_brute_rows_exact" not in called
+
+
+# ---------------------------------------------------------------- gram elimination
+
+def _gram_reference(gram, rank_bound=2):
+    """gram_kissing_check with its original pivot scan, kept verbatim."""
+    g = [[as_rational(x) for x in row] for row in gram]
+    k = len(g)
+    if k == 0 or any(len(row) != k for row in g):
+        raise InvalidConfigurationError("Gram matrix must be square")
+    if any(g[i][j] != g[j][i] for i in range(k) for j in range(k)):
+        raise InvalidConfigurationError("Gram matrix must be symmetric")
+    if any(g[i][i] <= 0 for i in range(k)):
+        raise InvalidConfigurationError("zero vector in configuration")
+    # exact symmetric elimination: PSD iff every pivot is positive and rows
+    # with zero pivot vanish entirely
+    work = [row[:] for row in g]
+    active = list(range(k))
+    rank = 0
+    psd = True
+    while active:
+        pivot = None
+        for idx, i in enumerate(active):
+            if work[i][i] > 0:
+                pivot = idx
+                break
+            if work[i][i] < 0:
+                psd = False
+                break
+            if any(work[i][j] != 0 for j in active):
+                psd = False
+                break
+        if not psd or pivot is None:
+            break
+        i = active.pop(pivot)
+        rank += 1
+        piv = work[i][i]
+        for r in active:
+            f = work[r][i] / piv
+            if f == 0:
+                continue
+            for c in active:
+                work[r][c] -= f * work[i][c]
+            work[r][i] = Fraction(0)
+        if all(work[r][r] == 0 and all(work[r][c] == 0 for c in active)
+               for r in active):
+            break
+    if psd and active:
+        psd = all(work[r][r] == 0 and all(work[r][c] == 0 for c in active)
+                  for r in active)
+    pairwise = all(
+        g[i][i] + g[j][j] - 2 * g[i][j] >= max(g[i][i], g[j][j])
+        for i in range(k) for j in range(i + 1, k))
+    embeddable = all(g[i][i] <= Fraction(1, 16) for i in range(k))
+    passed = psd and rank <= rank_bound and pairwise and embeddable
+    return GramKissingReport(k, rank, rank_bound, psd, pairwise, embeddable, passed)
+
+
+@st.composite
+def _gram_matrices(draw):
+    """Symmetric matrices: B B^T of every rank up to k, then perhaps perturbed."""
+    k = draw(st.integers(1, 6))
+    r = draw(st.integers(1, k))
+    entries = st.integers(-3, 3)
+    b = [[draw(entries) for _ in range(r)] for _ in range(k)]
+    den = draw(st.sampled_from((1, 16, 64, 144)))
+    g = [[Fraction(sum(x * y for x, y in zip(u, v)), den) for v in b] for u in b]
+    kind = draw(st.sampled_from(("psd", "perturbed", "symmetric")))
+    for i in range(k):
+        for j in range(i, k):
+            if kind == "symmetric":
+                g[i][j] = Fraction(draw(st.integers(-4, 4)), den)
+            elif kind == "perturbed" and draw(st.booleans()):
+                g[i][j] += Fraction(draw(st.integers(-1, 1)), 4 * den)
+            g[j][i] = g[i][j]
+    return g, draw(st.integers(0, 6))
+
+
+@given(_gram_matrices())
+@settings(deadline=None, max_examples=400)
+def test_gram_elimination_matches_reference_scan(case):
+    gram, rank_bound = case
+    try:
+        want = _gram_reference(gram, rank_bound)
+    except InvalidConfigurationError as exc:
+        with pytest.raises(InvalidConfigurationError) as got:
+            gram_kissing_check(gram, rank_bound)
+        assert str(got.value) == str(exc)
+        return
+    got = gram_kissing_check(gram, rank_bound)
+    assert {f.name: getattr(got, f.name) for f in fields(got)} == \
+        {f.name: getattr(want, f.name) for f in fields(want)}
