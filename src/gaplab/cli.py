@@ -234,12 +234,14 @@ def _cmd_sumset(args) -> Tuple[Dict[str, Any], bool]:
 def _cmd_cover(args) -> Tuple[Dict[str, Any], bool]:
     b = _points_or_orbit(args).to_exact_set()
     cov = minimal_difference_cover(b, exact_limit=args.exact_limit)
-    # C - B = B - B on residues, independent of the cover routine's universe
-    valid = difference_set(FiniteExactSet.torus(cov.cover), b) == difference_set(b, b)
+    # C - B = B - B on residues, independent of the cover routine's universe,
+    # which stays unlifted
+    universe = difference_set(b, b)
+    valid = difference_set(FiniteExactSet.torus(cov.cover), b) == universe
     verdicts = [_verdict("cover-valid", valid, cover_size=len(cov.cover),
-                         universe_size=len(cov.universe), exact=cov.exact)]
+                         universe_size=len(universe), exact=cov.exact)]
     metrics = {"b_size": len(b), "cover_size": len(cov.cover),
-               "universe_size": len(cov.universe), "nodes": cov.nodes,
+               "universe_size": len(universe), "nodes": cov.nodes,
                "budget_exhausted": cov.budget_exhausted}
     report = {"cover": cov.cover, "exact": cov.exact}
     return {"verdicts": verdicts, "metrics": metrics, "report": report}, valid

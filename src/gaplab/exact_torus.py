@@ -11,10 +11,11 @@ once with residues() and runs on integers; TorusPoint._from_residue lifts
 the results back.
 
 This module is the one home of that integer-residue format: residues()
-clears denominators, common_scale() brings residue families to the lcm of
-their scales, signed_residues() maps residues mod q to [-q/2, q/2),
-sorted_unique() dedupes residue arrays, and int_dtype() with INT64_MAX is
-the guard that keeps numpy int64 only while every intermediate fits.
+clears denominators, residue_over() reads one value over a given scale,
+common_scale() brings residue families to the lcm of their scales,
+signed_residues() maps residues mod q to [-q/2, q/2), sorted_unique()
+dedupes residue arrays, and int_dtype() with INT64_MAX is the guard that
+keeps numpy int64 only while every intermediate fits.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Iterator, Sequence, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -120,6 +121,13 @@ def residues(points: Iterable) -> Tuple[list, int]:
     vals = [p.value if isinstance(p, TorusPoint) else p for p in points]
     q = lcm(*{v.denominator for v in vals})
     return [v.numerator * (q // v.denominator) for v in vals], q
+
+
+def residue_over(value: Fraction, q: int) -> Optional[int]:
+    """value * q when that is an integer, None when value is no multiple of 1/q."""
+    if q % value.denominator:
+        return None
+    return value.numerator * (q // value.denominator)
 
 
 def common_scale(*families) -> Tuple[list, int]:

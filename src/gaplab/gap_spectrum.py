@@ -16,6 +16,7 @@ for what a report or return value shows.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
@@ -25,7 +26,8 @@ from math import isqrt
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .exact_torus import (DuplicatePointError, RationalLike, TorusPoint,
-                          as_rational, common_scale, reduce_mod1, residues)
+                          as_rational, common_scale, reduce_mod1, residue_over,
+                          residues)
 from .sumset_engine import FiniteExactSet, Domain, _ascending, torus_pairsums
 
 
@@ -58,6 +60,12 @@ class CircularSet:
     the multiplier n of the point {n*alpha}).  The wrap policy travels with
     the set: torus-native sets include the closing arc, sets embedded from
     the reals exclude it.
+
+    A set built from values, or by the library from residues, holds only its
+    ascending residues over one denominator: length, membership and every
+    gap and subset test run on them, and ``points``, the tuple of
+    TorusPoints, is lifted on first read and cached.  Equality, repr,
+    dataclasses.replace and pickling see the lifted points.
     """
 
     points: tuple
@@ -65,12 +73,13 @@ class CircularSet:
     wrap: Wrap = Wrap.INCLUDE
 
     def __post_init__(self) -> None:
-        ints = self._residues[0]
-        for p, a, b in zip(self.points, ints, ints[1:]):
+        ints, q = self._residues
+        for a, b in zip(ints, ints[1:]):
             if not a < b:
-                raise DuplicatePointError(f"points not strictly increasing at {p}")
+                raise DuplicatePointError(
+                    f"points not strictly increasing at {TorusPoint._from_residue(a, q)}")
         if self.labels is not None:
-            if len(self.labels) != len(self.points):
+            if len(self.labels) != len(ints):
                 raise ValueError("labels must match points one to one")
             if len(set(self.labels)) != len(self.labels):
                 raise ValueError("labels must be distinct")
@@ -96,14 +105,21 @@ class CircularSet:
     @classmethod
     def _from_residues(cls, ints: list, q: int, labels: Optional[tuple] = None,
                        wrap: Wrap = Wrap.INCLUDE) -> "CircularSet":
-        # Internal: ints must be distinct residues in [0, q), ascending, so
-        # the points are strictly increasing without a Fraction comparison.
+        # Internal: ints must be a list of distinct residues in [0, q),
+        # ascending, so the points are strictly increasing without a
+        # Fraction comparison.  points is left to __getattr__.
         inst = object.__new__(cls)
-        object.__setattr__(inst, "points", tuple(TorusPoint._from_residue(n, q) for n in ints))
-        object.__setattr__(inst, "labels", labels)
-        object.__setattr__(inst, "wrap", wrap)
-        inst.__dict__["_residues"] = (ints, q)
+        inst.__dict__.update(labels=labels, wrap=wrap, _residues=(ints, q))
         return inst
+
+    def __getattr__(self, name: str):
+        # Reached only for absent attributes: the points of a set built
+        # from residues, unread.
+        if name != "points" or "_residues" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        ints, q = self.__dict__["_residues"]
+        points = self.__dict__["points"] = tuple(TorusPoint._from_residue(n, q) for n in ints)
+        return points
 
     @cached_property
     def _residues(self) -> Tuple[list, int]:
@@ -111,7 +127,8 @@ class CircularSet:
         return residues(self.points)
 
     def values(self) -> tuple:
-        return tuple(p.value for p in self.points)
+        ints, q = self._residues
+        return tuple(Fraction(n, q) for n in ints)
 
     def point_set(self) -> frozenset:
         return frozenset(self.points)
@@ -121,13 +138,22 @@ class CircularSet:
         return FiniteExactSet._from_ints(ints, q, Domain.TORUS)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._residues[0])
 
     def __iter__(self):
         return iter(self.points)
 
     def __contains__(self, p) -> bool:
-        return p in self.point_set()
+        # A sorted search of the residues: p must be a TorusPoint, as every
+        # point of the set is, whose value is a multiple of 1/q.
+        if type(p) is not TorusPoint:
+            return False
+        ints, q = self._residues
+        n = residue_over(p.value, q)
+        if n is None:
+            return False
+        i = bisect_left(ints, n)
+        return i < len(ints) and ints[i] == n
 
     def issubset(self, other: "CircularSet") -> bool:
         return self._first_missing(other) is None

@@ -33,7 +33,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from .exact_torus import (TorusPoint, as_rational, common_scale, int_dtype,
-                          residues, sorted_unique)
+                          residue_over, residues, sorted_unique)
 from .gap_spectrum import CircularSet, SubsetViolationError, TooFewPointsError
 
 
@@ -245,9 +245,9 @@ class _Instance:
 
     def member_residue(self, value: Fraction) -> Optional[int]:
         """value * q when value lies in B - B, None otherwise."""
-        if self.q % value.denominator:
+        r = residue_over(value, self.q)
+        if r is None:
             return None
-        r = value.numerator * (self.q // value.denominator)
         k = int(np.searchsorted(self.universe, r))
         return r if k < len(self.universe) and self.universe[k] == r else None
 

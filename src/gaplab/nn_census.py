@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -31,8 +32,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .exact_torus import (TorusPoint, TorusVector, as_rational, common_scale,
-                          int_dtype, residues, signed_residues, sorted_unique,
-                          torus_dist_sq)
+                          int_dtype, residue_over, residues, signed_residues,
+                          sorted_unique, torus_dist_sq)
 from .gap_spectrum import CollisionError, TooFewPointsError
 
 INT_GRID_LIMIT = 1 << 30
@@ -122,7 +123,18 @@ class PointCloud:
         return iter(self.points)
 
     def __contains__(self, p) -> bool:
-        return p in set(self.points)
+        # A sorted search of the residue rows: p must be a TorusVector of
+        # TorusPoints, as every point of the cloud is, each coordinate a
+        # multiple of 1/scale; a row of another length equals none.
+        if type(p) is not TorusVector:
+            return False
+        rows, scale = self._rows
+        row = tuple(residue_over(c.value, scale) if type(c) is TorusPoint else None
+                    for c in p.coords)
+        if None in row:
+            return False
+        i = bisect_left(rows, row)
+        return i < len(rows) and rows[i] == row
 
     def negate(self) -> "PointCloud":
         rows, scale = self._rows

@@ -16,7 +16,10 @@ sorted int64 array (object past int64) of the |B| x |B| differences, each
 candidate's cover mask is packed from its row of positions in it, the greedy
 cover is the lazy (accelerated) greedy on a heap of stale gains, and the
 witness table is one pass over the cover's rows.  Small sets get an exact
-branch and bound, whose node count and budget are reported.
+branch and bound, whose node count and budget are reported.  The result
+keeps B - B and the witness rows as ints: its universe and certificate are
+lifted only when a caller first reads them, so a cover whose report prints
+just the cover and the universe's size lifts nothing past B.
 """
 
 from __future__ import annotations
@@ -286,6 +289,12 @@ class CoverResult:
                       0 when |B| > exact_limit and only the greedy cover ran
     budget_exhausted  True when the search stopped at the node budget, which
                       leaves exact False although |B| <= exact_limit
+
+    A result of minimal_difference_cover holds B - B as ints and each witness
+    as a pair of rows of B.  universe and certificate are lifted together on
+    first read and cached, so the certificate is keyed by the universe's own
+    objects; equality, repr, dataclasses.replace and pickling see the lifted
+    fields, as for a result built by the public constructor.
     """
 
     cover: tuple
@@ -294,6 +303,30 @@ class CoverResult:
     certificate: dict
     nodes: int = 0
     budget_exhausted: bool = False
+
+    @classmethod
+    def _from_ints(cls, cover: tuple, exact: bool, nodes: int, budget_exhausted: bool,
+                   universe: np.ndarray, scale: int, dom: Domain, elems: tuple,
+                   wit_c: np.ndarray, wit_b: np.ndarray) -> "CoverResult":
+        # Internal: universe is B - B as sorted ints over scale, elems is B's
+        # ascending elements, and d = universe[i] is witnessed by the pair
+        # (elems[wit_c[i]], elems[wit_b[i]]).
+        inst = object.__new__(cls)
+        inst.__dict__.update(cover=cover, exact=exact, nodes=nodes,
+                             budget_exhausted=budget_exhausted,
+                             _lazy=(universe, scale, dom, elems, wit_c, wit_b))
+        return inst
+
+    def __getattr__(self, name: str):
+        # Reached only for absent attributes: the two lazy fields, unread.
+        if name not in ("universe", "certificate") or "_lazy" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        universe, scale, dom, elems, wit_c, wit_b = self.__dict__.pop("_lazy")
+        lifted = _lift(universe.tolist(), scale, dom)
+        certificate = {key: (elems[c], elems[e])
+                       for key, c, e in zip(lifted, wit_c.tolist(), wit_b.tolist())}
+        self.__dict__.update(universe=lifted, certificate=certificate)
+        return self.__dict__[name]
 
 
 def _difference_table(ints: list, scale: int, dom: Domain):
@@ -425,7 +458,5 @@ def minimal_difference_cover(b: FiniteExactSet, exact_limit: int = 24,
     # b: the first occurrence of its index in the cover rows, row-major.
     _, first = np.unique(pos[cover_rows].ravel(), return_index=True)
     wit_c, wit_b = np.divmod(first, len(ints))
-    lifted = _lift(universe.tolist(), scale, dom)
-    certificate = {key: (cover[r], elems[e])
-                   for key, r, e in zip(lifted, wit_c.tolist(), wit_b.tolist())}
-    return CoverResult(cover, exact, lifted, certificate, nodes, budget_exhausted)
+    return CoverResult._from_ints(cover, exact, nodes, budget_exhausted, universe, scale,
+                                  dom, elems, np.asarray(cover_rows)[wit_c], wit_b)

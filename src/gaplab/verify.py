@@ -361,6 +361,23 @@ def check_extract_core(seed: int = 0) -> CheckResult:
         {"rows": rows, "failures": failures}, elapsed)
 
 
+def _census_cloud(seed: int, t: int) -> PointCloud:
+    """Cloud t of the sumset-performance check: 2 to 2000 random points of
+    dimension 1 to 3 over q, built straight from their residue rows."""
+    rng = _rng(seed, "sumset-performance", t)
+    d = rng.randrange(1, 4)
+    q = rng.choice((997, 4096, 65536, 10 ** 6 + 3))
+    n = rng.randrange(2, 2001)
+    if d == 1:
+        # rejection cannot exceed the q distinct 1-d points
+        rows = {(v,) for v in rng.sample(range(q), min(n, q))}
+    else:
+        rows = set()
+        while len(rows) < n:
+            rows.add(tuple(rng.randrange(q) for _ in range(d)))
+    return PointCloud._from_rows(list(rows), q)
+
+
 def check_sumset_performance(seed: int = 0, clouds: int = 200) -> CheckResult:
     """Hundred-thousand-point sumsets finish fast; grid census matches brute."""
     rng = _rng(seed, "sumset-performance", "big")
@@ -378,18 +395,7 @@ def check_sumset_performance(seed: int = 0, clouds: int = 200) -> CheckResult:
     t1 = time.perf_counter()
     mismatches = 0
     for t in range(clouds):
-        rng = _rng(seed, "sumset-performance", t)
-        d = rng.randrange(1, 4)
-        q = rng.choice((997, 4096, 65536, 10 ** 6 + 3))
-        n = rng.randrange(2, 2001)
-        if d == 1:
-            # rejection cannot exceed the q distinct 1-d points
-            pts = {(Fraction(v, q),) for v in rng.sample(range(q), min(n, q))}
-        else:
-            pts = set()
-            while len(pts) < n:
-                pts.add(tuple(Fraction(rng.randrange(q), q) for _ in range(d)))
-        cloud = PointCloud.from_values(sorted(pts))
+        cloud = _census_cloud(seed, t)
         brute = nn_census(cloud, method="brute")
         grid = nn_census(cloud, method="grid")
         if brute.records != grid.records or brute.census != grid.census:

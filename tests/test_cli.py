@@ -226,9 +226,9 @@ def test_cover_check_lifts_no_points(tmp_path, monkeypatch):
         lifts_by_cover.clear()
         rc, payload = run_json(tmp_path, argv)
         assert rc == 0 and payload["verdicts"][0]["passed"]
-        # the counter sees the cover routine lift its universe; the check
-        # that C - B = B - B, after it, lifts nothing
-        assert lifts_by_cover[0] >= payload["metrics"]["universe_size"]
+        # the cover routine leaves its universe unlifted; the check that
+        # C - B = B - B, after it, lifts nothing
+        assert lifts_by_cover[0] < payload["metrics"]["universe_size"]
         assert len(lifts) == lifts_by_cover[0]
 
     # a cover that misses differences fails the check
@@ -239,6 +239,18 @@ def test_cover_check_lifts_no_points(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "minimal_difference_cover", one_point_cover)
     rc, payload = run_json(tmp_path, ["cover", "--alpha", "89/144", "--n", "40"])
     assert rc == 1 and not payload["verdicts"][0]["passed"]
+
+
+def test_orbit_commands_lift_only_the_points_they_print(tmp_path, lifts):
+    rc, payload = run_json(tmp_path, ["greedy", "--alpha", "1234567/9999991", "--n", "3000"])
+    assert rc == 0
+    chosen = payload["report"]["chosen"]["points"]
+    assert len(chosen) == payload["metrics"]["a_size"] < 3000
+    assert len(lifts) <= len(chosen)
+    lifts.clear()
+    rc, payload = run_json(tmp_path, ["orbit", "--alpha", "13/97", "--n", "40"])
+    assert rc == 0 and len(payload["report"]["points"]["points"]) == 40
+    assert len(lifts) == 40
 
 
 def test_python_dash_m_runs_the_command_line():

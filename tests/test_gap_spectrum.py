@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gaplab.exact_torus import DuplicatePointError, point
+from gaplab.exact_torus import DuplicatePointError, TorusPoint, point
 from gaplab.gap_spectrum import (APUnionSpec, CircularSet, CollisionError,
                                  InsufficientDenominatorError,
                                  SubsetViolationError, TooFewPointsError, Wrap,
@@ -355,3 +355,83 @@ def test_count_only_sumset_size_matches_sumset(xs, ys):
     a, b = CircularSet.from_values(xs), CircularSet.from_values(ys)
     for u, v in ((a, b), (b, a), (a, a)):
         assert sumset_size(u, v) == len(sumset(u.to_exact_set(), v.to_exact_set()))
+
+
+# ---------------------------------------------------------------------------
+# A set built from residues lifts its points on first read; membership
+# answers from the residues.
+
+def test_sets_from_residues_lift_their_points_on_first_read(lifts):
+    orbit = fractional_orbit(Fraction(1234567, 9999991), 3000)
+    a = greedy_max_distinct(orbit)
+    b = CircularSet.from_values([Fraction(n, 101) for n in range(0, 101, 3)])
+    spectrum(orbit)
+    gap_bound_check(a, orbit)
+    assert sumset_size(b, b) >= len(b.values()) == len(b) == 34
+    assert len(orbit) == 3000 and lifts == []
+    assert "points" not in vars(orbit)
+    points = orbit.points
+    assert len(lifts) == 3000 and orbit.points is points
+    assert len(a.points) == len(a) and len(lifts) == 3000 + len(a)
+    with pytest.raises(DuplicatePointError, match="at 1/2$"):
+        CircularSet.from_values(["1/4", "1/2", "1/2"])
+    # the error text lifts only the offending point
+    assert len(lifts) == 3000 + len(a) + 1
+
+
+def test_lazy_circular_set_matches_an_eager_one():
+    import copy
+    import dataclasses
+    import pickle
+
+    lazy = lambda: fractional_orbit(Fraction(13, 97), 40)  # noqa: E731
+    read = lazy()
+    eager = CircularSet(tuple(read.points), read.labels, read.wrap)
+    assert "points" in vars(eager) and "points" not in vars(lazy())
+    assert lazy() == eager and eager == lazy()
+    assert repr(lazy()) == repr(eager)
+    assert (dataclasses.replace(lazy(), wrap=Wrap.EXCLUDE)
+            == dataclasses.replace(eager, wrap=Wrap.EXCLUDE))
+    restored = pickle.loads(pickle.dumps(lazy()))
+    assert "points" not in vars(restored)
+    assert restored == eager and repr(restored) == repr(eager)
+    assert pickle.loads(pickle.dumps(read)) == eager
+    assert copy.copy(lazy()) == eager and copy.deepcopy(lazy()) == eager
+    assert not hasattr(lazy(), "coords")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lazy().points = ()
+
+
+_DENOMINATORS = (1, 2, 12, 60, 97, 360)
+
+
+class _SubPoint(TorusPoint):
+    """Equal in value to a member, yet never equal to a TorusPoint."""
+
+
+@st.composite
+def _membership_cases(draw):
+    q = draw(st.sampled_from(_DENOMINATORS[1:]))
+    ints = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=12, unique=True))
+    member = st.sampled_from(ints).map(lambda n: point(Fraction(n, q)))
+    foreign = st.builds(lambda n, d: point(Fraction(n, d)), st.integers(0, 400),
+                        st.sampled_from(_DENOMINATORS + (7, 720)))
+    other = st.one_of(
+        st.sampled_from(ints).map(lambda n: Fraction(n, q)),
+        st.sampled_from(ints).map(lambda n: (point(Fraction(n, q)),)),
+        st.sampled_from(ints).map(lambda n: _SubPoint(Fraction(n, q))),
+        st.sampled_from(Wrap), st.integers(0, 3), st.none(), st.text(max_size=3))
+    probes = draw(st.lists(st.one_of(member, foreign, other), max_size=12))
+    return [Fraction(n, q) for n in ints], probes
+
+
+@given(_membership_cases())
+@settings(deadline=None, max_examples=150)
+def test_membership_answers_as_the_set_of_points(case):
+    values, probes = case
+    s = CircularSet.from_values(values)
+    oracle = s.point_set()
+    fresh = CircularSet.from_values(values)
+    for p in probes + list(s.points):
+        assert (p in fresh) is (p in oracle) is (p in s)
+    assert "points" not in vars(fresh)

@@ -767,3 +767,49 @@ def test_gram_elimination_matches_reference_scan(case):
     got = gram_kissing_check(gram, rank_bound)
     assert {f.name: getattr(got, f.name) for f in fields(got)} == \
         {f.name: getattr(want, f.name) for f in fields(want)}
+
+
+# ---------------------------------------------------------------------------
+# Cloud membership answers from the residue rows, by a sorted search.
+
+class _SubVector(TorusVector):
+    """Equal in coordinates to a member, yet never equal to a TorusVector."""
+
+
+@st.composite
+def _cloud_membership_cases(draw):
+    d = draw(st.integers(1, 3))
+    q = draw(st.sampled_from((2, 12, 60, 97)))
+    coord = st.integers(0, q - 1)
+    rows = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=10, unique=True))
+    # an even-only cloud reduces to scale q/2, so odd numerators over q miss it
+    if draw(st.booleans()) and q % 2 == 0:
+        rows = sorted({tuple(2 * (x // 2) for x in r) for r in rows})
+
+    def vector(row, den):
+        return TorusVector(tuple(Fraction(x, den) for x in row))
+
+    member = st.sampled_from(rows).map(lambda r: vector(r, q))
+    near = st.builds(vector, st.tuples(*[coord] * d), st.just(q))
+    foreign = st.builds(vector, st.tuples(*[st.integers(0, 400)] * d),
+                        st.sampled_from((1, 7, 24, 720)))
+    wrong_dim = st.builds(vector, st.lists(coord, min_size=1, max_size=4)
+                          .filter(lambda r: len(r) != d).map(tuple), st.just(q))
+    other = st.one_of(
+        st.sampled_from(rows).map(lambda r: vector(r, q).coords),
+        st.sampled_from(rows).map(lambda r: _SubVector(vector(r, q).coords)),
+        st.sampled_from(rows).map(lambda r: vector(r, q).coords[0]),
+        st.sampled_from(rows).map(lambda r: Fraction(r[0], q)),
+        st.integers(0, 3), st.none(), st.text(max_size=3))
+    probes = draw(st.lists(st.one_of(member, near, foreign, wrong_dim, other), max_size=12))
+    return [[Fraction(x, q) for x in r] for r in rows], probes
+
+
+@given(_cloud_membership_cases())
+@settings(deadline=None, max_examples=150)
+def test_cloud_membership_answers_as_the_set_of_points(case):
+    rows, probes = case
+    cloud = PointCloud.from_values(rows)
+    oracle = set(cloud.points)
+    for p in probes + list(cloud.points):
+        assert (p in cloud) is (p in oracle)

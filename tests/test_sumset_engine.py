@@ -625,3 +625,55 @@ def test_torus_cover_at_the_int64_fold(q, dtype):
     cov = _assert_cover_matches_reference(
         FiniteExactSet.torus([Fraction(n, q) for n in ints]))
     assert cov.universe[-1] == TorusPoint(Fraction(q - 1, q))
+
+
+# ---------------------------------------------------------------------------
+# The cover keeps B - B and its witnesses as ints: universe and certificate
+# are lifted together on first read, and only then.
+
+def test_cover_lifts_its_universe_only_when_read(lifts):
+    rng = random.Random(12)
+    q = 1_000_003
+    b = FiniteExactSet.torus([Fraction(v, q) for v in rng.sample(range(q), 120)])
+    cov = minimal_difference_cover(b)
+    assert not cov.exact and cov.nodes == 0 and not cov.budget_exhausted
+    assert set(cov.cover) <= set(b.elements)
+    # B's own points, and the cover drawn from them, are all that is lifted
+    assert len(lifts) == len(b)
+    assert "universe" not in vars(cov) and "certificate" not in vars(cov)
+    universe = cov.universe
+    assert len(universe) == len(difference_set(b, b)) > len(b) ** 2 // 2
+    assert len(lifts) == len(b) + len(universe)
+    certificate = cov.certificate
+    assert all(k is u for k, u in zip(certificate, universe))
+    # later reads return the cached objects and lift nothing more
+    for _ in range(2):
+        assert cov.universe is universe and cov.certificate is certificate
+    assert len(lifts) == len(b) + len(universe)
+    assert cov == reference_cover(b)
+
+
+def test_lazy_cover_result_matches_an_eager_one():
+    import copy
+    import dataclasses
+    import pickle
+
+    b = FiniteExactSet.torus([Fraction(n, 10) for n in (0, 1, 2, 3)])
+    lifted = minimal_difference_cover(b)
+    eager = se.CoverResult(lifted.cover, lifted.exact, lifted.universe, lifted.certificate,
+                           lifted.nodes, lifted.budget_exhausted)
+    lazy = lambda: minimal_difference_cover(b)  # noqa: E731
+    assert lazy() == eager and eager == lazy()
+    assert repr(lazy()) == repr(eager)
+    assert dataclasses.replace(lazy(), nodes=7) == dataclasses.replace(eager, nodes=7)
+    restored = pickle.loads(pickle.dumps(lazy()))
+    assert "universe" not in vars(restored)
+    assert restored == eager and repr(restored) == repr(eager)
+    assert all(k is u for k, u in zip(restored.certificate, restored.universe))
+    read = pickle.loads(pickle.dumps(lifted))
+    assert read == eager
+    assert all(k is u for k, u in zip(read.certificate, read.universe))
+    assert copy.copy(lazy()) == eager and copy.deepcopy(lazy()) == eager
+    assert not hasattr(lazy(), "witnesses")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        lazy().universe = ()

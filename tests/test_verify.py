@@ -27,3 +27,27 @@ def test_seed_chooses_the_instances(check, target, kwargs, monkeypatch):
         per_seed.append(list(drawn))
     assert per_seed[0] == per_seed[2]
     assert per_seed[0] != per_seed[1]
+
+
+def _fraction_cloud(seed, t):
+    """Cloud t of the sumset-performance check, built from Fraction tuples."""
+    from fractions import Fraction
+
+    rng = verify._rng(seed, "sumset-performance", t)
+    d = rng.randrange(1, 4)
+    q = rng.choice((997, 4096, 65536, 10 ** 6 + 3))
+    n = rng.randrange(2, 2001)
+    if d == 1:
+        pts = {(Fraction(v, q),) for v in rng.sample(range(q), min(n, q))}
+    else:
+        pts = set()
+        while len(pts) < n:
+            pts.add(tuple(Fraction(rng.randrange(q), q) for _ in range(d)))
+    return verify.PointCloud.from_values(sorted(pts))
+
+
+def test_census_clouds_match_the_fraction_construction():
+    for t in range(20):
+        got, want = verify._census_cloud(0, t), _fraction_cloud(0, t)
+        assert got._rows == want._rows
+        assert got.points == want.points
