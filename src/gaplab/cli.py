@@ -257,7 +257,7 @@ def _cmd_generators(args) -> Tuple[Dict[str, Any], bool]:
         c = CircularSet.from_values(_circle_values(args.cover, "--cover"))
     else:
         cov = minimal_difference_cover(b.to_exact_set(), exact_limit=args.exact_limit)
-        c = CircularSet.from_values([p.value for p in cov.cover])
+        c = CircularSet.from_points(cov.cover)
     rep = verify_generation(b, c)
     verdicts = [_verdict("generators", rep.passed, decomposed_minus=rep.decomposed_minus,
                          decomposed_plus=rep.decomposed_plus, universe_size=rep.universe_size,

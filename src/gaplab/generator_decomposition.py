@@ -14,11 +14,11 @@ unbounded-coin dynamic program over a common denominator confirms every
 membership, so the constructive certificates never check themselves.
 
 The engines run on integer residues mod q, the common denominator of B:
-witness tables, gap tilings and the per-target checks are numpy arrays,
-whose dtype exact_torus.int_dtype picks from the differences and prefix
-sums they reach (below 2q), and Python ints.  Fractions appear only in
-reports: the gap families, mismatches, certificate parts, subdivision
-trees and error messages.
+witness tables, gap tilings, both gap families, coin sets and every check
+are numpy arrays, with dtype from exact_torus.int_dtype (values below 2q),
+or Python ints.  Fractions appear only in reports and oracle coins: the
+gap families, mismatches, certificate parts, subdivision trees and error
+messages.  Of B's points, only the two neighbours of each c are lifted.
 """
 
 from __future__ import annotations
@@ -62,14 +62,6 @@ class GeneratorReport:
     r_minus: tuple
     r_plus: tuple
     neighbours: dict
-
-    @property
-    def minus_size(self) -> int:
-        return len(self.r_minus)
-
-    @property
-    def plus_size(self) -> int:
-        return len(self.r_plus)
 
 
 @dataclass(frozen=True)
@@ -226,9 +218,8 @@ class _Instance:
         dtype = int_dtype(2 * q)
         res = np.array([n // g for n in res_b], dtype=dtype)
         c_pos = np.searchsorted(res, np.array([n // g for n in res_c], dtype=dtype))
-        self.b = b
-        self.c = c
         self.q = q
+        self.c_pos = c_pos
         self.minus = _OrientedEngine(res, c_pos, q, reflect=False)
         self.universe = sorted_unique(((res[:, None] - res[None, :]) % q).ravel())
         _, covered = self.minus.find(self.universe)
@@ -243,6 +234,13 @@ class _Instance:
     def engine(self, side: Side) -> _OrientedEngine:
         return self.minus if Side(side) is Side.MINUS else self.plus
 
+    def gap_families(self) -> Tuple[list, list]:
+        """R- and R+ over q, each ascending and distinct: the gap before and after each c."""
+        gap_after, c_pos = self.minus.gap_after, self.c_pos.tolist()
+        # position 0's gap before is the closing gap, gap_after[-1]
+        return (sorted({gap_after[i - 1] for i in c_pos}),
+                sorted({gap_after[i] for i in c_pos}))
+
     def member_residue(self, value: Fraction) -> Optional[int]:
         """value * q when value lies in B - B, None otherwise."""
         r = residue_over(value, self.q)
@@ -252,30 +250,20 @@ class _Instance:
         return r if k < len(self.universe) and self.universe[k] == r else None
 
 
-def neighbour_gaps(b: CircularSet, c: CircularSet,
-                   _inst: "_Instance" = None) -> GeneratorReport:
+def neighbour_gaps(b: CircularSet, c: CircularSet) -> GeneratorReport:
     """Predecessor and successor gaps of each c in C, premise-checked.
 
     R- collects the anticlockwise arc from each c's predecessor to c; R+ the
     arc from c to its successor.  Both are positive arc lengths below 1.
+    Each distinct gap is lifted once, and of B only c's two neighbours.
     """
-    if _inst is None:
-        _Instance(b, c)
-    pts = b.points
-    n = len(pts)
-    idx = {p: i for i, p in enumerate(pts)}
-    neighbours = {}
-    r_minus = set()
-    r_plus = set()
-    for cp in c.points:
-        i = idx[cp]
-        pred = pts[(i - 1) % n]
-        succ = pts[(i + 1) % n]
-        neighbours[cp] = (pred, succ)
-        r_minus.add((cp.value - pred.value) % 1)
-        r_plus.add((succ.value - cp.value) % 1)
-    return GeneratorReport(c.points, tuple(sorted(r_minus)), tuple(sorted(r_plus)),
-                           neighbours)
+    inst = _Instance(b, c)
+    q, res = inst.q, inst.minus.points
+    r_minus, r_plus = (tuple(Fraction(g, q) for g in family) for family in inst.gap_families())
+    neighbours = {cp: (TorusPoint._from_residue(res[i - 1], q),
+                       TorusPoint._from_residue(res[(i + 1) % len(res)], q))
+                  for cp, i in zip(c.points, inst.c_pos.tolist())}
+    return GeneratorReport(c.points, r_minus, r_plus, neighbours)
 
 
 def decompose(target, b: CircularSet, c: CircularSet,
@@ -299,6 +287,8 @@ def _span_table(coin_ints: tuple, scale: int) -> np.ndarray:
     dp = np.zeros(scale + 1, dtype=bool)
     dp[0] = True
     for coin in sorted(set(coin_ints)):
+        if coin <= scale and dp[coin]:
+            continue  # already in the span, so it adds nothing to it
         # one row per multiple of the coin: accumulating down the columns
         # saturates every residue class in a single pass
         rows = -(-(scale + 1) // coin)
@@ -310,8 +300,17 @@ def _span_table(coin_ints: tuple, scale: int) -> np.ndarray:
     return dp
 
 
-def _span_set(coins: tuple, cap: int) -> frozenset:
-    """Exact N0-span of rational coins inside [0, 1]; breadth-first, budgeted."""
+def _span_set(coins: tuple, cap: int, scale: int) -> frozenset:
+    """Exact N0-span of rational coins inside [0, 1]; breadth-first, budgeted.
+
+    The multiples of the smallest coin alone are floor(1 / coin) + 1 span
+    members, so a span past the budget on that count fails before any work.
+    """
+    budget = OracleScaleError(
+        f"the exact span over denominator {scale} has more than {cap} members, "
+        "past its enumeration budget")
+    if 1 // coins[0] + 1 > cap:
+        raise budget
     seen = {Fraction(0)}
     frontier = [Fraction(0)]
     while frontier:
@@ -320,9 +319,7 @@ def _span_set(coins: tuple, cap: int) -> frozenset:
             y = x + g
             if y <= 1 and y not in seen:
                 if len(seen) >= cap:
-                    raise OracleScaleError(
-                        "exact span enumeration exceeded its budget; "
-                        "use points over a common denominator")
+                    raise budget
                 seen.add(y)
                 frontier.append(y)
     return frozenset(seen)
@@ -344,7 +341,7 @@ class SpanOracle:
             self.values = None
         else:
             self.table = None
-            self.values = _span_set(self.coins, set_cap)
+            self.values = _span_set(self.coins, set_cap, scale)
 
     def __contains__(self, x: Fraction) -> bool:
         x = as_rational(x)
@@ -408,19 +405,20 @@ def verify_generation(b: CircularSet, c: CircularSet) -> GenerationReport:
     For each target: the subdivision pieces must sum to it exactly (checked
     through prefix sums), and the independent span oracle must confirm
     membership over R- and over R+.  The oracle also confirms R- inside
-    span(R+) and vice versa, and that the two spans agree below 1.
+    span(R+) and vice versa, and that the two spans agree below 1.  The gap
+    families and coin sets are ints over q; only the oracles see Fractions.
     """
     inst = _Instance(b, c)
-    report = neighbour_gaps(b, c, _inst=inst)
-    oracle_minus = SpanOracle(report.r_minus)
-    oracle_plus = SpanOracle(report.r_plus)
     q, universe = inst.q, inst.universe
+    ints_minus, ints_plus = inst.gap_families()
+    r_minus, r_plus = (tuple(Fraction(g, q) for g in family)
+                       for family in (ints_minus, ints_plus))
+    oracle_minus, oracle_plus = SpanOracle(r_minus), SpanOracle(r_plus)
     nonzero = universe != 0
     mismatches = []
     done = []
-    for side, engine, oracle in ((Side.MINUS, inst.minus, oracle_minus),
-                                 (Side.PLUS, inst.plus, oracle_plus)):
-        coins = {g.numerator * (q // g.denominator) for g in oracle.coins}
+    for side, engine, oracle, coins in ((Side.MINUS, inst.minus, oracle_minus, set(ints_minus)),
+                                        (Side.PLUS, inst.plus, oracle_plus, set(ints_plus))):
         for g, counts in engine.gap_parts().items():
             total = sum(part * mult for part, mult in counts.items())
             if total != g or not counts.keys() <= coins:
@@ -434,14 +432,14 @@ def verify_generation(b: CircularSet, c: CircularSet) -> GenerationReport:
             reason = ("no witness", "arc length", "oracle rejects")[failure[i] - 1]
             mismatches.append((side.value, Fraction(int(universe[i]), q), reason))
         done.append(int(np.count_nonzero(failure == 0)))
-    cross = all(g in oracle_plus for g in report.r_minus) and \
-        all(g in oracle_minus for g in report.r_plus)
+    cross = all(oracle.contains_scaled(np.array(family, dtype=universe.dtype), q).all()
+                for oracle, family in ((oracle_plus, ints_minus), (oracle_minus, ints_plus)))
     spans_agree = oracle_minus.reachable_scaled(q) == oracle_plus.reachable_scaled(q)
     done_minus, done_plus = done
     passed = not mismatches and cross and spans_agree and \
         done_minus == len(universe) and done_plus == len(universe)
     return GenerationReport(len(b), len(c), len(universe),
-                            report.r_minus, report.r_plus,
+                            r_minus, r_plus,
                             done_minus, done_plus,
                             not mismatches, cross, spans_agree,
                             tuple(mismatches), passed)

@@ -210,7 +210,7 @@ def check_generators(seed: int = 0, trials: int = 50) -> CheckResult:
         vals = sorted(rng.sample(range(q), n))
         b = CircularSet.from_values([Fraction(v, q) for v in vals])
         cover = minimal_difference_cover(b.to_exact_set())
-        c = CircularSet.from_values([p.value for p in cover.cover])
+        c = CircularSet.from_points(cover.cover)
         rep = verify_generation(b, c)
         sizes.append((len(b), len(c)))
         if not rep.passed:

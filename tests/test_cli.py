@@ -156,6 +156,17 @@ def test_negative_print_limit_is_input_error(capsys):
     assert captured.err == "error: --print-limit must be at least 0, got -1\n"
 
 
+def test_span_past_its_budget_is_one_line_input_error(capsys):
+    # a denominator past the span DP's limit, whose smallest gap alone has
+    # more multiples in [0, 1] than the enumeration budget allows
+    rc = main(["generators", "--points", "0;1/33554433"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "33554433" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_truncated_sumset_lifts_no_sums(tmp_path, monkeypatch):
     import random
     from collections import Counter

@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaplab.exact_torus import residues
 from gaplab.gap_spectrum import CircularSet, SubsetViolationError, fractional_orbit
 from gaplab.generator_decomposition import (NonMemberTargetError,
                                             OracleScaleError,
                                             PremiseViolationError, Side,
-                                            SpanOracle, _Instance, decompose,
-                                            neighbour_gaps, verify_generation)
+                                            SpanOracle, _Instance, _span_table,
+                                            decompose, neighbour_gaps,
+                                            verify_generation)
 from gaplab.sumset_engine import difference_set, minimal_difference_cover
 
 
@@ -321,3 +323,153 @@ def test_instance_scale_is_the_least_common_denominator(p, dtype):
     inst = _Instance(b, c)
     assert inst.q == p and inst.universe.dtype == dtype
     assert verify_generation(b, c).passed
+
+
+def parent_neighbour_gaps(b, c):
+    """The Fraction loop neighbour_gaps ran before it read the instance's residues."""
+    _Instance(b, c)
+    pts = b.points
+    n = len(pts)
+    idx = {p: i for i, p in enumerate(pts)}
+    neighbours = {}
+    r_minus = set()
+    r_plus = set()
+    for cp in c.points:
+        i = idx[cp]
+        pred = pts[(i - 1) % n]
+        succ = pts[(i + 1) % n]
+        neighbours[cp] = (pred, succ)
+        r_minus.add((cp.value - pred.value) % 1)
+        r_plus.add((succ.value - cp.value) % 1)
+    return tuple(sorted(r_minus)), tuple(sorted(r_plus)), neighbours
+
+
+def assert_matches_parent(b, c):
+    rep = neighbour_gaps(b, c)
+    r_minus, r_plus, neighbours = parent_neighbour_gaps(b, c)
+    assert rep.c_points == c.points
+    assert rep.r_minus == r_minus and rep.r_plus == r_plus
+    assert rep.neighbours == neighbours
+    assert list(rep.neighbours.items()) == list(neighbours.items())
+
+
+@given(circle_sets(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_neighbour_gaps_match_the_fraction_loop(b, identity):
+    assert_matches_parent(b, b if identity else min_cover(b))
+
+
+@st.composite
+def int64_switch_sets(draw, primes):
+    """Points over two alternating primes, every gap at least 1/(2 size)."""
+    size = draw(st.integers(2, 5))
+    vals = []
+    for i in range(size):
+        p = primes[i % 2]
+        lo = p * 2 * i // (2 * size) + 1
+        vals.append(Fraction(draw(st.integers(lo, lo + p // (2 * size) - 2)), p))
+    return CircularSet.from_values(vals)
+
+
+@pytest.mark.parametrize("primes", [BELOW_2_62, ABOVE_2_62])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_neighbour_gaps_match_the_fraction_loop_at_the_int64_switch(primes, data):
+    b = data.draw(int64_switch_sets(primes))
+    assert_matches_parent(b, b if data.draw(st.booleans()) else min_cover(b))
+
+
+def lazy_pair(lifts):
+    """B, eight points over 41, and a two-point minimal cover C, both unlifted."""
+    b = CircularSet.from_values([Fraction(v, 41) for v in range(8)])
+    c = CircularSet.from_points(minimal_difference_cover(b.to_exact_set()).cover)
+    assert "points" not in b.__dict__ and "points" not in c.__dict__
+    assert len(c) == 2
+    del lifts[:]  # the cover's own lifts
+    return b, c
+
+
+def test_verify_generation_lifts_no_point(lifts):
+    b, c = lazy_pair(lifts)
+    assert verify_generation(b, c).passed
+    assert lifts == [] and "points" not in b.__dict__
+    b.points, c.points
+    del lifts[:]
+    assert verify_generation(b, c).passed
+    assert lifts == []
+
+
+def test_neighbour_gaps_lifts_only_the_neighbours_of_c(lifts):
+    b, c = lazy_pair(lifts)
+    c.points
+    del lifts[:]
+    rep = neighbour_gaps(b, c)
+    assert len(lifts) == 2 * len(c) < 2 * len(b)
+    assert "points" not in b.__dict__
+    assert rep.neighbours == parent_neighbour_gaps(b, c)[2]
+
+
+def parent_span_table(coin_ints, scale):
+    """The span DP before it skipped coins already in the span: one pass per coin."""
+    dp = np.zeros(scale + 1, dtype=bool)
+    dp[0] = True
+    for coin in sorted(set(coin_ints)):
+        # one row per multiple of the coin: accumulating down the columns
+        # saturates every residue class in a single pass
+        rows = -(-(scale + 1) // coin)
+        grid = np.zeros(rows * coin, dtype=bool)
+        grid[:scale + 1] = dp
+        grid = grid.reshape(rows, coin)
+        np.logical_or.accumulate(grid, axis=0, out=grid)
+        dp = grid.ravel()[:scale + 1]
+    return dp
+
+
+@given(st.integers(1, 150), st.data())
+@settings(max_examples=150, deadline=None)
+def test_span_table_skipping_spanned_coins_matches_one_pass_per_coin(scale, data):
+    coins = data.draw(st.lists(st.integers(1, scale + 5), min_size=1, max_size=5))
+    # duplicates, multiples of drawn coins, the scale itself
+    coins += data.draw(st.lists(st.sampled_from(coins), max_size=3))
+    coins += [k * g for g in data.draw(st.lists(st.sampled_from(coins), max_size=3))
+              for k in data.draw(st.lists(st.integers(2, 5), max_size=2))]
+    if data.draw(st.booleans()):
+        coins.append(scale)
+    coins = tuple(coins)
+    assert np.array_equal(_span_table(coins, scale), parent_span_table(coins, scale))
+
+
+@pytest.mark.parametrize("coins, scale", [((3, 3, 5), 20), ((2, 4, 6, 8), 17),
+                                          ((4, 12), 12), ((12,), 12), ((7, 30), 12)])
+def test_span_table_edge_coins(coins, scale):
+    assert np.array_equal(_span_table(coins, scale), parent_span_table(coins, scale))
+
+
+def test_span_oracle_accepts_coins_above_one():
+    oracle = SpanOracle((Fraction(3, 2), Fraction(1, 4), Fraction(1, 2)))
+    assert oracle.scale == 4 and oracle.table.tolist() == [True] * 5
+    ints, _ = residues(oracle.coins)
+    assert np.array_equal(oracle.table, parent_span_table(tuple(ints), oracle.scale))
+
+
+class UnaddableCoin(Fraction):
+    """A coin that fails the test if the enumeration ever adds it."""
+
+    def __radd__(self, other):
+        raise AssertionError("the span was enumerated")
+
+
+def test_span_past_its_budget_fails_before_enumerating():
+    with pytest.raises(OracleScaleError) as err:
+        SpanOracle((UnaddableCoin(1, 2**25 + 1),))
+    assert str(err.value) == ("the exact span over denominator 33554433 has more than "
+                              "2000000 members, past its enumeration budget")
+
+
+def test_span_past_its_budget_fails_during_enumeration():
+    # the smallest coin's 12 multiples fit the budget of 13; the span does not
+    coins = (Fraction(1, 7), Fraction(1, 11))
+    assert len(SpanOracle(coins, dp_limit=1, set_cap=50).values) > 13
+    with pytest.raises(OracleScaleError) as err:
+        SpanOracle(coins, dp_limit=1, set_cap=13)
+    assert "denominator 77" in str(err.value) and "13 members" in str(err.value)
