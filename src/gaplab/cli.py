@@ -10,13 +10,15 @@ Rationals cross the boundary as "p/q" strings; exact decimal literals are
 accepted and converted exactly (0.625 -> 5/8).
 
 A subcommand is declared once, by ``@_command(name, help, *options)`` on its
-handler, each option an ``_arg(*flags, **add_argument_kwargs)``.  Converters
-are named by string and looked up when ``build_parser`` runs.
+handler, each option an ``_arg(*flags, **add_argument_kwargs)``.  The parser
+is built once; a converter named by string is looked up in this module each
+time it converts a value, so rebinding that name takes effect at once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import os
 import sys
@@ -147,9 +149,8 @@ def _three_gap(rep, report: Any, **metrics: Any) -> Tuple[Dict[str, Any], bool]:
 @_command("orbit", "fractional-part orbit of alpha with its gaps", *_ORBIT)
 def _cmd_orbit(args) -> Tuple[Dict[str, Any], bool]:
     b = fractional_orbit(args.alpha, args.n)
-    spect = spectrum(b) if len(b) > 1 else None
-    rep = orbit_three_gap_check(args.alpha, b, spect)
-    report = {"points": b, "multiplicities": spect.multiplicity if spect else {}}
+    rep = orbit_three_gap_check(args.alpha, b)
+    report = {"points": b, "multiplicities": spectrum(b).multiplicity if len(b) > 1 else {}}
     return _three_gap(rep, report, size=len(b))
 
 
@@ -423,6 +424,12 @@ def _cmd_verify(args) -> Tuple[Dict[str, Any], bool]:
             "report": {r.name: r.details for r in results}}, all(r.passed for r in results)
 
 
+def _late(name: str) -> Callable[[str], Any]:
+    """The converter called name in this module, looked up on each call."""
+    return lambda text: globals()[name](text)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaplab",
@@ -432,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         for flags, kwargs in options + _REPORT_OPTIONS:
             if isinstance(kwargs.get("type"), str):
-                kwargs = {**kwargs, "type": globals()[kwargs["type"]]}
+                kwargs = {**kwargs, "type": _late(kwargs["type"])}
             p.add_argument(*flags, **kwargs)
         p.set_defaults(fn=handler)
     return parser

@@ -17,12 +17,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .exact_torus import TorusPoint, as_rational
+from .exact_torus import as_rational, residues
 from .gap_spectrum import CircularSet, CollisionError
-from .sumset_engine import (CoverResult, FiniteExactSet, difference_set,
+from .sumset_engine import (FiniteExactSet, difference_set,
                             minimal_difference_cover, sumset)
 
 
@@ -284,19 +284,24 @@ def lattice_projection(alphas: Sequence, box: Sequence[int]) -> LatticeProjectio
         raise ConstructionRangeError("one box length per rotation is required")
     if any(m < 1 for m in dims):
         raise ConstructionRangeError("box lengths must be at least 1")
-    seen: Dict[Fraction, Tuple[int, ...]] = {}
+    steps, q = residues(avals)
+    seen: Dict[int, Tuple[int, ...]] = {}
     for tup in itertools.product(*(range(m) for m in dims)):
-        val = sum((n * a for n, a in zip(tup, avals)), Fraction(0)) % 1
+        val = sum(n * a for n, a in zip(tup, steps)) % q
         if val in seen:
             raise CollisionError(
-                f"box points {seen[val]} and {tup} collide at {val}")
+                f"box points {seen[val]} and {tup} collide at {Fraction(val, q)}")
         seen[val] = tup
+    corner_ints = {sum(d * (m - 1) * a for d, m, a in zip(delta, dims, steps)) % q
+                   for delta in itertools.product((0, 1), repeat=len(dims))}
+
+    def circle(ints: list, labels: Optional[tuple] = None) -> CircularSet:
+        g = gcd(q, *ints)  # lowest terms, as CircularSet.from_values clears them
+        return CircularSet._from_residues([n // g for n in ints], q // g, labels)
+
     ordered = sorted(seen)
-    points = CircularSet.from_values(ordered, labels=tuple(seen[v] for v in ordered))
-    corner_vals = sorted({
-        sum((d * (m - 1) * a for d, m, a in zip(delta, dims, avals)), Fraction(0)) % 1
-        for delta in itertools.product((0, 1), repeat=len(dims))})
-    corners = CircularSet.from_values(corner_vals)
+    points = circle(ordered, tuple(seen[v] for v in ordered))
+    corners = circle(sorted(corner_ints))
     b = points.to_exact_set()
     c = corners.to_exact_set()
     cover_equal = difference_set(c, b) == difference_set(b, b)

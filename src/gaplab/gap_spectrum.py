@@ -9,9 +9,9 @@ on the number of distinct gaps of any subset, the arc-partition pair count
 that proves it, a greedy subset maximizing distinct gaps, and greedy Sidon
 extraction.  Everything is exact: a set's points are cleared once to
 integer residues mod a common denominator q (an orbit of p/q is just the
-sorted residues n*p mod q), every gap, subset test, sum and verdict is
-decided on those integers, and Fractions and torus points are built only
-for what a report or return value shows.
+sorted residues n*p mod q), every gap, subset test, sum and verdict (the
+three-gap one has one builder, orbit_three_gap_check) is decided on those
+integers; Fractions and torus points are built only for what is shown.
 """
 
 from __future__ import annotations
@@ -247,38 +247,29 @@ class ThreeGapReport:
 
 
 def three_gap_check(alpha: RationalLike, n_points: int) -> ThreeGapReport:
-    """Check the gaps of the N-point orbit of alpha against the three distances.
+    """orbit_three_gap_check on the N-point orbit of alpha, built without fractional_orbit."""
+    alpha, ints, labels, q = _orbit_residues(alpha, n_points)
+    return orbit_three_gap_check(alpha, CircularSet._from_residues(ints, q, labels))
+
+
+def orbit_three_gap_check(alpha: RationalLike, orbit: CircularSet) -> ThreeGapReport:
+    """The three-gap verdict for the orbit of alpha, read off its residues.
 
     The references are the pairwise distances among the three real points
     {a_N alpha} - 1, 0 and {a_1 alpha}, where a_1 and a_N label the smallest
     and largest orbit point: 1 - b_N, b_1, and their sum.  Every gap,
-    including the closing arc, must equal one of them.
-    """
-    alpha, ints, labels, q = _orbit_residues(alpha, n_points)
-    return _three_gap_report(alpha, ints, labels, q, set(_gaps(ints, q, Wrap.INCLUDE)))
-
-
-def orbit_three_gap_check(alpha: RationalLike, orbit: CircularSet,
-                          spect: Optional[GapSpectrum]) -> ThreeGapReport:
-    """three_gap_check(alpha, N) read off fractional_orbit(alpha, N) and its spectrum.
-
-    spect is None for a single point, whose one gap is the whole circle.
-    Neither the orbit nor its gaps are built again.
+    including the closing arc (the whole circle for a single point), must
+    equal one of them.
     """
     ints, q = orbit._residues
-    distinct = spect.distinct if spect is not None else {Fraction(1)}
-    return _three_gap_report(as_rational(alpha) % 1, ints, orbit.labels, q,
-                             {int(g * q) for g in distinct})
-
-
-def _three_gap_report(alpha: Fraction, ints: list, labels: tuple, q: int,
-                      distinct: set) -> ThreeGapReport:
-    """The verdict for an orbit's ascending residues and its distinct gaps, over q."""
+    distinct = set(_gaps(ints, q, Wrap.INCLUDE))
     b1, bn = ints[0], ints[-1]
     refs = sorted({b1, q - bn, b1 + q - bn})
     passed = len(distinct) <= 3 and distinct <= set(refs)
-    return ThreeGapReport(alpha, len(ints), tuple(Fraction(g, q) for g in sorted(distinct)),
-                          tuple(Fraction(r, q) for r in refs), labels[0], labels[-1], passed)
+    return ThreeGapReport(as_rational(alpha) % 1, len(ints),
+                          tuple(Fraction(g, q) for g in sorted(distinct)),
+                          tuple(Fraction(r, q) for r in refs),
+                          orbit.labels[0], orbit.labels[-1], passed)
 
 
 @dataclass(frozen=True)
@@ -338,8 +329,6 @@ class APUnionGapReport:
 def ap_union_gap_check(spec: APUnionSpec) -> APUnionGapReport:
     ints, q = _ap_union_residues(spec)
     bound = 3 * spec.k
-    if len(ints) == 1:
-        return APUnionGapReport(spec.k, 1, (Fraction(1),), bound, 1 <= bound)
     distinct = tuple(Fraction(g, q) for g in sorted(set(_gaps(ints, q, Wrap.INCLUDE))))
     return APUnionGapReport(spec.k, len(ints), distinct, bound, len(distinct) <= bound)
 

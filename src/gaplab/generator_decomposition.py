@@ -9,9 +9,10 @@ via the cover premise, split it at the B-points it contains into single
 B-gaps, and keep re-realizing those gaps until each is a neighbour gap of C.
 
 The successor-gap side is the predecessor-gap side on the reflected circle
-x -> -x, so one engine serves both orientations.  An independent
-unbounded-coin dynamic program over a common denominator confirms every
-membership, so the constructive certificates never check themselves.
+x -> -x, so one engine serves both orientations.  An independent span
+oracle confirms every membership, so the constructive certificates never
+check themselves; it works on ints over its coins' common denominator, by
+a dynamic program or, past its size limit, a budgeted breadth-first search.
 
 The engines run on integer residues mod q, the common denominator of B:
 witness tables, gap tilings, both gap families, coin sets and every check
@@ -27,6 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Dict, Optional, Tuple
 
@@ -300,36 +302,38 @@ def _span_table(coin_ints: tuple, scale: int) -> np.ndarray:
     return dp
 
 
-def _span_set(coins: tuple, cap: int, scale: int) -> frozenset:
-    """Exact N0-span of rational coins inside [0, 1]; breadth-first, budgeted.
+def _span_members(coins: tuple, cap: int, scale: int) -> np.ndarray:
+    """Exact N0-span of positive int coins in 0..scale, ascending; breadth-first, budgeted.
 
-    The multiples of the smallest coin alone are floor(1 / coin) + 1 span
-    members, so a span past the budget on that count fails before any work.
+    The smallest coin's multiples alone are floor(scale / coin) + 1 members,
+    so a span past the budget on that count fails before any work.
     """
     budget = OracleScaleError(
         f"the exact span over denominator {scale} has more than {cap} members, "
         "past its enumeration budget")
-    if 1 // coins[0] + 1 > cap:
+    if scale // min(coins) + 1 > cap:
         raise budget
-    seen = {Fraction(0)}
-    frontier = [Fraction(0)]
+    seen = {0}
+    frontier = [0]
     while frontier:
         x = frontier.pop()
         for g in coins:
             y = x + g
-            if y <= 1 and y not in seen:
+            if y <= scale and y not in seen:
                 if len(seen) >= cap:
                     raise budget
                 seen.add(y)
                 frontier.append(y)
-    return frozenset(seen)
+    return np.array(sorted(seen), dtype=int_dtype(scale))
 
 
 class SpanOracle:
     """Membership in the N0-span of a set of positive rational coins.
 
-    Uses an integer dynamic program over the common denominator when that is
-    affordable, exact breadth-first enumeration otherwise.
+    The span inside [0, 1] is held as ints over the coins' common
+    denominator, scale: a dynamic program's table when that is affordable
+    (members, its ascending ints, read off on first use), otherwise members
+    from an exact breadth-first enumeration.
     """
 
     def __init__(self, coins: tuple, dp_limit: int = 1 << 24, set_cap: int = 2_000_000):
@@ -338,47 +342,41 @@ class SpanOracle:
         self.scale = scale
         if scale <= dp_limit:
             self.table = _span_table(tuple(ints), scale)
-            self.values = None
         else:
             self.table = None
-            self.values = _span_set(self.coins, set_cap, scale)
+            self.members = _span_members(tuple(ints), set_cap, scale)
+
+    @cached_property
+    def members(self) -> np.ndarray:
+        return np.flatnonzero(self.table)
 
     def __contains__(self, x: Fraction) -> bool:
         x = as_rational(x)
-        if not 0 <= x <= 1:
-            return False
-        if self.table is not None:
-            n = x * self.scale
-            return n.denominator == 1 and bool(self.table[int(n)])
-        return x in self.values
+        return bool(self.contains_scaled(
+            np.array([x.numerator], dtype=int_dtype(abs(x.numerator), x.denominator)),
+            x.denominator)[0])
 
     def contains_scaled(self, ints: np.ndarray, q: int) -> np.ndarray:
         """Membership of each value ints[i] / q, as a boolean array.
 
-        ints is an int64 or object array.  The DP table is read directly:
-        n / q sits on its grid exactly when q / gcd(q, scale) divides n.
+        ints is an int64 or object array.  n / q is a multiple of 1 / scale
+        exactly when q / gcd(q, scale) divides n; its index over scale is
+        then read from the DP table, or searched for in members.
         """
-        if self.table is None:
-            return np.fromiter((Fraction(int(n), q) in self for n in ints),
-                               dtype=bool, count=len(ints))
         g = gcd(q, self.scale)
         step = q // g
         on_grid = (ints % step == 0) & (ints >= 0) & (ints <= q)
-        index = (np.where(on_grid, ints, 0) // step * (self.scale // g)).astype(np.intp)
-        return on_grid & self.table[index]
-
-    def reachable_scaled(self, scale: int) -> frozenset:
-        """All span elements of denominator dividing scale, as integers 0..scale."""
-        if self.table is not None and scale % self.scale == 0:
-            step = scale // self.scale
-            return frozenset((np.flatnonzero(self.table) * step).tolist())
-        return frozenset(int(x * scale) for x in self.as_fractions()
-                         if (x * scale).denominator == 1)
-
-    def as_fractions(self) -> frozenset:
+        index = (np.where(on_grid, ints, 0) // step).astype(int_dtype(self.scale))
+        index *= self.scale // g
         if self.table is not None:
-            return frozenset(Fraction(int(i), self.scale) for i in np.flatnonzero(self.table))
-        return self.values
+            return on_grid & self.table[index.astype(np.intp)]
+        k = np.minimum(np.searchsorted(self.members, index), len(self.members) - 1)
+        return on_grid & (self.members[k] == index)
+
+
+def _same_span(a: SpanOracle, b: SpanOracle, q: int) -> bool:
+    """Whether two oracles whose scales divide q hold the same span, compared over q."""
+    return np.array_equal(*(o.members.astype(int_dtype(q)) * (q // o.scale) for o in (a, b)))
 
 
 @dataclass(frozen=True)
@@ -406,7 +404,7 @@ def verify_generation(b: CircularSet, c: CircularSet) -> GenerationReport:
     through prefix sums), and the independent span oracle must confirm
     membership over R- and over R+.  The oracle also confirms R- inside
     span(R+) and vice versa, and that the two spans agree below 1.  The gap
-    families and coin sets are ints over q; only the oracles see Fractions.
+    families and coin sets are ints over q; only the oracles' coins are Fractions.
     """
     inst = _Instance(b, c)
     q, universe = inst.q, inst.universe
@@ -434,7 +432,7 @@ def verify_generation(b: CircularSet, c: CircularSet) -> GenerationReport:
         done.append(int(np.count_nonzero(failure == 0)))
     cross = all(oracle.contains_scaled(np.array(family, dtype=universe.dtype), q).all()
                 for oracle, family in ((oracle_plus, ints_minus), (oracle_minus, ints_plus)))
-    spans_agree = oracle_minus.reachable_scaled(q) == oracle_plus.reachable_scaled(q)
+    spans_agree = _same_span(oracle_minus, oracle_plus, q)
     done_minus, done_plus = done
     passed = not mismatches and cross and spans_agree and \
         done_minus == len(universe) and done_plus == len(universe)

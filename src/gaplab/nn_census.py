@@ -11,13 +11,14 @@ logged summary ratios.
 The census of a cloud is the set of difference vectors to a nearest
 neighbour, one deterministic choice per point: by all pairs ("brute", on
 residue rows at every scale) or by an exact circular sweep along one axis
-("grid").  _brute_rows_exact, an all-pairs loop on the Fraction points, is
-kept as the independent oracle the tests check both against.  On top of
-the census sit: the orbit census of a multi-dimensional rotation, checks
-for configurations whose pairwise distances dominate their norms, depth
-counts of points in nearest-neighbour balls, a greedy extraction of a
-large sub-cloud with few census vectors, and the square-block example
-showing the extraction bound is close to tight.
+("grid"), both scoring residue columns through _sq_norms, the fold every
+kernel here shares.  _brute_rows_exact, an all-pairs loop on the Fraction
+points, is the oracle the tests check both against.  On top of the census
+sit: the orbit census of a multi-dimensional rotation, checks for
+configurations whose pairwise distances dominate their norms, depth counts
+of points in nearest-neighbour balls, a greedy extraction of a large
+sub-cloud with few census vectors, and the square-block example showing the
+extraction bound is close to tight.
 """
 
 from __future__ import annotations
@@ -191,22 +192,19 @@ class CensusReport:
 
 
 def _brute_rows_numpy(rows: List[Tuple[int, ...]], scale: int) -> List[Tuple[int, tuple, int]]:
-    """Exact nearest neighbours by all pairs, one point's row at a time."""
+    """Exact nearest neighbours by all pairs, one point at a time, scored on columns."""
     bound = _norm_bound(len(rows[0]), scale)
     arr = np.array(rows, dtype=int_dtype(bound))
-    n = len(rows)
+    cols = list(arr.T.copy())
     out = []
-    for i in range(n):
-        diff = (arr - arr[i]) % scale
-        folded = np.minimum(diff, scale - diff)
-        nsq = (folded * folded).sum(axis=1)
+    for i in range(len(rows)):
+        nsq = _sq_norms((c - c[i] for c in cols), scale)
         nsq[i] = bound + 1
         best = int(nsq.min())
         cands = np.flatnonzero(nsq == best)
-        signed = signed_residues(diff[cands], scale)
+        signed = signed_residues((arr[cands] - arr[i]) % scale, scale)
         order = np.lexsort(signed.T[::-1])
-        j = int(cands[order[0]])
-        out.append((best, tuple(int(v) for v in signed[order[0]]), j))
+        out.append((best, tuple(int(v) for v in signed[order[0]]), int(cands[order[0]])))
     return out
 
 

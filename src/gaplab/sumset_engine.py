@@ -17,9 +17,8 @@ candidate's cover mask is packed from its row of positions in it, the greedy
 cover is the lazy (accelerated) greedy on a heap of stale gains, and the
 witness table is one pass over the cover's rows.  Small sets get an exact
 branch and bound, whose node count and budget are reported.  The result
-keeps B - B and the witness rows as ints: its universe and certificate are
-lifted only when a caller first reads them, so a cover whose report prints
-just the cover and the universe's size lifts nothing past B.
+lifts only its cover: B - B and the witness rows stay ints until a caller
+first reads its universe or certificate.
 """
 
 from __future__ import annotations
@@ -290,11 +289,12 @@ class CoverResult:
     budget_exhausted  True when the search stopped at the node budget, which
                       leaves exact False although |B| <= exact_limit
 
-    A result of minimal_difference_cover holds B - B as ints and each witness
-    as a pair of rows of B.  universe and certificate are lifted together on
-    first read and cached, so the certificate is keyed by the universe's own
-    objects; equality, repr, dataclasses.replace and pickling see the lifted
-    fields, as for a result built by the public constructor.
+    A result of minimal_difference_cover lifts only its cover, and holds
+    B - B as ints and each witness as a pair of rows of B.  universe and
+    certificate are lifted together on first read and cached, so the
+    certificate is keyed by the universe's own objects; equality, repr,
+    dataclasses.replace and pickling see the lifted fields, as for a result
+    built by the public constructor.
     """
 
     cover: tuple
@@ -306,23 +306,24 @@ class CoverResult:
 
     @classmethod
     def _from_ints(cls, cover: tuple, exact: bool, nodes: int, budget_exhausted: bool,
-                   universe: np.ndarray, scale: int, dom: Domain, elems: tuple,
+                   universe: np.ndarray, scale: int, dom: Domain, ints: list,
                    wit_c: np.ndarray, wit_b: np.ndarray) -> "CoverResult":
-        # Internal: universe is B - B as sorted ints over scale, elems is B's
-        # ascending elements, and d = universe[i] is witnessed by the pair
-        # (elems[wit_c[i]], elems[wit_b[i]]).
+        # Internal: universe is B - B as sorted ints over scale, ints is B's
+        # ascending ints, and d = universe[i] is witnessed by the pair of
+        # elements of ints[wit_c[i]] and ints[wit_b[i]].
         inst = object.__new__(cls)
         inst.__dict__.update(cover=cover, exact=exact, nodes=nodes,
                              budget_exhausted=budget_exhausted,
-                             _lazy=(universe, scale, dom, elems, wit_c, wit_b))
+                             _lazy=(universe, scale, dom, ints, wit_c, wit_b))
         return inst
 
     def __getattr__(self, name: str):
         # Reached only for absent attributes: the two lazy fields, unread.
         if name not in ("universe", "certificate") or "_lazy" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        universe, scale, dom, elems, wit_c, wit_b = self.__dict__.pop("_lazy")
+        universe, scale, dom, ints, wit_c, wit_b = self.__dict__.pop("_lazy")
         lifted = _lift(universe.tolist(), scale, dom)
+        elems = _lift(ints, scale, dom)
         certificate = {key: (elems[c], elems[e])
                        for key, c, e in zip(lifted, wit_c.tolist(), wit_b.tolist())}
         self.__dict__.update(universe=lifted, certificate=certificate)
@@ -359,10 +360,9 @@ def minimal_difference_cover(b: FiniteExactSet, exact_limit: int = 24,
     budget exhaustion, fall back to the classical greedy cover, flagged
     exact=False.  C = B always covers, so a cover always exists.
     """
-    elems = b.elements
-    if not elems:
+    if not len(b):
         return CoverResult((), True, (), {})
-    # Candidates are the rows i of the set's ascending ints, in step with elems.
+    # Candidates are the rows i of the set's ascending ints.
     dom, ints, scale = b.domain, _ascending(b._ints), b._scale
     universe, pos = _difference_table(ints, scale, dom)
     full = (1 << len(universe)) - 1
@@ -400,7 +400,7 @@ def minimal_difference_cover(b: FiniteExactSet, exact_limit: int = 24,
     exact = False
     nodes = 0
     budget_exhausted = False
-    if len(elems) <= exact_limit:
+    if len(ints) <= exact_limit:
         covering = [[] for _ in universe]
         for ci, (_, m) in enumerate(cands):
             mm = m
@@ -453,10 +453,10 @@ def minimal_difference_cover(b: FiniteExactSet, exact_limit: int = 24,
         nodes = min(nodes, node_budget)
 
     cover_rows = sorted(best)
-    cover = tuple(elems[i] for i in cover_rows)
+    cover = _lift([ints[i] for i in cover_rows], scale, dom)
     # Witness each difference by its smallest covering c, then its smallest
     # b: the first occurrence of its index in the cover rows, row-major.
     _, first = np.unique(pos[cover_rows].ravel(), return_index=True)
     wit_c, wit_b = np.divmod(first, len(ints))
     return CoverResult._from_ints(cover, exact, nodes, budget_exhausted, universe, scale,
-                                  dom, elems, np.asarray(cover_rows)[wit_c], wit_b)
+                                  dom, ints, np.asarray(cover_rows)[wit_c], wit_b)

@@ -381,3 +381,27 @@ def test_nonpositive_trials_is_input_error(suite, trials, capsys):
     assert rc == 2
     assert captured.out == ""
     assert captured.err == f"error: --trials must be at least 1, got {trials}\n"
+
+
+def test_parser_is_built_once_and_converters_resolve_per_call(tmp_path, monkeypatch):
+    from gaplab import cli
+
+    cli.build_parser.cache_clear()
+    rc, first = run_json(tmp_path, ["gaps", "--alpha", "5/8", "--n", "4"], "a.json")
+    assert rc == 0 and first["config"]["alpha"] == "5/8"
+    seen = []
+
+    def rational(text):
+        seen.append(text)
+        return cli.Fraction(3, 8)
+
+    monkeypatch.setattr(cli, "_rational", rational)
+    rc, second = run_json(tmp_path, ["gaps", "--alpha", "5/8", "--n", "4"], "b.json")
+    assert rc == 0 and seen == ["5/8"] and second["config"]["alpha"] == "3/8"
+    assert cli.build_parser.cache_info().misses == 1
+    # a malformed value still gets argparse's own message
+    monkeypatch.undo()
+    with pytest.raises(SystemExit) as exc:
+        main(["gaps", "--alpha", "x/y", "--n", "4"])
+    assert exc.value.code == 2
+    assert cli.build_parser.cache_info().misses == 1

@@ -164,3 +164,47 @@ def test_greedy_ap_free_matches_the_greedy_scan():
     sizes = [20_000, 0, -1] + [3 ** k + d for k in range(10) for d in (0, 1)]
     for n in sizes:
         assert greedy_ap_free(n) == tuple(x for x in top if x <= n), n
+
+
+# ---------------------------------------------------------------------------
+# lattice_projection builds both sets from residues.  The parent's Fraction
+# construction of the points and corners is kept verbatim as the reference.
+
+def parent_lattice_sets(alphas, box):
+    import itertools
+    avals = tuple(Fraction(a) % 1 for a in alphas)
+    dims = tuple(int(m) for m in box)
+    seen = {}
+    for tup in itertools.product(*(range(m) for m in dims)):
+        val = sum((n * a for n, a in zip(tup, avals)), Fraction(0)) % 1
+        if val in seen:
+            raise CollisionError(
+                f"box points {seen[val]} and {tup} collide at {val}")
+        seen[val] = tup
+    ordered = sorted(seen)
+    points = CircularSet.from_values(ordered, labels=tuple(seen[v] for v in ordered))
+    corner_vals = sorted({
+        sum((d * (m - 1) * a for d, m, a in zip(delta, dims, avals)), Fraction(0)) % 1
+        for delta in itertools.product((0, 1), repeat=len(dims))})
+    corners = CircularSet.from_values(corner_vals)
+    return points, corners
+
+
+@given(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=60),
+                min_size=1, max_size=3),
+       st.lists(st.integers(1, 6), min_size=3, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_lattice_projection_matches_the_fraction_construction(alphas, box):
+    box = box[:len(alphas)]
+    try:
+        points, corners = parent_lattice_sets(alphas, box)
+    except CollisionError as exc:
+        with pytest.raises(CollisionError) as err:
+            lattice_projection(alphas, box)
+        assert str(err.value) == str(exc)
+        return
+    rep = lattice_projection(alphas, box)
+    for got, want in ((rep.points, points), (rep.corners, corners)):
+        assert got._residues == want._residues
+        assert got.labels == want.labels and got.wrap == want.wrap
+        assert got == want

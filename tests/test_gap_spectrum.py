@@ -9,11 +9,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from gaplab.exact_torus import DuplicatePointError, TorusPoint, point
+from gaplab import gap_spectrum
+from gaplab.exact_torus import DuplicatePointError, TorusPoint, as_rational, point
 from gaplab.gap_spectrum import (APUnionSpec, CircularSet, CollisionError,
                                  InsufficientDenominatorError,
-                                 SubsetViolationError, TooFewPointsError, Wrap,
-                                 ap_union_gap_check, ap_union_points,
+                                 SubsetViolationError, ThreeGapReport,
+                                 TooFewPointsError, Wrap, _gaps,
+                                 _orbit_residues, ap_union_gap_check, ap_union_points,
                                  arc_counting_diagnostic, fractional_orbit,
                                  gap_bound_check, greedy_max_distinct,
                                  orbit_three_gap_check, sidon_subset, spectrum,
@@ -40,8 +42,7 @@ def test_orbit_labels_are_multipliers():
                                      (Fraction(1234567, 9999991), 3000)])
 def test_three_gap_verdict_read_off_a_built_orbit(alpha, n):
     b = fractional_orbit(alpha, n)
-    spect = spectrum(b) if n > 1 else None
-    assert orbit_three_gap_check(alpha, b, spect) == three_gap_check(alpha, n)
+    assert orbit_three_gap_check(alpha, b) == three_gap_check(alpha, n)
 
 
 def test_single_point_orbit_has_closing_arc_only():
@@ -435,3 +436,68 @@ def test_membership_answers_as_the_set_of_points(case):
     for p in probes + list(s.points):
         assert (p in fresh) is (p in oracle) is (p in s)
     assert "points" not in vars(fresh)
+
+
+# ---------------------------------------------------------------------------
+# One three-gap builder.  The parent's two entry points are kept verbatim as
+# the reference: three_gap_check on the orbit's residues, and the orbit
+# variant that turned its spectrum's Fraction gaps back into ints.
+
+def parent_three_gap_check(alpha, n_points):
+    alpha, ints, labels, q = _orbit_residues(alpha, n_points)
+    return _parent_three_gap_report(alpha, ints, labels, q, set(_gaps(ints, q, Wrap.INCLUDE)))
+
+
+def parent_orbit_three_gap_check(alpha, orbit, spect):
+    ints, q = orbit._residues
+    distinct = spect.distinct if spect is not None else {Fraction(1)}
+    return _parent_three_gap_report(as_rational(alpha) % 1, ints, orbit.labels, q,
+                                    {int(g * q) for g in distinct})
+
+
+def _parent_three_gap_report(alpha, ints, labels, q, distinct):
+    b1, bn = ints[0], ints[-1]
+    refs = sorted({b1, q - bn, b1 + q - bn})
+    passed = len(distinct) <= 3 and distinct <= set(refs)
+    return ThreeGapReport(alpha, len(ints), tuple(Fraction(g, q) for g in sorted(distinct)),
+                          tuple(Fraction(r, q) for r in refs), labels[0], labels[-1], passed)
+
+
+def convergent_denominators(p, q):
+    """Denominators q_k of the continued-fraction convergents of p/q."""
+    dens, (prev, cur) = [], (0, 1)
+    while q:
+        a, (p, q) = p // q, (q, p % q)
+        prev, cur = cur, a * cur + prev
+        dens.append(cur)
+    return dens
+
+
+@given(st.integers(2, 1500), st.integers(-3000, 3000), st.data())
+@settings(max_examples=40, deadline=None)
+def test_three_gap_builder_matches_the_parent_at_convergents(q, p, data):
+    assume(gcd(p, q) == 1)
+    alpha = Fraction(p, q)
+    ns = {1} | {k + e for k in convergent_denominators(p % q, q) for e in (-1, 0, 1)}
+    for n in sorted(m for m in ns if 1 <= m < q):
+        want = parent_three_gap_check(alpha, n)
+        assert three_gap_check(alpha, n) == want
+        orbit = fractional_orbit(alpha, n)
+        assert orbit_three_gap_check(alpha, orbit) == want
+        spect = spectrum(orbit) if n > 1 else None
+        assert parent_orbit_three_gap_check(alpha, orbit, spect) == want
+    n = data.draw(st.integers(q, 2 * q))
+    for check in (three_gap_check, parent_three_gap_check):
+        with pytest.raises(InsufficientDenominatorError) as err:
+            check(alpha, n)
+        assert str(err.value) == (f"alpha = {alpha % 1} has denominator {q} <= N = {n}; "
+                                  "multiples would collide")
+
+
+def test_three_gap_check_builds_no_traced_orbit(monkeypatch):
+    def no_orbit(*args):
+        raise AssertionError("fractional_orbit called")
+
+    monkeypatch.setattr(gap_spectrum, "fractional_orbit", no_orbit)
+    rep = three_gap_check(Fraction(5, 8), 4)
+    assert rep == parent_three_gap_check(Fraction(5, 8), 4) and rep.passed

@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaplab.exact_torus import residues
+from gaplab import generator_decomposition as gd
+from gaplab.exact_torus import as_rational, residues
 from gaplab.gap_spectrum import CircularSet, SubsetViolationError, fractional_orbit
 from gaplab.generator_decomposition import (NonMemberTargetError,
                                             OracleScaleError,
                                             PremiseViolationError, Side,
-                                            SpanOracle, _Instance, _span_table,
+                                            SpanOracle, _Instance, _same_span,
+                                            _span_members, _span_table,
                                             decompose, neighbour_gaps,
                                             verify_generation)
 from gaplab.sumset_engine import difference_set, minimal_difference_cover
@@ -95,12 +97,12 @@ def test_span_oracle_membership():
         assert (v in oracle) == (v in members)
 
 
-def test_span_oracle_reachable_scaled_matches_fractions():
+def test_span_oracle_members_match_fractions():
     oracle = SpanOracle((Fraction(1, 6), Fraction(1, 4)))
-    fr = oracle.as_fractions()
-    scaled = oracle.reachable_scaled(12)
-    assert fr == {Fraction(n, 12) for n in scaled}
-    assert Fraction(1, 6) + Fraction(1, 4) in fr
+    fr = {Fraction(a, 6) + Fraction(b, 4) for a in range(7) for b in range(5)}
+    assert oracle.scale == 12
+    assert {Fraction(int(n), 12) for n in oracle.members} == {x for x in fr if x <= 1}
+    assert Fraction(1, 6) + Fraction(1, 4) in oracle
 
 
 def test_span_oracle_scale_cap():
@@ -281,7 +283,7 @@ def test_vectorised_oracle_lookup_matches_membership(nums, den, q, data):
     dp = SpanOracle(coins)
     bfs = SpanOracle(coins, dp_limit=1)
     assert dp.table is not None and bfs.table is None
-    assert dp.as_fractions() == bfs.values
+    assert dp.members.tolist() == bfs.members.tolist()
     # q a multiple of the DP scale puts every value on the grid; any other
     # q puts some off it
     q = data.draw(st.sampled_from([q, q * dp.scale]))
@@ -303,9 +305,8 @@ def test_span_oracle_dp_and_bfs_agree_at_the_dp_limit(den, data):
     dp = SpanOracle(coins, dp_limit=scale)          # scale == dp_limit: the table
     bfs = SpanOracle(coins, dp_limit=scale - 1)     # scale == dp_limit + 1: the set
     assert dp.table is not None and bfs.table is None
-    assert dp.as_fractions() == bfs.as_fractions()
+    assert dp.members.tolist() == bfs.members.tolist()
     for q in (scale, 2 * scale, scale + 1):
-        assert dp.reachable_scaled(q) == bfs.reachable_scaled(q)
         values = [Fraction(n, q) for n in range(-1, q + 2)]
         assert [v in dp for v in values] == [v in bfs for v in values]
         ints = np.arange(-1, q + 2)
@@ -459,17 +460,185 @@ class UnaddableCoin(Fraction):
         raise AssertionError("the span was enumerated")
 
 
-def test_span_past_its_budget_fails_before_enumerating():
+class UnaddableInt(int):
+    """An integer coin that fails the test if the enumeration ever adds it."""
+
+    def __radd__(self, other):
+        raise AssertionError("the span was enumerated")
+
+
+def test_span_past_its_budget_fails_before_enumerating(monkeypatch):
+    # the enumeration sees its coins as UnaddableInts
+    scales = []
+    members = gd._span_members
+
+    def spy(coins, cap, scale):
+        scales.append(scale)
+        return members(tuple(UnaddableInt(g) for g in coins), cap, scale)
+
+    monkeypatch.setattr(gd, "_span_members", spy)
     with pytest.raises(OracleScaleError) as err:
-        SpanOracle((UnaddableCoin(1, 2**25 + 1),))
+        SpanOracle((Fraction(1, 2**25 + 1),))
     assert str(err.value) == ("the exact span over denominator 33554433 has more than "
                               "2000000 members, past its enumeration budget")
+    assert scales == [2**25 + 1]
 
 
 def test_span_past_its_budget_fails_during_enumeration():
     # the smallest coin's 12 multiples fit the budget of 13; the span does not
     coins = (Fraction(1, 7), Fraction(1, 11))
-    assert len(SpanOracle(coins, dp_limit=1, set_cap=50).values) > 13
+    assert len(SpanOracle(coins, dp_limit=1, set_cap=50).members) > 13
     with pytest.raises(OracleScaleError) as err:
         SpanOracle(coins, dp_limit=1, set_cap=13)
     assert "denominator 77" in str(err.value) and "13 members" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# The span oracle on ints.  The parent's oracle, whose breadth-first mode ran
+# on Fractions, is kept verbatim as the reference.
+
+def parent_span_set(coins, cap, scale):
+    budget = OracleScaleError(
+        f"the exact span over denominator {scale} has more than {cap} members, "
+        "past its enumeration budget")
+    if 1 // coins[0] + 1 > cap:
+        raise budget
+    seen = {Fraction(0)}
+    frontier = [Fraction(0)]
+    while frontier:
+        x = frontier.pop()
+        for g in coins:
+            y = x + g
+            if y <= 1 and y not in seen:
+                if len(seen) >= cap:
+                    raise budget
+                seen.add(y)
+                frontier.append(y)
+    return frozenset(seen)
+
+
+class ParentSpanOracle:
+    def __init__(self, coins, dp_limit=1 << 24, set_cap=2_000_000):
+        self.coins = tuple(sorted(set(coins)))
+        ints, scale = residues(self.coins)
+        self.scale = scale
+        if scale <= dp_limit:
+            self.table = _span_table(tuple(ints), scale)
+            self.values = None
+        else:
+            self.table = None
+            self.values = parent_span_set(self.coins, set_cap, scale)
+
+    def __contains__(self, x):
+        x = as_rational(x)
+        if not 0 <= x <= 1:
+            return False
+        if self.table is not None:
+            n = x * self.scale
+            return n.denominator == 1 and bool(self.table[int(n)])
+        return x in self.values
+
+    def reachable_scaled(self, scale):
+        if self.table is not None and scale % self.scale == 0:
+            step = scale // self.scale
+            return frozenset((np.flatnonzero(self.table) * step).tolist())
+        return frozenset(int(x * scale) for x in self.as_fractions()
+                         if (x * scale).denominator == 1)
+
+    def as_fractions(self):
+        if self.table is not None:
+            return frozenset(Fraction(int(i), self.scale) for i in np.flatnonzero(self.table))
+        return self.values
+
+
+def coin_sets(max_den=60):
+    return st.lists(st.fractions(min_value=Fraction(1, max_den), max_value=Fraction(3, 2),
+                                 max_denominator=max_den), min_size=1, max_size=4)
+
+
+@given(coin_sets(max_den=24), st.integers(1, 80), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_integer_enumeration_matches_the_fraction_search(coins, cap, dp):
+    coins = tuple(coins)
+    limit = 1 << 24 if dp else 0  # every scale is at least 1
+    try:
+        want = ParentSpanOracle(coins, dp_limit=limit, set_cap=cap)
+    except OracleScaleError as exc:
+        with pytest.raises(OracleScaleError) as err:
+            SpanOracle(coins, dp_limit=limit, set_cap=cap)
+        assert str(err.value) == str(exc)
+        return
+    got = SpanOracle(coins, dp_limit=limit, set_cap=cap)
+    assert (got.table is None) == (want.table is None) == (not dp)
+    assert got.scale == want.scale
+    assert {Fraction(int(n), got.scale) for n in got.members} == want.as_fractions()
+    assert got.members.tolist() == sorted(got.members.tolist())
+    # each member, its neighbours over twice the scale, and both ends' outsides
+    near = {2 * int(m) + e for m in got.members[:100] for e in (-1, 0, 1)}
+    for n in near | {-1, 2 * got.scale, 2 * got.scale + 1}:
+        x = Fraction(n, 2 * got.scale)
+        assert (x in got) == (x in want)
+
+
+@given(st.integers(2, 40), st.integers(1, 30))
+@settings(max_examples=60, deadline=None)
+def test_budget_checks_match_the_fraction_search(den, cap):
+    coins = (Fraction(1, den), Fraction(2, den + 1))
+    ints, scale = residues(coins)
+    try:
+        want = sorted(int(x * scale) for x in parent_span_set(coins, cap, scale))
+    except OracleScaleError as exc:
+        with pytest.raises(OracleScaleError) as err:
+            _span_members(tuple(ints), cap, scale)
+        assert str(err.value) == str(exc)
+    else:
+        assert _span_members(tuple(ints), cap, scale).tolist() == want
+    # both searches fail fast, before adding any coin, exactly when the
+    # smallest coin's multiples alone exceed the budget
+    for search in (lambda: parent_span_set((UnaddableCoin(1, den),), cap, den),
+                   lambda: _span_members((UnaddableInt(1),), cap, den)):
+        with pytest.raises(OracleScaleError if den + 1 > cap else AssertionError):
+            search()
+
+
+def test_members_past_int64_are_python_ints():
+    big = (1 << 70) + 1
+    coins = (Fraction(big // 3, big), Fraction(big // 2, big))
+    got, want = SpanOracle(coins), ParentSpanOracle(coins)
+    assert got.table is None and got.members.dtype == object
+    assert {Fraction(int(n), got.scale) for n in got.members} == want.as_fractions()
+    ints = np.array([0, big // 3, big // 2, big // 3 * 2, big // 3 + big // 2, big, 1],
+                    dtype=object)
+    assert got.contains_scaled(ints, big).tolist() == \
+        [Fraction(n, big) in want for n in ints.tolist()]
+
+
+@given(coin_sets(max_den=24), coin_sets(max_den=24), st.integers(1, 4), st.booleans(),
+       st.booleans(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_same_span_matches_the_frozenset_comparison(a, b, k, dp_a, dp_b, same):
+    if same:
+        b = a + [2 * a[0]]  # a coin already in the span of a changes nothing
+    oracles = []
+    for coins, dp in ((a, dp_a), (b, dp_b)):
+        limit = 1 << 24 if dp else 0
+        oracles.append((SpanOracle(tuple(coins), dp_limit=limit),
+                        ParentSpanOracle(tuple(coins), dp_limit=limit)))
+    (got_a, want_a), (got_b, want_b) = oracles
+    q = (got_a.scale * got_b.scale) * k  # both scales divide q
+    agree = _same_span(got_a, got_b, q)
+    assert agree == (want_a.reachable_scaled(q) == want_b.reachable_scaled(q))
+    assert agree or not same
+
+
+def test_same_span_both_ways():
+    one = (Fraction(1, 4),)
+    two = (Fraction(1, 4), Fraction(1, 2))
+    three = (Fraction(1, 6),)
+    q = 24
+    for a, b, agree in ((one, two, True), (one, three, False), (two, three, False)):
+        for dp in (1 << 24, 0):
+            got = _same_span(SpanOracle(a, dp_limit=dp), SpanOracle(b), q)
+            want = ParentSpanOracle(a, dp_limit=dp).reachable_scaled(q) == \
+                ParentSpanOracle(b).reachable_scaled(q)
+            assert got == want == agree

@@ -637,12 +637,14 @@ def test_cover_lifts_its_universe_only_when_read(lifts):
     b = FiniteExactSet.torus([Fraction(v, q) for v in rng.sample(range(q), 120)])
     cov = minimal_difference_cover(b)
     assert not cov.exact and cov.nodes == 0 and not cov.budget_exhausted
-    assert set(cov.cover) <= set(b.elements)
-    # B's own points, and the cover drawn from them, are all that is lifted
-    assert len(lifts) == len(b)
+    # the cover's own points are all that is lifted
+    assert len(lifts) == len(cov.cover)
     assert "universe" not in vars(cov) and "certificate" not in vars(cov)
+    assert set(cov.cover) <= set(b.elements)
+    del lifts[:]
     universe = cov.universe
     assert len(universe) == len(difference_set(b, b)) > len(b) ** 2 // 2
+    # B - B, and B for the certificate's pairs, lifted together
     assert len(lifts) == len(b) + len(universe)
     certificate = cov.certificate
     assert all(k is u for k, u in zip(certificate, universe))
@@ -651,6 +653,17 @@ def test_cover_lifts_its_universe_only_when_read(lifts):
         assert cov.universe is universe and cov.certificate is certificate
     assert len(lifts) == len(b) + len(universe)
     assert cov == reference_cover(b)
+
+
+def test_torus_cover_lifts_only_its_cover_until_read(lifts):
+    b = FiniteExactSet.torus([Fraction(v, 41) for v in range(0, 41, 3)])
+    size = len(difference_set(b, b))
+    for read in ("universe", "certificate"):
+        del lifts[:]
+        cov = minimal_difference_cover(b)
+        assert cov.exact and len(lifts) == len(cov.cover) < len(b)
+        assert len(cov.certificate if read == "certificate" else cov.universe) == size
+        assert len(lifts) == len(cov.cover) + len(b) + size
 
 
 def test_lazy_cover_result_matches_an_eager_one():
