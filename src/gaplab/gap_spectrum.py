@@ -341,7 +341,9 @@ def _require_subset(a: CircularSet, b: CircularSet) -> None:
 
 def _distinct_gap_count(a: CircularSet) -> int:
     # A single point contributes just the closing arc, one gap value.
-    return 1 if len(a) == 1 else spectrum(a).size
+    if not len(a):
+        raise TooFewPointsError("a spectrum needs at least two points")
+    return 1 if len(a) == 1 else len(set(_gaps(*a._residues, a.wrap)))
 
 
 @dataclass(frozen=True)
@@ -408,36 +410,29 @@ def arc_counting_diagnostic(a: CircularSet, b: CircularSet, k: int) -> ArcCounti
     if len(a) < 3:
         raise TooFewPointsError("the pair-counting bound needs at least three points in A")
     _require_subset(a, b)
-    spec = spectrum(a)
-    witness: Dict[Fraction, int] = {}
-    for i, g in enumerate(spec.gaps):
-        if g not in witness:
-            witness[g] = i
+    witness: Dict[int, int] = {}
+    for i, g in enumerate(_gaps(*a._residues, a.wrap)):
+        witness.setdefault(g, i)
     j_a = tuple(sorted(witness.values()))
 
     (xs, ys), q = common_scale(a._residues, b._residues)
     sums = _ascending(torus_pairsums(xs, ys, q))
-    pos = {n: t for t, n in enumerate(sums)}
     total = len(sums)
     floor_size, oversized = divmod(total, k)
-
-    def arc_of(t: int) -> int:
-        head = oversized * (floor_size + 1)
-        if t < head:
-            return t // (floor_size + 1)
-        return oversized + (t - head) // floor_size if floor_size else t
+    sizes = [floor_size + 1] * oversized + [floor_size] * (k - oversized)
+    # the arc of each sum: sizes[j] consecutive sorted sums fall in arc j
+    arc_of = dict(zip(sums, [j for j, sz in enumerate(sizes) for _ in range(sz)]))
 
     m = len(xs)
     count = 0
     for i in j_a:
         u, v = xs[i], xs[(i + 1) % m]
         for y in ys:
-            if arc_of(pos[(u + y) % q]) == arc_of(pos[(v + y) % q]):
+            if arc_of[(u + y) % q] == arc_of[(v + y) % q]:
                 count += 1
 
-    sizes = [floor_size + 1] * oversized + [floor_size] * (k - oversized)
     upper = sum(sz * (sz - 1) // 2 for sz in sizes)
-    lower = len(b) * (spec.size - k)
+    lower = len(b) * (len(witness) - k)
     bounds: list = []
     t = 0
     for sz in sizes:
@@ -447,7 +442,7 @@ def arc_counting_diagnostic(a: CircularSet, b: CircularSet, k: int) -> ArcCounti
     sum_cap = Fraction(total * total, 2 * k)
     derived = k + Fraction(total * total, 2 * k * len(b))
     return ArcCountingReport(k, floor_size, oversized, tuple(bounds), j_a, count,
-                             lower, upper, sum_cap, derived, spec.size,
+                             lower, upper, sum_cap, derived, len(witness),
                              lower <= count <= upper)
 
 

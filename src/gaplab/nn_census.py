@@ -8,17 +8,17 @@ Python ints on object arrays beyond.  Fractions are lifted for reports
 only, so every decision is reproducible bit for bit; floats only appear in
 logged summary ratios.
 
-The census of a cloud is the set of difference vectors to a nearest
-neighbour, one deterministic choice per point: by all pairs ("brute", on
-residue rows at every scale) or by an exact circular sweep along one axis
-("grid"), both scoring residue columns through _sq_norms, the fold every
-kernel here shares.  _brute_rows_exact, an all-pairs loop on the Fraction
-points, is the oracle the tests check both against.  On top of the census
-sit: the orbit census of a multi-dimensional rotation, checks for
-configurations whose pairwise distances dominate their norms, depth counts
-of points in nearest-neighbour balls, a greedy extraction of a large
-sub-cloud with few census vectors, and the square-block example showing the
-extraction bound is close to tight.
+The census of a cloud is the set of difference vectors to a nearest neighbour,
+one deterministic choice per point: by all pairs ("brute", on residue rows at
+every scale) or by an exact circular sweep along one axis ("grid"), both
+scoring residue columns through _sq_norms, the fold every kernel here shares.
+Ball depths and core extraction read the kernel's integer rows (_census_rows);
+nn_census lifts them once, for reports.  _brute_rows_exact, an all-pairs loop
+on the Fraction points, is the oracle the tests check both against.  On top of
+the census sit: the orbit census of a rotation, checks for configurations
+whose pairwise distances dominate their norms, ball depths, a greedy
+extraction of a large sub-cloud with few census vectors, and the square-block
+example showing the extraction bound is close to tight.
 """
 
 from __future__ import annotations
@@ -32,9 +32,9 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact_torus import (TorusPoint, TorusVector, as_rational, common_scale,
-                          int_dtype, residue_over, residues, signed_residues,
-                          sorted_unique, torus_dist_sq)
+from .exact_torus import (TorusPoint, TorusVector, _coerce, as_rational,
+                          common_scale, int_dtype, residue_over, residues,
+                          signed_residues, sorted_unique, torus_dist_sq)
 from .gap_spectrum import CollisionError, TooFewPointsError
 
 INT_GRID_LIMIT = 1 << 30
@@ -84,7 +84,7 @@ class PointCloud:
     def from_values(cls, rows: Iterable[Sequence]) -> "PointCloud":
         vals = []
         for row in rows:
-            coords = [c.value if isinstance(c, TorusPoint) else as_rational(c) for c in row]
+            coords = [_coerce(c) for c in row]
             if not coords:
                 raise ValueError("torus vectors need at least one coordinate")
             vals.append(coords)
@@ -280,13 +280,9 @@ def _grid_rows(rows: List[Tuple[int, ...]], scale: int) -> List[Tuple[int, tuple
                     best_j[back].tolist()))
 
 
-def nn_census(cloud: PointCloud, method: str = "auto") -> CensusReport:
-    """Nearest neighbour of every point; ties pick the smallest signed vector.
-
-    The census is the sorted set of chosen difference vectors.  Methods:
-    brute (all pairs), grid (exact circular sweep), auto (grid for large
-    integer-scalable clouds, brute otherwise).  All methods agree exactly.
-    """
+def _census_rows(cloud: PointCloud, method: str) -> Tuple[str, List[Tuple[int, tuple, int]]]:
+    """(method, rows): the method that ran, and per point of the cloud its
+    (nsq, signed vector, neighbour index) over the cloud's scale."""
     n = len(cloud)
     if n < 2:
         raise TooFewPointsError("a census needs at least two points")
@@ -298,11 +294,21 @@ def nn_census(cloud: PointCloud, method: str = "auto") -> CensusReport:
         raise InvalidConfigurationError(
             "grid method needs a common denominator within the integer limit")
     if method == "grid":
-        raw = _grid_rows(rows, scale)
-    elif method == "brute":
-        raw = _brute_rows_numpy(rows, scale)
-    else:
-        raise InvalidConfigurationError(f"unknown method {method!r}")
+        return method, _grid_rows(rows, scale)
+    if method == "brute":
+        return method, _brute_rows_numpy(rows, scale)
+    raise InvalidConfigurationError(f"unknown method {method!r}")
+
+
+def nn_census(cloud: PointCloud, method: str = "auto") -> CensusReport:
+    """Nearest neighbour of every point; ties pick the smallest signed vector.
+
+    The census is the sorted set of chosen difference vectors.  Methods:
+    brute (all pairs), grid (exact circular sweep), auto (grid for large
+    integer-scalable clouds, brute otherwise).  All methods agree exactly.
+    """
+    method, raw = _census_rows(cloud, method)
+    scale = cloud._rows[1]
     # one Fraction per distinct value
     vecs = {r[1] for r in raw}
     coord = {x: Fraction(x, scale) for x in set(itertools.chain(*vecs))}
@@ -543,13 +549,13 @@ class BallDepthReport:
 
 def max_ball_depth(a: PointCloud, b: PointCloud) -> BallDepthReport:
     """Max depth over z in A+B (the first deepest z), and max_depth*(3/4)^d."""
-    rep = nn_census(a)
+    _, raw = _census_rows(a, "auto")
     zs = cloud_sumset(a, b)
     (aa, za), scale = _common_rows(a, zs)
     d = a.dim
     dtype = int_dtype(_norm_bound(d, scale))
     aa, za = aa.astype(dtype), za.astype(dtype)
-    radii = np.array([math.floor(r.dist_sq * scale ** 2) for r in rep.records], dtype)
+    radii = np.array([m * (scale // a._rows[1]) ** 2 for m, _, _ in raw], dtype)
     nsq = _sq_norms((z[:, None] - x[None, :] for z, x in zip(za.T, aa.T)), scale)
     depth = (nsq <= radii).sum(axis=1)
     deepest = int(np.argmax(depth))
@@ -612,7 +618,7 @@ def extract_core(a: PointCloud, b: PointCloud, epsilon,
     kap = as_rational(kappa)
     if a.dim != b.dim:
         raise InvalidConfigurationError("dimension mismatch")
-    rep = nn_census(a)
+    _, raw = _census_rows(a, "auto")
     sums, sum_scale = _pair_sum_rows(a, b)
     s_cloud = PointCloud._from_rows(set(sums), sum_scale)
     s_points = s_cloud.points
@@ -626,9 +632,10 @@ def extract_core(a: PointCloud, b: PointCloud, epsilon,
     index = {r: c for c, r in enumerate(rows)}
     g = sum_scale // scale
     center = np.array([index[tuple(x // g for x in r)] for r in sums]).reshape(len(a), -1)
-    # ball counts of every (a, b) pair; a count is an integer, so it exceeds
+    # ball counts of every (a, b) pair, with exact radii: a_j - a_i = (a_j + b) -
+    # (a_i + b) is a multiple of 1/scale; a count is an integer, so it exceeds
     # the threshold exactly when it exceeds its floor
-    radii = [math.floor(rec.dist_sq * scale * scale) for rec in rep.records]
+    radii = [m * scale * scale // a._rows[1] ** 2 for m, _, _ in raw]
     counts = np.array([[np.searchsorted(dist_rows[c], r, side="right") for c in row]
                        for row, r in zip(center.tolist(), radii)])
     over = counts > math.floor(threshold)
@@ -653,7 +660,7 @@ def extract_core(a: PointCloud, b: PointCloud, epsilon,
         thetas.append(Fraction(len(a) - r_sizes[-1], len(a)))
     kept = np.flatnonzero(covered).tolist()
     core = PointCloud._from_rows([a._rows[0][i] for i in kept], a._rows[1])
-    core_census = {rep.records[i].diff for i in kept}
+    core_census = {raw[i][1] for i in kept}
     rounds = len(r_sizes)
     size_ok = len(core) >= (1 - eps) * len(a)
     census_ok = len(core_census) <= rounds * l
@@ -698,7 +705,7 @@ def tightness_example(m: int) -> TightnessReport:
     scale = 4 * m * m
     ints = sorted({i * i for i in range(1, m + 1)}
                   | set(range(m * m + 1, 2 * m * m - m + 1)))
-    cloud = PointCloud.from_values([(Fraction(v, scale),) for v in ints])
+    cloud = PointCloud._from_rows([(v,) for v in ints], scale)
     rep = nn_census(cloud)
     double = cloud_sumset(cloud, cloud)
     eps = Fraction(1, 2 * m)

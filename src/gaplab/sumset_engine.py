@@ -1,15 +1,15 @@
 """Exact finite sumsets over Z, Q and R/Z, plus a minimum difference cover solver.
 
-Sums and differences are computed exactly.  A FiniteExactSet keeps (ints,
-scale): distinct integers over one common denominator, residues mod the
-scale on the torus.  Sums run on those integers: a dense bitmap convolution
-when the output span is small enough to afford one, a chunked outer-sum
-otherwise (both return sorted int64 arrays), and a hashing fallback for
-values too large for int64, whose Python set stays unsorted until someone
-needs the order.  A set lifts its elements in the input domain (ints,
-Fractions, or canonical torus points) only when ``elements`` is first read,
-so a sum that nobody prints is never lifted, and the CLI's
-``timings.sumset_s`` no longer includes any lifting.
+Sums and differences are computed exactly.  A FiniteExactSet clears its
+input values once, straight to (ints, scale): distinct integers over one
+common denominator, residues mod the scale on the torus, with no set of
+Fractions or torus points built on the way.  Sums run on those integers: a
+dense bitmap convolution when the output span is small enough to afford
+one, a chunked outer-sum otherwise (both return sorted int64 arrays), and a
+hashing fallback for values too large for int64, whose Python set stays
+unsorted until someone needs the order.  A set lifts its elements in the
+input domain (ints, Fractions, or canonical torus points) only when
+``elements`` is first read, so a sum that nobody prints is never lifted.
 
 The minimum difference cover also runs on the set's ints: B - B is one
 sorted int64 array (object past int64) of the |B| x |B| differences, each
@@ -33,8 +33,8 @@ from typing import Dict, Iterable
 
 import numpy as np
 
-from .exact_torus import (INT64_MAX, TorusPoint, as_rational, common_scale,
-                          int_dtype, reduce_mod1, residues, sorted_unique)
+from .exact_torus import (INT64_MAX, TorusPoint, _coerce, as_rational,
+                          common_scale, int_dtype, residues, sorted_unique)
 
 # Dense path budgets: output bitmap at most 2^26 bits (8 MB), the shifted
 # segment table at most 64 * 2^22 bits (32 MB), overflow-free int64 sums.
@@ -87,11 +87,10 @@ class FiniteExactSet:
                     raise TypeError(f"integer domain got {x!r}")
                 ints.add(x)
             scale = 1
-        elif dom is Domain.RATIONALS:
-            ints, scale = residues({as_rational(x) for x in elements})
         else:
-            ints, scale = residues({x if isinstance(x, TorusPoint) else reduce_mod1(x)
-                                    for x in elements})
+            torus = dom is Domain.TORUS
+            ints, scale = residues([(_coerce if torus else as_rational)(x) for x in elements])
+            ints = {n % scale for n in ints} if torus else set(ints)
         self.__dict__.update(_ints=ints, _scale=scale, domain=dom)
 
     @classmethod

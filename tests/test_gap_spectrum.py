@@ -10,17 +10,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gaplab import gap_spectrum
-from gaplab.exact_torus import DuplicatePointError, TorusPoint, as_rational, point
-from gaplab.gap_spectrum import (APUnionSpec, CircularSet, CollisionError,
-                                 InsufficientDenominatorError,
+from gaplab.exact_torus import (DuplicatePointError, TorusPoint, as_rational,
+                                common_scale, point)
+from gaplab.gap_spectrum import (APUnionSpec, ArcCountingReport, CircularSet,
+                                 CollisionError, InsufficientDenominatorError,
                                  SubsetViolationError, ThreeGapReport,
-                                 TooFewPointsError, Wrap, _gaps,
+                                 TooFewPointsError, Wrap, _gaps, _require_subset,
                                  _orbit_residues, ap_union_gap_check, ap_union_points,
                                  arc_counting_diagnostic, fractional_orbit,
                                  gap_bound_check, greedy_max_distinct,
                                  orbit_three_gap_check, sidon_subset, spectrum,
                                  sumset_size, three_gap_check)
-from gaplab.sumset_engine import FiniteExactSet, sumset
+from gaplab.sumset_engine import FiniteExactSet, _ascending, sumset, torus_pairsums
 
 
 def test_orbit_of_five_eighths():
@@ -501,3 +502,91 @@ def test_three_gap_check_builds_no_traced_orbit(monkeypatch):
     monkeypatch.setattr(gap_spectrum, "fractional_orbit", no_orbit)
     rep = three_gap_check(Fraction(5, 8), 4)
     assert rep == parent_three_gap_check(Fraction(5, 8), 4) and rep.passed
+
+
+# ---------------------------------------------------------------------------
+# Gap diagnostics on int gaps.  The parent's versions, which read the gaps
+# through spectrum's Fractions, are kept verbatim as the reference.
+
+def parent_distinct_gap_count(a):
+    # A single point contributes just the closing arc, one gap value.
+    return 1 if len(a) == 1 else spectrum(a).size
+
+
+def parent_arc_counting_diagnostic(a, b, k):
+    if k < 1:
+        raise ValueError("k must be positive")
+    if len(a) < 3:
+        raise TooFewPointsError("the pair-counting bound needs at least three points in A")
+    _require_subset(a, b)
+    spec = spectrum(a)
+    witness = {}
+    for i, g in enumerate(spec.gaps):
+        if g not in witness:
+            witness[g] = i
+    j_a = tuple(sorted(witness.values()))
+
+    (xs, ys), q = common_scale(a._residues, b._residues)
+    sums = _ascending(torus_pairsums(xs, ys, q))
+    pos = {n: t for t, n in enumerate(sums)}
+    total = len(sums)
+    floor_size, oversized = divmod(total, k)
+
+    def arc_of(t):
+        head = oversized * (floor_size + 1)
+        if t < head:
+            return t // (floor_size + 1)
+        return oversized + (t - head) // floor_size if floor_size else t
+
+    m = len(xs)
+    count = 0
+    for i in j_a:
+        u, v = xs[i], xs[(i + 1) % m]
+        for y in ys:
+            if arc_of(pos[(u + y) % q]) == arc_of(pos[(v + y) % q]):
+                count += 1
+
+    sizes = [floor_size + 1] * oversized + [floor_size] * (k - oversized)
+    upper = sum(sz * (sz - 1) // 2 for sz in sizes)
+    lower = len(b) * (spec.size - k)
+    bounds = []
+    t = 0
+    for sz in sizes:
+        bounds.append((TorusPoint._from_residue(sums[t], q),
+                       TorusPoint._from_residue(sums[t + sz - 1], q)) if sz else None)
+        t += sz
+    sum_cap = Fraction(total * total, 2 * k)
+    derived = k + Fraction(total * total, 2 * k * len(b))
+    return ArcCountingReport(k, floor_size, oversized, tuple(bounds), j_a, count,
+                             lower, upper, sum_cap, derived, spec.size,
+                             lower <= count <= upper)
+
+
+def _same_outcome(got, want, *args):
+    """got(*args) returns what want(*args) returns, or raises the same error."""
+    try:
+        expected = want(*args)
+    except (ValueError, TooFewPointsError) as exc:
+        with pytest.raises(type(exc)) as err:
+            got(*args)
+        assert str(err.value) == str(exc)
+        return
+    assert got(*args) == expected
+
+
+@given(denominators, st.sampled_from(list(Wrap)), st.data())
+@settings(deadline=None, max_examples=120)
+def test_gap_diagnostics_match_the_parent(q, wrap, data):
+    ints = data.draw(st.sets(st.integers(0, q - 1), min_size=1, max_size=24))
+    b = CircularSet.from_values([Fraction(r, q) for r in ints],
+                                wrap=data.draw(st.sampled_from(list(Wrap))))
+    # A lies in B, or misses one point of it; its scale may be smaller than B's
+    picked = data.draw(st.lists(st.sampled_from(sorted(ints)), unique=True, max_size=len(ints)))
+    if data.draw(st.booleans()):
+        picked.append(data.draw(st.integers(0, q - 1)))
+    a = CircularSet.from_values({Fraction(r, q) for r in picked}, wrap=wrap)
+    _same_outcome(gap_spectrum._distinct_gap_count, parent_distinct_gap_count, a)
+    total = sumset_size(a, b) if len(a) else 0
+    for k in sorted({1, 2, total, total + 1, data.draw(st.integers(1, 2 * total + 3))}):
+        if k >= 1:
+            _same_outcome(arc_counting_diagnostic, parent_arc_counting_diagnostic, a, b, k)

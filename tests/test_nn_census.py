@@ -572,6 +572,14 @@ def test_ball_depth_and_core_match_fraction_reference():
     b = PointCloud.from_values([(Fraction(1, 7), Fraction(0)), (Fraction(1, 3), Fraction(1, 2))])
     assert (max_ball_depth(a, b).max_depth, max_ball_depth(a, b).deepest) == _depth_reference(a, b)
     _check_core(a, b, Fraction(1, 3), Fraction(1, 2))
+    # A's scale is 10 and its sumset's is 5, no multiple of it; one (a, b)
+    # ball count exceeds the threshold only at the exact radius
+    a = PointCloud.from_values([(Fraction(1, 10),), (Fraction(1, 2),), (Fraction(7, 10),)])
+    b = PointCloud.from_values([(Fraction(1, 2),)])
+    assert (a.common_scale(), cloud_sumset(a, b).common_scale()) == (10, 5)
+    assert (max_ball_depth(a, b).max_depth, max_ball_depth(a, b).deepest) == _depth_reference(a, b)
+    assert _check_core(a, b, Fraction(1, 2), Fraction(1, 2))
+    assert extract_core(a, b, Fraction(1, 2), Fraction(1, 2)).upsilon_max == 1
 
 
 def test_stalling_kappa_message_matches_reference():

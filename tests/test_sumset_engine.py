@@ -8,11 +8,11 @@ from typing import Dict
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaplab import sumset_engine as se
-from gaplab.exact_torus import TorusPoint
+from gaplab.exact_torus import TorusPoint, as_rational, reduce_mod1, residues
 from gaplab.sumset_engine import (Domain, DomainMismatchError, FiniteExactSet,
                                   difference_set, doubling_ratio,
                                   minimal_difference_cover, negate, sumset)
@@ -690,3 +690,58 @@ def test_lazy_cover_result_matches_an_eager_one():
     assert not hasattr(lazy(), "witnesses")
     with pytest.raises(dataclasses.FrozenInstanceError):
         lazy().universe = ()
+
+
+# ---------------------------------------------------------------------------
+# One clearing branch.  The parent's rationals and torus branches, which built
+# a set of Fractions or of TorusPoints before clearing it, are kept verbatim
+# as the reference.
+
+def _parent_clearing(elements, dom):
+    if dom is Domain.RATIONALS:
+        ints, scale = residues({as_rational(x) for x in elements})
+    else:
+        ints, scale = residues({x if isinstance(x, TorusPoint) else reduce_mod1(x)
+                                for x in elements})
+    return ints, scale
+
+
+@st.composite
+def _clearing_inputs(draw):
+    domain = draw(st.sampled_from([Domain.RATIONALS, Domain.TORUS]))
+    fracs = draw(st.lists(st.builds(Fraction, _numerators, _denominators), max_size=8))
+    # shifted copies are equal mod 1, unshifted ones are repeats
+    fracs += [f + draw(st.integers(-3, 3))
+              for f in draw(st.lists(st.sampled_from(fracs), max_size=4))] if fracs else []
+    forms = [lambda f: f, str, lambda f: f.numerator if f.denominator == 1 else f]
+    if domain is Domain.TORUS:
+        forms.append(lambda f: TorusPoint(f % 1))
+    values = [draw(st.sampled_from(forms))(f) for f in fracs]
+    values += draw(st.lists(st.sampled_from(["0.625", "-1.25", "3", "7/2", "-0"]), max_size=3))
+    return domain, draw(st.permutations(values))
+
+
+@given(_clearing_inputs())
+@example((Domain.RATIONALS, []))
+@example((Domain.TORUS, []))
+@settings(deadline=None, max_examples=300)
+def test_clearing_matches_the_parent(case):
+    domain, values = case
+    ints, scale = _parent_clearing(values, domain)
+    got = FiniteExactSet(values, domain)
+    assert set(got._ints) == set(ints) and len(got._ints) == len(ints)
+    assert got._scale == scale
+    assert got.elements == se._lift(sorted(ints), scale, domain)
+
+
+@pytest.mark.parametrize("domain, values", [
+    (Domain.RATIONALS, [Fraction(1, 2), 0.5]), (Domain.TORUS, [Fraction(1, 2), 0.5]),
+    (Domain.RATIONALS, [True]), (Domain.TORUS, [3, False]),
+    (Domain.RATIONALS, [Fraction(1, 3), TorusPoint(Fraction(1, 2))]),
+])
+def test_clearing_rejects_what_the_parent_rejected(domain, values):
+    with pytest.raises(TypeError) as want:
+        _parent_clearing(values, domain)
+    with pytest.raises(TypeError) as got:
+        FiniteExactSet(values, domain)
+    assert str(got.value) == str(want.value)

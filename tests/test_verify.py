@@ -51,3 +51,21 @@ def test_census_clouds_match_the_fraction_construction():
         got, want = verify._census_cloud(0, t), _fraction_cloud(0, t)
         assert got._rows == want._rows
         assert got.points == want.points
+
+
+def test_census_cross_check_reports_a_changed_row(monkeypatch):
+    nn = importlib.import_module("gaplab.nn_census")
+    real, calls = nn._grid_rows, []
+
+    def one_row_off(rows, scale):
+        out = real(rows, scale)
+        calls.append(len(rows))
+        if len(calls) == 2:  # the second cloud's first row gets a farther neighbour
+            nsq, vec, j = out[0]
+            out[0] = (nsq + 1, vec, j)
+        return out
+
+    monkeypatch.setattr(nn, "_grid_rows", one_row_off)
+    result = verify.check_sumset_performance(clouds=3)
+    assert len(calls) == 3
+    assert result.details["mismatches"] == 1 and not result.passed
