@@ -570,7 +570,8 @@ class CoreExtractionTrace:
     threshold is the ball-count cutoff, l = 1 + floor(threshold); rounds
     accumulate centers until the uncovered fraction theta drops below
     epsilon; the core's census (neighbours measured in the full cloud) is
-    certified at most rounds * l.
+    certified at most rounds * l.  passed is the trace's one verdict: core
+    size, core census and ball depth (upsilon_ok) must all hold.
     """
 
     epsilon: Fraction
@@ -598,7 +599,7 @@ class CoreExtractionTrace:
 
     @property
     def passed(self) -> bool:
-        return self.size_ok and self.census_ok
+        return self.size_ok and self.census_ok and self.upsilon_ok
 
 
 def extract_core(a: PointCloud, b: PointCloud, epsilon,
@@ -706,11 +707,11 @@ def tightness_example(m: int) -> TightnessReport:
     ints = sorted({i * i for i in range(1, m + 1)}
                   | set(range(m * m + 1, 2 * m * m - m + 1)))
     cloud = PointCloud._from_rows([(v,) for v in ints], scale)
-    rep = nn_census(cloud)
+    census = {v for _, v, _ in _census_rows(cloud, "auto")[1]}
     double = cloud_sumset(cloud, cloud)
     eps = Fraction(1, 2 * m)
     floor = m - eps * m * m
     ratio = Fraction(len(double) ** 2, len(cloud) ** 2)
     upper = (4.0 / 3.0) * float(ratio) * 2 * m * math.log(2 * m)
     return TightnessReport(m, cloud, len(cloud), len(double), 4 * m * m,
-                           rep.census_size, eps, floor, upper)
+                           len(census), eps, floor, upper)

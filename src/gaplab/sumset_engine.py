@@ -226,10 +226,14 @@ def _pairsums_int(xs: list, ys: list):
     if int64_ok:
         n_pairs = len(xs) * len(ys)
         span_out = hi - lo + 1
-        seg_bits = min(xs[-1] - xs[0], ys[-1] - ys[0]) + 1
-        dense_ok = span_out <= DENSE_SPAN_LIMIT and seg_bits <= DENSE_SEG_LIMIT
+        # Of the dense (loop, segment) orders whose segment fits, run the one
+        # with fewer word ORs; on a tie, the narrower segment, then xs looping.
+        orders = ((xs, ys), (ys, xs))
+        costs = [(len(p) * (s[-1] - s[0] + 64), s[-1] - s[0], i)
+                 for i, (p, s) in enumerate(orders) if s[-1] - s[0] < DENSE_SEG_LIMIT]
+        dense_ok = costs and span_out <= DENSE_SPAN_LIMIT
         if dense_ok and (n_pairs >= span_out // 16 or n_pairs > OUTER_PAIR_LIMIT):
-            return _dense_pairsums(xs, ys, lo, span_out)
+            return _dense_pairsums(*orders[min(costs)[2]], lo, span_out)
         if n_pairs <= OUTER_PAIR_LIMIT:
             return _outer_pairsums(xs, ys)
     # Arbitrary-precision fallback; correct for any magnitudes.
@@ -246,10 +250,8 @@ def _outer_pairsums(xs: list, ys: list) -> np.ndarray:
 
 
 def _dense_pairsums(xs: list, ys: list, lo: int, span_out: int) -> np.ndarray:
-    # The smaller-span operand becomes the bitmap segment that gets OR-ed
-    # once per element of the other operand, at 64 precomputed bit shifts.
-    if xs[-1] - xs[0] < ys[-1] - ys[0]:
-        xs, ys = ys, xs
+    # ys is the bitmap segment, OR-ed once per element of xs at 64 precomputed
+    # bit shifts; _pairsums_int alone decides which operand plays which part.
     a_off = np.asarray(xs, dtype=np.int64) - xs[0]
     b_off = (np.asarray(ys, dtype=np.int64) - ys[0]).astype(np.uint64)
     words_b = (int(b_off[-1]) >> 6) + 1

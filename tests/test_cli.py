@@ -405,3 +405,58 @@ def test_parser_is_built_once_and_converters_resolve_per_call(tmp_path, monkeypa
         main(["gaps", "--alpha", "x/y", "--n", "4"])
     assert exc.value.code == 2
     assert cli.build_parser.cache_info().misses == 1
+
+
+def test_greedy_sum_with_the_orbit_loops_over_the_chosen_subset(tmp_path, monkeypatch):
+    import numpy as np
+
+    from gaplab import sumset_engine as se
+
+    class CountingNumpy:
+        """numpy, but asarray records the length of what it converts."""
+
+        def __init__(self):
+            self.lengths = []
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def asarray(self, a, *args, **kwargs):
+            self.lengths.append(len(a))
+            return np.asarray(a, *args, **kwargs)
+
+    loops = []
+    kernel = se._dense_pairsums
+
+    def spy(xs, ys, lo, span_out):
+        # the kernel converts its loop operand first, whichever it was given
+        se.np = counting = CountingNumpy()
+        try:
+            return kernel(xs, ys, lo, span_out)
+        finally:
+            se.np = np
+            loops.append(counting.lengths[0])
+
+    monkeypatch.setattr(se, "_dense_pairsums", spy)
+    rc, payload = run_json(tmp_path, ["greedy", "--alpha", "123457/999983", "--n", "20000"])
+    assert rc == 0
+    a_size = payload["metrics"]["a_size"]
+    assert a_size < 20000
+    # A + B ORs the orbit's bitmap once per chosen point; B + B comes next
+    assert loops == [a_size, 20000]
+
+
+def test_extract_core_exits_one_when_only_ball_depth_fails(tmp_path):
+    rc, payload = run_json(tmp_path, ["extract-core", "--m", "3", "--kappa", "1/10"])
+    verdicts = {v["name"]: v["passed"] for v in payload["verdicts"]}
+    assert verdicts == {"core-size": True, "core-census": True, "ball-depth": False}
+    assert rc == 1
+
+
+@pytest.mark.parametrize("line", list(README_FROZEN) + list(VARIANT_FROZEN))
+def test_exit_code_is_zero_exactly_when_every_verdict_passed(line, tmp_path):
+    import shlex
+
+    # a later --format json overrides the csv line's, so the verdicts parse
+    rc, payload = run_json(tmp_path, shlex.split(line) + ["--format", "json"])
+    assert rc == (0 if all(v["passed"] for v in payload["verdicts"]) else 1)

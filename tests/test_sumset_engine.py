@@ -8,7 +8,7 @@ from typing import Dict
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gaplab import sumset_engine as se
@@ -333,6 +333,108 @@ def test_torus_fold_on_both_sides_of_its_int64_guard(monkeypatch, q, expected_pa
                FiniteExactSet.torus([Fraction(n, q) for n in ys]))
     assert negate(s).elements == tuple(
         TorusPoint(Fraction(m, q)) for m in sorted({-m % q for m in brute}))
+
+
+# ---------------------------------------------------------------------------
+# Operand order of the dense kernel: _pairsums_int passes it (loop, segment),
+# and of the orders whose segment fits it runs the one with fewer word ORs.
+
+def _word_ors(loop, seg):
+    return len(loop) * (seg[-1] - seg[0] + 64)
+
+
+def _spy_dense(monkeypatch):
+    calls = []
+    kernel = se._dense_pairsums
+
+    def spy(xs, ys, lo, span_out):
+        calls.append((list(xs), list(ys)))
+        return kernel(xs, ys, lo, span_out)
+    monkeypatch.setattr(se, "_dense_pairsums", spy)
+    return calls
+
+
+def _pairsums_sorted(xs, ys):
+    got = se._pairsums_int(xs, ys)
+    if isinstance(got, np.ndarray):
+        got = got.tolist()
+        assert got == sorted(set(got))
+    return sorted(got)
+
+
+@st.composite
+def _unequal_operands(draw):
+    def operand():
+        width = draw(st.sampled_from([1, 7, 64, 300, 2000, 1 << 14, 1 << 41]))
+        lo = draw(st.integers(-(1 << 20), 1 << 20))
+        return sorted(lo + v for v in draw(st.sets(st.integers(0, width), min_size=1,
+                                                   max_size=120)))
+    xs, ys = operand(), operand()
+    assume(len(xs) != len(ys) and xs[-1] - xs[0] != ys[-1] - ys[0])
+    return xs, ys
+
+
+# a short operand against a long one, once wider and once a little narrower
+_SHORT_WIDE = [0, 900, 1999, 3000, 4095]
+_SHORT_NARROWER = [100, 150, 300, 390]
+_LONG_NARROW = list(range(100, 400, 2))
+
+
+@given(_unequal_operands())
+@example((_SHORT_WIDE, _LONG_NARROW))
+@example((_LONG_NARROW, _SHORT_WIDE))
+@example((_SHORT_NARROWER, _LONG_NARROW))
+@example((_LONG_NARROW, _SHORT_NARROWER))
+@settings(deadline=None, max_examples=300)
+def test_pairsums_in_either_operand_order_match_brute(operands):
+    xs, ys = operands
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _spy_dense(mp)
+        assert _pairsums_sorted(xs, ys) == brute_sum(xs, ys)
+    for loop, seg in calls:
+        # the kernel got both operands, and no fitting order costs fewer ORs
+        assert sorted((loop, seg)) == sorted((xs, ys))
+        if loop[-1] - loop[0] < se.DENSE_SEG_LIMIT:
+            assert _word_ors(loop, seg) <= _word_ors(seg, loop)
+
+
+@pytest.mark.parametrize("kind", ["wide", "narrower"])
+@pytest.mark.parametrize("first", ["short", "long"])
+def test_dense_kernel_loops_over_the_short_operand(monkeypatch, kind, first):
+    # 5 * (298 + 64) word ORs against 150 * (4095 + 64), and 4 * (298 + 64)
+    # against 150 * (290 + 64): the short operand loops even when it is the
+    # narrower one, which a rule by span alone would make the segment
+    short = _SHORT_WIDE if kind == "wide" else _SHORT_NARROWER
+    xs, ys = (short, _LONG_NARROW) if first == "short" else (_LONG_NARROW, short)
+    calls = _spy_dense(monkeypatch)
+    assert _pairsums_sorted(xs, ys) == brute_sum(xs, ys)
+    assert calls == [(short, _LONG_NARROW)]
+
+
+@pytest.mark.parametrize("first", ["narrow", "wide"])
+def test_dense_order_tie_keeps_the_narrower_segment(monkeypatch, first):
+    narrow, wide = [0, 18, 36], [0, 20, 50, 77, 100, 136]
+    # 3 * (136 + 64) == 6 * (36 + 64) word ORs either way
+    assert _word_ors(narrow, wide) == _word_ors(wide, narrow)
+    xs, ys = (narrow, wide) if first == "narrow" else (wide, narrow)
+    calls = _spy_dense(monkeypatch)
+    assert _pairsums_sorted(xs, ys) == brute_sum(xs, ys)
+    assert calls == [(wide, narrow)]
+
+
+@pytest.mark.parametrize("delta", [0, 1])
+def test_dense_segment_must_fit_even_when_it_is_cheaper(monkeypatch, delta):
+    # |Y| = 200 over span 2^20 and |X| = 3000 whose span is DENSE_SEG_LIMIT - 1
+    # + delta: X as the segment costs fewer word ORs, but only fits at delta 0
+    rng = random.Random(delta)
+    far = se.DENSE_SEG_LIMIT - 1 + delta
+    xs = sorted({0, far} | set(rng.sample(range(1, far), 2998)))
+    ys = sorted({0, 1 << 20} | set(rng.sample(range(1, 1 << 20), 198)))
+    assert _word_ors(ys, xs) < _word_ors(xs, ys)
+    calls = _spy_dense(monkeypatch)
+    want = np.unique(np.add.outer(np.array(xs), np.array(ys))).tolist()
+    assert _pairsums_sorted(xs, ys) == want
+    assert calls == [(ys, xs) if delta == 0 else (xs, ys)]
 
 
 def test_sorted_unique_matches_numpy_unique():
