@@ -2,9 +2,10 @@
 
 Every subcommand prints one deterministic JSON (or CSV) document: config
 echo, named pass/fail verdicts with their certificates, metrics, and a
-timings subobject that identity comparisons exclude.  Exit status 0 means
-all verdicts passed, 1 means some inequality verdict failed (the report
-carries the counterexample), 2 means the input was invalid.
+timings subobject that identity comparisons exclude.  A handler returns only
+that document's body; main reads the exit status off its verdicts alone:
+0 when every verdict passed, 1 when some verdict failed (the report carries
+the counterexample), 2 when the input was invalid.
 
 Rationals cross the boundary as "p/q" strings; exact decimal literals are
 accepted and converted exactly (0.625 -> 5/8).
@@ -40,7 +41,7 @@ from .nn_census import (PointCloud, extract_core, kissing_check,
                         kronecker_census, max_ball_depth, nn_census,
                         tightness_example)
 from .reports import SCHEMA_VERSION, canonical_json, to_csv, to_jsonable
-from .sumset_engine import (Domain, FiniteExactSet, difference_set,
+from .sumset_engine import (EXACT_LIMIT, Domain, FiniteExactSet, difference_set,
                             minimal_difference_cover, sumset)
 from .verify import CHECKS, run_checks
 
@@ -67,7 +68,7 @@ _N = _arg("--n", type=int, required=True)
 _ORBIT = (_ALPHA, _N)
 _SET_SOURCE = (_arg("--points", type="_vector_list", help="semicolon-separated torus points"),
                _arg("--alpha", type="_rational"), _arg("--n", type=int))
-_EXACT_LIMIT = _arg("--exact-limit", type=int, default=24)
+_EXACT_LIMIT = _arg("--exact-limit", type=int, default=EXACT_LIMIT)
 _REPORT_OPTIONS = (
     _arg("--format", choices=("json", "csv"), default="json"),
     _arg("--output", help=f"write the report here (relative paths land in ${OUTPUT_DIR_VAR})"))
@@ -139,15 +140,15 @@ def _points_or_orbit(args: argparse.Namespace) -> CircularSet:
     return fractional_orbit(args.alpha, args.n)
 
 
-def _three_gap(rep, report: Any, **metrics: Any) -> Tuple[Dict[str, Any], bool]:
+def _three_gap(rep, report: Any, **metrics: Any) -> Dict[str, Any]:
     verdicts = [_verdict("three-gap", rep.passed, distinct_gaps=rep.distinct_gaps,
                          reference_distances=rep.reference_distances)]
     metrics["distinct_gap_count"] = len(rep.distinct_gaps)
-    return {"verdicts": verdicts, "metrics": metrics, "report": report}, rep.passed
+    return {"verdicts": verdicts, "metrics": metrics, "report": report}
 
 
 @_command("orbit", "fractional-part orbit of alpha with its gaps", *_ORBIT)
-def _cmd_orbit(args) -> Tuple[Dict[str, Any], bool]:
+def _cmd_orbit(args) -> Dict[str, Any]:
     b = fractional_orbit(args.alpha, args.n)
     rep = orbit_three_gap_check(args.alpha, b)
     report = {"points": b, "multiplicities": spectrum(b).multiplicity if len(b) > 1 else {}}
@@ -155,7 +156,7 @@ def _cmd_orbit(args) -> Tuple[Dict[str, Any], bool]:
 
 
 @_command("gaps", "distinct gaps of the orbit against reference distances", *_ORBIT)
-def _cmd_gaps(args) -> Tuple[Dict[str, Any], bool]:
+def _cmd_gaps(args) -> Dict[str, Any]:
     rep = three_gap_check(args.alpha, args.n)
     return _three_gap(rep, rep)
 
@@ -165,7 +166,7 @@ def _cmd_gaps(args) -> Tuple[Dict[str, Any], bool]:
                help="comma-separated starting offsets"),
           _arg("--lengths", type="_int_list", required=True,
                help="comma-separated progression lengths"))
-def _cmd_ap_union(args) -> Tuple[Dict[str, Any], bool]:
+def _cmd_ap_union(args) -> Dict[str, Any]:
     if len(args.betas) != len(args.lengths):
         raise ValueError("--betas and --lengths must have equal length")
     rep = ap_union_gap_check(APUnionSpec(args.alpha, tuple(zip(args.betas, args.lengths))))
@@ -173,11 +174,11 @@ def _cmd_ap_union(args) -> Tuple[Dict[str, Any], bool]:
                          distinct_gaps=rep.distinct_gaps)]
     metrics = {"k": rep.k, "total_points": rep.total_points,
                "distinct_gap_count": len(rep.distinct_gaps)}
-    return {"verdicts": verdicts, "metrics": metrics, "report": rep}, rep.passed
+    return {"verdicts": verdicts, "metrics": metrics, "report": rep}
 
 
 @_command("greedy", "greedy distinct-gap subset of an orbit", *_ORBIT)
-def _cmd_greedy(args) -> Tuple[Dict[str, Any], bool]:
+def _cmd_greedy(args) -> Dict[str, Any]:
     b = fractional_orbit(args.alpha, args.n)
     a = greedy_max_distinct(b)
     bound = gap_bound_check(a, b)
@@ -195,8 +196,7 @@ def _cmd_greedy(args) -> Tuple[Dict[str, Any], bool]:
     ]
     metrics = {"b_size": n, "a_size": len(a), "distinct_gaps": distinct}
     report = {"chosen": a, "bound": bound}
-    passed = achieved and bound.passed and doubling_ok
-    return {"verdicts": verdicts, "metrics": metrics, "report": report}, passed
+    return {"verdicts": verdicts, "metrics": metrics, "report": report}
 
 
 @_command("sumset", "exact sumset of two finite sets",
@@ -204,7 +204,7 @@ def _cmd_greedy(args) -> Tuple[Dict[str, Any], bool]:
           _arg("--b", type="_rational_list"),
           _arg("--domain", choices=tuple(d.value for d in Domain), default="torus"),
           _arg("--print-limit", type=int, default=10000))
-def _cmd_sumset(args) -> Tuple[Dict[str, Any], bool]:
+def _cmd_sumset(args) -> Dict[str, Any]:
     if args.print_limit < 0:
         raise ValueError(f"--print-limit must be at least 0, got {args.print_limit}")
     dom = Domain(args.domain)
@@ -228,11 +228,11 @@ def _cmd_sumset(args) -> Tuple[Dict[str, Any], bool]:
     report = {"elements": s.elements if len(s) <= args.print_limit else (),
               "truncated": len(s) > args.print_limit}
     return {"verdicts": [], "metrics": metrics, "report": report,
-            "timings_extra": {"sumset_s": elapsed}}, True
+            "timings_extra": {"sumset_s": elapsed}}
 
 
 @_command("cover", "minimum difference cover of a torus set", *_SET_SOURCE, _EXACT_LIMIT)
-def _cmd_cover(args) -> Tuple[Dict[str, Any], bool]:
+def _cmd_cover(args) -> Dict[str, Any]:
     b = _points_or_orbit(args).to_exact_set()
     cov = minimal_difference_cover(b, exact_limit=args.exact_limit)
     # C - B = B - B on residues, independent of the cover routine's universe,
@@ -245,14 +245,14 @@ def _cmd_cover(args) -> Tuple[Dict[str, Any], bool]:
                "universe_size": len(universe), "nodes": cov.nodes,
                "budget_exhausted": cov.budget_exhausted}
     report = {"cover": cov.cover, "exact": cov.exact}
-    return {"verdicts": verdicts, "metrics": metrics, "report": report}, valid
+    return {"verdicts": verdicts, "metrics": metrics, "report": report}
 
 
 @_command("generators", "decompose every difference over both gap families", *_SET_SOURCE,
           _arg("--cover", type="_vector_list",
                help="explicit C; defaults to the minimum difference cover"),
           _EXACT_LIMIT)
-def _cmd_generators(args) -> Tuple[Dict[str, Any], bool]:
+def _cmd_generators(args) -> Dict[str, Any]:
     b = _points_or_orbit(args)
     if args.cover is not None:
         c = CircularSet.from_values(_circle_values(args.cover, "--cover"))
@@ -265,11 +265,11 @@ def _cmd_generators(args) -> Tuple[Dict[str, Any], bool]:
                          spans_agree=rep.spans_agree, mismatches=rep.mismatches)]
     metrics = {"b_size": rep.b_size, "c_size": rep.c_size,
                "r_minus_size": len(rep.r_minus), "r_plus_size": len(rep.r_plus)}
-    return {"verdicts": verdicts, "metrics": metrics, "report": rep}, rep.passed
+    return {"verdicts": verdicts, "metrics": metrics, "report": rep}
 
 
 @_command("behrend", "digit-sphere progression-free set in [1, n]", _N)
-def _cmd_behrend(args) -> Tuple[Dict[str, Any], bool]:
+def _cmd_behrend(args) -> Dict[str, Any]:
     rep = behrend_set(args.n)
     greedy = greedy_ap_free(args.n)
     ok = ap_free_check(rep.points)
@@ -277,14 +277,14 @@ def _cmd_behrend(args) -> Tuple[Dict[str, Any], bool]:
     metrics = {"digit_sphere_size": rep.size, "greedy_size": len(greedy),
                "base": rep.base, "digit_count": rep.digit_count,
                "radius_sq": rep.radius_sq}
-    return {"verdicts": verdicts, "metrics": metrics, "report": rep}, ok
+    return {"verdicts": verdicts, "metrics": metrics, "report": rep}
 
 
 @_command("forced-cover", "set whose covers must contain a mirrored block", _N,
           _arg("--s", type="_int_list",
                help="progression-free seed; defaults to the exact maximizer"),
           _EXACT_LIMIT)
-def _cmd_forced_cover(args) -> Tuple[Dict[str, Any], bool]:
+def _cmd_forced_cover(args) -> Dict[str, Any]:
     seed = args.s if args.s is not None else exact_ap_free(args.n)
     rep = build_cover_forcing_set(args.n, seed, exact_limit=args.exact_limit)
     verdicts = [
@@ -298,13 +298,13 @@ def _cmd_forced_cover(args) -> Tuple[Dict[str, Any], bool]:
     ]
     metrics = {"n": rep.n, "x": rep.x, "cover_size": len(rep.cover),
                "cover_exact": rep.cover_exact}
-    return {"verdicts": verdicts, "metrics": metrics, "report": rep}, rep.passed
+    return {"verdicts": verdicts, "metrics": metrics, "report": rep}
 
 
 @_command("lattice", "multi-frequency orbit with corner-set cover",
           _arg("--alphas", type="_rational_list", required=True),
           _arg("--box", type="_int_list", required=True))
-def _cmd_lattice(args) -> Tuple[Dict[str, Any], bool]:
+def _cmd_lattice(args) -> Dict[str, Any]:
     rep = lattice_projection(args.alphas, args.box)
     verdicts = [
         _verdict("corner-cover", rep.cover_equal, corners=rep.corners,
@@ -313,7 +313,7 @@ def _cmd_lattice(args) -> Tuple[Dict[str, Any], bool]:
                  sumset_size=rep.sumset_size, bound=rep.doubling_bound),
     ]
     metrics = {"size": len(rep.points), "sumset_size": rep.sumset_size}
-    return {"verdicts": verdicts, "metrics": metrics, "report": rep}, rep.passed
+    return {"verdicts": verdicts, "metrics": metrics, "report": rep}
 
 
 @_command("nn-census", "nearest-neighbour census of a torus cloud",
@@ -321,36 +321,36 @@ def _cmd_lattice(args) -> Tuple[Dict[str, Any], bool]:
           _arg("--method", choices=("auto", "brute", "grid"), default="auto"),
           _arg("--cells", type=int, help="kept for compatibility: must be at least 1 and "
                "sizes nothing, since the grid method is a sweep without cells"))
-def _cmd_nn_census(args) -> Tuple[Dict[str, Any], bool]:
+def _cmd_nn_census(args) -> Dict[str, Any]:
     cloud = PointCloud.from_values(args.points)
     if args.cells is not None and args.cells < 1:
         raise ValueError(f"cells must be at least 1, got {args.cells}")
     rep = nn_census(cloud, method=args.method)
     metrics = {"size": len(cloud.points), "dim": rep.dim,
                "census_size": rep.census_size, "method": rep.method}
-    return {"verdicts": [], "metrics": metrics, "report": rep}, True
+    return {"verdicts": [], "metrics": metrics, "report": rep}
 
 
 @_command("kronecker", "census of a Kronecker orbit on the d-torus",
           _arg("--alphas", type="_rational_list", required=True), _N)
-def _cmd_kronecker(args) -> Tuple[Dict[str, Any], bool]:
+def _cmd_kronecker(args) -> Dict[str, Any]:
     rep = kronecker_census(args.alphas, args.n)
     verdicts = [_verdict("census-contained", rep.contained,
                          census_size=rep.census_size, bound=rep.bound, ell=rep.ell)]
     metrics = {"n": rep.n, "dim": len(rep.alphas), "census_size": rep.census_size,
                "ell": rep.ell, "ratio": rep.ratio, "tie_free": rep.tie_free}
-    return {"verdicts": verdicts, "metrics": metrics, "report": rep}, rep.passed
+    return {"verdicts": verdicts, "metrics": metrics, "report": rep}
 
 
 @_command("kissing", "pairwise-dominance check for torus vectors",
           _arg("--vectors", type="_vector_list", required=True))
-def _cmd_kissing(args) -> Tuple[Dict[str, Any], bool]:
+def _cmd_kissing(args) -> Dict[str, Any]:
     vectors = [TorusVector(v) for v in args.vectors]
     rep = kissing_check(vectors)
     verdicts = [_verdict("pairwise-dominance", rep.passed, count=rep.count,
                          violations=rep.violations)]
     metrics = {"dim": rep.dim, "count": rep.count}
-    return {"verdicts": verdicts, "metrics": metrics, "report": rep}, rep.passed
+    return {"verdicts": verdicts, "metrics": metrics, "report": rep}
 
 
 @_command("extract-core", "large low-census core of a cloud",
@@ -359,7 +359,7 @@ def _cmd_kissing(args) -> Tuple[Dict[str, Any], bool]:
           _arg("--epsilon", type="_rational"),
           _arg("--kappa", type="_rational",
                help="ball-depth constant; defaults to the measured value"))
-def _cmd_extract_core(args) -> Tuple[Dict[str, Any], bool]:
+def _cmd_extract_core(args) -> Dict[str, Any]:
     if args.points is not None:
         cloud = PointCloud.from_values(args.points)
     elif args.m is not None:
@@ -383,12 +383,12 @@ def _cmd_extract_core(args) -> Tuple[Dict[str, Any], bool]:
     ]
     metrics = {"a_size": trace.a_size, "rounds": trace.rounds, "l": trace.l,
                "epsilon": epsilon, "kappa": kappa}
-    return {"verdicts": verdicts, "metrics": metrics, "report": trace}, trace.passed
+    return {"verdicts": verdicts, "metrics": metrics, "report": trace}
 
 
 @_command("tightness", "square-block cloud with large census",
           _arg("--m", type=int, required=True))
-def _cmd_tightness(args) -> Tuple[Dict[str, Any], bool]:
+def _cmd_tightness(args) -> Dict[str, Any]:
     rep = tightness_example(args.m)
     verdicts = [
         _verdict("doubling", rep.sumset_size < rep.doubling_bound,
@@ -398,7 +398,7 @@ def _cmd_tightness(args) -> Tuple[Dict[str, Any], bool]:
     ]
     metrics = {"m": rep.m, "size": rep.size, "census_size": rep.census_size,
                "upper_estimate": rep.upper_estimate}
-    return {"verdicts": verdicts, "metrics": metrics, "report": rep}, rep.passed
+    return {"verdicts": verdicts, "metrics": metrics, "report": rep}
 
 
 @_command("verify", "run the verification suites",
@@ -406,7 +406,7 @@ def _cmd_tightness(args) -> Tuple[Dict[str, Any], bool]:
           _arg("--seed", type=int, default=0),
           _arg("--trials", type=int,
                help="override the trial count of checks that accept one"))
-def _cmd_verify(args) -> Tuple[Dict[str, Any], bool]:
+def _cmd_verify(args) -> Dict[str, Any]:
     names = None if args.suite == "all" else [s.strip() for s in args.suite.split(",")]
     overrides: Dict[str, Dict[str, Any]] = {}
     if args.trials is not None:
@@ -421,7 +421,7 @@ def _cmd_verify(args) -> Tuple[Dict[str, Any], bool]:
     verdicts = [_verdict(r.name, r.passed, summary=r.summary) for r in results]
     metrics = {"checks": len(results), "failures": sum(not r.passed for r in results)}
     return {"verdicts": verdicts, "metrics": metrics,
-            "report": {r.name: r.details for r in results}}, all(r.passed for r in results)
+            "report": {r.name: r.details for r in results}}
 
 
 def _late(name: str) -> Callable[[str], Any]:
@@ -449,11 +449,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        body, passed = args.fn(args)
+        body = args.fn(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - t0
+    status = 0 if all(v["passed"] for v in body["verdicts"]) else 1
     config = {k: v for k, v in vars(args).items()
               if k not in ("fn", "format", "output", "command") and v is not None}
     timings = {"total_s": elapsed, **body.pop("timings_extra", {})}
@@ -462,8 +463,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                **{key: to_jsonable(value) for key, value in body.items()},
                "timings": {key: float(value) for key, value in timings.items()}}
     if args.command == "verify" and args.output is None:
-        return 0 if passed else 1
-    return _emit(payload, args) or (0 if passed else 1)
+        return status
+    return _emit(payload, args) or status
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .exact_torus import as_rational, residues
 from .gap_spectrum import CircularSet, CollisionError
-from .sumset_engine import (FiniteExactSet, difference_set,
+from .sumset_engine import (EXACT_LIMIT, FiniteExactSet, difference_set,
                             minimal_difference_cover, sumset)
 
 
@@ -219,7 +219,7 @@ class CoverForcingReport:
 
 
 def build_cover_forcing_set(n: int, seed: Sequence[int],
-                            exact_limit: int = 24) -> CoverForcingReport:
+                            exact_limit: int = EXACT_LIMIT) -> CoverForcingReport:
     """Embed an AP-free seed into an n-point set forcing its mirror into covers."""
     s = tuple(sorted(set(seed)))
     if len(s) != len(tuple(seed)):

@@ -9,9 +9,10 @@ only, so every decision is reproducible bit for bit; floats only appear in
 logged summary ratios.
 
 The census of a cloud is the set of difference vectors to a nearest neighbour,
-one deterministic choice per point: by all pairs ("brute", on residue rows at
-every scale) or by an exact circular sweep along one axis ("grid"), both
-scoring residue columns through _sq_norms, the fold every kernel here shares.
+one deterministic choice per point: by all pairs ("brute") or by an exact
+circular sweep along one axis ("grid"), both on residue rows at every scale
+and scoring residue columns through _sq_norms, the fold every kernel here
+shares; "auto" picks grid above 512 points and brute otherwise.
 Ball depths and core extraction read the kernel's integer rows (_census_rows);
 nn_census lifts them once, for reports.  _brute_rows_exact, an all-pairs loop
 on the Fraction points, is the oracle the tests check both against.  On top of
@@ -37,7 +38,6 @@ from .exact_torus import (TorusPoint, TorusVector, _coerce, as_rational,
                           signed_residues, sorted_unique, torus_dist_sq)
 from .gap_spectrum import CollisionError, TooFewPointsError
 
-INT_GRID_LIMIT = 1 << 30
 # offsets the census sweep scores per round: amortises numpy call overhead
 _SWEEP_BLOCK = 16
 
@@ -287,12 +287,8 @@ def _census_rows(cloud: PointCloud, method: str) -> Tuple[str, List[Tuple[int, t
     if n < 2:
         raise TooFewPointsError("a census needs at least two points")
     rows, scale = cloud._rows
-    use_int = scale <= INT_GRID_LIMIT
     if method == "auto":
-        method = "grid" if (use_int and n > 512) else "brute"
-    if method == "grid" and not use_int:
-        raise InvalidConfigurationError(
-            "grid method needs a common denominator within the integer limit")
+        method = "grid" if n > 512 else "brute"
     if method == "grid":
         return method, _grid_rows(rows, scale)
     if method == "brute":
@@ -304,8 +300,8 @@ def nn_census(cloud: PointCloud, method: str = "auto") -> CensusReport:
     """Nearest neighbour of every point; ties pick the smallest signed vector.
 
     The census is the sorted set of chosen difference vectors.  Methods:
-    brute (all pairs), grid (exact circular sweep), auto (grid for large
-    integer-scalable clouds, brute otherwise).  All methods agree exactly.
+    brute (all pairs), grid (exact circular sweep), auto (grid above 512
+    points, brute otherwise, at every scale).  All methods agree exactly.
     """
     method, raw = _census_rows(cloud, method)
     scale = cloud._rows[1]

@@ -41,6 +41,8 @@ from .exact_torus import (INT64_MAX, TorusPoint, _coerce, as_rational,
 DENSE_SPAN_LIMIT = 1 << 26
 DENSE_SEG_LIMIT = 1 << 22
 OUTER_PAIR_LIMIT = 1 << 25
+# largest |B| whose minimum difference cover is searched exactly by default
+EXACT_LIMIT = 24
 
 
 class DomainMismatchError(ValueError):
@@ -350,7 +352,7 @@ def _difference_table(ints: list, scale: int, dom: Domain):
     return universe, np.searchsorted(universe, d)
 
 
-def minimal_difference_cover(b: FiniteExactSet, exact_limit: int = 24,
+def minimal_difference_cover(b: FiniteExactSet, exact_limit: int = EXACT_LIMIT,
                              node_budget: int = 500_000) -> CoverResult:
     """Smallest C inside B with C - B = B - B; exact up to |B| <= exact_limit.
 

@@ -28,7 +28,7 @@ from .nn_census import (PointCloud, _census_rows, extract_core,
                         gram_kissing_check, hexagon_gram, kissing_check,
                         kronecker_census, max_ball_depth, pentagon_cloud,
                         tightness_example)
-from .sumset_engine import FiniteExactSet, minimal_difference_cover, sumset
+from .sumset_engine import EXACT_LIMIT, FiniteExactSet, minimal_difference_cover, sumset
 
 
 @dataclass(frozen=True)
@@ -231,7 +231,7 @@ def check_forced_cover(seed: int = 0) -> CheckResult:
     for n in (10, 16, 20, 40):
         s = exact_ap_free(n)
         rep = build_cover_forcing_set(n, s)
-        exact_expected = n <= 24
+        exact_expected = n <= EXACT_LIMIT
         ok = (rep.passed
               and len(rep.points) == n
               and rep.sumset_size <= 10 * n

@@ -111,6 +111,20 @@ def test_cover_of_small_orbit(tmp_path):
     assert verdict["exact"]
 
 
+def test_exact_limit_default_is_one_constant():
+    import inspect
+
+    from gaplab.cli import build_parser
+    from gaplab.extremal_constructions import build_cover_forcing_set
+    from gaplab.sumset_engine import EXACT_LIMIT, minimal_difference_cover
+
+    for fn in (minimal_difference_cover, build_cover_forcing_set):
+        assert inspect.signature(fn).parameters["exact_limit"].default == EXACT_LIMIT
+    for command in ("cover", "generators", "forced-cover"):
+        args = build_parser().parse_args([command, "--n", "4"])
+        assert args.exact_limit == EXACT_LIMIT
+
+
 def test_verify_subset_prints_status_lines(capsys):
     rc = main(["verify", "--suite", "ap-union,forced-cover"])
     out = capsys.readouterr().out

@@ -1,5 +1,7 @@
 """Progression-free sets, cover forcing, and lattice projections."""
 
+import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -129,6 +131,27 @@ def test_lattice_projection_distinct_instance():
     assert rep.sumset_size == 49
     assert rep.sumset_size <= rep.doubling_bound == 64
     assert rep.passed
+
+
+def test_lattice_doubling_and_corner_count_always_hold():
+    # |B + B| <= prod(2 N_j - 1) <= 2^k |B| and there are at most 2^k corners,
+    # so only corner-cover can fail the report
+    rng = random.Random(43)
+    built = 0
+    for _ in range(40):
+        k = rng.randrange(1, 4)
+        box = [rng.randrange(1, 16 if k < 3 else 7) for _ in range(k)]
+        q = rng.choice((101, 997, 10007))
+        try:
+            rep = lattice_projection([Fraction(rng.randrange(1, q), q) for _ in box], box)
+        except CollisionError:
+            continue
+        assert rep.sumset_size <= math.prod(2 * m - 1 for m in box)
+        assert rep.sumset_size <= rep.doubling_bound
+        assert len(rep.corners) <= rep.corner_bound
+        assert rep.passed == rep.cover_equal
+        built += 1
+    assert built >= 30
 
 
 def test_lattice_projection_collision_detected():

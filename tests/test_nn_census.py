@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaplab.exact_torus import (INT64_MAX, TorusVector, as_rational, int_dtype,
@@ -85,20 +85,19 @@ def test_methods_agree_on_random_clouds():
 
 
 def test_exact_fallback_for_huge_denominators():
-    q = (1 << 31) + 1  # over the integer-grid limit, exact pairwise path
+    q = (1 << 31) + 1  # past 2^30: both kernels run at any scale
     cloud = cloud_1d(0, Fraction(1, q), Fraction(5, q))
     rep = nn_census(cloud, method="brute")
     by_point = {rec.point.values()[0]: rec for rec in rep.records}
     assert by_point[Fraction(0)].diff == (Fraction(1, q),)
     assert by_point[Fraction(0)].dist_sq == Fraction(1, q * q)
     assert by_point[Fraction(5, q)].diff == (Fraction(-4, q),)
-    with pytest.raises(InvalidConfigurationError):
-        nn_census(cloud, method="grid")
+    assert _records(nn_census(cloud, method="grid"), cloud) == _brute_rows_exact(cloud)
 
 
 def test_brute_census_past_int64_norms_matches_exact_rows():
-    # d * (q/2)^2 >= 2^63 with q under the integer-grid limit: int64 squared
-    # norms would wrap, so brute force must take the exact path
+    # d * (q/2)^2 >= 2^63 with q below 2^30: int64 squared norms would
+    # wrap, so brute force must take the exact path
     q = (1 << 30) - 35
     h = q // 2
     rows = [(0,) * 40, (h,) * 40, (h + 1,) + (h,) * 39]
@@ -149,6 +148,24 @@ def test_kronecker_census_bound_randomized():
         rep = kronecker_census(alphas, 400)
         assert rep.contained
         assert rep.census_size <= 2 * rep.ell
+
+
+def test_kronecker_passes_exactly_when_contained():
+    # one census vector per allowed offset and at most 2*ell allowed offsets,
+    # so the printed containment verdict decides the report's pass flag
+    rng = random.Random(37)
+    outcomes = set()
+    for _ in range(200):
+        d = rng.randrange(1, 5)
+        q = rng.choice((7, 12, 30, 97, 360, 4099))
+        alphas = tuple(Fraction(rng.randrange(q), q) for _ in range(d))
+        try:
+            rep = kronecker_census(alphas, rng.randrange(2, 40))
+        except CollisionError:
+            continue
+        assert rep.passed == rep.contained
+        outcomes.add(rep.contained)
+    assert outcomes == {True, False}
 
 
 def test_kissing_pair_and_triple_on_the_circle():
@@ -232,6 +249,14 @@ def test_tightness_cloud_m3():
     assert rep.passed
 
 
+@pytest.mark.parametrize("m", range(2, 21))
+def test_tightness_census_is_m_plus_one(m):
+    # census >= m, the pass flag's conjunct that no printed verdict shows
+    rep = tightness_example(m)
+    assert rep.census_size == m + 1
+    assert rep.passed
+
+
 def test_extract_core_on_tightness_cloud():
     tight = tightness_example(3)
     kappa = max_ball_depth(tight.cloud, tight.cloud).kappa_hat
@@ -305,7 +330,7 @@ def test_sweep_matches_exact_oracle(case):
     assert rep.census == tuple(sorted({diff for _, diff, _ in want}))
 
 
-def test_grid_accepts_scale_two_to_the_thirty_and_rejects_one_more():
+def test_grid_runs_at_scale_two_to_the_thirty_and_one_more():
     q = 1 << 30
     cloud = _int_cloud([(0, 5), (q - 1, 3), (q // 2, q - 7), (17, q // 3)], q)
     assert cloud.common_scale() == q
@@ -313,8 +338,7 @@ def test_grid_accepts_scale_two_to_the_thirty_and_rejects_one_more():
     assert _records(rep, cloud) == _brute_rows_exact(cloud)
     over = _int_cloud([(0,), (1,), (q,)], q + 1)
     assert over.common_scale() == q + 1
-    with pytest.raises(InvalidConfigurationError):
-        nn_census(over, method="grid")
+    assert _records(nn_census(over, method="grid"), over) == _brute_rows_exact(over)
     assert nn_census(over, method="auto").method == "brute"
 
 
@@ -622,6 +646,36 @@ def test_brute_force_past_the_grid_limit_matches_exact_oracle(case):
         assert rep.method == "brute"
         assert _records(rep, cloud) == want
         assert rep.census == tuple(sorted({diff for _, diff, _ in want}))
+
+
+@given(st.sampled_from(((1 << 30) + 1, (1 << 31) + 1, (1 << 62) + 7, 1 << 70)),
+       st.integers(1, 4), st.one_of(st.integers(2, 30), st.integers(513, 600)),
+       st.integers(0, 1 << 32))
+@settings(deadline=None, max_examples=30)
+@example(q=1 << 70, d=4, n=600, seed=0)
+@example(q=(1 << 62) + 7, d=3, n=513, seed=1)
+def test_census_kernels_agree_at_every_scale(q, d, n, seed):
+    rng = random.Random(seed)
+
+    def coord():
+        # the fold's edges, near-duplicates of them (ties, tiny gaps), or any
+        base = rng.choice((0, 1, q // 2, q // 2 + 1, q - 1, rng.randrange(q)))
+        return (base + rng.choice((0, 0, 1, -1, 2))) % q
+
+    # the row (1, 0, ...) keeps the cloud's common scale at q
+    rows = {(1,) + (0,) * (d - 1)}
+    while len(rows) < n:
+        rows.add(tuple(coord() for _ in range(d)))
+    cloud = PointCloud._from_rows(rows, q)
+    rows, scale = cloud._rows
+    assert scale == q
+    want = _nn_module._brute_rows_numpy(rows, q)
+    grid = _nn_module._census_rows(cloud, "grid")
+    assert grid == ("grid", want)
+    assert _nn_module._census_rows(cloud, "auto") == (grid if n > 512 else ("brute", want))
+    if n <= 30:
+        assert [(Fraction(m, q * q), tuple(Fraction(x, q) for x in v), j)
+                for m, v, j in want] == _brute_rows_exact(cloud)
 
 
 @pytest.mark.parametrize("q, dtype", [((1 << 32) - 1, np.int64), (1 << 32, object)])
