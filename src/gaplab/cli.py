@@ -2,10 +2,11 @@
 
 Every subcommand prints one deterministic JSON (or CSV) document: config
 echo, named pass/fail verdicts with their certificates, metrics, and a
-timings subobject that identity comparisons exclude.  A handler returns only
-that document's body; main reads the exit status off its verdicts alone:
-0 when every verdict passed, 1 when some verdict failed (the report carries
-the counterexample), 2 when the input was invalid.
+timings subobject that identity comparisons exclude (``verify`` files each
+check's seconds there, as "<check>.total_s" plus its gated stage's key).  A
+handler returns only that document's body; main reads the exit status off
+its verdicts alone: 0 when every verdict passed, 1 when some verdict failed
+(the report carries the counterexample), 2 when the input was invalid.
 
 Rationals cross the boundary as "p/q" strings; exact decimal literals are
 accepted and converted exactly (0.625 -> 5/8).
@@ -31,11 +32,10 @@ from .exact_torus import TorusVector
 from .extremal_constructions import (ap_free_check, behrend_set,
                                      build_cover_forcing_set, exact_ap_free,
                                      greedy_ap_free, lattice_projection)
-from .gap_spectrum import (APUnionSpec, CircularSet, ap_union_gap_check,
-                           fractional_orbit, gap_bound_check,
-                           greedy_max_distinct, greedy_target,
-                           orbit_three_gap_check, spectrum, sumset_size,
-                           three_gap_check)
+from .gap_spectrum import (APUnionSpec, CircularSet, _orbit_gap_counts,
+                           ap_union_gap_check, fractional_orbit,
+                           gap_bound_check, greedy_max_distinct,
+                           greedy_target, sumset_size, three_gap_check)
 from .generator_decomposition import verify_generation
 from .nn_census import (PointCloud, extract_core, kissing_check,
                         kronecker_census, max_ball_depth, nn_census,
@@ -150,9 +150,8 @@ def _three_gap(rep, report: Any, **metrics: Any) -> Dict[str, Any]:
 @_command("orbit", "fractional-part orbit of alpha with its gaps", *_ORBIT)
 def _cmd_orbit(args) -> Dict[str, Any]:
     b = fractional_orbit(args.alpha, args.n)
-    rep = orbit_three_gap_check(args.alpha, b)
-    report = {"points": b, "multiplicities": spectrum(b).multiplicity if len(b) > 1 else {}}
-    return _three_gap(rep, report, size=len(b))
+    rep, multiplicities = _orbit_gap_counts(args.alpha, b)
+    return _three_gap(rep, {"points": b, "multiplicities": multiplicities}, size=len(b))
 
 
 @_command("gaps", "distinct gaps of the orbit against reference distances", *_ORBIT)
@@ -421,7 +420,9 @@ def _cmd_verify(args) -> Dict[str, Any]:
     verdicts = [_verdict(r.name, r.passed, summary=r.summary) for r in results]
     metrics = {"checks": len(results), "failures": sum(not r.passed for r in results)}
     return {"verdicts": verdicts, "metrics": metrics,
-            "report": {r.name: r.details for r in results}}
+            "report": {r.name: r.details for r in results},
+            "timings_extra": {f"{r.name}.{key}": seconds for r in results
+                              for key, seconds in r.timings.items()}}
 
 
 def _late(name: str) -> Callable[[str], Any]:

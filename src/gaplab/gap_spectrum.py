@@ -10,8 +10,9 @@ that proves it, a greedy subset maximizing distinct gaps, and greedy Sidon
 extraction.  Everything is exact: a set's points are cleared once to
 integer residues mod a common denominator q (an orbit of p/q is just the
 sorted residues n*p mod q), every gap, subset test, sum and verdict (the
-three-gap one has one builder, orbit_three_gap_check) is decided on those
-integers; Fractions and torus points are built only for what is shown.
+three-gap one is built in one place, from the orbit's distinct int gaps) is
+decided on those integers; Fractions and torus points are built only for
+what is shown.
 """
 
 from __future__ import annotations
@@ -262,7 +263,20 @@ def orbit_three_gap_check(alpha: RationalLike, orbit: CircularSet) -> ThreeGapRe
     equal one of them.
     """
     ints, q = orbit._residues
-    distinct = set(_gaps(ints, q, Wrap.INCLUDE))
+    return _three_gap_report(alpha, orbit, set(_gaps(ints, q, Wrap.INCLUDE)))
+
+
+def _orbit_gap_counts(alpha: RationalLike, orbit: CircularSet) -> Tuple[ThreeGapReport, dict]:
+    """orbit_three_gap_check plus each gap's multiplicity (none for one point), counted once."""
+    ints, q = orbit._residues
+    counts = Counter(_gaps(ints, q, Wrap.INCLUDE))
+    mult = {Fraction(g, q): c for g, c in counts.items()} if len(ints) > 1 else {}
+    return _three_gap_report(alpha, orbit, counts.keys()), mult
+
+
+def _three_gap_report(alpha: RationalLike, orbit: CircularSet, distinct) -> ThreeGapReport:
+    # distinct: the set of the orbit's int gaps, closing arc included
+    ints, q = orbit._residues
     b1, bn = ints[0], ints[-1]
     refs = sorted({b1, q - bn, b1 + q - bn})
     passed = len(distinct) <= 3 and distinct <= set(refs)

@@ -15,8 +15,9 @@ from gaplab.exact_torus import (DuplicatePointError, TorusPoint, as_rational,
 from gaplab.gap_spectrum import (APUnionSpec, ArcCountingReport, CircularSet,
                                  CollisionError, InsufficientDenominatorError,
                                  SubsetViolationError, ThreeGapReport,
-                                 TooFewPointsError, Wrap, _gaps, _require_subset,
-                                 _orbit_residues, ap_union_gap_check, ap_union_points,
+                                 TooFewPointsError, Wrap, _gaps, _orbit_gap_counts,
+                                 _require_subset, _orbit_residues, ap_union_gap_check,
+                                 ap_union_points,
                                  arc_counting_diagnostic, fractional_orbit,
                                  gap_bound_check, greedy_max_distinct,
                                  orbit_three_gap_check, sidon_subset, spectrum,
@@ -487,6 +488,8 @@ def test_three_gap_builder_matches_the_parent_at_convergents(q, p, data):
         assert orbit_three_gap_check(alpha, orbit) == want
         spect = spectrum(orbit) if n > 1 else None
         assert parent_orbit_three_gap_check(alpha, orbit, spect) == want
+        # the orbit command's single count: the same verdict and spectrum's multiplicities
+        assert _orbit_gap_counts(alpha, orbit) == (want, spect.multiplicity if spect else {})
     n = data.draw(st.integers(q, 2 * q))
     for check in (three_gap_check, parent_three_gap_check):
         with pytest.raises(InsufficientDenominatorError) as err:

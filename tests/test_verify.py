@@ -69,3 +69,91 @@ def test_census_cross_check_reports_a_changed_row(monkeypatch):
     result = verify.check_sumset_performance(clouds=3)
     assert len(calls) == 3
     assert result.details["mismatches"] == 1 and not result.passed
+
+
+CHECK_NAMES = ["three-gap", "ap-union", "greedy-gaps", "arc-count", "generators",
+               "forced-cover", "kronecker", "kissing", "extract-core",
+               "sumset-performance"]
+FROZEN_SUITE = "ap-union,forced-cover,kissing,greedy-gaps"
+
+
+def _fake_clock(step):
+    """A stand-in for the time module whose perf_counter advances step per call."""
+    import itertools
+    import types
+
+    ticks = itertools.count(0.0, step)
+    return types.SimpleNamespace(perf_counter=lambda: next(ticks))
+
+
+def test_verify_output_is_the_same_under_different_clocks(tmp_path, monkeypatch, capsys):
+    import json
+
+    from gaplab.cli import main
+
+    payloads, timings = [], []
+    for step in (0.5, 1.5):
+        monkeypatch.setattr(verify, "time", _fake_clock(step))
+        path = tmp_path / f"{step}.json"
+        assert main(["verify", "--suite", FROZEN_SUITE, "--seed", "0",
+                     "--output", str(path)]) == 0
+        payloads.append(json.loads(path.read_text()))
+        timings.append(payloads[-1].pop("timings"))
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split("]")[0] for line in lines] == [
+            f"PASS [{name}" for name in FROZEN_SUITE.split(",")]
+        assert all(line.endswith(f" ({step}s)") for line in lines)
+    assert payloads[0] == payloads[1]
+    for name in FROZEN_SUITE.split(","):
+        assert [t[f"{name}.total_s"] for t in timings] == [0.5, 1.5]
+
+
+@pytest.mark.parametrize("name, kwargs, stage, budget", [
+    ("three-gap", {"trials": 2}, "spectra_s", 60.0),
+    ("sumset-performance", {"clouds": 1}, "sumset_s", 10.0),
+])
+def test_a_gated_stage_over_its_budget_fails_the_check(name, kwargs, stage, budget,
+                                                       monkeypatch):
+    results = []
+    for step in (budget - 0.5, budget):
+        monkeypatch.setattr(verify, "time", _fake_clock(step))
+        results.append(verify.CHECKS[name](seed=0, **kwargs))
+    under, over = results
+    assert under.passed and not over.passed
+    # ticks: the check's start, the stage's start and end, the check's end
+    assert under.timings == {"total_s": 3 * (budget - 0.5), stage: budget - 0.5}
+    assert over.timings == {"total_s": 3 * budget, stage: budget}
+    assert (under.summary, under.details) == (over.summary, over.details)
+
+
+def test_checks_keep_their_names_order_and_trials(tmp_path, monkeypatch):
+    import inspect
+    import json
+
+    from gaplab import cli
+
+    assert list(verify.CHECKS) == CHECK_NAMES
+    cheap = {"three-gap": {"trials": 1}, "ap-union": {"trials": 1},
+             "greedy-gaps": {"trials_per_n": 1}, "arc-count": {"trials": 1},
+             "generators": {"trials": 1}, "kronecker": {"trials_per_d": 1, "n": 100},
+             "kissing": {"trials": 2}, "sumset-performance": {"clouds": 1}}
+    results = verify.run_checks(overrides=cheap)
+    assert [r.name for r in results] == CHECK_NAMES
+    assert all(r.line.startswith(f"PASS [{r.name}] ") for r in results)
+    with_trials = ["three-gap", "ap-union", "arc-count", "generators", "kissing"]
+    assert [name for name, fn in verify.CHECKS.items()
+            if "trials" in inspect.signature(fn).parameters] == with_trials
+    seen = {}
+    real = cli.run_checks
+
+    def spy(seed, names, overrides):
+        seen.update(overrides)
+        return real(seed=seed, names=names, overrides=overrides)
+
+    monkeypatch.setattr(cli, "run_checks", spy)
+    path = tmp_path / "out.json"
+    assert cli.main(["verify", "--suite", "ap-union,arc-count", "--trials", "2",
+                     "--output", str(path)]) == 0
+    assert seen == {name: {"trials": 2} for name in with_trials}
+    report = json.loads(path.read_text())["report"]
+    assert report["ap-union"]["trials"] == report["arc-count"]["trials"] == 2
