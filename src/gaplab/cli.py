@@ -109,7 +109,8 @@ def _verdict(name: str, passed: bool, **certificate: Any) -> Dict[str, Any]:
 
 def _emit(payload: Dict[str, Any], args: argparse.Namespace) -> Optional[int]:
     """Print or write the document; exit status 2 when the file cannot be written."""
-    text = to_csv(payload) if args.format == "csv" else canonical_json(payload) + "\n"
+    text = (to_csv(to_jsonable(payload)) if args.format == "csv"
+            else canonical_json(payload) + "\n")
     if args.output is None:
         sys.stdout.write(text)
         return None
@@ -460,8 +461,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
               if k not in ("fn", "format", "output", "command") and v is not None}
     timings = {"total_s": elapsed, **body.pop("timings_extra", {})}
     payload = {"schema_version": SCHEMA_VERSION, "command": args.command,
-               "config": to_jsonable(config),
-               **{key: to_jsonable(value) for key, value in body.items()},
+               "config": config, **body,
                "timings": {key: float(value) for key, value in timings.items()}}
     if args.command == "verify" and args.output is None:
         return status

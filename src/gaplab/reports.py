@@ -4,19 +4,33 @@ Reports serialize to JSON with sorted keys and rationals rendered as exact
 "p/q" strings, so two runs of the same computation produce byte-identical
 documents.  Wall-clock timings travel in a separate "timings" subobject
 that identity comparisons must exclude.
+
+canonical_json writes a document in one pass over the result objects
+themselves: its text is json.dumps(to_jsonable(payload), sort_keys=True,
+indent=2), but it builds no to_jsonable tree and avoids json's pure-Python
+indent encoder.  Strings, ints, rationals, torus points and vectors, lists,
+tuples, dicts and dataclasses are written directly, each dataclass's sorted
+field names computed once; a vector shared between records is written once
+per depth, and an unread orbit's points straight from its residues.  Every
+other value (bools, floats, None, sets, enums, subclasses) goes through
+to_jsonable, which stays the one home of those rules, serves the CSV
+projection and is the reference the writer is tested against.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 from enum import Enum
 from fractions import Fraction
-from typing import Any, Dict, List, Tuple
+from math import gcd
+from typing import Any, Dict, List, Optional, Tuple
 
 from .exact_torus import TorusPoint, TorusVector
+from .gap_spectrum import CircularSet
 
 SCHEMA_VERSION = 1
 
@@ -57,8 +71,111 @@ def _key(k: Any) -> str:
     return str(k)
 
 
-def canonical_json(payload: Dict[str, Any]) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2)
+def canonical_json(payload: Any) -> str:
+    """json.dumps(to_jsonable(payload), sort_keys=True, indent=2), written in one pass."""
+    return _text(payload, 0, {})
+
+
+# Writers of the values that need neither depth nor memo, by exact type.
+_LEAF_TEXT = {
+    str: json.encoder.encode_basestring_ascii,
+    int: int.__repr__,
+    Fraction: '"%s"'.__mod__,
+    TorusPoint: lambda p: '"%s"' % p.value,
+}
+
+# Types that to_jsonable converts before it looks for dataclass fields.
+_NOT_FIELDWISE = (bool, int, float, str, Fraction, TorusPoint, TorusVector, Enum)
+
+
+@functools.cache
+def _sorted_fields(cls: type) -> Optional[Tuple[str, ...]]:
+    """The sorted field names of a dataclass that to_jsonable converts field by field, else None."""
+    if not dataclasses.is_dataclass(cls) or issubclass(cls, _NOT_FIELDWISE):
+        return None
+    return tuple(sorted(f.name for f in dataclasses.fields(cls)))
+
+
+def _text(obj: Any, depth: int, memo: dict) -> str:
+    """The indent=2 text of obj, its opening bracket at depth."""
+    t = type(obj)
+    leaf = _LEAF_TEXT.get(t)
+    if leaf is not None:
+        return leaf(obj)
+    if t is TorusVector:
+        # Census records share their cloud's vectors, so each is written once
+        # per depth; the memo holds obj itself, so its id is not reused meanwhile.
+        hit = memo.get((id(obj), depth))
+        if hit is None:
+            hit = memo[id(obj), depth] = (obj, _rationals_template(len(obj.coords), depth)
+                                          % tuple([c.value for c in obj.coords]))
+        return hit[1]
+    if t is tuple or t is list:
+        if set(map(type, obj)) == {Fraction}:
+            # a row of rationals (a coordinate list, a difference): one % call
+            return _rationals_template(len(obj), depth) % tuple(obj)
+        leaf_text = _LEAF_TEXT.get
+        return _array_text([f(v) if (f := leaf_text(type(v))) else _text(v, depth + 1, memo)
+                            for v in obj], depth)
+    if t is dict:
+        keyed = {k if type(k) is str else _key(k): v for k, v in obj.items()}
+        return _object_text([(k, _text(v, depth + 1, memo)) for k, v in sorted(keyed.items())],
+                            depth)
+    names = _sorted_fields(t)
+    if names is None:
+        text = json.dumps(to_jsonable(obj), sort_keys=True, indent=2)
+        return text.replace("\n", "\n" + "  " * depth) if depth else text
+    if t is CircularSet and "points" not in obj.__dict__:
+        # an unread set built from residues: its points are written from them
+        ints, q = obj._residues
+        return _object_text([(name, _residue_points(ints, q, depth + 1) if name == "points"
+                              else _text(getattr(obj, name), depth + 1, memo))
+                             for name in names], depth)
+    return _object_text([(name, _text(getattr(obj, name), depth + 1, memo)) for name in names],
+                        depth)
+
+
+@functools.lru_cache(maxsize=64)
+def _rationals_template(n: int, depth: int) -> str:
+    """The text of n rationals at depth, each a %s to fill with str().
+
+    Bounded, since a long row's template is as long as its text.
+    """
+    return _array_text(['"%s"'] * n, depth)
+
+
+@functools.cache
+def _layout(depth: int) -> Tuple[str, str, str]:
+    """What opens, separates and closes the items of a container whose bracket is at depth."""
+    sep = ",\n" + "  " * (depth + 1)
+    return sep[1:], sep, "\n" + "  " * depth
+
+
+def _array_text(items: List[str], depth: int) -> str:
+    """An array of items already written, its opening bracket at depth."""
+    if not items:
+        return "[]"
+    lead, sep, close = _layout(depth)
+    return "[" + lead + sep.join(items) + close + "]"
+
+
+def _object_text(members: List[Tuple[str, str]], depth: int) -> str:
+    """An object of (key, value already written) pairs in the order given, its opening
+    brace at depth."""
+    if not members:
+        return "{}"
+    lead, sep, close = _layout(depth)
+    encode = _LEAF_TEXT[str]
+    return "{" + lead + sep.join([encode(k) + ": " + v for k, v in members]) + close + "}"
+
+
+def _residue_points(ints: List[int], q: int, depth: int) -> str:
+    """The points n/q, in lowest terms, of residues ints mod q, with no TorusPoint built."""
+    items = []
+    for n in ints:
+        g = gcd(n, q)
+        items.append('"%d"' % (n // g) if g == q else '"%d/%d"' % (n // g, q // g))
+    return _array_text(items, depth)
 
 
 def identity_view(payload: Dict[str, Any]) -> Dict[str, Any]:

@@ -1,0 +1,137 @@
+"""canonical_json against its reference, json.dumps(to_jsonable(x), sort_keys=True, indent=2)."""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gaplab.exact_torus import TorusPoint, TorusVector
+from gaplab.gap_spectrum import CircularSet, Wrap, fractional_orbit
+from gaplab.generator_decomposition import Side
+from gaplab.nn_census import NNRecord, PointCloud, nn_census
+from gaplab.reports import canonical_json, to_jsonable
+
+
+def reference(x) -> str:
+    return json.dumps(to_jsonable(x), sort_keys=True, indent=2)
+
+
+def assert_same(x) -> str:
+    text = canonical_json(x)
+    assert text == reference(x)
+    return text
+
+
+unit_rationals = st.fractions(min_value=0, max_value=Fraction(996, 997), max_denominator=997)
+fractions = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6)
+points = unit_rationals.map(TorusPoint)
+vectors = st.lists(unit_rationals, min_size=1, max_size=3).map(lambda xs: TorusVector(tuple(xs)))
+
+
+def _circular_set(values, labelled, read):
+    s = CircularSet.from_values(values, labels=list(range(len(values))) if labelled else None)
+    if read:
+        s.points
+    return s
+
+
+circular_sets = st.builds(_circular_set, st.lists(unit_rationals, max_size=6, unique=True),
+                          st.booleans(), st.booleans())
+hashables = st.integers() | st.text(max_size=4) | fractions | points | vectors
+leaves = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+          | fractions | points | vectors | st.sampled_from(list(Wrap) + list(Side))
+          | circular_sets)
+documents = st.recursive(
+    leaves,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(hashables, children, max_size=4)
+                      | st.sets(hashables, max_size=4)
+                      | st.frozensets(hashables, max_size=4)
+                      | st.builds(NNRecord, children, children, children, children)),
+    max_leaves=24)
+
+
+@given(documents)
+@settings(max_examples=300, deadline=None)
+def test_canonical_json_matches_the_reference_encoder(doc):
+    assert_same(doc)
+
+
+def test_a_shared_vector_at_two_depths():
+    v = TorusVector.of("1/3", "1/2")
+    doc = {"a": v, "b": [v, {"c": v}], "d": (v, v)}
+    text = assert_same(doc)
+    assert json.loads(text)["b"][1]["c"] == ["1/3", "1/2"]
+
+
+def test_census_records_that_share_their_cloud_vectors():
+    cloud = PointCloud.from_values([("0", "0"), ("1/7", "0"), ("3/7", "1/2"), ("1/2", "1/3")])
+    rep = nn_census(cloud, method="brute")
+    assert rep.records[0].point is cloud.points[0]
+    assert_same({"report": rep, "points": cloud.points})
+
+
+def test_an_orbit_is_written_from_its_residues_without_lifting(lifts):
+    orbit = fractional_orbit("13/97", 40)
+    doc = {"orbit": orbit, "nested": [[orbit]]}
+    unread = canonical_json(doc)
+    assert lifts == [] and "points" not in orbit.__dict__
+    # the reference reads the points, which lifts them
+    assert unread == reference(doc)
+    assert len(lifts) == 40 and "points" in orbit.__dict__
+    assert canonical_json(doc) == unread
+
+
+def test_residues_are_reduced_and_zero_is_zero():
+    s = CircularSet.from_values(["1/2", "1/3", "0", "5/6"])
+    assert s.labels is None and s._residues == ([0, 2, 3, 5], 6)
+    text = assert_same(s)
+    assert json.loads(text) == {"labels": None, "points": ["0", "1/3", "1/2", "5/6"],
+                                "wrap": "include_wrap"}
+    assert_same(CircularSet((TorusPoint(Fraction(0)), TorusPoint(Fraction(1, 4)))))
+    assert_same(CircularSet.from_values([], wrap=Wrap.EXCLUDE))
+
+
+def test_enums_sets_and_non_string_keys():
+    v = TorusVector.of("1/3", "1/2")
+    doc = {"wraps": [Wrap.INCLUDE, Wrap.EXCLUDE], "side": Side.MINUS,
+           "set": {9, 10, 100}, "frozen": frozenset({"b", "a", "ab", Fraction(1, 9)}),
+           Fraction(3, 4): 1, TorusPoint(Fraction(1, 5)): 2, v: 3, 7: 4, Wrap.INCLUDE: 5}
+    text = assert_same(doc)
+    loaded = json.loads(text)
+    assert loaded["set"] == [10, 100, 9]
+    assert loaded['["1/3", "1/2"]'] == 3 and loaded["3/4"] == 1 and loaded["7"] == 4
+
+
+def test_empty_containers():
+    for doc in ([], (), {}, {"a": [], "b": (), "c": {}, "d": [[], {}, ()]}):
+        assert_same(doc)
+
+
+def test_bools_next_to_ints_and_floats():
+    text = assert_same({"values": [True, 1, False, 0, None],
+                        "floats": [float("nan"), float("inf"), -float("inf"), -0.0, 1e300, 0.1]})
+    assert '"values": [\n    true,\n    1,\n    false,\n    0,\n    null\n  ]' in text
+    assert "NaN" in text and "-Infinity" in text and "-0.0" in text and "1e+300" in text
+
+
+def test_strings_that_need_escaping():
+    strings = ["é", "雪", "😀", "\u2028", '"quoted"', "back\\slash", "\n\t\x00\x1f"]
+    text = assert_same({s: s for s in strings})
+    assert text.isascii()
+
+
+def test_dataclass_fields_are_sorted():
+    rec = NNRecord(TorusVector.of("1/2"), TorusVector.of("0"), (Fraction(1, 2),), Fraction(1, 4))
+    text = assert_same(rec)
+    assert list(json.loads(text)) == ["diff", "dist_sq", "nearest", "point"]
+
+
+def test_an_unserialisable_object_raises_to_jsonables_error():
+    with pytest.raises(TypeError, match="^cannot serialize object$"):
+        to_jsonable({"x": [object()]})
+    with pytest.raises(TypeError, match="^cannot serialize object$"):
+        canonical_json({"x": [object()]})
