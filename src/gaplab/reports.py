@@ -68,6 +68,9 @@ def _key(k: Any) -> str:
     if isinstance(k, (Fraction, TorusPoint, TorusVector)):
         j = to_jsonable(k)
         return j if isinstance(j, str) else json.dumps(j)
+    if isinstance(k, Enum):
+        # by value, as to_jsonable writes the member
+        return str(k.value)
     return str(k)
 
 

@@ -7,9 +7,12 @@ Fractions or torus points built on the way.  Sums run on those integers: a
 dense bitmap convolution when the output span is small enough to afford
 one, a chunked outer-sum otherwise (both return sorted int64 arrays), and a
 hashing fallback for values too large for int64, whose Python set stays
-unsorted until someone needs the order.  A set lifts its elements in the
-input domain (ints, Fractions, or canonical torus points) only when
-``elements`` is first read, so a sum that nobody prints is never lifted.
+unsorted until someone needs the order.  A + A of one set (the same list
+as both operands) forms each unordered pair once on the dense and hash
+paths, and over a wide segment the dense kernel skips the output words that
+are already all ones.  A set lifts its elements in the input domain (ints,
+Fractions, or canonical torus points) only when ``elements`` is first read,
+so a sum that nobody prints is never lifted.
 
 The minimum difference cover also runs on the set's ints: B - B is one
 sorted int64 array (object past int64) of the |B| x |B| differences, each
@@ -40,7 +43,11 @@ from .exact_torus import (INT64_MAX, TorusPoint, _coerce, as_rational,
 # segment table at most 64 * 2^22 bits (32 MB), overflow-free int64 sums.
 DENSE_SPAN_LIMIT = 1 << 26
 DENSE_SEG_LIMIT = 1 << 22
+# A + A over a segment of at least this many 64-bit words trims its windows
+# (_trimmed_ors); below it an element's OR costs less than the trimming.
+DENSE_TRIM_WORDS = 1 << 12
 OUTER_PAIR_LIMIT = 1 << 25
+_FULL_WORD = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 # largest |B| whose minimum difference cover is searched exactly by default
 EXACT_LIMIT = 24
 
@@ -239,6 +246,8 @@ def _pairsums_int(xs: list, ys: list):
         if n_pairs <= OUTER_PAIR_LIMIT:
             return _outer_pairsums(xs, ys)
     # Arbitrary-precision fallback; correct for any magnitudes.
+    if xs is ys:
+        return {a + b for i, a in enumerate(xs) for b in xs[i:]}
     return {a + b for a in xs for b in ys}
 
 
@@ -249,6 +258,53 @@ def _outer_pairsums(xs: list, ys: list) -> np.ndarray:
     pieces = [sorted_unique(np.add.outer(a[i:i + rows], b).ravel())
               for i in range(0, len(a), rows)]
     return pieces[0] if len(pieces) == 1 else sorted_unique(np.concatenate(pieces))
+
+
+def _full_run(out: np.ndarray) -> tuple:
+    """(start, stop) of the longest run of all-ones words of out, (0, 0) if none.
+
+    The last word of out lies past every sum, so no run reaches it and each
+    run's start has its stop.
+    """
+    edges = np.diff((out == _FULL_WORD).view(np.int8), prepend=0)
+    starts = np.flatnonzero(edges == 1)
+    if not len(starts):
+        return 0, 0
+    stops = np.flatnonzero(edges == -1)
+    i = int(np.argmax(stops - starts))
+    return int(starts[i]), int(stops[i])
+
+
+def _trimmed_ors(out: np.ndarray, variants: list, a_off: np.ndarray) -> None:
+    """The dense kernel's ORs for A + A, skipping the words they cannot change.
+
+    A + A needs only the sums x + y with y >= x, so the element at offset t
+    ORs the segment from its own word t >> 6 on; the y < x that share that
+    word add only true sums.  Words [run_lo, run_hi) are all ones, so an OR
+    there changes nothing: a window that starts or ends inside that run is
+    cut at its edge.  The longest run is found again each time the word ORs
+    of the uncut windows pass 4, 8, 16, ... times the output's length, which
+    keeps the search cheap where nothing fills.
+    """
+    seg = len(variants[0])
+    # Every 64th element, then every 64th from the next one, and so on: the
+    # ORs soon reach the whole output, so its interior fills early.
+    loop = np.concatenate([a_off[i::64] for i in range(64)])
+    ors = np.cumsum(seg - (loop >> 6))
+    marks = len(out) << np.arange(2, int(ors[-1] // len(out)).bit_length())
+    run_lo = run_hi = 0
+    for i, block in enumerate(np.split(loop, np.searchsorted(ors, marks) + 1)):
+        if i:
+            run_lo, run_hi = _full_run(out)
+        for t in block.tolist():
+            w = t >> 6
+            a, b = 2 * w, w + seg
+            if run_lo <= a < run_hi:
+                a = run_hi
+            if run_lo < b <= run_hi:
+                b = run_lo
+            if a < b:
+                out[a:b] |= variants[t & 63][a - w:b - w]
 
 
 def _dense_pairsums(xs: list, ys: list, lo: int, span_out: int) -> np.ndarray:
@@ -271,9 +327,12 @@ def _dense_pairsums(xs: list, ys: list, lo: int, span_out: int) -> np.ndarray:
         variants.append(v)
     out = np.zeros(((span_out + 63) >> 6) + 1, dtype=np.uint64)
     seg = words_b + 1
-    for t in a_off.tolist():
-        w = t >> 6
-        out[w:w + seg] |= variants[t & 63]
+    if xs is ys and seg >= DENSE_TRIM_WORDS:
+        _trimmed_ors(out, variants, a_off)
+    else:
+        for t in a_off.tolist():
+            w = t >> 6
+            out[w:w + seg] |= variants[t & 63]
     bits = np.unpackbits(out.view(np.uint8), bitorder="little")
     # Every sum lies in [lo, hi], inside int64, so the shift cannot overflow.
     return np.flatnonzero(bits[:span_out]) + lo

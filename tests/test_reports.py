@@ -104,6 +104,7 @@ def test_enums_sets_and_non_string_keys():
     loaded = json.loads(text)
     assert loaded["set"] == [10, 100, 9]
     assert loaded['["1/3", "1/2"]'] == 3 and loaded["3/4"] == 1 and loaded["7"] == 4
+    assert loaded["include_wrap"] == 5
 
 
 def test_empty_containers():

@@ -235,6 +235,28 @@ def _threshold_cases():
             lo = sign * (1 << 62) + delta
             cases.append((f"lo-{'plus' if sign > 0 else 'minus'}-2^62-{side}",
                           [lo + i for i in range(0, 12, 3)], _run(5), None, "dense"))
+    # A + A: one list as both operands (ys is xs).  The set is its own
+    # segment, so the segment limit binds before the span limit.
+    for delta in (-1, 0, 1):
+        side = {-1: "below", 0: "at", 1: "above"}[delta]
+        far = se.DENSE_SEG_LIMIT - 1 + delta
+        xs = _run(724) + [far]
+        cases.append((f"aa-dense-seg-{side}", xs, xs, far + 1,
+                      "dense" if delta <= 0 else "outer"))
+        # 64 * 64 pairs against an output span // 16 of 4096 + delta
+        far = 8 * (4096 + delta)
+        xs = _run(63) + [far]
+        cases.append((f"aa-dense-pairs-{side}", xs, xs, far + 1,
+                      "dense" if delta <= 0 else "outer"))
+    # The sums 2x are even and I64_MAX is odd, so they meet the edge at +-1.
+    for delta in (-1, 1):
+        side = {-1: "below", 1: "above"}[delta]
+        top = (I64_MAX + delta) // 2
+        xs = [top - 3 + i for i in range(4)]
+        cases.append((f"aa-int64-hi-{side}", xs, xs, None, "dense" if delta < 0 else "hash"))
+        bottom = (-I64_MAX + delta) // 2
+        xs = [bottom + i for i in range(4)]
+        cases.append((f"aa-int64-lo-{side}", xs, xs, None, "dense" if delta > 0 else "hash"))
     return cases
 
 
@@ -261,19 +283,22 @@ def _spy_paths(monkeypatch):
 
 
 def _check_domain(monkeypatch, xs, ys, q, domain, expected_path, brute):
+    # ys is xs: one set object as both operands, A + A
     seen = _spy_paths(monkeypatch)
     if domain == "integers":
-        got = sumset(FiniteExactSet.integers(xs), FiniteExactSet.integers(ys))
+        build = FiniteExactSet.integers
         want = tuple(brute)
     elif domain == "rationals":
-        got = sumset(FiniteExactSet.rationals([Fraction(n, RAT_DEN) for n in xs]),
-                     FiniteExactSet.rationals([Fraction(n, RAT_DEN) for n in ys]))
+        def build(ns):
+            return FiniteExactSet.rationals([Fraction(n, RAT_DEN) for n in ns])
         # a/s + b/s == (a + b)/s: the brute sums of numerators, over s
         want = tuple(Fraction(m, RAT_DEN) for m in brute)
     else:
-        got = sumset(FiniteExactSet.torus([Fraction(n, q) for n in xs]),
-                     FiniteExactSet.torus([Fraction(n, q) for n in ys]))
+        def build(ns):
+            return FiniteExactSet.torus([Fraction(n, q) for n in ns])
         want = tuple(TorusPoint(Fraction(m, q)) for m in sorted({m % q for m in brute}))
+    a = build(xs)
+    got = sumset(a, a if ys is xs else build(ys))
     assert (seen or ["hash"]) == [expected_path]
     assert len(got) == len(want)
     assert got.elements == want
@@ -288,6 +313,9 @@ def _check_domain(monkeypatch, xs, ys, q, domain, expected_path, brute):
 def test_sumset_on_both_sides_of_each_path_threshold(monkeypatch, case, domain):
     xs, ys, q, expected_path = THRESHOLD_CASES[case]
     _check_domain(monkeypatch, xs, ys, q, domain, expected_path, _brute(case))
+    if ys is xs:
+        # A + copy(A) takes the same path as A + A
+        _check_domain(monkeypatch, xs, list(xs), q, domain, expected_path, _brute(case))
 
 
 def _outer_limit_case(n_pairs, rows):
@@ -317,6 +345,18 @@ def test_rational_and_torus_sumsets_at_a_lowered_outer_pair_limit(monkeypatch, d
     xs, ys = _outer_limit_case((1 << 12) + delta, rows)
     _check_domain(monkeypatch, xs, ys, (1 << 27) + 1, domain,
                   "outer" if delta <= 0 else "hash", brute_sum(xs, ys))
+
+
+@pytest.mark.parametrize("domain", ["integers", "rationals", "torus"])
+@pytest.mark.parametrize("n", [63, 64, 65])
+def test_identical_operands_at_a_lowered_outer_pair_limit(monkeypatch, domain, n):
+    # n * n = 3969, 4096, 4225 pairs against 2^12, for A + A and A + copy(A)
+    monkeypatch.setattr(se, "OUTER_PAIR_LIMIT", 1 << 12)
+    xs = _run(n - 1) + [1 << 27]
+    path = "outer" if n * n <= 1 << 12 else "hash"
+    brute = brute_sum(xs, xs)
+    _check_domain(monkeypatch, xs, xs, (1 << 27) + 1, domain, path, brute)
+    _check_domain(monkeypatch, xs, list(xs), (1 << 27) + 1, domain, path, brute)
 
 
 @pytest.mark.parametrize("q, expected_path", [
@@ -445,6 +485,132 @@ def test_sorted_unique_matches_numpy_unique():
         got, want = se.sorted_unique(a), np.unique(a)
         assert got.dtype == want.dtype
         assert got.tolist() == want.tolist()
+
+
+# ---------------------------------------------------------------------------
+# A + A, one list as both operands: the dense and hash paths form each
+# unordered pair once, and the dense kernel skips words already all ones.
+# Each must match A + copy(A), which forms every ordered pair, and brute force.
+
+def _identical_and_copy(xs):
+    """Sorted A + A from the identical operand, checked against A + copy(A)."""
+    same = _pairsums_sorted(xs, xs)
+    assert same == _pairsums_sorted(xs, list(xs))
+    return same
+
+
+def _spy_runs(monkeypatch):
+    runs = []
+    finder = se._full_run
+
+    def spy(out):
+        runs.append(finder(out))
+        return runs[-1]
+    monkeypatch.setattr(se, "_full_run", spy)
+    return runs
+
+
+_OFFSETS = [0, -(1 << 20), 1 << 20, (1 << 62) - 4000, -(1 << 62) - 4000, 1 << 70]
+
+
+@st.composite
+def _one_operand(draw):
+    lo = draw(st.sampled_from(_OFFSETS)) + draw(st.integers(-64, 64))
+    if draw(st.booleans()):
+        # blocks of consecutive ints, whose sums fill whole words
+        blocks = draw(st.lists(st.tuples(st.integers(0, 3000), st.integers(1, 200)),
+                               min_size=1, max_size=3))
+        return sorted({lo + start + i for start, n in blocks for i in range(n)})
+    width = draw(st.sampled_from([1, 7, 64, 300, 2000, 1 << 14, 1 << 41]))
+    return sorted(lo + v for v in draw(st.sets(st.integers(0, width), min_size=1,
+                                               max_size=120)))
+
+
+@given(_one_operand(), st.sampled_from([se.DENSE_TRIM_WORDS, 1]))
+@settings(deadline=None, max_examples=300)
+def test_identical_operands_match_a_copy_and_brute(xs, trim_words):
+    # a trim limit of one word sends every dense A + A of these small sets
+    # through the trimmed kernel
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(se, "DENSE_TRIM_WORDS", trim_words)
+        assert _identical_and_copy(xs) == brute_sum(xs, xs)
+
+
+@given(st.sampled_from([7, 64, 1000, (1 << 20) + 7, (1 << 62) + 1, 1 << 70]),
+       st.sets(st.integers(0, 1 << 80), min_size=1, max_size=60),
+       st.sampled_from([se.DENSE_TRIM_WORDS, 1]))
+@settings(deadline=None, max_examples=200)
+def test_identical_torus_operands_fold_like_a_copy(q, raw, trim_words):
+    xs = sorted({n % q for n in raw})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(se, "DENSE_TRIM_WORDS", trim_words)
+        same = se._ascending(se.torus_pairsums(xs, xs, q))
+        assert same == se._ascending(se.torus_pairsums(xs, list(xs), q))
+    assert same == sorted({(a + b) % q for a in xs for b in xs})
+
+
+def test_a_set_that_fills_within_one_check_interval(monkeypatch):
+    # 2^18 consecutive ints span 4096 words, and every window the first
+    # elements OR is full before the first search
+    n = 1 << 18
+    xs = list(range(n))
+    assert (xs[-1] >> 6) + 2 >= se.DENSE_TRIM_WORDS
+    runs = _spy_runs(monkeypatch)
+    assert se._pairsums_int(xs, xs).tolist() == list(range(2 * n - 1))
+    # the element 0 alone fills words [0, 4096)
+    assert runs[0][0] == 0 and runs[0][1] > 4096
+    # at the end every word is full but the last one, which holds 2n - 1
+    assert runs[-1] == (0, (2 * n - 1) >> 6)
+
+
+def test_an_orbit_doubling_never_fills_a_word(monkeypatch):
+    # an orbit of N points mod q = 50 N + 1: B + B has 2N - 1 points mod q
+    # and never sets all 64 bits of a word
+    n, q = 6000, 300001
+    xs = sorted(k * 123457 % q for k in range(1, n + 1))
+    assert (xs[-1] - xs[0]) >> 6 >= se.DENSE_TRIM_WORDS
+    runs = _spy_runs(monkeypatch)
+    sums = se._pairsums_int(xs, xs)
+    assert runs and set(runs) == {(0, 0)}
+    assert sums.tolist() == _pairsums_sorted(xs, list(xs))
+    assert len(se.torus_pairsums(xs, xs, q)) == 2 * n - 1
+
+
+def test_two_far_clusters_fill_separate_runs(monkeypatch):
+    # A + A of blocks of 2048 and 4096 ints at 0 and far is three blocks of
+    # 4095, 6143 and 8191 sums, so the words fill in three separate runs.
+    # The longest is the top one, which the windows of the upper block end
+    # in, and far is odd, so the words at its edges hold sums but are not full.
+    far = 300_001
+    xs = list(range(2048)) + list(range(far, far + 4096))
+    runs = _spy_runs(monkeypatch)
+    want = [*range(4095), *range(far, far + 6143), *range(2 * far, 2 * far + 8191)]
+    assert _identical_and_copy(xs) == want
+    lo, hi = runs[-1]
+    assert (lo, hi) == ((2 * far >> 6) + 1, (2 * far + 8191) >> 6)
+
+
+@pytest.mark.parametrize("xs", [[5], [-7], [1 << 70], [I64_MAX]])
+def test_a_single_element_doubles(xs):
+    assert _identical_and_copy(xs) == [2 * xs[0]]
+
+
+def test_every_element_inside_one_word(monkeypatch):
+    monkeypatch.setattr(se, "DENSE_TRIM_WORDS", 1)
+    for base in (0, 64 * 3, -64 * 5, 64 * 3 + 1):
+        xs = [base + i for i in (0, 5, 17, 62)]
+        assert _identical_and_copy(xs) == brute_sum(xs, xs)
+
+
+@pytest.mark.parametrize("xs", [
+    [I64_MAX - 5, I64_MAX - 2, I64_MAX],
+    [-I64_MAX, -I64_MAX + 3, -I64_MAX + 4],
+    [(1 << 62) + i for i in (0, 1, 9)],
+    [-(1 << 63), 0, 1 << 63]])
+def test_identical_operands_at_the_int64_edge_hash(monkeypatch, xs):
+    seen = _spy_paths(monkeypatch)
+    assert _identical_and_copy(xs) == brute_sum(xs, xs)
+    assert seen == []
 
 
 # ---------------------------------------------------------------------------
