@@ -9,7 +9,8 @@ its verdicts alone: 0 when every verdict passed, 1 when some verdict failed
 (the report carries the counterexample), 2 when the input was invalid.
 
 Rationals cross the boundary as "p/q" strings; exact decimal literals are
-accepted and converted exactly (0.625 -> 5/8).
+accepted and converted exactly (0.625 -> 5/8).  An integer or integer ratio
+is read with int(), every other text with Fraction(), to the same value.
 
 A subcommand is declared once, by ``@_command(name, help, *options)`` on its
 handler, each option an ``_arg(*flags, **add_argument_kwargs)``.  The parser
@@ -23,6 +24,7 @@ import argparse
 import functools
 import inspect
 import os
+import re
 import sys
 import time
 from fractions import Fraction
@@ -74,18 +76,27 @@ _REPORT_OPTIONS = (
     _arg("--output", help=f"write the report here (relative paths land in ${OUTPUT_DIR_VAR})"))
 
 
+# An ASCII integer or integer ratio, the form "p/q" arguments take: read by int()
+# without Fraction's own regex, to the value Fraction(text) has (a zero
+# denominator raises ZeroDivisionError, as Fraction(text) does).
+_INT_RATIO = re.compile(r"-?[0-9]+(?:/[0-9]+)?\Z").match
+
+
 def _rational(text: str) -> Fraction:
     try:
+        if _INT_RATIO(text):
+            num, _, den = text.partition("/")
+            return Fraction(int(num), int(den or 1))
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
 
 
 def _rational_list(text: str) -> Tuple[Fraction, ...]:
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = [p for p in map(str.strip, text.split(",")) if p]
     if not parts:
         raise argparse.ArgumentTypeError("empty rational list")
-    return tuple(_rational(p.strip()) for p in parts)
+    return tuple([_rational(p) for p in parts])
 
 
 def _int_list(text: str) -> Tuple[int, ...]:
@@ -326,7 +337,7 @@ def _cmd_nn_census(args) -> Dict[str, Any]:
     if args.cells is not None and args.cells < 1:
         raise ValueError(f"cells must be at least 1, got {args.cells}")
     rep = nn_census(cloud, method=args.method)
-    metrics = {"size": len(cloud.points), "dim": rep.dim,
+    metrics = {"size": len(cloud), "dim": rep.dim,
                "census_size": rep.census_size, "method": rep.method}
     return {"verdicts": [], "metrics": metrics, "report": rep}
 

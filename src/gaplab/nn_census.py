@@ -5,8 +5,9 @@ the least common denominator of its coordinates, and distances compare as
 folded squared norms over that scale, whose largest value d*(scale//2)^2
 picks the array dtype through exact_torus.int_dtype: int64 while it fits,
 Python ints on object arrays beyond.  Fractions are lifted for reports
-only, so every decision is reproducible bit for bit; floats only appear in
-logged summary ratios.
+only, and only when read (a cloud's points on first read), so every
+decision is reproducible bit for bit; floats only appear in logged summary
+ratios.
 
 The census of a cloud is the set of difference vectors to a nearest neighbour,
 one deterministic choice per point: by all pairs ("brute") or by an exact
@@ -14,7 +15,8 @@ circular sweep along one axis ("grid"), both on residue rows at every scale
 and scoring residue columns through _sq_norms, the fold every kernel here
 shares; "auto" picks grid above 512 points and brute otherwise.
 Ball depths and core extraction read the kernel's integer rows (_census_rows);
-nn_census lifts them once, for reports.  _brute_rows_exact, an all-pairs loop
+nn_census keeps them in its report, whose records and census are lifted on
+read and written from rows when unread.  _brute_rows_exact, an all-pairs loop
 on the Fraction points, is the oracle the tests check both against.  On top of
 the census sit: the orbit census of a rotation, checks for configurations
 whose pairwise distances dominate their norms, ball depths, a greedy
@@ -71,7 +73,13 @@ def _sq_norms(diffs, scale: int):
 @dataclass(frozen=True)
 class PointCloud:
     """Finite set of distinct points on the d-torus, kept sorted; _rows holds
-    them as residue rows over the least common denominator, in that order."""
+    them as residue rows over the least common denominator, in that order.
+
+    A cloud built from values or rows holds only _rows: length, dimension,
+    membership and every census kernel read them, and ``points``, the tuple
+    of TorusVectors, is lifted on first read and cached.  Equality, repr and
+    hashing see the lifted points.
+    """
 
     points: Tuple[TorusVector, ...]
 
@@ -84,7 +92,7 @@ class PointCloud:
     def from_values(cls, rows: Iterable[Sequence]) -> "PointCloud":
         vals = []
         for row in rows:
-            coords = [_coerce(c) for c in row]
+            coords = [c if type(c) is Fraction else _coerce(c) for c in row]
             if not coords:
                 raise ValueError("torus vectors need at least one coordinate")
             vals.append(coords)
@@ -100,25 +108,33 @@ class PointCloud:
 
     @classmethod
     def _from_rows(cls, rows, scale: int) -> "PointCloud":
-        # Internal: distinct rows of residues mod scale, reduced to lowest terms.
+        # Internal: distinct rows of residues mod scale, reduced to lowest
+        # terms.  points is left to __getattr__.
         g = math.gcd(scale, *itertools.chain.from_iterable(rows))
         rows = sorted(tuple(x // g for x in r) for r in rows)
-        scale //= g
+        inst = object.__new__(cls)
+        # (rows, scale) with points[i] == rows[i] / scale coordinatewise
+        inst.__dict__["_rows"] = (rows, scale // g)
+        return inst
+
+    def __getattr__(self, name: str):
+        # Reached only for absent attributes: the points of a cloud built
+        # from rows, unread.
+        if name != "points" or "_rows" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        rows, scale = self.__dict__["_rows"]
         lift = {x: TorusPoint._from_residue(x, scale)
                 for x in set(itertools.chain.from_iterable(rows))}
-        inst = object.__new__(cls)
-        object.__setattr__(inst, "points", tuple(
-            TorusVector._from_points(tuple(map(lift.__getitem__, r))) for r in rows))
-        # (rows, scale) with points[i] == rows[i] / scale coordinatewise
-        inst.__dict__["_rows"] = (rows, scale)
-        return inst
+        points = self.__dict__["points"] = tuple(
+            TorusVector._from_points(tuple(map(lift.__getitem__, r))) for r in rows)
+        return points
 
     @property
     def dim(self) -> int:
-        return self.points[0].dim
+        return len(self._rows[0][0])
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._rows[0])
 
     def __iter__(self):
         return iter(self.points)
@@ -179,15 +195,51 @@ class NNRecord:
 
 @dataclass(frozen=True)
 class CensusReport:
-    """Per-point nearest-neighbour records and the census of difference vectors."""
+    """Per-point nearest-neighbour records and the census of difference vectors.
+
+    A report made by nn_census holds the kernel's rows and the cloud:
+    ``records`` and ``census`` are lifted together on first read and cached,
+    and census_size counts the distinct vectors of the rows.  Equality, repr
+    and hashing see the lifted fields.
+    """
 
     dim: int
     method: str
     records: Tuple[NNRecord, ...]
     census: Tuple[Tuple[Fraction, ...], ...]
 
+    @classmethod
+    def _from_rows(cls, cloud: PointCloud, method: str,
+                   rows: List[Tuple[int, tuple, int]]) -> "CensusReport":
+        # Internal: rows are _census_rows(cloud, ...)'s, one per point of
+        # the cloud.  records and census are left to __getattr__.
+        inst = object.__new__(cls)
+        inst.__dict__.update(dim=cloud.dim, method=method, _rows=(cloud, rows))
+        return inst
+
+    def __getattr__(self, name: str):
+        # Reached only for absent attributes: the records and census of a
+        # report made from rows, unread.
+        if name not in ("records", "census") or "_rows" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        cloud, raw = self.__dict__["_rows"]
+        scale = cloud._rows[1]
+        # one Fraction per distinct value
+        vecs = {r[1] for r in raw}
+        coord = {x: Fraction(x, scale) for x in set(itertools.chain(*vecs))}
+        vecs = {v: tuple(map(coord.__getitem__, v)) for v in vecs}
+        dists = {m: Fraction(m, scale * scale) for m in {r[0] for r in raw}}
+        points = cloud.points
+        self.__dict__.update(
+            records=tuple(NNRecord(points[i], points[j], vecs[v], dists[m])
+                          for i, (m, v, j) in enumerate(raw)),
+            census=tuple(vecs[v] for v in sorted(vecs)))
+        return self.__dict__[name]
+
     @property
     def census_size(self) -> int:
+        if "_rows" in self.__dict__:
+            return len({v for _, v, _ in self.__dict__["_rows"][1]})
         return len(self.census)
 
 
@@ -304,16 +356,7 @@ def nn_census(cloud: PointCloud, method: str = "auto") -> CensusReport:
     points, brute otherwise, at every scale).  All methods agree exactly.
     """
     method, raw = _census_rows(cloud, method)
-    scale = cloud._rows[1]
-    # one Fraction per distinct value
-    vecs = {r[1] for r in raw}
-    coord = {x: Fraction(x, scale) for x in set(itertools.chain(*vecs))}
-    vecs = {v: tuple(map(coord.__getitem__, v)) for v in vecs}
-    dists = {m: Fraction(m, scale * scale) for m in {r[0] for r in raw}}
-    records = tuple(NNRecord(cloud.points[i], cloud.points[j], vecs[v], dists[m])
-                    for i, (m, v, j) in enumerate(raw))
-    census = tuple(vecs[v] for v in sorted(vecs))
-    return CensusReport(cloud.dim, method, records, census)
+    return CensusReport._from_rows(cloud, method, raw)
 
 
 @dataclass(frozen=True)

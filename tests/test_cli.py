@@ -1,10 +1,14 @@
 """End-to-end command line behaviour, run in process through main()."""
 
+import argparse
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gaplab.cli import main
+from gaplab.cli import _rational, main
 
 
 def run_json(tmp_path, argv, name="out.json"):
@@ -60,6 +64,53 @@ def test_malformed_rational_is_usage_error():
     with pytest.raises(SystemExit) as err:
         main(["gaps", "--alpha", "x/y", "--n", "4"])
     assert err.value.code == 2
+
+
+# Texts at the edges of the integer-ratio fast path: forms only Fraction reads,
+# forms no one reads, zero denominators and redundant signs and zeros.
+RATIONAL_EDGES = ["1_000", "+1/2", " 1/2 ", ".5", "5.", "1e3", "\u0663", "\u0663/7", "1 /2",
+                  "1/-2", "1e-3/2", "1/0", "1/00", "-0/5", "007/010", "-7", "0", "", "-", "/",
+                  "1/", "/2", "--1", "1/2/3", "1/2\n"]
+
+
+def _fraction_or_error(text):
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+@given(st.text(alphabet="0123456789/-+.eE_ \u0663", max_size=10))
+@settings(max_examples=600, deadline=None)
+@example("007/010")
+@example("-0/5")
+def test_rational_parses_exactly_what_fraction_parses(text):
+    expected = _fraction_or_error(text)
+    if expected is None:
+        with pytest.raises(argparse.ArgumentTypeError):
+            _rational(text)
+    else:
+        got = _rational(text)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+
+
+@pytest.mark.parametrize("text", RATIONAL_EDGES)
+def test_rational_edges_match_fraction_through_main(text, capsys, tmp_path):
+    expected = _fraction_or_error(text)
+    argv = ["ap-union", f"--alpha={text}", "--betas", "0", "--lengths", "1"]
+    if expected is None:
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "Traceback" not in stderr
+        assert stderr.splitlines()[-1] == (
+            f"gaplab ap-union: error: argument --alpha: not an exact rational: {text!r}")
+    else:
+        assert _rational(text) == expected
+        rc, payload = run_json(tmp_path, argv)
+        assert rc == 0 and payload["config"]["alpha"] == str(expected)
 
 
 def test_colliding_orbit_is_input_error(capsys):
@@ -276,6 +327,24 @@ def test_orbit_commands_lift_only_the_points_they_print(tmp_path, lifts):
     rc, payload = run_json(tmp_path, ["orbit", "--alpha", "13/97", "--n", "40"])
     assert rc == 0 and len(payload["report"]["points"]["points"]) == 40
     assert len(lifts) == 0
+
+
+@pytest.mark.parametrize("method", ["brute", "grid"])
+def test_nn_census_lifts_no_point(tmp_path, lifts, method):
+    from gaplab.exact_torus import TorusVector
+    from gaplab.nn_census import PointCloud
+
+    points = "0,0;1/7,0;3/7,1/2;1/2,1/3;5/6,2/3"
+    rc, payload = run_json(tmp_path, ["nn-census", "--points", points, "--method", method])
+    assert rc == 0 and payload["metrics"]["size"] == len(payload["report"]["records"]) == 5
+    assert payload["report"]["records"][0]["point"] == ["0", "0"]
+    assert lifts == []
+    cloud = PointCloud.from_values([v.split(",") for v in points.split(";")])
+    assert len(cloud) == 5 and cloud.dim == 2
+    assert TorusVector.of("1/7", "0") in cloud and TorusVector.of("1/8", "0") not in cloud
+    assert lifts == [] and "points" not in cloud.__dict__
+    # one lift per distinct residue: 0, 1/7, 3/7, 1/2, 1/3, 5/6 and 2/3
+    assert cloud.points[1] == TorusVector.of("1/7", "0") and len(lifts) == 7
 
 
 def test_python_dash_m_runs_the_command_line():

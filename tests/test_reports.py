@@ -1,6 +1,7 @@
 """canonical_json against its reference, json.dumps(to_jsonable(x), sort_keys=True, indent=2)."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from gaplab.exact_torus import TorusPoint, TorusVector
 from gaplab.gap_spectrum import CircularSet, Wrap, fractional_orbit
 from gaplab.generator_decomposition import Side
-from gaplab.nn_census import NNRecord, PointCloud, nn_census
+from gaplab.nn_census import CensusReport, NNRecord, PointCloud, _brute_rows_exact, nn_census
 from gaplab.reports import canonical_json, to_jsonable
 
 
@@ -83,6 +84,58 @@ def test_an_orbit_is_written_from_its_residues_without_lifting(lifts):
     assert unread == reference(doc)
     assert len(lifts) == 40 and "points" in orbit.__dict__
     assert canonical_json(doc) == unread
+
+
+def _eager_census(cloud, method):
+    """The census report of cloud built on Fractions, from the all-pairs oracle."""
+    pts = cloud.points
+    rows = _brute_rows_exact(cloud)
+    records = tuple(NNRecord(pts[i], pts[j], signed, nsq) for i, (nsq, signed, j) in enumerate(rows))
+    return CensusReport(cloud.dim, method, records, tuple(sorted({r[1] for r in rows})))
+
+
+def _census_clouds():
+    """(rows, q) of clouds for d = 1..4: a small q, an int64 one and one past int64's norm
+    bound, each with a zero coordinate, once as drawn and once scaled by 6."""
+    rng = random.Random(7)
+    for d in (1, 2, 3, 4):
+        for q in (60, 997, (1 << 40) + 15):
+            rows = {tuple(rng.randrange(q) for _ in range(d)) for _ in range(40)}
+            rows |= {(0,) * d, (q // 2,) + (0,) * (d - 1)}
+            yield sorted(rows), q
+            # the common factor 6 reduces away
+            yield [tuple(6 * x for x in r) for r in sorted(rows)], 6 * q
+
+
+CENSUS_CLOUDS = list(_census_clouds())
+
+
+@pytest.mark.parametrize("method", ["brute", "grid"])
+@pytest.mark.parametrize("rows, q", CENSUS_CLOUDS,
+                         ids=[f"d{len(rows[0])}-q{q}" for rows, q in CENSUS_CLOUDS])
+def test_an_unread_census_is_written_from_its_rows(rows, q, method, lifts):
+    cloud = PointCloud._from_rows(rows, q)
+    rep = nn_census(cloud, method)
+    docs = [rep, {"report": rep}, [1, {"a": [rep]}, rep]]
+    unread = [canonical_json(doc) for doc in docs]
+    size = rep.census_size
+    assert lifts == [] and "records" not in rep.__dict__ and "points" not in cloud.__dict__
+    assert unread == [reference(doc) for doc in docs]
+    # read, the report is the one built on Fractions and writes the same text
+    assert "records" in rep.__dict__
+    assert rep == _eager_census(cloud, method)
+    assert size == len(rep.census) == len(json.loads(unread[0])["census"])
+    assert [canonical_json(doc) for doc in docs] == unread
+
+
+def test_census_residues_reduce_over_the_cloud_scale():
+    cloud = PointCloud._from_rows([(0, 0), (4, 6), (6, 8), (10, 2)], 12)
+    assert cloud._rows == ([(0, 0), (2, 3), (3, 4), (5, 1)], 6)
+    text = canonical_json(nn_census(cloud, "brute"))
+    assert json.loads(text)["records"][1] == {
+        "diff": ["1/6", "1/6"], "dist_sq": "1/18", "nearest": ["1/2", "2/3"],
+        "point": ["1/3", "1/2"]}
+    assert text == reference(nn_census(cloud, "brute"))
 
 
 def test_residues_are_reduced_and_zero_is_zero():
