@@ -15,7 +15,8 @@ clears denominators, residue_over() reads one value over a given scale,
 common_scale() brings residue families to the lcm of their scales,
 signed_residues() maps residues mod q to [-q/2, q/2), sorted_unique()
 dedupes residue arrays, and int_dtype() with INT64_MAX is the guard that
-keeps numpy int64 only while every intermediate fits.
+keeps numpy int64 only while every intermediate fits.  LazyFields is the
+base of the result types that hold that format unread until a field is read.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 
-Rational = Fraction
 RationalLike = Union[Fraction, int, str]
 
 HALF = Fraction(1, 2)
@@ -40,6 +40,40 @@ class DuplicatePointError(ValueError):
 
 class DegenerateInputError(ValueError):
     """The affine embedding needs at least two distinct values."""
+
+
+class LazyFields:
+    """Base of a frozen dataclass whose fields named in _LAZY may be held unread.
+
+    An unread instance, made by _unread(), holds the other fields and an
+    integer form.  The first read of a lazy field stores every field that
+    the class's _lift() returns; a lift that raises stores nothing, so the
+    next read lifts again.  Equality, repr, copy and pickling see the lifted
+    fields, and an unread instance unpickles unread.
+    """
+
+    def _is_unread(self) -> bool:
+        return self._LAZY[0] not in self.__dict__
+
+    def _field_rows(self) -> dict:
+        """The lazy fields written unread, as (rows, scale[, indices]), n/scale per int row and
+        a vector per tuple row, or (record dataclass, {field: (rows, scale[, indices])})."""
+        return {}
+
+    def __getattr__(self, name: str):
+        # Reached only for absent attributes: a lazy field, unread.
+        if name not in self._LAZY:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        lifted = self._lift()
+        self.__dict__.update(lifted)
+        return lifted[name]
+
+
+def _unread(cls, **held):
+    """An instance of cls holding exactly the given attributes, made without __init__."""
+    inst = object.__new__(cls)
+    inst.__dict__.update(held)
+    return inst
 
 
 def as_rational(x: RationalLike) -> Fraction:

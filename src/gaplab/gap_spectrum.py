@@ -26,10 +26,10 @@ from functools import cached_property
 from math import isqrt
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
-from .exact_torus import (DuplicatePointError, RationalLike, TorusPoint,
-                          as_rational, common_scale, reduce_mod1, residue_over,
-                          residues)
-from .sumset_engine import FiniteExactSet, Domain, _ascending, torus_pairsums
+from .exact_torus import (DuplicatePointError, LazyFields, RationalLike, TorusPoint,
+                          _unread, as_rational, common_scale, reduce_mod1,
+                          residue_over, residues)
+from .sumset_engine import FiniteExactSet, Domain, _ascending, _lift, torus_pairsums
 
 
 class TooFewPointsError(ValueError):
@@ -54,7 +54,7 @@ class Wrap(str, Enum):
 
 
 @dataclass(frozen=True)
-class CircularSet:
+class CircularSet(LazyFields):
     """Finite subset of R/Z in strictly increasing representative order.
 
     labels, when present, tag each point with a distinct integer (orbits use
@@ -62,16 +62,18 @@ class CircularSet:
     the set: torus-native sets include the closing arc, sets embedded from
     the reals exclude it.
 
-    A set built from values, or by the library from residues, holds only its
-    ascending residues over one denominator: length, membership and every
-    gap and subset test run on them, and ``points``, the tuple of
-    TorusPoints, is lifted on first read and cached.  Equality, repr,
-    dataclasses.replace and pickling see the lifted points.
+    A set built from values, or by the library from residues, is held
+    unread (exact_torus.LazyFields): it keeps only its ascending residues
+    over one denominator, on which length, membership and every gap and
+    subset test run, ``points``, the tuple of TorusPoints, is lifted on
+    first read, and an unread set is written from its residues.
     """
 
     points: tuple
     labels: Optional[tuple] = None
     wrap: Wrap = Wrap.INCLUDE
+
+    _LAZY = ("points",)
 
     def __post_init__(self) -> None:
         ints, q = self._residues
@@ -108,19 +110,14 @@ class CircularSet:
                        wrap: Wrap = Wrap.INCLUDE) -> "CircularSet":
         # Internal: ints must be a list of distinct residues in [0, q),
         # ascending, so the points are strictly increasing without a
-        # Fraction comparison.  points is left to __getattr__.
-        inst = object.__new__(cls)
-        inst.__dict__.update(labels=labels, wrap=wrap, _residues=(ints, q))
-        return inst
+        # Fraction comparison.
+        return _unread(cls, labels=labels, wrap=wrap, _residues=(ints, q))
 
-    def __getattr__(self, name: str):
-        # Reached only for absent attributes: the points of a set built
-        # from residues, unread.
-        if name != "points" or "_residues" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        ints, q = self.__dict__["_residues"]
-        points = self.__dict__["points"] = tuple(TorusPoint._from_residue(n, q) for n in ints)
-        return points
+    def _lift(self) -> dict:
+        return {"points": _lift(*self._residues, Domain.TORUS)}
+
+    def _field_rows(self) -> dict:
+        return {"points": self._residues}
 
     @cached_property
     def _residues(self) -> Tuple[list, int]:
@@ -128,8 +125,7 @@ class CircularSet:
         return residues(self.points)
 
     def values(self) -> tuple:
-        ints, q = self._residues
-        return tuple(Fraction(n, q) for n in ints)
+        return _lift(*self._residues, Domain.RATIONALS)
 
     def point_set(self) -> frozenset:
         return frozenset(self.points)

@@ -35,8 +35,8 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact_torus import (TorusPoint, TorusVector, _coerce, as_rational,
-                          common_scale, int_dtype, residue_over, residues,
+from .exact_torus import (LazyFields, TorusPoint, TorusVector, _coerce, _unread,
+                          as_rational, common_scale, int_dtype, residue_over, residues,
                           signed_residues, sorted_unique, torus_dist_sq)
 from .gap_spectrum import CollisionError, TooFewPointsError
 
@@ -71,17 +71,19 @@ def _sq_norms(diffs, scale: int):
 
 
 @dataclass(frozen=True)
-class PointCloud:
+class PointCloud(LazyFields):
     """Finite set of distinct points on the d-torus, kept sorted; _rows holds
     them as residue rows over the least common denominator, in that order.
 
-    A cloud built from values or rows holds only _rows: length, dimension,
-    membership and every census kernel read them, and ``points``, the tuple
-    of TorusVectors, is lifted on first read and cached.  Equality, repr and
-    hashing see the lifted points.
+    A cloud built from values or rows is held unread (exact_torus.LazyFields):
+    it keeps only _rows, which length, dimension, membership and every census
+    kernel read, ``points``, the tuple of TorusVectors, is lifted on first
+    read, and an unread cloud is written from its rows.
     """
 
     points: Tuple[TorusVector, ...]
+
+    _LAZY = ("points",)
 
     def __post_init__(self):
         cleared = PointCloud.from_values(p.coords for p in self.points)
@@ -108,26 +110,21 @@ class PointCloud:
 
     @classmethod
     def _from_rows(cls, rows, scale: int) -> "PointCloud":
-        # Internal: distinct rows of residues mod scale, reduced to lowest
-        # terms.  points is left to __getattr__.
+        # Internal: distinct rows of residues mod scale, reduced to lowest terms.
         g = math.gcd(scale, *itertools.chain.from_iterable(rows))
         rows = sorted(tuple(x // g for x in r) for r in rows)
-        inst = object.__new__(cls)
         # (rows, scale) with points[i] == rows[i] / scale coordinatewise
-        inst.__dict__["_rows"] = (rows, scale // g)
-        return inst
+        return _unread(cls, _rows=(rows, scale // g))
 
-    def __getattr__(self, name: str):
-        # Reached only for absent attributes: the points of a cloud built
-        # from rows, unread.
-        if name != "points" or "_rows" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        rows, scale = self.__dict__["_rows"]
+    def _lift(self) -> dict:
+        rows, scale = self._rows
         lift = {x: TorusPoint._from_residue(x, scale)
                 for x in set(itertools.chain.from_iterable(rows))}
-        points = self.__dict__["points"] = tuple(
-            TorusVector._from_points(tuple(map(lift.__getitem__, r))) for r in rows)
-        return points
+        return {"points": tuple(TorusVector._from_points(tuple(map(lift.__getitem__, r)))
+                                for r in rows)}
+
+    def _field_rows(self) -> dict:
+        return {"points": self._rows}
 
     @property
     def dim(self) -> int:
@@ -194,13 +191,14 @@ class NNRecord:
 
 
 @dataclass(frozen=True)
-class CensusReport:
+class CensusReport(LazyFields):
     """Per-point nearest-neighbour records and the census of difference vectors.
 
-    A report made by nn_census holds the kernel's rows and the cloud:
-    ``records`` and ``census`` are lifted together on first read and cached,
-    and census_size counts the distinct vectors of the rows.  Equality, repr
-    and hashing see the lifted fields.
+    A report made by nn_census is held unread (exact_torus.LazyFields): it
+    keeps the cloud and the kernel's rows, one per point of the cloud, as
+    _rows.  ``records`` and ``census`` are lifted together on first read, an
+    unread report is written from the rows, and census_size counts the
+    distinct vectors of the rows.
     """
 
     dim: int
@@ -208,21 +206,10 @@ class CensusReport:
     records: Tuple[NNRecord, ...]
     census: Tuple[Tuple[Fraction, ...], ...]
 
-    @classmethod
-    def _from_rows(cls, cloud: PointCloud, method: str,
-                   rows: List[Tuple[int, tuple, int]]) -> "CensusReport":
-        # Internal: rows are _census_rows(cloud, ...)'s, one per point of
-        # the cloud.  records and census are left to __getattr__.
-        inst = object.__new__(cls)
-        inst.__dict__.update(dim=cloud.dim, method=method, _rows=(cloud, rows))
-        return inst
+    _LAZY = ("records", "census")
 
-    def __getattr__(self, name: str):
-        # Reached only for absent attributes: the records and census of a
-        # report made from rows, unread.
-        if name not in ("records", "census") or "_rows" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        cloud, raw = self.__dict__["_rows"]
+    def _lift(self) -> dict:
+        cloud, raw = self._rows
         scale = cloud._rows[1]
         # one Fraction per distinct value
         vecs = {r[1] for r in raw}
@@ -230,16 +217,27 @@ class CensusReport:
         vecs = {v: tuple(map(coord.__getitem__, v)) for v in vecs}
         dists = {m: Fraction(m, scale * scale) for m in {r[0] for r in raw}}
         points = cloud.points
-        self.__dict__.update(
-            records=tuple(NNRecord(points[i], points[j], vecs[v], dists[m])
-                          for i, (m, v, j) in enumerate(raw)),
-            census=tuple(vecs[v] for v in sorted(vecs)))
-        return self.__dict__[name]
+        return {"records": tuple(NNRecord(points[i], points[j], vecs[v], dists[m])
+                                 for i, (m, v, j) in enumerate(raw)),
+                "census": tuple(vecs[v] for v in sorted(vecs))}
+
+    def _field_rows(self) -> dict:
+        cloud, raw = self._rows
+        rows, scale = cloud._rows
+        dists, vecs, nearest = zip(*raw)
+        vectors, squares = sorted(set(vecs)), list(set(dists))
+        at = {v: k for k, v in enumerate(vectors)}
+        at_sq = {m: k for k, m in enumerate(squares)}
+        return {"census": (vectors, scale),
+                "records": (NNRecord, {"point": (rows, scale), "nearest": (rows, scale, nearest),
+                                       "diff": (vectors, scale, list(map(at.__getitem__, vecs))),
+                                       "dist_sq": (squares, scale * scale,
+                                                   list(map(at_sq.__getitem__, dists)))})}
 
     @property
     def census_size(self) -> int:
-        if "_rows" in self.__dict__:
-            return len({v for _, v, _ in self.__dict__["_rows"][1]})
+        if self._is_unread():
+            return len({v for _, v, _ in self._rows[1]})
         return len(self.census)
 
 
@@ -356,7 +354,7 @@ def nn_census(cloud: PointCloud, method: str = "auto") -> CensusReport:
     points, brute otherwise, at every scale).  All methods agree exactly.
     """
     method, raw = _census_rows(cloud, method)
-    return CensusReport._from_rows(cloud, method, raw)
+    return _unread(CensusReport, dim=cloud.dim, method=method, _rows=(cloud, raw))
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ indent=2), but it builds no to_jsonable tree and avoids json's pure-Python
 indent encoder.  Strings, ints, rationals, torus points and vectors, lists,
 tuples, dicts and dataclasses are written directly, each dataclass's sorted
 field names computed once; a vector shared between records is written once
-per depth, an unread orbit's points straight from its residues, and an
-unread census report's records and census straight from the kernel's rows
-and the cloud's residue rows: one text per distinct residue, point row and
-squared distance, and one % template per record.  Every other value
+per depth, and the lazy fields of an unread exact_torus.LazyFields object
+straight from the integer rows its _field_rows() returns, with no Fraction
+or torus point built: one text per distinct residue per scale, one per row
+(picked by index where a column gives indices), and one % template per
+record.  Every other value
 (bools, floats, None, sets, enums, subclasses) goes through
 to_jsonable, which stays the one home of those rules, serves the CSV
 projection and is the reference the writer is tested against.
@@ -33,9 +34,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Any, Dict, List, Optional, Tuple
 
-from .exact_torus import TorusPoint, TorusVector
-from .gap_spectrum import CircularSet
-from .nn_census import CensusReport, NNRecord
+from .exact_torus import LazyFields, TorusPoint, TorusVector
 
 SCHEMA_VERSION = 1
 
@@ -133,22 +132,44 @@ def _text(obj: Any, depth: int, memo: dict) -> str:
     if names is None:
         text = json.dumps(to_jsonable(obj), sort_keys=True, indent=2)
         return text.replace("\n", "\n" + "  " * depth) if depth else text
-    written = _unread_fields(obj, depth + 1)
-    return _object_text([(name, written[name] if name in written
-                          else _text(getattr(obj, name), depth + 1, memo)) for name in names],
-                        depth)
+    rows = obj._field_rows() if isinstance(obj, LazyFields) and obj._is_unread() else {}
+    return _object_text([(name, _array_text(_items_text(rows[name], depth + 2, memo), depth + 1)
+                          if name in rows else _text(getattr(obj, name), depth + 1, memo))
+                         for name in names], depth)
 
 
-def _unread_fields(obj: Any, depth: int) -> Dict[str, str]:
-    """The fields, at depth, that an unread orbit set or census report writes from its
-    integer rows, by name; none for any other object."""
-    t = type(obj)
-    if t is CircularSet and "points" not in obj.__dict__:
-        ints, q = obj._residues
-        return {"points": _residue_points(ints, q, depth)}
-    if t is CensusReport and "records" not in obj.__dict__:
-        return _census_fields(obj, depth)
-    return {}
+def _items_text(spec: tuple, depth: int, memo: dict) -> List[str]:
+    """The items, at depth, of a field given as integer rows (LazyFields._field_rows).
+
+    memo holds the texts of vector coordinates by scale, and by (id, depth) a rows list
+    with the texts of its rows: holding the list keeps its id from being reused meanwhile.
+    """
+    if isinstance(spec[0], type):
+        names = _sorted_fields(spec[0])
+        record = _object_text([(name, "%s") for name in names], depth)
+        return [record % r for r in zip(*[_items_text(spec[1][name], depth + 1, memo)
+                                          for name in names])]
+    rows, scale, *index = spec
+    hit = memo.get((id(rows), depth))
+    if hit is None:
+        if rows and isinstance(rows[0], tuple):
+            texts = memo.setdefault(scale, {})
+            new = set(itertools.chain.from_iterable(rows)).difference(texts)
+            texts.update(zip(new, _residue_texts(new, scale)))
+            template = _array_text(["%s"] * len(rows[0]), depth)
+            text = texts.__getitem__
+            written = [template % tuple(map(text, r)) for r in rows]
+        else:
+            written = list(_residue_texts(rows, scale))
+        hit = memo[id(rows), depth] = (rows, written)
+    return list(map(hit[1].__getitem__, index[0])) if index else hit[1]
+
+
+def _residue_texts(residues, scale: int):
+    """The texts of the rationals n/scale, in lowest terms, with no Fraction built."""
+    for n in residues:
+        g = gcd(n, scale)
+        yield '"%d"' % (n // g) if g == scale else '"%d/%d"' % (n // g, scale // g)
 
 
 @functools.lru_cache(maxsize=64)
@@ -183,38 +204,6 @@ def _object_text(members: List[Tuple[str, str]], depth: int) -> str:
     lead, sep, close = _layout(depth)
     encode = _LEAF_TEXT[str]
     return "{" + lead + sep.join([encode(k) + ": " + v for k, v in members]) + close + "}"
-
-
-def _residue_text(n: int, q: int) -> str:
-    """The text of the rational n/q, in lowest terms, with no Fraction built."""
-    g = gcd(n, q)
-    return '"%d"' % (n // g) if g == q else '"%d/%d"' % (n // g, q // g)
-
-
-def _residue_points(ints: List[int], q: int, depth: int) -> str:
-    """The points n/q of residues ints mod q, with no TorusPoint built."""
-    return _array_text([_residue_text(n, q) for n in ints], depth)
-
-
-def _census_fields(rep: CensusReport, depth: int) -> Dict[str, str]:
-    """The census and records of an unread census report, at depth, written from the
-    kernel's rows and the cloud's residue rows, with no Fraction or vector built."""
-    cloud, raw = rep._rows
-    rows, scale = cloud._rows
-    vectors = sorted({v for _, v, _ in raw})
-    # one text per distinct residue, point row, vector and squared distance
-    text = {n: _residue_text(n, scale)
-            for n in set(itertools.chain(*rows)).union(*vectors)}.__getitem__
-    row_template = _array_text(["%s"] * rep.dim, depth + 2)
-    points = [row_template % tuple(map(text, r)) for r in rows]
-    diffs = {v: row_template % tuple(map(text, v)) for v in vectors}
-    dists = {m: _residue_text(m, scale * scale) for m in {m for m, _, _ in raw}}
-    # NNRecord's fields in sorted order: diff, dist_sq, nearest, point
-    record = _object_text([(name, "%s") for name in _sorted_fields(NNRecord)], depth + 1)
-    census_row = _array_text(["%s"] * rep.dim, depth + 1)
-    return {"census": _array_text([census_row % tuple(map(text, v)) for v in vectors], depth),
-            "records": _array_text([record % (diffs[v], dists[m], points[j], points[i])
-                                    for i, (m, v, j) in enumerate(raw)], depth)}
 
 
 def identity_view(payload: Dict[str, Any]) -> Dict[str, Any]:

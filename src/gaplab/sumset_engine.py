@@ -36,8 +36,8 @@ from typing import Dict, Iterable
 
 import numpy as np
 
-from .exact_torus import (INT64_MAX, TorusPoint, _coerce, as_rational,
-                          common_scale, int_dtype, residues, sorted_unique)
+from .exact_torus import (INT64_MAX, LazyFields, TorusPoint, _coerce, _unread,
+                          as_rational, common_scale, int_dtype, residues, sorted_unique)
 
 # Dense path budgets: output bitmap at most 2^26 bits (8 MB), the shifted
 # segment table at most 64 * 2^22 bits (32 MB), overflow-free int64 sums.
@@ -118,9 +118,7 @@ class FiniteExactSet:
     def _from_ints(cls, ints, scale: int, dom: Domain) -> "FiniteExactSet":
         # Internal: ints are distinct, a sorted int64 array or Python ints
         # in any order, and torus ints are residues in [0, scale).
-        inst = object.__new__(cls)
-        inst.__dict__.update(_ints=ints, _scale=scale, domain=dom)
-        return inst
+        return _unread(cls, _ints=ints, _scale=scale, domain=dom)
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -339,7 +337,7 @@ def _dense_pairsums(xs: list, ys: list, lo: int, span_out: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CoverResult:
+class CoverResult(LazyFields):
     """Outcome of the minimum difference cover search for a set B.
 
     cover             elements c_1 < ... < c_k with B - B contained in cover - B
@@ -351,12 +349,11 @@ class CoverResult:
     budget_exhausted  True when the search stopped at the node budget, which
                       leaves exact False although |B| <= exact_limit
 
-    A result of minimal_difference_cover lifts only its cover, and holds
-    B - B as ints and each witness as a pair of rows of B.  universe and
-    certificate are lifted together on first read and cached, so the
-    certificate is keyed by the universe's own objects; equality, repr,
-    dataclasses.replace and pickling see the lifted fields, as for a result
-    built by the public constructor.
+    A result of minimal_difference_cover is held unread (LazyFields): it
+    lifts only its cover and keeps as _ints B - B over a scale, B's ints
+    and the rows of B of each difference's witness pair.  universe and
+    certificate are lifted together on first read, so the certificate is
+    keyed by the universe's own objects.
     """
 
     cover: tuple
@@ -366,30 +363,15 @@ class CoverResult:
     nodes: int = 0
     budget_exhausted: bool = False
 
-    @classmethod
-    def _from_ints(cls, cover: tuple, exact: bool, nodes: int, budget_exhausted: bool,
-                   universe: np.ndarray, scale: int, dom: Domain, ints: list,
-                   wit_c: np.ndarray, wit_b: np.ndarray) -> "CoverResult":
-        # Internal: universe is B - B as sorted ints over scale, ints is B's
-        # ascending ints, and d = universe[i] is witnessed by the pair of
-        # elements of ints[wit_c[i]] and ints[wit_b[i]].
-        inst = object.__new__(cls)
-        inst.__dict__.update(cover=cover, exact=exact, nodes=nodes,
-                             budget_exhausted=budget_exhausted,
-                             _lazy=(universe, scale, dom, ints, wit_c, wit_b))
-        return inst
+    _LAZY = ("universe", "certificate")
 
-    def __getattr__(self, name: str):
-        # Reached only for absent attributes: the two lazy fields, unread.
-        if name not in ("universe", "certificate") or "_lazy" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        universe, scale, dom, ints, wit_c, wit_b = self.__dict__.pop("_lazy")
+    def _lift(self) -> dict:
+        universe, scale, dom, ints, wit_c, wit_b = self._ints
         lifted = _lift(universe.tolist(), scale, dom)
         elems = _lift(ints, scale, dom)
-        certificate = {key: (elems[c], elems[e])
-                       for key, c, e in zip(lifted, wit_c.tolist(), wit_b.tolist())}
-        self.__dict__.update(universe=lifted, certificate=certificate)
-        return self.__dict__[name]
+        return {"universe": lifted,
+                "certificate": {key: (elems[c], elems[e]) for key, c, e
+                                in zip(lifted, wit_c.tolist(), wit_b.tolist())}}
 
 
 def _difference_table(ints: list, scale: int, dom: Domain):
@@ -520,5 +502,6 @@ def minimal_difference_cover(b: FiniteExactSet, exact_limit: int = EXACT_LIMIT,
     # b: the first occurrence of its index in the cover rows, row-major.
     _, first = np.unique(pos[cover_rows].ravel(), return_index=True)
     wit_c, wit_b = np.divmod(first, len(ints))
-    return CoverResult._from_ints(cover, exact, nodes, budget_exhausted, universe, scale,
-                                  dom, ints, np.asarray(cover_rows)[wit_c], wit_b)
+    return _unread(CoverResult, cover=cover, exact=exact, nodes=nodes,
+                   budget_exhausted=budget_exhausted,
+                   _ints=(universe, scale, dom, ints, np.asarray(cover_rows)[wit_c], wit_b))

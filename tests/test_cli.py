@@ -347,6 +347,21 @@ def test_nn_census_lifts_no_point(tmp_path, lifts, method):
     assert cloud.points[1] == TorusVector.of("1/7", "0") and len(lifts) == 7
 
 
+@pytest.mark.parametrize("m", [3, 7, 20])
+def test_tightness_writes_its_cloud_unread(tmp_path, lifts, m):
+    from gaplab.nn_census import tightness_example
+    from gaplab.reports import to_jsonable
+
+    path = tmp_path / "tightness.json"
+    assert main(["tightness", "--m", str(m), "--output", str(path)]) == 0
+    assert lifts == []
+    text = path.read_text()
+    doc = json.loads(text)
+    assert len(doc["report"]["cloud"]["points"]) == m * m
+    doc["report"] = to_jsonable(tightness_example(m))
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def test_python_dash_m_runs_the_command_line():
     import os
     import subprocess

@@ -215,3 +215,70 @@ def test_int64_guard_at_the_census_switch(d, q, bound, dtype):
         got = _sq_norms((c[1:] - c[:1] for c in rows.T), q)
         want = sum(TorusPoint(Fraction(q // 2, q)).norm() ** 2 for _ in range(d)) * q * q
         assert int(got[0]) == want == bound
+
+
+# ---------------------------------------------------------------------------
+# The four result types that keep integers until read share one lazy-field
+# base: an unread instance behaves as the eager one built by the public
+# constructor from its read fields.
+
+def _lazy_circular_set():
+    from gaplab.gap_spectrum import Wrap, fractional_orbit
+    return (lambda: fractional_orbit(Fraction(13, 97), 40),
+            lambda r: type(r)(tuple(r.points), r.labels, r.wrap), {"wrap": Wrap.EXCLUDE})
+
+
+def _lazy_point_cloud():
+    from gaplab.nn_census import PointCloud
+    rows = [("0", "0"), ("1/7", "0"), ("3/7", "1/2"), ("1/2", "1/3"), ("5/6", "2/3")]
+    return lambda: PointCloud.from_values(rows), lambda r: type(r)(tuple(r.points)), {}
+
+
+def _lazy_census_report():
+    from gaplab.nn_census import PointCloud, nn_census
+    rows = [("0", "0"), ("1/7", "0"), ("3/7", "1/2"), ("1/2", "1/3"), ("5/6", "2/3")]
+    return (lambda: nn_census(PointCloud.from_values(rows), "brute"),
+            lambda r: type(r)(r.dim, r.method, r.records, r.census), {"method": "grid"})
+
+
+def _lazy_cover_result():
+    from gaplab.sumset_engine import FiniteExactSet, minimal_difference_cover
+    b = FiniteExactSet.torus([Fraction(n, 10) for n in (0, 1, 2, 3)])
+    return (lambda: minimal_difference_cover(b),
+            lambda r: type(r)(r.cover, r.exact, r.universe, r.certificate, r.nodes,
+                              r.budget_exhausted), {"nodes": 7})
+
+
+def _hash(x):
+    try:
+        return hash(x)
+    except TypeError:  # a CoverResult holds a dict, eager or not
+        return TypeError
+
+
+@pytest.mark.parametrize("kind", [_lazy_circular_set, _lazy_point_cloud,
+                                  _lazy_census_report, _lazy_cover_result],
+                         ids=["CircularSet", "PointCloud", "CensusReport", "CoverResult"])
+def test_an_unread_instance_matches_an_eager_one(kind):
+    import copy
+    import dataclasses
+    import pickle
+
+    lazy, eager_of, changes = kind()
+    eager = eager_of(lazy())
+    cls = type(eager)
+    unread = lambda x: not any(name in vars(x) for name in cls._LAZY)  # noqa: E731
+    assert unread(lazy()) and not unread(eager)
+    assert lazy() == eager and eager == lazy()
+    assert _hash(lazy()) == _hash(eager)
+    assert repr(lazy()) == repr(eager)
+    assert dataclasses.replace(lazy(), **changes) == dataclasses.replace(eager, **changes)
+    restored = pickle.loads(pickle.dumps(lazy()))
+    assert unread(restored)
+    assert restored == eager and repr(restored) == repr(eager)
+    for copied in (copy.copy(lazy()), copy.deepcopy(lazy())):
+        assert unread(copied) and copied == eager
+    assert hasattr(lazy(), "nope") is False
+    for name in (cls._LAZY[0], dataclasses.fields(cls)[0].name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(lazy(), name, ())

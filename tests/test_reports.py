@@ -189,3 +189,14 @@ def test_an_unserialisable_object_raises_to_jsonables_error():
         to_jsonable({"x": [object()]})
     with pytest.raises(TypeError, match="^cannot serialize object$"):
         canonical_json({"x": [object()]})
+
+
+def test_unread_clouds_over_two_scales_share_one_document(lifts):
+    # the same residues over 5, 7 and 49 (a census's squared distances) must not
+    # share texts, and each cloud is written at two depths
+    a = PointCloud._from_rows([(1, 2), (3, 4), (0, 1)], 5)
+    b = PointCloud._from_rows([(1, 2), (3, 4), (0, 1)], 7)
+    doc = {"a": a, "b": [b, {"a": a}], "census": nn_census(b, "brute")}
+    text = canonical_json(doc)
+    assert lifts == []
+    assert text == reference(doc)

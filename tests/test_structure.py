@@ -1,7 +1,10 @@
 """Structure guard: the integer-residue format has one home, gaplab.exact_torus.
 
 Common scales (lcm) and int64 limits are defined there once; a module that
-needs either imports the shared helper instead of keeping its own copy.
+needs either imports the shared helper instead of keeping its own copy.  So
+is the one lazy-field base whose __getattr__ lifts a result type's fields
+from their integers, and the one constructor of an instance left unread;
+the writer in reports knows that base only, and no result module.
 """
 
 import ast
@@ -56,3 +59,43 @@ def test_residue_helpers_are_not_copied(path):
     assert not _int64_limits(tree), \
         (f"{path.name} writes an int64 limit at lines {_int64_limits(tree)}; "
          "use exact_torus.int_dtype or INT64_MAX")
+
+
+def _pairs_new_with_dict_update(tree: ast.AST) -> bool:
+    """Whether the module calls both object.__new__ and some <x>.__dict__.update."""
+    calls = [node.func for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)]
+    new = any(f.attr == "__new__" and isinstance(f.value, ast.Name) and f.value.id == "object"
+              for f in calls)
+    update = any(f.attr == "update" and isinstance(f.value, ast.Attribute)
+                 and f.value.attr == "__dict__" for f in calls)
+    return new and update
+
+
+def test_one_getattr_in_the_shared_lazy_base():
+    found = [(path.stem, node.lineno) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.FunctionDef) and node.name == "__getattr__"]
+    assert [stem for stem, _ in found] == ["exact_torus"], found
+
+
+def test_reports_imports_no_result_module():
+    tree = ast.parse((SRC / "reports.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").removeprefix("gaplab."))
+            if not node.module or node.module == "gaplab":
+                imported |= {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {a.name.removeprefix("gaplab.") for a in node.names}
+    assert "exact_torus" in imported
+    assert not imported & {"gap_spectrum", "nn_census", "sumset_engine"}, imported
+
+
+def test_unread_instances_are_built_in_one_place():
+    # the detector finds the shared constructor in its home
+    assert _pairs_new_with_dict_update(ast.parse((SRC / "exact_torus.py").read_text()))
+    pairing = [path.stem for path in MODULES
+               if _pairs_new_with_dict_update(ast.parse(path.read_text()))]
+    assert pairing == [], f"{pairing} build instances by hand; call exact_torus._unread"

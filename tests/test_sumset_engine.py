@@ -960,6 +960,27 @@ def test_lazy_cover_result_matches_an_eager_one():
         lazy().universe = ()
 
 
+def test_a_failed_lift_keeps_the_cover_unread(monkeypatch):
+    b = FiniteExactSet.torus([Fraction(n, 41) for n in range(0, 41, 3)])
+    cov = minimal_difference_cover(b)
+    lift, failed = se._lift, []
+
+    def lift_failing_once(*args):
+        if not failed:
+            failed.append(args)
+            raise MemoryError("no room to lift")
+        return lift(*args)
+
+    monkeypatch.setattr(se, "_lift", lift_failing_once)
+    with pytest.raises(MemoryError):
+        cov.universe
+    assert failed and "universe" not in vars(cov) and "certificate" not in vars(cov)
+    # the next read lifts from the integers the failed one left in place
+    universe, certificate = cov.universe, cov.certificate
+    assert all(k is u for k, u in zip(certificate, universe))
+    assert cov == minimal_difference_cover(b)
+
+
 # ---------------------------------------------------------------------------
 # One clearing branch.  The parent's rationals and torus branches, which built
 # a set of Fractions or of TorusPoints before clearing it, are kept verbatim
