@@ -43,7 +43,7 @@ class DegenerateInputError(ValueError):
 
 
 class LazyFields:
-    """Base of a frozen dataclass whose fields named in _LAZY may be held unread.
+    """Base of the five frozen result dataclasses whose _LAZY fields may be held unread.
 
     An unread instance, made by _unread(), holds the other fields and an
     integer form.  The first read of a lazy field stores every field that

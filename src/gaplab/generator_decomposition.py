@@ -338,6 +338,8 @@ class SpanOracle:
 
     def __init__(self, coins: tuple, dp_limit: int = 1 << 24, set_cap: int = 2_000_000):
         self.coins = tuple(sorted(set(coins)))
+        if self.coins and self.coins[0] <= 0:
+            raise ValueError(f"span coins must be positive, got {self.coins[0]}")
         ints, scale = residues(self.coins)
         self.scale = scale
         if scale <= dp_limit:

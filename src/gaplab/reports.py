@@ -10,13 +10,12 @@ themselves: its text is json.dumps(to_jsonable(payload), sort_keys=True,
 indent=2), but it builds no to_jsonable tree and avoids json's pure-Python
 indent encoder.  Strings, ints, rationals, torus points and vectors, lists,
 tuples, dicts and dataclasses are written directly, each dataclass's sorted
-field names computed once; a vector shared between records is written once
-per depth, and the lazy fields of an unread exact_torus.LazyFields object
-straight from the integer rows its _field_rows() returns, with no Fraction
-or torus point built: one text per distinct residue per scale, one per row
-(picked by index where a column gives indices), and one % template per
-record.  Every other value
-(bools, floats, None, sets, enums, subclasses) goes through
+field names computed once and each vector through one % template.  The lazy
+fields of an unread exact_torus.LazyFields object are written straight from
+the integer rows its _field_rows() returns, with no Fraction or torus point
+built: one text per distinct residue per scale, one per row (picked by index
+where a column gives indices), and one % template per record.  Every other
+value (bools, floats, None, sets, enums, subclasses) goes through
 to_jsonable, which stays the one home of those rules, serves the CSV
 projection and is the reference the writer is tested against.
 """
@@ -110,13 +109,7 @@ def _text(obj: Any, depth: int, memo: dict) -> str:
     if leaf is not None:
         return leaf(obj)
     if t is TorusVector:
-        # Census records share their cloud's vectors, so each is written once
-        # per depth; the memo holds obj itself, so its id is not reused meanwhile.
-        hit = memo.get((id(obj), depth))
-        if hit is None:
-            hit = memo[id(obj), depth] = (obj, _rationals_template(len(obj.coords), depth)
-                                          % tuple([c.value for c in obj.coords]))
-        return hit[1]
+        return _rationals_template(len(obj.coords), depth) % tuple([c.value for c in obj.coords])
     if t is tuple or t is list:
         if set(map(type, obj)) == {Fraction}:
             # a row of rationals (a coordinate list, a difference): one % call

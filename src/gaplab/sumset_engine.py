@@ -10,9 +10,9 @@ hashing fallback for values too large for int64, whose Python set stays
 unsorted until someone needs the order.  A + A of one set (the same list
 as both operands) forms each unordered pair once on the dense and hash
 paths, and over a wide segment the dense kernel skips the output words that
-are already all ones.  A set lifts its elements in the input domain (ints,
-Fractions, or canonical torus points) only when ``elements`` is first read,
-so a sum that nobody prints is never lifted.
+are already all ones.  A set (an exact_torus.LazyFields type) lifts its
+elements to ints, Fractions or torus points only when ``elements`` is first
+read, so a sum that nobody prints is never lifted.
 
 The minimum difference cover also runs on the set's ints: B - B is one
 sorted int64 array (object past int64) of the |B| x |B| differences, each
@@ -27,7 +27,7 @@ first reads its universe or certificate.
 from __future__ import annotations
 
 import heapq
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -76,16 +76,22 @@ def _lift(ints: list, scale: int, dom: Domain) -> tuple:
     return tuple(TorusPoint._from_residue(n, scale) for n in ints)
 
 
-class FiniteExactSet:
+@dataclass(frozen=True, eq=False, init=False)
+class FiniteExactSet(LazyFields):
     """A finite set of exact elements: integers, rationals or points of R/Z.
 
     The set keeps distinct ints n over one positive scale, each standing for
     the element n / scale (a residue in [0, scale) on the torus): a sorted
     int64 array as the sum kernels return it, or Python ints in any order.
-    Length and set algebra run on those ints.  ``elements``, the ascending
-    tuple of ints, Fractions or canonical TorusPoints, is lifted on first
-    use and cached.
+    Length and set algebra run on those ints.  A set is held unread
+    (exact_torus.LazyFields): ``elements``, the ascending tuple of ints,
+    Fractions or canonical TorusPoints, is lifted on first read.
     """
+
+    elements: tuple
+    domain: Domain
+
+    _LAZY = ("elements",)
 
     def __init__(self, elements: Iterable, domain: Domain) -> None:
         dom = Domain(domain)
@@ -116,19 +122,11 @@ class FiniteExactSet:
 
     @classmethod
     def _from_ints(cls, ints, scale: int, dom: Domain) -> "FiniteExactSet":
-        # Internal: ints are distinct, a sorted int64 array or Python ints
-        # in any order, and torus ints are residues in [0, scale).
+        # Internal: ints in the form the class docstring gives, taken unchecked.
         return _unread(cls, _ints=ints, _scale=scale, domain=dom)
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    @cached_property
-    def elements(self) -> tuple:
-        return _lift(_ascending(self._ints), self._scale, self.domain)
+    def _lift(self) -> dict:
+        return {"elements": _lift(_ascending(self._ints), self._scale, self.domain)}
 
     @cached_property
     def element_set(self) -> frozenset:
@@ -148,9 +146,6 @@ class FiniteExactSet:
 
     def __hash__(self) -> int:
         return hash(self._key)
-
-    def __repr__(self) -> str:
-        return f"FiniteExactSet(elements={self.elements!r}, domain={self.domain!r})"
 
     def __len__(self) -> int:
         return len(self._ints)

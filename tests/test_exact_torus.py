@@ -218,9 +218,9 @@ def test_int64_guard_at_the_census_switch(d, q, bound, dtype):
 
 
 # ---------------------------------------------------------------------------
-# The four result types that keep integers until read share one lazy-field
+# The five result types that keep integers until read share one lazy-field
 # base: an unread instance behaves as the eager one built by the public
-# constructor from its read fields.
+# constructor from its read fields (a FiniteExactSet: the same set, read).
 
 def _lazy_circular_set():
     from gaplab.gap_spectrum import Wrap, fractional_orbit
@@ -249,6 +249,16 @@ def _lazy_cover_result():
                               r.budget_exhausted), {"nodes": 7})
 
 
+def _lazy_finite_exact_set():
+    from gaplab.sumset_engine import FiniteExactSet, sumset
+    a = FiniteExactSet.torus([Fraction(n, 12) for n in (0, 1, 5, 7)])
+
+    def read(s):
+        s.elements
+        return s
+    return lambda: sumset(a, a), read, {"elements": (Fraction(1, 5),)}
+
+
 def _hash(x):
     try:
         return hash(x)
@@ -257,8 +267,10 @@ def _hash(x):
 
 
 @pytest.mark.parametrize("kind", [_lazy_circular_set, _lazy_point_cloud,
-                                  _lazy_census_report, _lazy_cover_result],
-                         ids=["CircularSet", "PointCloud", "CensusReport", "CoverResult"])
+                                  _lazy_census_report, _lazy_cover_result,
+                                  _lazy_finite_exact_set],
+                         ids=["CircularSet", "PointCloud", "CensusReport", "CoverResult",
+                              "FiniteExactSet"])
 def test_an_unread_instance_matches_an_eager_one(kind):
     import copy
     import dataclasses

@@ -111,6 +111,19 @@ def test_span_oracle_scale_cap():
         SpanOracle((huge,), dp_limit=1 << 20, set_cap=1000)
 
 
+@pytest.mark.parametrize("coins", [(Fraction(0), Fraction(1, 3)), (Fraction(-1, 3),),
+                                   (Fraction(1, 2), Fraction(-1, 5))],
+                         ids=["zero", "negative", "one-negative"])
+@pytest.mark.parametrize("dp_limit", [None, 1], ids=["dp", "bfs"])
+def test_span_oracle_rejects_a_coin_that_is_not_positive_on_both_paths(coins, dp_limit):
+    # before either path runs: one plain ValueError naming the smallest coin
+    kwargs = {} if dp_limit is None else {"dp_limit": dp_limit}
+    with pytest.raises(ValueError) as err:
+        SpanOracle(coins, **kwargs)
+    assert type(err.value) is ValueError
+    assert str(err.value) == f"span coins must be positive, got {min(coins)}"
+
+
 def test_full_verification_of_worked_pair():
     b = tenths(0, 1, 2, 3)
     c = tenths(0, 3)

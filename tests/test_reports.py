@@ -13,6 +13,7 @@ from gaplab.gap_spectrum import CircularSet, Wrap, fractional_orbit
 from gaplab.generator_decomposition import Side
 from gaplab.nn_census import CensusReport, NNRecord, PointCloud, _brute_rows_exact, nn_census
 from gaplab.reports import canonical_json, to_jsonable
+from gaplab.sumset_engine import FiniteExactSet, sumset
 
 
 def reference(x) -> str:
@@ -200,3 +201,20 @@ def test_unread_clouds_over_two_scales_share_one_document(lifts):
     text = canonical_json(doc)
     assert lifts == []
     assert text == reference(doc)
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["unread", "read"])
+@pytest.mark.parametrize("make", [
+    lambda: FiniteExactSet.integers([5, -3, 8, 0]),
+    lambda: sumset(*[FiniteExactSet.rationals([Fraction(1, 3), Fraction(-5, 2), 4])] * 2),
+    lambda: sumset(FiniteExactSet.torus(["1/8", "1/2", "0"]), FiniteExactSet.torus(["1/4", "3/8"])),
+    lambda: FiniteExactSet.torus([]),
+], ids=["integers", "rationals-sum", "torus-sum", "empty"])
+def test_finite_exact_sets_equal_the_reference(make, read):
+    s = make()
+    if read:
+        s.elements
+    assert ("elements" in vars(s)) is read
+    assert_same({"set": s, "sets": [s, s]})
+    assert json.loads(assert_same(s)) == {"domain": s.domain.value,
+                                          "elements": json.loads(reference(s.elements))}

@@ -4,7 +4,9 @@ Common scales (lcm) and int64 limits are defined there once; a module that
 needs either imports the shared helper instead of keeping its own copy.  So
 is the one lazy-field base whose __getattr__ lifts a result type's fields
 from their integers, and the one constructor of an instance left unread;
-the writer in reports knows that base only, and no result module.
+the writer in reports knows that base only, and no result module.  No class
+writes its own __setattr__, __delattr__ or __repr__: frozenness and repr come
+from dataclasses, and every class with a _lift() is a dataclass on that base.
 """
 
 import ast
@@ -99,3 +101,38 @@ def test_unread_instances_are_built_in_one_place():
     pairing = [path.stem for path in MODULES
                if _pairs_new_with_dict_update(ast.parse(path.read_text()))]
     assert pairing == [], f"{pairing} build instances by hand; call exact_torus._unread"
+
+
+def _classes():
+    """(module stem, class node) for every class defined in src/gaplab."""
+    return [(path.stem, node) for path in sorted(SRC.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef)]
+
+
+def _methods(cls: ast.ClassDef) -> dict:
+    return {node.name: node for node in cls.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_frozenness_and_repr_come_from_dataclasses():
+    found = [(path.stem, node.lineno, node.name) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.FunctionDef)
+             and node.name in ("__setattr__", "__delattr__", "__repr__")]
+    assert found == [], found
+
+
+def test_every_lifting_class_is_a_lazy_fields_dataclass():
+    import dataclasses
+    import importlib
+    from functools import cached_property
+
+    from gaplab.exact_torus import LazyFields
+
+    lifting = [(stem, cls.name) for stem, cls in _classes() if "_lift" in _methods(cls)]
+    assert {name for _, name in lifting} >= {"CircularSet", "PointCloud", "CensusReport",
+                                             "CoverResult", "FiniteExactSet"}
+    for stem, name in lifting:
+        cls = getattr(importlib.import_module(f"gaplab.{stem}"), name)
+        assert dataclasses.is_dataclass(cls) and issubclass(cls, LazyFields), name
+        cached = {key for key, value in vars(cls).items() if isinstance(value, cached_property)}
+        assert not cached & set(cls._LAZY), (name, cached & set(cls._LAZY))
