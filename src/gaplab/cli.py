@@ -223,14 +223,10 @@ def _cmd_sumset(args) -> Dict[str, Any]:
         for v in args.a + (args.b or ()):
             if v.denominator != 1:
                 raise ValueError(f"integer domain got non-integer {v}")
-        xs = FiniteExactSet.integers(int(v) for v in args.a)
-        ys = FiniteExactSet.integers(int(v) for v in args.b) if args.b else xs
-    elif dom is Domain.RATIONALS:
-        xs = FiniteExactSet.rationals(args.a)
-        ys = FiniteExactSet.rationals(args.b) if args.b else xs
-    else:
-        xs = FiniteExactSet.torus(args.a)
-        ys = FiniteExactSet.torus(args.b) if args.b else xs
+    make = {Domain.INTEGERS: lambda vs: FiniteExactSet.integers(int(v) for v in vs),
+            Domain.RATIONALS: FiniteExactSet.rationals, Domain.TORUS: FiniteExactSet.torus}[dom]
+    xs = make(args.a)
+    ys = make(args.b) if args.b else xs
     t0 = time.perf_counter()
     s = sumset(xs, ys)
     elapsed = time.perf_counter() - t0

@@ -110,11 +110,6 @@ class _OrientedEngine:
         self._gap_witness: Dict[int, Tuple[int, int]] = {}
         self._gap_parts: Optional[Dict[int, Counter]] = None
 
-    def find(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Witness table row of each value, and whether the value has one."""
-        k = np.minimum(np.searchsorted(self.keys, values), len(self.keys) - 1)
-        return k, self.keys[k] == values
-
     def witness(self, value: int) -> Tuple[int, int]:
         """Positions (i_c, i_b) of the witness of a difference that has one."""
         w = self._gap_witness.get(value)
@@ -224,9 +219,9 @@ class _Instance:
         self.c_pos = c_pos
         self.minus = _OrientedEngine(res, c_pos, q, reflect=False)
         self.universe = sorted_unique(((res[:, None] - res[None, :]) % q).ravel())
-        _, covered = self.minus.find(self.universe)
-        if not covered.all():
-            missing = Fraction(int(self.universe[np.argmin(covered)]), q)
+        # C lies in B, so the witnessed differences C - B lie in B - B
+        if len(self.minus.keys) != len(self.universe):
+            missing = Fraction(int(np.setdiff1d(self.universe, self.minus.keys)[0]), q)
             raise PremiseViolationError(
                 f"C - B misses the difference {missing}; C - B = B - B is required")
         reflect = np.sort(-res % q)
@@ -311,7 +306,7 @@ def _span_members(coins: tuple, cap: int, scale: int) -> np.ndarray:
     budget = OracleScaleError(
         f"the exact span over denominator {scale} has more than {cap} members, "
         "past its enumeration budget")
-    if scale // min(coins) + 1 > cap:
+    if coins and scale // min(coins) + 1 > cap:
         raise budget
     seen = {0}
     frontier = [0]
@@ -414,7 +409,6 @@ def verify_generation(b: CircularSet, c: CircularSet) -> GenerationReport:
     r_minus, r_plus = (tuple(Fraction(g, q) for g in family)
                        for family in (ints_minus, ints_plus))
     oracle_minus, oracle_plus = SpanOracle(r_minus), SpanOracle(r_plus)
-    nonzero = universe != 0
     mismatches = []
     done = []
     for side, engine, oracle, coins in ((Side.MINUS, inst.minus, oracle_minus, set(ints_minus)),
@@ -423,13 +417,12 @@ def verify_generation(b: CircularSet, c: CircularSet) -> GenerationReport:
             total = sum(part * mult for part, mult in counts.items())
             if total != g or not counts.keys() <= coins:
                 mismatches.append((side.value, Fraction(g, q), "gap table"))
-        k, found = engine.find(universe)
-        arc = engine.arc_length(engine.wit_b[k], engine.wit_c[k])
+        # under the premise every engine's witness table is keyed by B - B
+        arc = engine.arc_length(engine.wit_b, engine.wit_c)
         # the first failing check names each rejected target
-        failure = np.select([nonzero & ~found, nonzero & (arc != universe),
-                             ~oracle.contains_scaled(universe, q)], [1, 2, 3], 0)
+        failure = np.select([arc != universe, ~oracle.contains_scaled(universe, q)], [1, 2], 0)
         for i in np.flatnonzero(failure).tolist():
-            reason = ("no witness", "arc length", "oracle rejects")[failure[i] - 1]
+            reason = ("arc length", "oracle rejects")[failure[i] - 1]
             mismatches.append((side.value, Fraction(int(universe[i]), q), reason))
         done.append(int(np.count_nonzero(failure == 0)))
     cross = all(oracle.contains_scaled(np.array(family, dtype=universe.dtype), q).all()

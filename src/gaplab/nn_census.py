@@ -18,10 +18,11 @@ Ball depths and core extraction read the kernel's integer rows (_census_rows);
 nn_census keeps them in its report, whose records and census are lifted on
 read and written from rows when unread.  _brute_rows_exact, an all-pairs loop
 on the Fraction points, is the oracle the tests check both against.  On top of
-the census sit: the orbit census of a rotation, checks for configurations
-whose pairwise distances dominate their norms, ball depths, a greedy
-extraction of a large sub-cloud with few census vectors, and the square-block
-example showing the extraction bound is close to tight.
+the census sit: the orbit census of a rotation (numpy steps over the orbit's
+offsets, lifting only its census), checks for configurations whose pairwise
+distances dominate their norms, ball depths, a greedy extraction of a large
+sub-cloud with few census vectors, and the square-block example showing the
+extraction bound is close to tight.
 """
 
 from __future__ import annotations
@@ -390,9 +391,11 @@ def kronecker_census(alphas: Sequence, n: int) -> KroneckerReport:
 
     For each orbit index i the partner j != i minimizes the orbit distance,
     ties to the smallest j; both signs of every chosen difference enter the
-    census.  Distinctness of the orbit is checked up front.  Offsets agreeing
-    mod the orbit's order q give the same vector, so the census is kept as
-    offsets mod q and only its own vectors are lifted.
+    census.  Distinctness of the orbit is checked up front.  Every step runs
+    on arrays over the offsets k = 1..n-1: running minima of their norms
+    with the first and last offset reaching each, one partner choice per
+    point, and the census offsets deduplicated mod the orbit's order q,
+    where they give the same vector; only the census's own vectors are lifted.
     """
     avals = tuple(as_rational(a) % 1 for a in alphas)
     if not avals:
@@ -403,37 +406,30 @@ def kronecker_census(alphas: Sequence, n: int) -> KroneckerReport:
     if big_q < n:
         raise CollisionError(
             f"orbit points 1 and {1 + big_q} coincide; denominators too small")
-    # squared norms of k*alpha scaled by big_q**2, k = 0..n-1
+    # squared norms of k*alpha scaled by big_q**2, k = 1..n-1
     dtype = int_dtype(n * big_q, _norm_bound(len(steps), big_q))
-    nsq = _sq_norms((np.arange(n, dtype=dtype) * step % big_q for step in steps), big_q).tolist()
-    # prefix minima with first and last achieving index
-    premin, first_at, last_at = [None] * n, [0] * n, [0] * n
-    for k in range(1, n):
-        if k == 1 or nsq[k] < premin[k - 1]:
-            premin[k], first_at[k], last_at[k] = nsq[k], k, k
-        else:
-            premin[k], first_at[k] = premin[k - 1], first_at[k - 1]
-            last_at[k] = k if nsq[k] == premin[k] else last_at[k - 1]
-    offsets = {}
-    for i in range(1, n + 1):
-        # the nearer side wins, ties to the left, whose partner j is smaller
-        if i < n and (i == 1 or premin[n - i] < premin[i - 1]):
-            j = i + first_at[n - i]
-        else:
-            j = i - last_at[i - 1]
-        offsets.setdefault((i - j) % big_q, i - j)
-        offsets.setdefault((j - i) % big_q, j - i)
-    ordered = sorted(range(1, n), key=lambda k: (nsq[k], k))
-    ell = next(pos + 1 for pos, k in enumerate(ordered) if 2 * k <= n)
-    allowed = {s * k % big_q for k in ordered[:ell] for s in (1, -1)}
-    contained = offsets.keys() <= allowed
+    ks = np.arange(1, n, dtype=dtype)
+    nsq = _sq_norms((ks * step % big_q for step in steps), big_q)
+    # least norm over offsets 1..m, with the first and last offset reaching it
+    least = np.minimum.accumulate(nsq)
+    first = np.maximum.accumulate(np.where(np.r_[True, least[1:] < least[:-1]], ks, 0))
+    last = np.maximum.accumulate(np.where(nsq == least, ks, 0))
+    # point i sees offsets 1..i-1 to its left and 1..n-i to its right; the
+    # nearer side wins, ties to the left, whose partner j is smaller
+    right = np.r_[True, least[::-1][1:] < least[:-1], False]
+    off = np.where(right, -np.r_[first[::-1], 0], np.r_[0, last])
+    off = np.r_[off, -off]
+    residue, at = np.unique(off % big_q, return_index=True)
+    order = np.lexsort((ks, nsq))
+    ell = int(np.argmax(2 * ks[order] <= n)) + 1
+    prefix = ks[order[:ell]]
+    contained = bool(np.isin(residue, np.r_[prefix, -prefix] % big_q).all())
     # each census vector is the signed residue of off * step, |off| < n
-    signed = signed_residues(np.array(list(offsets.values()), dtype)[:, None]
-                             * np.array(steps, dtype) % big_q, big_q).tolist()
+    signed = signed_residues(off[at, None] * np.array(steps, dtype) % big_q, big_q).tolist()
     census = [tuple(Fraction(x, big_q) for x in v) for v in sorted(map(tuple, signed))]
-    tie_free = ell >= len(ordered) or nsq[ordered[ell - 1]] != nsq[ordered[ell]]
+    tie_free = ell == n - 1 or bool(nsq[order[ell - 1]] != nsq[order[ell]])
     ratio = len(census) / ((4.0 / 3.0) ** len(avals))
-    return KroneckerReport(avals, n, ell, tuple(ordered[:ell]), tuple(census),
+    return KroneckerReport(avals, n, ell, tuple(prefix.tolist()), tuple(census),
                            2 * ell, contained, tie_free, ratio)
 
 

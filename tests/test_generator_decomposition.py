@@ -172,14 +172,12 @@ def test_plus_side_mirrors_minus_side_of_reflection():
 
 def test_premise_violation_message_names_the_smallest_missing_difference():
     b = tenths(0, 1, 2, 3)
-    with pytest.raises(PremiseViolationError) as err:
-        neighbour_gaps(b, tenths(0))
-    assert str(err.value) == \
-        "C - B misses the difference 1/10; C - B = B - B is required"
-    with pytest.raises(PremiseViolationError) as err:
-        verify_generation(b, tenths(3))
-    assert str(err.value) == \
-        "C - B misses the difference 7/10; C - B = B - B is required"
+    for c, missing in ((tenths(0), "1/10"), (tenths(3), "7/10"), (tenths(), "0")):
+        for entry in (neighbour_gaps, verify_generation, lambda b, c: decompose(0, b, c)):
+            with pytest.raises(PremiseViolationError) as err:
+                entry(b, c)
+            assert str(err.value) == \
+                f"C - B misses the difference {missing}; C - B = B - B is required"
 
 
 @contextmanager
@@ -312,7 +310,7 @@ def test_vectorised_oracle_lookup_matches_membership(nums, den, q, data):
 @given(st.integers(2, 90), st.data())
 @settings(max_examples=60, deadline=None)
 def test_span_oracle_dp_and_bfs_agree_at_the_dp_limit(den, data):
-    nums = data.draw(st.lists(st.integers(1, den - 1), min_size=1, max_size=4))
+    nums = data.draw(st.lists(st.integers(1, den - 1), min_size=0, max_size=4))
     coins = tuple(Fraction(n, den) for n in nums)
     scale = SpanOracle(coins).scale
     dp = SpanOracle(coins, dp_limit=scale)          # scale == dp_limit: the table

@@ -479,6 +479,14 @@ def test_kronecker_matches_fraction_reference():
     # left-before-right rule shows in the census
     cases += [((Fraction(a, q), Fraction(b, q)), q)
               for q in range(3, 10) for a in range(1, q) for b in range(a, q)]
+    # the array code's edges: n = 2, a full orbit (n = q), q < 2n so that
+    # two offsets share a residue, equal least norms on both sides of a
+    # point, a zero coordinate, and full orbits of small order in d = 4
+    cases += [((Fraction(3, 5), Fraction(1, 7)), 2), ((Fraction(3, 11),), 11),
+              ((Fraction(2, 9),), 6), ((Fraction(5, 12), Fraction(1, 4)), 10),
+              ((Fraction(3, 7),), 5), ((Fraction(0), Fraction(2, 9), Fraction(0)), 7)]
+    cases += [(tuple(Fraction(x, q) for x in (a, b, 1, q - 1)), q)
+              for q in range(3, 8) for a in range(q) for b in range(a, q)]
     # denominators whose lcm exceeds 2^63: the norms run on Python ints
     big = (Fraction(12345678901, 2 ** 40 + 15), Fraction(3, 2 ** 31 - 1), Fraction(5, 999983))
     cases += [(big, 150), (big[:2], 300)]
