@@ -10,10 +10,11 @@ decision is reproducible bit for bit; floats only appear in logged summary
 ratios.
 
 The census of a cloud is the set of difference vectors to a nearest neighbour,
-one deterministic choice per point: by all pairs ("brute") or by an exact
-circular sweep along one axis ("grid"), both on residue rows at every scale
-and scoring residue columns through _sq_norms, the fold every kernel here
-shares; "auto" picks grid above 512 points and brute otherwise.
+one deterministic choice per point: by all pairs, a tile of points at a time
+("brute"), or by an exact circular sweep along one axis ("grid"), both on
+residue rows at every scale, scoring through _sq_norms, the fold every kernel
+here shares, and choosing the least (nsq, signed vector) through _least;
+"auto" picks grid above 512 points and brute otherwise.
 Ball depths and core extraction read the kernel's integer rows (_census_rows);
 nn_census keeps them in its report, whose records and census are lifted on
 read and written from rows when unread.  _brute_rows_exact, an all-pairs loop
@@ -38,11 +39,12 @@ import numpy as np
 
 from .exact_torus import (LazyFields, TorusPoint, TorusVector, _coerce, _unread,
                           as_rational, common_scale, int_dtype, residue_over, residues,
-                          signed_residues, sorted_unique, torus_dist_sq)
+                          signed_residues, torus_dist_sq)
 from .gap_spectrum import CollisionError, TooFewPointsError
 
-# offsets the census sweep scores per round: amortises numpy call overhead
+# sweep offsets per round and brute-force pairs per tile: amortise numpy calls
 _SWEEP_BLOCK = 16
+_TILE = 1 << 14
 
 
 class InvalidConfigurationError(ValueError):
@@ -242,21 +244,27 @@ class CensusReport(LazyFields):
         return len(self.census)
 
 
+def _least(pts, scale: int, i, j, nsq):
+    """Per row r, the least (nsq, signed vector) from i[r] to one of j[r], and that partner."""
+    r, k = np.nonzero(nsq == nsq.min(axis=1)[:, None])
+    vec = signed_residues((pts[j[r, k]] - pts[i[r]]) % scale, scale)
+    o = np.lexsort((*vec.T[::-1], r))
+    o = o[np.unique(r[o], return_index=True)[1]]
+    return nsq[r[o], k[o]], vec[o], j[r[o], k[o]]
+
+
 def _brute_rows_numpy(rows: List[Tuple[int, ...]], scale: int) -> List[Tuple[int, tuple, int]]:
-    """Exact nearest neighbours by all pairs, one point at a time, scored on columns."""
+    """Exact nearest neighbours by all pairs, a tile of points at a time, scored on columns."""
     bound = _norm_bound(len(rows[0]), scale)
     arr = np.array(rows, dtype=int_dtype(bound))
     cols = list(arr.T.copy())
-    out = []
-    for i in range(len(rows)):
-        nsq = _sq_norms((c - c[i] for c in cols), scale)
-        nsq[i] = bound + 1
-        best = int(nsq.min())
-        cands = np.flatnonzero(nsq == best)
-        signed = signed_residues((arr[cands] - arr[i]) % scale, scale)
-        order = np.lexsort(signed.T[::-1])
-        out.append((best, tuple(int(v) for v in signed[order[0]]), int(cands[order[0]])))
-    return out
+    every, tiles = np.arange(len(rows)), []
+    for i in np.split(every, range(0, len(rows), max(1, _TILE // len(rows)))[1:]):
+        nsq = _sq_norms((c - c[i, None] for c in cols), scale)
+        nsq[np.arange(len(i)), i] = bound + 1
+        tiles.append(_least(arr, scale, i, np.broadcast_to(every, nsq.shape), nsq))
+    best_nsq, best_vec, best_j = map(np.concatenate, zip(*tiles))
+    return list(zip(best_nsq.tolist(), map(tuple, best_vec.tolist()), best_j.tolist()))
 
 
 def _brute_rows_exact(cloud: PointCloud) -> List[Tuple[Fraction, tuple, int]]:
@@ -311,24 +319,16 @@ def _grid_rows(rows: List[Tuple[int, ...]], scale: int) -> List[Tuple[int, tuple
             reach[t][i] = ws[-1]
             j = (i[:, None] + sign * ws) % n
             nsq = _sq_norms((c[j] - c[i, None] for c in cols), scale)
-            # each row's nearest candidates join its best so far, and each
-            # point keeps the smallest (nsq, signed vector)
-            near = np.minimum(nsq.min(axis=1), best_nsq[i])
-            r, k = np.nonzero(nsq <= near[:, None])
-            diff = (pts[j[r, k]] - pts[i[r]]) % scale
-            own = sorted_unique(i[r])
-            p = np.concatenate([own, i[r]])
-            m = np.concatenate([best_nsq[own], nsq[r, k]])
-            v = np.concatenate([best_vec[own], signed_residues(diff, scale)])
-            q = np.concatenate([best_j[own], order[j[r, k]]])
-            o = np.lexsort((*v.T[::-1], m, p))
-            o = o[np.unique(p[o], return_index=True)[1]]
-            best_nsq[p[o]], best_vec[p[o]], best_j[p[o]] = m[o], v[o], q[o]
+            # a row whose block ties or beats its best so far chooses again among both
+            keep = nsq.min(axis=1) <= best_nsq[i]
+            i, j, nsq = i[keep], j[keep], nsq[keep]
+            best_nsq[i], best_vec[i], best_j[i] = _least(
+                pts, scale, i, np.c_[j, best_j[i]], np.c_[nsq, best_nsq[i]])
         if not (reach[0] == ws[-1]).any() and not (reach[1] == ws[-1]).any():
             break
     back = np.argsort(order)  # sorted position of each input row
     return list(zip(best_nsq[back].tolist(), map(tuple, best_vec[back].tolist()),
-                    best_j[back].tolist()))
+                    order[best_j[back]].tolist()))
 
 
 def _census_rows(cloud: PointCloud, method: str) -> Tuple[str, List[Tuple[int, tuple, int]]]:

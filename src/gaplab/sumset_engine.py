@@ -348,7 +348,7 @@ class CoverResult(LazyFields):
     lifts only its cover and keeps as _ints B - B over a scale, B's ints
     and the rows of B of each difference's witness pair.  universe and
     certificate are lifted together on first read, so the certificate is
-    keyed by the universe's own objects.
+    keyed by the universe's own objects, and _ints is dropped then.
     """
 
     cover: tuple
@@ -362,11 +362,11 @@ class CoverResult(LazyFields):
 
     def _lift(self) -> dict:
         universe, scale, dom, ints, wit_c, wit_b = self._ints
-        lifted = _lift(universe.tolist(), scale, dom)
-        elems = _lift(ints, scale, dom)
-        return {"universe": lifted,
-                "certificate": {key: (elems[c], elems[e]) for key, c, e
-                                in zip(lifted, wit_c.tolist(), wit_b.tolist())}}
+        lifted, elems = _lift(universe.tolist(), scale, dom), _lift(ints, scale, dom)
+        certificate = {key: (elems[c], elems[e]) for key, c, e
+                       in zip(lifted, wit_c.tolist(), wit_b.tolist())}
+        del self.__dict__["_ints"]  # no read needs it once both fields are stored
+        return {"universe": lifted, "certificate": certificate}
 
 
 def _difference_table(ints: list, scale: int, dom: Domain):

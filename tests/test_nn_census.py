@@ -380,16 +380,26 @@ def test_sweep_on_points_sharing_sort_axis_coordinates():
         assert _records(rep, cloud) == _brute_rows_exact(cloud)
 
 
-@pytest.mark.parametrize("k,d", [(2, 1), (5, 2), (4, 3), (3, 4)])
+@pytest.mark.parametrize("k,d", [(2, 1), (5, 2), (4, 3), (3, 4), (20, 2), (5, 4)])
 def test_sweep_resolves_fully_tied_lattices(k, d):
     # every point of the full lattice (Z/k)^d has 2d neighbours at 1/k
-    # (d for k = 2); each must pick the smallest signed vector
+    # (d for k = 2); each must pick the smallest signed vector, -1/k on the
+    # first axis.  At (20, 2) the sweep first meets it past _SWEEP_BLOCK
+    # offsets and brute force runs several tiles; (5, 4) has n > 512 and
+    # one row in brute force's last tile.
     cloud = _int_cloud(list(itertools.product(range(k), repeat=d)), k)
-    rep = nn_census(cloud, method="grid")
-    assert _records(rep, cloud) == _brute_rows_exact(cloud)
+    rows, scale = cloud._rows
+    at = {row: t for t, row in enumerate(rows)}
+    want = [(1, (-1,) + (0,) * (d - 1), at[((row[0] - 1) % k,) + row[1:]])
+            for row in rows]
     smallest = tuple([Fraction(-1, k) if k > 2 else Fraction(-1, 2)] + [Fraction(0)] * (d - 1))
-    assert rep.census == (smallest,)
-    assert all(rec.dist_sq == Fraction(1, k * k) for rec in rep.records)
+    for method in ("brute", "grid"):
+        assert scale == k and _nn_module._census_rows(cloud, method) == (method, want)
+        rep = nn_census(cloud, method=method)
+        if len(rows) <= 100:
+            assert _records(rep, cloud) == _brute_rows_exact(cloud)
+        assert rep.census == (smallest,)
+        assert all(rec.dist_sq == Fraction(1, k * k) for rec in rep.records)
 
 
 def test_sweep_on_two_points():
@@ -662,6 +672,8 @@ def test_brute_force_past_the_grid_limit_matches_exact_oracle(case):
 @settings(deadline=None, max_examples=30)
 @example(q=1 << 70, d=4, n=600, seed=0)
 @example(q=(1 << 62) + 7, d=3, n=513, seed=1)
+@example(q=(1 << 31) + 1, d=2, n=541, seed=2)  # the last brute-force tile holds one row
+@example(q=1 << 70, d=1, n=595, seed=3)  # and again on object rows
 def test_census_kernels_agree_at_every_scale(q, d, n, seed):
     rng = random.Random(seed)
 
@@ -745,6 +757,20 @@ def test_library_dispatches_to_residue_kernels_only():
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
     assert {"_brute_rows_numpy", "_grid_rows"} <= called
     assert "_brute_rows_exact" not in called
+
+
+def test_one_nearest_partner_choice_for_both_kernels():
+    # _least alone breaks ties between equally near partners; the Kronecker
+    # census sorts its own offsets
+    tree = ast.parse(Path(_nn_module.__file__).read_text())
+    defs = {f.name: f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)}
+
+    def calls(f, name):
+        return any(isinstance(node, ast.Call) and ast.unparse(node.func) == name
+                   for node in ast.walk(f))
+    assert calls(defs["_brute_rows_numpy"], "_least") and calls(defs["_grid_rows"], "_least")
+    sorting = {name for name, f in defs.items() if calls(f, "np.lexsort")}
+    assert sorting == {"_least", "kronecker_census"}
 
 
 # ---------------------------------------------------------------- gram elimination

@@ -975,10 +975,30 @@ def test_a_failed_lift_keeps_the_cover_unread(monkeypatch):
     with pytest.raises(MemoryError):
         cov.universe
     assert failed and "universe" not in vars(cov) and "certificate" not in vars(cov)
+    assert "_ints" in vars(cov)
     # the next read lifts from the integers the failed one left in place
     universe, certificate = cov.universe, cov.certificate
     assert all(k is u for k, u in zip(certificate, universe))
+    assert "_ints" not in vars(cov)
     assert cov == minimal_difference_cover(b)
+
+
+def test_a_lifted_cover_drops_its_integer_form():
+    import pickle
+
+    b = FiniteExactSet.torus([Fraction(n, 41) for n in range(0, 41, 3)])
+    cov = minimal_difference_cover(b)
+    assert "_ints" in vars(cov)
+    universe = cov.universe
+    # B - B and the witness rows are held by nothing once both fields are stored
+    assert "_ints" not in vars(cov) and cov.certificate is vars(cov)["certificate"]
+    assert cov.universe is universe and cov == minimal_difference_cover(b)
+    eager = se.CoverResult(cov.cover, cov.exact, cov.universe, cov.certificate,
+                           cov.nodes, cov.budget_exhausted)
+    assert cov == eager and repr(cov) == repr(eager)
+    restored = pickle.loads(pickle.dumps(cov))
+    assert "_ints" not in vars(restored) and restored == eager == cov
+    assert all(k is u for k, u in zip(restored.certificate, restored.universe))
 
 
 # ---------------------------------------------------------------------------
