@@ -5,9 +5,12 @@ input values once, straight to (ints, scale): distinct integers over one
 common denominator, residues mod the scale on the torus, with no set of
 Fractions or torus points built on the way.  Sums run on those integers: a
 dense bitmap convolution when the output span is small enough to afford
-one, a chunked outer-sum otherwise (both return sorted int64 arrays), and a
-hashing fallback for values too large for int64, whose Python set stays
-unsorted until someone needs the order.  A + A of one set (the same list
+one, a chunked outer-sum otherwise (a sorted int64 array), and a hashing
+fallback for values too large for int64, whose Python set stays unsorted
+until someone needs the order.  Dense sums stay bitmap words (_Bitmap)
+until their ints are read: the set-bit count is taken once, so the size of
+a sum that nobody prints costs a popcount, and the torus folds [q, 2q)
+onto [0, q) as a shifted OR of those words.  A + A of one set (the same list
 as both operands) forms each unordered pair once on the dense and hash
 paths, and over a wide segment the dense kernel skips the output words that
 are already all ones.  A set (an exact_torus.LazyFields type) lifts its
@@ -62,9 +65,34 @@ class Domain(str, Enum):
     TORUS = "torus"
 
 
+class _Bitmap:
+    """Distinct ints as bitmap words: bit i of the little-endian uint64 words is lo + i.
+
+    The set-bit count is taken once, here; the ints are extracted only by
+    tolist().  Every int must fit int64.
+    """
+
+    __slots__ = ("words", "lo", "count")
+
+    def __init__(self, words: np.ndarray, lo: int) -> None:
+        self.words, self.lo = words, lo
+        self.count = int(np.count_nonzero(np.unpackbits(words.view(np.uint8))))
+
+    def __len__(self) -> int:
+        return self.count
+
+    def array(self) -> np.ndarray:
+        """The ints as a sorted int64 array."""
+        bits = np.unpackbits(self.words.view(np.uint8), bitorder="little")
+        return np.flatnonzero(bits) + self.lo
+
+    def tolist(self) -> list:
+        return self.array().tolist()
+
+
 def _ascending(ints) -> list:
-    """Python ints in ascending order, from a sorted int64 array or any collection."""
-    return ints.tolist() if isinstance(ints, np.ndarray) else sorted(ints)
+    """Python ints in ascending order, from a sorted int64 array, a _Bitmap or any collection."""
+    return ints.tolist() if hasattr(ints, "tolist") else sorted(ints)
 
 
 def _lift(ints: list, scale: int, dom: Domain) -> tuple:
@@ -82,8 +110,10 @@ class FiniteExactSet(LazyFields):
 
     The set keeps distinct ints n over one positive scale, each standing for
     the element n / scale (a residue in [0, scale) on the torus): a sorted
-    int64 array as the sum kernels return it, or Python ints in any order.
-    Length and set algebra run on those ints.  A set is held unread
+    int64 array from the outer sum kernel, the words of a dense sum (a
+    _Bitmap, whose ints are extracted only when they are read), or Python
+    ints in any order.  Length is the count each form holds, and set algebra
+    runs on the ascending ints.  A set is held unread
     (exact_torus.LazyFields): ``elements``, the ascending tuple of ints,
     Fractions or canonical TorusPoints, is lifted on first read.
     """
@@ -142,7 +172,14 @@ class FiniteExactSet(LazyFields):
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteExactSet):
             return NotImplemented
-        return len(self) == len(other) and self._key == other._key
+        if len(self) != len(other):
+            return False
+        a, b = self._ints, other._ints
+        if (type(a) is type(b) is _Bitmap and a.lo == b.lo and len(a.words) == len(b.words)
+                and self._scale == other._scale and self.domain is other.domain):
+            # Each bit stands for the same element in both maps.
+            return bool(np.array_equal(a.words, b.words))
+        return self._key == other._key
 
     def __hash__(self) -> int:
         return hash(self._key)
@@ -159,7 +196,7 @@ class FiniteExactSet(LazyFields):
 
 def negate(x: FiniteExactSet) -> FiniteExactSet:
     ints, q, dom = x._ints, x._scale, x.domain
-    if isinstance(ints, np.ndarray):
+    if hasattr(ints, "tolist"):
         ints = ints.tolist()
     if dom is not Domain.TORUS:
         return FiniteExactSet._from_ints([-n for n in ints], q, dom)
@@ -188,18 +225,56 @@ def sumset(x: FiniteExactSet, y: FiniteExactSet) -> FiniteExactSet:
 def torus_pairsums(xs: list, ys: list, q: int):
     """Distinct residues mod q of x + y, for ascending residue lists.
 
-    A sorted int64 array when the sums fit int64 (as from _pairsums_int),
-    otherwise a Python set in no particular order.
+    Words over exactly [0, q) (a _Bitmap with lo 0) when the dense kernel
+    ran and that map is at most twice the size of its words, a sorted int64
+    array when the sums fit int64, otherwise a Python set in no particular
+    order.
     """
     if not xs or not ys:
         return set()
     sums = _pairsums_int(xs, ys)
-    if not isinstance(sums, np.ndarray):
+    if isinstance(sums, set):
         return {n - q if n >= q else n for n in sums}
+    if isinstance(sums, _Bitmap):
+        if (q + 63) >> 6 <= 2 * len(sums.words):
+            return _torus_words(sums, q)
+        sums = sums.array()
     # Sums lie in [0, 2q); only when some reach q does q fit int64 and fold.
     if sums[-1] >= q:
         sums = sorted_unique(np.where(sums >= q, sums - q, sums))
     return sums
+
+
+def _or_shifted(out: np.ndarray, words: np.ndarray, shift: int) -> None:
+    """out |= words shifted up by shift bits (shift may be negative), clipped to out."""
+    k, r = shift >> 6, shift & 63
+    if r:
+        moved = np.zeros(len(words) + 1, dtype=np.uint64)
+        moved[:-1] = words << np.uint64(r)
+        moved[1:] |= words >> np.uint64(64 - r)
+        words = moved
+    a, b = max(k, 0), min(k + len(words), len(out))
+    if a < b:
+        out[a:b] |= words[a - k:b - k]
+
+
+def _torus_words(sums: _Bitmap, q: int) -> _Bitmap:
+    """Sums in [0, 2q) folded mod q, as words over exactly [0, q).
+
+    The words of sums below q are OR-ed in at their own place and those at
+    or above q are OR-ed in q lower; a word holding both kinds goes in
+    twice, and each copy's bits on the wrong side of q fall outside [0, q)
+    and are clipped or masked off.
+    """
+    words, lo = sums.words, sums.lo
+    out = np.zeros((q + 63) >> 6, dtype=np.uint64)
+    if lo < q:
+        _or_shifted(out, words[:(q - lo + 63) >> 6], lo)
+    first = max(q - lo, 0) >> 6
+    _or_shifted(out, words[first:], lo + 64 * first - q)
+    if q & 63:
+        out[-1] &= np.uint64((1 << (q & 63)) - 1)
+    return _Bitmap(out, 0)
 
 
 def difference_set(x: FiniteExactSet, y: FiniteExactSet) -> FiniteExactSet:
@@ -217,8 +292,9 @@ def doubling_ratio(x: FiniteExactSet) -> Fraction:
 def _pairsums_int(xs: list, ys: list):
     """Distinct pairwise sums of two sorted nonempty lists of Python ints.
 
-    A sorted int64 array from the dense or the outer path when every value
-    fits int64, otherwise an unsorted Python set from hashing.
+    When every value fits int64, the words of a _Bitmap from the dense path
+    or a sorted int64 array from the outer path; otherwise an unsorted
+    Python set from hashing.
     """
     lo = xs[0] + ys[0]
     hi = xs[-1] + ys[-1]
@@ -300,7 +376,7 @@ def _trimmed_ors(out: np.ndarray, variants: list, a_off: np.ndarray) -> None:
                 out[a:b] |= variants[t & 63][a - w:b - w]
 
 
-def _dense_pairsums(xs: list, ys: list, lo: int, span_out: int) -> np.ndarray:
+def _dense_pairsums(xs: list, ys: list, lo: int, span_out: int) -> _Bitmap:
     # ys is the bitmap segment, OR-ed once per element of xs at 64 precomputed
     # bit shifts; _pairsums_int alone decides which operand plays which part.
     a_off = np.asarray(xs, dtype=np.int64) - xs[0]
@@ -326,9 +402,8 @@ def _dense_pairsums(xs: list, ys: list, lo: int, span_out: int) -> np.ndarray:
         for t in a_off.tolist():
             w = t >> 6
             out[w:w + seg] |= variants[t & 63]
-    bits = np.unpackbits(out.view(np.uint8), bitorder="little")
-    # Every sum lies in [lo, hi], inside int64, so the shift cannot overflow.
-    return np.flatnonzero(bits[:span_out]) + lo
+    # Every sum lies in [lo, hi], inside int64, so no bit past them is set.
+    return _Bitmap(out, lo)
 
 
 @dataclass(frozen=True)

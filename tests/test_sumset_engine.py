@@ -396,9 +396,11 @@ def _spy_dense(monkeypatch):
 
 def _pairsums_sorted(xs, ys):
     got = se._pairsums_int(xs, ys)
-    if isinstance(got, np.ndarray):
-        got = got.tolist()
-        assert got == sorted(set(got))
+    if hasattr(got, "tolist"):
+        # an int64 array or dense words: ascending and distinct, as many as counted
+        ints = got.tolist()
+        assert ints == sorted(set(ints)) and len(ints) == len(got)
+        got = ints
     return sorted(got)
 
 
@@ -611,6 +613,164 @@ def test_identical_operands_at_the_int64_edge_hash(monkeypatch, xs):
     seen = _spy_paths(monkeypatch)
     assert _identical_and_copy(xs) == brute_sum(xs, xs)
     assert seen == []
+
+
+# ---------------------------------------------------------------------------
+# Dense sums held as bitmap words (se._Bitmap): the count, the ints read from
+# the words and the torus fold, against the outer and hash oracles.
+
+# Operand bases whose sums, over widths up to 2^15 - 1, reach exactly -I64_MAX
+# and I64_MAX; xs + xs stays inside int64 from either base.
+_INT64_LO_BASES = (-(1 << 62) + 1, -I64_MAX + (1 << 62) - 1)
+_INT64_HI_BASES = ((1 << 62) - (1 << 15), I64_MAX - (1 << 62) - (1 << 15) + 2)
+
+
+@st.composite
+def _dense_operands(draw):
+    """(xs, ys): ascending operands whose sums fit int64, ys spanning under 2^15 bits.
+
+    The bases put the smallest sum at or just above -I64_MAX, the largest at
+    or just below I64_MAX, or the sums across zero; ys is xs half the time.
+    """
+    xlo, ylo = draw(st.sampled_from([(0, 0), (-(1 << 20), 7), _INT64_LO_BASES,
+                                     _INT64_HI_BASES]))
+
+    def operand(lo):
+        width = draw(st.sampled_from([0, 1, 63, 64, 65, 3000, (1 << 15) - 1]))
+        vals = draw(st.sets(st.integers(0, width), min_size=1, max_size=150))
+        return sorted(lo + v for v in vals)
+    xs = operand(xlo)
+    return xs, xs if draw(st.booleans()) else operand(ylo)
+
+
+@given(_dense_operands())
+@example(([_INT64_LO_BASES[0]], [_INT64_LO_BASES[1]]))
+@example(([_INT64_HI_BASES[0] + (1 << 15) - 1], [_INT64_HI_BASES[1] + (1 << 15) - 1]))
+@settings(deadline=None, max_examples=300)
+def test_dense_words_count_and_read_like_the_outer_and_hash_oracles(operands):
+    xs, ys = operands
+    lo, hi = xs[0] + ys[0], xs[-1] + ys[-1]
+    assert -I64_MAX <= lo and hi <= I64_MAX
+    got = se._dense_pairsums(xs, ys, lo, hi - lo + 1)
+    assert type(got) is se._Bitmap and got.lo == lo
+    ints = got.tolist()
+    assert len(got) == len(ints)
+    assert ints == se._outer_pairsums(xs, ys).tolist() == brute_sum(xs, ys)
+
+
+def _torus_operand(rng, q, where, size):
+    # residues whose pair sums all lie below q, all at or above q, or both
+    pool = {"below": range((q - 1) // 2), "above": range((q + 1) // 2, q),
+            "across": range(q)}[where]
+    return sorted(rng.sample(pool, size))
+
+
+@pytest.mark.parametrize("q", [64 * 700, 64 * 700 + 1, 64 * 700 + 63])
+@pytest.mark.parametrize("where", ["below", "above", "across"])
+@pytest.mark.parametrize("same", [True, False])
+def test_torus_fold_keeps_words_over_exactly_zero_to_q(monkeypatch, q, where, same):
+    rng = random.Random(q)
+    xs = _torus_operand(rng, q, where, 300)
+    ys = xs if same else _torus_operand(rng, q, where, 200)
+    seen = _spy_paths(monkeypatch)
+    got = se.torus_pairsums(xs, ys, q)
+    assert seen == ["dense"]
+    assert type(got) is se._Bitmap and got.lo == 0 and len(got.words) == (q + 63) >> 6
+    want = sorted({(a + b) % q for a in xs for b in ys})
+    assert got.tolist() == want and len(got) == len(want)
+    assert want == sorted({n % q for n in se._outer_pairsums(xs, ys).tolist()})
+
+
+def test_narrow_sums_on_a_wide_circle_are_read_out_of_their_words(monkeypatch):
+    # words over [0, q) would be far larger than the sums' own words, so the
+    # fold runs on the ints, as for the outer path
+    q = 1 << 40
+    for base in (5, q - 3000):
+        xs = list(range(base, base + 1500, 3))
+        seen = _spy_paths(monkeypatch)
+        got = se.torus_pairsums(xs, xs, q)
+        assert seen == ["dense"] and isinstance(got, np.ndarray)
+        assert got.tolist() == sorted({(a + b) % q for a in xs for b in xs})
+
+
+def _bitmap(ints, lo, n_words):
+    """A _Bitmap of ints set bit by bit, with bit 0 standing for lo."""
+    words = np.zeros(n_words, dtype=np.uint64)
+    for n in ints:
+        words[(n - lo) >> 6] |= np.uint64(1 << ((n - lo) & 63))
+    return se._Bitmap(words, lo)
+
+
+def test_equality_on_words_agrees_with_the_lowest_terms_key():
+    rng = random.Random(7)
+    ints = sorted(rng.sample(range(-3000, 3000), 900))
+    moved = ints[:-1] + [ints[-1] + 1]
+    n_words = ((ints[-1] - ints[0]) >> 6) + 2
+    make = FiniteExactSet._from_ints
+    rat = Domain.RATIONALS
+    sets = {
+        "words": make(_bitmap(ints, ints[0], n_words), 1, rat),
+        "words again": make(_bitmap(ints, ints[0], n_words), 1, rat),
+        "a longer map": make(_bitmap(ints, ints[0], n_words + 3), 1, rat),
+        "a lower start": make(_bitmap(ints, ints[0] - 70, n_words + 2), 1, rat),
+        "an array": make(np.array(ints), 1, rat),
+        "python ints": make(set(ints), 1, rat),
+        "twice the scale": make(_bitmap([2 * n for n in ints], 2 * ints[0], 2 * n_words), 2,
+                                rat),
+        "one bit moved": make(_bitmap(moved, ints[0], n_words), 1, rat),
+        "integers": make(_bitmap(ints, ints[0], n_words), 1, Domain.INTEGERS),
+        "shifted": make(_bitmap([n + 64 for n in ints], ints[0] + 64, n_words), 1, rat),
+    }
+    # words at one start, length, scale and domain compare without the key
+    a, b = sets["words"], sets["words again"]
+    assert a == b and "_key" not in a.__dict__ and "_key" not in b.__dict__
+    assert a != sets["one bit moved"] and "_key" not in a.__dict__
+    for s_name, s in sets.items():
+        for t_name, t in sets.items():
+            assert (s == t) == (s._key == t._key), (s_name, t_name)
+            if s == t:
+                assert hash(s) == hash(t)
+    assert sets["words"] == sets["twice the scale"] == sets["a longer map"]
+    assert sets["words"] != sets["integers"]
+
+
+def test_torus_sums_in_either_order_compare_on_their_words():
+    rng = random.Random(3)
+    q = 64 * 500 + 1
+    a = FiniteExactSet.torus([Fraction(n, q) for n in rng.sample(range(q), 300)])
+    b = FiniteExactSet.torus([Fraction(n, q) for n in rng.sample(range(q), 250)])
+    ab, ba = sumset(a, b), sumset(b, a)
+    assert type(ab._ints) is type(ba._ints) is se._Bitmap
+    assert ab == ba and "_key" not in ab.__dict__
+    # A - A is symmetric: its words against themselves, and against the
+    # Python ints of its negation, which compare by key
+    d = difference_set(a, a)
+    assert d == difference_set(a, a) and d == negate(d)
+
+
+@pytest.mark.parametrize("domain", ["integers", "rationals", "torus"])
+def test_a_set_holding_words_pickles_and_prints_as_its_elements(domain):
+    import pickle
+    ns = list(range(0, 6000, 7))
+    q = 64 * 200 + 63
+    if domain == "integers":
+        a = FiniteExactSet.integers(ns)
+        want = brute_sum(ns, ns)
+    elif domain == "rationals":
+        a = FiniteExactSet.rationals([Fraction(n, 3) for n in ns])
+        want = [Fraction(n, 3) for n in brute_sum(ns, ns)]
+    else:
+        a = FiniteExactSet.torus([Fraction(n, q) for n in ns])
+        want = [TorusPoint(Fraction(n, q)) for n in sorted({m % q for m in brute_sum(ns, ns)})]
+    s = sumset(a, a)
+    assert type(s._ints) is se._Bitmap and s._is_unread()
+    eager = FiniteExactSet(want, domain)
+    restored = pickle.loads(pickle.dumps(s))
+    assert type(restored._ints) is se._Bitmap and restored._is_unread()
+    assert restored == s == eager and len(restored) == len(want)
+    assert repr(restored) == repr(s) == repr(eager)
+    assert restored.elements == tuple(want)
+    assert negate(restored) == negate(eager)
 
 
 # ---------------------------------------------------------------------------
