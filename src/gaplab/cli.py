@@ -119,9 +119,21 @@ def _verdict(name: str, passed: bool, **certificate: Any) -> Dict[str, Any]:
 
 
 def _emit(payload: Dict[str, Any], args: argparse.Namespace) -> Optional[int]:
-    """Print or write the document; exit status 2 when the file cannot be written."""
-    text = (to_csv(to_jsonable(payload)) if args.format == "csv"
-            else canonical_json(payload) + "\n")
+    """Print or write the document; exit status 2 when it cannot be written.
+
+    Python writes no int of more than sys.get_int_max_str_digits() digits
+    (4300 unless PYTHONINTMAXSTRDIGITS says otherwise), which bounds the
+    quadratic cost of writing one; a document holding a longer one is
+    refused as a whole.
+    """
+    try:
+        text = (to_csv(to_jsonable(payload)) if args.format == "csv"
+                else canonical_json(payload) + "\n")
+    except ValueError:
+        print(f"error: the document holds an integer of more than "
+              f"{sys.get_int_max_str_digits()} digits, the most Python writes "
+              "(PYTHONINTMAXSTRDIGITS raises it)", file=sys.stderr)
+        return 2
     if args.output is None:
         sys.stdout.write(text)
         return None

@@ -12,7 +12,9 @@ integer residues mod a common denominator q (an orbit of p/q is just the
 sorted residues n*p mod q), every gap, subset test, sum and verdict (the
 three-gap one is built in one place, from the orbit's distinct int gaps) is
 decided on those integers; Fractions and torus points are built only for
-what is shown.
+what is shown.  Sums within one orbit are counted on its labels: the orbit
+is the image of its multipliers under the automorphism k -> k*p of Z/q, so
+|A + B| = |(L_A + L_B) mod q|, counted over 2N bits instead of 2q.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ from functools import cached_property
 from math import isqrt
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .exact_torus import (DuplicatePointError, LazyFields, RationalLike, TorusPoint,
-                          _unread, as_rational, common_scale, reduce_mod1,
+                          _unread, as_rational, common_scale, int_dtype, reduce_mod1,
                           residue_over, residues)
 from .sumset_engine import FiniteExactSet, Domain, _ascending, _lift, torus_pairsums
 
@@ -67,6 +71,11 @@ class CircularSet(LazyFields):
     over one denominator, on which length, membership and every gap and
     subset test run, ``points``, the tuple of TorusPoints, is lifted on
     first read, and an unread set is written from its residues.
+
+    An orbit of p/q, and a subset the library takes from one, also holds
+    its unit ``_step`` = p: its labels are then the multipliers k of its
+    residues k*p mod q, and sumset_size counts on them.  Every other set
+    has none.
     """
 
     points: tuple
@@ -74,6 +83,7 @@ class CircularSet(LazyFields):
     wrap: Wrap = Wrap.INCLUDE
 
     _LAZY = ("points",)
+    _step = None  # not a field: equality, repr and reports never see it
 
     def __post_init__(self) -> None:
         ints, q = self._residues
@@ -107,11 +117,12 @@ class CircularSet(LazyFields):
 
     @classmethod
     def _from_residues(cls, ints: list, q: int, labels: Optional[tuple] = None,
-                       wrap: Wrap = Wrap.INCLUDE) -> "CircularSet":
+                       wrap: Wrap = Wrap.INCLUDE, step: Optional[int] = None) -> "CircularSet":
         # Internal: ints must be a list of distinct residues in [0, q),
         # ascending, so the points are strictly increasing without a
-        # Fraction comparison.
-        return _unread(cls, labels=labels, wrap=wrap, _residues=(ints, q))
+        # Fraction comparison; a step p says that labels[i] * p % q == ints[i].
+        held = {} if step is None else {"_step": step}
+        return _unread(cls, labels=labels, wrap=wrap, _residues=(ints, q), **held)
 
     def _lift(self) -> dict:
         return {"points": _lift(*self._residues, Domain.TORUS)}
@@ -166,7 +177,21 @@ class CircularSet(LazyFields):
 
 
 def sumset_size(a: CircularSet, b: CircularSet) -> int:
-    """|A + B|, counted on residues without lifting the sums to points."""
+    """|A + B|, counted without lifting the sums to points.
+
+    Two sets of one orbit (the same step p and scale q) count their labels'
+    sums mod q, whose image under k -> k*p is A + B; every other pair counts
+    its residues' sums.
+    """
+    q = a._residues[1]
+    if a._step is None or a._step != b._step or q != b._residues[1]:
+        return _residue_sumset_size(a, b)
+    xs = sorted(a.labels)
+    return len(torus_pairsums(xs, xs if b is a else sorted(b.labels), q))
+
+
+def _residue_sumset_size(a: CircularSet, b: CircularSet) -> int:
+    """|A + B| counted on residues, for any two sets: the oracle of the count on labels."""
     (xs, ys), q = common_scale(a._residues, b._residues)
     return len(torus_pairsums(xs, ys, q))
 
@@ -214,10 +239,16 @@ def _orbit_residues(alpha: RationalLike, n_points: int) -> Tuple[Fraction, list,
     if q <= n_points:
         raise InsufficientDenominatorError(
             f"alpha = {alpha} has denominator {q} <= N = {n_points}; multiples would collide")
-    ints = sorted([(n * p) % q for n in range(1, n_points + 1)])
-    # p is a unit mod q, so the residue r = n*p names its multiplier n = r/p.
-    p_inv = pow(p, -1, q)
-    return alpha, ints, tuple([r * p_inv % q for r in ints]), q
+    # every product n*p is below N*q: int64 while that fits, Python ints beyond
+    res = np.arange(1, n_points + 1, dtype=int_dtype(n_points * q)) * p % q
+    order = np.argsort(res, kind="stable")
+    return alpha, res[order].tolist(), tuple((order + 1).tolist()), q
+
+
+def _orbit(alpha: RationalLike, n_points: int) -> Tuple[Fraction, CircularSet]:
+    """alpha mod 1 and its N-point orbit, holding its step p."""
+    alpha, ints, labels, q = _orbit_residues(alpha, n_points)
+    return alpha, CircularSet._from_residues(ints, q, labels, step=alpha.numerator)
 
 
 def fractional_orbit(alpha: RationalLike, n_points: int) -> CircularSet:
@@ -226,8 +257,7 @@ def fractional_orbit(alpha: RationalLike, n_points: int) -> CircularSet:
     alpha = p/q must have q > N so the N points are pairwise distinct; this
     is the exact-arithmetic model of an irrational rotation at finite scale.
     """
-    _, ints, labels, q = _orbit_residues(alpha, n_points)
-    return CircularSet._from_residues(ints, q, labels)
+    return _orbit(alpha, n_points)[1]
 
 
 @dataclass(frozen=True)
@@ -245,8 +275,7 @@ class ThreeGapReport:
 
 def three_gap_check(alpha: RationalLike, n_points: int) -> ThreeGapReport:
     """orbit_three_gap_check on the N-point orbit of alpha, built without fractional_orbit."""
-    alpha, ints, labels, q = _orbit_residues(alpha, n_points)
-    return orbit_three_gap_check(alpha, CircularSet._from_residues(ints, q, labels))
+    return orbit_three_gap_check(*_orbit(alpha, n_points))
 
 
 def orbit_three_gap_check(alpha: RationalLike, orbit: CircularSet) -> ThreeGapReport:
@@ -475,7 +504,7 @@ def greedy_max_distinct(b: CircularSet) -> CircularSet:
             used.add(d)
             chosen.append(idx)
     labels = None if b.labels is None else tuple(b.labels[i] for i in chosen)
-    return CircularSet._from_residues([ints[i] for i in chosen], q, labels, b.wrap)
+    return CircularSet._from_residues([ints[i] for i in chosen], q, labels, b.wrap, b._step)
 
 
 def greedy_target(n: int) -> int:
@@ -514,4 +543,4 @@ def sidon_subset(b: CircularSet) -> CircularSet:
     if b.labels is not None:
         keep = dict(zip(ints, b.labels))
         labels = tuple(keep[x] for x in chosen)
-    return CircularSet._from_residues(chosen, q, labels, b.wrap)
+    return CircularSet._from_residues(chosen, q, labels, b.wrap, b._step)

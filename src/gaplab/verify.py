@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 from .exact_torus import TorusVector
 from .extremal_constructions import build_cover_forcing_set, exact_ap_free
 from .gap_spectrum import (APUnionSpec, CircularSet, CollisionError,
-                           _distinct_gap_count, ap_union_gap_check,
+                           _distinct_gap_count, _residue_sumset_size, ap_union_gap_check,
                            arc_counting_diagnostic, fractional_orbit,
                            gap_bound_check, greedy_max_distinct, greedy_target,
                            sumset_size, three_gap_check)
@@ -137,7 +137,8 @@ def check_ap_union(seed: int = 0, trials: int = 200) -> tuple:
 
 @_check("greedy-gaps")
 def check_greedy_gaps(seed: int = 0, trials_per_n: int = 5) -> tuple:
-    """Greedy subsets of seeded orbits hit the distinct-gap target and bound."""
+    """Greedy subsets of seeded orbits hit the distinct-gap target and bound,
+    and their sums counted on labels equal the counts on residues."""
     failures = []
     achieved: Dict[int, List[int]] = {}
     for n in (100, 1000, 2000):
@@ -159,6 +160,12 @@ def check_greedy_gaps(seed: int = 0, trials_per_n: int = 5) -> tuple:
                   and double == 2 * n - 1)
             if not ok:
                 failures.append((n, trial, m_a, target, double))
+            on_labels = {"b_plus_b": double, "a_plus_b": bound.sumset_size}
+            on_residues = {"b_plus_b": _residue_sumset_size(b, b),
+                           "a_plus_b": _residue_sumset_size(a, b)}
+            if on_labels != on_residues:
+                failures.append({"n": n, "trial": trial, "on_labels": on_labels,
+                                 "on_residues": on_residues})
     summary = "; ".join(
         f"n={n}: greedy gaps {min(v)}..{max(v)} vs target {greedy_target(n)}"
         for n, v in achieved.items())

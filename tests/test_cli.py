@@ -113,6 +113,39 @@ def test_rational_edges_match_fraction_through_main(text, capsys, tmp_path):
         assert rc == 0 and payload["config"]["alpha"] == str(expected)
 
 
+_HUGE = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("argv, key, echo", [
+    (["gaps", "--alpha", "1e-5000", "--n", "4"], "alpha", "1/" + _HUGE),
+    (["orbit", "--alpha", "1e-4400", "--n", "3"], "alpha", "1/" + _HUGE[:4401]),
+    (["greedy", "--alpha", "1e-4400", "--n", "5"], "alpha", "1/" + _HUGE[:4401]),
+    (["sumset", "--a", "1e5000", "--domain", "integers"], "a", [_HUGE]),
+    (["nn-census", "--points", "1e-5000;1/2"], "points", [["1/" + _HUGE], ["1/2"]]),
+])
+def test_an_int_too_long_to_write_exits_two_with_one_line(argv, key, echo, capsys):
+    import sys
+
+    # Python writes at most sys.get_int_max_str_digits() digits of an int,
+    # 4300 by default
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "error: the document holds an integer of more than 4300 digits, the most "
+            "Python writes (PYTHONINTMAXSTRDIGITS raises it)\n")
+        # with no limit, the same command writes every value exactly
+        sys.set_int_max_str_digits(0)
+        rc = main(argv)
+        doc = json.loads(capsys.readouterr().out)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert rc == (0 if all(v["passed"] for v in doc["verdicts"]) else 1)
+    assert doc["config"][key] == echo
+
+
 def test_colliding_orbit_is_input_error(capsys):
     rc = main(["orbit", "--alpha", "1/3", "--n", "5"])
     assert rc == 2

@@ -5,18 +5,20 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, isqrt
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gaplab import gap_spectrum
-from gaplab.exact_torus import (DuplicatePointError, TorusPoint, as_rational,
-                                common_scale, point)
+from gaplab.exact_torus import (INT64_MAX, DuplicatePointError, TorusPoint, as_rational,
+                                common_scale, int_dtype, point)
 from gaplab.gap_spectrum import (APUnionSpec, ArcCountingReport, CircularSet,
                                  CollisionError, InsufficientDenominatorError,
                                  SubsetViolationError, ThreeGapReport,
                                  TooFewPointsError, Wrap, _gaps, _orbit_gap_counts,
-                                 _require_subset, _orbit_residues, ap_union_gap_check,
+                                 _require_subset, _orbit_residues, _residue_sumset_size,
+                                 ap_union_gap_check,
                                  ap_union_points,
                                  arc_counting_diagnostic, fractional_orbit,
                                  gap_bound_check, greedy_max_distinct,
@@ -593,3 +595,149 @@ def test_gap_diagnostics_match_the_parent(q, wrap, data):
     for k in sorted({1, 2, total, total + 1, data.draw(st.integers(1, 2 * total + 3))}):
         if k >= 1:
             _same_outcome(arc_counting_diagnostic, parent_arc_counting_diagnostic, a, b, k)
+
+
+# ---------------------------------------------------------------------------
+# Orbits in multiplier coordinates: the orbit of p/q is the image of its
+# labels under k -> k*p mod q, built by one argsort, and sums within one
+# orbit are counted on the labels.  The residue count is the oracle.
+
+def reference_orbit_residues(alpha, n):
+    """The orbit's ascending residues n*p mod q and, through p's inverse, their multipliers."""
+    alpha = Fraction(alpha) % 1
+    p, q = alpha.numerator, alpha.denominator
+    ints = sorted(k * p % q for k in range(1, n + 1))
+    p_inv = pow(p, -1, q)
+    return alpha, ints, tuple(r * p_inv % q for r in ints), q
+
+
+def _unit_near(q, p):
+    """The first unit mod q from p on."""
+    while gcd(p, q) != 1:
+        p += 1
+    return p
+
+
+_Q_EDGE = INT64_MAX // 1000  # N * q crosses INT64_MAX between N = 1000 and 1001
+
+
+@pytest.mark.parametrize("q, n, dtype", [
+    (_Q_EDGE, 1000, np.int64),
+    (_Q_EDGE, 1001, object),
+    ((1 << 64) + 13, 500, object),
+])
+def test_orbit_build_matches_the_python_reference(q, n, dtype):
+    assert int_dtype(n * q) is dtype
+    for p in (_unit_near(q, 2), _unit_near(q, q // 3), q - 1):
+        got = _orbit_residues(Fraction(p, q), n)
+        assert got == reference_orbit_residues(Fraction(p, q), n)
+        assert all(type(v) is int for v in got[1] + list(got[2]))
+
+
+def convergent_denominators(p, q):
+    """The denominators q_k of the continued-fraction convergents of p/q, ending in q."""
+    out, before, last = [], 1, 0
+    while q:
+        a, (p, q) = p // q, (q, p % q)
+        before, last = last, a * last + before
+        out.append(last)
+    return out
+
+
+def test_convergent_denominators_of_a_fibonacci_ratio():
+    # 89/144 = [0; 1, 1, 1, 1, 1, 1, 1, 1, 1, 2]
+    assert convergent_denominators(89, 144) == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55, 144]
+
+
+def _assert_label_counts_match_residues(alpha, n):
+    b = fractional_orbit(alpha, n)
+    subsets = [b, sidon_subset(b)] + ([greedy_max_distinct(b)] if n >= 2 else [])
+    for x in subsets:
+        assert x._step == alpha.numerator
+        for y in subsets:
+            assert sumset_size(x, y) == _residue_sumset_size(x, y)
+
+
+@given(st.one_of(st.integers(3, 3000), st.integers(1 << 62, 1 << 70)), st.data())
+@settings(deadline=None, max_examples=40)
+def test_orbit_sums_on_labels_equal_sums_on_residues(q, data):
+    p = data.draw(st.integers(1, q - 1).filter(lambda p: gcd(p, q) == 1))
+    # N at q_k - 1, q_k and q_k + 1, and one N with 2N >= q, where the sums fold
+    ns = {k + d for k in convergent_denominators(p, q) for d in (-1, 0, 1)}
+    ns.add(data.draw(st.integers((q + 1) // 2, q - 1)))
+    for n in sorted(n for n in ns if 1 <= n < min(q, 300)):
+        _assert_label_counts_match_residues(Fraction(p, q), n)
+
+
+@pytest.mark.parametrize("alpha, n", [
+    (Fraction(89, 144), 100),  # 2N >= q: B + B folds onto all of Z/144
+    (Fraction(_unit_near(_Q_EDGE, _Q_EDGE // 3), _Q_EDGE), 1000),  # N * q below INT64_MAX
+    (Fraction(_unit_near(_Q_EDGE, _Q_EDGE // 3), _Q_EDGE), 1001),  # and above
+    (Fraction(12345678901234567891, (1 << 64) + 13), 400),
+])
+def test_orbit_sums_on_labels_at_the_edges(alpha, n):
+    _assert_label_counts_match_residues(alpha, n)
+
+
+def _spy_counts(monkeypatch):
+    """The (xs, ys, q) that sumset_size hands to torus_pairsums, recorded."""
+    calls = []
+
+    def spy(xs, ys, q):
+        calls.append((list(xs), list(ys), q))
+        return torus_pairsums(xs, ys, q)
+
+    monkeypatch.setattr(gap_spectrum, "torus_pairsums", spy)
+    return calls
+
+
+def test_only_sets_of_one_orbit_count_on_labels(monkeypatch):
+    calls = _spy_counts(monkeypatch)
+    b = fractional_orbit(Fraction(5, 13), 6)
+    a = greedy_max_distinct(b)
+    assert sumset_size(a, b) == _residue_sumset_size(a, b)
+    assert calls[0] == (sorted(a.labels), list(range(1, 7)), 13)
+    # the same q with another p: labels of different units are not comparable
+    calls.clear()
+    one, three = fractional_orbit(Fraction(1, 7), 3), fractional_orbit(Fraction(3, 7), 3)
+    assert sorted(one.labels) == sorted(three.labels) == [1, 2, 3]
+    assert sumset_size(one, three) == 7  # the labels would give 5
+    assert calls == [([1, 2, 3], [2, 3, 6], 7)]
+
+
+def test_sets_from_values_or_points_never_count_on_labels(monkeypatch):
+    from gaplab.cli import _points_or_orbit, build_parser
+
+    calls = _spy_counts(monkeypatch)
+    # labels that are not multipliers: residues {0, 1, 3} mod 7
+    b = CircularSet.from_values([Fraction(0), Fraction(1, 7), Fraction(3, 7)], labels=(1, 2, 3))
+    assert b._step is None and sumset_size(b, b) == 6  # the labels would give 5
+    # a set from --points
+    args = build_parser().parse_args(["cover", "--points", "0;1/7;3/7"])
+    points = _points_or_orbit(args)
+    assert points._step is None and sumset_size(points, points) == 6
+    assert calls == [([0, 1, 3], [0, 1, 3], 7)] * 2
+    # labels that are multipliers, but given by hand
+    calls.clear()
+    orbit = fractional_orbit(Fraction(5, 13), 6)
+    same = CircularSet.from_values(orbit.values(), labels=orbit.labels)
+    assert same == orbit and same._step is None
+    assert sumset_size(same, same) == sumset_size(orbit, orbit)
+    residues = orbit._residues[0]
+    assert calls == [(residues, residues, 13), ([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6], 13)]
+    # a rebuilt orbit holds no step either
+    import dataclasses
+    assert dataclasses.replace(orbit)._step is None and CircularSet(
+        orbit.points, orbit.labels)._step is None
+
+
+def test_the_step_is_not_part_of_the_set():
+    import copy
+    import pickle
+
+    orbit = fractional_orbit(Fraction(5, 13), 6)
+    eager = CircularSet(tuple(orbit.points), orbit.labels)
+    assert "_step" not in repr(orbit) and repr(orbit) == repr(eager) and orbit == eager
+    for kept in (pickle.loads(pickle.dumps(fractional_orbit(Fraction(5, 13), 6))),
+                 copy.copy(orbit)):
+        assert kept == eager and kept._step == 5

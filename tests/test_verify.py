@@ -157,3 +157,20 @@ def test_checks_keep_their_names_order_and_trials(tmp_path, monkeypatch):
     assert seen == {name: {"trials": 2} for name in with_trials}
     report = json.loads(path.read_text())["report"]
     assert report["ap-union"]["trials"] == report["arc-count"]["trials"] == 2
+
+
+def test_greedy_gaps_checks_label_counts_against_residue_counts(monkeypatch):
+    from gaplab import gap_spectrum
+
+    # an A + B count on labels one too high still passes the gap bound, so
+    # only the residue oracle sees it
+    real = gap_spectrum.sumset_size
+    monkeypatch.setattr(gap_spectrum, "sumset_size", lambda a, b: real(a, b) + (a is not b))
+    result = verify.CHECKS["greedy-gaps"](seed=0, trials_per_n=1)
+    assert not result.passed
+    failures = result.details["failures"]
+    assert [(f["n"], f["trial"]) for f in failures] == [(100, 0), (1000, 0), (2000, 0)]
+    for f in failures:
+        labels, residues = f["on_labels"], f["on_residues"]
+        assert labels["b_plus_b"] == residues["b_plus_b"] == 2 * f["n"] - 1
+        assert labels["a_plus_b"] == residues["a_plus_b"] + 1
