@@ -80,6 +80,9 @@ _REPORT_OPTIONS = (
 # without Fraction's own regex, to the value Fraction(text) has (a zero
 # denominator raises ZeroDivisionError, as Fraction(text) does).
 _INT_RATIO = re.compile(r"-?[0-9]+(?:/[0-9]+)?\Z").match
+# Fraction's grammar for a decimal with an exponent; Fraction builds 10**|exponent| first.
+_EXPONENT = re.compile(r"\s*[-+]?(?=\d|\.\d)(?:\d+(?:_\d+)*)?(?:\.(?:\d+(?:_\d+)*)?)?"
+                       r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE).match
 
 
 def _rational(text: str) -> Fraction:
@@ -87,6 +90,9 @@ def _rational(text: str) -> Fraction:
         if _INT_RATIO(text):
             num, _, den = text.partition("/")
             return Fraction(int(num), int(den or 1))
+        exp, limit = _EXPONENT(text), sys.get_int_max_str_digits()
+        if exp and limit and int(exp[1]) > limit:
+            raise OverflowError(f"the exponent of {text!r} exceeds {limit}")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
@@ -118,22 +124,27 @@ def _verdict(name: str, passed: bool, **certificate: Any) -> Dict[str, Any]:
     return {"name": name, "passed": bool(passed), **certificate}
 
 
+def _refuse_long_ints() -> int:
+    """Exit status 2, saying why: the document would hold an int Python does not write."""
+    print(f"error: the document holds an integer of more than "
+          f"{sys.get_int_max_str_digits()} digits, the most Python writes "
+          "(PYTHONINTMAXSTRDIGITS raises it)", file=sys.stderr)
+    return 2
+
+
 def _emit(payload: Dict[str, Any], args: argparse.Namespace) -> Optional[int]:
     """Print or write the document; exit status 2 when it cannot be written.
 
     Python writes no int of more than sys.get_int_max_str_digits() digits
     (4300 unless PYTHONINTMAXSTRDIGITS says otherwise), which bounds the
     quadratic cost of writing one; a document holding a longer one is
-    refused as a whole.
+    refused as a whole, and so is an argument whose exponent passes the limit.
     """
     try:
         text = (to_csv(to_jsonable(payload)) if args.format == "csv"
                 else canonical_json(payload) + "\n")
     except ValueError:
-        print(f"error: the document holds an integer of more than "
-              f"{sys.get_int_max_str_digits()} digits, the most Python writes "
-              "(PYTHONINTMAXSTRDIGITS raises it)", file=sys.stderr)
-        return 2
+        return _refuse_long_ints()
     if args.output is None:
         sys.stdout.write(text)
         return None
@@ -387,7 +398,7 @@ def _cmd_extract_core(args) -> Dict[str, Any]:
         raise ValueError("give either --points or --m")
     epsilon = args.epsilon
     if epsilon is None:
-        if args.m is None:
+        if not args.m:  # None, or 0 with --points: no default 1/(2m)
             raise ValueError("--epsilon is required with --points")
         epsilon = Fraction(1, 2 * args.m)
     kappa = args.kappa if args.kappa is not None else max_ball_depth(cloud, cloud).kappa_hat
@@ -467,7 +478,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except OverflowError:  # _rational: an exponent past the limit _emit names
+        return _refuse_long_ints()
     t0 = time.perf_counter()
     try:
         body = args.fn(args)

@@ -449,39 +449,30 @@ def arc_counting_diagnostic(a: CircularSet, b: CircularSet, k: int) -> ArcCounti
     if len(a) < 3:
         raise TooFewPointsError("the pair-counting bound needs at least three points in A")
     _require_subset(a, b)
-    witness: Dict[int, int] = {}
-    for i, g in enumerate(_gaps(*a._residues, a.wrap)):
-        witness.setdefault(g, i)
-    j_a = tuple(sorted(witness.values()))
-
     (xs, ys), q = common_scale(a._residues, b._residues)
+    dtype = int_dtype(2 * q)
+    # the witnesses: the first index of each distinct gap, ascending
+    j_a = np.sort(np.unique(np.array(_gaps(*a._residues, a.wrap), dtype), return_index=True)[1])
+
     sums = _ascending(torus_pairsums(xs, ys, q))
     total = len(sums)
     floor_size, oversized = divmod(total, k)
     sizes = [floor_size + 1] * oversized + [floor_size] * (k - oversized)
-    # the arc of each sum: sizes[j] consecutive sorted sums fall in arc j
-    arc_of = dict(zip(sums, [j for j, sz in enumerate(sizes) for _ in range(sz)]))
-
-    m = len(xs)
-    count = 0
-    for i in j_a:
-        u, v = xs[i], xs[(i + 1) % m]
-        for y in ys:
-            if arc_of[(u + y) % q] == arc_of[(v + y) % q]:
-                count += 1
+    # the arc of each sorted sum, then of a_i + b and a_{i+1} + b, i a witness
+    arc = np.repeat(np.arange(k), sizes)
+    x, y, at = (np.array(v, dtype=dtype) for v in (xs, ys, sums))
+    u, v = (arc[np.searchsorted(at, (x[i, None] + y) % q)] for i in (j_a, (j_a + 1) % len(xs)))
+    count = int((u == v).sum())
 
     upper = sum(sz * (sz - 1) // 2 for sz in sizes)
-    lower = len(b) * (len(witness) - k)
-    bounds: list = []
-    t = 0
-    for sz in sizes:
-        bounds.append((TorusPoint._from_residue(sums[t], q),
-                       TorusPoint._from_residue(sums[t + sz - 1], q)) if sz else None)
-        t += sz
+    lower = len(b) * (len(j_a) - k)
+    bounds = tuple((TorusPoint._from_residue(sums[e - sz], q),
+                    TorusPoint._from_residue(sums[e - 1], q)) if sz else None
+                   for sz, e in zip(sizes, np.cumsum(sizes).tolist()))
     sum_cap = Fraction(total * total, 2 * k)
     derived = k + Fraction(total * total, 2 * k * len(b))
-    return ArcCountingReport(k, floor_size, oversized, tuple(bounds), j_a, count,
-                             lower, upper, sum_cap, derived, len(witness),
+    return ArcCountingReport(k, floor_size, oversized, bounds, tuple(j_a.tolist()), count,
+                             lower, upper, sum_cap, derived, len(j_a),
                              lower <= count <= upper)
 
 

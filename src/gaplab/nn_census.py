@@ -20,10 +20,10 @@ nn_census keeps them in its report, whose records and census are lifted on
 read and written from rows when unread.  _brute_rows_exact, an all-pairs loop
 on the Fraction points, is the oracle the tests check both against.  On top of
 the census sit: the orbit census of a rotation (numpy steps over the orbit's
-offsets, lifting only its census), checks for configurations whose pairwise
-distances dominate their norms, ball depths, a greedy extraction of a large
-sub-cloud with few census vectors, and the square-block example showing the
-extraction bound is close to tight.
+offsets, lifting only its census), pairwise-dominance checks on residue rows
+through _sq_norms, ball depths, a greedy extraction of a large sub-cloud with
+few census vectors, and the square-block example showing the extraction bound
+is close to tight.
 """
 
 from __future__ import annotations
@@ -445,46 +445,37 @@ class KissingReport:
     passed: bool
 
 
-def _angle_at_least_third_pi(u: Sequence[Fraction], v: Sequence[Fraction]) -> bool:
-    """Exact predicate for angle(u, v) >= pi/3 between nonzero real vectors."""
-    dot = sum((a * b for a, b in zip(u, v)), Fraction(0))
-    if dot <= 0:
-        return True
-    uu = sum((a * a for a in u), Fraction(0))
-    vv = sum((b * b for b in v), Fraction(0))
-    return 4 * dot * dot <= uu * vv
-
-
 def kissing_check(vectors: Sequence[TorusVector]) -> KissingReport:
     """Verify every pairwise distance dominates both norms, exactly.
 
-    In one or two dimensions the closest-representative angles are also
-    checked: a valid pair subtends at least pi/3, which caps valid families
-    at 2 (one dimension) and 6 (two dimensions).
+    Decisions run on the vectors' residue rows over one scale: norms and
+    distances through _sq_norms, violations (i < j) in row-major order.  In
+    one or two dimensions the closest-representative angles are also checked:
+    a valid pair subtends at least pi/3, which caps valid families at 2 (one
+    dimension) and 6 (two dimensions).
     """
     zs = tuple(vectors)
     if not zs:
         raise InvalidConfigurationError("empty configuration")
-    dims = {z.dim for z in zs}
-    if len(dims) != 1:
+    d = zs[0].dim
+    if any(z.dim != d for z in zs):
         raise InvalidConfigurationError("mixed dimensions")
-    if any(z.norm_sq() == 0 for z in zs):
+    ints, scale = residues(c for z in zs for c in z.coords)
+    rows = np.array(ints, dtype=int_dtype(_norm_bound(d, scale))).reshape(-1, d)
+    norms = _sq_norms(rows.T, scale)
+    if (norms == 0).any():
         raise InvalidConfigurationError("zero vector in configuration")
-    norms = [z.norm_sq() for z in zs]
-    violations = []
-    for i in range(len(zs)):
-        for j in range(i + 1, len(zs)):
-            dsq = torus_dist_sq(zs[i], zs[j])
-            if dsq < max(norms[i], norms[j]):
-                violations.append((i, j))
+    dsq = _sq_norms((c[:, None] - c for c in rows.T), scale)
+    bad = np.argwhere(np.triu(dsq < np.maximum.outer(norms, norms), 1))
     angular = None
-    if zs[0].dim <= 2:
-        reps = [z.signed() for z in zs]
-        angular = all(
-            _angle_at_least_third_pi(reps[i], reps[j])
-            for i in range(len(zs)) for j in range(i + 1, len(zs)))
-    return KissingReport(zs[0].dim, len(zs), not violations,
-                         tuple(violations[:8]), angular, not violations)
+    if d <= 2:
+        # angle >= pi/3: dot <= 0 or 4 dot^2 <= |u|^2 |v|^2, homogeneous in the scale
+        reps = signed_residues(rows, scale).astype(object)  # Python ints
+        dot = reps @ reps.T
+        ok = (dot <= 0) | (4 * dot * dot <= np.outer(dot.diagonal(), dot.diagonal()))
+        angular = bool(ok[np.triu_indices(len(zs), 1)].all())
+    return KissingReport(d, len(zs), not len(bad), tuple(map(tuple, bad[:8].tolist())),
+                         angular, not len(bad))
 
 
 @dataclass(frozen=True)

@@ -493,11 +493,11 @@ def minimal_difference_cover(b: FiniteExactSet, exact_limit: int = EXACT_LIMIT,
 
     def greedy(uncovered: int) -> list:
         # Lazy greedy (Minoux 1978): gains only shrink as the cover grows, so
-        # the heap holds upper bounds keyed (-gain, candidate index).  A popped
+        # the heap holds upper bounds keyed (-gain, candidate index), at first
+        # (-|B|, index) in order: every c - B has |B| elements.  A popped
         # candidate whose fresh key still leads the heap is the first maximum
         # in candidate order, the one a full rescoring pass would pick.
-        heap = [(-m.bit_count(), ci) for ci, (_, m) in enumerate(cands)]
-        heapq.heapify(heap)
+        heap = [(-len(ints), ci) for ci in range(len(cands))]
         chosen = []
         while uncovered:
             _, ci = heapq.heappop(heap)
@@ -511,47 +511,37 @@ def minimal_difference_cover(b: FiniteExactSet, exact_limit: int = EXACT_LIMIT,
         return chosen
 
     best = greedy(full)
-    exact = False
+    exact = budget_exhausted = False
     nodes = 0
-    budget_exhausted = False
     if len(ints) <= exact_limit:
-        covering = [[] for _ in universe]
-        for ci, (_, m) in enumerate(cands):
-            mm = m
-            while mm:
-                low = mm & -mm
-                covering[low.bit_length() - 1].append(ci)
-                mm ^= low
-        max_set = max(m.bit_count() for _, m in cands)
+        # covering[u]: the candidates writing difference u, ascending, cut from
+        # one stable argsort of their rows; fewest: differences by writer count
+        rows = pos[[c for c, _ in cands]].ravel()
+        writers = (np.argsort(rows, kind="stable") // len(ints)).tolist()
+        counts = np.bincount(rows, minlength=len(universe))
+        ends = np.cumsum(counts).tolist()
+        covering = [writers[lo:hi] for lo, hi in zip([0] + ends, ends)]
+        fewest = np.argsort(counts, kind="stable").tolist()
         seen: Dict[int, int] = {}
-        best_list = [list(best)]
 
         def descend(uncovered: int, chosen: list) -> bool:
-            nonlocal nodes
+            nonlocal nodes, best
             nodes += 1
             if nodes > node_budget:
                 return False
             if not uncovered:
-                if len(chosen) < len(best_list[0]):
-                    best_list[0] = list(chosen)
+                if len(chosen) < len(best):
+                    best = list(chosen)
                 return True
             depth = len(chosen)
-            if depth + (uncovered.bit_count() + max_set - 1) // max_set >= len(best_list[0]):
+            if depth + (uncovered.bit_count() + len(ints) - 1) // len(ints) >= len(best):
                 return True
             prior = seen.get(uncovered)
             if prior is not None and prior <= depth:
                 return True
             seen[uncovered] = depth
-            # Branch on the difference with the fewest remaining writers.
-            pick, fewest = -1, None
-            mm = uncovered
-            while mm:
-                low = mm & -mm
-                i = low.bit_length() - 1
-                k = len(covering[i])
-                if fewest is None or k < fewest:
-                    pick, fewest = i, k
-                mm ^= low
+            # Branch on the uncovered difference with the fewest writers, the first on a tie.
+            pick = next(u for u in fewest if uncovered >> u & 1)
             ok = True
             for ci in covering[pick]:
                 c, m = cands[ci]
@@ -560,10 +550,8 @@ def minimal_difference_cover(b: FiniteExactSet, exact_limit: int = EXACT_LIMIT,
                 chosen.pop()
             return ok
 
-        completed = descend(full, [])
-        best = best_list[0]
-        exact = completed
-        budget_exhausted = not completed
+        exact = descend(full, [])
+        budget_exhausted = not exact
         nodes = min(nodes, node_budget)
 
     cover_rows = sorted(best)

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -67,10 +68,13 @@ def test_malformed_rational_is_usage_error():
 
 
 # Texts at the edges of the integer-ratio fast path: forms only Fraction reads,
-# forms no one reads, zero denominators and redundant signs and zeros.
+# forms no one reads, zero denominators and redundant signs and zeros; then
+# exponents past the int digit limit, which are refused before Fraction runs.
 RATIONAL_EDGES = ["1_000", "+1/2", " 1/2 ", ".5", "5.", "1e3", "\u0663", "\u0663/7", "1 /2",
                   "1/-2", "1e-3/2", "1/0", "1/00", "-0/5", "007/010", "-7", "0", "", "-", "/",
-                  "1/", "/2", "--1", "1/2/3", "1/2\n"]
+                  "1/", "/2", "--1", "1/2/3", "1/2\n", "1e4299", "1e-4299", "1e4301",
+                  "0e999999", "-1.5E-99999 ", "1e9_999", "1e\u0663\u0663\u0663\u0663\u0663",
+                  pytest.param("1e" + "0" * 4300 + "1", id="exponent-of-4301-digits")]
 
 
 def _fraction_or_error(text):
@@ -80,11 +84,37 @@ def _fraction_or_error(text):
         return None
 
 
+def _over_limit(text):
+    """A text in Fraction's grammar whose exponent's magnitude passes the int digit limit."""
+    import fractions
+
+    m = fractions._RATIONAL_FORMAT.match(text)
+    limit = sys.get_int_max_str_digits()
+    try:
+        return bool(m and m["exp"] and limit and abs(int(m["exp"])) > limit)
+    except ValueError:  # an exponent of more digits than int() reads: Fraction refuses it
+        return False
+
+
+def _refusal():
+    return (f"error: the document holds an integer of more than {sys.get_int_max_str_digits()} "
+            "digits, the most Python writes (PYTHONINTMAXSTRDIGITS raises it)\n")
+
+
 @given(st.text(alphabet="0123456789/-+.eE_ \u0663", max_size=10))
 @settings(max_examples=600, deadline=None)
 @example("007/010")
 @example("-0/5")
+@example("1e999999")
+@example("1e-\u0663\u0663\u0663\u0663")
 def test_rational_parses_exactly_what_fraction_parses(text):
+    # Fraction is the oracle, except on the texts whose exponent passes the
+    # int digit limit: those are refused before Fraction builds a power of
+    # ten that no document could hold
+    if _over_limit(text):
+        with pytest.raises(OverflowError, match=f"exceeds {sys.get_int_max_str_digits()}"):
+            _rational(text)
+        return
     expected = _fraction_or_error(text)
     if expected is None:
         with pytest.raises(argparse.ArgumentTypeError):
@@ -97,9 +127,13 @@ def test_rational_parses_exactly_what_fraction_parses(text):
 
 @pytest.mark.parametrize("text", RATIONAL_EDGES)
 def test_rational_edges_match_fraction_through_main(text, capsys, tmp_path):
-    expected = _fraction_or_error(text)
     argv = ["ap-union", f"--alpha={text}", "--betas", "0", "--lengths", "1"]
-    if expected is None:
+    expected = _fraction_or_error(text)
+    if _over_limit(text):
+        # refused as the writer refuses an int past the limit: one line, exit 2
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", _refusal())
+    elif expected is None:
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 2
@@ -111,6 +145,27 @@ def test_rational_edges_match_fraction_through_main(text, capsys, tmp_path):
         assert _rational(text) == expected
         rc, payload = run_json(tmp_path, argv)
         assert rc == 0 and payload["config"]["alpha"] == str(expected)
+
+
+@pytest.mark.parametrize("text", ["1e4301", "2E-5000", "1e9_999", "3.5e+\u0663\u0663\u0663\u0663\u0663"])
+def test_an_exponent_past_the_limit_never_reaches_fraction(text, monkeypatch):
+    from gaplab import cli
+
+    def no_fraction(*args):
+        raise AssertionError("Fraction called")
+
+    monkeypatch.setattr(cli, "Fraction", no_fraction)
+    with pytest.raises(OverflowError) as err:
+        _rational(text)
+    assert str(err.value) == f"the exponent of {text!r} exceeds {sys.get_int_max_str_digits()}"
+    # with no limit, Fraction reads every exponent, as it did before
+    monkeypatch.undo()
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        assert _rational(text) == Fraction(text)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 _HUGE = "1" + "0" * 5000
@@ -604,3 +659,142 @@ def test_exit_code_is_zero_exactly_when_every_verdict_passed(line, tmp_path):
     # a later --format json overrides the csv line's, so the verdicts parse
     rc, payload = run_json(tmp_path, shlex.split(line) + ["--format", "json"])
     assert rc == (0 if all(v["passed"] for v in payload["verdicts"]) else 1)
+
+
+# ---------------------------------------------------------------------------
+# The exit contract under fuzzed argv: every subcommand, its options drawn
+# from their grammar at small sizes, exits 0 or 1 with a document whose
+# verdicts agree with the code, or 2 with its message on the last stderr
+# line (one line in all when a handler raised), and never with a traceback.
+
+def _rarely(common, rare):
+    """Draws from rare about one time in eight, from common otherwise."""
+    return st.integers(0, 7).flatmap(lambda i: rare if i == 0 else common)
+
+
+_RATIONAL = _rarely(
+    st.one_of(st.integers(-3, 40).map(str),
+              st.builds("{}/{}".format, st.integers(-5, 200), st.integers(1, 211)),
+              st.sampled_from(["0.125", "1e-2", "5E-1", "3e1", "1_0e-3", "\u0663/7", " 1/2 ",
+                               "1e-40", "7/18446744073709551629"])),
+    st.sampled_from(["1e5000", "2e-99999", "1e4301", "1/0", "x", "", "1/", "-", "1/2/3"]))
+_INT = _rarely(st.integers(-2, 12).map(str), st.sampled_from(["x", "1.5", ""]))
+
+
+def _joined(sep, item, min_size=1, max_size=5):
+    """Texts of min_size to max_size items; rarely none at all."""
+    return _rarely(st.lists(item, min_size=min_size, max_size=max_size).map(sep.join),
+                   st.sampled_from(["", sep]))
+
+
+_LIST = _joined(",", _RATIONAL)
+_INTS = _joined(",", st.integers(-2, 5).map(str), max_size=3)
+# duplicates come from a small pool of coordinates; mixed dimensions rarely
+_COORD = _rarely(st.sampled_from(["0", "1/2", "1/3", "1/7", "3/7", "5/8", "0.25"]), _RATIONAL)
+_VECTORS = _rarely(
+    st.integers(1, 3).flatmap(lambda d: _joined(";", _joined(",", _COORD, d, d), max_size=6)),
+    _joined(";", _joined(",", _COORD, max_size=3)))
+_CIRCLE = _joined(";", _COORD, max_size=6)
+_CHECKS = ["three-gap", "ap-union", "greedy-gaps", "arc-count", "generators",
+           "forced-cover", "kissing", "extract-core", "no-such-check"]
+
+
+@st.composite
+def _options(draw, *required, **optional):
+    """argv of the required (flag, values) pairs, then each optional one or not."""
+    argv = []
+    for flag, values in required + tuple(optional.items()):
+        if flag in optional and not draw(st.booleans()):
+            continue
+        argv += ["--" + flag.replace("_", "-"), draw(values)]
+    return argv
+
+
+@st.composite
+def _arms(draw):
+    """--betas and --lengths of one length; --lengths rarely of another."""
+    arms = draw(st.lists(st.tuples(_RATIONAL, st.integers(-1, 6).map(str)),
+                         min_size=1, max_size=4))
+    betas, lengths = (",".join(column) for column in zip(*arms))
+    return ["--betas", betas, "--lengths", draw(_rarely(st.just(lengths), _INTS))]
+
+
+_SOURCE = dict(points=_CIRCLE, alpha=_RATIONAL, n=_INT, exact_limit=_INT)
+_GRAMMAR = {
+    "orbit": _options(("alpha", _RATIONAL), ("n", st.integers(-2, 40).map(str))),
+    "gaps": _options(("alpha", _RATIONAL), ("n", _INT)),
+    "ap-union": st.tuples(_options(("alpha", _RATIONAL)), _arms()).map(lambda t: t[0] + t[1]),
+    "greedy": _options(("alpha", _RATIONAL), ("n", st.integers(-2, 40).map(str))),
+    "sumset": _options(("a", _LIST), b=_LIST, domain=st.sampled_from(
+        ["torus", "rationals", "integers"]), print_limit=_INT),
+    "cover": _options(**_SOURCE),
+    "generators": _options(**_SOURCE, cover=_CIRCLE),
+    "behrend": _options(("n", st.integers(-2, 60).map(str))),
+    "forced-cover": _options(("n", st.integers(-2, 12).map(str)), s=_INTS, exact_limit=_INT),
+    "lattice": _options(("alphas", _joined(",", _RATIONAL, max_size=3)), ("box", _INTS)),
+    "nn-census": _options(("points", _VECTORS), method=st.sampled_from(
+        ["auto", "brute", "grid"]), cells=_INT),
+    "kronecker": _options(("alphas", _joined(",", _RATIONAL, max_size=3)), ("n", _INT)),
+    "kissing": _options(("vectors", _VECTORS)),
+    "extract-core": _options(points=_VECTORS, m=st.integers(-1, 5).map(str),
+                             epsilon=_RATIONAL, kappa=_RATIONAL),
+    "tightness": _options(("m", st.integers(-1, 8).map(str))),
+    "verify": _options(("suite", _joined(",", st.sampled_from(_CHECKS), max_size=2)),
+                       ("trials", st.integers(-1, 2).map(str)), seed=_INT),
+}
+
+
+def test_the_argv_grammar_names_every_subcommand():
+    assert list(_GRAMMAR) == SUBCOMMANDS
+
+
+@given(st.sampled_from(SUBCOMMANDS).flatmap(lambda c: _GRAMMAR[c].map(lambda a: [c] + a)))
+@settings(max_examples=300, deadline=None)
+@example(["behrend", "--n", "0"])
+@example(["orbit", "--alpha", "1/3", "--n", "0"])
+@example(["gaps", "--alpha", "1e999999", "--n", "4"])
+@example(["ap-union", "--alpha", "1/7", "--betas", "0,1/7", "--lengths", "3,3"])
+@example(["greedy", "--alpha", "1/2", "--n", "-1"])
+@example(["sumset", "--a", ",", "--domain", "integers"])
+@example(["cover", "--points", "0;0;1/2", "--exact-limit", "-1"])
+@example(["generators", "--points", "0;1/2", "--cover", "1/3"])
+@example(["forced-cover", "--n", "4", "--s", "1,1,2"])
+@example(["lattice", "--alphas", "1/5,2/5", "--box", "0,3"])
+@example(["nn-census", "--points", "0,0;0,0"])
+@example(["nn-census", "--points", "0,0;1/2"])
+@example(["kronecker", "--alphas", "1/3", "--n", "5"])
+@example(["kissing", "--vectors", "0,0;1/2,1/2"])
+@example(["kissing", "--vectors", "1/4;1/3,1/5"])
+@example(["extract-core", "--m", "1"])
+@example(["extract-core", "--points", "0", "--m", "0"])
+@example(["extract-core", "--points", "0;1/2;1/3", "--epsilon", "1/2", "--kappa", "1/100"])
+@example(["tightness", "--m", "-1"])
+@example(["verify", "--suite", "kissing", "--trials", "0"])
+@example(["verify", "--suite", "no-such-check", "--trials", "1"])
+def test_every_command_keeps_the_exit_contract_under_fuzzed_argv(argv):
+    import contextlib
+    import io
+    import os
+    import tempfile
+    from pathlib import Path
+
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        path = os.path.join(tmp, "doc.json")
+        try:
+            rc = main(argv + ["--output", path])
+        except SystemExit as exc:  # argparse refused the argv
+            rc = exc.code
+        doc = json.loads(Path(path).read_text()) if os.path.exists(path) else None
+    lines = err.getvalue().splitlines()
+    assert "Traceback" not in err.getvalue()
+    assert rc in (0, 1, 2), (rc, lines)
+    if rc == 2:
+        assert doc is None and lines, lines
+        assert lines[-1].startswith(("error: ", f"gaplab {argv[0]}: error: ")), lines
+        if lines[-1].startswith("error: "):
+            assert len(lines) == 1, lines
+    else:
+        assert doc is not None and not lines, lines
+        assert rc == (0 if all(v["passed"] for v in doc["verdicts"]) else 1)

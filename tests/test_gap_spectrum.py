@@ -597,6 +597,21 @@ def test_gap_diagnostics_match_the_parent(q, wrap, data):
             _same_outcome(arc_counting_diagnostic, parent_arc_counting_diagnostic, a, b, k)
 
 
+@pytest.mark.parametrize("q, wrap, k", [
+    ((1 << 63) + 25, Wrap.INCLUDE, 3),  # sums past int64: object rows
+    (97, Wrap.EXCLUDE, 4),              # A embedded from the reals: no closing arc
+    (60, Wrap.INCLUDE, 500),            # k past |A + B|: empty arcs, bounds None
+])
+def test_arc_count_matches_the_parent_at_its_edges(q, wrap, k):
+    rng = random.Random(q)
+    ints = sorted(rng.sample(range(q), 12) if q < 1000 else {rng.randrange(q) for _ in range(12)})
+    b = CircularSet.from_values([Fraction(r, q) for r in ints])
+    a = CircularSet.from_values([Fraction(r, q) for r in ints[::2]], wrap=wrap)
+    rep = arc_counting_diagnostic(a, b, k)
+    assert rep == parent_arc_counting_diagnostic(a, b, k)
+    assert (None in rep.arc_boundaries) is (k > sumset_size(a, b))
+
+
 # ---------------------------------------------------------------------------
 # Orbits in multiplier coordinates: the orbit of p/q is the image of its
 # labels under k -> k*p mod q, built by one argsort, and sums within one

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from gaplab.exact_torus import (INT64_MAX, TorusVector, as_rational, int_dtype,
                                 signed_mod1, torus_dist_sq)
 from gaplab.nn_census import (EpsilonRangeError, GramKissingReport, GreedyStallError,
-                              InvalidConfigurationError, KroneckerReport,
+                              InvalidConfigurationError, KissingReport, KroneckerReport,
                               PointCloud, _brute_rows_exact, ball_depth,
                               cloud_sumset, extract_core, gram_kissing_check,
                               hexagon_gram, kissing_check, kronecker_census,
@@ -863,6 +863,98 @@ def test_gram_elimination_matches_reference_scan(case):
     got = gram_kissing_check(gram, rank_bound)
     assert {f.name: getattr(got, f.name) for f in fields(got)} == \
         {f.name: getattr(want, f.name) for f in fields(want)}
+
+
+# ---------------------------------------------------------------------------
+# kissing_check on residue rows.  The parent's version, which decided every
+# pair with Fraction torus arithmetic, is kept verbatim as the oracle.
+
+def _angle_at_least_third_pi(u, v):
+    """Exact predicate for angle(u, v) >= pi/3 between nonzero real vectors."""
+    dot = sum((a * b for a, b in zip(u, v)), Fraction(0))
+    if dot <= 0:
+        return True
+    uu = sum((a * a for a in u), Fraction(0))
+    vv = sum((b * b for b in v), Fraction(0))
+    return 4 * dot * dot <= uu * vv
+
+
+def parent_kissing_check(vectors):
+    zs = tuple(vectors)
+    if not zs:
+        raise InvalidConfigurationError("empty configuration")
+    dims = {z.dim for z in zs}
+    if len(dims) != 1:
+        raise InvalidConfigurationError("mixed dimensions")
+    if any(z.norm_sq() == 0 for z in zs):
+        raise InvalidConfigurationError("zero vector in configuration")
+    norms = [z.norm_sq() for z in zs]
+    violations = []
+    for i in range(len(zs)):
+        for j in range(i + 1, len(zs)):
+            dsq = torus_dist_sq(zs[i], zs[j])
+            if dsq < max(norms[i], norms[j]):
+                violations.append((i, j))
+    angular = None
+    if zs[0].dim <= 2:
+        reps = [z.signed() for z in zs]
+        angular = all(
+            _angle_at_least_third_pi(reps[i], reps[j])
+            for i in range(len(zs)) for j in range(i + 1, len(zs)))
+    return KissingReport(zs[0].dim, len(zs), not violations,
+                         tuple(violations[:8]), angular, not violations)
+
+
+@st.composite
+def _kissing_families(draw):
+    """1-7 vectors of dimension d <= 3 over mixed denominators, some past 2^63
+    and 2^64; rarely a zero vector or a vector of another dimension."""
+    d = draw(st.integers(1, 3))
+    scale = draw(st.sampled_from((8, 12, 97, 360, (1 << 63) + 25, (1 << 64) + 13)))
+    den = st.sampled_from((scale, 2 * scale, 3, 5, 7, 16))
+
+    def vector(dim):
+        return st.tuples(*[st.builds(Fraction, st.integers(0, 1 << 70), den)] * dim)
+    family = draw(st.lists(st.one_of(vector(d), vector(d), vector(d),
+                                     st.integers(1, 3).flatmap(vector),
+                                     st.just((Fraction(0),) * d)),
+                           min_size=0, max_size=7))
+    return [TorusVector(v) for v in family]
+
+
+@given(_kissing_families())
+@settings(deadline=None, max_examples=300)
+@example([TorusVector.of(Fraction(1, 8)), TorusVector.of(Fraction(7, 8))])
+@example(list(pentagon_cloud()))
+@example([TorusVector.of(Fraction(1, 3), 0), TorusVector.of(Fraction(2, 5), 0),
+          TorusVector.of(Fraction(1, 7), 0)])
+def test_kissing_check_matches_the_parent(vectors):
+    try:
+        want = parent_kissing_check(vectors)
+    except InvalidConfigurationError as exc:
+        with pytest.raises(InvalidConfigurationError) as got:
+            kissing_check(vectors)
+        assert str(got.value) == str(exc)
+        return
+    assert kissing_check(vectors) == want
+
+
+def test_kissing_violations_come_in_row_major_order():
+    # nine vectors crowded near 1/8: every one of the 36 pairs violates, and
+    # the report keeps the first eight in the parent's (i, j) loop order
+    vecs = [TorusVector.of(Fraction(1, 8) + Fraction(k, 1000)) for k in range(9)]
+    rep = kissing_check(vecs)
+    assert rep.violations == ((0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8))
+    assert rep == parent_kissing_check(vecs)
+
+
+def test_kissing_pair_at_equal_distance_and_norm_passes():
+    # 1/3 and 2/3 are 1/3 apart on the circle, as far as each is from 0:
+    # dominance is not strict, so the pair is valid
+    u, v = TorusVector.of(Fraction(1, 3)), TorusVector.of(Fraction(2, 3))
+    assert torus_dist_sq(u, v) == u.norm_sq() == v.norm_sq()
+    rep = kissing_check([u, v])
+    assert rep.passed and rep.violations == () and rep == parent_kissing_check([u, v])
 
 
 # ---------------------------------------------------------------------------

@@ -1017,6 +1017,18 @@ def test_cover_matches_reference_on_random_sets():
             [Fraction(v, rng.choice([1, 7, 10])) for v in vals]))
 
 
+@pytest.mark.parametrize("vals, cover, nodes", [
+    ([0, 2, 7, 8, 11, 12, 15, 16, 22, 28, 29, 32, 33, 40], (0, 2, 8, 11, 15, 29, 32, 33, 40), 15),
+    ([2, 4, 8, 17, 19, 21, 22, 23, 26, 32, 34, 35, 36], (2, 4, 8, 17, 19, 22, 23, 26, 34, 35, 36), 13),
+    ([3, 4, 6, 7, 10, 18, 20, 23, 24, 29, 32, 33, 34, 39], (3, 4, 6, 7, 10, 24, 32, 33, 34, 39), 15),
+])
+def test_exact_cover_branches_on_writers_in_candidate_order(vals, cover, nodes):
+    # several optimal covers exist, and the search keeps the first it finds:
+    # the cover and node count pin the order each difference's writers are tried
+    got = _assert_cover_matches_reference(FiniteExactSet.integers(vals))
+    assert (got.cover, got.nodes, got.exact) == (cover, nodes, True)
+
+
 def test_cover_node_budget_runs_out_on_the_greedy_cover():
     # the exact search finds 8 covers, the greedy one 9
     b = FiniteExactSet.integers([4, 11, 15, 16, 19, 22, 23, 25, 28, 30])
