@@ -12,8 +12,8 @@ until their ints are read: the set-bit count is taken once, so the size of
 a sum that nobody prints costs a popcount, and the torus folds [q, 2q)
 onto [0, q) as a shifted OR of those words.  A + A of one set (the same list
 as both operands) forms each unordered pair once on the dense and hash
-paths, and over a wide segment the dense kernel skips the output words that
-are already all ones.  A set (an exact_torus.LazyFields type) lifts its
+paths, and on the dense path it also skips the output words that are
+already all ones.  A set (an exact_torus.LazyFields type) lifts its
 elements to ints, Fractions or torus points only when ``elements`` is first
 read, so a sum that nobody prints is never lifted.
 
@@ -46,9 +46,6 @@ from .exact_torus import (INT64_MAX, LazyFields, TorusPoint, _coerce, _unread,
 # segment table at most 64 * 2^22 bits (32 MB), overflow-free int64 sums.
 DENSE_SPAN_LIMIT = 1 << 26
 DENSE_SEG_LIMIT = 1 << 22
-# A + A over a segment of at least this many 64-bit words trims its windows
-# (_trimmed_ors); below it an element's OR costs less than the trimming.
-DENSE_TRIM_WORDS = 1 << 12
 OUTER_PAIR_LIMIT = 1 << 25
 _FULL_WORD = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 # largest |B| whose minimum difference cover is searched exactly by default
@@ -396,7 +393,7 @@ def _dense_pairsums(xs: list, ys: list, lo: int, span_out: int) -> _Bitmap:
         variants.append(v)
     out = np.zeros(((span_out + 63) >> 6) + 1, dtype=np.uint64)
     seg = words_b + 1
-    if xs is ys and seg >= DENSE_TRIM_WORDS:
+    if xs is ys:
         _trimmed_ors(out, variants, a_off)
     else:
         for t in a_off.tolist():

@@ -19,12 +19,14 @@ from __future__ import annotations
 import functools
 import random
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, log
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .exact_torus import TorusVector
+from .exact_torus import TorusVector, common_scale
 from .extremal_constructions import build_cover_forcing_set, exact_ap_free
 from .gap_spectrum import (APUnionSpec, CircularSet, CollisionError,
                            _distinct_gap_count, _residue_sumset_size, ap_union_gap_check,
@@ -173,15 +175,6 @@ def check_greedy_gaps(seed: int = 0, trials_per_n: int = 5) -> tuple:
             {"achieved": achieved, "failures": failures})
 
 
-def _arc_index(pos: int, total: int, k: int) -> int:
-    floor = total // k
-    oversized = total % k
-    head = oversized * (floor + 1)
-    if pos < head:
-        return pos // (floor + 1)
-    return oversized + (pos - head) // floor
-
-
 @_check("arc-count")
 def check_arc_count(seed: int = 0, trials: int = 100) -> tuple:
     """Arc-partition pair counts stay between their lower and upper bounds."""
@@ -197,21 +190,15 @@ def check_arc_count(seed: int = 0, trials: int = 100) -> tuple:
         a = CircularSet.from_values([Fraction(v, q) for v in a_vals])
         k = rng.randrange(1, 9)
         rep = arc_counting_diagnostic(a, b, k)
-        # independent pair recount from sorted sums and witness gap indices
-        sums = sorted(p.value for p in
-                      sumset(a.to_exact_set(), b.to_exact_set()).elements)
-        pos = {v: i for i, v in enumerate(sums)}
-        total = len(sums)
-        pairs = 0
-        avals = [p.value for p in a.points]
-        for j in rep.witness_indices:
-            u = avals[j]
-            v = avals[(j + 1) % len(avals)]
-            for bp in b.points:
-                pu = pos[(u + bp.value) % 1]
-                pv = pos[(v + bp.value) % 1]
-                if _arc_index(pu, total, k) == _arc_index(pv, total, k):
-                    pairs += 1
+        # independent pair recount on ints: each sum's arc is the first whose
+        # cumulative size passes the sum's rank
+        (xs, ys), q = common_scale(a._residues, b._residues)
+        sums = sorted({(x + y) % q for x in xs for y in ys})
+        floor, oversized = divmod(len(sums), k)
+        ends = list(accumulate(floor + (i < oversized) for i in range(k)))
+        arc = {v: bisect_right(ends, i) for i, v in enumerate(sums)}
+        pairs = sum(arc[(xs[j] + y) % q] == arc[(xs[(j + 1) % len(xs)] + y) % q]
+                    for j in rep.witness_indices for y in ys)
         ok = (rep.passed and pairs == rep.pair_count
               and rep.lower <= rep.pair_count <= rep.upper)
         if not ok:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from gaplab import sumset_engine as se
 from gaplab.exact_torus import TorusPoint, as_rational, reduce_mod1, residues
+from gaplab.gap_spectrum import fractional_orbit, sumset_size
 from gaplab.sumset_engine import (Domain, DomainMismatchError, FiniteExactSet,
                                   difference_set, doubling_ratio,
                                   minimal_difference_cover, negate, sumset)
@@ -491,14 +492,34 @@ def test_sorted_unique_matches_numpy_unique():
 
 # ---------------------------------------------------------------------------
 # A + A, one list as both operands: the dense and hash paths form each
-# unordered pair once, and the dense kernel skips words already all ones.
-# Each must match A + copy(A), which forms every ordered pair, and brute force.
+# unordered pair once, and the dense kernel trims (_trimmed_ors), skipping
+# words already all ones.  Each must match A + copy(A), which forms every
+# ordered pair on the plain loop, and brute force.
 
-def _identical_and_copy(xs):
-    """Sorted A + A from the identical operand, checked against A + copy(A)."""
-    same = _pairsums_sorted(xs, xs)
-    assert same == _pairsums_sorted(xs, list(xs))
-    return same
+def _kernels(run):
+    """(run(), the pair-sum kernels it ran, in order)."""
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _spy_paths(mp)
+        trim = se._trimmed_ors
+
+        def spy(*args):
+            seen.append("trimmed")
+            return trim(*args)
+        mp.setattr(se, "_trimmed_ors", spy)
+        return run(), seen
+
+
+def _identical_and_copy(xs, pairsums=_pairsums_sorted):
+    """(A + A from the identical operand, its kernels), checked against A + copy(A).
+
+    The identical operand trims whenever it runs dense; the copy never trims.
+    """
+    same, ran = _kernels(lambda: pairsums(xs, xs))
+    copy, ran_copy = _kernels(lambda: pairsums(xs, list(xs)))
+    assert same == copy
+    assert ran in (["dense", "trimmed"], ["outer"], [])
+    assert "trimmed" not in ran_copy
+    return same, ran
 
 
 def _spy_runs(monkeypatch):
@@ -528,26 +549,21 @@ def _one_operand(draw):
                                                max_size=120)))
 
 
-@given(_one_operand(), st.sampled_from([se.DENSE_TRIM_WORDS, 1]))
+@given(_one_operand())
+@example(list(range(-200, 300)))
 @settings(deadline=None, max_examples=300)
-def test_identical_operands_match_a_copy_and_brute(xs, trim_words):
-    # a trim limit of one word sends every dense A + A of these small sets
-    # through the trimmed kernel
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(se, "DENSE_TRIM_WORDS", trim_words)
-        assert _identical_and_copy(xs) == brute_sum(xs, xs)
+def test_identical_operands_match_a_copy_and_brute(xs):
+    # every dense A + A trims (_identical_and_copy); the example fills words
+    assert _identical_and_copy(xs)[0] == brute_sum(xs, xs)
 
 
 @given(st.sampled_from([7, 64, 1000, (1 << 20) + 7, (1 << 62) + 1, 1 << 70]),
-       st.sets(st.integers(0, 1 << 80), min_size=1, max_size=60),
-       st.sampled_from([se.DENSE_TRIM_WORDS, 1]))
+       st.sets(st.integers(0, 1 << 80), min_size=1, max_size=60))
+@example(64, set(range(40)))
 @settings(deadline=None, max_examples=200)
-def test_identical_torus_operands_fold_like_a_copy(q, raw, trim_words):
+def test_identical_torus_operands_fold_like_a_copy(q, raw):
     xs = sorted({n % q for n in raw})
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(se, "DENSE_TRIM_WORDS", trim_words)
-        same = se._ascending(se.torus_pairsums(xs, xs, q))
-        assert same == se._ascending(se.torus_pairsums(xs, list(xs), q))
+    same, _ = _identical_and_copy(xs, lambda x, y: se._ascending(se.torus_pairsums(x, y, q)))
     assert same == sorted({(a + b) % q for a in xs for b in xs})
 
 
@@ -556,9 +572,9 @@ def test_a_set_that_fills_within_one_check_interval(monkeypatch):
     # elements OR is full before the first search
     n = 1 << 18
     xs = list(range(n))
-    assert (xs[-1] >> 6) + 2 >= se.DENSE_TRIM_WORDS
     runs = _spy_runs(monkeypatch)
-    assert se._pairsums_int(xs, xs).tolist() == list(range(2 * n - 1))
+    sums, ran = _kernels(lambda: se._pairsums_int(xs, xs).tolist())
+    assert sums == list(range(2 * n - 1)) and ran == ["dense", "trimmed"]
     # the element 0 alone fills words [0, 4096)
     assert runs[0][0] == 0 and runs[0][1] > 4096
     # at the end every word is full but the last one, which holds 2n - 1
@@ -570,9 +586,9 @@ def test_an_orbit_doubling_never_fills_a_word(monkeypatch):
     # and never sets all 64 bits of a word
     n, q = 6000, 300001
     xs = sorted(k * 123457 % q for k in range(1, n + 1))
-    assert (xs[-1] - xs[0]) >> 6 >= se.DENSE_TRIM_WORDS
     runs = _spy_runs(monkeypatch)
-    sums = se._pairsums_int(xs, xs)
+    sums, ran = _kernels(lambda: se._pairsums_int(xs, xs))
+    assert ran == ["dense", "trimmed"]
     assert runs and set(runs) == {(0, 0)}
     assert sums.tolist() == _pairsums_sorted(xs, list(xs))
     assert len(se.torus_pairsums(xs, xs, q)) == 2 * n - 1
@@ -587,21 +603,36 @@ def test_two_far_clusters_fill_separate_runs(monkeypatch):
     xs = list(range(2048)) + list(range(far, far + 4096))
     runs = _spy_runs(monkeypatch)
     want = [*range(4095), *range(far, far + 6143), *range(2 * far, 2 * far + 8191)]
-    assert _identical_and_copy(xs) == want
+    assert _identical_and_copy(xs) == (want, ["dense", "trimmed"])
     lo, hi = runs[-1]
     assert (lo, hi) == ((2 * far >> 6) + 1, (2 * far + 8191) >> 6)
 
 
 @pytest.mark.parametrize("xs", [[5], [-7], [1 << 70], [I64_MAX]])
 def test_a_single_element_doubles(xs):
-    assert _identical_and_copy(xs) == [2 * xs[0]]
+    assert _identical_and_copy(xs)[0] == [2 * xs[0]]
 
 
-def test_every_element_inside_one_word(monkeypatch):
-    monkeypatch.setattr(se, "DENSE_TRIM_WORDS", 1)
+def test_every_element_inside_one_word():
     for base in (0, 64 * 3, -64 * 5, 64 * 3 + 1):
         xs = [base + i for i in (0, 5, 17, 62)]
-        assert _identical_and_copy(xs) == brute_sum(xs, xs)
+        assert _identical_and_copy(xs) == (brute_sum(xs, xs), ["dense", "trimmed"])
+
+
+def test_the_kernel_follows_operand_identity_alone():
+    # A + A trims whatever its width: a set inside one word, and an orbit's
+    # label doubling {1..N} + {1..N}, with 2N - 1 sums and folded onto Z/144
+    one_word = [0, 5, 17, 62]
+    assert _kernels(lambda: _pairsums_sorted(one_word, one_word)) == (
+        brute_sum(one_word, one_word), ["dense", "trimmed"])
+    for alpha, n, size in ((Fraction(123457, 1000003), 20_000, 39_999),
+                           (Fraction(89, 144), 100, 144)):
+        b = fractional_orbit(alpha, n)
+        assert _kernels(lambda: sumset_size(b, b)) == (size, ["dense", "trimmed"])
+    # A + B of two equal but distinct lists runs the plain loop, to the same ints
+    for xs in (one_word, list(range(1, 20_001))):
+        assert _kernels(lambda: _pairsums_sorted(xs, list(xs))) == (
+            _pairsums_sorted(xs, xs), ["dense"])
 
 
 @pytest.mark.parametrize("xs", [
@@ -611,7 +642,7 @@ def test_every_element_inside_one_word(monkeypatch):
     [-(1 << 63), 0, 1 << 63]])
 def test_identical_operands_at_the_int64_edge_hash(monkeypatch, xs):
     seen = _spy_paths(monkeypatch)
-    assert _identical_and_copy(xs) == brute_sum(xs, xs)
+    assert _identical_and_copy(xs) == (brute_sum(xs, xs), [])
     assert seen == []
 
 

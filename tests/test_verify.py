@@ -174,3 +174,23 @@ def test_greedy_gaps_checks_label_counts_against_residue_counts(monkeypatch):
         labels, residues = f["on_labels"], f["on_residues"]
         assert labels["b_plus_b"] == residues["b_plus_b"] == 2 * f["n"] - 1
         assert labels["a_plus_b"] == residues["a_plus_b"] + 1
+
+
+def test_arc_count_recount_catches_a_pair_count_one_too_high(monkeypatch):
+    import dataclasses
+
+    # a report one pair too high that still passes and sits inside its
+    # bounds: only the integer recount sees it
+    real, bumped = verify.arc_counting_diagnostic, []
+
+    def one_too_high(a, b, k):
+        rep = real(a, b, k)
+        if rep.pair_count + 1 > rep.upper:
+            return rep
+        bumped.append(k)
+        return dataclasses.replace(rep, pair_count=rep.pair_count + 1)
+
+    monkeypatch.setattr(verify, "arc_counting_diagnostic", one_too_high)
+    result = verify.CHECKS["arc-count"](seed=0, trials=20)
+    assert bumped and not result.passed
+    assert result.details["failures"] == len(bumped)
