@@ -3,19 +3,24 @@
 Sums and differences are computed exactly.  A FiniteExactSet clears its
 input values once, straight to (ints, scale): distinct integers over one
 common denominator, residues mod the scale on the torus, with no set of
-Fractions or torus points built on the way.  Sums run on those integers: a
-dense bitmap convolution when the output span is small enough to afford
-one, a chunked outer-sum otherwise (a sorted int64 array), and a hashing
-fallback for values too large for int64, whose Python set stays unsorted
-until someone needs the order.  Dense sums stay bitmap words (_Bitmap)
-until their ints are read: the set-bit count is taken once, so the size of
-a sum that nobody prints costs a popcount, and the torus folds [q, 2q)
-onto [0, q) as a shifted OR of those words.  A + A of one set (the same list
-as both operands) forms each unordered pair once on the dense and hash
-paths, and on the dense path it also skips the output words that are
-already all ones.  A set (an exact_torus.LazyFields type) lifts its
-elements to ints, Fractions or torus points only when ``elements`` is first
-read, so a sum that nobody prints is never lifted.
+Fractions or torus points built on the way.  Sums run on those integers as
+offsets from the smallest sum, so the span of the sums and the cost of each
+kernel pick the path, never the magnitude of the ints: a dense bitmap
+convolution when the output span is small enough to afford one (or, when
+its segment is sparse, the pair sums scattered into a bool map and packed to
+the same words), a chunked outer sum otherwise (sorted int64 offsets, or,
+up to a span of 2^124, two 62-bit limbs added with carry and sorted on the
+sum's top 64 bits), and past that a hashing fallback, whose Python set stays
+unsorted until someone needs the order.  Dense sums stay bitmap words
+(_Bitmap) and outer sums sorted offsets from a Python-int base (_Sorted)
+until their ints are read: the size of a sum that nobody prints costs a
+popcount or a length, and the torus folds [q, 2q) onto [0, q) as a shifted
+OR of words or by moving the base.  A + A of one set (the same list as both
+operands) forms each unordered pair once on every path, and on the dense
+word kernel it also skips the output words that are already all ones.  A
+set (an exact_torus.LazyFields type) lifts its elements to ints, Fractions
+or torus points only when ``elements`` is first read, so a sum that nobody
+prints is never lifted.
 
 The minimum difference cover also runs on the set's ints: B - B is one
 sorted int64 array (object past int64) of the |B| x |B| differences, each
@@ -35,7 +40,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Dict, Iterable
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
@@ -43,10 +48,24 @@ from .exact_torus import (INT64_MAX, LazyFields, TorusPoint, _coerce, _unread,
                           as_rational, common_scale, int_dtype, residues, sorted_unique)
 
 # Dense path budgets: output bitmap at most 2^26 bits (8 MB), the shifted
-# segment table at most 64 * 2^22 bits (32 MB), overflow-free int64 sums.
+# segment table at most 64 * 2^22 bits (32 MB).  Its cost in word ORs is,
+# for each element of the loop operand, one per segment word and about
+# DENSE_LOOP_ORS more for the element's Python step.  Writing a pair sum
+# into a bool map costs about SCATTER_PAIR_ORS, so a dense sum scatters when
+# that is cheaper and its map takes at most 2^22 bytes, 2^20 sums at a time.
+# Outer sums take at most 2^25 pairs, formed and sorted about 2^23 at a
+# time, and spans up to 2^124: two 62-bit limbs.  A Python set takes the rest.
 DENSE_SPAN_LIMIT = 1 << 26
 DENSE_SEG_LIMIT = 1 << 22
+DENSE_LOOP_ORS = 3000
+SCATTER_PAIR_ORS = 12
+SCATTER_SPAN_LIMIT = 1 << 22
+_SCATTER_PAIRS = 1 << 20
 OUTER_PAIR_LIMIT = 1 << 25
+LIMB_SPAN_LIMIT = 1 << 124
+_CHUNK_PAIRS = 1 << 23
+_LIMB_BITS = 62
+_LIMB_MASK = 0x3FFF_FFFF_FFFF_FFFF  # the low _LIMB_BITS bits
 _FULL_WORD = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 # largest |B| whose minimum difference cover is searched exactly by default
 EXACT_LIMIT = 24
@@ -65,30 +84,74 @@ class Domain(str, Enum):
 class _Bitmap:
     """Distinct ints as bitmap words: bit i of the little-endian uint64 words is lo + i.
 
-    The set-bit count is taken once, here; the ints are extracted only by
-    tolist().  Every int must fit int64.
+    lo is a Python int of any size.  The set-bit count is taken once, here
+    (or handed over by a kernel that already has it); the ints are extracted
+    only by tolist().
     """
 
     __slots__ = ("words", "lo", "count")
 
-    def __init__(self, words: np.ndarray, lo: int) -> None:
+    def __init__(self, words: np.ndarray, lo: int, count: Optional[int] = None) -> None:
         self.words, self.lo = words, lo
-        self.count = int(np.count_nonzero(np.unpackbits(words.view(np.uint8))))
+        self.count = (int(np.count_nonzero(np.unpackbits(words.view(np.uint8))))
+                      if count is None else count)
 
     def __len__(self) -> int:
         return self.count
 
-    def array(self) -> np.ndarray:
-        """The ints as a sorted int64 array."""
+    def sorted(self) -> "_Sorted":
+        """The ints as sorted int64 offsets from lo."""
         bits = np.unpackbits(self.words.view(np.uint8), bitorder="little")
-        return np.flatnonzero(bits) + self.lo
+        return _Sorted(np.flatnonzero(bits), self.lo)
 
     def tolist(self) -> list:
-        return self.array().tolist()
+        return self.sorted().tolist()
+
+
+class _Sorted:
+    """Distinct ints in ascending order, as offsets from base, a Python int of any size.
+
+    Each int is base + (top << shift) + low: top a sorted int64 array and low
+    None (shift 0), or, for the two-limb sums past int64, top the uint64
+    top 64 bits of each offset and low the shift bits below them.  Two-limb
+    offsets whose tops are all distinct may come unordered; they are sorted
+    on first read.  The ints are built only by tolist().
+    """
+
+    __slots__ = ("top", "base", "low", "shift", "ordered")
+
+    def __init__(self, top: np.ndarray, base: int, low: Optional[np.ndarray] = None,
+                 shift: int = 0, ordered: bool = True) -> None:
+        self.top, self.base, self.low, self.shift, self.ordered = top, base, low, shift, ordered
+
+    def __len__(self) -> int:
+        return len(self.top)
+
+    def _order(self) -> None:
+        if not self.ordered:
+            order = np.argsort(self.top)
+            self.top, self.low, self.ordered = self.top[order], self.low[order], True
+
+    def offset(self, i: int) -> int:
+        """The i-th offset from base, as a Python int."""
+        self._order()
+        top = int(self.top[i])
+        return top if self.low is None else (top << self.shift) + int(self.low[i])
+
+    def tolist(self) -> list:
+        self._order()
+        top, base = self.top, self.base
+        if self.low is not None:
+            s = self.shift
+            return [(t << s) + n + base for t, n in zip(top.tolist(), self.low.tolist())]
+        # offsets are never negative, so base and its largest sum bound them all
+        if len(top) and -INT64_MAX <= base and base + int(top[-1]) <= INT64_MAX:
+            return (top + base).tolist()
+        return [t + base for t in top.tolist()]
 
 
 def _ascending(ints) -> list:
-    """Python ints in ascending order, from a sorted int64 array, a _Bitmap or any collection."""
+    """Python ints in ascending order, from any form of FiniteExactSet._ints."""
     return ints.tolist() if hasattr(ints, "tolist") else sorted(ints)
 
 
@@ -106,11 +169,11 @@ class FiniteExactSet(LazyFields):
     """A finite set of exact elements: integers, rationals or points of R/Z.
 
     The set keeps distinct ints n over one positive scale, each standing for
-    the element n / scale (a residue in [0, scale) on the torus): a sorted
-    int64 array from the outer sum kernel, the words of a dense sum (a
-    _Bitmap, whose ints are extracted only when they are read), or Python
-    ints in any order.  Length is the count each form holds, and set algebra
-    runs on the ascending ints.  A set is held unread
+    the element n / scale (a residue in [0, scale) on the torus): sorted
+    offsets from a base (a _Sorted, from the outer sum kernel), the words of
+    a dense sum (a _Bitmap), both of which build their ints only when they
+    are read, or Python ints in any order.  Length is the count each form
+    holds, and set algebra runs on the ascending ints.  A set is held unread
     (exact_torus.LazyFields): ``elements``, the ascending tuple of ints,
     Fractions or canonical TorusPoints, is lifted on first read.
     """
@@ -223,23 +286,31 @@ def torus_pairsums(xs: list, ys: list, q: int):
     """Distinct residues mod q of x + y, for ascending residue lists.
 
     Words over exactly [0, q) (a _Bitmap with lo 0) when the dense kernel
-    ran and that map is at most twice the size of its words, a sorted int64
-    array when the sums fit int64, otherwise a Python set in no particular
-    order.
+    ran and that map is at most twice the size of its words.  Otherwise
+    sorted offsets (a _Sorted) when all of the sums reach q or none do, or
+    when some do, the offsets are int64 and q fits int64; else a Python set
+    in no particular order.
     """
     if not xs or not ys:
         return set()
     sums = _pairsums_int(xs, ys)
-    if isinstance(sums, set):
-        return {n - q if n >= q else n for n in sums}
     if isinstance(sums, _Bitmap):
         if (q + 63) >> 6 <= 2 * len(sums.words):
             return _torus_words(sums, q)
-        sums = sums.array()
-    # Sums lie in [0, 2q); only when some reach q does q fit int64 and fold.
-    if sums[-1] >= q:
-        sums = sorted_unique(np.where(sums >= q, sums - q, sums))
-    return sums
+        sums = sums.sorted()
+    if isinstance(sums, _Sorted):
+        # Sums lie in [0, 2q); those at or above q are the offsets t and up.
+        t, base = q - sums.base, sums.base
+        if t > sums.offset(-1):
+            return sums
+        if t <= sums.offset(0):
+            return _Sorted(sums.top, base - q, sums.low, sums.shift)
+        if sums.low is not None or q > INT64_MAX:
+            sums = sums.tolist()
+        else:
+            top = sums.top
+            return _Sorted(sorted_unique(np.where(top >= t, top - t, top + base)), 0)
+    return {n - q if n >= q else n for n in sums}
 
 
 def _or_shifted(out: np.ndarray, words: np.ndarray, shift: int) -> None:
@@ -289,41 +360,144 @@ def doubling_ratio(x: FiniteExactSet) -> Fraction:
 def _pairsums_int(xs: list, ys: list):
     """Distinct pairwise sums of two sorted nonempty lists of Python ints.
 
-    When every value fits int64, the words of a _Bitmap from the dense path
-    or a sorted int64 array from the outer path; otherwise an unsorted
-    Python set from hashing.
+    The span of the sums and the cost of each kernel pick the path, not the
+    magnitude of the ints: every kernel runs on offsets from xs[0] + ys[0].
+    The words of a _Bitmap from the dense path, sorted offsets (a _Sorted)
+    from the outer path up to a span of LIMB_SPAN_LIMIT, and past it, or
+    past OUTER_PAIR_LIMIT pairs, an unsorted Python set from hashing.
     """
     lo = xs[0] + ys[0]
-    hi = xs[-1] + ys[-1]
-    int64_ok = (-INT64_MAX <= lo and hi <= INT64_MAX
-                and -INT64_MAX <= xs[0] and xs[-1] <= INT64_MAX
-                and -INT64_MAX <= ys[0] and ys[-1] <= INT64_MAX)
-    if int64_ok:
-        n_pairs = len(xs) * len(ys)
-        span_out = hi - lo + 1
-        # Of the dense (loop, segment) orders whose segment fits, run the one
-        # with fewer word ORs; on a tie, the narrower segment, then xs looping.
-        orders = ((xs, ys), (ys, xs))
-        costs = [(len(p) * (s[-1] - s[0] + 64), s[-1] - s[0], i)
-                 for i, (p, s) in enumerate(orders) if s[-1] - s[0] < DENSE_SEG_LIMIT]
-        dense_ok = costs and span_out <= DENSE_SPAN_LIMIT
-        if dense_ok and (n_pairs >= span_out // 16 or n_pairs > OUTER_PAIR_LIMIT):
-            return _dense_pairsums(*orders[min(costs)[2]], lo, span_out)
-        if n_pairs <= OUTER_PAIR_LIMIT:
-            return _outer_pairsums(xs, ys)
+    span_out = xs[-1] + ys[-1] - lo + 1
+    n_pairs = len(xs) * len(ys)
+    # Of the dense (loop, segment) orders whose segment fits, run the one
+    # with fewer word ORs; on a tie, the narrower segment, then xs looping.
+    orders = ((xs, ys), (ys, xs))
+    costs = [(len(p) * (s[-1] - s[0] + 64), s[-1] - s[0], i)
+             for i, (p, s) in enumerate(orders) if s[-1] - s[0] < DENSE_SEG_LIMIT]
+    dense_ok = costs and span_out <= DENSE_SPAN_LIMIT
+    if dense_ok and (n_pairs >= span_out // 16 or n_pairs > OUTER_PAIR_LIMIT):
+        return _dense_pairsums(*orders[min(costs)[2]], lo, span_out)
+    if n_pairs <= OUTER_PAIR_LIMIT and span_out <= LIMB_SPAN_LIMIT:
+        return _outer_pairsums(xs, ys)
     # Arbitrary-precision fallback; correct for any magnitudes.
     if xs is ys:
         return {a + b for i, a in enumerate(xs) for b in xs[i:]}
     return {a + b for a in xs for b in ys}
 
 
-def _outer_pairsums(xs: list, ys: list) -> np.ndarray:
-    a = np.asarray(xs, dtype=np.int64)
-    b = np.asarray(ys, dtype=np.int64)
-    rows = max(1, (1 << 23) // len(b))
-    pieces = [sorted_unique(np.add.outer(a[i:i + rows], b).ravel())
-              for i in range(0, len(a), rows)]
-    return pieces[0] if len(pieces) == 1 else sorted_unique(np.concatenate(pieces))
+def _offsets(xs: list) -> np.ndarray:
+    """x - xs[0] as an int64 array, for ascending Python ints whose span fits int64."""
+    x0 = xs[0]
+    if -INT64_MAX <= x0 and xs[-1] <= INT64_MAX:
+        return np.asarray(xs, dtype=np.int64) - x0
+    return np.array([x - x0 for x in xs], dtype=np.int64)
+
+
+def _limbs(xs: list) -> tuple:
+    """(high, low): x - xs[0] split into two 62-bit uint64 limbs, for spans below 2^124."""
+    x0 = xs[0]
+    offs = [x - x0 for x in xs]
+    return (np.array([n >> _LIMB_BITS for n in offs], dtype=np.uint64),
+            np.array([n & _LIMB_MASK for n in offs], dtype=np.uint64))
+
+
+def _pair_blocks(n_a: int, n_b: int, same: bool, budget: int):
+    """Chunks of at most about budget pairs: lists of blocks (r0, r1, c0),
+    the pairs (i, j) with r0 <= i < r1 and j >= c0, or with r0 <= i <= j < r1
+    when c0 is None.
+
+    Together the blocks hold every pair once.  A + A (same) holds each
+    unordered pair once: its rows come in blocks of max(128, n_a / 16), each
+    the triangle j >= i inside the block and the rectangle right of it.
+    """
+    rows = max(1, budget // n_b)
+    if same:
+        rows = min(rows, max(128, -(-n_a // 16)))
+    chunk, size = [], 0
+    for r0 in range(0, n_a, rows):
+        r1 = min(r0 + rows, n_a)
+        pairs = (r1 - r0) * (n_b - r0 if same else n_b)
+        if chunk and size + pairs > budget:
+            yield chunk
+            chunk, size = [], 0
+        chunk += [(r0, r1, None), (r0, r1, r1)] if same else [(r0, r1, 0)]
+        size += pairs
+    yield chunk
+
+
+def _block_sums(a: np.ndarray, b: np.ndarray, chunk: list) -> np.ndarray:
+    """The sums a[i] + b[j] of one chunk of _pair_blocks, as one flat array."""
+    sums = []
+    for r0, r1, c0 in chunk:
+        if c0 is None:
+            i, j = np.triu_indices(r1 - r0)
+            sums.append(a[r0 + i] + b[r0 + j])
+        else:
+            sums.append((a[r0:r1, None] + b[c0:]).ravel())
+    return sums[0] if len(sums) == 1 else np.concatenate(sums)
+
+
+def _outer_pairsums(xs: list, ys: list) -> _Sorted:
+    """Distinct pair sums, sorted, for spans of at most LIMB_SPAN_LIMIT.
+
+    Offsets whose sums fit int64 are summed and sorted as they are.  Wider
+    ones are split into two 62-bit limbs, added with carry, and sorted on the
+    sum's top 64 bits (_distinct_limbs).  Rows are taken about _CHUNK_PAIRS
+    pairs at a time.
+    """
+    base = xs[0] + ys[0]
+    span = xs[-1] + ys[-1] - base
+    same = xs is ys
+    chunks = _pair_blocks(len(xs), len(ys), same, _CHUNK_PAIRS)
+    if span <= INT64_MAX:
+        a = _offsets(xs)
+        b = a if same else _offsets(ys)
+        pieces = [sorted_unique(_block_sums(a, b, chunk)) for chunk in chunks]
+        return _Sorted(pieces[0] if len(pieces) == 1 else
+                       sorted_unique(np.concatenate(pieces)), base)
+    # The sum's top 64 bits are (high << 62 - shift) | (low >> shift).
+    shift = max(span.bit_length() - 64, 0)
+    up, down = np.uint64(_LIMB_BITS - shift), np.uint64(shift)
+    a_hi, a_lo = _limbs(xs)
+    b_hi, b_lo = (a_hi, a_lo) if same else _limbs(ys)
+    pieces = []
+    for chunk in chunks:
+        low = _block_sums(a_lo, b_lo, chunk)
+        top = _block_sums(a_hi, b_hi, chunk)
+        top += low >> np.uint64(_LIMB_BITS)
+        low &= np.uint64(_LIMB_MASK)
+        top <<= up
+        top |= low >> down
+        low &= np.uint64((1 << shift) - 1)
+        pieces.append(_distinct_limbs(top, low))
+    top, low = pieces[0] if len(pieces) == 1 else _distinct_limbs(
+        *(np.concatenate(p) for p in zip(*pieces)))
+    return _Sorted(top, base, low, shift, ordered=False)
+
+
+def _distinct_limbs(top: np.ndarray, low: np.ndarray) -> tuple:
+    """The distinct (top, low) pairs, in no promised order.
+
+    When no top repeats, every pair is distinct as it stands: one sort of
+    the uint64 tops shows it, and the pairs stay unordered.  Otherwise one
+    argsort on top orders them, and only the rows whose top repeats are then
+    ordered by low among themselves.
+    """
+    tops = np.sort(top)
+    if not (tops[1:] == tops[:-1]).any():
+        return top, low
+    order = np.argsort(top)
+    top, low = top[order], low[order]
+    tie = top[1:] == top[:-1]
+    tied = np.zeros(len(top), dtype=bool)
+    tied[1:] = tie
+    tied[:-1] |= tie
+    rows = np.flatnonzero(tied)
+    # top is sorted and each tied run is contiguous, so only low moves
+    low[rows] = low[rows[np.lexsort((low[rows], top[rows]))]]
+    keep = np.ones(len(top), dtype=bool)
+    keep[1:] = ~tie | (low[1:] != low[:-1])
+    return top[keep], low[keep]
 
 
 def _full_run(out: np.ndarray) -> tuple:
@@ -376,30 +550,39 @@ def _trimmed_ors(out: np.ndarray, variants: list, a_off: np.ndarray) -> None:
 def _dense_pairsums(xs: list, ys: list, lo: int, span_out: int) -> _Bitmap:
     # ys is the bitmap segment, OR-ed once per element of xs at 64 precomputed
     # bit shifts; _pairsums_int alone decides which operand plays which part.
-    a_off = np.asarray(xs, dtype=np.int64) - xs[0]
-    b_off = (np.asarray(ys, dtype=np.int64) - ys[0]).astype(np.uint64)
+    same = xs is ys
+    a_off = _offsets(xs)
+    b_off = a_off if same else _offsets(ys)
     words_b = (int(b_off[-1]) >> 6) + 1
+    n_words = ((span_out + 63) >> 6) + 1
+    if (SCATTER_PAIR_ORS * len(ys) < words_b + 1 + DENSE_LOOP_ORS
+            and span_out <= SCATTER_SPAN_LIMIT):
+        # Per element of xs, its pairs cost less to write into a bool map
+        # than its word ORs and Python step.
+        hit = np.zeros(64 * n_words, dtype=bool)
+        for chunk in _pair_blocks(len(xs), len(ys), same, _SCATTER_PAIRS):
+            hit[_block_sums(a_off, b_off, chunk)] = True
+        words = np.packbits(hit, bitorder="little").view(np.uint64)
+        return _Bitmap(words, lo, int(np.count_nonzero(hit)))
+    b_off = b_off.astype(np.uint64)
     base = np.zeros(words_b, dtype=np.uint64)
     np.bitwise_or.at(base, (b_off >> np.uint64(6)).astype(np.int64),
                      np.uint64(1) << (b_off & np.uint64(63)))
-    variants = []
-    for s in range(64):
-        v = np.zeros(words_b + 1, dtype=np.uint64)
-        if s == 0:
-            v[:words_b] = base
-        else:
-            v[:words_b] = base << np.uint64(s)
-            v[1:] |= base >> np.uint64(64 - s)
-        variants.append(v)
-    out = np.zeros(((span_out + 63) >> 6) + 1, dtype=np.uint64)
+    # row s of one table: the segment shifted up by s bits
+    shifts = np.arange(64, dtype=np.uint64)[:, None]
+    table = np.zeros((64, words_b + 1), dtype=np.uint64)
+    table[:, :words_b] = base << shifts
+    table[1:, 1:] |= base >> (np.uint64(64) - shifts[1:])
+    variants = list(table)
+    out = np.zeros(n_words, dtype=np.uint64)
     seg = words_b + 1
-    if xs is ys:
+    if same:
         _trimmed_ors(out, variants, a_off)
     else:
         for t in a_off.tolist():
             w = t >> 6
             out[w:w + seg] |= variants[t & 63]
-    # Every sum lies in [lo, hi], inside int64, so no bit past them is set.
+    # Every sum lies in [lo, lo + span_out), so no bit past them is set.
     return _Bitmap(out, lo)
 
 

@@ -56,11 +56,23 @@ def test_integer_domain_rejects_nonints():
         FiniteExactSet.integers([True])
 
 
-def test_huge_integers_take_the_hashing_path():
-    base = 1 << 70  # beyond int64, so the numpy paths must stand aside
+def test_huge_integers_take_the_hashing_path(monkeypatch):
+    # sums spanning more than the two limbs hold, so the numpy paths stand aside
+    base = 1 << 130
+    a = FiniteExactSet.integers([base, base + 3, base + 10, 2 * base])
+    b = FiniteExactSet.integers([-base, -base + 1])
+    seen = _spy_paths(monkeypatch)
+    assert list(sumset(a, b).elements) == brute_sum(a.elements, b.elements)
+    assert seen == []
+
+
+def test_huge_integers_in_a_narrow_span_run_dense(monkeypatch):
+    base = 1 << 70
     a = FiniteExactSet.integers([base, base + 3, base + 10])
     b = FiniteExactSet.integers([-base, -base + 1])
+    seen = _spy_paths(monkeypatch)
     assert list(sumset(a, b).elements) == brute_sum(a.elements, b.elements)
+    assert seen == ["dense"]
 
 
 def test_mixed_scale_rationals():
@@ -200,6 +212,7 @@ def test_torus_lifts_keep_their_values():
 # domain clears to exactly these ints and reaches the same switch.
 
 I64_MAX = (1 << 63) - 1
+LIMB_LIMIT = se.LIMB_SPAN_LIMIT
 RAT_DEN = 3
 
 
@@ -219,18 +232,18 @@ def _threshold_cases():
         far = se.DENSE_SEG_LIMIT - 1 + delta
         cases.append((f"dense-seg-{side}", _run(724) + [far], _run(724) + [far],
                       far + 1, "dense" if delta <= 0 else "outer"))
-        # sums reach I64_MAX + delta at the top, -I64_MAX + delta at the bottom
+        # sums reach I64_MAX + delta at the top, -I64_MAX + delta at the
+        # bottom; the span decides, not the magnitude, so all run dense
         top = I64_MAX + delta - 6 - (1 << 62)
         cases.append((f"int64-hi-{side}", [(1 << 62) + i for i in range(4)],
-                      [top + i for i in range(4)], None, "dense" if delta <= 0 else "hash"))
+                      [top + i for i in range(4)], None, "dense"))
         cases.append((f"int64-lo-{side}", [-(1 << 62) - 3 + i for i in range(4)],
-                      [-I64_MAX + delta + (1 << 62) + 3 + i for i in range(4)], None,
-                      "dense" if delta >= 0 else "hash"))
+                      [-I64_MAX + delta + (1 << 62) + 3 + i for i in range(4)], None, "dense"))
         # one operand element itself at I64_MAX + delta or -I64_MAX - delta
         cases.append((f"int64-element-hi-{side}", [-10, -5, -1], [I64_MAX + delta],
-                      None, "dense" if delta <= 0 else "hash"))
+                      None, "dense"))
         cases.append((f"int64-element-lo-{side}", [-I64_MAX - delta], [1, 5, 10],
-                      None, "dense" if delta <= 0 else "hash"))
+                      None, "dense"))
         # the smallest sum at +-2^62 + delta, on the dense path
         for sign in (1, -1):
             lo = sign * (1 << 62) + delta
@@ -254,10 +267,10 @@ def _threshold_cases():
         side = {-1: "below", 1: "above"}[delta]
         top = (I64_MAX + delta) // 2
         xs = [top - 3 + i for i in range(4)]
-        cases.append((f"aa-int64-hi-{side}", xs, xs, None, "dense" if delta < 0 else "hash"))
+        cases.append((f"aa-int64-hi-{side}", xs, xs, None, "dense"))
         bottom = (-I64_MAX + delta) // 2
         xs = [bottom + i for i in range(4)]
-        cases.append((f"aa-int64-lo-{side}", xs, xs, None, "dense" if delta > 0 else "hash"))
+        cases.append((f"aa-int64-lo-{side}", xs, xs, None, "dense"))
     return cases
 
 
@@ -361,11 +374,13 @@ def test_identical_operands_at_a_lowered_outer_pair_limit(monkeypatch, domain, n
 
 
 @pytest.mark.parametrize("q, expected_path", [
-    ((1 << 62) - 1, "outer"), (1 << 62, "outer"), ((1 << 62) + 1, "hash"),
-    (1 << 70, "dense")])
+    ((1 << 62) - 1, "outer"), (1 << 62, "outer"), ((1 << 62) + 1, "outer"),
+    (I64_MAX, "outer"), (1 << 63, "outer"), (1 << 70, "dense")])
 def test_torus_fold_on_both_sides_of_its_int64_guard(monkeypatch, q, expected_path):
-    # the largest sum 2q - 2 passes I64_MAX first at q = 2^62 + 1; a modulus
-    # past int64 with small residues keeps int64 sums that never wrap
+    # the largest sum 2q - 2 passes I64_MAX first at q = 2^62 + 1, where the
+    # outer path turns to two limbs, and sums on both sides of q fold in
+    # numpy only while q fits int64; a modulus past int64 with small
+    # residues keeps sums that never wrap
     xs = [0, 1, 2, q - 2, q - 1] if q < (1 << 64) else [0, 1, 2, 3]
     ys = [0, 1, q - 1] if q < (1 << 64) else [0, 5]
     brute = brute_sum(xs, ys)
@@ -374,6 +389,182 @@ def test_torus_fold_on_both_sides_of_its_int64_guard(monkeypatch, q, expected_pa
                FiniteExactSet.torus([Fraction(n, q) for n in ys]))
     assert negate(s).elements == tuple(
         TorusPoint(Fraction(m, q)) for m in sorted({-m % q for m in brute}))
+
+
+# ---------------------------------------------------------------------------
+# Paths by span: every kernel runs on offsets from xs[0] + ys[0], the outer
+# path takes spans past int64 on two 62-bit limbs, and the Python set, kept
+# here as brute_sum, is the oracle at each switch.
+
+def _spanning(base, span, k, rng):
+    """k ascending ints from base to base + span, both ends included."""
+    inner = {base + rng.randrange(span + 1) for _ in range(k)}
+    return sorted(inner | {base, base + span})
+
+
+def _path_of(xs, ys):
+    """(ascending sums, the path that ran, the result object)."""
+    with pytest.MonkeyPatch.context() as mp:
+        seen = _spy_paths(mp)
+        got = se._pairsums_int(xs, ys)
+    return sorted(got) if isinstance(got, set) else got.tolist(), (seen or ["hash"])[0], got
+
+
+@pytest.mark.parametrize("base", [0, -(1 << 63) - 17, -(1 << 200), (1 << 63) + 5, 1 << 90])
+@pytest.mark.parametrize("span, path, limbs", [
+    (I64_MAX, "outer", False), (I64_MAX + 1, "outer", True),
+    (LIMB_LIMIT - 1, "outer", True), (LIMB_LIMIT, "hash", None)])
+def test_outer_sums_on_both_sides_of_the_int64_and_limb_spans(base, span, path, limbs):
+    # the sums span exactly `span`: int64 offsets up to I64_MAX, two limbs
+    # from I64_MAX + 1 to LIMB_LIMIT - 1, the Python set from LIMB_LIMIT on
+    # (A + A of a set spanning span // 2 spans I64_MAX - 1 at I64_MAX)
+    rng = random.Random(span ^ base)
+    xs = _spanning(base, span - 7, 30, rng)
+    ys = _spanning(-base // 3, 7, 5, rng)
+    zs = _spanning(base, span // 2, 30, rng)
+    for a, b in ((xs, ys), (ys, xs), (zs, zs)):
+        got, ran, res = _path_of(a, b)
+        assert (ran, got) == (path, brute_sum(a, b))
+        if limbs is not None:
+            assert (res.low is not None) == limbs and len(res) == len(got)
+
+
+@st.composite
+def _narrow_spans(draw):
+    """(xs, ys) of any magnitude whose sums span at most I64_MAX."""
+    base = draw(st.sampled_from([0, -(1 << 63), -(1 << 63) - 1, -(1 << 64) - 5, 1 << 63,
+                                 (1 << 64) + 3, -(1 << 200), 1 << 200]))
+    base += draw(st.integers(-100, 100))
+    width = draw(st.sampled_from([0, 63, 64, 5000, 1 << 20, 1 << 40, I64_MAX // 2]))
+
+    def operand(lo):
+        return sorted(lo + v for v in draw(st.sets(st.integers(0, width), min_size=1,
+                                                   max_size=60)))
+    xs = operand(base)
+    ys = xs if draw(st.booleans()) else operand(draw(st.integers(-(1 << 70), 1 << 70)))
+    return xs, ys
+
+
+@given(_narrow_spans())
+@settings(deadline=None, max_examples=300)
+def test_a_span_that_fits_int64_never_takes_the_hash_path(operands):
+    xs, ys = operands
+    assert xs[-1] + ys[-1] - xs[0] - ys[0] <= I64_MAX
+    got, ran, _ = _path_of(xs, ys)
+    assert ran in ("dense", "outer") and got == brute_sum(xs, ys)
+
+
+@pytest.mark.parametrize("same", [True, False])
+@pytest.mark.parametrize("chunk", [se._CHUNK_PAIRS, 64, 1])
+def test_two_limb_sums_whose_tops_tie_match_brute(monkeypatch, same, chunk):
+    # a block of consecutive ints and a few far ones: the sum's top 64 bits
+    # drop its low 5 bits, so runs of 32 sums share a top, and A + B repeats
+    # sums; small chunks merge their pieces
+    monkeypatch.setattr(se, "_CHUNK_PAIRS", chunk)
+    base = 1 << 70
+    xs = [base + i for i in range(80)] + [base + (1 << 67) + i for i in (0, 1, 33)]
+    ys = xs if same else [-base + 3 * i for i in range(40)] + [-base + (1 << 67)]
+    got, ran, res = _path_of(xs, ys)
+    assert ran == "outer" and res.shift == 5 and got == brute_sum(xs, ys)
+    assert len(res) == len(got)
+    if same:
+        assert _identical_and_copy(xs)[0] == got
+
+
+@given(st.sampled_from([1 << 64, (1 << 70) + 1, (1 << 123) - 1]),
+       st.lists(st.integers(0, (1 << 123) - 1), min_size=1, max_size=40),
+       st.booleans())
+@settings(deadline=None, max_examples=150)
+def test_wide_sums_read_and_count_like_the_set(lo, raw, same):
+    # a count read before the ints, and ints read unsorted-first, from two limbs
+    xs = sorted({lo + r for r in raw} | {lo})
+    ys = xs if same else sorted({lo // 2 + r // 3 for r in raw})
+    got = se._pairsums_int(xs, ys)
+    want = brute_sum(xs, ys)
+    assert len(got) == len(want)
+    assert sorted(got) == want if isinstance(got, set) else got.tolist() == want
+
+
+@pytest.mark.parametrize("q", [(1 << 63) + 1, (1 << 64) + 13, (1 << 70) + 1, (1 << 100) + 7])
+@pytest.mark.parametrize("where", ["low", "middle", "high", "ends"])
+@pytest.mark.parametrize("same", [True, False])
+def test_narrow_torus_sets_over_a_modulus_past_int64(q, where, same):
+    # residues in a window of 2^20: sums below q, across q, all past q, and
+    # a window across 0 that spans the whole circle
+    rng = random.Random(f"{q}:{where}")
+    start = {"low": 5, "middle": q // 2 - (1 << 19), "high": q - (1 << 20) - 3,
+             "ends": q - (1 << 19)}[where]
+
+    def window(k):
+        return sorted({(start + rng.randrange(1 << 20)) % q for _ in range(k)})
+    xs = window(300)
+    ys = xs if same else window(150)
+    want = sorted({(a + b) % q for a in xs for b in ys})
+    got = se.torus_pairsums(xs, ys, q)
+    assert len(got) == len(want) and se._ascending(got) == want
+    a = FiniteExactSet.torus([Fraction(n, q) for n in xs])
+    b = a if same else FiniteExactSet.torus([Fraction(n, q) for n in ys])
+    assert sumset(a, b).elements == tuple(TorusPoint(Fraction(n, q)) for n in want)
+
+
+def _gate_operands(delta, same):
+    """(xs, ys): a segment ys whose SCATTER_PAIR_ORS * |ys| is delta or delta - 1
+    past the dense kernel's word ORs and Python step per element of xs.
+
+    A + B loops over 40 elements of xs, fewer word ORs than ys looping.
+    """
+    words = 64 * se.SCATTER_PAIR_ORS  # ys spans words - 1 words
+    k = (words + se.DENSE_LOOP_ORS + delta) // se.SCATTER_PAIR_ORS
+    assert se.SCATTER_PAIR_ORS * k - words - se.DENSE_LOOP_ORS in (delta, delta - 1)
+    rng = random.Random(delta)
+    top = 64 * (words - 1) - 1
+    ys = sorted({0, top} | set(rng.sample(range(1, top), k - 2)))
+    xs = ys if same else sorted(rng.sample(range(top), 40))
+    return xs, ys
+
+
+@pytest.mark.parametrize("delta", [-12, 0, 12])
+@pytest.mark.parametrize("same", [True, False])
+def test_dense_sums_on_both_sides_of_the_scatter_gate(delta, same):
+    xs, ys = _gate_operands(delta, same)
+    ran_all = []
+    for a, b in ((xs, ys), (ys, xs)) if not same else ((xs, ys),):
+        got, ran = _kernels(lambda: _pairsums_sorted(a, b))
+        words, ran_words = _words_only(lambda: _pairsums_sorted(a, b))
+        assert got == words == brute_sum(a, b)
+        assert "scatter" not in ran_words
+        ran_all.append(ran)
+    scatters = ["dense", "scatter"]
+    assert all((ran == scatters) == (delta < 0) for ran in ran_all), ran_all
+    if same:
+        assert _identical_and_copy(xs)[1] == (scatters if delta < 0 else ["dense", "trimmed"])
+
+
+@pytest.mark.parametrize("delta", [-1, 0, 1])
+def test_scatter_map_at_its_size_limit(monkeypatch, delta):
+    # a sparse A + B whose output span is SCATTER_SPAN_LIMIT + delta, lowered
+    monkeypatch.setattr(se, "SCATTER_SPAN_LIMIT", 1 << 14)
+    rng = random.Random(delta)
+    top = (1 << 14) - (1 << 12) - 1 + delta
+    xs = sorted({0, 1 << 12} | set(rng.sample(range(1, 1 << 12), 38)))
+    ys = sorted({0, top} | set(rng.sample(range(1, top), 38)))
+    got, ran = _kernels(lambda: _pairsums_sorted(xs, ys))
+    assert got == brute_sum(xs, ys)
+    assert ran == (["dense", "scatter"] if delta <= 0 else ["dense"])
+
+
+@pytest.mark.parametrize("chunk", [1 << 20, 1])
+def test_scatter_in_blocks_matches_one_block(monkeypatch, chunk):
+    # a torus A + A that scatters, from one block or from one row per block
+    rng = random.Random(11)
+    q = 999_983
+    xs = sorted(rng.sample(range(q), 500))
+    real = se._pair_blocks
+    monkeypatch.setattr(se, "_pair_blocks", lambda n_a, n_b, same, budget:
+                        real(n_a, n_b, same, min(budget, chunk)))
+    same, ran = _kernels(lambda: se.torus_pairsums(xs, xs, q))
+    assert ran == ["dense", "scatter"] and type(same) is se._Bitmap
+    assert same.tolist() == sorted({(a + b) % q for a in xs for b in xs})
 
 
 # ---------------------------------------------------------------------------
@@ -491,34 +682,56 @@ def test_sorted_unique_matches_numpy_unique():
 
 
 # ---------------------------------------------------------------------------
-# A + A, one list as both operands: the dense and hash paths form each
-# unordered pair once, and the dense kernel trims (_trimmed_ors), skipping
-# words already all ones.  Each must match A + copy(A), which forms every
-# ordered pair on the plain loop, and brute force.
+# A + A, one list as both operands: the dense, outer and hash paths form each
+# unordered pair once, and the dense word kernel trims (_trimmed_ors),
+# skipping words already all ones.  Each must match A + copy(A), which forms
+# every ordered pair on the plain loop, and brute force, with the dense
+# path's scatter branch on and off.
 
 def _kernels(run):
-    """(run(), the pair-sum kernels it ran, in order)."""
+    """(run(), the pair-sum kernels it ran, in order).
+
+    A dense call that scatters its pair sums into a bool map reads "dense",
+    then "scatter".
+    """
     with pytest.MonkeyPatch.context() as mp:
         seen = _spy_paths(mp)
-        trim = se._trimmed_ors
+        trim, blocks = se._trimmed_ors, se._pair_blocks
 
         def spy(*args):
             seen.append("trimmed")
             return trim(*args)
+
+        def spy_blocks(*args):
+            if seen[-1:] == ["dense"]:
+                seen.append("scatter")
+            return blocks(*args)
         mp.setattr(se, "_trimmed_ors", spy)
+        mp.setattr(se, "_pair_blocks", spy_blocks)
         return run(), seen
+
+
+def _words_only(run):
+    """_kernels(run) with the dense path's scatter branch switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(se, "SCATTER_SPAN_LIMIT", 0)
+        return _kernels(run)
 
 
 def _identical_and_copy(xs, pairsums=_pairsums_sorted):
     """(A + A from the identical operand, its kernels), checked against A + copy(A).
 
-    The identical operand trims whenever it runs dense; the copy never trims.
+    Both run again with the scatter branch switched off: then the identical
+    operand trims whenever it runs dense, and the copy never trims.
     """
     same, ran = _kernels(lambda: pairsums(xs, xs))
     copy, ran_copy = _kernels(lambda: pairsums(xs, list(xs)))
-    assert same == copy
-    assert ran in (["dense", "trimmed"], ["outer"], [])
-    assert "trimmed" not in ran_copy
+    words, ran_words = _words_only(lambda: pairsums(xs, xs))
+    words_copy, ran_words_copy = _words_only(lambda: pairsums(xs, list(xs)))
+    assert same == copy == words == words_copy
+    assert ran in (["dense", "trimmed"], ["dense", "scatter"], ["outer"], [])
+    assert ran_words in (["dense", "trimmed"], ["outer"], [])
+    assert "trimmed" not in ran_copy + ran_words_copy
     return same, ran
 
 
@@ -553,7 +766,7 @@ def _one_operand(draw):
 @example(list(range(-200, 300)))
 @settings(deadline=None, max_examples=300)
 def test_identical_operands_match_a_copy_and_brute(xs):
-    # every dense A + A trims (_identical_and_copy); the example fills words
+    # every dense A + A on words trims (_identical_and_copy); the example fills words
     assert _identical_and_copy(xs)[0] == brute_sum(xs, xs)
 
 
@@ -616,34 +829,58 @@ def test_a_single_element_doubles(xs):
 def test_every_element_inside_one_word():
     for base in (0, 64 * 3, -64 * 5, 64 * 3 + 1):
         xs = [base + i for i in (0, 5, 17, 62)]
-        assert _identical_and_copy(xs) == (brute_sum(xs, xs), ["dense", "trimmed"])
+        assert _identical_and_copy(xs) == (brute_sum(xs, xs), ["dense", "scatter"])
+        assert _words_only(lambda: _pairsums_sorted(xs, xs))[1] == ["dense", "trimmed"]
 
 
 def test_the_kernel_follows_operand_identity_alone():
-    # A + A trims whatever its width: a set inside one word, and an orbit's
-    # label doubling {1..N} + {1..N}, with 2N - 1 sums and folded onto Z/144
+    # On words, A + A trims whatever its width: a set inside one word, and an
+    # orbit's label doubling {1..N} + {1..N}, with 2N - 1 sums and folded onto Z/144
     one_word = [0, 5, 17, 62]
-    assert _kernels(lambda: _pairsums_sorted(one_word, one_word)) == (
+    assert _words_only(lambda: _pairsums_sorted(one_word, one_word)) == (
         brute_sum(one_word, one_word), ["dense", "trimmed"])
     for alpha, n, size in ((Fraction(123457, 1000003), 20_000, 39_999),
                            (Fraction(89, 144), 100, 144)):
         b = fractional_orbit(alpha, n)
-        assert _kernels(lambda: sumset_size(b, b)) == (size, ["dense", "trimmed"])
+        assert _words_only(lambda: sumset_size(b, b)) == (size, ["dense", "trimmed"])
     # A + B of two equal but distinct lists runs the plain loop, to the same ints
     for xs in (one_word, list(range(1, 20_001))):
-        assert _kernels(lambda: _pairsums_sorted(xs, list(xs))) == (
+        assert _words_only(lambda: _pairsums_sorted(xs, list(xs))) == (
             _pairsums_sorted(xs, xs), ["dense"])
 
 
+def test_an_orbit_doubling_stays_on_words():
+    # 0.02 word ORs per pair: the label doubling of a 20 000-point orbit, and
+    # its A + B against a chosen subset, keep the word kernel
+    b = fractional_orbit(Fraction(123457, 1000003), 20_000)
+    assert _kernels(lambda: sumset_size(b, b)) == (39_999, ["dense", "trimmed"])
+    xs = sorted(b.labels)
+    assert _kernels(lambda: _pairsums_sorted(xs[::97], xs))[1] == ["dense"]
+
+
 @pytest.mark.parametrize("xs", [
-    [I64_MAX - 5, I64_MAX - 2, I64_MAX],
-    [-I64_MAX, -I64_MAX + 3, -I64_MAX + 4],
-    [(1 << 62) + i for i in (0, 1, 9)],
-    [-(1 << 63), 0, 1 << 63]])
+    [I64_MAX - 5, I64_MAX - 2, I64_MAX, I64_MAX + LIMB_LIMIT],
+    [-I64_MAX - LIMB_LIMIT, -I64_MAX, -I64_MAX + 3, -I64_MAX + 4],
+    [(1 << 62) + i for i in (0, 1, 9)] + [(1 << 62) + LIMB_LIMIT // 2],
+    [-(1 << 63), 0, 1 << 63, 1 << 123]])
 def test_identical_operands_at_the_int64_edge_hash(monkeypatch, xs):
+    # spans past the limb limit, from int64-edge elements: A + A on the hash
+    # path forms each unordered pair once, as A + copy(A) forms them all
     seen = _spy_paths(monkeypatch)
     assert _identical_and_copy(xs) == (brute_sum(xs, xs), [])
     assert seen == []
+
+
+@pytest.mark.parametrize("xs, path", [
+    ([I64_MAX - 5, I64_MAX - 2, I64_MAX], "dense"),
+    ([-I64_MAX, -I64_MAX + 3, -I64_MAX + 4], "dense"),
+    ([(1 << 62) + i for i in (0, 1, 9)], "dense"),
+    ([-(1 << 63), 0, 1 << 63], "outer")])
+def test_identical_operands_at_the_int64_edge_take_the_span_path(xs, path):
+    # narrow spans at the int64 edge run dense on offsets; a span of 2^64
+    # runs the outer path on two limbs
+    same, ran = _identical_and_copy(xs)
+    assert same == brute_sum(xs, xs) and ran[0] == path
 
 
 # ---------------------------------------------------------------------------
@@ -679,14 +916,20 @@ def _dense_operands(draw):
 @example(([_INT64_HI_BASES[0] + (1 << 15) - 1], [_INT64_HI_BASES[1] + (1 << 15) - 1]))
 @settings(deadline=None, max_examples=300)
 def test_dense_words_count_and_read_like_the_outer_and_hash_oracles(operands):
+    # scattered (these operands are small) and, with scatter off, OR-ed words
     xs, ys = operands
     lo, hi = xs[0] + ys[0], xs[-1] + ys[-1]
     assert -I64_MAX <= lo and hi <= I64_MAX
-    got = se._dense_pairsums(xs, ys, lo, hi - lo + 1)
-    assert type(got) is se._Bitmap and got.lo == lo
-    ints = got.tolist()
-    assert len(got) == len(ints)
-    assert ints == se._outer_pairsums(xs, ys).tolist() == brute_sum(xs, ys)
+    scattered = se._dense_pairsums(xs, ys, lo, hi - lo + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(se, "SCATTER_SPAN_LIMIT", 0)
+        ored = se._dense_pairsums(xs, ys, lo, hi - lo + 1)
+    for got in (scattered, ored):
+        assert type(got) is se._Bitmap and got.lo == lo
+        ints = got.tolist()
+        assert len(got) == len(ints)
+        assert ints == se._outer_pairsums(xs, ys).tolist() == brute_sum(xs, ys)
+    assert np.array_equal(scattered.words, ored.words)
 
 
 def _torus_operand(rng, q, where, size):
@@ -720,7 +963,7 @@ def test_narrow_sums_on_a_wide_circle_are_read_out_of_their_words(monkeypatch):
         xs = list(range(base, base + 1500, 3))
         seen = _spy_paths(monkeypatch)
         got = se.torus_pairsums(xs, xs, q)
-        assert seen == ["dense"] and isinstance(got, np.ndarray)
+        assert seen == ["dense"] and isinstance(got, se._Sorted)
         assert got.tolist() == sorted({(a + b) % q for a in xs for b in xs})
 
 
@@ -802,6 +1045,22 @@ def test_a_set_holding_words_pickles_and_prints_as_its_elements(domain):
     assert repr(restored) == repr(s) == repr(eager)
     assert restored.elements == tuple(want)
     assert negate(restored) == negate(eager)
+
+
+def test_a_set_holding_two_limb_offsets_pickles_and_reads_as_its_elements():
+    # sums spanning past int64 stay unordered two-limb offsets until read
+    import pickle
+    rng = random.Random(9)
+    ns = sorted({(1 << 70) + rng.randrange(1 << 69) for _ in range(300)})
+    s = sumset(FiniteExactSet.integers(ns), FiniteExactSet.integers(ns))
+    assert type(s._ints) is se._Sorted and s._ints.low is not None and s._is_unread()
+    restored = pickle.loads(pickle.dumps(s))
+    assert type(restored._ints) is se._Sorted and restored._is_unread()
+    want = brute_sum(ns, ns)
+    assert len(restored) == len(s) == len(want)
+    assert restored.elements == s.elements == tuple(want)
+    assert restored == FiniteExactSet.integers(want)
+    assert negate(restored).elements == tuple(-n for n in reversed(want))
 
 
 # ---------------------------------------------------------------------------
