@@ -9,8 +9,16 @@ its verdicts alone: 0 when every verdict passed, 1 when some verdict failed
 (the report carries the counterexample), 2 when the input was invalid.
 
 Rationals cross the boundary as "p/q" strings; exact decimal literals are
-accepted and converted exactly (0.625 -> 5/8).  An integer or integer ratio
-is read with int(), every other text with Fraction(), to the same value.
+accepted and converted exactly (0.625 -> 5/8).  A single value is a Fraction:
+an integer or integer ratio is read with int(), every other text with
+Fraction(), to the same value.  A list (--a, --b, --alphas, --betas, and the
+";"-separated points of --points, --vectors and --cover) crosses as one
+exact_torus.Cleared, its values as ints over one common scale in the order
+given, which the set and cloud constructors take directly.  A list of ASCII
+integers and integer ratios is checked by one regex match and read in bulk,
+by int() and one lcm of its distinct denominators; any other list is read
+value by value as above, so it is accepted or refused exactly as before.  The
+config echo writes each value in lowest terms from those ints.
 
 A subcommand is declared once, by ``@_command(name, help, *options)`` on its
 handler, each option an ``_arg(*flags, **add_argument_kwargs)``.  The parser
@@ -23,6 +31,7 @@ from __future__ import annotations
 import argparse
 import functools
 import inspect
+import itertools
 import os
 import re
 import sys
@@ -30,7 +39,7 @@ import time
 from fractions import Fraction
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from .exact_torus import TorusVector
+from .exact_torus import Cleared, TorusVector, common_scale, residues
 from .extremal_constructions import (ap_free_check, behrend_set,
                                      build_cover_forcing_set, exact_ap_free,
                                      greedy_ap_free, lattice_projection)
@@ -98,11 +107,49 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from exc
 
 
-def _rational_list(text: str) -> Tuple[Fraction, ...]:
-    parts = [p for p in map(str.strip, text.split(",")) if p]
-    if not parts:
-        raise argparse.ArgumentTypeError("empty rational list")
-    return tuple([_rational(p) for p in parts])
+# A whole list of ASCII integers and integer ratios, the form lists of "p/q" take:
+# checked by one match and read in bulk, with no _rational or Fraction per value.
+_RATIO = r"-?[0-9]+(?:/[0-9]+)?"
+_RATIO_LIST = re.compile(rf"{_RATIO}(?:,{_RATIO})*\Z").match
+_RATIO_ROWS = re.compile(rf"{_RATIO}(?:[,;]{_RATIO})*\Z").match
+
+
+def _bulk(text: str, form: Callable) -> Optional[Tuple[list, int]]:
+    """(ints, scale) with value i of text == ints[i] / scale, when form matches all of text
+    and no denominator is 0; else None, and the per-value path reads or refuses text."""
+    if not form(text):
+        return None
+    flat = text.replace(";", ",")
+    slashes = flat.count("/")
+    if not slashes:
+        nums, dens = flat.split(","), ("",)
+    elif slashes == flat.count(",") + 1:  # every value a ratio
+        parts = flat.replace("/", ",").split(",")
+        nums, dens = parts[::2], parts[1::2]
+    else:
+        nums, _, dens = zip(*[t.partition("/") for t in flat.split(",")])
+    try:
+        ints = list(map(int, nums))
+        den_of = {d: int(d or 1) for d in set(dens)}
+    except ValueError:  # more digits than int() reads
+        return None
+    if 0 in den_of.values():
+        return None
+    factors, scale = common_scale(*[([1], v) for v in den_of.values()])
+    if len(den_of) > 1:
+        factor = {d: f for d, (f,) in zip(den_of, factors)}
+        ints = [n * factor[d] for n, d in zip(ints, dens)]
+    return ints, scale
+
+
+def _rational_list(text: str) -> Cleared:
+    cleared = _bulk(text, _RATIO_LIST)
+    if cleared is None:
+        parts = [p for p in map(str.strip, text.split(",")) if p]
+        if not parts:
+            raise argparse.ArgumentTypeError("empty rational list")
+        cleared = residues([_rational(p) for p in parts])
+    return Cleared(tuple(cleared[0]), cleared[1])
 
 
 def _int_list(text: str) -> Tuple[int, ...]:
@@ -112,12 +159,20 @@ def _int_list(text: str) -> Tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not an integer list: {text!r}") from exc
 
 
-def _vector_list(text: str) -> Tuple[Tuple[Fraction, ...], ...]:
+def _vector_list(text: str) -> Cleared:
     """Semicolon-separated points, comma-separated coordinates."""
+    cleared = _bulk(text, _RATIO_ROWS)
+    if cleared is not None:
+        dims = set(map(str.count, text.split(";"), itertools.repeat(",")))
+        if len(dims) == 1:
+            return Cleared(tuple(zip(*[iter(cleared[0])] * (dims.pop() + 1))), cleared[1])
+    # every other text, and points of several dimensions (which each command refuses
+    # with its own message), per value
     points = [p for p in text.split(";") if p.strip()]
     if not points:
         raise argparse.ArgumentTypeError("empty point list")
-    return tuple(_rational_list(p) for p in points)
+    rows, scale = common_scale(*[(c.ints, c.scale) for c in map(_rational_list, points)])
+    return Cleared(tuple(map(tuple, rows)), scale)
 
 
 def _verdict(name: str, passed: bool, **certificate: Any) -> Dict[str, Any]:
@@ -158,13 +213,13 @@ def _emit(payload: Dict[str, Any], args: argparse.Namespace) -> Optional[int]:
         return 2
 
 
-def _circle_values(points: Tuple[Tuple[Fraction, ...], ...], flag: str) -> list:
+def _circle_values(points: Cleared, flag: str) -> Cleared:
     """One value per point: these commands work on the circle, not the d-torus."""
-    for v in points:
+    for v in points.ints:
         if len(v) != 1:
             raise ValueError(f"{flag} takes points on the circle (dimension 1); "
                              f"got a point of dimension {len(v)}")
-    return [v[0] for v in points]
+    return Cleared(tuple(v for v, in points.ints), points.scale)
 
 
 def _points_or_orbit(args: argparse.Namespace) -> CircularSet:
@@ -203,7 +258,8 @@ def _cmd_gaps(args) -> Dict[str, Any]:
 def _cmd_ap_union(args) -> Dict[str, Any]:
     if len(args.betas) != len(args.lengths):
         raise ValueError("--betas and --lengths must have equal length")
-    rep = ap_union_gap_check(APUnionSpec(args.alpha, tuple(zip(args.betas, args.lengths))))
+    rep = ap_union_gap_check(APUnionSpec(args.alpha, tuple(zip(args.betas.values(),
+                                                                args.lengths))))
     verdicts = [_verdict("gap-bound-3k", rep.passed, bound=rep.bound,
                          distinct_gaps=rep.distinct_gaps)]
     metrics = {"k": rep.k, "total_points": rep.total_points,
@@ -243,11 +299,12 @@ def _cmd_sumset(args) -> Dict[str, Any]:
         raise ValueError(f"--print-limit must be at least 0, got {args.print_limit}")
     dom = Domain(args.domain)
     if dom is Domain.INTEGERS:
-        for v in args.a + (args.b or ()):
-            if v.denominator != 1:
-                raise ValueError(f"integer domain got non-integer {v}")
-    make = {Domain.INTEGERS: lambda vs: FiniteExactSet.integers(int(v) for v in vs),
-            Domain.RATIONALS: FiniteExactSet.rationals, Domain.TORUS: FiniteExactSet.torus}[dom]
+        for vs in filter(None, (args.a, args.b)):
+            for n in vs.ints:
+                if n % vs.scale:
+                    raise ValueError(f"integer domain got non-integer {Fraction(n, vs.scale)}")
+    make = {Domain.INTEGERS: FiniteExactSet.integers, Domain.RATIONALS: FiniteExactSet.rationals,
+            Domain.TORUS: FiniteExactSet.torus}[dom]
     xs = make(args.a)
     ys = make(args.b) if args.b else xs
     t0 = time.perf_counter()
@@ -335,7 +392,7 @@ def _cmd_forced_cover(args) -> Dict[str, Any]:
           _arg("--alphas", type="_rational_list", required=True),
           _arg("--box", type="_int_list", required=True))
 def _cmd_lattice(args) -> Dict[str, Any]:
-    rep = lattice_projection(args.alphas, args.box)
+    rep = lattice_projection(args.alphas.values(), args.box)
     verdicts = [
         _verdict("corner-cover", rep.cover_equal, corners=rep.corners,
                  corner_bound=rep.corner_bound),
@@ -364,7 +421,7 @@ def _cmd_nn_census(args) -> Dict[str, Any]:
 @_command("kronecker", "census of a Kronecker orbit on the d-torus",
           _arg("--alphas", type="_rational_list", required=True), _N)
 def _cmd_kronecker(args) -> Dict[str, Any]:
-    rep = kronecker_census(args.alphas, args.n)
+    rep = kronecker_census(args.alphas.values(), args.n)
     verdicts = [_verdict("census-contained", rep.contained,
                          census_size=rep.census_size, bound=rep.bound, ell=rep.ell)]
     metrics = {"n": rep.n, "dim": len(rep.alphas), "census_size": rep.census_size,
@@ -375,7 +432,7 @@ def _cmd_kronecker(args) -> Dict[str, Any]:
 @_command("kissing", "pairwise-dominance check for torus vectors",
           _arg("--vectors", type="_vector_list", required=True))
 def _cmd_kissing(args) -> Dict[str, Any]:
-    vectors = [TorusVector(v) for v in args.vectors]
+    vectors = [TorusVector(v) for v in args.vectors.values()]
     rep = kissing_check(vectors)
     verdicts = [_verdict("pairwise-dominance", rep.passed, count=rep.count,
                          violations=rep.violations)]

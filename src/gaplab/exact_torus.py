@@ -13,18 +13,21 @@ the results back.
 This module is the one home of that integer-residue format: residues()
 clears denominators, residue_over() reads one value over a given scale,
 common_scale() brings residue families to the lcm of their scales,
-signed_residues() maps residues mod q to [-q/2, q/2), sorted_unique()
-dedupes residue arrays, and int_dtype() with INT64_MAX is the guard that
-keeps numpy int64 only while every intermediate fits.  LazyFields is the
-base of the result types that hold that format unread until a field is read.
+lowest_terms() divides out their common factor, signed_residues() maps
+residues mod q to [-q/2, q/2), sorted_unique() dedupes residue arrays, and
+int_dtype() with INT64_MAX is the guard that keeps numpy int64 only while
+every intermediate fits.  Cleared carries a list of rationals (or of rows of
+them) in that format, as the command line reads it, to the constructors that
+accept it.  LazyFields is the base of the result types that hold that format
+unread until a field is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Optional, Tuple, Union
+from math import gcd, lcm
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -155,6 +158,36 @@ def residues(points: Iterable) -> Tuple[list, int]:
     vals = [p.value if isinstance(p, TorusPoint) else p for p in points]
     q = lcm(*{v.denominator for v in vals})
     return [v.numerator * (q // v.denominator) for v in vals], q
+
+
+def lowest_terms(ints: Sequence[int], q: int) -> Tuple[Sequence[int], int]:
+    """(ints, q) divided by gcd(q, *ints): the least scale over which every ints[i] / q is whole."""
+    g = gcd(q, *ints)
+    return (ints, q) if g == 1 else ([n // g for n in ints], q // g)
+
+
+@dataclass(frozen=True)
+class Cleared:
+    """Rationals, or rows of them, as ints over one positive scale, in the order given.
+
+    Value i is ints[i] / scale, or, when ints[i] is a tuple, row i is ints[i] / scale
+    coordinatewise; rows may differ in length.  The scale is any common denominator,
+    not necessarily the least, and values may lie outside [0, 1): the constructors
+    that accept a Cleared fold it onto the torus where they work there, and bring it
+    to lowest terms, themselves.
+    """
+
+    ints: tuple
+    scale: int
+
+    def __len__(self) -> int:
+        return len(self.ints)
+
+    def values(self) -> tuple:
+        """The rationals, or rows of them, as Fractions."""
+        s = self.scale
+        return tuple(tuple(Fraction(n, s) for n in v) if type(v) is tuple else Fraction(v, s)
+                     for v in self.ints)
 
 
 def residue_over(value: Fraction, q: int) -> Optional[int]:

@@ -30,9 +30,9 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact_torus import (DuplicatePointError, LazyFields, RationalLike, TorusPoint,
-                          _unread, as_rational, common_scale, int_dtype, reduce_mod1,
-                          residue_over, residues)
+from .exact_torus import (Cleared, DuplicatePointError, LazyFields, RationalLike, TorusPoint,
+                          _unread, as_rational, common_scale, int_dtype, lowest_terms,
+                          reduce_mod1, residue_over, residues)
 from .sumset_engine import FiniteExactSet, Domain, _ascending, _lift, torus_pairsums
 
 
@@ -66,11 +66,12 @@ class CircularSet(LazyFields):
     the set: torus-native sets include the closing arc, sets embedded from
     the reals exclude it.
 
-    A set built from values, or by the library from residues, is held
-    unread (exact_torus.LazyFields): it keeps only its ascending residues
-    over one denominator, on which length, membership and every gap and
-    subset test run, ``points``, the tuple of TorusPoints, is lifted on
-    first read, and an unread set is written from its residues.
+    A set built from values (or from an exact_torus.Cleared, read with no
+    Fraction built), or by the library from residues, is held unread
+    (exact_torus.LazyFields): it keeps only its ascending residues over one
+    denominator, on which length, membership and every gap and subset test
+    run, ``points``, the tuple of TorusPoints, is lifted on first read, and
+    an unread set is written from its residues.
 
     An orbit of p/q, and a subset the library takes from one, also holds
     its unit ``_step`` = p: its labels are then the multipliers k of its
@@ -99,10 +100,14 @@ class CircularSet(LazyFields):
         object.__setattr__(self, "wrap", Wrap(self.wrap))
 
     @classmethod
-    def from_values(cls, values: Iterable[RationalLike], labels: Optional[Sequence[int]] = None,
+    def from_values(cls, values: Iterable[RationalLike] | Cleared,
+                    labels: Optional[Sequence[int]] = None,
                     wrap: Wrap = Wrap.INCLUDE) -> "CircularSet":
-        ints, q = residues([as_rational(v) for v in values])
-        ints = [n % q for n in ints]
+        if type(values) is Cleared:
+            ints, q = values.ints, values.scale
+        else:
+            ints, q = residues([as_rational(v) for v in values])
+        ints, q = lowest_terms([n % q for n in ints], q)
         if labels is not None and len(labels) != len(ints):
             raise ValueError("labels must match points one to one")
         order = sorted(range(len(ints)), key=ints.__getitem__)

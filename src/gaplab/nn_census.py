@@ -37,7 +37,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .exact_torus import (LazyFields, TorusPoint, TorusVector, _coerce, _unread,
+from .exact_torus import (Cleared, LazyFields, TorusPoint, TorusVector, _coerce, _unread,
                           as_rational, common_scale, int_dtype, residue_over, residues,
                           signed_residues, torus_dist_sq)
 from .gap_spectrum import CollisionError, TooFewPointsError
@@ -78,7 +78,8 @@ class PointCloud(LazyFields):
     """Finite set of distinct points on the d-torus, kept sorted; _rows holds
     them as residue rows over the least common denominator, in that order.
 
-    A cloud built from values or rows is held unread (exact_torus.LazyFields):
+    A cloud built from values (or from an exact_torus.Cleared, read with no
+    Fraction built) or rows is held unread (exact_torus.LazyFields):
     it keeps only _rows, which length, dimension, membership and every census
     kernel read, ``points``, the tuple of TorusVectors, is lifted on first
     read, and an unread cloud is written from its rows.
@@ -94,19 +95,28 @@ class PointCloud(LazyFields):
         self.__dict__["_rows"] = cleared._rows
 
     @classmethod
-    def from_values(cls, rows: Iterable[Sequence]) -> "PointCloud":
-        vals = []
-        for row in rows:
-            coords = [c if type(c) is Fraction else _coerce(c) for c in row]
-            if not coords:
-                raise ValueError("torus vectors need at least one coordinate")
-            vals.append(coords)
-        if not vals:
+    def from_values(cls, rows: Iterable[Sequence] | Cleared) -> "PointCloud":
+        if type(rows) is not Cleared:
+            vals = []
+            for row in rows:
+                coords = [c if type(c) is Fraction else _coerce(c) for c in row]
+                if not coords:
+                    raise ValueError("torus vectors need at least one coordinate")
+                vals.append(coords)
+            ints, scale = residues(c for v in vals for c in v)
+            it = iter(ints)
+            rows = Cleared(tuple(tuple(itertools.islice(it, len(v))) for v in vals), scale)
+        int_rows, scale = rows.ints, rows.scale
+        dims = set(map(len, int_rows))
+        if 0 in dims:
+            raise ValueError("torus vectors need at least one coordinate")
+        if not dims:
             raise TooFewPointsError("a cloud needs at least one point")
-        if len({len(v) for v in vals}) != 1:
+        if len(dims) != 1:
             raise InvalidConfigurationError("mixed dimensions in one cloud")
-        ints, scale = residues(c for v in vals for c in v)
-        int_rows = list(zip(*[iter([x % scale for x in ints])] * len(vals[0])))
+        flat = itertools.chain.from_iterable
+        if min(flat(int_rows)) < 0 or max(flat(int_rows)) >= scale:
+            int_rows = [tuple(x % scale for x in r) for r in int_rows]
         if len(set(int_rows)) != len(int_rows):
             raise InvalidConfigurationError("cloud points must be distinct")
         return cls._from_rows(int_rows, scale)
@@ -115,7 +125,7 @@ class PointCloud(LazyFields):
     def _from_rows(cls, rows, scale: int) -> "PointCloud":
         # Internal: distinct rows of residues mod scale, reduced to lowest terms.
         g = math.gcd(scale, *itertools.chain.from_iterable(rows))
-        rows = sorted(tuple(x // g for x in r) for r in rows)
+        rows = sorted(rows) if g == 1 else sorted(tuple(x // g for x in r) for r in rows)
         # (rows, scale) with points[i] == rows[i] / scale coordinatewise
         return _unread(cls, _rows=(rows, scale // g))
 

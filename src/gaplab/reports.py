@@ -14,10 +14,13 @@ field names computed once and each vector through one % template.  The lazy
 fields of an unread exact_torus.LazyFields object are written straight from
 the integer rows its _field_rows() returns, with no Fraction or torus point
 built: one text per distinct residue per scale, one per row (picked by index
-where a column gives indices), and one % template per record.  Every other
-value (bools, floats, None, sets, enums, subclasses) goes through
-to_jsonable, which stays the one home of those rules, serves the CSV
-projection and is the reference the writer is tested against.
+where a column gives indices), and one % template per record.  A config
+echo of an exact_torus.Cleared (a list argument as ints over one scale) is
+written the same way, in input order, sharing those per-scale texts with the
+report that follows it.  Every other value (bools, floats, None, sets, enums,
+subclasses) goes through to_jsonable, which stays the one home of those
+rules, serves the CSV projection and is the reference the writer is tested
+against.
 """
 
 from __future__ import annotations
@@ -33,7 +36,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Any, Dict, List, Optional, Tuple
 
-from .exact_torus import LazyFields, TorusPoint, TorusVector
+import numpy as np
+
+from .exact_torus import INT64_MAX, Cleared, LazyFields, TorusPoint, TorusVector
 
 SCHEMA_VERSION = 1
 
@@ -52,6 +57,8 @@ def to_jsonable(obj: Any) -> Any:
         return str(obj.value)
     if isinstance(obj, TorusVector):
         return [str(c.value) for c in obj.coords]
+    if isinstance(obj, Cleared):
+        return to_jsonable(obj.values())
     if isinstance(obj, Enum):
         return obj.value
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -91,7 +98,7 @@ _LEAF_TEXT = {
 }
 
 # Types that to_jsonable converts before it looks for dataclass fields.
-_NOT_FIELDWISE = (bool, int, float, str, Fraction, TorusPoint, TorusVector, Enum)
+_NOT_FIELDWISE = (bool, int, float, str, Fraction, TorusPoint, TorusVector, Cleared, Enum)
 
 
 @functools.cache
@@ -110,6 +117,8 @@ def _text(obj: Any, depth: int, memo: dict) -> str:
         return leaf(obj)
     if t is TorusVector:
         return _rationals_template(len(obj.coords), depth) % tuple([c.value for c in obj.coords])
+    if t is Cleared:
+        return _array_text(_items_text((obj.ints, obj.scale), depth + 1, memo), depth)
     if t is tuple or t is list:
         if set(map(type, obj)) == {Fraction}:
             # a row of rationals (a coordinate list, a difference): one % call
@@ -149,20 +158,63 @@ def _items_text(spec: tuple, depth: int, memo: dict) -> List[str]:
             texts = memo.setdefault(scale, {})
             new = set(itertools.chain.from_iterable(rows)).difference(texts)
             texts.update(zip(new, _residue_texts(new, scale)))
-            template = _array_text(["%s"] * len(rows[0]), depth)
             text = texts.__getitem__
-            written = [template % tuple(map(text, r)) for r in rows]
+            if len(set(map(len, rows))) == 1:
+                # one % over every coordinate's text; no text holds the separator "\0"
+                template = _array_text(["%s"] * len(rows[0]), depth)
+                flat = tuple(map(text, itertools.chain.from_iterable(rows)))
+                written = ("\0".join([template] * len(rows)) % flat).split("\0")
+            else:  # rows of several lengths, which only a Cleared holds
+                written = [_array_text(list(map(text, r)), depth) for r in rows]
         else:
-            written = list(_residue_texts(rows, scale))
+            written = _residue_texts(rows, scale)
         hit = memo[id(rows), depth] = (rows, written)
     return list(map(hit[1].__getitem__, index[0])) if index else hit[1]
 
 
-def _residue_texts(residues, scale: int):
-    """The texts of the rationals n/scale, in lowest terms, with no Fraction built."""
-    for n in residues:
-        g = gcd(n, scale)
-        yield '"%d"' % (n // g) if g == scale else '"%d/%d"' % (n // g, scale // g)
+# values per np.gcd call; below _TEXT_NUMPY_MIN of them its fixed cost loses to the loop
+_TEXT_BLOCK = 1 << 12
+_TEXT_NUMPY_MIN = 64
+
+
+def _residue_texts(residues, scale: int) -> List[str]:
+    """The texts of the rationals n/scale (any ints n), in lowest terms, with no Fraction built.
+
+    While scale and the values fit int64, the gcds of a long list come from np.gcd,
+    _TEXT_BLOCK values at a time, which bounds the temporaries; else from a loop over
+    Python ints.
+    """
+    ns = list(residues)
+    if scale == 1:
+        return _texts_over(ns, 1)
+    texts: List[str] = []
+    for i in range(0, len(ns), _TEXT_BLOCK):
+        block = ns[i:i + _TEXT_BLOCK]
+        try:
+            a = (np.array(block, dtype=np.int64)
+                 if scale <= INT64_MAX and len(block) >= _TEXT_NUMPY_MIN else None)
+        except OverflowError:
+            a = None
+        if a is None:
+            gs = [gcd(n, scale) for n in block]
+            texts += [f'"{n // g}"' if g == scale else f'"{n // g}/{scale // g}"'
+                      for n, g in zip(block, gs)]
+            continue
+        g = np.gcd(a, scale)
+        nums, dens = (a // g).tolist(), scale // g
+        if (dens == dens[0]).all():
+            texts += _texts_over(nums, int(dens[0]))
+        else:
+            texts += [f'"{n}"' if d == 1 else f'"{n}/{d}"' for n, d in zip(nums, dens.tolist())]
+    return texts
+
+
+def _texts_over(nums: list, den: int) -> List[str]:
+    """The texts of the rationals n/den, each n already in lowest terms over den, by one join."""
+    if not nums:
+        return []
+    tail = '"' if den == 1 else f'/{den}"'
+    return ('"' + (tail + '\n"').join(map(str, nums)) + tail).split("\n")
 
 
 @functools.lru_cache(maxsize=64)

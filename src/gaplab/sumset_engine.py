@@ -44,8 +44,9 @@ from typing import Dict, Iterable, Optional
 
 import numpy as np
 
-from .exact_torus import (INT64_MAX, LazyFields, TorusPoint, _coerce, _unread,
-                          as_rational, common_scale, int_dtype, residues, sorted_unique)
+from .exact_torus import (INT64_MAX, Cleared, LazyFields, TorusPoint, _coerce, _unread,
+                          as_rational, common_scale, int_dtype, lowest_terms, residues,
+                          sorted_unique)
 
 # Dense path budgets: output bitmap at most 2^26 bits (8 MB), the shifted
 # segment table at most 64 * 2^22 bits (32 MB).  Its cost in word ORs is,
@@ -175,7 +176,8 @@ class FiniteExactSet(LazyFields):
     are read, or Python ints in any order.  Length is the count each form
     holds, and set algebra runs on the ascending ints.  A set is held unread
     (exact_torus.LazyFields): ``elements``, the ascending tuple of ints,
-    Fractions or canonical TorusPoints, is lifted on first read.
+    Fractions or canonical TorusPoints, is lifted on first read.  The constructors
+    also take an exact_torus.Cleared, whose ints they read with no Fraction built.
     """
 
     elements: tuple
@@ -183,32 +185,37 @@ class FiniteExactSet(LazyFields):
 
     _LAZY = ("elements",)
 
-    def __init__(self, elements: Iterable, domain: Domain) -> None:
+    def __init__(self, elements: Iterable | Cleared, domain: Domain) -> None:
         dom = Domain(domain)
-        if dom is Domain.INTEGERS:
-            ints = set()
+        if type(elements) is Cleared:
+            ints, scale = lowest_terms(elements.ints, elements.scale)
+            if scale != 1 and dom is Domain.INTEGERS:
+                raise TypeError("integer domain got "
+                                f"{next(Fraction(n, scale) for n in ints if n % scale)!r}")
+        elif dom is Domain.INTEGERS:
+            ints = []
             for x in elements:
                 if isinstance(x, bool) or not isinstance(x, int):
                     raise TypeError(f"integer domain got {x!r}")
-                ints.add(x)
+                ints.append(x)
             scale = 1
         else:
-            torus = dom is Domain.TORUS
-            ints, scale = residues([(_coerce if torus else as_rational)(x) for x in elements])
-            ints = {n % scale for n in ints} if torus else set(ints)
+            coerce = _coerce if dom is Domain.TORUS else as_rational
+            ints, scale = residues([coerce(x) for x in elements])
+        ints = {n % scale for n in ints} if dom is Domain.TORUS else set(ints)
         self.__dict__.update(_ints=ints, _scale=scale, domain=dom)
 
     @classmethod
-    def integers(cls, xs: Iterable[int]) -> "FiniteExactSet":
-        return cls(tuple(xs), Domain.INTEGERS)
+    def integers(cls, xs: Iterable[int] | Cleared) -> "FiniteExactSet":
+        return cls(xs, Domain.INTEGERS)
 
     @classmethod
-    def rationals(cls, xs: Iterable) -> "FiniteExactSet":
-        return cls(tuple(xs), Domain.RATIONALS)
+    def rationals(cls, xs: Iterable | Cleared) -> "FiniteExactSet":
+        return cls(xs, Domain.RATIONALS)
 
     @classmethod
-    def torus(cls, xs: Iterable) -> "FiniteExactSet":
-        return cls(tuple(xs), Domain.TORUS)
+    def torus(cls, xs: Iterable | Cleared) -> "FiniteExactSet":
+        return cls(xs, Domain.TORUS)
 
     @classmethod
     def _from_ints(cls, ints, scale: int, dom: Domain) -> "FiniteExactSet":

@@ -201,6 +201,106 @@ def test_an_int_too_long_to_write_exits_two_with_one_line(argv, key, echo, capsy
     assert doc["config"][key] == echo
 
 
+# ---------------------------------------------------------------------------
+# List arguments: a list of ASCII integers and integer ratios is read in bulk
+# into one Cleared; every other text goes value by value through _rational.
+# The per-value lists below are the parsers as they were before the bulk read,
+# kept as the oracle: both must accept and refuse the same texts with the same
+# errors, give the same values, and echo the same bytes.
+
+def _per_value_list(text):
+    parts = [p for p in map(str.strip, text.split(",")) if p]
+    if not parts:
+        raise argparse.ArgumentTypeError("empty rational list")
+    return tuple([_rational(p) for p in parts])
+
+
+def _per_value_rows(text):
+    points = [p for p in text.split(";") if p.strip()]
+    if not points:
+        raise argparse.ArgumentTypeError("empty point list")
+    return tuple(_per_value_list(p) for p in points)
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except (argparse.ArgumentTypeError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+# primes near 2^40 and 2^61 and one past 2^64: any two of them have an lcm past 2^64
+_WIDE_DENOMINATORS = [1099511627791, 1099511627689, 2305843009213693951, 18446744073709551629]
+_LIST_VALUES = st.integers(0, 7).flatmap(lambda i: _LIST_RARE if i == 0 else _LIST_COMMON)
+_LIST_COMMON = (
+    st.one_of(st.integers(-40, 40).map(str),
+              st.builds("{}/{}".format, st.integers(-30, 60), st.integers(1, 12)),
+              st.builds("{}/{}".format, st.integers(-10 ** 20, 10 ** 20),
+                        st.sampled_from(_WIDE_DENOMINATORS)),
+              st.sampled_from(["2/4", "-0/5", "007/010", "-0", "12/6", "1/1"])))
+_LIST_RARE = (
+    st.sampled_from(["1/0", "1/00", "0.5", "-1.25", ".5", "1e-3", "2E2", "1_0", "+1", "1/-2",
+                     " 1/2", "1/2 ", "1 /2", "\t3", "x", "", "1e5000", "2e-99999", "1e4301",
+                     "1" * 4301, "\u0663/7"]))
+_LIST_TEXTS = st.lists(st.tuples(_LIST_VALUES, st.sampled_from(
+    [",", ",", ",", ";", ",,", ";;", ";,;", " , ", ", "])), min_size=1, max_size=8).map(
+    lambda items: "".join(v + sep for v, sep in items)[:-len(items[-1][1])])
+
+
+@given(_LIST_TEXTS)
+@settings(max_examples=500, deadline=None)
+@example("2/4,1/3;1/2,2/6")
+@example("1,,2")
+@example(",,")
+@example(";;")
+@example(";,;")
+@example("1/2;,;1/3")
+@example("1/0,1/2")
+@example("0.5,1/2")
+@example("1/2, 1/3;1/4")
+@example("1/2;1/3,1/4")
+@example("1e5000,1/0")
+@example("1/0,1e5000")
+@example("1/1099511627791,1/2305843009213693951,1/18446744073709551629")
+def test_list_parsers_match_the_per_value_path(text):
+    from gaplab.cli import _rational_list, _vector_list
+    from gaplab.exact_torus import Cleared
+    from gaplab.reports import canonical_json, to_jsonable
+
+    for parse, oracle in ((_rational_list, _per_value_list), (_vector_list, _per_value_rows)):
+        got, want = _outcome(parse, text), _outcome(oracle, text)
+        if type(want) is not tuple or type(want[0]) is type:
+            assert got == want
+            continue
+        assert type(got) is Cleared and got.values() == want
+        assert canonical_json({"config": {"a": got}}) == canonical_json({"config": {"a": want}})
+        assert to_jsonable(got) == to_jsonable(want)
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--points", "1/0;1/2", "not an exact rational: '1/0'"),
+    ("--points", ";,;", "empty rational list"),
+    ("--points", ";;", "empty point list"),
+    ("--a", "1/2;1/3", "not an exact rational: '1/2;1/3'"),
+    ("--a", "1" * 4301, f"not an exact rational: '{'1' * 4301}'"),
+])
+def test_a_refused_list_is_one_line_of_argparse(flag, text, message, capsys):
+    command = "nn-census" if flag == "--points" else "sumset"
+    with pytest.raises(SystemExit) as err:
+        main([command, flag, text])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"gaplab {command}: error: argument {flag}: {message}")
+
+
+@pytest.mark.parametrize("argv", [["nn-census", "--points", "1/2,1e5000;1/3,0"],
+                                  ["sumset", "--a", "1/2,2e-99999"],
+                                  ["kissing", "--vectors", "1e4301;1/0"]])
+def test_an_exponent_past_the_limit_in_a_list_exits_two_with_one_line(argv, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", _refusal())
+
+
 def test_colliding_orbit_is_input_error(capsys):
     rc = main(["orbit", "--alpha", "1/3", "--n", "5"])
     assert rc == 2

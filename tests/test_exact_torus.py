@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaplab.exact_torus import (INT64_MAX, TorusPoint, TorusVector, as_rational,
+from gaplab.exact_torus import (INT64_MAX, Cleared, TorusPoint, TorusVector, as_rational,
                                 ccw_arc, circular_sort, common_scale,
                                 embed_reals, int_dtype, point, reduce_mod1,
                                 residues, signed_mod1, signed_residues,
@@ -294,3 +294,58 @@ def test_an_unread_instance_matches_an_eager_one(kind):
     for name in (cls._LAZY[0], dataclasses.fields(cls)[0].name):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(lazy(), name, ())
+
+
+# A Cleared (as the command line reads a list) against the same values given as
+# Fractions: any common denominator, values outside [0, 1), repeats and mixed
+# dimensions give every constructor the same set, or the same error.
+def _outcome(build):
+    try:
+        return build()
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+def _cleared(rows, factor):
+    """rows (tuples of Fractions) as a Cleared over factor times their least scale."""
+    ints, q = residues([x for r in rows for x in r])
+    it = iter(n * factor for n in ints)
+    return Cleared(tuple(tuple(next(it) for _ in r) for r in rows), q * factor)
+
+
+@given(st.lists(st.lists(rationals | st.integers(-3, 3).map(Fraction), min_size=1, max_size=2)
+                .map(tuple), min_size=1, max_size=8),
+       st.integers(1, 6) | st.sampled_from([2 ** 64 + 13]))
+@settings(max_examples=300, deadline=None)
+def test_constructors_read_a_cleared_as_its_values(rows, factor):
+    from gaplab.gap_spectrum import CircularSet
+    from gaplab.nn_census import PointCloud
+    from gaplab.sumset_engine import FiniteExactSet
+
+    cleared = _cleared(rows, factor)
+    assert cleared.values() == tuple(rows)
+    got = _outcome(lambda: PointCloud.from_values(cleared))
+    want = _outcome(lambda: PointCloud.from_values(rows))
+    if type(want) is tuple:
+        assert got == want
+    else:
+        assert got._rows == want._rows
+        assert list(got.points) == sorted({TorusVector(r) for r in rows})  # folded onto the torus
+    if any(len(r) != 1 for r in rows):
+        return
+    flat = Cleared(tuple(n for n, in cleared.ints), cleared.scale)
+    values = [x for x, in rows]
+    labels = list(range(len(values), 0, -1))
+    got = _outcome(lambda: CircularSet.from_values(flat, labels))
+    want = _outcome(lambda: CircularSet.from_values(values, labels))
+    assert got == want if type(want) is tuple else (
+        (got._residues, got.labels) == (want._residues, want.labels))
+    for make in (FiniteExactSet.rationals, FiniteExactSet.torus):
+        assert (make(flat)._ints, make(flat)._scale) == (make(values)._ints, make(values)._scale)
+    if all(v.denominator == 1 for v in values):
+        got, want = FiniteExactSet.integers(flat), FiniteExactSet.integers(map(int, values))
+        assert (got._ints, got._scale) == (want._ints, 1)
+    else:
+        first = next(v for v in values if v.denominator != 1)
+        assert _outcome(lambda: FiniteExactSet.integers(flat)) == (
+            TypeError, f"integer domain got {first!r}")

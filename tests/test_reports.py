@@ -5,14 +5,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaplab.exact_torus import TorusPoint, TorusVector
+from gaplab.exact_torus import INT64_MAX, Cleared, TorusPoint, TorusVector
 from gaplab.gap_spectrum import CircularSet, Wrap, fractional_orbit
 from gaplab.generator_decomposition import Side
 from gaplab.nn_census import CensusReport, NNRecord, PointCloud, _brute_rows_exact, nn_census
-from gaplab.reports import canonical_json, to_jsonable
+from gaplab.reports import _residue_texts, canonical_json, to_jsonable
 from gaplab.sumset_engine import FiniteExactSet, sumset
 
 
@@ -41,10 +41,16 @@ def _circular_set(values, labelled, read):
 
 circular_sets = st.builds(_circular_set, st.lists(unit_rationals, max_size=6, unique=True),
                           st.booleans(), st.booleans())
+# lists and rows (of one length or several) of any ints, over scales to past 2^64
+scales = st.integers(1, 12) | st.sampled_from([997, 2 ** 63 - 1, 2 ** 64 + 13])
+wide_ints = st.integers(-50, 50) | st.integers(-2 ** 70, 2 ** 70)
+cleared = st.builds(Cleared, st.lists(wide_ints, min_size=1, max_size=5).map(tuple)
+                    | st.lists(st.lists(wide_ints, min_size=1, max_size=3).map(tuple),
+                               min_size=1, max_size=4).map(tuple), scales)
 hashables = st.integers() | st.text(max_size=4) | fractions | points | vectors
 leaves = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
           | fractions | points | vectors | st.sampled_from(list(Wrap) + list(Side))
-          | circular_sets)
+          | circular_sets | cleared)
 documents = st.recursive(
     leaves,
     lambda children: (st.lists(children, max_size=4)
@@ -60,6 +66,35 @@ documents = st.recursive(
 @settings(max_examples=300, deadline=None)
 def test_canonical_json_matches_the_reference_encoder(doc):
     assert_same(doc)
+
+
+@given(st.lists(st.integers(-3, 3) | st.integers(-2 ** 66, 2 ** 66)
+                | st.sampled_from([-INT64_MAX - 1, -INT64_MAX, INT64_MAX, INT64_MAX + 1]),
+                max_size=12),
+       st.integers(1, 40) | st.sampled_from([997, INT64_MAX, INT64_MAX + 1, 2 ** 64 + 13]),
+       st.integers(-3, 3))
+@settings(max_examples=300, deadline=None)
+@example([0, 1, 2, 3, 5], 1, 0)       # one denominator, 1
+@example([1, 2, 3, 5, -6], 7, 0)      # one denominator, 7
+@example([0, 7, -7, 14, 8], 7, 0)     # zero and multiples of the scale
+@example([-INT64_MAX - 1, 3], 6, 0)   # the one int64 value whose absolute value is not one
+@example([5, -5], 2 ** 64 + 13, 0)    # a scale past int64
+def test_residue_texts_are_the_fraction_texts(ns, scale, shift):
+    # any ints n, negative or past the scale, and the same list moved by shift scales
+    from unittest import mock
+
+    from gaplab import reports
+
+    ns = [n + shift * scale for n in ns]
+    want = [f'"{Fraction(n, scale)}"' for n in ns]
+    assert _residue_texts(ns, scale) == want
+    distinct = set(ns)
+    assert _residue_texts(distinct, scale) == [f'"{Fraction(n, scale)}"' for n in distinct]
+    # np.gcd on every list, whole or in blocks of one denominator or several
+    with mock.patch.object(reports, "_TEXT_NUMPY_MIN", 1):
+        assert _residue_texts(ns, scale) == want
+        with mock.patch.object(reports, "_TEXT_BLOCK", 3):
+            assert _residue_texts(ns, scale) == want
 
 
 def test_a_shared_vector_at_two_depths():
