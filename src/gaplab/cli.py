@@ -20,6 +20,10 @@ by int() and one lcm of its distinct denominators; any other list is read
 value by value as above, so it is accepted or refused exactly as before.  The
 config echo writes each value in lowest terms from those ints.
 
+Every size option has a ceiling derived from the work it implies (the
+MAX_* constants below); a size past it is refused before any work starts,
+with exit status 2 and one line naming the ceiling.
+
 A subcommand is declared once, by ``@_command(name, help, *options)`` on its
 handler, each option an ``_arg(*flags, **add_argument_kwargs)``.  The parser
 is built once; a converter named by string is looked up in this module each
@@ -83,6 +87,19 @@ _EXACT_LIMIT = _arg("--exact-limit", type=int, default=EXACT_LIMIT)
 _REPORT_OPTIONS = (
     _arg("--format", choices=("json", "csv"), default="json"),
     _arg("--output", help=f"write the report here (relative paths land in ${OUTPUT_DIR_VAR})"))
+
+# Size ceilings, each bounding the work its option implies; README's table of
+# them gives the peak memory measured near each.
+MAX_ORBIT_POINTS = 10 ** 6  # orbit, gaps, greedy --n; kronecker --n times its alphas
+MAX_BEHREND_N = 3 ** 19  # the greedy progression-free list below it holds 2^19 values
+MAX_COVER_N = 3000  # forced-cover, and cover and generators of an orbit: n x n differences
+MAX_CLOUD_M = 30  # tightness, extract-core: tables over pairs of about m^2 points
+
+
+def _at_most(flag: str, value: Optional[int], ceiling: int, work: str) -> None:
+    """Refuse a size past its ceiling, naming it, before any work starts."""
+    if value is not None and value > ceiling:
+        raise ValueError(f"{flag} {value} is past its ceiling {ceiling} ({work})")
 
 
 # An ASCII integer or integer ratio, the form "p/q" arguments take: read by int()
@@ -223,6 +240,7 @@ def _circle_values(points: Cleared, flag: str) -> Cleared:
 
 
 def _points_or_orbit(args: argparse.Namespace) -> CircularSet:
+    _at_most("--n", args.n, MAX_COVER_N, "the cover's n x n table of differences")
     if args.points is not None:
         return CircularSet.from_values(_circle_values(args.points, "--points"))
     if args.alpha is None or args.n is None:
@@ -239,6 +257,7 @@ def _three_gap(rep, report: Any, **metrics: Any) -> Dict[str, Any]:
 
 @_command("orbit", "fractional-part orbit of alpha with its gaps", *_ORBIT)
 def _cmd_orbit(args) -> Dict[str, Any]:
+    _at_most("--n", args.n, MAX_ORBIT_POINTS, "orbit points")
     b = fractional_orbit(args.alpha, args.n)
     rep, multiplicities = _orbit_gap_counts(args.alpha, b)
     return _three_gap(rep, {"points": b, "multiplicities": multiplicities}, size=len(b))
@@ -246,6 +265,7 @@ def _cmd_orbit(args) -> Dict[str, Any]:
 
 @_command("gaps", "distinct gaps of the orbit against reference distances", *_ORBIT)
 def _cmd_gaps(args) -> Dict[str, Any]:
+    _at_most("--n", args.n, MAX_ORBIT_POINTS, "orbit points")
     rep = three_gap_check(args.alpha, args.n)
     return _three_gap(rep, rep)
 
@@ -269,6 +289,7 @@ def _cmd_ap_union(args) -> Dict[str, Any]:
 
 @_command("greedy", "greedy distinct-gap subset of an orbit", *_ORBIT)
 def _cmd_greedy(args) -> Dict[str, Any]:
+    _at_most("--n", args.n, MAX_ORBIT_POINTS, "orbit points")
     b = fractional_orbit(args.alpha, args.n)
     a = greedy_max_distinct(b)
     bound = gap_bound_check(a, b)
@@ -357,6 +378,7 @@ def _cmd_generators(args) -> Dict[str, Any]:
 
 @_command("behrend", "digit-sphere progression-free set in [1, n]", _N)
 def _cmd_behrend(args) -> Dict[str, Any]:
+    _at_most("--n", args.n, MAX_BEHREND_N, "where the greedy progression-free list holds 2^19 values")
     rep = behrend_set(args.n)
     greedy = greedy_ap_free(args.n)
     ok = ap_free_check(rep.points)
@@ -372,6 +394,7 @@ def _cmd_behrend(args) -> Dict[str, Any]:
                help="progression-free seed; defaults to the exact maximizer"),
           _EXACT_LIMIT)
 def _cmd_forced_cover(args) -> Dict[str, Any]:
+    _at_most("--n", args.n, MAX_COVER_N, "the cover's n x n table of differences")
     seed = args.s if args.s is not None else exact_ap_free(args.n)
     rep = build_cover_forcing_set(args.n, seed, exact_limit=args.exact_limit)
     verdicts = [
@@ -421,6 +444,8 @@ def _cmd_nn_census(args) -> Dict[str, Any]:
 @_command("kronecker", "census of a Kronecker orbit on the d-torus",
           _arg("--alphas", type="_rational_list", required=True), _N)
 def _cmd_kronecker(args) -> Dict[str, Any]:
+    _at_most("--n", args.n, MAX_ORBIT_POINTS // len(args.alphas),
+             f"{MAX_ORBIT_POINTS} orbit points times dimensions")
     rep = kronecker_census(args.alphas.values(), args.n)
     verdicts = [_verdict("census-contained", rep.contained,
                          census_size=rep.census_size, bound=rep.bound, ell=rep.ell)]
@@ -447,6 +472,7 @@ def _cmd_kissing(args) -> Dict[str, Any]:
           _arg("--kappa", type="_rational",
                help="ball-depth constant; defaults to the measured value"))
 def _cmd_extract_core(args) -> Dict[str, Any]:
+    _at_most("--m", args.m, MAX_CLOUD_M, "tables over pairs of about m^2 cloud points")
     if args.points is not None:
         cloud = PointCloud.from_values(args.points)
     elif args.m is not None:
@@ -476,6 +502,7 @@ def _cmd_extract_core(args) -> Dict[str, Any]:
 @_command("tightness", "square-block cloud with large census",
           _arg("--m", type=int, required=True))
 def _cmd_tightness(args) -> Dict[str, Any]:
+    _at_most("--m", args.m, MAX_CLOUD_M, "tables over pairs of about m^2 cloud points")
     rep = tightness_example(args.m)
     verdicts = [
         _verdict("doubling", rep.sumset_size < rep.doubling_bound,

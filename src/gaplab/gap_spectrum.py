@@ -33,7 +33,7 @@ import numpy as np
 from .exact_torus import (Cleared, DuplicatePointError, LazyFields, RationalLike, TorusPoint,
                           _unread, as_rational, common_scale, int_dtype, lowest_terms,
                           reduce_mod1, residue_over, residues)
-from .sumset_engine import FiniteExactSet, Domain, _ascending, _lift, torus_pairsums
+from .sumset_engine import FiniteExactSet, Domain, _Sorted, _lift, torus_pairsums
 
 
 class TooFewPointsError(ValueError):
@@ -148,7 +148,7 @@ class CircularSet(LazyFields):
 
     def to_exact_set(self) -> FiniteExactSet:
         ints, q = self._residues
-        return FiniteExactSet._from_ints(ints, q, Domain.TORUS)
+        return FiniteExactSet._from_ints(_Sorted.of(ints), q, Domain.TORUS)
 
     def __len__(self) -> int:
         return len(self._residues[0])
@@ -198,7 +198,7 @@ def sumset_size(a: CircularSet, b: CircularSet) -> int:
 def _residue_sumset_size(a: CircularSet, b: CircularSet) -> int:
     """|A + B| counted on residues, for any two sets: the oracle of the count on labels."""
     (xs, ys), q = common_scale(a._residues, b._residues)
-    return len(torus_pairsums(xs, ys, q))
+    return len(torus_pairsums(xs, ys, q)) if xs and ys else 0
 
 
 def _gaps(ints: list, q: int, wrap: Wrap) -> list:
@@ -459,7 +459,7 @@ def arc_counting_diagnostic(a: CircularSet, b: CircularSet, k: int) -> ArcCounti
     # the witnesses: the first index of each distinct gap, ascending
     j_a = np.sort(np.unique(np.array(_gaps(*a._residues, a.wrap), dtype), return_index=True)[1])
 
-    sums = _ascending(torus_pairsums(xs, ys, q))
+    sums = torus_pairsums(xs, ys, q).tolist()
     total = len(sums)
     floor_size, oversized = divmod(total, k)
     sizes = [floor_size + 1] * oversized + [floor_size] * (k - oversized)

@@ -10,12 +10,12 @@ convolution when the output span is small enough to afford one (or, when
 its segment is sparse, the pair sums scattered into a bool map and packed to
 the same words), a chunked outer sum otherwise (sorted int64 offsets, or,
 up to a span of 2^124, two 62-bit limbs added with carry and sorted on the
-sum's top 64 bits), and past that a hashing fallback, whose Python set stays
-unsorted until someone needs the order.  Dense sums stay bitmap words
-(_Bitmap) and outer sums sorted offsets from a Python-int base (_Sorted)
-until their ints are read: the size of a sum that nobody prints costs a
-popcount or a length, and the torus folds [q, 2q) onto [0, q) as a shifted
-OR of words or by moving the base.  A + A of one set (the same list as both
+sum's top 64 bits), and past that a hashing fallback, sorted once.  Dense
+sums stay bitmap words (_Bitmap) and every other set ascending offsets from
+a Python-int base (_Sorted) until their ints are read: the size of a sum
+that nobody prints costs a popcount or a length, and the torus folds
+[q, 2q) onto [0, q) as a shifted OR of words, by moving the base, or on the
+offsets (62-bit limbs past int64).  A + A of one set (the same list as both
 operands) forms each unordered pair once on every path, and on the dense
 word kernel it also skips the output words that are already all ones.  A
 set (an exact_torus.LazyFields type) lifts its elements to ints, Fractions
@@ -112,11 +112,12 @@ class _Bitmap:
 class _Sorted:
     """Distinct ints in ascending order, as offsets from base, a Python int of any size.
 
-    Each int is base + (top << shift) + low: top a sorted int64 array and low
-    None (shift 0), or, for the two-limb sums past int64, top the uint64
-    top 64 bits of each offset and low the shift bits below them.  Two-limb
-    offsets whose tops are all distinct may come unordered; they are sorted
-    on first read.  The ints are built only by tolist().
+    Each int is base + (top << shift) + low: top a sorted int64 array (an
+    object one past int64, exact_torus.int_dtype) and low None (shift 0),
+    or, for two-limb sums, top the uint64 top 64 bits of each offset and low
+    the shift bits below them.  Two-limb offsets whose tops are all distinct
+    may come unordered; they are sorted on first read.  The ints are built
+    only by tolist().
     """
 
     __slots__ = ("top", "base", "low", "shift", "ordered")
@@ -124,6 +125,11 @@ class _Sorted:
     def __init__(self, top: np.ndarray, base: int, low: Optional[np.ndarray] = None,
                  shift: int = 0, ordered: bool = True) -> None:
         self.top, self.base, self.low, self.shift, self.ordered = top, base, low, shift, ordered
+
+    @classmethod
+    def of(cls, ints: list) -> "_Sorted":
+        """Ascending distinct Python ints, as offsets from the first."""
+        return cls(_offsets(ints), ints[0]) if ints else cls(np.zeros(0, dtype=np.int64), 0)
 
     def __len__(self) -> int:
         return len(self.top)
@@ -133,11 +139,13 @@ class _Sorted:
             order = np.argsort(self.top)
             self.top, self.low, self.ordered = self.top[order], self.low[order], True
 
-    def offset(self, i: int) -> int:
-        """The i-th offset from base, as a Python int."""
-        self._order()
-        top = int(self.top[i])
-        return top if self.low is None else (top << self.shift) + int(self.low[i])
+    def ends(self) -> tuple:
+        """The least and the greatest offset, as Python ints; unordered rows,
+        whose tops are distinct, are read at their least and greatest top."""
+        rows = (0, -1) if self.ordered else (np.argmin(self.top), np.argmax(self.top))
+        if self.low is None:
+            return tuple(int(self.top[i]) for i in rows)
+        return tuple((int(self.top[i]) << self.shift) + int(self.low[i]) for i in rows)
 
     def tolist(self) -> list:
         self._order()
@@ -149,11 +157,6 @@ class _Sorted:
         if len(top) and -INT64_MAX <= base and base + int(top[-1]) <= INT64_MAX:
             return (top + base).tolist()
         return [t + base for t in top.tolist()]
-
-
-def _ascending(ints) -> list:
-    """Python ints in ascending order, from any form of FiniteExactSet._ints."""
-    return ints.tolist() if hasattr(ints, "tolist") else sorted(ints)
 
 
 def _lift(ints: list, scale: int, dom: Domain) -> tuple:
@@ -170,11 +173,10 @@ class FiniteExactSet(LazyFields):
     """A finite set of exact elements: integers, rationals or points of R/Z.
 
     The set keeps distinct ints n over one positive scale, each standing for
-    the element n / scale (a residue in [0, scale) on the torus): sorted
-    offsets from a base (a _Sorted, from the outer sum kernel), the words of
-    a dense sum (a _Bitmap), both of which build their ints only when they
-    are read, or Python ints in any order.  Length is the count each form
-    holds, and set algebra runs on the ascending ints.  A set is held unread
+    the element n / scale (a residue in [0, scale) on the torus): the words
+    of a dense sum (a _Bitmap) or sorted offsets from a base (a _Sorted),
+    both of which build their ints only when they are read.  Length is the
+    count each form holds, and set algebra runs on the ascending ints.  A set is held unread
     (exact_torus.LazyFields): ``elements``, the ascending tuple of ints,
     Fractions or canonical TorusPoints, is lifted on first read.  The constructors
     also take an exact_torus.Cleared, whose ints they read with no Fraction built.
@@ -203,7 +205,7 @@ class FiniteExactSet(LazyFields):
             coerce = _coerce if dom is Domain.TORUS else as_rational
             ints, scale = residues([coerce(x) for x in elements])
         ints = {n % scale for n in ints} if dom is Domain.TORUS else set(ints)
-        self.__dict__.update(_ints=ints, _scale=scale, domain=dom)
+        self.__dict__.update(_ints=_Sorted.of(sorted(ints)), _scale=scale, domain=dom)
 
     @classmethod
     def integers(cls, xs: Iterable[int] | Cleared) -> "FiniteExactSet":
@@ -219,11 +221,11 @@ class FiniteExactSet(LazyFields):
 
     @classmethod
     def _from_ints(cls, ints, scale: int, dom: Domain) -> "FiniteExactSet":
-        # Internal: ints in the form the class docstring gives, taken unchecked.
+        # Internal: ints a _Bitmap or a _Sorted, taken unchecked.
         return _unread(cls, _ints=ints, _scale=scale, domain=dom)
 
     def _lift(self) -> dict:
-        return {"elements": _lift(_ascending(self._ints), self._scale, self.domain)}
+        return {"elements": _lift(self._ints.tolist(), self._scale, self.domain)}
 
     @cached_property
     def element_set(self) -> frozenset:
@@ -232,7 +234,7 @@ class FiniteExactSet(LazyFields):
     @cached_property
     def _key(self) -> tuple:
         # Lowest terms make the key canonical: equal sets, equal keys.
-        ints = _ascending(self._ints)
+        ints = self._ints.tolist()
         g = gcd(self._scale, *ints)
         return self.domain, self._scale // g, tuple(n // g for n in ints)
 
@@ -262,12 +264,14 @@ class FiniteExactSet(LazyFields):
 
 
 def negate(x: FiniteExactSet) -> FiniteExactSet:
-    ints, q, dom = x._ints, x._scale, x.domain
-    if hasattr(ints, "tolist"):
-        ints = ints.tolist()
+    """-x, read off the ascending ints backwards: n -> -n, or q - n on the torus."""
+    ints, q, dom = x._ints.tolist(), x._scale, x.domain
     if dom is not Domain.TORUS:
-        return FiniteExactSet._from_ints([-n for n in ints], q, dom)
-    return FiniteExactSet._from_ints([q - n if n else 0 for n in ints], q, dom)
+        neg = [-n for n in reversed(ints)]
+    else:
+        zero = ints[:1] == [0]  # 0 is its own negative and stays first
+        neg = ints[:zero] + [q - n for n in reversed(ints[zero:])]
+    return FiniteExactSet._from_ints(_Sorted.of(neg), q, dom)
 
 
 def _require_same_domain(x: FiniteExactSet, y: FiniteExactSet) -> None:
@@ -281,8 +285,8 @@ def sumset(x: FiniteExactSet, y: FiniteExactSet) -> FiniteExactSet:
     dom = x.domain
     if not len(x) or not len(y):
         return FiniteExactSet((), dom)
-    xs = _ascending(x._ints)
-    ys = xs if y is x else _ascending(y._ints)
+    xs = x._ints.tolist()
+    ys = xs if y is x else y._ints.tolist()
     (xs, ys), scale = common_scale((xs, x._scale), (ys, y._scale))
     if dom is Domain.TORUS:
         return FiniteExactSet._from_ints(torus_pairsums(xs, ys, scale), scale, dom)
@@ -290,34 +294,56 @@ def sumset(x: FiniteExactSet, y: FiniteExactSet) -> FiniteExactSet:
 
 
 def torus_pairsums(xs: list, ys: list, q: int):
-    """Distinct residues mod q of x + y, for ascending residue lists.
+    """Distinct residues mod q of x + y, for nonempty ascending residue lists.
 
     Words over exactly [0, q) (a _Bitmap with lo 0) when the dense kernel
-    ran and that map is at most twice the size of its words.  Otherwise
-    sorted offsets (a _Sorted) when all of the sums reach q or none do, or
-    when some do, the offsets are int64 and q fits int64; else a Python set
-    in no particular order.
+    ran and that map is at most twice the size of its words.  Otherwise a
+    _Sorted: the sums as they are when none reaches q, their base moved by q
+    when all do, and when some do, folded in numpy, on int64 offsets while q
+    fits int64, on 62-bit limbs up to LIMB_SPAN_LIMIT, as Python ints past it.
     """
-    if not xs or not ys:
-        return set()
     sums = _pairsums_int(xs, ys)
     if isinstance(sums, _Bitmap):
         if (q + 63) >> 6 <= 2 * len(sums.words):
             return _torus_words(sums, q)
         sums = sums.sorted()
-    if isinstance(sums, _Sorted):
-        # Sums lie in [0, 2q); those at or above q are the offsets t and up.
-        t, base = q - sums.base, sums.base
-        if t > sums.offset(-1):
-            return sums
-        if t <= sums.offset(0):
-            return _Sorted(sums.top, base - q, sums.low, sums.shift)
-        if sums.low is not None or q > INT64_MAX:
-            sums = sums.tolist()
-        else:
-            top = sums.top
-            return _Sorted(sorted_unique(np.where(top >= t, top - t, top + base)), 0)
-    return {n - q if n >= q else n for n in sums}
+    # Sums lie in [0, 2q); those at or above q are the offsets t and up.
+    t, base = q - sums.base, sums.base
+    first, last = sums.ends()
+    if t > last:
+        return sums
+    if t <= first:
+        return _Sorted(sums.top, base - q, sums.low, sums.shift, sums.ordered)
+    top = sums.top
+    if top.dtype == np.int64 and q <= INT64_MAX:
+        return _Sorted(sorted_unique(np.where(top >= t, top - t, top + base)), 0)
+    if top.dtype != object and q <= LIMB_SPAN_LIMIT:
+        return _fold_limbs(sums, q)
+    ints = np.array(sums.tolist(), dtype=object)
+    return _Sorted.of(sorted_unique(np.where(ints >= q, ints - q, ints)).tolist())
+
+
+def _fold_limbs(sums: _Sorted, q: int) -> _Sorted:
+    """Int64 or two-limb sums in [0, 2q), some at or above q, folded mod q on limbs.
+
+    Each offset, split into 62-bit limbs, adds the base less q when it lies
+    at or above t = q - base, and the base alone when not, with carry or
+    borrow modulo 2^126.  The results take the limb encoding _outer_pairsums
+    gives a span of q, and _distinct_limbs their union; nothing is ordered.
+    """
+    t, s = q - sums.base, np.uint64(sums.shift)
+    top = sums.top.astype(np.uint64)  # int64 offsets are two limbs with shift 0
+    hi = top >> (np.uint64(_LIMB_BITS) - s)
+    lo = (top << s) & np.uint64(_LIMB_MASK)
+    if sums.low is not None:
+        lo |= sums.low
+    t_hi, t_lo = np.uint64(t >> _LIMB_BITS), np.uint64(t & _LIMB_MASK)
+    up = (hi > t_hi) | ((hi == t_hi) & (lo >= t_lo))
+    below, above = sums.base, (sums.base - q) % (1 << (_LIMB_BITS + 64))
+    hi += np.where(up, np.uint64(above >> _LIMB_BITS), np.uint64(below >> _LIMB_BITS))
+    lo += np.where(up, np.uint64(above & _LIMB_MASK), np.uint64(below & _LIMB_MASK))
+    shift = max(q.bit_length() - 64, 0)
+    return _distinct_limbs(*_top_bits(hi, lo, shift), 0, shift)
 
 
 def _or_shifted(out: np.ndarray, words: np.ndarray, shift: int) -> None:
@@ -371,7 +397,7 @@ def _pairsums_int(xs: list, ys: list):
     magnitude of the ints: every kernel runs on offsets from xs[0] + ys[0].
     The words of a _Bitmap from the dense path, sorted offsets (a _Sorted)
     from the outer path up to a span of LIMB_SPAN_LIMIT, and past it, or
-    past OUTER_PAIR_LIMIT pairs, an unsorted Python set from hashing.
+    past OUTER_PAIR_LIMIT pairs, the same from a Python set, sorted once.
     """
     lo = xs[0] + ys[0]
     span_out = xs[-1] + ys[-1] - lo + 1
@@ -386,26 +412,24 @@ def _pairsums_int(xs: list, ys: list):
         return _dense_pairsums(*orders[min(costs)[2]], lo, span_out)
     if n_pairs <= OUTER_PAIR_LIMIT and span_out <= LIMB_SPAN_LIMIT:
         return _outer_pairsums(xs, ys)
-    # Arbitrary-precision fallback; correct for any magnitudes.
-    if xs is ys:
-        return {a + b for i, a in enumerate(xs) for b in xs[i:]}
-    return {a + b for a in xs for b in ys}
+    # Arbitrary-precision fallback; correct for any magnitudes.  A + A forms
+    # each unordered pair once.
+    sums = {a + b for i, a in enumerate(xs) for b in (xs[i:] if xs is ys else ys)}
+    return _Sorted.of(sorted(sums))
 
 
 def _offsets(xs: list) -> np.ndarray:
-    """x - xs[0] as an int64 array, for ascending Python ints whose span fits int64."""
-    x0 = xs[0]
-    if -INT64_MAX <= x0 and xs[-1] <= INT64_MAX:
+    """x - xs[0] for ascending Python ints: int64 while the span fits, object past it."""
+    x0, dtype = xs[0], int_dtype(xs[-1] - xs[0])
+    if dtype is np.int64 and -INT64_MAX <= x0 and xs[-1] <= INT64_MAX:
         return np.asarray(xs, dtype=np.int64) - x0
-    return np.array([x - x0 for x in xs], dtype=np.int64)
+    return np.array([x - x0 for x in xs], dtype=dtype)
 
 
 def _limbs(xs: list) -> tuple:
     """(high, low): x - xs[0] split into two 62-bit uint64 limbs, for spans below 2^124."""
-    x0 = xs[0]
-    offs = [x - x0 for x in xs]
-    return (np.array([n >> _LIMB_BITS for n in offs], dtype=np.uint64),
-            np.array([n & _LIMB_MASK for n in offs], dtype=np.uint64))
+    offs = _offsets(xs)
+    return (offs >> _LIMB_BITS).astype(np.uint64), (offs & _LIMB_MASK).astype(np.uint64)
 
 
 def _pair_blocks(n_a: int, n_b: int, same: bool, budget: int):
@@ -462,49 +486,51 @@ def _outer_pairsums(xs: list, ys: list) -> _Sorted:
         pieces = [sorted_unique(_block_sums(a, b, chunk)) for chunk in chunks]
         return _Sorted(pieces[0] if len(pieces) == 1 else
                        sorted_unique(np.concatenate(pieces)), base)
-    # The sum's top 64 bits are (high << 62 - shift) | (low >> shift).
     shift = max(span.bit_length() - 64, 0)
-    up, down = np.uint64(_LIMB_BITS - shift), np.uint64(shift)
     a_hi, a_lo = _limbs(xs)
     b_hi, b_lo = (a_hi, a_lo) if same else _limbs(ys)
-    pieces = []
-    for chunk in chunks:
-        low = _block_sums(a_lo, b_lo, chunk)
-        top = _block_sums(a_hi, b_hi, chunk)
-        top += low >> np.uint64(_LIMB_BITS)
-        low &= np.uint64(_LIMB_MASK)
-        top <<= up
-        top |= low >> down
-        low &= np.uint64((1 << shift) - 1)
-        pieces.append(_distinct_limbs(top, low))
-    top, low = pieces[0] if len(pieces) == 1 else _distinct_limbs(
-        *(np.concatenate(p) for p in zip(*pieces)))
-    return _Sorted(top, base, low, shift, ordered=False)
+    pieces = [_distinct_limbs(*_top_bits(_block_sums(a_hi, b_hi, chunk),
+                                         _block_sums(a_lo, b_lo, chunk), shift), base, shift)
+              for chunk in chunks]
+    if len(pieces) == 1:
+        return pieces[0]
+    return _distinct_limbs(np.concatenate([p.top for p in pieces]),
+                           np.concatenate([p.low for p in pieces]), base, shift)
 
 
-def _distinct_limbs(top: np.ndarray, low: np.ndarray) -> tuple:
-    """The distinct (top, low) pairs, in no promised order.
+def _top_bits(hi: np.ndarray, lo: np.ndarray, shift: int) -> tuple:
+    """(top, low) of the ints hi * 2^62 + lo, lo below 2^63, in place: the bits
+    from shift up, (hi << 62 - shift) | (lo >> shift) after the carry, and below."""
+    hi += lo >> np.uint64(_LIMB_BITS)
+    lo &= np.uint64(_LIMB_MASK)
+    hi <<= np.uint64(_LIMB_BITS - shift)
+    hi |= lo >> np.uint64(shift)
+    lo &= np.uint64((1 << shift) - 1)
+    return hi, lo
 
-    When no top repeats, every pair is distinct as it stands: one sort of
-    the uint64 tops shows it, and the pairs stay unordered.  Otherwise one
-    argsort on top orders them, and only the rows whose top repeats are then
-    ordered by low among themselves.
+
+def _distinct_limbs(top: np.ndarray, low: np.ndarray, base: int, shift: int) -> _Sorted:
+    """The distinct (top, low) rows, as a _Sorted from base.
+
+    One sort of the uint64 tops finds the tops that repeat; only their rows
+    are ordered, to drop repeated rows.  The rows stay unordered unless
+    distinct rows share a top, when all of them are ordered by (top, low).
     """
     tops = np.sort(top)
-    if not (tops[1:] == tops[:-1]).any():
-        return top, low
-    order = np.argsort(top)
-    top, low = top[order], low[order]
-    tie = top[1:] == top[:-1]
-    tied = np.zeros(len(top), dtype=bool)
-    tied[1:] = tie
-    tied[:-1] |= tie
-    rows = np.flatnonzero(tied)
-    # top is sorted and each tied run is contiguous, so only low moves
-    low[rows] = low[rows[np.lexsort((low[rows], top[rows]))]]
+    tie = tops[1:] == tops[:-1]
+    if not tie.any():
+        return _Sorted(top, base, low, shift, ordered=False)
+    rows = np.flatnonzero(np.isin(top, tops[1:][tie]))
+    rows = rows[np.lexsort((low[rows], top[rows]))]
+    same_top = top[rows[1:]] == top[rows[:-1]]
+    repeat = same_top & (low[rows[1:]] == low[rows[:-1]])
     keep = np.ones(len(top), dtype=bool)
-    keep[1:] = ~tie | (low[1:] != low[:-1])
-    return top[keep], low[keep]
+    keep[rows[1:][repeat]] = False
+    top, low = top[keep], low[keep]
+    if (same_top & ~repeat).any():
+        order = np.lexsort((low, top))
+        return _Sorted(top[order], base, low[order], shift)
+    return _Sorted(top, base, low, shift, ordered=False)
 
 
 def _full_run(out: np.ndarray) -> tuple:
@@ -638,14 +664,10 @@ def _difference_table(ints: list, scale: int, dom: Domain):
     translation, so integers and rationals run on offsets from the smallest
     int; the torus folds each difference of residues into [0, scale).
     """
+    o = np.array(ints, dtype=int_dtype(scale)) if dom is Domain.TORUS else _offsets(ints)
+    d = np.subtract.outer(o, o)
     if dom is Domain.TORUS:
-        o = np.array(ints, dtype=int_dtype(scale))
-        d = np.subtract.outer(o, o)
         d[d < 0] += scale
-    else:
-        lo = ints[0]
-        o = np.array([n - lo for n in ints], dtype=int_dtype(ints[-1] - lo))
-        d = np.subtract.outer(o, o)
     universe = sorted_unique(d.ravel())
     return universe, np.searchsorted(universe, d)
 
@@ -664,7 +686,7 @@ def minimal_difference_cover(b: FiniteExactSet, exact_limit: int = EXACT_LIMIT,
     if not len(b):
         return CoverResult((), True, (), {})
     # Candidates are the rows i of the set's ascending ints.
-    dom, ints, scale = b.domain, _ascending(b._ints), b._scale
+    dom, ints, scale = b.domain, b._ints.tolist(), b._scale
     universe, pos = _difference_table(ints, scale, dom)
     full = (1 << len(universe)) - 1
     # One bit row at a time: candidate i covers the bits pos[i].

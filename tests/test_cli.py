@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gaplab import cli
 from gaplab.cli import _rational, main
 
 
@@ -299,6 +300,35 @@ def test_a_refused_list_is_one_line_of_argparse(flag, text, message, capsys):
 def test_an_exponent_past_the_limit_in_a_list_exits_two_with_one_line(argv, capsys):
     assert main(argv) == 2
     assert capsys.readouterr() == ("", _refusal())
+
+
+_ALPHA = ["--alpha", "1/1000000000000000003"]
+
+
+@pytest.mark.parametrize("argv, ceiling", [
+    (["orbit", *_ALPHA, "--n"], cli.MAX_ORBIT_POINTS),
+    (["gaps", *_ALPHA, "--n"], cli.MAX_ORBIT_POINTS),
+    (["greedy", *_ALPHA, "--n"], cli.MAX_ORBIT_POINTS),
+    (["cover", *_ALPHA, "--n"], cli.MAX_COVER_N),
+    (["generators", "--points", "0;1/2", "--n"], cli.MAX_COVER_N),
+    (["behrend", "--n"], cli.MAX_BEHREND_N),
+    (["forced-cover", "--s", "1,2", "--n"], cli.MAX_COVER_N),
+    (["kronecker", "--alphas", "1/1000000000000000003", "--n"], cli.MAX_ORBIT_POINTS),
+    (["kronecker", "--alphas", "1/1000000000000000003,1/3", "--n"], cli.MAX_ORBIT_POINTS // 2),
+    (["tightness", "--m"], cli.MAX_CLOUD_M),
+    (["extract-core", "--m"], cli.MAX_CLOUD_M),
+    (["extract-core", "--points", "0;1/2;1/3", "--m"], cli.MAX_CLOUD_M)])
+def test_a_size_past_its_ceiling_exits_two_naming_it(argv, ceiling, monkeypatch, capsys):
+    # by argument value only: one past each ceiling, and 10^15, are refused
+    # before any library call starts the work
+    for name in ("fractional_orbit", "three_gap_check", "behrend_set", "exact_ap_free",
+                 "kronecker_census", "tightness_example", "PointCloud"):
+        monkeypatch.setattr(cli, name, None)
+    for size in (ceiling + 1, 10 ** 15):
+        assert main(argv + [str(size)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: {argv[-1]} {size} is past its ceiling {ceiling} (")
 
 
 def test_colliding_orbit_is_input_error(capsys):
@@ -779,6 +809,13 @@ _RATIONAL = _rarely(
                                "1e-40", "7/18446744073709551629"])),
     st.sampled_from(["1e5000", "2e-99999", "1e4301", "1/0", "x", "", "1/", "-", "1/2/3"]))
 _INT = _rarely(st.integers(-2, 12).map(str), st.sampled_from(["x", "1.5", ""]))
+# a size past every ceiling (cli.MAX_*), which no allocation of its size may start
+_HUGE_SIZE = st.integers(10 ** 12, 10 ** 18).map(str)
+
+
+def _size(common):
+    """A size option's values: common ones, and rarely one from 10^12 to 10^18."""
+    return _rarely(common, _HUGE_SIZE)
 
 
 def _joined(sep, item, min_size=1, max_size=5):
@@ -819,26 +856,27 @@ def _arms(draw):
     return ["--betas", betas, "--lengths", draw(_rarely(st.just(lengths), _INTS))]
 
 
-_SOURCE = dict(points=_CIRCLE, alpha=_RATIONAL, n=_INT, exact_limit=_INT)
+_SOURCE = dict(points=_CIRCLE, alpha=_RATIONAL, n=_size(_INT), exact_limit=_INT)
 _GRAMMAR = {
-    "orbit": _options(("alpha", _RATIONAL), ("n", st.integers(-2, 40).map(str))),
-    "gaps": _options(("alpha", _RATIONAL), ("n", _INT)),
+    "orbit": _options(("alpha", _RATIONAL), ("n", _size(st.integers(-2, 40).map(str)))),
+    "gaps": _options(("alpha", _RATIONAL), ("n", _size(_INT))),
     "ap-union": st.tuples(_options(("alpha", _RATIONAL)), _arms()).map(lambda t: t[0] + t[1]),
-    "greedy": _options(("alpha", _RATIONAL), ("n", st.integers(-2, 40).map(str))),
+    "greedy": _options(("alpha", _RATIONAL), ("n", _size(st.integers(-2, 40).map(str)))),
     "sumset": _options(("a", _LIST), b=_LIST, domain=st.sampled_from(
         ["torus", "rationals", "integers"]), print_limit=_INT),
     "cover": _options(**_SOURCE),
     "generators": _options(**_SOURCE, cover=_CIRCLE),
-    "behrend": _options(("n", st.integers(-2, 60).map(str))),
-    "forced-cover": _options(("n", st.integers(-2, 12).map(str)), s=_INTS, exact_limit=_INT),
+    "behrend": _options(("n", _size(st.integers(-2, 60).map(str)))),
+    "forced-cover": _options(("n", _size(st.integers(-2, 12).map(str))), s=_INTS,
+                             exact_limit=_INT),
     "lattice": _options(("alphas", _joined(",", _RATIONAL, max_size=3)), ("box", _INTS)),
     "nn-census": _options(("points", _VECTORS), method=st.sampled_from(
         ["auto", "brute", "grid"]), cells=_INT),
-    "kronecker": _options(("alphas", _joined(",", _RATIONAL, max_size=3)), ("n", _INT)),
+    "kronecker": _options(("alphas", _joined(",", _RATIONAL, max_size=3)), ("n", _size(_INT))),
     "kissing": _options(("vectors", _VECTORS)),
-    "extract-core": _options(points=_VECTORS, m=st.integers(-1, 5).map(str),
+    "extract-core": _options(points=_VECTORS, m=_size(st.integers(-1, 5).map(str)),
                              epsilon=_RATIONAL, kappa=_RATIONAL),
-    "tightness": _options(("m", st.integers(-1, 8).map(str))),
+    "tightness": _options(("m", _size(st.integers(-1, 8).map(str)))),
     "verify": _options(("suite", _joined(",", st.sampled_from(_CHECKS), max_size=2)),
                        ("trials", st.integers(-1, 2).map(str)), seed=_INT),
 }
@@ -869,6 +907,8 @@ def test_the_argv_grammar_names_every_subcommand():
 @example(["extract-core", "--points", "0", "--m", "0"])
 @example(["extract-core", "--points", "0;1/2;1/3", "--epsilon", "1/2", "--kappa", "1/100"])
 @example(["tightness", "--m", "-1"])
+@example(["gaps", "--alpha", "1/1000000000000000003", "--n", "1000000000000000"])
+@example(["extract-core", "--points", "0;1/2;1/3", "--m", "1000000000000"])
 @example(["verify", "--suite", "kissing", "--trials", "0"])
 @example(["verify", "--suite", "no-such-check", "--trials", "1"])
 def test_every_command_keeps_the_exit_contract_under_fuzzed_argv(argv):
@@ -876,18 +916,25 @@ def test_every_command_keeps_the_exit_contract_under_fuzzed_argv(argv):
     import io
     import os
     import tempfile
+    import time
     from pathlib import Path
 
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
         path = os.path.join(tmp, "doc.json")
+        start = time.perf_counter()
         try:
             rc = main(argv + ["--output", path])
         except SystemExit as exc:  # argparse refused the argv
             rc = exc.code
+        elapsed = time.perf_counter() - start
         doc = json.loads(Path(path).read_text()) if os.path.exists(path) else None
     lines = err.getvalue().splitlines()
+    if any(flag in ("--n", "--m") and value.isdigit() and int(value) >= 10 ** 12
+           for flag, value in zip(argv, argv[1:])):
+        # a size past its ceiling is refused before any work starts
+        assert rc == 2 and elapsed < 1, (rc, elapsed, lines)
     assert "Traceback" not in err.getvalue()
     assert rc in (0, 1, 2), (rc, lines)
     if rc == 2:

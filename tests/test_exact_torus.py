@@ -341,10 +341,11 @@ def test_constructors_read_a_cleared_as_its_values(rows, factor):
     assert got == want if type(want) is tuple else (
         (got._residues, got.labels) == (want._residues, want.labels))
     for make in (FiniteExactSet.rationals, FiniteExactSet.torus):
-        assert (make(flat)._ints, make(flat)._scale) == (make(values)._ints, make(values)._scale)
+        assert ((make(flat)._ints.tolist(), make(flat)._scale)
+                == (make(values)._ints.tolist(), make(values)._scale))
     if all(v.denominator == 1 for v in values):
         got, want = FiniteExactSet.integers(flat), FiniteExactSet.integers(map(int, values))
-        assert (got._ints, got._scale) == (want._ints, 1)
+        assert (got._ints.tolist(), got._scale) == (want._ints.tolist(), 1)
     else:
         first = next(v for v in values if v.denominator != 1)
         assert _outcome(lambda: FiniteExactSet.integers(flat)) == (

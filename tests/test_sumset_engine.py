@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gaplab import sumset_engine as se
-from gaplab.exact_torus import TorusPoint, as_rational, reduce_mod1, residues
+from gaplab.exact_torus import TorusPoint, as_rational, int_dtype, reduce_mod1, residues
 from gaplab.gap_spectrum import fractional_orbit, sumset_size
 from gaplab.sumset_engine import (Domain, DomainMismatchError, FiniteExactSet,
                                   difference_set, doubling_ratio,
@@ -375,14 +375,15 @@ def test_identical_operands_at_a_lowered_outer_pair_limit(monkeypatch, domain, n
 
 @pytest.mark.parametrize("q, expected_path", [
     ((1 << 62) - 1, "outer"), (1 << 62, "outer"), ((1 << 62) + 1, "outer"),
-    (I64_MAX, "outer"), (1 << 63, "outer"), (1 << 70, "dense")])
+    (I64_MAX, "outer"), (1 << 63, "outer"), (1 << 70, "dense"), ((1 << 130) + 3, "hash")])
 def test_torus_fold_on_both_sides_of_its_int64_guard(monkeypatch, q, expected_path):
     # the largest sum 2q - 2 passes I64_MAX first at q = 2^62 + 1, where the
-    # outer path turns to two limbs, and sums on both sides of q fold in
-    # numpy only while q fits int64; a modulus past int64 with small
-    # residues keeps sums that never wrap
-    xs = [0, 1, 2, q - 2, q - 1] if q < (1 << 64) else [0, 1, 2, 3]
-    ys = [0, 1, q - 1] if q < (1 << 64) else [0, 5]
+    # outer path turns to two limbs; a modulus past int64 with small
+    # residues keeps sums that never wrap, and past the limbs sums on both
+    # sides of q (one of them q itself) fold as Python ints
+    wraps = q < (1 << 64) or q > LIMB_LIMIT
+    xs = [0, 1, 2, q - 2, q - 1] if wraps else [0, 1, 2, 3]
+    ys = [0, 1, q - 1] if wraps else [0, 5]
     brute = brute_sum(xs, ys)
     _check_domain(monkeypatch, xs, ys, q, "torus", expected_path, brute)
     s = sumset(FiniteExactSet.torus([Fraction(n, q) for n in xs]),
@@ -407,13 +408,13 @@ def _path_of(xs, ys):
     with pytest.MonkeyPatch.context() as mp:
         seen = _spy_paths(mp)
         got = se._pairsums_int(xs, ys)
-    return sorted(got) if isinstance(got, set) else got.tolist(), (seen or ["hash"])[0], got
+    return got.tolist(), (seen or ["hash"])[0], got
 
 
 @pytest.mark.parametrize("base", [0, -(1 << 63) - 17, -(1 << 200), (1 << 63) + 5, 1 << 90])
 @pytest.mark.parametrize("span, path, limbs", [
-    (I64_MAX, "outer", False), (I64_MAX + 1, "outer", True),
-    (LIMB_LIMIT - 1, "outer", True), (LIMB_LIMIT, "hash", None)])
+    (I64_MAX, "outer", False), (I64_MAX + 1, "outer", True), (I64_MAX + 2, "outer", True),
+    (LIMB_LIMIT - 1, "outer", True), (LIMB_LIMIT, "hash", None), (LIMB_LIMIT + 1, "hash", None)])
 def test_outer_sums_on_both_sides_of_the_int64_and_limb_spans(base, span, path, limbs):
     # the sums span exactly `span`: int64 offsets up to I64_MAX, two limbs
     # from I64_MAX + 1 to LIMB_LIMIT - 1, the Python set from LIMB_LIMIT on
@@ -427,6 +428,28 @@ def test_outer_sums_on_both_sides_of_the_int64_and_limb_spans(base, span, path, 
         assert (ran, got) == (path, brute_sum(a, b))
         if limbs is not None:
             assert (res.low is not None) == limbs and len(res) == len(got)
+
+
+@pytest.mark.parametrize("base", [0, -(1 << 63) - 17, (1 << 63) + 5])
+@pytest.mark.parametrize("span", [I64_MAX - 1, I64_MAX, I64_MAX + 1, I64_MAX + 2,
+                                  LIMB_LIMIT - 1, LIMB_LIMIT, LIMB_LIMIT + 1])
+def test_a_constructed_set_holds_sorted_offsets_at_each_span(base, span):
+    # int64 offsets below I64_MAX, Python ints in an object array from there
+    # (exact_torus.int_dtype); its sums, negation and differences against
+    # the Python-set brute force, with the sums spanning `span` too
+    rng = random.Random(span ^ base)
+    xs = _spanning(base, span, 30, rng)
+    a = FiniteExactSet.integers(xs[::-1] + xs[:3])
+    held = a._ints
+    assert type(held) is se._Sorted and held.base == xs[0] and held.low is None
+    assert held.top.dtype == int_dtype(span) and held.tolist() == xs and len(a) == len(xs)
+    b = FiniteExactSet.integers(_spanning(-base // 3, 7, 5, rng))
+    c = FiniteExactSet.integers(_spanning(base, span - 7, 30, rng))
+    for x, y in ((a, b), (b, a), (c, b), (a, a)):
+        assert list(sumset(x, y).elements) == brute_sum(x.elements, y.elements)
+        neg = [-n for n in y.elements]
+        assert list(negate(y).elements) == sorted(neg)
+        assert list(difference_set(x, y).elements) == brute_sum(x.elements, neg)
 
 
 @st.composite
@@ -482,29 +505,58 @@ def test_wide_sums_read_and_count_like_the_set(lo, raw, same):
     got = se._pairsums_int(xs, ys)
     want = brute_sum(xs, ys)
     assert len(got) == len(want)
-    assert sorted(got) == want if isinstance(got, set) else got.tolist() == want
+    assert got.tolist() == want
 
 
-@pytest.mark.parametrize("q", [(1 << 63) + 1, (1 << 64) + 13, (1 << 70) + 1, (1 << 100) + 7])
-@pytest.mark.parametrize("where", ["low", "middle", "high", "ends"])
+@pytest.mark.parametrize("q", [(1 << 63) + 1, (1 << 64) + 13, (1 << 70) + 1, (1 << 100) + 7,
+                               (1 << 130) + 3])
+@pytest.mark.parametrize("where", ["low", "middle", "high", "ends", "circle"])
 @pytest.mark.parametrize("same", [True, False])
 def test_narrow_torus_sets_over_a_modulus_past_int64(q, where, same):
     # residues in a window of 2^20: sums below q, across q, all past q, and
-    # a window across 0 that spans the whole circle
+    # a window across 0 that spans the whole circle; and random residues
+    # over the whole circle
     rng = random.Random(f"{q}:{where}")
     start = {"low": 5, "middle": q // 2 - (1 << 19), "high": q - (1 << 20) - 3,
-             "ends": q - (1 << 19)}[where]
+             "ends": q - (1 << 19), "circle": 0}[where]
+    width = q if where == "circle" else 1 << 20
 
     def window(k):
-        return sorted({(start + rng.randrange(1 << 20)) % q for _ in range(k)})
+        return sorted({(start + rng.randrange(width)) % q for _ in range(k)})
     xs = window(300)
     ys = xs if same else window(150)
     want = sorted({(a + b) % q for a in xs for b in ys})
+    # the sums of residues near both ends of the circle span past int64: two
+    # limbs, or Python ints past the limbs
+    wide = where in ("ends", "circle")
+    assert (se._pairsums_int(xs, ys).low is not None) == (wide and 2 * q < LIMB_LIMIT)
     got = se.torus_pairsums(xs, ys, q)
-    assert len(got) == len(want) and se._ascending(got) == want
+    assert len(got) == len(want) and got.tolist() == want
     a = FiniteExactSet.torus([Fraction(n, q) for n in xs])
     b = a if same else FiniteExactSet.torus([Fraction(n, q) for n in ys])
     assert sumset(a, b).elements == tuple(TorusPoint(Fraction(n, q)) for n in want)
+
+
+@pytest.mark.parametrize("q, form", [
+    (1000, "words"), (10 ** 6 + 3, "int64"), (I64_MAX, "limbs"), (I64_MAX + 2, "limbs"),
+    ((1 << 64) + 13, "limbs")])
+def test_torus_negation_keeps_zero_first_in_every_form(q, form):
+    # A - A holds 0 in every form the fold leaves: words, int64 offsets, and
+    # two limbs; negation reads each backwards and leaves 0 first
+    rng = random.Random(q)
+    xs = sorted({0} | {rng.randrange(q) for _ in range(150)})
+    a = FiniteExactSet.torus([Fraction(n, q) for n in xs])
+    d = difference_set(a, a)
+    held = d._ints
+    assert {"words": type(held) is se._Bitmap,
+            "int64": type(held) is se._Sorted and held.top.dtype == np.int64,
+            "limbs": type(held) is se._Sorted and held.low is not None}[form]
+    assert held.tolist() == sorted({(x - y) % q for x in xs for y in xs})
+    for s in (a, d, negate(a)):
+        ints = s._ints.tolist()
+        got = negate(s)._ints.tolist()
+        assert got[0] == 0 and got == sorted({-n % q for n in ints})
+        assert negate(negate(s)) == s and hash(negate(negate(s))) == hash(s)
 
 
 def _gate_operands(delta, same):
@@ -770,13 +822,14 @@ def test_identical_operands_match_a_copy_and_brute(xs):
     assert _identical_and_copy(xs)[0] == brute_sum(xs, xs)
 
 
-@given(st.sampled_from([7, 64, 1000, (1 << 20) + 7, (1 << 62) + 1, 1 << 70]),
+@given(st.sampled_from([7, 64, 1000, (1 << 20) + 7, (1 << 62) + 1, I64_MAX, I64_MAX + 2,
+                        (1 << 64) + 13, 1 << 70]),
        st.sets(st.integers(0, 1 << 80), min_size=1, max_size=60))
 @example(64, set(range(40)))
 @settings(deadline=None, max_examples=200)
 def test_identical_torus_operands_fold_like_a_copy(q, raw):
     xs = sorted({n % q for n in raw})
-    same, _ = _identical_and_copy(xs, lambda x, y: se._ascending(se.torus_pairsums(x, y, q)))
+    same, _ = _identical_and_copy(xs, lambda x, y: se.torus_pairsums(x, y, q).tolist())
     assert same == sorted({(a + b) % q for a in xs for b in xs})
 
 
@@ -975,6 +1028,13 @@ def _bitmap(ints, lo, n_words):
     return se._Bitmap(words, lo)
 
 
+def _limb_rows(ints, shift):
+    """A two-limb _Sorted of ascending ints from ints[0], its rows given in reverse."""
+    offs = np.array(ints[::-1], dtype=np.int64) - ints[0]
+    return se._distinct_limbs((offs >> shift).astype(np.uint64),
+                              (offs & ((1 << shift) - 1)).astype(np.uint64), ints[0], shift)
+
+
 def test_equality_on_words_agrees_with_the_lowest_terms_key():
     rng = random.Random(7)
     ints = sorted(rng.sample(range(-3000, 3000), 900))
@@ -987,14 +1047,17 @@ def test_equality_on_words_agrees_with_the_lowest_terms_key():
         "words again": make(_bitmap(ints, ints[0], n_words), 1, rat),
         "a longer map": make(_bitmap(ints, ints[0], n_words + 3), 1, rat),
         "a lower start": make(_bitmap(ints, ints[0] - 70, n_words + 2), 1, rat),
-        "an array": make(np.array(ints), 1, rat),
-        "python ints": make(set(ints), 1, rat),
+        "constructed": FiniteExactSet.rationals(ints[::-1]),
+        "unordered limbs": make(_limb_rows(ints, 0), 1, rat),
+        "limbs with tied tops": make(_limb_rows(ints, 4), 1, rat),
         "twice the scale": make(_bitmap([2 * n for n in ints], 2 * ints[0], 2 * n_words), 2,
                                 rat),
         "one bit moved": make(_bitmap(moved, ints[0], n_words), 1, rat),
         "integers": make(_bitmap(ints, ints[0], n_words), 1, Domain.INTEGERS),
         "shifted": make(_bitmap([n + 64 for n in ints], ints[0] + 64, n_words), 1, rat),
     }
+    assert type(sets["constructed"]._ints) is se._Sorted
+    assert not sets["unordered limbs"]._ints.ordered and sets["limbs with tied tops"]._ints.ordered
     # words at one start, length, scale and domain compare without the key
     a, b = sets["words"], sets["words again"]
     assert a == b and "_key" not in a.__dict__ and "_key" not in b.__dict__
@@ -1006,6 +1069,25 @@ def test_equality_on_words_agrees_with_the_lowest_terms_key():
                 assert hash(s) == hash(t)
     assert sets["words"] == sets["twice the scale"] == sets["a longer map"]
     assert sets["words"] != sets["integers"]
+    assert sets["constructed"] == sets["unordered limbs"] == sets["limbs with tied tops"]
+
+
+@pytest.mark.parametrize("q", [64 * 30 + 5, (1 << 64) + 13])
+def test_one_set_compares_and_hashes_alike_in_every_form(q):
+    # A + {0} is A: on words (dense) for the small circle, on unordered two
+    # limbs for the wide one, against the constructor's own sorted offsets
+    rng = random.Random(q)
+    xs = sorted({rng.randrange(q) for _ in range(400)})
+    a = FiniteExactSet.torus([Fraction(n, q) for n in xs])
+    zero = FiniteExactSet.torus([0])
+    for same in (sumset(a, zero), sumset(zero, a)):
+        held = same._ints
+        if q < 1 << 64:
+            assert type(held) is se._Bitmap
+        else:
+            assert held.low is not None and not held.ordered
+        assert "_key" not in vars(same) and same == a and hash(same) == hash(a)
+        assert held.tolist() == a._ints.tolist() == xs
 
 
 def test_torus_sums_in_either_order_compare_on_their_words():
@@ -1155,7 +1237,7 @@ def reference_cover(b: FiniteExactSet, exact_limit: int = 24,
     if not elems:
         return se.CoverResult((), True, (), {})
     # The set algebra below runs on the set's own ints, in step with elems.
-    dom, ints, scale = b.domain, se._ascending(b._ints), b._scale
+    dom, ints, scale = b.domain, b._ints.tolist(), b._scale
     wrap = (lambda d: d % scale) if dom is Domain.TORUS else (lambda d: d)
     orig = dict(zip(ints, elems))
     universe = sorted({wrap(p - q) for p in ints for q in ints})
@@ -1500,7 +1582,7 @@ def test_clearing_matches_the_parent(case):
     domain, values = case
     ints, scale = _parent_clearing(values, domain)
     got = FiniteExactSet(values, domain)
-    assert set(got._ints) == set(ints) and len(got._ints) == len(ints)
+    assert got._ints.tolist() == sorted(set(ints)) and len(got._ints) == len(ints)
     assert got._scale == scale
     assert got.elements == se._lift(sorted(ints), scale, domain)
 
