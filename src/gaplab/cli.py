@@ -93,6 +93,7 @@ _REPORT_OPTIONS = (
 MAX_ORBIT_POINTS = 10 ** 6  # orbit, gaps, greedy --n; kronecker --n times its alphas
 MAX_BEHREND_N = 3 ** 19  # the greedy progression-free list below it holds 2^19 values
 MAX_COVER_N = 3000  # forced-cover, and cover and generators of an orbit: n x n differences
+MAX_AP_FREE_N = 50  # forced-cover without --s: the exact search for its seed, about 2 s at 50
 MAX_CLOUD_M = 30  # tightness, extract-core: tables over pairs of about m^2 points
 
 
@@ -394,6 +395,9 @@ def _cmd_behrend(args) -> Dict[str, Any]:
                help="progression-free seed; defaults to the exact maximizer"),
           _EXACT_LIMIT)
 def _cmd_forced_cover(args) -> Dict[str, Any]:
+    if args.s is None:
+        _at_most("--n", args.n, MAX_AP_FREE_N,
+                 "the exact search for a progression-free seed; give --s past it")
     _at_most("--n", args.n, MAX_COVER_N, "the cover's n x n table of differences")
     seed = args.s if args.s is not None else exact_ap_free(args.n)
     rep = build_cover_forcing_set(args.n, seed, exact_limit=args.exact_limit)

@@ -26,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -203,7 +203,7 @@ def _residue_sumset_size(a: CircularSet, b: CircularSet) -> int:
 
 def _gaps(ints: list, q: int, wrap: Wrap) -> list:
     """Consecutive differences of ascending residues, closing arc per wrap."""
-    gaps = [y - x for x, y in zip(ints, ints[1:])]
+    gaps = np.diff(np.array(ints, dtype=int_dtype(q))).tolist()
     if wrap is Wrap.INCLUDE:
         gaps.append(ints[0] + q - ints[-1])
     return gaps
@@ -338,19 +338,35 @@ class APUnionSpec:
 
 
 def _ap_union_residues(spec: APUnionSpec) -> Tuple[list, int]:
-    """Ascending residues of the union over the lcm q of all denominators."""
+    """Ascending residues of the union over the lcm q of all denominators.
+
+    Each arm is one numpy progression; the arms' points, in order, are
+    stable-sorted once, so equal points sit together in generation order.
+    """
     ints, q = residues([spec.alpha] + [beta for beta, _ in spec.arms])
-    step = ints[0]
-    seen: Dict[int, tuple] = {}
-    for i, (val, (_, length)) in enumerate(zip(ints[1:], spec.arms), start=1):
-        for n in range(1, length + 1):
-            val = (val + step) % q
-            if val in seen:
-                raise CollisionError(
-                    f"point {TorusPoint._from_residue(val, q)} generated twice: "
-                    f"arm {seen[val]} and arm {(i, n)}")
-            seen[val] = (i, n)
-    return sorted(seen), q
+    step, lengths = ints[0], [length for _, length in spec.arms]
+    dtype = int_dtype(q * (max(lengths) + 1))
+    vals = np.concatenate([(beta + step * np.arange(1, n + 1, dtype=dtype)) % q
+                           for beta, n in zip(ints[1:], lengths)])
+    order = np.argsort(vals, kind="stable")
+    ascending = vals[order]
+    repeats = np.flatnonzero(ascending[1:] == ascending[:-1]) + 1
+    if len(repeats):
+        # the first point generated twice, in generation order, and its first occurrence
+        again = int(order[repeats].min())
+        first = int(order[np.searchsorted(ascending, vals[again])])
+        raise CollisionError(
+            f"point {TorusPoint._from_residue(int(vals[again]), q)} generated twice: "
+            f"arm {_arm_of(lengths, first)} and arm {_arm_of(lengths, again)}")
+    return ascending.tolist(), q
+
+
+def _arm_of(lengths: list, pos: int) -> tuple:
+    """(i, n) of the pos-th generated point, arm i's n-th, both counted from 1."""
+    for i, length in enumerate(lengths, start=1):
+        if pos < length:
+            return i, pos + 1
+        pos -= length
 
 
 def ap_union_points(spec: APUnionSpec) -> CircularSet:

@@ -48,16 +48,19 @@ from .exact_torus import (INT64_MAX, Cleared, LazyFields, TorusPoint, _coerce, _
                           as_rational, common_scale, int_dtype, lowest_terms, residues,
                           sorted_unique)
 
-# Dense path budgets: output bitmap at most 2^26 bits (8 MB), the shifted
-# segment table at most 64 * 2^22 bits (32 MB).  Its cost in word ORs is,
-# for each element of the loop operand, one per segment word and about
-# DENSE_LOOP_ORS more for the element's Python step.  Writing a pair sum
-# into a bool map costs about SCATTER_PAIR_ORS, so a dense sum scatters when
-# that is cheaper and its map takes at most 2^22 bytes, 2^20 sums at a time.
+# Dense path budgets: output bitmap at most 2^26 bits (8 MB), segment at
+# most 2^22 bits, and the segment's shift table at most _TABLE_WORDS words
+# (256 KB) or one row: its 64 shifted rows are built a block at a time.
+# The word kernel's cost in word ORs is, for each element of the loop
+# operand, one per segment word and about DENSE_LOOP_ORS more for the
+# element's Python step.  Writing a pair sum into a bool map costs about
+# SCATTER_PAIR_ORS, so a dense sum scatters when that is cheaper and its
+# map takes at most 2^22 bytes, 2^20 sums at a time.
 # Outer sums take at most 2^25 pairs, formed and sorted about 2^23 at a
 # time, and spans up to 2^124: two 62-bit limbs.  A Python set takes the rest.
 DENSE_SPAN_LIMIT = 1 << 26
 DENSE_SEG_LIMIT = 1 << 22
+_TABLE_WORDS = 1 << 15
 DENSE_LOOP_ORS = 3000
 SCATTER_PAIR_ORS = 12
 SCATTER_SPAN_LIMIT = 1 << 22
@@ -548,28 +551,59 @@ def _full_run(out: np.ndarray) -> tuple:
     return int(starts[i]), int(stops[i])
 
 
-def _trimmed_ors(out: np.ndarray, variants: list, a_off: np.ndarray) -> None:
+def _by_class(a_off: np.ndarray) -> tuple:
+    """(loop, classes, ends): a_off grouped by bit-shift class t & 63, each
+    class ascending, the classes present in ascending order and the end of
+    each one's group in loop."""
+    cls = (a_off & 63).astype(np.uint8)
+    counts = np.bincount(cls, minlength=64)
+    classes = np.flatnonzero(counts)
+    return a_off[np.argsort(cls, kind="stable")], classes, np.cumsum(counts)[classes]
+
+
+def _shifted_rows(base: np.ndarray, classes: np.ndarray):
+    """For each shift s of classes, ascending, the segment base shifted up by
+    s bits, one word longer: built a block of at most _TABLE_WORDS words (or
+    one row) at a time."""
+    seg = len(base) + 1
+    per = max(1, _TABLE_WORDS // seg)
+    for i in range(0, len(classes), per):
+        shifts = classes[i:i + per].astype(np.uint64)[:, None]
+        table = np.zeros((len(shifts), seg), dtype=np.uint64)
+        table[:, :-1] = base << shifts
+        k = int(shifts[0, 0] == 0)  # row 0 spills nothing, and C leaves >> 64 undefined
+        table[k:, 1:] |= base >> (np.uint64(64) - shifts[k:])
+        yield from table
+
+
+def _trimmed_ors(out: np.ndarray, base: np.ndarray, a_off: np.ndarray) -> None:
     """The dense kernel's ORs for A + A, skipping the words they cannot change.
 
     A + A needs only the sums x + y with y >= x, so the element at offset t
     ORs the segment from its own word t >> 6 on; the y < x that share that
     word add only true sums.  Words [run_lo, run_hi) are all ones, so an OR
     there changes nothing: a window that starts or ends inside that run is
-    cut at its edge.  The longest run is found again each time the word ORs
-    of the uncut windows pass 4, 8, 16, ... times the output's length, which
-    keeps the search cheap where nothing fills.
+    cut at its edge.  The elements run one bit-shift class at a time, from
+    that class's one shifted row (_shifted_rows); each class spans the whole
+    set, so the output's interior fills early.  The longest run is found
+    again each time the word ORs of the uncut windows pass 4, 8, 16, ...
+    times the output's length, which keeps the search cheap where nothing
+    fills.
     """
-    seg = len(variants[0])
-    # Every 64th element, then every 64th from the next one, and so on: the
-    # ORs soon reach the whole output, so its interior fills early.
-    loop = np.concatenate([a_off[i::64] for i in range(64)])
+    seg = len(base) + 1
+    loop, classes, ends = _by_class(a_off)
     ors = np.cumsum(seg - (loop >> 6))
     marks = len(out) << np.arange(2, int(ors[-1] // len(out)).bit_length())
-    run_lo = run_hi = 0
-    for i, block in enumerate(np.split(loop, np.searchsorted(ors, marks) + 1)):
-        if i:
+    searches = np.searchsorted(ors, marks) + 1
+    search_at = set(searches.tolist())
+    ts, rows = loop.tolist(), zip(_shifted_rows(base, classes), ends.tolist())
+    run_lo = run_hi = start = end = 0
+    for stop in np.union1d(searches, ends).tolist():
+        if start == end:
+            row, end = next(rows)
+        if start in search_at:
             run_lo, run_hi = _full_run(out)
-        for t in block.tolist():
+        for t in ts[start:stop]:
             w = t >> 6
             a, b = 2 * w, w + seg
             if run_lo <= a < run_hi:
@@ -577,12 +611,14 @@ def _trimmed_ors(out: np.ndarray, variants: list, a_off: np.ndarray) -> None:
             if run_lo < b <= run_hi:
                 b = run_lo
             if a < b:
-                out[a:b] |= variants[t & 63][a - w:b - w]
+                out[a:b] |= row[a - w:b - w]
+        start = stop
 
 
 def _dense_pairsums(xs: list, ys: list, lo: int, span_out: int) -> _Bitmap:
-    # ys is the bitmap segment, OR-ed once per element of xs at 64 precomputed
-    # bit shifts; _pairsums_int alone decides which operand plays which part.
+    # ys is the bitmap segment, OR-ed once per element of xs from its row
+    # shifted by that element's bit-shift class, one class at a time;
+    # _pairsums_int alone decides which operand plays which part.
     same = xs is ys
     a_off = _offsets(xs)
     b_off = a_off if same else _offsets(ys)
@@ -601,20 +637,18 @@ def _dense_pairsums(xs: list, ys: list, lo: int, span_out: int) -> _Bitmap:
     base = np.zeros(words_b, dtype=np.uint64)
     np.bitwise_or.at(base, (b_off >> np.uint64(6)).astype(np.int64),
                      np.uint64(1) << (b_off & np.uint64(63)))
-    # row s of one table: the segment shifted up by s bits
-    shifts = np.arange(64, dtype=np.uint64)[:, None]
-    table = np.zeros((64, words_b + 1), dtype=np.uint64)
-    table[:, :words_b] = base << shifts
-    table[1:, 1:] |= base >> (np.uint64(64) - shifts[1:])
-    variants = list(table)
     out = np.zeros(n_words, dtype=np.uint64)
-    seg = words_b + 1
     if same:
-        _trimmed_ors(out, variants, a_off)
+        _trimmed_ors(out, base, a_off)
     else:
-        for t in a_off.tolist():
-            w = t >> 6
-            out[w:w + seg] |= variants[t & 63]
+        seg = words_b + 1
+        loop, classes, ends = _by_class(a_off)
+        ts, start = loop.tolist(), 0
+        for row, end in zip(_shifted_rows(base, classes), ends.tolist()):
+            for t in ts[start:end]:
+                w = t >> 6
+                out[w:w + seg] |= row
+            start = end
     # Every sum lies in [lo, lo + span_out), so no bit past them is set.
     return _Bitmap(out, lo)
 

@@ -313,6 +313,7 @@ _ALPHA = ["--alpha", "1/1000000000000000003"]
     (["generators", "--points", "0;1/2", "--n"], cli.MAX_COVER_N),
     (["behrend", "--n"], cli.MAX_BEHREND_N),
     (["forced-cover", "--s", "1,2", "--n"], cli.MAX_COVER_N),
+    (["forced-cover", "--n"], cli.MAX_AP_FREE_N),
     (["kronecker", "--alphas", "1/1000000000000000003", "--n"], cli.MAX_ORBIT_POINTS),
     (["kronecker", "--alphas", "1/1000000000000000003,1/3", "--n"], cli.MAX_ORBIT_POINTS // 2),
     (["tightness", "--m"], cli.MAX_CLOUD_M),

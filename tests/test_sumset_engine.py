@@ -2,6 +2,7 @@
 
 import functools
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict
@@ -934,6 +935,61 @@ def test_identical_operands_at_the_int64_edge_take_the_span_path(xs, path):
     # runs the outer path on two limbs
     same, ran = _identical_and_copy(xs)
     assert same == brute_sum(xs, xs) and ran[0] == path
+
+
+# ---------------------------------------------------------------------------
+# The word kernel ORs its loop operand one bit-shift class (t & 63) at a time,
+# from shifted rows of the segment built at most se._TABLE_WORDS words (or
+# one row) at a time: classes filled or empty, rows that spill into the
+# word past the segment, and blocks that split the classes evenly or not.
+
+def _class_operand(words, classes, n, seed):
+    """About n ascending offsets over exactly `words` words, all of them in `classes`."""
+    rng = random.Random(seed)
+    picks = {64 * rng.randrange(words) + rng.choice(classes) for _ in range(n)}
+    return sorted(picks | {classes[0], 64 * (words - 1) + classes[-1]})
+
+
+_ALL_CLASSES = list(range(64))
+# row widths (segment words + 1) at which one block holds exactly 64 or 32 rows
+_WIDTH_64, _WIDTH_32 = se._TABLE_WORDS // 64, se._TABLE_WORDS // 32
+
+
+@pytest.mark.parametrize("words, classes", [
+    (300, [37]),  # every element in one class
+    (300, [63]),  # one class, and every row spills into the segment's last word
+    (300, [0, 1, 62, 63]),  # most classes empty
+    *((width - 1, _ALL_CLASSES) for width in (_WIDTH_64 - 1, _WIDTH_64, _WIDTH_64 + 1,
+                                              _WIDTH_32 - 1, _WIDTH_32, _WIDTH_32 + 1)),
+    (se._TABLE_WORDS, _ALL_CLASSES)])  # wider than a block: one row per block
+def test_the_class_kernel_matches_brute_and_a_copy(words, classes):
+    xs = _class_operand(words, classes, 400, 1)
+    ys = _class_operand(words, classes[::-1], 300, 2)
+
+    def dense(a, b):
+        return se._dense_pairsums(a, b, a[0] + b[0], a[-1] + b[-1] - a[0] - b[0] + 1).tolist()
+    assert _words_only(lambda: dense(xs, xs)) == (brute_sum(xs, xs), ["dense", "trimmed"])
+    assert _words_only(lambda: dense(xs, list(xs))) == (brute_sum(xs, xs), ["dense"])
+    want = brute_sum(xs, ys)
+    assert _words_only(lambda: dense(xs, ys)) == _words_only(lambda: dense(ys, xs)) == (
+        want, ["dense"])
+
+
+def test_a_dense_call_holds_no_64_row_table():
+    # A + A of 8000 values over 2^20: a (64, words + 1) shift table would
+    # take 8.4 MB (16 MiB traced, with its temporaries); without it the
+    # call's traced peak, its output words included, stays under 4 MiB
+    xs = sorted(random.Random(0).sample(range(1 << 20), 8000))
+    lo, span = 2 * xs[0], 2 * (xs[-1] - xs[0]) + 1
+    tracemalloc.start()
+    try:
+        got, ran = _kernels(lambda: se._dense_pairsums(xs, xs, lo, span))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20, peak
+    assert ran == ["dense", "trimmed"]
+    assert np.array_equal(got.words, se._dense_pairsums(xs, list(xs), lo, span).words)
 
 
 # ---------------------------------------------------------------------------
