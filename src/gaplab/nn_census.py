@@ -15,15 +15,16 @@ one deterministic choice per point: by all pairs, a tile of points at a time
 residue rows at every scale, scoring through _sq_norms, the fold every kernel
 here shares, and choosing the least (nsq, signed vector) through _least;
 "auto" picks grid above 512 points and brute otherwise.
-Ball depths and core extraction read the kernel's integer rows (_census_rows);
-nn_census keeps them in its report, whose records and census are lifted on
-read and written from rows when unread.  _brute_rows_exact, an all-pairs loop
-on the Fraction points, is the oracle the tests check both against.  On top of
-the census sit: the orbit census of a rotation (numpy steps over the orbit's
-offsets, lifting only its census), pairwise-dominance checks on residue rows
-through _sq_norms, ball depths, a greedy extraction of a large sub-cloud with
-few census vectors, and the square-block example showing the extraction bound
-is close to tight.
+Ball depths and core extraction read the kernel's integer rows (_census_rows),
+which nn_census keeps in its report (records and census lifted on read, written
+from rows when unread), and one table of A + B (_sum_table): its distinct rows,
+sorted and indexed by one np.unique of a mixed-radix key per row, and the row
+of every pair.  _brute_rows_exact, an all-pairs loop on the Fraction points, is
+the oracle the tests check both against.  On top of the census sit: the orbit
+census of a rotation (numpy steps over the orbit's offsets, lifting only its
+census), pairwise-dominance checks on residue rows through _sq_norms, ball
+depths, a greedy extraction of a large sub-cloud with few census vectors, and
+the square-block example showing the extraction bound is close to tight.
 """
 
 from __future__ import annotations
@@ -130,11 +131,7 @@ class PointCloud(LazyFields):
         return _unread(cls, _rows=(rows, scale // g))
 
     def _lift(self) -> dict:
-        rows, scale = self._rows
-        lift = {x: TorusPoint._from_residue(x, scale)
-                for x in set(itertools.chain.from_iterable(rows))}
-        return {"points": tuple(TorusVector._from_points(tuple(map(lift.__getitem__, r)))
-                                for r in rows)}
+        return {"points": _lift_rows(*self._rows)}
 
     def _field_rows(self) -> dict:
         return {"points": self._rows}
@@ -171,26 +168,35 @@ class PointCloud(LazyFields):
         return self._rows[1]
 
 
-def _common_rows(a: PointCloud, b: PointCloud) -> Tuple[list, int]:
-    """Both clouds' rows as object arrays over the common scale of the two."""
-    flat, scale = common_scale(*(([x for r in rows for x in r], q)
-                                 for rows, q in (a._rows, b._rows)))
-    return [np.array(f, dtype=object).reshape(-1, a.dim) for f in flat], scale
+def _lift_rows(rows, scale: int) -> Tuple[TorusVector, ...]:
+    """TorusVectors of residue rows over scale, one Fraction per distinct residue."""
+    lift = {x: TorusPoint._from_residue(x, scale)
+            for x in set(itertools.chain.from_iterable(rows))}
+    return tuple(TorusVector._from_points(tuple(map(lift.__getitem__, r))) for r in rows)
 
 
-def _pair_sum_rows(a: PointCloud, b: PointCloud) -> Tuple[List[Tuple[int, ...]], int]:
-    """Rows of p + r for every pair, a-major, over the common scale."""
-    (ra, rb), scale = _common_rows(a, b)
-    sums = (ra[:, None] + rb[None, :]) % scale
-    return list(map(tuple, sums.reshape(-1, a.dim).tolist())), scale
+def _sum_table(a: PointCloud, b: PointCloud):
+    """(sums, ra, at, scale): A + B's distinct rows ascending, a's rows and at[i, j],
+    the row of a_i + b_j, over the clouds' common scale; one np.unique of a
+    mixed-radix key per row (below scale**d) dedupes, sorts and indexes the sums."""
+    d = a.dim
+    if d != b.dim:
+        raise InvalidConfigurationError("dimension mismatch in cloud sum")
+    (fa, fb), scale = common_scale(*(([x for r in rows for x in r], q)
+                                     for rows, q in (a._rows, b._rows)))
+    ra, rb = (np.array(f, dtype=int_dtype(2 * scale)).reshape(-1, d) for f in (fa, fb))
+    pairs = ((ra[:, None] + rb[None, :]) % scale).reshape(-1, d)
+    key = pairs[:, 0].astype(int_dtype(scale ** d))
+    for col in pairs.T[1:]:
+        key = key * scale + col
+    _, first, at = np.unique(key, return_index=True, return_inverse=True)
+    return pairs[first], ra, at.reshape(len(ra), -1), scale
 
 
 def cloud_sumset(a: PointCloud, b: PointCloud) -> PointCloud:
     """All pairwise sums of two clouds, as a cloud."""
-    if a.dim != b.dim:
-        raise InvalidConfigurationError("dimension mismatch in cloud sum")
-    sums, scale = _pair_sum_rows(a, b)
-    return PointCloud._from_rows(set(sums), scale)
+    sums, _, _, scale = _sum_table(a, b)
+    return PointCloud._from_rows(list(map(tuple, sums.tolist())), scale)
 
 
 @dataclass(frozen=True)
@@ -584,17 +590,16 @@ class BallDepthReport:
 def max_ball_depth(a: PointCloud, b: PointCloud) -> BallDepthReport:
     """Max depth over z in A+B (the first deepest z), and max_depth*(3/4)^d."""
     _, raw = _census_rows(a, "auto")
-    zs = cloud_sumset(a, b)
-    (aa, za), scale = _common_rows(a, zs)
+    sums, ra, _, scale = _sum_table(a, b)
     d = a.dim
     dtype = int_dtype(_norm_bound(d, scale))
-    aa, za = aa.astype(dtype), za.astype(dtype)
+    sums, ra = sums.astype(dtype, copy=False), ra.astype(dtype, copy=False)
     radii = np.array([m * (scale // a._rows[1]) ** 2 for m, _, _ in raw], dtype)
-    nsq = _sq_norms((z[:, None] - x[None, :] for z, x in zip(za.T, aa.T)), scale)
+    nsq = _sq_norms((z[:, None] - x[None, :] for z, x in zip(sums.T, ra.T)), scale)
     depth = (nsq <= radii).sum(axis=1)
-    deepest = int(np.argmax(depth))
-    best = int(depth[deepest])
-    return BallDepthReport(d, best, zs.points[deepest], Fraction(best * 3 ** d, 4 ** d))
+    best = int(depth.max())
+    deepest, = _lift_rows(sums[depth == best][:1].tolist(), scale)
+    return BallDepthReport(d, best, deepest, Fraction(best * 3 ** d, 4 ** d))
 
 
 @dataclass(frozen=True)
@@ -654,42 +659,37 @@ def extract_core(a: PointCloud, b: PointCloud, epsilon,
     if a.dim != b.dim:
         raise InvalidConfigurationError("dimension mismatch")
     _, raw = _census_rows(a, "auto")
-    sums, sum_scale = _pair_sum_rows(a, b)
-    s_cloud = PointCloud._from_rows(set(sums), sum_scale)
-    s_points = s_cloud.points
-    d = a.dim
-    threshold = (2 * kap / eps) * Fraction(4 ** d, 3 ** d) * Fraction(len(s_points), len(a))
+    sums, _, at, scale = _sum_table(a, b)
+    n_sums, d = sums.shape
+    threshold = (2 * kap / eps) * Fraction(4 ** d, 3 ** d) * Fraction(n_sums, len(a))
     l = 1 + int(threshold)
-    rows, scale = s_cloud._rows
-    s_arr = np.array(rows, dtype=int_dtype(_norm_bound(d, scale)))
-    # per center: ascending squared distances to all sumset points, over scale**2
-    dist_rows = np.sort(_sq_norms((c[:, None] - c[None, :] for c in s_arr.T), scale), axis=1)
-    index = {r: c for c, r in enumerate(rows)}
-    g = sum_scale // scale
-    center = np.array([index[tuple(x // g for x in r)] for r in sums]).reshape(len(a), -1)
-    # ball counts of every (a, b) pair, with exact radii: a_j - a_i = (a_j + b) -
-    # (a_i + b) is a multiple of 1/scale; a count is an integer, so it exceeds
-    # the threshold exactly when it exceeds its floor
-    radii = [m * scale * scale // a._rows[1] ** 2 for m, _, _ in raw]
-    counts = np.array([[np.searchsorted(dist_rows[c], r, side="right") for c in row]
-                       for row, r in zip(center.tolist(), radii)])
+    bound = _norm_bound(d, scale)
+    dtype = int_dtype(n_sums * (bound + 1))
+    # per center c, ascending squared distances to A + B offset by c * (bound + 1): one sorted run
+    dist = _sq_norms((c[:, None] - c[None, :] for c in sums.astype(dtype).T), scale)
+    dist.sort(axis=1)
+    dist += np.arange(n_sums, dtype=dtype)[:, None] * (bound + 1)
+    # ball counts of every (a, b) pair, exact: a_j - a_i = (a_j + b) - (a_i + b) over scale
+    radii = np.array([m * (scale // a._rows[1]) ** 2 for m, _, _ in raw], dtype)
+    counts = np.searchsorted(dist.ravel(), at.astype(dtype) * (bound + 1) + radii[:, None],
+                             side="right") - at * n_sums
     over = counts > math.floor(threshold)
     upsilon_sizes = over.sum(axis=0).tolist()
     upsilon_ok = all(2 * v < eps * len(a) for v in upsilon_sizes)
     # member[c, i]: center c covers a.points[i]
-    member = np.zeros((len(s_points), len(a)), dtype=bool)
-    member[center[~over], np.nonzero(~over)[0]] = True
+    member = np.zeros((n_sums, len(a)), dtype=bool)
+    member[at[~over], np.nonzero(~over)[0]] = True
     covered = np.zeros(len(a), dtype=bool)
-    centers, r_sizes, thetas = [], [0], [Fraction(1)]
+    chosen, r_sizes, thetas = [], [0], [Fraction(1)]
     while thetas[-1] >= eps:
         gains = (member & ~covered).sum(axis=1)
         best_c = int(np.argmax(gains))
         if gains[best_c] <= 0:
             worst = int(counts.max())
-            kappa_min = eps * len(a) * worst * Fraction(3 ** d, 4 ** d) / (2 * len(s_points))
+            kappa_min = eps * len(a) * worst * Fraction(3 ** d, 4 ** d) / (2 * n_sums)
             raise GreedyStallError(
                 f"no center adds coverage; retry with kappa >= {kappa_min}")
-        centers.append(s_points[best_c])
+        chosen.append(best_c)
         covered |= member[best_c]
         r_sizes.append(int(covered.sum()))
         thetas.append(Fraction(len(a) - r_sizes[-1], len(a)))
@@ -699,11 +699,10 @@ def extract_core(a: PointCloud, b: PointCloud, epsilon,
     rounds = len(r_sizes)
     size_ok = len(core) >= (1 - eps) * len(a)
     census_ok = len(core_census) <= rounds * l
-    return CoreExtractionTrace(eps, kap, d, len(a), len(b), len(s_points),
-                               threshold, l, tuple(centers), tuple(r_sizes),
-                               tuple(thetas), core, len(core_census),
-                               rounds * l, max(upsilon_sizes), upsilon_ok,
-                               size_ok, census_ok)
+    return CoreExtractionTrace(eps, kap, d, len(a), len(b), n_sums, threshold, l,
+                               _lift_rows(sums[chosen].tolist(), scale), tuple(r_sizes),
+                               tuple(thetas), core, len(core_census), rounds * l,
+                               max(upsilon_sizes), upsilon_ok, size_ok, census_ok)
 
 
 @dataclass(frozen=True)
@@ -742,10 +741,10 @@ def tightness_example(m: int) -> TightnessReport:
                   | set(range(m * m + 1, 2 * m * m - m + 1)))
     cloud = PointCloud._from_rows([(v,) for v in ints], scale)
     census = {v for _, v, _ in _census_rows(cloud, "auto")[1]}
-    double = cloud_sumset(cloud, cloud)
+    n_sums = len(_sum_table(cloud, cloud)[0])
     eps = Fraction(1, 2 * m)
     floor = m - eps * m * m
-    ratio = Fraction(len(double) ** 2, len(cloud) ** 2)
+    ratio = Fraction(n_sums ** 2, len(cloud) ** 2)
     upper = (4.0 / 3.0) * float(ratio) * 2 * m * math.log(2 * m)
-    return TightnessReport(m, cloud, len(cloud), len(double), 4 * m * m,
+    return TightnessReport(m, cloud, len(cloud), n_sums, 4 * m * m,
                            len(census), eps, floor, upper)

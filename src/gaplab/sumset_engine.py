@@ -97,8 +97,12 @@ class _Bitmap:
 
     def __init__(self, words: np.ndarray, lo: int, count: Optional[int] = None) -> None:
         self.words, self.lo = words, lo
-        self.count = (int(np.count_nonzero(np.unpackbits(words.view(np.uint8))))
-                      if count is None else count)
+        if count is None:
+            # unpacked _TABLE_WORDS // 8 words (256 KiB of bits) at a time
+            step = _TABLE_WORDS // 8
+            count = sum(int(np.count_nonzero(np.unpackbits(words[i:i + step].view(np.uint8))))
+                        for i in range(0, len(words), step))
+        self.count = count
 
     def __len__(self) -> int:
         return self.count
@@ -410,8 +414,9 @@ def _pairsums_int(xs: list, ys: list):
     orders = ((xs, ys), (ys, xs))
     costs = [(len(p) * (s[-1] - s[0] + 64), s[-1] - s[0], i)
              for i, (p, s) in enumerate(orders) if s[-1] - s[0] < DENSE_SEG_LIMIT]
-    dense_ok = costs and span_out <= DENSE_SPAN_LIMIT
-    if dense_ok and (n_pairs >= span_out // 16 or n_pairs > OUTER_PAIR_LIMIT):
+    # past OUTER_PAIR_LIMIT pairs a span the dense path takes is always dense:
+    # span_out // 16 <= DENSE_SPAN_LIMIT // 16 < OUTER_PAIR_LIMIT
+    if costs and span_out <= DENSE_SPAN_LIMIT and n_pairs >= span_out // 16:
         return _dense_pairsums(*orders[min(costs)[2]], lo, span_out)
     if n_pairs <= OUTER_PAIR_LIMIT and span_out <= LIMB_SPAN_LIMIT:
         return _outer_pairsums(xs, ys)

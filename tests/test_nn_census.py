@@ -602,8 +602,23 @@ def test_ball_depth_and_core_match_fraction_reference():
                for _ in range(n)}
         if len(pts) > 1:
             clouds.append(PointCloud.from_values(sorted(pts)))
+    # Wide scales, each the cloud's lowest-terms scale: 2 * scale on both sides
+    # of INT64_MAX in one dimension (the pair sums' dtype), scale**2 on both
+    # sides in two (the sum rows' keys), and 2^64 + 13 in two
+    root = 3037000499  # the largest int whose square is below INT64_MAX
+    wide = []
+    for q, d in (((1 << 62) - 1, 1), ((1 << 62) + 1, 1), (root, 2), (root + 2, 2),
+                 ((1 << 64) + 13, 2)):
+        pts = {(Fraction(1, q),) * d} | {tuple(Fraction(rng.randrange(q), q) for _ in range(d))
+                                         for _ in range(7)}
+        wide.append(PointCloud.from_values(sorted(pts)))
+        assert wide[-1].common_scale() == q
+    assert (int_dtype(2 * ((1 << 62) - 1)), int_dtype(2 * ((1 << 62) + 1))) == (np.int64, object)
+    assert (int_dtype(root ** 2), int_dtype((root + 2) ** 2)) == (np.int64, object)
     extracted = 0
-    for cloud in clouds:
+    for cloud in clouds + wide:
+        assert cloud_sumset(cloud, cloud) == PointCloud(
+            tuple({p + r for p in cloud for r in cloud}))
         rep = max_ball_depth(cloud, cloud)
         assert (rep.max_depth, rep.deepest) == _depth_reference(cloud, cloud)
         for eps, kap in ((Fraction(1, 4), rep.kappa_hat), (Fraction(1, 2), Fraction(1)),
