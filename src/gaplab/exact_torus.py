@@ -14,12 +14,14 @@ This module is the one home of that integer-residue format: residues()
 clears denominators, residue_over() reads one value over a given scale,
 common_scale() brings residue families to the lcm of their scales,
 lowest_terms() divides out their common factor, signed_residues() maps
-residues mod q to [-q/2, q/2), sorted_unique() dedupes residue arrays, and
-int_dtype() with INT64_MAX is the guard that keeps numpy int64 only while
-every intermediate fits.  Cleared carries a list of rationals (or of rows of
-them) in that format, as the command line reads it, to the constructors that
-accept it.  LazyFields is the base of the result types that hold that format
-unread until a field is read.
+residues mod q to [-q/2, q/2), sorted_unique() dedupes residue arrays,
+stable_sort() sorts them with their stable argsort from one sort of
+composite keys, run_starts() marks where each run of a sorted array begins,
+and int_dtype() with INT64_MAX is the guard that keeps numpy int64 only
+while every intermediate fits.  Cleared carries a list of rationals (or of
+rows of them) in that format, as the command line reads it, to the
+constructors that accept it.  LazyFields is the base of the result types
+that hold that format unread until a field is read.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ RationalLike = Union[Fraction, int, str]
 
 HALF = Fraction(1, 2)
 INT64_MAX = (1 << 63) - 1
+INT32_MAX = (1 << 31) - 1
 
 
 class DuplicatePointError(ValueError):
@@ -224,10 +227,53 @@ def sorted_unique(a: np.ndarray) -> np.ndarray:
     took over 30x longer than this sort on a million int64 values.
     """
     s = np.sort(a)
+    return s[run_starts(s)]
+
+
+def run_starts(s: np.ndarray) -> np.ndarray:
+    """Boolean mask of the first entry of each run of equal values in a sorted 1-d array."""
     keep = np.empty(len(s), dtype=bool)
     keep[:1] = True
     np.not_equal(s[1:], s[:-1], out=keep[1:])
-    return s[keep]
+    return keep
+
+
+def stable_sort(a: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(values, order): a's entries in row-major order sorted, and their stable argsort.
+
+    order equals np.argsort(a.ravel(), kind="stable").  When
+    (max - min + 1) * 2^k, with 2^k >= a.size, fits in int64, both come from
+    one in-place np.sort of the distinct keys (a - min) << k | index, each
+    index added by broadcasting along its axis, and order is int32 below 2^31
+    entries; object arrays and wider spans fall back to the stable argsort.
+    A C-contiguous int64 a is consumed: it holds the keys itself, so pass a
+    table that is no longer needed, and the values returned share its
+    buffer.  Any other a leaves its keys in a fresh int64 copy.
+    """
+    size = a.size
+    k = (size - 1).bit_length() if size else 0
+    wide = a.dtype == object or not size
+    if not wide:
+        lo, hi = int(a.min()), int(a.max())
+        wide = (hi - lo + 1) << k > INT64_MAX
+    if wide:
+        order = np.argsort(a.ravel(), kind="stable")
+        return a.ravel()[order], order
+    keys = a if a.dtype == np.int64 and a.flags.c_contiguous else np.array(a, np.int64, order="C")
+    keys -= lo
+    keys <<= k
+    stride = size
+    for axis, length in enumerate(keys.shape):
+        stride //= length
+        keys += (np.arange(length, dtype=np.int64) * stride).reshape(
+            (-1,) + (1,) * (keys.ndim - axis - 1))
+    keys = keys.reshape(-1)
+    keys.sort()
+    order = np.empty(size, dtype=np.int32 if size <= INT32_MAX else np.intp)
+    np.bitwise_and(keys, (1 << k) - 1, out=order, casting="unsafe")
+    keys >>= k
+    keys += lo
+    return keys, order
 
 
 def reduce_mod1(x: RationalLike) -> TorusPoint:

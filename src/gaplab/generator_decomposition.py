@@ -15,11 +15,13 @@ check themselves; it works on ints over its coins' common denominator, by
 a dynamic program or, past its size limit, a budgeted breadth-first search.
 
 The engines run on integer residues mod q, the common denominator of B:
-witness tables, gap tilings, both gap families, coin sets and every check
-are numpy arrays, with dtype from exact_torus.int_dtype (values below 2q),
-or Python ints.  Fractions appear only in reports and oracle coins: the
-gap families, mismatches, certificate parts, subdivision trees and error
-messages.  Of B's points, only the two neighbours of each c are lifted.
+witness tables, gap tilings, both gap families, coin sets, the oracles'
+coins and every check are numpy arrays, with dtype from
+exact_torus.int_dtype (values below 2q), or Python ints.  Each witness
+table comes from one exact_torus.stable_sort of its c-major difference
+table.  Fractions appear only in reports: the gap families, mismatches,
+certificate parts, subdivision trees and error messages.  Of B's points,
+only the two neighbours of each c are lifted.
 """
 
 from __future__ import annotations
@@ -34,8 +36,9 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .exact_torus import (TorusPoint, as_rational, common_scale, int_dtype,
-                          residue_over, residues, sorted_unique)
+from .exact_torus import (Cleared, TorusPoint, as_rational, common_scale, int_dtype,
+                          lowest_terms, residue_over, residues, run_starts, sorted_unique,
+                          stable_sort)
 from .gap_spectrum import CircularSet, SubsetViolationError, TooFewPointsError
 
 
@@ -102,9 +105,11 @@ class _OrientedEngine:
         self._gaps_twice = self.gap_after * 2
         self.prefix = np.concatenate((np.zeros(1, dtype=res.dtype), np.cumsum(gaps)))
         # Smallest c in canonical order witnessing each difference as c - b:
-        # the table is c-major and np.unique reports first occurrences.
-        diffs = (res[c_pos][:, None] - res[None, :]) % q
-        self.keys, first = np.unique(diffs.ravel(), return_index=True)
+        # the table is c-major, so a stable sort puts first occurrences first.
+        values, order = stable_sort((res[c_pos][:, None] - res[None, :]) % q)
+        first = run_starts(values)
+        self.keys = values[first]
+        first = order[first]
         self.wit_c = c_pos[first // n]
         self.wit_b = first % n
         self._gap_witness: Dict[int, Tuple[int, int]] = {}
@@ -325,23 +330,33 @@ def _span_members(coins: tuple, cap: int, scale: int) -> np.ndarray:
 class SpanOracle:
     """Membership in the N0-span of a set of positive rational coins.
 
-    The span inside [0, 1] is held as ints over the coins' common
-    denominator, scale: a dynamic program's table when that is affordable
-    (members, its ascending ints, read off on first use), otherwise members
-    from an exact breadth-first enumeration.
+    The coins come as rationals or as an exact_torus.Cleared of ints over a
+    scale, which never builds a Fraction.  The span inside [0, 1] is held as
+    ints over the coins' common denominator, scale: a dynamic program's table
+    when that is affordable (members, its ascending ints, read off on first
+    use), otherwise members from an exact breadth-first enumeration.
     """
 
-    def __init__(self, coins: tuple, dp_limit: int = 1 << 24, set_cap: int = 2_000_000):
-        self.coins = tuple(sorted(set(coins)))
-        if self.coins and self.coins[0] <= 0:
-            raise ValueError(f"span coins must be positive, got {self.coins[0]}")
-        ints, scale = residues(self.coins)
+    def __init__(self, coins: tuple | Cleared, dp_limit: int = 1 << 24,
+                 set_cap: int = 2_000_000):
+        if isinstance(coins, Cleared):
+            ints, scale = lowest_terms(sorted(set(coins.ints)), coins.scale)
+        else:
+            ints, scale = residues(sorted(set(coins)))
+        if ints and ints[0] <= 0:
+            raise ValueError(f"span coins must be positive, got {Fraction(ints[0], scale)}")
+        self._ints = tuple(ints)
         self.scale = scale
         if scale <= dp_limit:
-            self.table = _span_table(tuple(ints), scale)
+            self.table = _span_table(self._ints, scale)
         else:
             self.table = None
-            self.members = _span_members(tuple(ints), set_cap, scale)
+            self.members = _span_members(self._ints, set_cap, scale)
+
+    @cached_property
+    def coins(self) -> tuple:
+        """The distinct coins, ascending, as Fractions."""
+        return tuple(Fraction(n, self.scale) for n in self._ints)
 
     @cached_property
     def members(self) -> np.ndarray:
@@ -401,14 +416,16 @@ def verify_generation(b: CircularSet, c: CircularSet) -> GenerationReport:
     through prefix sums), and the independent span oracle must confirm
     membership over R- and over R+.  The oracle also confirms R- inside
     span(R+) and vice versa, and that the two spans agree below 1.  The gap
-    families and coin sets are ints over q; only the oracles' coins are Fractions.
+    families, coin sets and the oracles' coins are ints over q; only the
+    reported families are Fractions.
     """
     inst = _Instance(b, c)
     q, universe = inst.q, inst.universe
     ints_minus, ints_plus = inst.gap_families()
     r_minus, r_plus = (tuple(Fraction(g, q) for g in family)
                        for family in (ints_minus, ints_plus))
-    oracle_minus, oracle_plus = SpanOracle(r_minus), SpanOracle(r_plus)
+    oracle_minus, oracle_plus = (SpanOracle(Cleared(tuple(family), q))
+                                 for family in (ints_minus, ints_plus))
     mismatches = []
     done = []
     for side, engine, oracle, coins in ((Side.MINUS, inst.minus, oracle_minus, set(ints_minus)),

@@ -22,19 +22,20 @@ set (an exact_torus.LazyFields type) lifts its elements to ints, Fractions
 or torus points only when ``elements`` is first read, so a sum that nobody
 prints is never lifted.
 
-The minimum difference cover also runs on the set's ints: B - B is one
-sorted int64 array (object past int64) of the |B| x |B| differences, each
-candidate's cover mask is packed from its row of positions in it, the greedy
-cover is the lazy (accelerated) greedy on a heap of stale gains, and the
-witness table is one pass over the cover's rows.  Small sets get an exact
-branch and bound, whose node count and budget are reported.  The result
+The minimum difference cover also runs on the set's ints: one composite-key
+sort of the |B| x |B| differences (exact_torus.stable_sort; int64, object
+past int64) gives B - B, each difference's index in it and each difference's
+writers, the rows that hold it.  The greedy cover runs on pushed gain counts:
+each pick is the first row of greatest gain, and each difference it covers
+takes one from the gain of each of its writers.  The witness table is one
+more stable sort, of the cover's rows.  Small sets get an exact branch and
+bound on bit masks, whose node count and budget are reported.  The result
 lifts only its cover: B - B and the witness rows stay ints until a caller
 first reads its universe or certificate.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -46,7 +47,7 @@ import numpy as np
 
 from .exact_torus import (INT64_MAX, Cleared, LazyFields, TorusPoint, _coerce, _unread,
                           as_rational, common_scale, int_dtype, lowest_terms, residues,
-                          sorted_unique)
+                          run_starts, sorted_unique, stable_sort)
 
 # Dense path budgets: output bitmap at most 2^26 bits (8 MB), segment at
 # most 2^22 bits, and the segment's shift table at most _TABLE_WORDS words
@@ -73,6 +74,8 @@ _LIMB_MASK = 0x3FFF_FFFF_FFFF_FFFF  # the low _LIMB_BITS bits
 _FULL_WORD = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 # largest |B| whose minimum difference cover is searched exactly by default
 EXACT_LIMIT = 24
+# the greedy cover gathers at most about this many writers at a time
+_WRITER_BLOCK = 1 << 18
 
 
 class DomainMismatchError(ValueError):
@@ -697,18 +700,49 @@ class CoverResult(LazyFields):
 
 
 def _difference_table(ints: list, scale: int, dom: Domain):
-    """(universe, pos): B - B as a sorted array, and pos[i, j] the index of b_i - b_j in it.
+    """(universe, pos, writers, starts): B - B from one stable sort of its |B| x |B| table.
 
+    universe is B - B ascending and pos[i, j] the index of b_i - b_j in it.
+    writers[starts[u]:starts[u + 1]] are the rows i whose b_i - B holds
+    universe[u], ascending: the table's stable argsort, row-major, over |B|.
     ints are the set's ascending ints.  Differences do not change under
     translation, so integers and rationals run on offsets from the smallest
-    int; the torus folds each difference of residues into [0, scale).
+    int; the torus folds each difference of residues into [0, scale).  The
+    sort's keys live in the table's own buffer, freed before pos is
+    scattered, and pos and writers are int32 below 2^31 entries.
     """
     o = np.array(ints, dtype=int_dtype(scale)) if dom is Domain.TORUS else _offsets(ints)
     d = np.subtract.outer(o, o)
     if dom is Domain.TORUS:
-        d[d < 0] += scale
-    universe = sorted_unique(d.ravel())
-    return universe, np.searchsorted(universe, d)
+        np.add(d, scale, out=d, where=d < 0)
+    values, order = stable_sort(d)
+    del d
+    first = run_starts(values)
+    universe = values[first]
+    del values
+    starts = np.append(np.flatnonzero(first), len(first))
+    del first
+    pos = np.empty((len(o), len(o)), dtype=order.dtype)
+    pos.reshape(-1)[order] = np.repeat(np.arange(len(universe), dtype=order.dtype),
+                                       np.diff(starts))
+    order //= len(o)
+    return universe, pos, order, starts
+
+
+def _writer_rows(writers: np.ndarray, starts: np.ndarray, diffs: np.ndarray, n: int):
+    """The writers of the differences diffs (indices into B - B), in blocks.
+
+    Each difference has at most n writers, so a block holds at most about
+    _WRITER_BLOCK of them.
+    """
+    step = max(1, _WRITER_BLOCK // n)
+    for at in range(0, len(diffs), step):
+        chunk = diffs[at:at + step]
+        lo = starts[chunk]
+        lengths = starts[chunk + 1] - lo
+        ends = np.cumsum(lengths)
+        # entry t of the block, in difference u's run, is writers[lo[u] + t - ends[u] + lengths[u]]
+        yield writers[np.arange(ends[-1]) + np.repeat(lo - ends + lengths, lengths)]
 
 
 def minimal_difference_cover(b: FiniteExactSet, exact_limit: int = EXACT_LIMIT,
@@ -726,50 +760,45 @@ def minimal_difference_cover(b: FiniteExactSet, exact_limit: int = EXACT_LIMIT,
         return CoverResult((), True, (), {})
     # Candidates are the rows i of the set's ascending ints.
     dom, ints, scale = b.domain, b._ints.tolist(), b._scale
-    universe, pos = _difference_table(ints, scale, dom)
-    full = (1 << len(universe)) - 1
-    # One bit row at a time: candidate i covers the bits pos[i].
-    row = np.zeros(len(universe), dtype=bool)
-    cand_by_mask: Dict[int, int] = {}
-    for i, p in enumerate(pos):
-        row[p] = True
-        mask = int.from_bytes(np.packbits(row, bitorder="little").tobytes(), "little")
-        row[p] = False
-        cand_by_mask.setdefault(mask, i)
-    # Insertion order keeps the first row of each mask, in ascending order.
-    cands = [(c, m) for m, c in cand_by_mask.items()]
+    n = len(ints)
+    universe, pos, writers, starts = _difference_table(ints, scale, dom)
 
-    def greedy(uncovered: int) -> list:
-        # Lazy greedy (Minoux 1978): gains only shrink as the cover grows, so
-        # the heap holds upper bounds keyed (-gain, candidate index), at first
-        # (-|B|, index) in order: every c - B has |B| elements.  A popped
-        # candidate whose fresh key still leads the heap is the first maximum
-        # in candidate order, the one a full rescoring pass would pick.
-        heap = [(-len(ints), ci) for ci in range(len(cands))]
-        chosen = []
-        while uncovered:
-            _, ci = heapq.heappop(heap)
-            c, m = cands[ci]
-            key = (-(m & uncovered).bit_count(), ci)
-            if heap and key > heap[0]:
-                heapq.heappush(heap, key)
-                continue
-            chosen.append(c)
-            uncovered &= ~m
-        return chosen
+    # The greedy cover on pushed gains (Chvatal 1979; CLRS 3rd ed., ex. 35.3-3):
+    # gain[i] counts the uncovered differences of row i, at first all n of
+    # them.  Each pick is the first maximum, the row a full rescoring pass
+    # would pick, and every difference it covers takes one from the gain of
+    # each of its writers, so the whole cover touches each table entry once.
+    gain = np.full(n, n, dtype=np.int64)
+    covered = np.zeros(len(universe), dtype=bool)
+    best, left = [], len(universe)
+    while left:
+        i = int(np.argmax(gain))
+        best.append(i)
+        row = pos[i]
+        new = row[~covered[row]]
+        covered[new] = True
+        left -= len(new)
+        if left:
+            for rows in _writer_rows(writers, starts, new, n):
+                gain -= np.bincount(rows, minlength=n)
 
-    best = greedy(full)
     exact = budget_exhausted = False
     nodes = 0
-    if len(ints) <= exact_limit:
+    if n <= exact_limit:
+        full = (1 << len(universe)) - 1
+        # Candidate i covers the bits pos[i]; rows sharing a mask keep the first.
+        cand_by_mask: Dict[int, int] = {}
+        for i, row in enumerate(pos.tolist()):
+            cand_by_mask.setdefault(sum(1 << u for u in row), i)
+        cands = [(c, m) for m, c in cand_by_mask.items()]
         # covering[u]: the candidates writing difference u, ascending, cut from
-        # one stable argsort of their rows; fewest: differences by writer count
-        rows = pos[[c for c, _ in cands]].ravel()
-        writers = (np.argsort(rows, kind="stable") // len(ints)).tolist()
-        counts = np.bincount(rows, minlength=len(universe))
+        # one stable sort of their rows; fewest: differences by writer count
+        rows = pos[[c for c, _ in cands]]
+        counts = np.bincount(rows.ravel(), minlength=len(universe))
         ends = np.cumsum(counts).tolist()
-        covering = [writers[lo:hi] for lo, hi in zip([0] + ends, ends)]
-        fewest = np.argsort(counts, kind="stable").tolist()
+        cand_writers = (stable_sort(rows)[1] // n).tolist()
+        covering = [cand_writers[lo:hi] for lo, hi in zip([0] + ends, ends)]
+        fewest = stable_sort(counts)[1].tolist()
         seen: Dict[int, int] = {}
 
         def descend(uncovered: int, chosen: list) -> bool:
@@ -782,7 +811,7 @@ def minimal_difference_cover(b: FiniteExactSet, exact_limit: int = EXACT_LIMIT,
                     best = list(chosen)
                 return True
             depth = len(chosen)
-            if depth + (uncovered.bit_count() + len(ints) - 1) // len(ints) >= len(best):
+            if depth + (uncovered.bit_count() + n - 1) // n >= len(best):
                 return True
             prior = seen.get(uncovered)
             if prior is not None and prior <= depth:
@@ -806,8 +835,11 @@ def minimal_difference_cover(b: FiniteExactSet, exact_limit: int = EXACT_LIMIT,
     cover = _lift([ints[i] for i in cover_rows], scale, dom)
     # Witness each difference by its smallest covering c, then its smallest
     # b: the first occurrence of its index in the cover rows, row-major.
-    _, first = np.unique(pos[cover_rows].ravel(), return_index=True)
-    wit_c, wit_b = np.divmod(first, len(ints))
+    # The whole table is dropped first: the cover's rows can be all of it.
+    cover_pos = pos[cover_rows]
+    del pos, writers
+    values, first = stable_sort(cover_pos)
+    wit_c, wit_b = np.divmod(first[run_starts(values)], n)
     return _unread(CoverResult, cover=cover, exact=exact, nodes=nodes,
                    budget_exhausted=budget_exhausted,
                    _ints=(universe, scale, dom, ints, np.asarray(cover_rows)[wit_c], wit_b))

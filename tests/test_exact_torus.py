@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from gaplab.exact_torus import (INT64_MAX, Cleared, TorusPoint, TorusVector, as_rational,
                                 ccw_arc, circular_sort, common_scale,
                                 embed_reals, int_dtype, point, reduce_mod1,
-                                residues, signed_mod1, signed_residues,
-                                torus_dist_sq, torus_norm, torus_norm_sq_d)
+                                residues, run_starts, signed_mod1, signed_residues,
+                                stable_sort, torus_dist_sq, torus_norm, torus_norm_sq_d)
 from gaplab.nn_census import _norm_bound, _sq_norms
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=997)
@@ -350,3 +350,101 @@ def test_constructors_read_a_cleared_as_its_values(rows, factor):
         first = next(v for v in values if v.denominator != 1)
         assert _outcome(lambda: FiniteExactSet.integers(flat)) == (
             TypeError, f"integer domain got {first!r}")
+
+
+# ---------------------------------------------------------------------------
+# stable_sort against np.argsort(kind="stable"), on the key path and the fallback.
+
+def _assert_stable_sort(a):
+    want = np.argsort(a.ravel(), kind="stable")
+    values, order = stable_sort(a.copy())
+    assert np.array_equal(order, want)
+    assert np.array_equal(values, a.ravel()[want])
+    return order
+
+
+def _spy_argsort(monkeypatch):
+    """Record each np.argsort call, so a test can tell the fallback from the key path."""
+    calls = []
+    argsort = np.argsort
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("kind"))
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    return calls
+
+
+@given(st.lists(st.integers(-(1 << 62), 1 << 62), max_size=40),
+       st.sampled_from([1, 4, 9, 1 << 20, 1 << 40, 1 << 64]), st.integers(1, 5),
+       st.sampled_from([np.int64, np.int32, object]))
+@settings(max_examples=200, deadline=None)
+def test_stable_sort_matches_the_stable_argsort(values, spread, rows, dtype):
+    # small spreads give ties, a spread of 2^64 the fallback; rows makes the array 2-d
+    a = np.array([v % spread - spread // 2 for v in values], dtype=np.int64)
+    if dtype is np.int32:
+        a = a.astype(np.int32)  # wraps past int32, which the test does not mind
+    elif dtype is object:
+        a = np.array([v << 64 for v in a.tolist()], dtype=object)
+    if len(a) % rows == 0 and len(a):
+        a = a.reshape(rows, -1)
+    _assert_stable_sort(a)
+    # a transposed view is not C-contiguous, so its keys go to a copy
+    _assert_stable_sort(a.T)
+
+
+@pytest.mark.parametrize("size", [2, 4, 5, 1000])
+def test_stable_sort_keys_fill_int64_exactly(size, monkeypatch):
+    # (hi - lo + 1) * 2^k is at most INT64_MAX on the key path; 2^63 - 1 is odd, so
+    # with k >= 1 the largest product that fits is 2^63 - 2^k, and 2^63 falls back
+    k = (size - 1).bit_length()
+    lo = -(1 << 62)
+    for span, fallback in (((1 << 63 - k) - 1, False), (1 << 63 - k, True)):
+        rng = np.random.default_rng(size)
+        a = rng.integers(lo, lo + span, size=size, dtype=np.int64)
+        a[:2] = lo, lo + span - 1
+        assert ((int(a.max()) - int(a.min()) + 1) << k > INT64_MAX) is fallback
+        want = np.argsort(a, kind="stable")
+        calls = _spy_argsort(monkeypatch)
+        values, order = stable_sort(a.copy())
+        assert calls == (["stable"] if fallback else [])
+        assert np.array_equal(order, want) and np.array_equal(values, a[want])
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("a", [np.array([-5, -1, -5, -3, -1, -9], dtype=np.int64),
+                               np.full((3, 4), -7, dtype=np.int64),
+                               np.full(9, INT64_MAX, dtype=np.int64),
+                               np.array([3, -2, 3, -2], dtype=np.int32),
+                               np.array([], dtype=np.int64), np.array([42], dtype=np.int64),
+                               np.array([-(1 << 63)], dtype=np.int64)])
+def test_stable_sort_edge_arrays(a):
+    order = _assert_stable_sort(a)
+    # the key path returns int32 positions
+    assert order.dtype == np.int32 or not a.size
+
+
+def test_stable_sort_keys_live_in_a_contiguous_int64_table():
+    a = np.array([[4, -1, 4], [0, -1, 2]], dtype=np.int64)
+    values, _ = stable_sort(a)
+    assert np.shares_memory(values, a)
+    assert values.tolist() == [-1, -1, 0, 2, 4, 4]
+    # an int32 table, or a view that is not C-contiguous, is left as it was
+    for b in (np.array([[4, -1, 4], [0, -1, 2]], dtype=np.int32),
+              np.array([[4, 0], [-1, -1], [4, 2]], dtype=np.int64).T):
+        kept = b.copy()
+        values, _ = stable_sort(b)
+        assert not np.shares_memory(values, b) and np.array_equal(b, kept)
+        assert values.tolist() == [-1, -1, 0, 2, 4, 4]
+
+
+def test_stable_sort_falls_back_on_object_arrays_past_int64(monkeypatch):
+    big = 1 << 70
+    a = np.array([big, -big, 3, big, -big, 3, big + 1], dtype=object).reshape(7, 1)
+    calls = _spy_argsort(monkeypatch)
+    values, order = stable_sort(a)
+    assert calls == ["stable"]
+    assert order.tolist() == [1, 4, 2, 5, 0, 3, 6]
+    assert values.tolist() == [-big, -big, 3, 3, big, big, big + 1]
+    assert run_starts(values).tolist() == [True, False, True, False, True, False, True]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaplab import generator_decomposition as gd
-from gaplab.exact_torus import as_rational, residues
+from gaplab.exact_torus import Cleared, as_rational, residues
 from gaplab.gap_spectrum import CircularSet, SubsetViolationError, fractional_orbit
 from gaplab.generator_decomposition import (NonMemberTargetError,
                                             OracleScaleError,
@@ -284,6 +284,44 @@ def test_generation_on_both_sides_of_the_int64_switch(primes, dtype, data):
     rep = verify_generation(b, c)
     assert rep.passed and rep.mismatches == ()
     assert rep.decomposed_minus == rep.decomposed_plus == rep.universe_size
+
+
+@given(st.lists(st.integers(-3, 40), max_size=6), st.integers(1, 30), st.integers(1, 4),
+       st.sampled_from([None, 1]))
+@settings(max_examples=100, deadline=None)
+def test_span_oracle_reads_a_cleared_as_its_fractions(nums, den, factor, dp_limit):
+    # the Cleared is unreduced, unsorted and may repeat a coin, as the Fractions may
+    kwargs = {} if dp_limit is None else {"dp_limit": dp_limit}
+    fractions = tuple(Fraction(n, den) for n in nums)
+    cleared = Cleared(tuple(n * factor for n in nums), den * factor)
+    if fractions and min(fractions) <= 0:
+        for coins in (fractions, cleared):
+            with pytest.raises(ValueError) as err:
+                SpanOracle(coins, **kwargs)
+            assert str(err.value) == f"span coins must be positive, got {min(fractions)}"
+        return
+    want, got = SpanOracle(fractions, **kwargs), SpanOracle(cleared, **kwargs)
+    assert (got.coins, got.scale) == (want.coins, want.scale) == (tuple(sorted(set(fractions))),
+                                                                  want.scale)
+    assert (got.table is None) is (want.table is None) is (dp_limit is not None and want.scale > 1)
+    assert got.members.tolist() == want.members.tolist()
+
+
+def test_verify_generation_hands_its_oracles_ints(monkeypatch):
+    coins = []
+    init = SpanOracle.__init__
+
+    def spy(self, given, *args, **kwargs):
+        coins.append(given)
+        init(self, given, *args, **kwargs)
+
+    monkeypatch.setattr(SpanOracle, "__init__", spy)
+    b = fractional_orbit(Fraction(5, 37), 12)
+    c = CircularSet.from_points(minimal_difference_cover(b.to_exact_set()).cover)
+    rep = verify_generation(b, c)
+    assert rep.passed
+    assert [type(x) for x in coins] == [Cleared, Cleared]
+    assert [x.values() for x in coins] == [rep.r_minus, rep.r_plus]
 
 
 @given(st.lists(st.integers(1, 12), min_size=1, max_size=4), st.integers(1, 12),

@@ -1446,6 +1446,44 @@ def test_cover_matches_reference_on_random_sets():
             [Fraction(v, rng.choice([1, 7, 10])) for v in vals]))
 
 
+def _ap_plus_random(seed, q, block, step, extra):
+    rng = random.Random(seed)
+    vals = {i * step for i in range(block)}
+    while len(vals) < block + extra:
+        vals.add(rng.randrange(q))
+    return sorted(vals)
+
+
+def _clusters(seed, q, count, width, gap):
+    rng = random.Random(seed)
+    vals = set()
+    for _ in range(count):
+        start = rng.randrange(q - width * gap)
+        vals.update(range(start, start + width * gap, gap))
+    return sorted(vals)
+
+
+@pytest.mark.parametrize("vals, sizes", [
+    # an arithmetic block of 150 with step 7, and 46 random residues
+    (_ap_plus_random(0, 4001, 150, 7, 46), {"torus": 111, "integers": 195, "rationals": 195}),
+    # 11 clusters of 15 residues spaced 3 apart
+    (_clusters(1, 4001, 11, 15, 3), {"torus": 24, "integers": 23, "rationals": 23}),
+    # 20 runs of 15 consecutive residues
+    (_clusters(4, 4001, 20, 15, 1), {"torus": 45, "integers": 48, "rationals": 48}),
+])
+def test_cover_matches_reference_where_the_greedy_skips_candidates(vals, sizes):
+    # random sets need all of B, so there every row is picked; here the greedy
+    # cover leaves rows out, and its tie rule and gain updates decide which
+    q = 4001
+    sets = {"torus": FiniteExactSet.torus([Fraction(v, q) for v in vals]),
+            "integers": FiniteExactSet.integers(vals),
+            "rationals": FiniteExactSet.rationals([Fraction(v, 7) for v in vals])}
+    for name, b in sets.items():
+        assert 150 <= len(b) <= 300
+        got = _assert_cover_matches_reference(b)
+        assert len(got.cover) == sizes[name] < len(b)
+
+
 @pytest.mark.parametrize("vals, cover, nodes", [
     ([0, 2, 7, 8, 11, 12, 15, 16, 22, 28, 29, 32, 33, 40], (0, 2, 8, 11, 15, 29, 32, 33, 40), 15),
     ([2, 4, 8, 17, 19, 21, 22, 23, 26, 32, 34, 35, 36], (2, 4, 8, 17, 19, 22, 23, 26, 34, 35, 36), 13),
