@@ -52,9 +52,8 @@ from .gap_spectrum import (APUnionSpec, CircularSet, _orbit_gap_counts,
                            gap_bound_check, greedy_max_distinct,
                            greedy_target, sumset_size, three_gap_check)
 from .generator_decomposition import verify_generation
-from .nn_census import (PointCloud, extract_core, kissing_check,
-                        kronecker_census, max_ball_depth, nn_census,
-                        tightness_example)
+from .nn_census import (PointCloud, _square_block, extract_core, kissing_check,
+                        kronecker_census, nn_census, tightness_example)
 from .reports import SCHEMA_VERSION, canonical_json, to_csv, to_jsonable
 from .sumset_engine import (EXACT_LIMIT, Domain, FiniteExactSet, difference_set,
                             minimal_difference_cover, sumset)
@@ -474,13 +473,14 @@ def _cmd_kissing(args) -> Dict[str, Any]:
           _arg("--m", type=int, help="use the square-block cloud of parameter m"),
           _arg("--epsilon", type="_rational"),
           _arg("--kappa", type="_rational",
-               help="ball-depth constant; defaults to the measured value"))
+               help="ball-depth constant; defaults to the measured kappa, the cloud's "
+                    "largest ball depth times (3/4)^d"))
 def _cmd_extract_core(args) -> Dict[str, Any]:
     _at_most("--m", args.m, MAX_CLOUD_M, "tables over pairs of about m^2 cloud points")
     if args.points is not None:
         cloud = PointCloud.from_values(args.points)
     elif args.m is not None:
-        cloud = tightness_example(args.m).cloud
+        cloud = _square_block(args.m)
     else:
         raise ValueError("give either --points or --m")
     epsilon = args.epsilon
@@ -488,8 +488,7 @@ def _cmd_extract_core(args) -> Dict[str, Any]:
         if not args.m:  # None, or 0 with --points: no default 1/(2m)
             raise ValueError("--epsilon is required with --points")
         epsilon = Fraction(1, 2 * args.m)
-    kappa = args.kappa if args.kappa is not None else max_ball_depth(cloud, cloud).kappa_hat
-    trace = extract_core(cloud, cloud, epsilon, kappa)
+    trace = extract_core(cloud, cloud, epsilon, args.kappa)
     verdicts = [
         _verdict("core-size", trace.size_ok, core_size=len(trace.core),
                  floor_size=trace.a_size - int(epsilon * trace.a_size)),
@@ -499,7 +498,7 @@ def _cmd_extract_core(args) -> Dict[str, Any]:
                  threshold=trace.threshold),
     ]
     metrics = {"a_size": trace.a_size, "rounds": trace.rounds, "l": trace.l,
-               "epsilon": epsilon, "kappa": kappa}
+               "epsilon": epsilon, "kappa": trace.kappa}
     return {"verdicts": verdicts, "metrics": metrics, "report": trace}
 
 

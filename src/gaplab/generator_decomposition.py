@@ -387,7 +387,18 @@ class SpanOracle:
 
 
 def _same_span(a: SpanOracle, b: SpanOracle, q: int) -> bool:
-    """Whether two oracles whose scales divide q hold the same span, compared over q."""
+    """Whether two oracles whose scales divide q hold the same span, compared over q.
+
+    Two tables are compared in place: the spans agree when neither has a
+    member off the grid of 1/gcd(scale_a, scale_b), read as strided views,
+    and the two agree on it.  A breadth-first oracle's members are compared
+    over q.
+    """
+    if a.table is not None and b.table is not None:
+        g = gcd(a.scale, b.scale)
+        grids = [o.table[::o.scale // g] for o in (a, b)]
+        counts = [np.count_nonzero(o.table) for o in (a, b)]
+        return counts == [np.count_nonzero(t) for t in grids] and np.array_equal(*grids)
     return np.array_equal(*(o.members.astype(int_dtype(q)) * (q // o.scale) for o in (a, b)))
 
 

@@ -15,11 +15,12 @@ one deterministic choice per point: by all pairs, a tile of points at a time
 residue rows at every scale, scoring through _sq_norms, the fold every kernel
 here shares, and choosing the least (nsq, signed vector) through _least;
 "auto" picks grid above 512 points and brute otherwise.
-Ball depths and core extraction read the kernel's integer rows (_census_rows),
-which nn_census keeps in its report (records and census lifted on read, written
-from rows when unread), and one table of A + B (_sum_table): its distinct rows,
-sorted and indexed by one np.unique of a mixed-radix key per row, and the row
-of every pair.  _brute_rows_exact, an all-pairs loop on the Fraction points, is
+nn_census keeps the kernel's integer rows (_census_rows) in its report (records
+and census lifted on read, written from rows when unread).  Ball depths and core
+extraction read one ball table (_balls), built once per query: A's census rows,
+one table of A + B (_sum_table: its distinct rows, sorted and indexed by one
+np.unique of a mixed-radix key per row, and the row of every pair), each ball's
+radius and each sum's depth, which also gives core extraction its default kappa.  _brute_rows_exact, an all-pairs loop on the Fraction points, is
 the oracle the tests check both against.  On top of the census sit: the orbit
 census of a rotation (numpy steps over the orbit's offsets, lifting only its
 census), pairwise-dominance checks on residue rows through _sq_norms, ball
@@ -587,16 +588,23 @@ class BallDepthReport:
     kappa_hat: Fraction
 
 
+def _balls(a: PointCloud, b: PointCloud):
+    """(raw, sums, at, scale, radii, depth): A's census rows (_census_rows), the
+    table of A + B (_sum_table), each a's squared ball radius over the common
+    scale, and each sum's depth, the number of those closed balls holding it."""
+    _, raw = _census_rows(a, "auto")
+    sums, ra, at, scale = _sum_table(a, b)
+    dtype = int_dtype(_norm_bound(a.dim, scale))
+    radii = np.array([m * (scale // a._rows[1]) ** 2 for m, _, _ in raw], dtype)
+    nsq = _sq_norms((z[:, None] - x[None, :] for z, x in
+                     zip(sums.astype(dtype, copy=False).T, ra.astype(dtype, copy=False).T)), scale)
+    return raw, sums, at, scale, radii, (nsq <= radii).sum(axis=1)
+
+
 def max_ball_depth(a: PointCloud, b: PointCloud) -> BallDepthReport:
     """Max depth over z in A+B (the first deepest z), and max_depth*(3/4)^d."""
-    _, raw = _census_rows(a, "auto")
-    sums, ra, _, scale = _sum_table(a, b)
+    _, sums, _, scale, _, depth = _balls(a, b)
     d = a.dim
-    dtype = int_dtype(_norm_bound(d, scale))
-    sums, ra = sums.astype(dtype, copy=False), ra.astype(dtype, copy=False)
-    radii = np.array([m * (scale // a._rows[1]) ** 2 for m, _, _ in raw], dtype)
-    nsq = _sq_norms((z[:, None] - x[None, :] for z, x in zip(sums.T, ra.T)), scale)
-    depth = (nsq <= radii).sum(axis=1)
     best = int(depth.max())
     deepest, = _lift_rows(sums[depth == best][:1].tolist(), scale)
     return BallDepthReport(d, best, deepest, Fraction(best * 3 ** d, 4 ** d))
@@ -641,26 +649,27 @@ class CoreExtractionTrace:
         return self.size_ok and self.census_ok and self.upsilon_ok
 
 
-def extract_core(a: PointCloud, b: PointCloud, epsilon,
-                 kappa=Fraction(1)) -> CoreExtractionTrace:
+def extract_core(a: PointCloud, b: PointCloud, epsilon, kappa=None) -> CoreExtractionTrace:
     """Extract A' of size > (1-eps)|A| whose census has at most rounds*l vectors.
 
     Points whose nearest-neighbour ball around a+b catches more than the
     threshold of sumset points are set aside per b; every other a is covered
     by the center c = a+b.  Greedy center choice (largest uncovered gain,
     ties to the smallest center) drives the uncovered fraction below eps.
-    A kappa too small for the cloud stalls the greedy loop and is reported
-    with the smallest workable value.
+    kappa defaults to the measured max_depth*(3/4)^d of max_ball_depth,
+    read off the same ball table.  A kappa too small for the cloud stalls
+    the greedy loop and is reported with the smallest workable value.
     """
     eps = as_rational(epsilon)
     if not 0 < eps < 1:
         raise EpsilonRangeError("epsilon must lie strictly between 0 and 1")
-    kap = as_rational(kappa)
+    kap = None if kappa is None else as_rational(kappa)
     if a.dim != b.dim:
         raise InvalidConfigurationError("dimension mismatch")
-    _, raw = _census_rows(a, "auto")
-    sums, _, at, scale = _sum_table(a, b)
+    raw, sums, at, scale, radii, depth = _balls(a, b)
     n_sums, d = sums.shape
+    if kap is None:
+        kap = Fraction(int(depth.max()) * 3 ** d, 4 ** d)
     threshold = (2 * kap / eps) * Fraction(4 ** d, 3 ** d) * Fraction(n_sums, len(a))
     l = 1 + int(threshold)
     bound = _norm_bound(d, scale)
@@ -670,8 +679,8 @@ def extract_core(a: PointCloud, b: PointCloud, epsilon,
     dist.sort(axis=1)
     dist += np.arange(n_sums, dtype=dtype)[:, None] * (bound + 1)
     # ball counts of every (a, b) pair, exact: a_j - a_i = (a_j + b) - (a_i + b) over scale
-    radii = np.array([m * (scale // a._rows[1]) ** 2 for m, _, _ in raw], dtype)
-    counts = np.searchsorted(dist.ravel(), at.astype(dtype) * (bound + 1) + radii[:, None],
+    counts = np.searchsorted(dist.ravel(), at.astype(dtype) * (bound + 1)
+                             + radii.astype(dtype, copy=False)[:, None],
                              side="right") - at * n_sums
     over = counts > math.floor(threshold)
     upsilon_sizes = over.sum(axis=0).tolist()
@@ -727,6 +736,15 @@ class TightnessReport:
                 and 2 * self.census_floor >= self.m)
 
 
+def _square_block(m: int) -> PointCloud:
+    """The square-block cloud: 1, 4, ..., m^2, then m^2+1, ..., 2m^2-m, over 4m^2."""
+    if m < 2:
+        raise InvalidConfigurationError("m must be at least 2")
+    ints = sorted({i * i for i in range(1, m + 1)}
+                  | set(range(m * m + 1, 2 * m * m - m + 1)))
+    return PointCloud._from_rows([(v,) for v in ints], 4 * m * m)
+
+
 def tightness_example(m: int) -> TightnessReport:
     """Squares then a block, scaled into the circle: small doubling, census >= m.
 
@@ -734,12 +752,7 @@ def tightness_example(m: int) -> TightnessReport:
     drops at most eps*m^2 census vectors, so its census stays at least
     m - eps*m^2 = m/2: the extraction bound cannot be improved much.
     """
-    if m < 2:
-        raise InvalidConfigurationError("m must be at least 2")
-    scale = 4 * m * m
-    ints = sorted({i * i for i in range(1, m + 1)}
-                  | set(range(m * m + 1, 2 * m * m - m + 1)))
-    cloud = PointCloud._from_rows([(v,) for v in ints], scale)
+    cloud = _square_block(m)
     census = {v for _, v, _ in _census_rows(cloud, "auto")[1]}
     n_sums = len(_sum_table(cloud, cloud)[0])
     eps = Fraction(1, 2 * m)

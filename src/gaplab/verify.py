@@ -36,8 +36,7 @@ from .gap_spectrum import (APUnionSpec, CircularSet, CollisionError,
 from .generator_decomposition import verify_generation
 from .nn_census import (PointCloud, _census_rows, extract_core,
                         gram_kissing_check, hexagon_gram, kissing_check,
-                        kronecker_census, max_ball_depth, pentagon_cloud,
-                        tightness_example)
+                        kronecker_census, pentagon_cloud, tightness_example)
 from .sumset_engine import EXACT_LIMIT, FiniteExactSet, minimal_difference_cover, sumset
 
 
@@ -336,8 +335,7 @@ def check_extract_core(seed: int = 0) -> tuple:
     rows = {}
     for m in (3, 5, 8):
         tight = tightness_example(m)
-        kappa = max_ball_depth(tight.cloud, tight.cloud).kappa_hat
-        trace = extract_core(tight.cloud, tight.cloud, tight.epsilon, kappa=kappa)
+        trace = extract_core(tight.cloud, tight.cloud, tight.epsilon)
         rows[m] = {
             "cloud": tight.size, "doubling": tight.sumset_size,
             "census": tight.census_size, "core": len(trace.core),

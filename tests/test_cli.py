@@ -323,7 +323,7 @@ def test_a_size_past_its_ceiling_exits_two_naming_it(argv, ceiling, monkeypatch,
     # by argument value only: one past each ceiling, and 10^15, are refused
     # before any library call starts the work
     for name in ("fractional_orbit", "three_gap_check", "behrend_set", "exact_ap_free",
-                 "kronecker_census", "tightness_example", "PointCloud"):
+                 "kronecker_census", "tightness_example", "_square_block", "PointCloud"):
         monkeypatch.setattr(cli, name, None)
     for size in (ceiling + 1, 10 ** 15):
         assert main(argv + [str(size)]) == 2
@@ -781,6 +781,27 @@ def test_extract_core_exits_one_when_only_ball_depth_fails(tmp_path):
     verdicts = {v["name"]: v["passed"] for v in payload["verdicts"]}
     assert verdicts == {"core-size": True, "core-census": True, "ball-depth": False}
     assert rc == 1
+
+
+def test_extract_core_builds_the_census_and_the_sum_table_once(tmp_path, monkeypatch):
+    import importlib
+
+    from gaplab import verify
+
+    nn = importlib.import_module("gaplab.nn_census")
+    calls = []
+    for name in ("_census_rows", "_sum_table"):
+        def spy(*args, _real=getattr(nn, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(nn, name, spy)
+    rc, payload = run_json(tmp_path, ["extract-core", "--m", "5"])
+    assert rc == 0 and payload["metrics"]["kappa"] == "9/4"
+    assert sorted(calls) == ["_census_rows", "_sum_table"]
+    # the check's tightness report and its extraction build one of each per m
+    calls.clear()
+    assert verify.check_extract_core().passed
+    assert sorted(calls) == ["_census_rows"] * 6 + ["_sum_table"] * 6
 
 
 @pytest.mark.parametrize("line", list(README_FROZEN) + list(VARIANT_FROZEN))

@@ -2,6 +2,7 @@
 
 import random
 import sys
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -691,3 +692,21 @@ def test_same_span_both_ways():
             want = ParentSpanOracle(a, dp_limit=dp).reachable_scaled(q) == \
                 ParentSpanOracle(b).reachable_scaled(q)
             assert got == want == agree
+
+
+def test_same_span_compares_two_tables_in_place():
+    # spans over 3 * 2^20 and 2^21 of about 3 * 2^20 members each: their int64
+    # members, and the copies scaled to q, would take 24 MiB or more, while the
+    # tables, read through strided views on the grid of their gcd, take none
+    s = 3 << 20
+    a, b, c = (SpanOracle(Cleared(coins, scale))
+               for coins, scale in (((2, 3), s), ((3, 2, 7), s), ((3,), 2 * s)))
+    assert (a.scale, b.scale, c.scale) == (s, s, 2 << 20)
+    tracemalloc.start()
+    try:
+        got = [_same_span(x, y, 6 << 20) for x, y in ((a, b), (b, a), (a, c), (c, a))]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == [True, True, False, False]
+    assert peak < 2 * s, peak

@@ -577,16 +577,18 @@ def _core_reference(a, b, eps, kap):
                 census_ok=len(census) <= rounds * l)
 
 
-def _check_core(a, b, eps, kap):
-    """extract_core against the reference; False when both stall alike."""
+def _check_core(a, b, eps, kap, omit=False):
+    """extract_core against the reference, called without kap when omit (kap is
+    then the measured kappa it must default to); False when both stall alike."""
+    args = (a, b, eps) if omit else (a, b, eps, kap)
     try:
         want = _core_reference(a, b, eps, kap)
     except GreedyStallError as exc:
         with pytest.raises(GreedyStallError) as got:
-            extract_core(a, b, eps, kap)
+            extract_core(*args)
         assert str(got.value) == str(exc)
         return False
-    got = extract_core(a, b, eps, kap)
+    got = extract_core(*args)
     assert {f.name: getattr(got, f.name) for f in fields(got)} == want
     assert got.core._rows == want["core"]._rows
     return True
@@ -621,9 +623,11 @@ def test_ball_depth_and_core_match_fraction_reference():
             tuple({p + r for p in cloud for r in cloud}))
         rep = max_ball_depth(cloud, cloud)
         assert (rep.max_depth, rep.deepest) == _depth_reference(cloud, cloud)
-        for eps, kap in ((Fraction(1, 4), rep.kappa_hat), (Fraction(1, 2), Fraction(1)),
-                         (Fraction(2, 3), Fraction(1, 40))):
-            extracted += _check_core(cloud, cloud, eps, kap)
+        for eps, kap, omit in ((Fraction(1, 4), rep.kappa_hat, False),
+                               (Fraction(1, 4), rep.kappa_hat, True),
+                               (Fraction(1, 2), Fraction(1), False),
+                               (Fraction(2, 3), Fraction(1, 40), False)):
+            extracted += _check_core(cloud, cloud, eps, kap, omit)
     assert extracted > 10
     a = clouds[-1]
     b = PointCloud.from_values([(Fraction(1, 7), Fraction(0)), (Fraction(1, 3), Fraction(1, 2))])
