@@ -93,7 +93,7 @@ MAX_ORBIT_POINTS = 10 ** 6  # orbit, gaps, greedy --n; kronecker --n times its a
 MAX_BEHREND_N = 3 ** 19  # the greedy progression-free list below it holds 2^19 values
 MAX_COVER_N = 3000  # forced-cover, and cover and generators of an orbit: n x n differences
 MAX_AP_FREE_N = 50  # forced-cover without --s: the exact search for its seed, about 2 s at 50
-MAX_CLOUD_M = 30  # tightness, extract-core: tables over pairs of about m^2 points
+MAX_CLOUD_M = 30  # extract-core's tables over pairs of about m^2 points; tightness shares it
 
 
 def _at_most(flag: str, value: Optional[int], ceiling: int, work: str) -> None:

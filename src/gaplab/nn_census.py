@@ -43,6 +43,7 @@ from .exact_torus import (Cleared, LazyFields, TorusPoint, TorusVector, _coerce,
                           as_rational, common_scale, int_dtype, residue_over, residues,
                           signed_residues, torus_dist_sq)
 from .gap_spectrum import CollisionError, TooFewPointsError
+from .sumset_engine import torus_pairsums
 
 # sweep offsets per round and brute-force pairs per tile: amortise numpy calls
 _SWEEP_BLOCK = 16
@@ -754,7 +755,9 @@ def tightness_example(m: int) -> TightnessReport:
     """
     cloud = _square_block(m)
     census = {v for _, v, _ in _census_rows(cloud, "auto")[1]}
-    n_sums = len(_sum_table(cloud, cloud)[0])
+    # the block lies on the circle: A + A of its ascending 1-d residues
+    ints = [v for v, in cloud._rows[0]]
+    n_sums = len(torus_pairsums(ints, ints, cloud._rows[1]))
     eps = Fraction(1, 2 * m)
     floor = m - eps * m * m
     ratio = Fraction(n_sums ** 2, len(cloud) ** 2)

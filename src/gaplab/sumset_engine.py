@@ -6,20 +6,20 @@ common denominator, residues mod the scale on the torus, with no set of
 Fractions or torus points built on the way.  Sums run on those integers as
 offsets from the smallest sum, so the span of the sums and the cost of each
 kernel pick the path, never the magnitude of the ints: a dense bitmap
-convolution when the output span is small enough to afford one (or, when
-its segment is sparse, the pair sums scattered into a bool map and packed to
-the same words), a chunked outer sum otherwise (sorted int64 offsets, or,
-up to a span of 2^124, two 62-bit limbs added with carry and sorted on the
-sum's top 64 bits), and past that a hashing fallback, sorted once.  Dense
-sums stay bitmap words (_Bitmap) and every other set ascending offsets from
-a Python-int base (_Sorted) until their ints are read: the size of a sum
-that nobody prints costs a popcount or a length, and the torus folds
-[q, 2q) onto [0, q) as a shifted OR of words, by moving the base, or on the
-offsets (62-bit limbs past int64).  A + A of one set (the same list as both
+convolution when the output span is small enough to afford one (or, when its
+segment is sparse, the pair sums scattered into a bool map and packed to the
+same words), a chunked outer sum otherwise (sorted int64 offsets; past int64
+and up to a span of 2^124, two 62-bit limbs added with carry and sorted on
+the sum's top 64 bits; past that, Python ints in object arrays).  Dense sums
+stay bitmap words (_Bitmap) and every other set ascending offsets from a
+Python-int base (_Sorted) until their ints are read: the size of a sum that
+nobody prints costs a popcount or a length, and the torus folds [q, 2q) onto
+[0, q) as a shifted OR of words, by moving the base, or on the offsets
+(62-bit limbs past int64).  A + A of one set (the same list as both
 operands) forms each unordered pair once on every path, and on the dense
-word kernel it also skips the output words that are already all ones.  A
-set (an exact_torus.LazyFields type) lifts its elements to ints, Fractions
-or torus points only when ``elements`` is first read, so a sum that nobody
+word kernel it also skips the output words that are already all ones.  A set
+(an exact_torus.LazyFields type) lifts its elements to ints, Fractions or
+torus points only when ``elements`` is first read, so a sum that nobody
 prints is never lifted.
 
 The minimum difference cover also runs on the set's ints: one composite-key
@@ -57,8 +57,8 @@ from .exact_torus import (INT64_MAX, Cleared, LazyFields, TorusPoint, _coerce, _
 # element's Python step.  Writing a pair sum into a bool map costs about
 # SCATTER_PAIR_ORS, so a dense sum scatters when that is cheaper and its
 # map takes at most 2^22 bytes, 2^20 sums at a time.
-# Outer sums take at most 2^25 pairs, formed and sorted about 2^23 at a
-# time, and spans up to 2^124: two 62-bit limbs.  A Python set takes the rest.
+# Outer sums are formed and sorted about 2^23 pairs at a time, on two
+# 62-bit limbs for spans past int64 up to 2^124.
 DENSE_SPAN_LIMIT = 1 << 26
 DENSE_SEG_LIMIT = 1 << 22
 _TABLE_WORDS = 1 << 15
@@ -66,7 +66,6 @@ DENSE_LOOP_ORS = 3000
 SCATTER_PAIR_ORS = 12
 SCATTER_SPAN_LIMIT = 1 << 22
 _SCATTER_PAIRS = 1 << 20
-OUTER_PAIR_LIMIT = 1 << 25
 LIMB_SPAN_LIMIT = 1 << 124
 _CHUNK_PAIRS = 1 << 23
 _LIMB_BITS = 62
@@ -406,27 +405,18 @@ def _pairsums_int(xs: list, ys: list):
     The span of the sums and the cost of each kernel pick the path, not the
     magnitude of the ints: every kernel runs on offsets from xs[0] + ys[0].
     The words of a _Bitmap from the dense path, sorted offsets (a _Sorted)
-    from the outer path up to a span of LIMB_SPAN_LIMIT, and past it, or
-    past OUTER_PAIR_LIMIT pairs, the same from a Python set, sorted once.
+    from the outer path.
     """
     lo = xs[0] + ys[0]
     span_out = xs[-1] + ys[-1] - lo + 1
-    n_pairs = len(xs) * len(ys)
     # Of the dense (loop, segment) orders whose segment fits, run the one
     # with fewer word ORs; on a tie, the narrower segment, then xs looping.
     orders = ((xs, ys), (ys, xs))
     costs = [(len(p) * (s[-1] - s[0] + 64), s[-1] - s[0], i)
              for i, (p, s) in enumerate(orders) if s[-1] - s[0] < DENSE_SEG_LIMIT]
-    # past OUTER_PAIR_LIMIT pairs a span the dense path takes is always dense:
-    # span_out // 16 <= DENSE_SPAN_LIMIT // 16 < OUTER_PAIR_LIMIT
-    if costs and span_out <= DENSE_SPAN_LIMIT and n_pairs >= span_out // 16:
+    if costs and span_out <= DENSE_SPAN_LIMIT and len(xs) * len(ys) >= span_out // 16:
         return _dense_pairsums(*orders[min(costs)[2]], lo, span_out)
-    if n_pairs <= OUTER_PAIR_LIMIT and span_out <= LIMB_SPAN_LIMIT:
-        return _outer_pairsums(xs, ys)
-    # Arbitrary-precision fallback; correct for any magnitudes.  A + A forms
-    # each unordered pair once.
-    sums = {a + b for i, a in enumerate(xs) for b in (xs[i:] if xs is ys else ys)}
-    return _Sorted.of(sorted(sums))
+    return _outer_pairsums(xs, ys)
 
 
 def _offsets(xs: list) -> np.ndarray:
@@ -480,18 +470,19 @@ def _block_sums(a: np.ndarray, b: np.ndarray, chunk: list) -> np.ndarray:
 
 
 def _outer_pairsums(xs: list, ys: list) -> _Sorted:
-    """Distinct pair sums, sorted, for spans of at most LIMB_SPAN_LIMIT.
+    """Distinct pair sums, sorted, for any span.
 
-    Offsets whose sums fit int64 are summed and sorted as they are.  Wider
-    ones are split into two 62-bit limbs, added with carry, and sorted on the
-    sum's top 64 bits (_distinct_limbs).  Rows are taken about _CHUNK_PAIRS
-    pairs at a time.
+    Offsets whose sums fit int64, or whose span reaches LIMB_SPAN_LIMIT
+    (Python ints in object arrays, _offsets), are summed and sorted as they
+    are.  Those between are split into two 62-bit limbs, added with carry,
+    and sorted on the sum's top 64 bits (_distinct_limbs).  Rows are taken
+    about _CHUNK_PAIRS pairs at a time.
     """
     base = xs[0] + ys[0]
     span = xs[-1] + ys[-1] - base
     same = xs is ys
     chunks = _pair_blocks(len(xs), len(ys), same, _CHUNK_PAIRS)
-    if span <= INT64_MAX:
+    if span <= INT64_MAX or span >= LIMB_SPAN_LIMIT:
         a = _offsets(xs)
         b = a if same else _offsets(ys)
         pieces = [sorted_unique(_block_sums(a, b, chunk)) for chunk in chunks]

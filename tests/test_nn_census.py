@@ -251,9 +251,11 @@ def test_tightness_cloud_m3():
 
 @pytest.mark.parametrize("m", range(2, 21))
 def test_tightness_census_is_m_plus_one(m):
-    # census >= m, the pass flag's conjunct that no printed verdict shows
+    # census >= m, the pass flag's conjunct that no printed verdict shows;
+    # |A + A|, counted on the circle, against the cloud sum table
     rep = tightness_example(m)
     assert rep.census_size == m + 1
+    assert rep.sumset_size == len(cloud_sumset(rep.cloud, rep.cloud))
     assert rep.passed
 
 

@@ -57,14 +57,15 @@ def test_integer_domain_rejects_nonints():
         FiniteExactSet.integers([True])
 
 
-def test_huge_integers_take_the_hashing_path(monkeypatch):
-    # sums spanning more than the two limbs hold, so the numpy paths stand aside
+def test_huge_integers_take_the_outer_path_on_python_ints(monkeypatch):
+    # sums spanning more than the two limbs hold are summed as Python ints
     base = 1 << 130
     a = FiniteExactSet.integers([base, base + 3, base + 10, 2 * base])
     b = FiniteExactSet.integers([-base, -base + 1])
     seen = _spy_paths(monkeypatch)
-    assert list(sumset(a, b).elements) == brute_sum(a.elements, b.elements)
-    assert seen == []
+    s = sumset(a, b)
+    assert list(s.elements) == brute_sum(a.elements, b.elements)
+    assert seen == ["outer"] and s._ints.top.dtype == object
 
 
 def test_huge_integers_in_a_narrow_span_run_dense(monkeypatch):
@@ -314,7 +315,7 @@ def _check_domain(monkeypatch, xs, ys, q, domain, expected_path, brute):
         want = tuple(TorusPoint(Fraction(m, q)) for m in sorted({m % q for m in brute}))
     a = build(xs)
     got = sumset(a, a if ys is xs else build(ys))
-    assert (seen or ["hash"]) == [expected_path]
+    assert seen == [expected_path]
     assert len(got) == len(want)
     assert got.elements == want
 
@@ -343,40 +344,38 @@ def _outer_limit_case(n_pairs, rows):
 @pytest.mark.parametrize("delta", [-1, 0, 1])
 def test_integer_sumset_at_the_outer_pair_limit(monkeypatch, delta):
     # 2^25 - 1 = 1801 * 18631, 2^25 = 4096 * 8192, 2^25 + 1 = 4051 * 8283
+    # pairs, four or five chunks of _CHUNK_PAIRS: the outer path takes any count
     rows = {-1: 1801, 0: 4096, 1: 4051}[delta]
-    xs, ys = _outer_limit_case(se.OUTER_PAIR_LIMIT + delta, rows)
-    _check_domain(monkeypatch, xs, ys, None, "integers",
-                  "outer" if delta <= 0 else "hash", brute_sum(xs, ys))
+    xs, ys = _outer_limit_case((1 << 25) + delta, rows)
+    _check_domain(monkeypatch, xs, ys, None, "integers", "outer", brute_sum(xs, ys))
 
 
 @pytest.mark.parametrize("domain", ["rationals", "torus"])
 @pytest.mark.parametrize("delta", [-1, 0, 1])
 def test_rational_and_torus_sumsets_at_a_lowered_outer_pair_limit(monkeypatch, domain,
                                                                   delta):
-    # 2^25 pairs cost seconds per domain, so these two domains meet the same
-    # comparison at 2^12 pairs: 4095 = 63 * 65, 4096 = 64 * 64, 4097 = 17 * 241
-    monkeypatch.setattr(se, "OUTER_PAIR_LIMIT", 1 << 12)
+    # 2^25 pairs cost seconds per domain, so these two domains take 2^12
+    # pairs in many chunks: 4095 = 63 * 65, 4096 = 64 * 64, 4097 = 17 * 241
+    monkeypatch.setattr(se, "_CHUNK_PAIRS", 1 << 8)
     rows = {-1: 63, 0: 64, 1: 17}[delta]
     xs, ys = _outer_limit_case((1 << 12) + delta, rows)
-    _check_domain(monkeypatch, xs, ys, (1 << 27) + 1, domain,
-                  "outer" if delta <= 0 else "hash", brute_sum(xs, ys))
+    _check_domain(monkeypatch, xs, ys, (1 << 27) + 1, domain, "outer", brute_sum(xs, ys))
 
 
 @pytest.mark.parametrize("domain", ["integers", "rationals", "torus"])
 @pytest.mark.parametrize("n", [63, 64, 65])
 def test_identical_operands_at_a_lowered_outer_pair_limit(monkeypatch, domain, n):
-    # n * n = 3969, 4096, 4225 pairs against 2^12, for A + A and A + copy(A)
-    monkeypatch.setattr(se, "OUTER_PAIR_LIMIT", 1 << 12)
+    # n * n = 3969, 4096, 4225 pairs in many chunks, for A + A and A + copy(A)
+    monkeypatch.setattr(se, "_CHUNK_PAIRS", 1 << 8)
     xs = _run(n - 1) + [1 << 27]
-    path = "outer" if n * n <= 1 << 12 else "hash"
     brute = brute_sum(xs, xs)
-    _check_domain(monkeypatch, xs, xs, (1 << 27) + 1, domain, path, brute)
-    _check_domain(monkeypatch, xs, list(xs), (1 << 27) + 1, domain, path, brute)
+    _check_domain(monkeypatch, xs, xs, (1 << 27) + 1, domain, "outer", brute)
+    _check_domain(monkeypatch, xs, list(xs), (1 << 27) + 1, domain, "outer", brute)
 
 
 @pytest.mark.parametrize("q, expected_path", [
     ((1 << 62) - 1, "outer"), (1 << 62, "outer"), ((1 << 62) + 1, "outer"),
-    (I64_MAX, "outer"), (1 << 63, "outer"), (1 << 70, "dense"), ((1 << 130) + 3, "hash")])
+    (I64_MAX, "outer"), (1 << 63, "outer"), (1 << 70, "dense"), ((1 << 130) + 3, "outer")])
 def test_torus_fold_on_both_sides_of_its_int64_guard(monkeypatch, q, expected_path):
     # the largest sum 2q - 2 passes I64_MAX first at q = 2^62 + 1, where the
     # outer path turns to two limbs; a modulus past int64 with small
@@ -395,8 +394,9 @@ def test_torus_fold_on_both_sides_of_its_int64_guard(monkeypatch, q, expected_pa
 
 # ---------------------------------------------------------------------------
 # Paths by span: every kernel runs on offsets from xs[0] + ys[0], the outer
-# path takes spans past int64 on two 62-bit limbs, and the Python set, kept
-# here as brute_sum, is the oracle at each switch.
+# path takes spans past int64 on two 62-bit limbs and spans from
+# LIMB_SPAN_LIMIT on as Python ints, and a Python set (brute_sum) is the
+# oracle at each switch.
 
 def _spanning(base, span, k, rng):
     """k ascending ints from base to base + span, both ends included."""
@@ -409,16 +409,16 @@ def _path_of(xs, ys):
     with pytest.MonkeyPatch.context() as mp:
         seen = _spy_paths(mp)
         got = se._pairsums_int(xs, ys)
-    return got.tolist(), (seen or ["hash"])[0], got
+    return got.tolist(), seen[0], got
 
 
 @pytest.mark.parametrize("base", [0, -(1 << 63) - 17, -(1 << 200), (1 << 63) + 5, 1 << 90])
-@pytest.mark.parametrize("span, path, limbs", [
-    (I64_MAX, "outer", False), (I64_MAX + 1, "outer", True), (I64_MAX + 2, "outer", True),
-    (LIMB_LIMIT - 1, "outer", True), (LIMB_LIMIT, "hash", None), (LIMB_LIMIT + 1, "hash", None)])
-def test_outer_sums_on_both_sides_of_the_int64_and_limb_spans(base, span, path, limbs):
+@pytest.mark.parametrize("span, form", [
+    (I64_MAX, "int64"), (I64_MAX + 1, "limbs"), (I64_MAX + 2, "limbs"),
+    (LIMB_LIMIT - 1, "limbs"), (LIMB_LIMIT, "object"), (LIMB_LIMIT + 1, "object")])
+def test_outer_sums_on_both_sides_of_the_int64_and_limb_spans(base, span, form):
     # the sums span exactly `span`: int64 offsets up to I64_MAX, two limbs
-    # from I64_MAX + 1 to LIMB_LIMIT - 1, the Python set from LIMB_LIMIT on
+    # from I64_MAX + 1 to LIMB_LIMIT - 1, Python ints from LIMB_LIMIT on
     # (A + A of a set spanning span // 2 spans I64_MAX - 1 at I64_MAX)
     rng = random.Random(span ^ base)
     xs = _spanning(base, span - 7, 30, rng)
@@ -426,9 +426,9 @@ def test_outer_sums_on_both_sides_of_the_int64_and_limb_spans(base, span, path, 
     zs = _spanning(base, span // 2, 30, rng)
     for a, b in ((xs, ys), (ys, xs), (zs, zs)):
         got, ran, res = _path_of(a, b)
-        assert (ran, got) == (path, brute_sum(a, b))
-        if limbs is not None:
-            assert (res.low is not None) == limbs and len(res) == len(got)
+        held = "limbs" if res.low is not None else str(res.top.dtype)
+        assert (ran, held, got) == ("outer", form, brute_sum(a, b))
+        assert len(res) == len(got)
 
 
 @pytest.mark.parametrize("base", [0, -(1 << 63) - 17, (1 << 63) + 5])
@@ -471,11 +471,12 @@ def _narrow_spans(draw):
 
 @given(_narrow_spans())
 @settings(deadline=None, max_examples=300)
-def test_a_span_that_fits_int64_never_takes_the_hash_path(operands):
+def test_a_span_that_fits_int64_never_takes_python_ints(operands):
     xs, ys = operands
     assert xs[-1] + ys[-1] - xs[0] - ys[0] <= I64_MAX
-    got, ran, _ = _path_of(xs, ys)
-    assert ran in ("dense", "outer") and got == brute_sum(xs, ys)
+    got, ran, res = _path_of(xs, ys)
+    assert got == brute_sum(xs, ys)
+    assert type(res) is se._Bitmap if ran == "dense" else res.top.dtype == np.int64
 
 
 @pytest.mark.parametrize("same", [True, False])
@@ -735,7 +736,7 @@ def test_sorted_unique_matches_numpy_unique():
 
 
 # ---------------------------------------------------------------------------
-# A + A, one list as both operands: the dense, outer and hash paths form each
+# A + A, one list as both operands: the dense and outer paths form each
 # unordered pair once, and the dense word kernel trims (_trimmed_ors),
 # skipping words already all ones.  Each must match A + copy(A), which forms
 # every ordered pair on the plain loop, and brute force, with the dense
@@ -782,8 +783,8 @@ def _identical_and_copy(xs, pairsums=_pairsums_sorted):
     words, ran_words = _words_only(lambda: pairsums(xs, xs))
     words_copy, ran_words_copy = _words_only(lambda: pairsums(xs, list(xs)))
     assert same == copy == words == words_copy
-    assert ran in (["dense", "trimmed"], ["dense", "scatter"], ["outer"], [])
-    assert ran_words in (["dense", "trimmed"], ["outer"], [])
+    assert ran in (["dense", "trimmed"], ["dense", "scatter"], ["outer"])
+    assert ran_words in (["dense", "trimmed"], ["outer"])
     assert "trimmed" not in ran_copy + ran_words_copy
     return same, ran
 
@@ -917,12 +918,11 @@ def test_an_orbit_doubling_stays_on_words():
     [-I64_MAX - LIMB_LIMIT, -I64_MAX, -I64_MAX + 3, -I64_MAX + 4],
     [(1 << 62) + i for i in (0, 1, 9)] + [(1 << 62) + LIMB_LIMIT // 2],
     [-(1 << 63), 0, 1 << 63, 1 << 123]])
-def test_identical_operands_at_the_int64_edge_hash(monkeypatch, xs):
-    # spans past the limb limit, from int64-edge elements: A + A on the hash
-    # path forms each unordered pair once, as A + copy(A) forms them all
-    seen = _spy_paths(monkeypatch)
-    assert _identical_and_copy(xs) == (brute_sum(xs, xs), [])
-    assert seen == []
+def test_identical_operands_at_the_int64_edge_past_the_limb_span(xs):
+    # spans past the limb limit, from int64-edge elements: A + A on Python
+    # ints forms each unordered pair once, as A + copy(A) forms them all
+    assert _identical_and_copy(xs) == (brute_sum(xs, xs), ["outer"])
+    assert se._pairsums_int(xs, xs).top.dtype == object
 
 
 @pytest.mark.parametrize("xs, path", [
