@@ -20,6 +20,10 @@ by int() and one lcm of its distinct denominators; any other list is read
 value by value as above, so it is accepted or refused exactly as before.  The
 config echo writes each value in lowest terms from those ints.
 
+An argument @FILE stands for the lines of FILE, one argument per line, so
+a list longer than the system's argument limit (128 KiB for one argument on
+Linux) can be given in a file; a FILE that cannot be read exits with status 2.
+
 Every size option has a ceiling derived from the work it implies (the
 MAX_* constants below); a size past it is refused before any work starts,
 with exit status 2 and one line naming the ceiling.
@@ -551,7 +555,7 @@ def _late(name: str) -> Callable[[str], Any]:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="gaplab",
+        prog="gaplab", fromfile_prefix_chars="@",
         description="Exact gap spectra, sumsets, covers, and torus censuses.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (summary, options, handler) in _COMMANDS.items():

@@ -62,8 +62,9 @@ class LazyFields:
         return self._LAZY[0] not in self.__dict__
 
     def _field_rows(self) -> dict:
-        """The lazy fields written unread, as (rows, scale[, indices]), n/scale per int row and
-        a vector per tuple row, or (record dataclass, {field: (rows, scale[, indices])})."""
+        """The lazy fields written unread, as (rows, scale[, indices]), n/scale per int and a
+        vector per row (a tuple, or a row of a 2-d int array), or (record dataclass,
+        {field: (rows, scale[, indices])})."""
         return {}
 
     def __getattr__(self, name: str):

@@ -15,17 +15,21 @@ one deterministic choice per point: by all pairs, a tile of points at a time
 residue rows at every scale, scoring through _sq_norms, the fold every kernel
 here shares, and choosing the least (nsq, signed vector) through _least;
 "auto" picks grid above 512 points and brute otherwise.
-nn_census keeps the kernel's integer rows (_census_rows) in its report (records
-and census lifted on read, written from rows when unread).  Ball depths and core
-extraction read one ball table (_balls), built once per query: A's census rows,
-one table of A + B (_sum_table: its distinct rows, sorted and indexed by one
-np.unique of a mixed-radix key per row, and the row of every pair), each ball's
-radius and each sum's depth, which also gives core extraction its default kappa.  _brute_rows_exact, an all-pairs loop on the Fraction points, is
-the oracle the tests check both against.  On top of the census sit: the orbit
-census of a rotation (numpy steps over the orbit's offsets, lifting only its
-census), pairwise-dominance checks on residue rows through _sq_norms, ball
-depths, a greedy extraction of a large sub-cloud with few census vectors, and
-the square-block example showing the extraction bound is close to tight.
+Both return arrays, per point its nsq, signed vector and neighbour index
+(_census_rows), which nn_census keeps in its report: records and census are
+lifted on read, and an unread report is written from the arrays, its distinct
+vectors from one np.unique of _row_key, a mixed-radix key per row.  Ball depths
+and core extraction read one ball table (_balls), built once per query: A's
+census arrays, one table of A + B (_sum_table: its distinct rows, sorted and
+indexed by one np.unique of _row_key, and the row of every pair) and each
+ball's radius; each sum's depth (_depths) is counted from it only where the
+default kappa needs it.
+_brute_rows_exact, an all-pairs loop on the Fraction points, is the oracle the
+tests check both kernels against.  On top of the census sit: the orbit census
+of a rotation (numpy steps over the orbit's offsets, lifting only its census),
+pairwise-dominance checks on residue rows through _sq_norms, ball depths, a
+greedy extraction of a large sub-cloud with few census vectors, and the
+square-block example showing the extraction bound is close to tight.
 """
 
 from __future__ import annotations
@@ -179,8 +183,8 @@ def _lift_rows(rows, scale: int) -> Tuple[TorusVector, ...]:
 
 def _sum_table(a: PointCloud, b: PointCloud):
     """(sums, ra, at, scale): A + B's distinct rows ascending, a's rows and at[i, j],
-    the row of a_i + b_j, over the clouds' common scale; one np.unique of a
-    mixed-radix key per row (below scale**d) dedupes, sorts and indexes the sums."""
+    the row of a_i + b_j, over the clouds' common scale; one np.unique of _row_key
+    dedupes, sorts and indexes the sums."""
     d = a.dim
     if d != b.dim:
         raise InvalidConfigurationError("dimension mismatch in cloud sum")
@@ -188,11 +192,18 @@ def _sum_table(a: PointCloud, b: PointCloud):
                                      for rows, q in (a._rows, b._rows)))
     ra, rb = (np.array(f, dtype=int_dtype(2 * scale)).reshape(-1, d) for f in (fa, fb))
     pairs = ((ra[:, None] + rb[None, :]) % scale).reshape(-1, d)
-    key = pairs[:, 0].astype(int_dtype(scale ** d))
-    for col in pairs.T[1:]:
-        key = key * scale + col
-    _, first, at = np.unique(key, return_index=True, return_inverse=True)
+    _, first, at = np.unique(_row_key(pairs, scale), return_index=True, return_inverse=True)
     return pairs[first], ra, at.reshape(len(ra), -1), scale
+
+
+def _row_key(rows: np.ndarray, scale: int) -> np.ndarray:
+    """Per row of residues in [0, scale), its mixed-radix value, so keys sort as the rows
+    do: int64 below scale**d, Python ints beyond.  (numpy's unique along an axis refuses
+    object rows, and took 6x as long as this key on 5000 int64 rows of 2 columns.)"""
+    key = rows[:, 0].astype(int_dtype(scale ** rows.shape[1]))
+    for col in rows.T[1:]:
+        key = key * scale + col
+    return key
 
 
 def cloud_sumset(a: PointCloud, b: PointCloud) -> PointCloud:
@@ -216,10 +227,10 @@ class CensusReport(LazyFields):
     """Per-point nearest-neighbour records and the census of difference vectors.
 
     A report made by nn_census is held unread (exact_torus.LazyFields): it
-    keeps the cloud and the kernel's rows, one per point of the cloud, as
-    _rows.  ``records`` and ``census`` are lifted together on first read, an
-    unread report is written from the rows, and census_size counts the
-    distinct vectors of the rows.
+    keeps the cloud and the kernel's arrays (nsq, vec, j), one row per point
+    of the cloud, as _rows.  ``records`` and ``census`` are lifted together
+    on first read, an unread report is written from the arrays, and
+    census_size counts the distinct rows of vec.
     """
 
     dim: int
@@ -230,36 +241,42 @@ class CensusReport(LazyFields):
     _LAZY = ("records", "census")
 
     def _lift(self) -> dict:
-        cloud, raw = self._rows
+        cloud, (nsq, vec, j) = self._rows
         scale = cloud._rows[1]
+        vectors, at = _distinct_rows(vec, scale)
         # one Fraction per distinct value
-        vecs = {r[1] for r in raw}
-        coord = {x: Fraction(x, scale) for x in set(itertools.chain(*vecs))}
-        vecs = {v: tuple(map(coord.__getitem__, v)) for v in vecs}
-        dists = {m: Fraction(m, scale * scale) for m in {r[0] for r in raw}}
+        coord = {x: Fraction(x, scale) for x in set(vectors.ravel().tolist())}
+        vecs = [tuple(map(coord.__getitem__, v)) for v in vectors.tolist()]
+        dists = {m: Fraction(m, scale * scale) for m in set(nsq.tolist())}
         points = cloud.points
-        return {"records": tuple(NNRecord(points[i], points[j], vecs[v], dists[m])
-                                 for i, (m, v, j) in enumerate(raw)),
-                "census": tuple(vecs[v] for v in sorted(vecs))}
+        rows = zip(nsq.tolist(), at.tolist(), j.tolist())
+        return {"records": tuple(NNRecord(points[i], points[k], vecs[v], dists[m])
+                                 for i, (m, v, k) in enumerate(rows)),
+                "census": tuple(vecs)}
 
     def _field_rows(self) -> dict:
-        cloud, raw = self._rows
+        cloud, (nsq, vec, j) = self._rows
         rows, scale = cloud._rows
-        dists, vecs, nearest = zip(*raw)
-        vectors, squares = sorted(set(vecs)), list(set(dists))
-        at = {v: k for k, v in enumerate(vectors)}
-        at_sq = {m: k for k, m in enumerate(squares)}
+        vectors, at = _distinct_rows(vec, scale)
         return {"census": (vectors, scale),
-                "records": (NNRecord, {"point": (rows, scale), "nearest": (rows, scale, nearest),
-                                       "diff": (vectors, scale, list(map(at.__getitem__, vecs))),
-                                       "dist_sq": (squares, scale * scale,
-                                                   list(map(at_sq.__getitem__, dists)))})}
+                "records": (NNRecord, {"point": (rows, scale), "nearest": (rows, scale, j),
+                                       "diff": (vectors, scale, at),
+                                       "dist_sq": (nsq, scale * scale)})}
 
     @property
     def census_size(self) -> int:
         if self._is_unread():
-            return len({v for _, v, _ in self._rows[1]})
+            return len(_distinct_rows(self._rows[1][1], self._rows[0]._rows[1])[0])
         return len(self.census)
+
+
+def _distinct_rows(vec: np.ndarray, scale: int):
+    """(vectors, inverse): the distinct rows of an array of signed vectors over scale,
+    ascending as tuples sort, and the index of each row among them; one np.unique of
+    _row_key, the rows moved into [0, scale) by scale // 2."""
+    _, first, inverse = np.unique(_row_key(vec + scale // 2, scale),
+                                  return_index=True, return_inverse=True)
+    return vec[first], inverse.reshape(-1)
 
 
 def _least(pts, scale: int, i, j, nsq):
@@ -271,7 +288,7 @@ def _least(pts, scale: int, i, j, nsq):
     return nsq[r[o], k[o]], vec[o], j[r[o], k[o]]
 
 
-def _brute_rows_numpy(rows: List[Tuple[int, ...]], scale: int) -> List[Tuple[int, tuple, int]]:
+def _brute_rows_numpy(rows: List[Tuple[int, ...]], scale: int):
     """Exact nearest neighbours by all pairs, a tile of points at a time, scored on columns."""
     bound = _norm_bound(len(rows[0]), scale)
     arr = np.array(rows, dtype=int_dtype(bound))
@@ -281,8 +298,7 @@ def _brute_rows_numpy(rows: List[Tuple[int, ...]], scale: int) -> List[Tuple[int
         nsq = _sq_norms((c - c[i, None] for c in cols), scale)
         nsq[np.arange(len(i)), i] = bound + 1
         tiles.append(_least(arr, scale, i, np.broadcast_to(every, nsq.shape), nsq))
-    best_nsq, best_vec, best_j = map(np.concatenate, zip(*tiles))
-    return list(zip(best_nsq.tolist(), map(tuple, best_vec.tolist()), best_j.tolist()))
+    return tuple(map(np.concatenate, zip(*tiles)))
 
 
 def _brute_rows_exact(cloud: PointCloud) -> List[Tuple[Fraction, tuple, int]]:
@@ -304,7 +320,7 @@ def _brute_rows_exact(cloud: PointCloud) -> List[Tuple[Fraction, tuple, int]]:
     return out
 
 
-def _grid_rows(rows: List[Tuple[int, ...]], scale: int) -> List[Tuple[int, tuple, int]]:
+def _grid_rows(rows: List[Tuple[int, ...]], scale: int):
     """Exact nearest neighbours by a circular sweep; agrees with brute force.
 
     Sorted along the axis with the most distinct residues, all points are
@@ -345,13 +361,12 @@ def _grid_rows(rows: List[Tuple[int, ...]], scale: int) -> List[Tuple[int, tuple
         if not (reach[0] == ws[-1]).any() and not (reach[1] == ws[-1]).any():
             break
     back = np.argsort(order)  # sorted position of each input row
-    return list(zip(best_nsq[back].tolist(), map(tuple, best_vec[back].tolist()),
-                    order[best_j[back]].tolist()))
+    return best_nsq[back], best_vec[back], order[best_j[back]]
 
 
-def _census_rows(cloud: PointCloud, method: str) -> Tuple[str, List[Tuple[int, tuple, int]]]:
-    """(method, rows): the method that ran, and per point of the cloud its
-    (nsq, signed vector, neighbour index) over the cloud's scale."""
+def _census_rows(cloud: PointCloud, method: str):
+    """(method, (nsq, vec, j)): the method that ran, and the arrays of, per point of
+    the cloud, its nsq, signed vector and neighbour index over the cloud's scale."""
     n = len(cloud)
     if n < 2:
         raise TooFewPointsError("a census needs at least two points")
@@ -590,21 +605,27 @@ class BallDepthReport:
 
 
 def _balls(a: PointCloud, b: PointCloud):
-    """(raw, sums, at, scale, radii, depth): A's census rows (_census_rows), the
-    table of A + B (_sum_table), each a's squared ball radius over the common
-    scale, and each sum's depth, the number of those closed balls holding it."""
-    _, raw = _census_rows(a, "auto")
+    """(vec, sums, ra, at, scale, radii): A's census vectors (_census_rows), the
+    table of A + B (_sum_table) and each a's squared ball radius over its scale."""
+    _, (nsq, vec, _) = _census_rows(a, "auto")
     sums, ra, at, scale = _sum_table(a, b)
-    dtype = int_dtype(_norm_bound(a.dim, scale))
-    radii = np.array([m * (scale // a._rows[1]) ** 2 for m, _, _ in raw], dtype)
+    radii = nsq.astype(int_dtype(_norm_bound(a.dim, scale))) * (scale // a._rows[1]) ** 2
+    return vec, sums, ra, at, scale, radii
+
+
+def _depths(sums, ra, scale: int, radii):
+    """Each sum's depth, the number of the closed balls (_balls) holding it, from one
+    |A + B| x |A| table of squared distances."""
+    dtype = radii.dtype
     nsq = _sq_norms((z[:, None] - x[None, :] for z, x in
                      zip(sums.astype(dtype, copy=False).T, ra.astype(dtype, copy=False).T)), scale)
-    return raw, sums, at, scale, radii, (nsq <= radii).sum(axis=1)
+    return (nsq <= radii).sum(axis=1)
 
 
 def max_ball_depth(a: PointCloud, b: PointCloud) -> BallDepthReport:
     """Max depth over z in A+B (the first deepest z), and max_depth*(3/4)^d."""
-    _, sums, _, scale, _, depth = _balls(a, b)
+    _, sums, ra, _, scale, radii = _balls(a, b)
+    depth = _depths(sums, ra, scale, radii)
     d = a.dim
     best = int(depth.max())
     deepest, = _lift_rows(sums[depth == best][:1].tolist(), scale)
@@ -658,8 +679,9 @@ def extract_core(a: PointCloud, b: PointCloud, epsilon, kappa=None) -> CoreExtra
     by the center c = a+b.  Greedy center choice (largest uncovered gain,
     ties to the smallest center) drives the uncovered fraction below eps.
     kappa defaults to the measured max_depth*(3/4)^d of max_ball_depth,
-    read off the same ball table.  A kappa too small for the cloud stalls
-    the greedy loop and is reported with the smallest workable value.
+    read off the same ball table, whose depths are counted only then.  A
+    kappa too small for the cloud stalls the greedy loop and is reported
+    with the smallest workable value.
     """
     eps = as_rational(epsilon)
     if not 0 < eps < 1:
@@ -667,10 +689,10 @@ def extract_core(a: PointCloud, b: PointCloud, epsilon, kappa=None) -> CoreExtra
     kap = None if kappa is None else as_rational(kappa)
     if a.dim != b.dim:
         raise InvalidConfigurationError("dimension mismatch")
-    raw, sums, at, scale, radii, depth = _balls(a, b)
+    vec, sums, ra, at, scale, radii = _balls(a, b)
     n_sums, d = sums.shape
     if kap is None:
-        kap = Fraction(int(depth.max()) * 3 ** d, 4 ** d)
+        kap = Fraction(int(_depths(sums, ra, scale, radii).max()) * 3 ** d, 4 ** d)
     threshold = (2 * kap / eps) * Fraction(4 ** d, 3 ** d) * Fraction(n_sums, len(a))
     l = 1 + int(threshold)
     bound = _norm_bound(d, scale)
@@ -705,7 +727,7 @@ def extract_core(a: PointCloud, b: PointCloud, epsilon, kappa=None) -> CoreExtra
         thetas.append(Fraction(len(a) - r_sizes[-1], len(a)))
     kept = np.flatnonzero(covered).tolist()
     core = PointCloud._from_rows([a._rows[0][i] for i in kept], a._rows[1])
-    core_census = {raw[i][1] for i in kept}
+    core_census, _ = _distinct_rows(vec[kept], a._rows[1])
     rounds = len(r_sizes)
     size_ok = len(core) >= (1 - eps) * len(a)
     census_ok = len(core_census) <= rounds * l
@@ -754,7 +776,7 @@ def tightness_example(m: int) -> TightnessReport:
     m - eps*m^2 = m/2: the extraction bound cannot be improved much.
     """
     cloud = _square_block(m)
-    census = {v for _, v, _ in _census_rows(cloud, "auto")[1]}
+    census, _ = _distinct_rows(_census_rows(cloud, "auto")[1][1], cloud._rows[1])
     # the block lies on the circle: A + A of its ascending 1-d residues
     ints = [v for v, in cloud._rows[0]]
     n_sums = len(torus_pairsums(ints, ints, cloud._rows[1]))

@@ -13,14 +13,16 @@ tuples, dicts and dataclasses are written directly, each dataclass's sorted
 field names computed once and each vector through one % template.  The lazy
 fields of an unread exact_torus.LazyFields object are written straight from
 the integer rows its _field_rows() returns, with no Fraction or torus point
-built: one text per distinct residue per scale, one per row (picked by index
-where a column gives indices), and one % template per record.  A config
+built.  A field of values is one text per value.  A field of rows takes one
+np.unique of its values and one text per distinct value, kept per scale so
+that later fields reuse them, and is one % over a whole-array template;
+records are one % over one flat tuple gathered from their fields' texts column
+by column (a column's rows picked by index where it gives indices).  A config
 echo of an exact_torus.Cleared (a list argument as ints over one scale) is
-written the same way, in input order, sharing those per-scale texts with the
-report that follows it.  Every other value (bools, floats, None, sets, enums,
-subclasses) goes through to_jsonable, which stays the one home of those
-rules, serves the CSV projection and is the reference the writer is tested
-against.
+written the same way, in input order, and the report after it reuses its
+texts.  Every other value (bools, floats, None, sets, enums, subclasses) goes
+through to_jsonable, which stays the one home of those rules, serves the CSV
+projection and is the reference the writer is tested against.
 """
 
 from __future__ import annotations
@@ -118,7 +120,7 @@ def _text(obj: Any, depth: int, memo: dict) -> str:
     if t is TorusVector:
         return _rationals_template(len(obj.coords), depth) % tuple([c.value for c in obj.coords])
     if t is Cleared:
-        return _array_text(_items_text((obj.ints, obj.scale), depth + 1, memo), depth)
+        return _rows_text(obj.ints, obj.scale, depth, memo)
     if t is tuple or t is list:
         if set(map(type, obj)) == {Fraction}:
             # a row of rationals (a coordinate list, a difference): one % call
@@ -135,41 +137,96 @@ def _text(obj: Any, depth: int, memo: dict) -> str:
         text = json.dumps(to_jsonable(obj), sort_keys=True, indent=2)
         return text.replace("\n", "\n" + "  " * depth) if depth else text
     rows = obj._field_rows() if isinstance(obj, LazyFields) and obj._is_unread() else {}
-    return _object_text([(name, _array_text(_items_text(rows[name], depth + 2, memo), depth + 1)
-                          if name in rows else _text(getattr(obj, name), depth + 1, memo))
+    return _object_text([(name, _field_text(rows[name], depth + 1, memo)) if name in rows
+                         else (name, _text(getattr(obj, name), depth + 1, memo))
                          for name in names], depth)
 
 
-def _items_text(spec: tuple, depth: int, memo: dict) -> List[str]:
-    """The items, at depth, of a field given as integer rows (LazyFields._field_rows).
-
-    memo holds the texts of vector coordinates by scale, and by (id, depth) a rows list
-    with the texts of its rows: holding the list keeps its id from being reused meanwhile.
-    """
+def _field_text(spec: tuple, depth: int, memo: dict) -> str:
+    """The array, its bracket at depth, of a field given as integer rows
+    (LazyFields._field_rows)."""
     if isinstance(spec[0], type):
-        names = _sorted_fields(spec[0])
-        record = _object_text([(name, "%s") for name in names], depth)
-        return [record % r for r in zip(*[_items_text(spec[1][name], depth + 1, memo)
-                                          for name in names])]
-    rows, scale, *index = spec
-    hit = memo.get((id(rows), depth))
-    if hit is None:
-        if rows and isinstance(rows[0], tuple):
-            texts = memo.setdefault(scale, {})
-            new = set(itertools.chain.from_iterable(rows)).difference(texts)
-            texts.update(zip(new, _residue_texts(new, scale)))
-            text = texts.__getitem__
-            if len(set(map(len, rows))) == 1:
-                # one % over every coordinate's text; no text holds the separator "\0"
-                template = _array_text(["%s"] * len(rows[0]), depth)
-                flat = tuple(map(text, itertools.chain.from_iterable(rows)))
-                written = ("\0".join([template] * len(rows)) % flat).split("\0")
-            else:  # rows of several lengths, which only a Cleared holds
-                written = [_array_text(list(map(text, r)), depth) for r in rows]
-        else:
-            written = _residue_texts(rows, scale)
-        hit = memo[id(rows), depth] = (rows, written)
-    return list(map(hit[1].__getitem__, index[0])) if index else hit[1]
+        return _records_text(*spec, depth, memo)
+    return _rows_text(*spec, depth, memo)
+
+
+def _rows_text(rows, scale: int, depth: int, memo: dict) -> str:
+    """The array, its bracket at depth, of ints (a sequence) or of int rows (tuples, or a
+    2-d array) over scale; a Cleared's rows may differ in length.
+
+    Values are written from one _residue_texts call, rows by one % over a whole-array
+    template, their coordinates' texts gathered from _value_texts.
+    """
+    if type(rows) is not np.ndarray:
+        if not rows or type(rows[0]) is not tuple:
+            return _array_text(_residue_texts(rows, scale), depth)
+        if len(set(map(len, rows))) > 1:  # which only a Cleared holds
+            items = [_array_text(["%s"] * len(r), depth + 1) for r in rows]
+            texts = _value_texts(_flat_ints(rows), scale, memo)
+            return _array_text(items, depth) % tuple(texts.tolist())
+        rows = _int_array(rows)
+    item = _array_text(["%s"] * rows.shape[1], depth + 1)
+    return _array_text([item] * len(rows), depth) % tuple(
+        _value_texts(rows, scale, memo).ravel().tolist())
+
+
+def _records_text(cls: type, fields: dict, depth: int, memo: dict) -> str:
+    """The array, its bracket at depth, of cls records whose fields are given as
+    (rows, scale[, indices]), rows indexed by record unless indices pick them.
+
+    Each field is one column of texts, gathered from _value_texts by index; the
+    records are one % over a whole-array template and the columns' flat tuple.
+    """
+    names = _sorted_fields(cls)
+    columns, members, texts = [], [], {}
+    for name in names:
+        rows, scale, *index = fields[name]
+        if id(rows) not in texts:  # a field's rows, held by fields, are read once
+            texts[id(rows)] = _value_texts(_int_array(rows), scale, memo)
+        column = texts[id(rows)][index[0]] if index else texts[id(rows)]
+        members.append((name, "%s" if column.ndim == 1 else
+                        _array_text(["%s"] * column.shape[1], depth + 2)))
+        columns.append(column.reshape(len(column), -1))
+    record = _object_text(members, depth + 1)
+    flat = np.concatenate(columns, axis=1)
+    return _array_text([record] * len(flat), depth) % tuple(flat.ravel().tolist())
+
+
+def _int_array(rows) -> np.ndarray:
+    """Rows of ints of one length (tuples, or an array as it is) as a 2-d array."""
+    return rows if type(rows) is np.ndarray else _flat_ints(rows).reshape(len(rows), -1)
+
+
+def _flat_ints(rows) -> np.ndarray:
+    """The ints of tuple rows in order, as one int64 array, or an object array past int64."""
+    count = sum(map(len, rows))
+    try:
+        return np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64, count=count)
+    except OverflowError:
+        return np.fromiter(itertools.chain.from_iterable(rows), dtype=object, count=count)
+
+
+def _value_texts(values: np.ndarray, scale: int, memo: dict) -> np.ndarray:
+    """The texts of values / scale, an object array shaped as values, from one np.unique.
+
+    memo[scale] holds the distinct values written over scale so far, ascending, with
+    their texts: only the values it lacks go through _residue_texts, so a config echo
+    and the report that follows it write each coordinate's text once.
+    """
+    distinct, inverse = np.unique(values, return_inverse=True)
+    known, known_texts = memo.get(scale, (distinct[:0], np.empty(0, dtype=object)))
+    at = np.searchsorted(known, distinct)
+    hit = at < len(known)
+    hit[hit] = known[at[hit]] == distinct[hit]
+    texts = np.empty(len(distinct), dtype=object)
+    texts[hit] = known_texts[at[hit]]
+    if not hit.all():
+        new = ~hit
+        texts[new] = np.array(_residue_texts(distinct[new], scale), dtype=object)
+        merged = np.concatenate([known, distinct[new]])
+        order = np.argsort(merged)
+        memo[scale] = merged[order], np.concatenate([known_texts, texts[new]])[order]
+    return texts[inverse.reshape(values.shape)]
 
 
 # values per np.gcd call; below _TEXT_NUMPY_MIN of them its fixed cost loses to the loop
@@ -184,18 +241,19 @@ def _residue_texts(residues, scale: int) -> List[str]:
     _TEXT_BLOCK values at a time, which bounds the temporaries; else from a loop over
     Python ints.
     """
-    ns = list(residues)
+    ns = residues if type(residues) is np.ndarray else list(residues)
     if scale == 1:
         return _texts_over(ns, 1)
     texts: List[str] = []
     for i in range(0, len(ns), _TEXT_BLOCK):
         block = ns[i:i + _TEXT_BLOCK]
         try:
-            a = (np.array(block, dtype=np.int64)
+            a = (np.asarray(block, dtype=np.int64)
                  if scale <= INT64_MAX and len(block) >= _TEXT_NUMPY_MIN else None)
         except OverflowError:
             a = None
         if a is None:
+            block = block.tolist() if type(block) is np.ndarray else block
             gs = [gcd(n, scale) for n in block]
             texts += [f'"{n // g}"' if g == scale else f'"{n // g}/{scale // g}"'
                       for n, g in zip(block, gs)]
@@ -211,7 +269,7 @@ def _residue_texts(residues, scale: int) -> List[str]:
 
 def _texts_over(nums: list, den: int) -> List[str]:
     """The texts of the rationals n/den, each n already in lowest terms over den, by one join."""
-    if not nums:
+    if not len(nums):
         return []
     tail = '"' if den == 1 else f'/{den}"'
     return ('"' + (tail + '\n"').join(map(str, nums)) + tail).split("\n")
@@ -238,7 +296,7 @@ def _array_text(items: List[str], depth: int) -> str:
     if not items:
         return "[]"
     lead, sep, close = _layout(depth)
-    return "[" + lead + sep.join(items) + close + "]"
+    return f"[{lead}{sep.join(items)}{close}]"
 
 
 def _object_text(members: List[Tuple[str, str]], depth: int) -> str:
@@ -248,7 +306,12 @@ def _object_text(members: List[Tuple[str, str]], depth: int) -> str:
         return "{}"
     lead, sep, close = _layout(depth)
     encode = _LEAF_TEXT[str]
-    return "{" + lead + sep.join([encode(k) + ": " + v for k, v in members]) + close + "}"
+    # one join of every piece copies each value's text once, however long
+    parts = ["{" + lead]
+    for k, v in members:
+        parts += (encode(k), ": ", v, sep)
+    parts[-1] = close + "}"
+    return "".join(parts)
 
 
 def identity_view(payload: Dict[str, Any]) -> Dict[str, Any]:

@@ -309,7 +309,8 @@ def torus_pairsums(xs: list, ys: list, q: int):
     ran and that map is at most twice the size of its words.  Otherwise a
     _Sorted: the sums as they are when none reaches q, their base moved by q
     when all do, and when some do, folded in numpy, on int64 offsets while q
-    fits int64, on 62-bit limbs up to LIMB_SPAN_LIMIT, as Python ints past it.
+    fits int64, on 62-bit limbs up to LIMB_SPAN_LIMIT, as Python ints past it;
+    int64 and Python-int offsets fold into two ascending runs, merged by one sort.
     """
     sums = _pairsums_int(xs, ys)
     if isinstance(sums, _Bitmap):
@@ -324,9 +325,13 @@ def torus_pairsums(xs: list, ys: list, q: int):
     if t <= first:
         return _Sorted(sums.top, base - q, sums.low, sums.shift, sums.ordered)
     top = sums.top
-    if top.dtype == np.int64 and q <= INT64_MAX:
-        return _Sorted(sorted_unique(np.where(top >= t, top - t, top + base)), 0)
-    if top.dtype != object and q <= LIMB_SPAN_LIMIT:
+    if top.dtype == object or top.dtype == np.int64 and q <= INT64_MAX:
+        # the sums from q on, less q, and the rest: two ascending runs, one stable merge
+        k = int(np.searchsorted(top, t))
+        folded = np.concatenate([top[k:] - t, top[:k] + base])
+        folded.sort(kind="stable")
+        return _Sorted(folded[run_starts(folded)], 0)
+    if q <= LIMB_SPAN_LIMIT:
         return _fold_limbs(sums, q)
     ints = np.array(sums.tolist(), dtype=object)
     return _Sorted.of(sorted_unique(np.where(ints >= q, ints - q, ints)).tolist())

@@ -597,6 +597,78 @@ def test_python_dash_m_runs_the_command_line():
     assert json.loads(proc.stdout)["report"]["elements"] == ["1/4", "3/8"]
 
 
+# ---------------------------------------------------------------------------
+# Argument files: @FILE stands for the lines of FILE, one argument each.
+
+def _identity_text(text):
+    """A document's text with its timings emptied."""
+    import re
+
+    return re.sub(r'"timings": \{[^{}]*\}', '"timings": {}', text)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sumset", "--a", "0,1/8,1/2", "--b", "1/4,3/8"], "--a"),
+    (["sumset", "--a", "0,1/8,1/2", "--b", "1/4,3/8,0.75"], "--b"),
+    (["kronecker", "--alphas", "5/8,1/3", "--n", "6"], "--alphas"),
+    (["ap-union", "--alpha", "7/1003", "--betas", "0,1/3", "--lengths", "5,4"], "--betas"),
+    (["nn-census", "--points", "0,0;1/7,0;3/7,1/2"], "--points"),
+    (["kissing", "--vectors", "1/8;7/8"], "--vectors"),
+    (["generators", "--points", "0;1/7;3/7", "--cover", "0;1/7;3/7"], "--cover"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_a_list_read_from_an_argument_file_equals_it_inline(argv, flag, tmp_path, capsys):
+    i = argv.index(flag)
+    path = tmp_path / "args.txt"
+    path.write_text(f"{flag}\n{argv[i + 1]}\n")
+    rc = main(argv)
+    inline = capsys.readouterr()
+    assert main(argv[:i] + [f"@{path}"] + argv[i + 2:]) == rc == 0
+    from_file = capsys.readouterr()
+    assert from_file.err == inline.err == ""
+    assert _identity_text(from_file.out) == _identity_text(inline.out)
+    assert from_file.out != _identity_text(from_file.out)
+
+
+def test_a_missing_argument_file_exits_two_naming_it(tmp_path, capsys):
+    import errno
+    import os
+
+    path = tmp_path / "missing.txt"
+    with pytest.raises(SystemExit) as exc:
+        main(["nn-census", f"@{path}"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    missing = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+    assert out == "" and err.splitlines()[-1] == f"gaplab: error: {missing}"
+    assert sum("error" in line for line in err.splitlines()) == 1
+
+
+def test_points_past_the_argv_limit_run_from_an_argument_file(tmp_path):
+    # Linux refuses one argument string past 128 KiB (MAX_ARG_STRLEN) before
+    # gaplab starts; the same points in a file run, and equal them inline
+    import os
+    import random
+    import subprocess
+    from pathlib import Path
+
+    rng, q = random.Random(5), 10 ** 6 + 3
+    points = ";".join(f"{x}/{q},{y}/{q}" for x, y in
+                      sorted({(rng.randrange(q), rng.randrange(q)) for _ in range(5000)}))
+    assert len(points.encode()) > 128 * 1024
+    args = tmp_path / "args.txt"
+    args.write_text(f"nn-census\n--points\n{points}\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "gaplab", f"@{args}", "--output",
+                           str(tmp_path / "file.json")], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert main(["nn-census", "--points", points, "--output", str(tmp_path / "inline.json")]) == 0
+    texts = [_identity_text((tmp_path / name).read_text()) for name in ("file.json", "inline.json")]
+    assert texts[0] == texts[1] and len(json.loads(texts[0])["report"]["records"]) == 5000
+
+
 # Frozen outputs: sha256 of the identity view (the payload without its
 # timings, as json.dumps(..., sort_keys=True, indent=2)), or of the CSV text.
 # The first block is the README's "Command line" examples, in order, without
@@ -909,7 +981,46 @@ def test_the_argv_grammar_names_every_subcommand():
     assert list(_GRAMMAR) == SUBCOMMANDS
 
 
-@given(st.sampled_from(SUBCOMMANDS).flatmap(lambda c: _GRAMMAR[c].map(lambda a: [c] + a)))
+def _run_argv(argv, tmp):
+    """(exit status, document or None, stderr, seconds) of main(argv) writing into tmp."""
+    import contextlib
+    import io
+    import os
+    import time
+    from pathlib import Path
+
+    err = io.StringIO()
+    path = os.path.join(tmp, "doc.json")
+    if os.path.exists(path):
+        os.remove(path)
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        start = time.perf_counter()
+        try:
+            rc = main(argv + ["--output", path])
+        except SystemExit as exc:  # argparse refused the argv
+            rc = exc.code
+        elapsed = time.perf_counter() - start
+    doc = json.loads(Path(path).read_text()) if os.path.exists(path) else None
+    return rc, doc, err.getvalue(), elapsed
+
+
+@st.composite
+def _at_files(draw, argv):
+    """argv with, rarely, a run of its arguments moved into an argument file, given as
+    ("@", lines), or an ("@", None) inserted, an @ argument naming no file."""
+    kind = draw(st.integers(0, 7))
+    if kind == 0:
+        i = draw(st.integers(1, len(argv)))
+        return argv[:i] + [("@", None)] + argv[i:]
+    if kind == 1:
+        i = draw(st.integers(0, len(argv)))
+        j = draw(st.integers(i, len(argv)))
+        return argv[:i] + [("@", tuple(argv[i:j]))] + argv[j:]
+    return argv
+
+
+@given(st.sampled_from(SUBCOMMANDS).flatmap(
+    lambda c: _GRAMMAR[c].map(lambda a: [c] + a)).flatmap(_at_files))
 @settings(max_examples=300, deadline=None)
 @example(["behrend", "--n", "0"])
 @example(["orbit", "--alpha", "1/3", "--n", "0"])
@@ -934,35 +1045,46 @@ def test_the_argv_grammar_names_every_subcommand():
 @example(["extract-core", "--points", "0;1/2;1/3", "--m", "1000000000000"])
 @example(["verify", "--suite", "kissing", "--trials", "0"])
 @example(["verify", "--suite", "no-such-check", "--trials", "1"])
+@example(["nn-census", ("@", ("--points", "0,0;1/7,0;3/7,1/2")), "--method", "grid"])
+@example([("@", ("kissing", "--vectors")), "1/8;7/8"])
+@example(["sumset", ("@", ()), "--a", "1/2"])
+@example(["kronecker", ("@", None), "--alphas", "1/3", "--n", "2"])
 def test_every_command_keeps_the_exit_contract_under_fuzzed_argv(argv):
-    import contextlib
-    import io
-    import os
     import tempfile
-    import time
     from pathlib import Path
 
-    err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
-            contextlib.redirect_stdout(io.StringIO()):
-        path = os.path.join(tmp, "doc.json")
-        start = time.perf_counter()
-        try:
-            rc = main(argv + ["--output", path])
-        except SystemExit as exc:  # argparse refused the argv
-            rc = exc.code
-        elapsed = time.perf_counter() - start
-        doc = json.loads(Path(path).read_text()) if os.path.exists(path) else None
-    lines = err.getvalue().splitlines()
+    # an argument file holds its lines, and runs as they do inline; an @
+    # argument naming no file is refused with status 2
+    inline = [a for arg in argv for a in (arg[1] or () if type(arg) is tuple else (arg,))]
+    missing = ("@", None) in argv
+    with tempfile.TemporaryDirectory() as tmp:
+        given = []
+        for k, arg in enumerate(argv):
+            if type(arg) is tuple:
+                path = Path(tmp, f"args-{k}.txt")
+                if arg[1] is not None:
+                    path.write_text("".join(line + "\n" for line in arg[1]), encoding="utf-8")
+                arg = f"@{path}"
+            given.append(arg)
+        rc, doc, err, elapsed = _run_argv(given, tmp)
+        if given != argv and not missing:
+            from gaplab.reports import identity_view
+
+            rc_inline, doc_inline, err_inline, _ = _run_argv(inline, tmp)
+            assert (rc, err) == (rc_inline, err_inline)
+            assert (doc and identity_view(doc)) == (doc_inline and identity_view(doc_inline))
+    lines = err.splitlines()
     if any(flag in ("--n", "--m") and value.isdigit() and int(value) >= 10 ** 12
-           for flag, value in zip(argv, argv[1:])):
+           for flag, value in zip(inline, inline[1:])):
         # a size past its ceiling is refused before any work starts
         assert rc == 2 and elapsed < 1, (rc, elapsed, lines)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     assert rc in (0, 1, 2), (rc, lines)
-    if rc == 2:
+    if missing:
+        assert rc == 2 and doc is None and lines[-1].startswith("gaplab: error: "), lines
+    elif rc == 2:
         assert doc is None and lines, lines
-        assert lines[-1].startswith(("error: ", f"gaplab {argv[0]}: error: ")), lines
+        assert lines[-1].startswith(("error: ", f"gaplab {inline[0]}: error: ")), lines
         if lines[-1].startswith("error: "):
             assert len(lines) == 1, lines
     else:

@@ -310,6 +310,13 @@ def _records(rep, cloud):
             for rec in rep.records]
 
 
+def _tuples(rows):
+    """A kernel's (nsq, vec, j) arrays as one (nsq, signed vector, index) tuple per point."""
+    nsq, vec, j = rows
+    assert len(nsq) == len(vec) == len(j)
+    return list(zip(nsq.tolist(), map(tuple, vec.tolist()), j.tolist()))
+
+
 def _int_cloud(rows, q):
     return PointCloud.from_values([[Fraction(x, q) for x in r] for r in rows])
 
@@ -396,7 +403,8 @@ def test_sweep_resolves_fully_tied_lattices(k, d):
             for row in rows]
     smallest = tuple([Fraction(-1, k) if k > 2 else Fraction(-1, 2)] + [Fraction(0)] * (d - 1))
     for method in ("brute", "grid"):
-        assert scale == k and _nn_module._census_rows(cloud, method) == (method, want)
+        ran, got = _nn_module._census_rows(cloud, method)
+        assert scale == k and ran == method and _tuples(got) == want
         rep = nn_census(cloud, method=method)
         if len(rows) <= 100:
             assert _records(rep, cloud) == _brute_rows_exact(cloud)
@@ -654,6 +662,29 @@ def test_stalling_kappa_message_matches_reference():
     assert str(exc.value) == "no center adds coverage; retry with kappa >= 11/60"
 
 
+@pytest.mark.parametrize("a, b", [(tightness_example(5).cloud,) * 2,
+                                  (PointCloud.from_values([("1/10",), ("1/2",), ("7/10",)]),
+                                   PointCloud.from_values([("1/2",), ("1/3",)]))])
+def test_a_given_kappa_counts_no_ball_depths(a, b, monkeypatch):
+    # the depth of each sum (an |A + B| x |A| norm table) only gives the default
+    # kappa: with kappa given, that one _sq_norms pass is all that is missing
+    real, shapes = _nn_module._sq_norms, []
+
+    def spy(diffs, scale):
+        out = real(diffs, scale)
+        shapes.append(np.shape(out))
+        return out
+
+    monkeypatch.setattr(_nn_module, "_sq_norms", spy)
+    eps = Fraction(1, 3)
+    measured = extract_core(a, b, eps)
+    omitted, shapes[:] = list(shapes), []
+    given = extract_core(a, b, eps, measured.kappa)
+    assert given == measured
+    n_sums = len(cloud_sumset(a, b))
+    assert sorted(shapes + [(n_sums, len(a))]) == sorted(omitted)
+
+
 # ---------------------------------------------------------------- brute force at every scale
 
 _nn_module = importlib.import_module("gaplab.nn_census")
@@ -710,10 +741,11 @@ def test_census_kernels_agree_at_every_scale(q, d, n, seed):
     cloud = PointCloud._from_rows(rows, q)
     rows, scale = cloud._rows
     assert scale == q
-    want = _nn_module._brute_rows_numpy(rows, q)
-    grid = _nn_module._census_rows(cloud, "grid")
-    assert grid == ("grid", want)
-    assert _nn_module._census_rows(cloud, "auto") == (grid if n > 512 else ("brute", want))
+    want = _tuples(_nn_module._brute_rows_numpy(rows, q))
+    method, grid = _nn_module._census_rows(cloud, "grid")
+    assert method == "grid" and _tuples(grid) == want
+    method, auto = _nn_module._census_rows(cloud, "auto")
+    assert method == ("grid" if n > 512 else "brute") and _tuples(auto) == want
     if n <= 30:
         assert [(Fraction(m, q * q), tuple(Fraction(x, q) for x in v), j)
                 for m, v, j in want] == _brute_rows_exact(cloud)

@@ -1,9 +1,11 @@
 """canonical_json against its reference, json.dumps(to_jsonable(x), sort_keys=True, indent=2)."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -90,6 +92,10 @@ def test_residue_texts_are_the_fraction_texts(ns, scale, shift):
     assert _residue_texts(ns, scale) == want
     distinct = set(ns)
     assert _residue_texts(distinct, scale) == [f'"{Fraction(n, scale)}"' for n in distinct]
+    # as arrays, which the writer passes: object, and int64 where every value fits
+    assert _residue_texts(np.array(ns, dtype=object), scale) == want
+    if all(-INT64_MAX - 1 <= n <= INT64_MAX for n in ns):
+        assert _residue_texts(np.array(ns, dtype=np.int64), scale) == want
     # np.gcd on every list, whole or in blocks of one denominator or several
     with mock.patch.object(reports, "_TEXT_NUMPY_MIN", 1):
         assert _residue_texts(ns, scale) == want
@@ -162,6 +168,49 @@ def test_an_unread_census_is_written_from_its_rows(rows, q, method, lifts):
     assert rep == _eager_census(cloud, method)
     assert size == len(rep.census) == len(json.loads(unread[0])["census"])
     assert [canonical_json(doc) for doc in docs] == unread
+
+
+def _array_cases():
+    """(name, Cleared) of the census writer's array path: d = 1..4 over a prime and a
+    power of two, fully tied lattices, two points, rows over 2^64 + 13, and echoes
+    over another scale than the reduced cloud's."""
+    rng = random.Random(11)
+    for q in (997, 4096):
+        for d in (1, 2, 3, 4):
+            rows = {tuple(rng.randrange(q) for _ in range(d)) for _ in range(60)}
+            yield f"d{d}-q{q}", Cleared(tuple(sorted(rows | {(0,) * d})), q)
+    for k, d in ((5, 1), (4, 2), (3, 3), (2, 4)):
+        # every point has the same least signed vector: one diff for every record
+        yield f"lattice-{k}^{d}", Cleared(tuple(itertools.product(range(k), repeat=d)), k)
+    yield "two-points", Cleared(((0, 3), (5, 1)), 7)
+    q = (1 << 64) + 13
+    rows = {(rng.randrange(q), rng.randrange(q), 0) for _ in range(40)}
+    yield "past-int64", Cleared(tuple(rows), q)
+    # the echo over 6 * 35 with values out of [0, scale); the cloud reduces to 35
+    yield "echo-scale", Cleared(tuple((6 * x - 210, 6 * y + 420) for x, y in
+                                      ((0, 0), (5, 7), (14, 21), (20, 3), (34, 34))), 210)
+
+
+ARRAY_CASES = list(_array_cases())
+
+
+@pytest.mark.parametrize("method", ["brute", "grid"])
+@pytest.mark.parametrize("name, points", ARRAY_CASES, ids=[name for name, _ in ARRAY_CASES])
+def test_a_census_and_its_echo_are_written_from_arrays(name, points, method, lifts):
+    cloud = PointCloud.from_values(points)
+    doc = {"config": {"points": points}, "report": nn_census(cloud, method),
+           "cloud": cloud, "echoes": [points, [points]]}
+    text = canonical_json(doc)
+    assert lifts == []
+    assert text == reference(doc)
+    census = json.loads(text)["report"]["census"]
+    assert len(census) == 1 if name.startswith("lattice") else len(census) > 1
+    assert (cloud.common_scale() == points.scale) is (name != "echo-scale")
+
+
+@pytest.mark.parametrize("rows", [((0, 1), (2, 0)), ((0,), (3, 4, -1)), (0, 5, -7)])
+def test_an_echo_over_scale_one_equals_the_reference(rows):
+    assert_same({"points": Cleared(rows, 1)})
 
 
 def test_census_residues_reduce_over_the_cloud_scale():

@@ -58,12 +58,12 @@ def test_census_cross_check_reports_a_changed_row(monkeypatch):
     real, calls = nn._grid_rows, []
 
     def one_row_off(rows, scale):
-        out = real(rows, scale)
+        nsq, vec, j = real(rows, scale)
         calls.append(len(rows))
         if len(calls) == 2:  # the second cloud's first row gets a farther neighbour
-            nsq, vec, j = out[0]
-            out[0] = (nsq + 1, vec, j)
-        return out
+            nsq = nsq.copy()
+            nsq[0] += 1
+        return nsq, vec, j
 
     monkeypatch.setattr(nn, "_grid_rows", one_row_off)
     result = verify.check_sumset_performance(clouds=3)
