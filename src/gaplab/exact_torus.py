@@ -63,8 +63,8 @@ class LazyFields:
 
     def _field_rows(self) -> dict:
         """The lazy fields written unread, as (rows, scale[, indices]), n/scale per int and a
-        vector per row (a tuple, or a row of a 2-d int array), or (record dataclass,
-        {field: (rows, scale[, indices])})."""
+        vector per row (a tuple, or a row of a 2-d int array), as (record dataclass,
+        {field: (rows, scale[, indices])}), or as a 1-d int array, written as plain ints."""
         return {}
 
     def __getattr__(self, name: str):
@@ -204,11 +204,12 @@ def residue_over(value: Fraction, q: int) -> Optional[int]:
 def common_scale(*families) -> Tuple[list, int]:
     """([ints, ...], q): residue families (ints, scale) brought to q, the lcm of their scales.
 
-    Each ints is a list of Python ints; a family already over q comes back
-    as it is, every other one multiplied by q // scale.
+    Each ints is a list of Python ints, or an array read by tolist(); a family
+    already over q comes back as that list, every other one multiplied by q // scale.
     """
     q = lcm(*(s for _, s in families))
-    return [ints if s == q else [n * (q // s) for n in ints] for ints, s in families], q
+    lists = [(ints.tolist() if type(ints) is np.ndarray else ints, s) for ints, s in families]
+    return [ints if s == q else [n * (q // s) for n in ints] for ints, s in lists], q
 
 
 def signed_residues(r: np.ndarray, q: int) -> np.ndarray:

@@ -19,9 +19,8 @@ is the image of its multipliers under the automorphism k -> k*p of Z/q, so
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
@@ -32,7 +31,7 @@ import numpy as np
 
 from .exact_torus import (Cleared, DuplicatePointError, LazyFields, RationalLike, TorusPoint,
                           _unread, as_rational, common_scale, int_dtype, lowest_terms,
-                          reduce_mod1, residue_over, residues)
+                          reduce_mod1, residue_over, residues, sorted_unique)
 from .sumset_engine import FiniteExactSet, Domain, _Sorted, _lift, torus_pairsums
 
 
@@ -66,12 +65,16 @@ class CircularSet(LazyFields):
     the set: torus-native sets include the closing arc, sets embedded from
     the reals exclude it.
 
-    A set built from values (or from an exact_torus.Cleared, read with no
-    Fraction built), or by the library from residues, is held unread
-    (exact_torus.LazyFields): it keeps only its ascending residues over one
-    denominator, on which length, membership and every gap and subset test
-    run, ``points``, the tuple of TorusPoints, is lifted on first read, and
-    an unread set is written from its residues.
+    Every set keeps its residues over one denominator as one array (int64,
+    or object past int64), ascending, on which length, membership and every
+    gap and subset test run.  A set built from values (or from an
+    exact_torus.Cleared, read with no Fraction built), or by the library from
+    residues, is held unread (exact_torus.LazyFields): ``points``, the tuple
+    of TorusPoints, is lifted on first read, and an unread set is written
+    from its residues.  Labels the library gives as an array (an orbit's
+    multipliers, and a subset's taken from them) are held unread too:
+    ``labels`` is lifted with ``points`` to a tuple of Python ints, and an
+    unread set writes them from the array.
 
     An orbit of p/q, and a subset the library takes from one, also holds
     its unit ``_step`` = p: its labels are then the multipliers k of its
@@ -80,18 +83,19 @@ class CircularSet(LazyFields):
     """
 
     points: tuple
-    labels: Optional[tuple] = None
+    # a default factory leaves no class attribute, so unread labels reach __getattr__
+    labels: Optional[tuple] = field(default_factory=lambda: None)
     wrap: Wrap = Wrap.INCLUDE
 
-    _LAZY = ("points",)
+    _LAZY = ("points", "labels")
     _step = None  # not a field: equality, repr and reports never see it
 
     def __post_init__(self) -> None:
         ints, q = self._residues
-        for a, b in zip(ints, ints[1:]):
-            if not a < b:
-                raise DuplicatePointError(
-                    f"points not strictly increasing at {TorusPoint._from_residue(a, q)}")
+        down = np.flatnonzero(ints[1:] <= ints[:-1])
+        if len(down):
+            raise DuplicatePointError("points not strictly increasing at "
+                                      f"{TorusPoint._from_residue(int(ints[down[0]]), q)}")
         if self.labels is not None:
             if len(self.labels) != len(ints):
                 raise ValueError("labels must match points one to one")
@@ -121,34 +125,55 @@ class CircularSet(LazyFields):
         return cls.from_values([p.value for p in points], wrap=wrap)
 
     @classmethod
-    def _from_residues(cls, ints: list, q: int, labels: Optional[tuple] = None,
-                       wrap: Wrap = Wrap.INCLUDE, step: Optional[int] = None) -> "CircularSet":
-        # Internal: ints must be a list of distinct residues in [0, q),
-        # ascending, so the points are strictly increasing without a
-        # Fraction comparison; a step p says that labels[i] * p % q == ints[i].
-        held = {} if step is None else {"_step": step}
-        return _unread(cls, labels=labels, wrap=wrap, _residues=(ints, q), **held)
+    def _from_residues(cls, ints, q: int, labels=None, wrap: Wrap = Wrap.INCLUDE,
+                       step: Optional[int] = None) -> "CircularSet":
+        # Internal: ints must be distinct residues in [0, q), ascending (an
+        # array, or a list of Python ints), so the points are strictly
+        # increasing without a Fraction comparison.  Labels given as an
+        # array are held unread, a tuple as it is; a step p says that
+        # labels[i] * p % q == ints[i].
+        if type(ints) is not np.ndarray:
+            ints = np.array(ints, dtype=int_dtype(q))
+        held = {"_labels": labels} if type(labels) is np.ndarray else {"labels": labels}
+        if step is not None:
+            held["_step"] = step
+        return _unread(cls, wrap=wrap, _residues=(ints, q), **held)
 
     def _lift(self) -> dict:
-        return {"points": _lift(*self._residues, Domain.TORUS)}
+        ints, q = self._residues
+        lifted = {"points": _lift(ints.tolist(), q, Domain.TORUS)}
+        if "labels" not in self.__dict__:
+            lifted["labels"] = tuple(self._labels.tolist())
+        return lifted
 
     def _field_rows(self) -> dict:
-        return {"points": self._residues}
+        rows = {"points": self._residues}
+        if "labels" not in self.__dict__ and self._labels.dtype != object:
+            rows["labels"] = self._labels
+        return rows
 
     @cached_property
-    def _residues(self) -> Tuple[list, int]:
-        """(ints, q): ascending residues mod q with points[i] == ints[i] / q."""
-        return residues(self.points)
+    def _residues(self) -> Tuple[np.ndarray, int]:
+        """(ints, q): residues mod q, as an array, with points[i] == ints[i] / q."""
+        ints, q = residues(self.points)
+        return np.array(ints, dtype=int_dtype(q)), q
+
+    @cached_property
+    def _labels(self) -> Optional[np.ndarray]:
+        """The labels as a 1-d array, None when there are none."""
+        labels = self.labels
+        return None if labels is None else np.fromiter(labels, dtype=object, count=len(labels))
 
     def values(self) -> tuple:
-        return _lift(*self._residues, Domain.RATIONALS)
+        ints, q = self._residues
+        return _lift(ints.tolist(), q, Domain.RATIONALS)
 
     def point_set(self) -> frozenset:
         return frozenset(self.points)
 
     def to_exact_set(self) -> FiniteExactSet:
         ints, q = self._residues
-        return FiniteExactSet._from_ints(_Sorted.of(ints), q, Domain.TORUS)
+        return FiniteExactSet._from_ints(_Sorted.of(ints.tolist()), q, Domain.TORUS)
 
     def __len__(self) -> int:
         return len(self._residues[0])
@@ -165,7 +190,7 @@ class CircularSet(LazyFields):
         n = residue_over(p.value, q)
         if n is None:
             return False
-        i = bisect_left(ints, n)
+        i = int(np.searchsorted(ints, n))
         return i < len(ints) and ints[i] == n
 
     def issubset(self, other: "CircularSet") -> bool:
@@ -173,12 +198,15 @@ class CircularSet(LazyFields):
 
     def _first_missing(self, other: "CircularSet") -> Optional[TorusPoint]:
         """The smallest point of self that other lacks, or None."""
-        (mine, theirs), q = common_scale(self._residues, other._residues)
-        present = set(theirs)
-        for n in mine:
-            if n not in present:
-                return TorusPoint._from_residue(n, q)
-        return None
+        (mine, q), (theirs, t) = self._residues, other._residues
+        if q != t:  # both brought to one scale
+            (mine, theirs), q = common_scale(self._residues, other._residues)
+            mine, theirs = (np.array(ints, dtype=int_dtype(q)) for ints in (mine, theirs))
+        at = np.searchsorted(theirs, mine)
+        found = at < len(theirs)
+        found[found] = theirs[at[found]] == mine[found]
+        lost = np.flatnonzero(~found)
+        return TorusPoint._from_residue(int(mine[lost[0]]), q) if len(lost) else None
 
 
 def sumset_size(a: CircularSet, b: CircularSet) -> int:
@@ -191,8 +219,8 @@ def sumset_size(a: CircularSet, b: CircularSet) -> int:
     q = a._residues[1]
     if a._step is None or a._step != b._step or q != b._residues[1]:
         return _residue_sumset_size(a, b)
-    xs = sorted(a.labels)
-    return len(torus_pairsums(xs, xs if b is a else sorted(b.labels), q))
+    xs = np.sort(a._labels).tolist()
+    return len(torus_pairsums(xs, xs if b is a else np.sort(b._labels).tolist(), q))
 
 
 def _residue_sumset_size(a: CircularSet, b: CircularSet) -> int:
@@ -201,11 +229,12 @@ def _residue_sumset_size(a: CircularSet, b: CircularSet) -> int:
     return len(torus_pairsums(xs, ys, q)) if xs and ys else 0
 
 
-def _gaps(ints: list, q: int, wrap: Wrap) -> list:
+def _gaps(ints: np.ndarray, q: int, wrap: Wrap) -> np.ndarray:
     """Consecutive differences of ascending residues, closing arc per wrap."""
-    gaps = np.diff(np.array(ints, dtype=int_dtype(q))).tolist()
-    if wrap is Wrap.INCLUDE:
-        gaps.append(ints[0] + q - ints[-1])
+    if wrap is Wrap.EXCLUDE:
+        return np.diff(ints)
+    gaps = np.diff(ints, append=ints[:1])
+    gaps[-1] += q  # ints[0] + q - ints[-1], the whole circle for one point
     return gaps
 
 
@@ -227,7 +256,7 @@ def spectrum(a: CircularSet) -> GapSpectrum:
     if len(a) < 2:
         raise TooFewPointsError("a spectrum needs at least two points")
     ints, q = a._residues
-    gaps = _gaps(ints, q, a.wrap)
+    gaps = _gaps(ints, q, a.wrap).tolist()
     mult = Counter(gaps)
     # One Fraction per distinct gap, shared by every gap equal to it.
     lifted = {g: Fraction(g, q) for g in mult}
@@ -235,8 +264,10 @@ def spectrum(a: CircularSet) -> GapSpectrum:
                        {lifted[g]: c for g, c in mult.items()})
 
 
-def _orbit_residues(alpha: RationalLike, n_points: int) -> Tuple[Fraction, list, tuple, int]:
-    """alpha mod 1, the orbit's ascending residues n*p mod q, their multipliers n, and q."""
+def _orbit_residues(alpha: RationalLike,
+                    n_points: int) -> Tuple[Fraction, np.ndarray, np.ndarray, int]:
+    """alpha mod 1, the orbit's ascending residues n*p mod q and their multipliers n
+    (two arrays), and q."""
     alpha = as_rational(alpha) % 1
     if n_points < 1:
         raise ValueError("need at least one point")
@@ -246,8 +277,8 @@ def _orbit_residues(alpha: RationalLike, n_points: int) -> Tuple[Fraction, list,
             f"alpha = {alpha} has denominator {q} <= N = {n_points}; multiples would collide")
     # every product n*p is below N*q: int64 while that fits, Python ints beyond
     res = np.arange(1, n_points + 1, dtype=int_dtype(n_points * q)) * p % q
-    order = np.argsort(res, kind="stable")
-    return alpha, res[order].tolist(), tuple((order + 1).tolist()), q
+    order = np.argsort(res)  # the residues are distinct (q > N): any sort is stable
+    return alpha, res[order], order + 1, q
 
 
 def _orbit(alpha: RationalLike, n_points: int) -> Tuple[Fraction, CircularSet]:
@@ -292,28 +323,23 @@ def orbit_three_gap_check(alpha: RationalLike, orbit: CircularSet) -> ThreeGapRe
     including the closing arc (the whole circle for a single point), must
     equal one of them.
     """
-    ints, q = orbit._residues
-    return _three_gap_report(alpha, orbit, set(_gaps(ints, q, Wrap.INCLUDE)))
+    return _orbit_gap_counts(alpha, orbit)[0]
 
 
 def _orbit_gap_counts(alpha: RationalLike, orbit: CircularSet) -> Tuple[ThreeGapReport, dict]:
-    """orbit_three_gap_check plus each gap's multiplicity (none for one point), counted once."""
+    """orbit_three_gap_check plus each gap's multiplicity (none for one point), from one
+    np.unique of the gaps: Python ints only for the distinct gaps, the ends and their labels."""
     ints, q = orbit._residues
-    counts = Counter(_gaps(ints, q, Wrap.INCLUDE))
-    mult = {Fraction(g, q): c for g, c in counts.items()} if len(ints) > 1 else {}
-    return _three_gap_report(alpha, orbit, counts.keys()), mult
-
-
-def _three_gap_report(alpha: RationalLike, orbit: CircularSet, distinct) -> ThreeGapReport:
-    # distinct: the set of the orbit's int gaps, closing arc included
-    ints, q = orbit._residues
-    b1, bn = ints[0], ints[-1]
+    gaps, counts = np.unique(_gaps(ints, q, Wrap.INCLUDE), return_counts=True)
+    distinct = gaps.tolist()
+    mult = dict(zip([Fraction(g, q) for g in distinct], counts.tolist())) if len(ints) > 1 else {}
+    b1, bn = int(ints[0]), int(ints[-1])
     refs = sorted({b1, q - bn, b1 + q - bn})
-    passed = len(distinct) <= 3 and distinct <= set(refs)
+    passed = len(distinct) <= 3 and set(distinct) <= set(refs)
+    first, last = orbit._labels[[0, -1]].tolist()
     return ThreeGapReport(as_rational(alpha) % 1, len(ints),
-                          tuple(Fraction(g, q) for g in sorted(distinct)),
-                          tuple(Fraction(r, q) for r in refs),
-                          orbit.labels[0], orbit.labels[-1], passed)
+                          tuple(Fraction(g, q) for g in distinct),
+                          tuple(Fraction(r, q) for r in refs), first, last, passed), mult
 
 
 @dataclass(frozen=True)
@@ -337,7 +363,7 @@ class APUnionSpec:
         return len(self.arms)
 
 
-def _ap_union_residues(spec: APUnionSpec) -> Tuple[list, int]:
+def _ap_union_residues(spec: APUnionSpec) -> Tuple[np.ndarray, int]:
     """Ascending residues of the union over the lcm q of all denominators.
 
     Each arm is one numpy progression; the arms' points, in order, are
@@ -358,7 +384,7 @@ def _ap_union_residues(spec: APUnionSpec) -> Tuple[list, int]:
         raise CollisionError(
             f"point {TorusPoint._from_residue(int(vals[again]), q)} generated twice: "
             f"arm {_arm_of(lengths, first)} and arm {_arm_of(lengths, again)}")
-    return ascending.tolist(), q
+    return ascending, q
 
 
 def _arm_of(lengths: list, pos: int) -> tuple:
@@ -389,7 +415,7 @@ class APUnionGapReport:
 def ap_union_gap_check(spec: APUnionSpec) -> APUnionGapReport:
     ints, q = _ap_union_residues(spec)
     bound = 3 * spec.k
-    distinct = tuple(Fraction(g, q) for g in sorted(set(_gaps(ints, q, Wrap.INCLUDE))))
+    distinct = tuple(Fraction(g, q) for g in sorted_unique(_gaps(ints, q, Wrap.INCLUDE)).tolist())
     return APUnionGapReport(spec.k, len(ints), distinct, bound, len(distinct) <= bound)
 
 
@@ -403,7 +429,7 @@ def _distinct_gap_count(a: CircularSet) -> int:
     # A single point contributes just the closing arc, one gap value.
     if not len(a):
         raise TooFewPointsError("a spectrum needs at least two points")
-    return 1 if len(a) == 1 else len(set(_gaps(*a._residues, a.wrap)))
+    return 1 if len(a) == 1 else len(sorted_unique(_gaps(*a._residues, a.wrap)))
 
 
 @dataclass(frozen=True)
@@ -473,7 +499,7 @@ def arc_counting_diagnostic(a: CircularSet, b: CircularSet, k: int) -> ArcCounti
     (xs, ys), q = common_scale(a._residues, b._residues)
     dtype = int_dtype(2 * q)
     # the witnesses: the first index of each distinct gap, ascending
-    j_a = np.sort(np.unique(np.array(_gaps(*a._residues, a.wrap), dtype), return_index=True)[1])
+    j_a = np.sort(np.unique(_gaps(*a._residues, a.wrap), return_index=True)[1])
 
     sums = torus_pairsums(xs, ys, q).tolist()
     total = len(sums)
@@ -508,15 +534,23 @@ def greedy_max_distinct(b: CircularSet) -> CircularSet:
     if len(b) < 2:
         raise TooFewPointsError("the greedy construction needs at least two points")
     ints, q = b._residues
+    values = ints.tolist()
     chosen = [0, 1]
-    used = {ints[1] - ints[0]}
-    for idx in range(2, len(ints)):
-        d = ints[idx] - ints[chosen[-1]]
+    used = {values[1] - values[0]}
+    for idx in range(2, len(values)):
+        d = values[idx] - values[chosen[-1]]
         if d not in used:
             used.add(d)
             chosen.append(idx)
-    labels = None if b.labels is None else tuple(b.labels[i] for i in chosen)
-    return CircularSet._from_residues([ints[i] for i in chosen], q, labels, b.wrap, b._step)
+    return _subset(b, chosen)
+
+
+def _subset(b: CircularSet, at: list) -> CircularSet:
+    """The points of b at the ascending indices at, with their labels, wrap and step."""
+    ints, q = b._residues
+    labels = b._labels
+    return CircularSet._from_residues(ints[at], q, None if labels is None else labels[at],
+                                      b.wrap, b._step)
 
 
 def greedy_target(n: int) -> int:
@@ -536,8 +570,9 @@ def sidon_subset(b: CircularSet) -> CircularSet:
         raise TooFewPointsError("need at least one point")
     ints, q = b._residues
     chosen: list = []
+    at: list = []
     diffs: set = set()
-    for x in ints:
+    for i, x in enumerate(ints.tolist()):
         new = set()
         ok = True
         for u in chosen:
@@ -550,9 +585,6 @@ def sidon_subset(b: CircularSet) -> CircularSet:
             new.add(d2)
         if ok:
             chosen.append(x)
+            at.append(i)
             diffs |= new
-    labels = None
-    if b.labels is not None:
-        keep = dict(zip(ints, b.labels))
-        labels = tuple(keep[x] for x in chosen)
-    return CircularSet._from_residues(chosen, q, labels, b.wrap, b._step)
+    return _subset(b, at)

@@ -13,7 +13,10 @@ tuples, dicts and dataclasses are written directly, each dataclass's sorted
 field names computed once and each vector through one % template.  The lazy
 fields of an unread exact_torus.LazyFields object are written straight from
 the integer rows its _field_rows() returns, with no Fraction or torus point
-built.  A field of values is one text per value.  A field of rows takes one
+built.  A field of values (a 1-d array, or ints) is one % over a whole-field
+template whose items are %d over each value's denominator, and a field of
+plain ints (an array, such as an orbit's labels) one % of %d items.  A field
+of rows takes one
 np.unique of its values and one text per distinct value, kept per scale so
 that later fields reuse them, and is one % over a whole-array template;
 records are one % over one flat tuple gathered from their fields' texts column
@@ -142,29 +145,33 @@ def _text(obj: Any, depth: int, memo: dict) -> str:
                          for name in names], depth)
 
 
-def _field_text(spec: tuple, depth: int, memo: dict) -> str:
+def _field_text(spec, depth: int, memo: dict) -> str:
     """The array, its bracket at depth, of a field given as integer rows
     (LazyFields._field_rows)."""
+    if type(spec) is np.ndarray:  # plain ints
+        return _array_text(["%d"] * len(spec), depth) % tuple(spec.tolist())
     if isinstance(spec[0], type):
         return _records_text(*spec, depth, memo)
     return _rows_text(*spec, depth, memo)
 
 
 def _rows_text(rows, scale: int, depth: int, memo: dict) -> str:
-    """The array, its bracket at depth, of ints (a sequence) or of int rows (tuples, or a
-    2-d array) over scale; a Cleared's rows may differ in length.
+    """The array, its bracket at depth, of ints (a sequence, or a 1-d array) or of int
+    rows (tuples, or a 2-d array) over scale; a Cleared's rows may differ in length.
 
-    Values are written from one _residue_texts call, rows by one % over a whole-array
-    template, their coordinates' texts gathered from _value_texts.
+    Values and rows are each written by one % over a whole-array template: values'
+    items from _residue_items, rows' coordinates' texts gathered from _value_texts.
     """
     if type(rows) is not np.ndarray:
         if not rows or type(rows[0]) is not tuple:
-            return _array_text(_residue_texts(rows, scale), depth)
+            return _values_text(rows, scale, depth)
         if len(set(map(len, rows))) > 1:  # which only a Cleared holds
             items = [_array_text(["%s"] * len(r), depth + 1) for r in rows]
             texts = _value_texts(_flat_ints(rows), scale, memo)
             return _array_text(items, depth) % tuple(texts.tolist())
         rows = _int_array(rows)
+    elif rows.ndim == 1:
+        return _values_text(rows, scale, depth)
     item = _array_text(["%s"] * rows.shape[1], depth + 1)
     return _array_text([item] * len(rows), depth) % tuple(
         _value_texts(rows, scale, memo).ravel().tolist())
@@ -229,50 +236,57 @@ def _value_texts(values: np.ndarray, scale: int, memo: dict) -> np.ndarray:
     return texts[inverse.reshape(values.shape)]
 
 
-# values per np.gcd call; below _TEXT_NUMPY_MIN of them its fixed cost loses to the loop
-_TEXT_BLOCK = 1 << 12
+# below _TEXT_NUMPY_MIN values the fixed cost of np.gcd loses to the loop
 _TEXT_NUMPY_MIN = 64
 
 
-def _residue_texts(residues, scale: int) -> List[str]:
-    """The texts of the rationals n/scale (any ints n), in lowest terms, with no Fraction built.
+def _values_text(residues, scale: int, depth: int) -> str:
+    """The array, its bracket at depth, of the rationals n/scale: one % over the
+    whole field's template."""
+    items, nums = _residue_items(residues, scale)
+    return _array_text(items, depth) % tuple(nums)
 
-    While scale and the values fit int64, the gcds of a long list come from np.gcd,
-    _TEXT_BLOCK values at a time, which bounds the temporaries; else from a loop over
-    Python ints.
+
+def _residue_texts(residues, scale: int) -> List[str]:
+    """The texts of the rationals n/scale, one per value, from one % over their items."""
+    items, nums = _residue_items(residues, scale)
+    return ("\n".join(items) % tuple(nums)).split("\n") if nums else []
+
+
+def _residue_items(residues, scale: int) -> Tuple[list, list]:
+    """(items, nums): each rational n/scale (any ints n) in lowest terms as its numerator,
+    a Python int, and the % item of its denominator (_item), with no Fraction built.
+
+    Over scale 1 the values are the numerators.  While scale and the values fit int64
+    and there are _TEXT_NUMPY_MIN of them, the gcds come from one np.gcd and the items
+    from the distinct denominators, one shared by all or picked through np.unique;
+    else from a loop over Python ints.
     """
     ns = residues if type(residues) is np.ndarray else list(residues)
-    if scale == 1:
-        return _texts_over(ns, 1)
-    texts: List[str] = []
-    for i in range(0, len(ns), _TEXT_BLOCK):
-        block = ns[i:i + _TEXT_BLOCK]
+    a = None
+    if 1 < scale <= INT64_MAX and len(ns) >= _TEXT_NUMPY_MIN:
         try:
-            a = (np.asarray(block, dtype=np.int64)
-                 if scale <= INT64_MAX and len(block) >= _TEXT_NUMPY_MIN else None)
+            a = np.asarray(ns, dtype=np.int64)
         except OverflowError:
-            a = None
-        if a is None:
-            block = block.tolist() if type(block) is np.ndarray else block
-            gs = [gcd(n, scale) for n in block]
-            texts += [f'"{n // g}"' if g == scale else f'"{n // g}/{scale // g}"'
-                      for n, g in zip(block, gs)]
-            continue
-        g = np.gcd(a, scale)
-        nums, dens = (a // g).tolist(), scale // g
-        if (dens == dens[0]).all():
-            texts += _texts_over(nums, int(dens[0]))
-        else:
-            texts += [f'"{n}"' if d == 1 else f'"{n}/{d}"' for n, d in zip(nums, dens.tolist())]
-    return texts
+            pass
+    if a is None:
+        ns = ns.tolist() if type(ns) is np.ndarray else ns
+        if scale == 1:
+            return [_item(1)] * len(ns), ns
+        gs = [gcd(n, scale) for n in ns]
+        return [_item(scale // g) for g in gs], [n // g for n, g in zip(ns, gs)]
+    g = np.gcd(a, scale)
+    nums, dens = (a // g).tolist(), scale // g
+    if (dens == dens[0]).all():
+        return [_item(int(dens[0]))] * len(nums), nums
+    distinct, inverse = np.unique(dens, return_inverse=True)
+    items = np.array([_item(d) for d in distinct.tolist()], dtype=object)
+    return items[inverse].tolist(), nums
 
 
-def _texts_over(nums: list, den: int) -> List[str]:
-    """The texts of the rationals n/den, each n already in lowest terms over den, by one join."""
-    if not len(nums):
-        return []
-    tail = '"' if den == 1 else f'/{den}"'
-    return ('"' + (tail + '\n"').join(map(str, nums)) + tail).split("\n")
+def _item(den: int) -> str:
+    """The % item of a rational over den, in lowest terms, to fill with its numerator."""
+    return '"%d"' if den == 1 else f'"%d/{den}"'
 
 
 @functools.lru_cache(maxsize=64)

@@ -16,7 +16,7 @@ from gaplab.exact_torus import (INT64_MAX, DuplicatePointError, TorusPoint, as_r
 from gaplab.gap_spectrum import (APUnionSpec, ArcCountingReport, CircularSet,
                                  CollisionError, InsufficientDenominatorError,
                                  SubsetViolationError, ThreeGapReport,
-                                 TooFewPointsError, Wrap, _gaps, _orbit_gap_counts,
+                                 TooFewPointsError, Wrap, _orbit_gap_counts,
                                  _require_subset, _orbit_residues, _residue_sumset_size,
                                  ap_union_gap_check,
                                  ap_union_points,
@@ -346,7 +346,7 @@ def test_public_constructors_keep_their_checks():
         assert str(err.value) == text
     a = CircularSet.from_values(["7/6", 0, "0.25"], labels=[5, 6, 7], wrap="exclude_wrap")
     assert a.values() == (0, Fraction(1, 6), Fraction(1, 4)) and a.labels == (6, 5, 7)
-    assert a.wrap is Wrap.EXCLUDE and a._residues == ([0, 2, 3], 12)
+    assert a.wrap is Wrap.EXCLUDE and (a._residues[0].tolist(), a._residues[1]) == ([0, 2, 3], 12)
     b = CircularSet.from_points(reversed(a.points))
     assert b.points == a.points and b.labels is None and b.wrap is Wrap.INCLUDE
 
@@ -450,11 +450,13 @@ def test_membership_answers_as_the_set_of_points(case):
 
 def parent_three_gap_check(alpha, n_points):
     alpha, ints, labels, q = _orbit_residues(alpha, n_points)
-    return _parent_three_gap_report(alpha, ints, labels, q, set(_gaps(ints, q, Wrap.INCLUDE)))
+    ints, labels = ints.tolist(), labels.tolist()
+    gaps = {b - a for a, b in zip(ints, ints[1:])} | {ints[0] + q - ints[-1]}
+    return _parent_three_gap_report(alpha, ints, labels, q, gaps)
 
 
 def parent_orbit_three_gap_check(alpha, orbit, spect):
-    ints, q = orbit._residues
+    ints, q = orbit._residues[0].tolist(), orbit._residues[1]
     distinct = spect.distinct if spect is not None else {Fraction(1)}
     return _parent_three_gap_report(as_rational(alpha) % 1, ints, orbit.labels, q,
                                     {int(g * q) for g in distinct})
@@ -645,9 +647,35 @@ _Q_EDGE = INT64_MAX // 1000  # N * q crosses INT64_MAX between N = 1000 and 1001
 def test_orbit_build_matches_the_python_reference(q, n, dtype):
     assert int_dtype(n * q) is dtype
     for p in (_unit_near(q, 2), _unit_near(q, q // 3), q - 1):
-        got = _orbit_residues(Fraction(p, q), n)
+        alpha, ints, labels, scale = _orbit_residues(Fraction(p, q), n)
+        assert ints.dtype == dtype and labels.dtype == np.int64
+        got = (alpha, ints.tolist(), tuple(labels.tolist()), scale)
         assert got == reference_orbit_residues(Fraction(p, q), n)
         assert all(type(v) is int for v in got[1] + list(got[2]))
+
+
+@pytest.mark.parametrize("alpha, n", [(Fraction(5, 13), 6), (Fraction(7, 9699690), 300),
+                                      (Fraction(3, (1 << 64) + 13), 40)])
+def test_an_orbit_held_as_arrays_reads_as_its_lifted_self(alpha, n):
+    import pickle
+
+    def seen(s):
+        return s == eager, repr(s), pickle.loads(pickle.dumps(s)) == eager, s.labels
+
+    eager = CircularSet(tuple(fractional_orbit(alpha, n).points),
+                        reference_orbit_residues(alpha, n)[2])
+    for read in ("points", "labels"):
+        orbit = fractional_orbit(alpha, n)
+        assert "points" not in vars(orbit) and "labels" not in vars(orbit)
+        kept = pickle.loads(pickle.dumps(orbit))  # unpickles unread
+        assert "labels" not in vars(kept)
+        getattr(orbit, read)
+        assert "points" in vars(orbit) and "labels" in vars(orbit)
+        assert seen(orbit) == seen(kept) == (True, repr(eager), True, eager.labels)
+        assert type(orbit.labels) is tuple and all(type(k) is int for k in orbit.labels)
+    subset = greedy_max_distinct(fractional_orbit(alpha, n))
+    assert subset.labels == tuple(eager.labels[i] for i, p in enumerate(eager.points)
+                                  if p in subset)
 
 
 def convergent_denominators(p, q):
@@ -739,7 +767,7 @@ def test_sets_from_values_or_points_never_count_on_labels(monkeypatch):
     same = CircularSet.from_values(orbit.values(), labels=orbit.labels)
     assert same == orbit and same._step is None
     assert sumset_size(same, same) == sumset_size(orbit, orbit)
-    residues = orbit._residues[0]
+    residues = orbit._residues[0].tolist()
     assert calls == [(residues, residues, 13), ([1, 2, 3, 4, 5, 6], [1, 2, 3, 4, 5, 6], 13)]
     # a rebuilt orbit holds no step either
     import dataclasses

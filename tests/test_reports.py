@@ -14,7 +14,7 @@ from gaplab.exact_torus import INT64_MAX, Cleared, TorusPoint, TorusVector
 from gaplab.gap_spectrum import CircularSet, Wrap, fractional_orbit
 from gaplab.generator_decomposition import Side
 from gaplab.nn_census import CensusReport, NNRecord, PointCloud, _brute_rows_exact, nn_census
-from gaplab.reports import _residue_texts, canonical_json, to_jsonable
+from gaplab.reports import _residue_texts, _values_text, canonical_json, to_jsonable
 from gaplab.sumset_engine import FiniteExactSet, sumset
 
 
@@ -96,11 +96,12 @@ def test_residue_texts_are_the_fraction_texts(ns, scale, shift):
     assert _residue_texts(np.array(ns, dtype=object), scale) == want
     if all(-INT64_MAX - 1 <= n <= INT64_MAX for n in ns):
         assert _residue_texts(np.array(ns, dtype=np.int64), scale) == want
-    # np.gcd on every list, whole or in blocks of one denominator or several
+    # np.gcd on every list, of one denominator or several; and the field of those texts
+    field = json.dumps([Fraction(n, scale) for n in ns], default=str, indent=2)
+    assert _values_text(ns, scale, 0) == field
     with mock.patch.object(reports, "_TEXT_NUMPY_MIN", 1):
         assert _residue_texts(ns, scale) == want
-        with mock.patch.object(reports, "_TEXT_BLOCK", 3):
-            assert _residue_texts(ns, scale) == want
+        assert _values_text(ns, scale, 0) == field
 
 
 def test_a_shared_vector_at_two_depths():
@@ -225,7 +226,7 @@ def test_census_residues_reduce_over_the_cloud_scale():
 
 def test_residues_are_reduced_and_zero_is_zero():
     s = CircularSet.from_values(["1/2", "1/3", "0", "5/6"])
-    assert s.labels is None and s._residues == ([0, 2, 3, 5], 6)
+    assert s.labels is None and (s._residues[0].tolist(), s._residues[1]) == ([0, 2, 3, 5], 6)
     text = assert_same(s)
     assert json.loads(text) == {"labels": None, "points": ["0", "1/3", "1/2", "5/6"],
                                 "wrap": "include_wrap"}
@@ -302,3 +303,50 @@ def test_finite_exact_sets_equal_the_reference(make, read):
     assert_same({"set": s, "sets": [s, s]})
     assert json.loads(assert_same(s)) == {"domain": s.domain.value,
                                           "elements": json.loads(reference(s.elements))}
+
+
+# ---------------------------------------------------------------------------
+# Orbit documents from arrays: an orbit's residues and labels, and every field
+# of values over one scale, are written by one % over a whole-field template.
+
+_Q_EDGE = INT64_MAX // 1000  # N * q crosses INT64_MAX between N = 1000 and 1001
+
+
+@pytest.mark.parametrize("alpha, n", [
+    ("1234567/9999991", 2000),  # a prime q: one denominator
+    ("12345/65536", 3000),  # q = 2^16: the even residues reduce
+    ("1234567/9699690", 4000),  # 2*3*5*7*11*13*17*19: many denominators
+    ("5/97", 1), ("5/97", 2), ("5/97", 96),  # N = 1, 2 and q - 1
+    ("511/1024", 1023),
+    (f"{_Q_EDGE // 3 + 1}/{_Q_EDGE}", 1000),  # N * q below INT64_MAX
+    (f"{_Q_EDGE // 3 + 1}/{_Q_EDGE}", 1001),  # and past it: object residues
+    (f"12345678901234567891/{2 ** 64 + 13}", 300),  # q past 2^64
+])
+@pytest.mark.parametrize("command", ["orbit", "gaps", "greedy"])
+def test_orbit_documents_equal_the_reference(command, alpha, n):
+    from gaplab.cli import build_parser
+
+    if command == "greedy" and n < 2:
+        return
+    args = build_parser().parse_args([command, "--alpha", alpha, "--n", str(n)])
+    body = args.fn(args)
+    assert_same(body)  # the writer first: the reference lifts every point
+
+
+@pytest.mark.parametrize("values, scale", [
+    ([0], 7), ([0, 3, 6], 12), (list(range(-5, 200)), 1),  # residue 0, scale 1
+    ([], 5), (list(range(63)), 90), (list(range(64)), 90),  # empty, either side of the cut-off
+    (np.arange(0, 3000, 7), 2 ** 12), (np.arange(1, 500), 997),  # int64 arrays
+    (np.array([0, 1, 2 ** 65, 2 ** 70 + 3] * 20, dtype=object), 2 ** 71),  # object arrays
+    (np.array(list(range(100)), dtype=object), 12),
+])
+def test_the_field_writer_equals_the_reference(values, scale):
+    from gaplab.reports import _field_text
+
+    listed = values.tolist() if type(values) is np.ndarray else values
+    for depth in (0, 2):
+        want = reference([Fraction(v, scale) for v in listed]).replace("\n", "\n" + "  " * depth)
+        assert _values_text(values, scale, depth) == want
+    labels = np.arange(len(listed)) * 3 - 5
+    assert _field_text(labels, 1, {}) == json.dumps(labels.tolist(), indent=2).replace(
+        "\n", "\n  ")
