@@ -13,10 +13,11 @@ accepted and converted exactly (0.625 -> 5/8).  A single value is a Fraction:
 an integer or integer ratio is read with int(), every other text with
 Fraction(), to the same value.  A list (--a, --b, --alphas, --betas, and the
 ";"-separated points of --points, --vectors and --cover) crosses as one
-exact_torus.Cleared, its values as ints over one common scale in the order
-given, which the set and cloud constructors take directly.  A list of ASCII
-integers and integer ratios is checked by one regex match and read in bulk,
-by int() and one lcm of its distinct denominators; any other list is read
+exact_torus.Cleared, its values as Python ints over one common scale in the
+order given, which the set and cloud constructors take directly, each into
+one int array.  A list of ASCII integers and integer ratios is checked by one
+regex match and read in bulk, by int() and one lcm of its distinct
+denominators, whose factors stay Python ints; any other list is read
 value by value as above, so it is accepted or refused exactly as before.  The
 config echo writes each value in lowest terms from those ints.
 
@@ -47,7 +48,7 @@ import time
 from fractions import Fraction
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from .exact_torus import Cleared, TorusVector, common_scale, residues
+from .exact_torus import Cleared, TorusVector, residues
 from .extremal_constructions import (ap_free_check, behrend_set,
                                      build_cover_forcing_set, exact_ap_free,
                                      greedy_ap_free, lattice_projection)
@@ -156,9 +157,10 @@ def _bulk(text: str, form: Callable) -> Optional[Tuple[list, int]]:
         return None
     if 0 in den_of.values():
         return None
-    factors, scale = common_scale(*[([1], v) for v in den_of.values()])
+    # each denominator's factor scale // v, as Python ints: residues clears 1/v for each v
+    factors, scale = residues(Fraction(1, v) for v in den_of.values())
     if len(den_of) > 1:
-        factor = {d: f for d, (f,) in zip(den_of, factors)}
+        factor = dict(zip(den_of, factors))
         ints = [n * factor[d] for n, d in zip(ints, dens)]
     return ints, scale
 
@@ -192,8 +194,9 @@ def _vector_list(text: str) -> Cleared:
     points = [p for p in text.split(";") if p.strip()]
     if not points:
         raise argparse.ArgumentTypeError("empty point list")
-    rows, scale = common_scale(*[(c.ints, c.scale) for c in map(_rational_list, points)])
-    return Cleared(tuple(map(tuple, rows)), scale)
+    cleared = [_rational_list(p) for p in points]
+    factors, scale = residues(Fraction(1, c.scale) for c in cleared)
+    return Cleared(tuple(tuple(n * f for n in c.ints) for c, f in zip(cleared, factors)), scale)
 
 
 def _verdict(name: str, passed: bool, **certificate: Any) -> Dict[str, Any]:

@@ -10,9 +10,13 @@ which keeps everything inside Q.  Bulk work clears a common denominator
 once with residues() and runs on integers; TorusPoint._from_residue lifts
 the results back.
 
-This module is the one home of that integer-residue format: residues()
+This module is the one home of that integer-residue format.  Inside gaplab
+a family of ints is one numpy array, ascending where it is a set: int64
+while int_dtype() allows, object past that; Python lists and tuples of ints
+appear only where input is parsed (residues(), Cleared) and where results
+are lifted, by one tolist() just before Fractions are built.  residues()
 clears denominators, residue_over() reads one value over a given scale,
-common_scale() brings residue families to the lcm of their scales,
+common_scale() brings int-array families to the lcm of their scales,
 lowest_terms() divides out their common factor, signed_residues() maps
 residues mod q to [-q/2, q/2), sorted_unique() dedupes residue arrays,
 stable_sort() sorts them with their stable argsort from one sort of
@@ -63,7 +67,7 @@ class LazyFields:
 
     def _field_rows(self) -> dict:
         """The lazy fields written unread, as (rows, scale[, indices]), n/scale per int and a
-        vector per row (a tuple, or a row of a 2-d int array), as (record dataclass,
+        vector per row of a 2-d int array, as (record dataclass,
         {field: (rows, scale[, indices])}), or as a 1-d int array, written as plain ints."""
         return {}
 
@@ -202,14 +206,20 @@ def residue_over(value: Fraction, q: int) -> Optional[int]:
 
 
 def common_scale(*families) -> Tuple[list, int]:
-    """([ints, ...], q): residue families (ints, scale) brought to q, the lcm of their scales.
+    """([ints, ...], q): residue families (ints, scale), each an int array, brought to q,
+    the lcm of their scales.
 
-    Each ints is a list of Python ints, or an array read by tolist(); a family
-    already over q comes back as that list, every other one multiplied by q // scale.
+    A family already over q comes back as the same array; every other one is
+    multiplied by q // scale on the int_dtype of its largest scaled magnitude.
     """
     q = lcm(*(s for _, s in families))
-    lists = [(ints.tolist() if type(ints) is np.ndarray else ints, s) for ints, s in families]
-    return [ints if s == q else [n * (q // s) for n in ints] for ints, s in lists], q
+    return [ints if s == q else _times(ints, q // s) for ints, s in families], q
+
+
+def _times(ints: np.ndarray, f: int) -> np.ndarray:
+    """ints * f for an int64 or object array and a Python int f > 1, int64 while it fits."""
+    top = max(-int(ints.min()), int(ints.max())) if ints.size else 0
+    return ints.astype(int_dtype(top * f)) * (f if top else 0)  # top 0: every int is 0
 
 
 def signed_residues(r: np.ndarray, q: int) -> np.ndarray:

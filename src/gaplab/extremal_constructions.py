@@ -17,10 +17,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .exact_torus import as_rational, residues
+from .exact_torus import Cleared, as_rational, residues
 from .gap_spectrum import CircularSet, CollisionError
 from .sumset_engine import (EXACT_LIMIT, FiniteExactSet, difference_set,
                             minimal_difference_cover, sumset)
@@ -294,14 +294,9 @@ def lattice_projection(alphas: Sequence, box: Sequence[int]) -> LatticeProjectio
         seen[val] = tup
     corner_ints = {sum(d * (m - 1) * a for d, m, a in zip(delta, dims, steps)) % q
                    for delta in itertools.product((0, 1), repeat=len(dims))}
-
-    def circle(ints: list, labels: Optional[tuple] = None) -> CircularSet:
-        g = gcd(q, *ints)  # lowest terms, as CircularSet.from_values clears them
-        return CircularSet._from_residues([n // g for n in ints], q // g, labels)
-
     ordered = sorted(seen)
-    points = circle(ordered, tuple(seen[v] for v in ordered))
-    corners = circle(sorted(corner_ints))
+    points = CircularSet.from_values(Cleared(tuple(ordered), q), tuple(seen[v] for v in ordered))
+    corners = CircularSet.from_values(Cleared(tuple(sorted(corner_ints)), q))
     b = points.to_exact_set()
     c = corners.to_exact_set()
     cover_equal = difference_set(c, b) == difference_set(b, b)

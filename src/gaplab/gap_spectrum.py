@@ -67,14 +67,15 @@ class CircularSet(LazyFields):
 
     Every set keeps its residues over one denominator as one array (int64,
     or object past int64), ascending, on which length, membership and every
-    gap and subset test run.  A set built from values (or from an
-    exact_torus.Cleared, read with no Fraction built), or by the library from
-    residues, is held unread (exact_torus.LazyFields): ``points``, the tuple
-    of TorusPoints, is lifted on first read, and an unread set is written
-    from its residues.  Labels the library gives as an array (an orbit's
-    multipliers, and a subset's taken from them) are held unread too:
-    ``labels`` is lifted with ``points`` to a tuple of Python ints, and an
-    unread set writes them from the array.
+    gap and subset test run, and which common_scale, torus_pairsums and
+    sumset_engine._Sorted.of take as it is.  A set built from values (or
+    from an exact_torus.Cleared, read with no Fraction built), or by the
+    library from residues, is held unread (exact_torus.LazyFields):
+    ``points``, the tuple of TorusPoints, is lifted on first read, and an
+    unread set is written from its residues.  Labels the library gives as an
+    array (an orbit's multipliers, and a subset's taken from them) are held
+    unread too: ``labels`` is lifted with ``points`` to a tuple of Python
+    ints, and an unread set writes them from the array.
 
     An orbit of p/q, and a subset the library takes from one, also holds
     its unit ``_step`` = p: its labels are then the multipliers k of its
@@ -116,7 +117,8 @@ class CircularSet(LazyFields):
             raise ValueError("labels must match points one to one")
         order = sorted(range(len(ints)), key=ints.__getitem__)
         labels = None if labels is None else tuple(labels[i] for i in order)
-        inst = cls._from_residues([ints[i] for i in order], q, labels, wrap)
+        inst = cls._from_residues(np.array([ints[i] for i in order], dtype=int_dtype(q)), q,
+                                  labels, wrap)
         inst.__post_init__()  # the dataclass checks, on the integer residues
         return inst
 
@@ -127,13 +129,10 @@ class CircularSet(LazyFields):
     @classmethod
     def _from_residues(cls, ints, q: int, labels=None, wrap: Wrap = Wrap.INCLUDE,
                        step: Optional[int] = None) -> "CircularSet":
-        # Internal: ints must be distinct residues in [0, q), ascending (an
-        # array, or a list of Python ints), so the points are strictly
-        # increasing without a Fraction comparison.  Labels given as an
-        # array are held unread, a tuple as it is; a step p says that
-        # labels[i] * p % q == ints[i].
-        if type(ints) is not np.ndarray:
-            ints = np.array(ints, dtype=int_dtype(q))
+        # Internal: ints must be an array of distinct residues in [0, q),
+        # ascending, so the points are strictly increasing without a Fraction
+        # comparison.  Labels given as an array are held unread, a tuple as
+        # it is; a step p says that labels[i] * p % q == ints[i].
         held = {"_labels": labels} if type(labels) is np.ndarray else {"labels": labels}
         if step is not None:
             held["_step"] = step
@@ -173,7 +172,7 @@ class CircularSet(LazyFields):
 
     def to_exact_set(self) -> FiniteExactSet:
         ints, q = self._residues
-        return FiniteExactSet._from_ints(_Sorted.of(ints.tolist()), q, Domain.TORUS)
+        return FiniteExactSet._from_ints(_Sorted.of(ints), q, Domain.TORUS)
 
     def __len__(self) -> int:
         return len(self._residues[0])
@@ -201,7 +200,6 @@ class CircularSet(LazyFields):
         (mine, q), (theirs, t) = self._residues, other._residues
         if q != t:  # both brought to one scale
             (mine, theirs), q = common_scale(self._residues, other._residues)
-            mine, theirs = (np.array(ints, dtype=int_dtype(q)) for ints in (mine, theirs))
         at = np.searchsorted(theirs, mine)
         found = at < len(theirs)
         found[found] = theirs[at[found]] == mine[found]
@@ -219,14 +217,14 @@ def sumset_size(a: CircularSet, b: CircularSet) -> int:
     q = a._residues[1]
     if a._step is None or a._step != b._step or q != b._residues[1]:
         return _residue_sumset_size(a, b)
-    xs = np.sort(a._labels).tolist()
-    return len(torus_pairsums(xs, xs if b is a else np.sort(b._labels).tolist(), q))
+    xs = np.sort(a._labels)
+    return len(torus_pairsums(xs, xs if b is a else np.sort(b._labels), q))
 
 
 def _residue_sumset_size(a: CircularSet, b: CircularSet) -> int:
     """|A + B| counted on residues, for any two sets: the oracle of the count on labels."""
     (xs, ys), q = common_scale(a._residues, b._residues)
-    return len(torus_pairsums(xs, ys, q)) if xs and ys else 0
+    return len(torus_pairsums(xs, ys, q)) if len(xs) and len(ys) else 0
 
 
 def _gaps(ints: np.ndarray, q: int, wrap: Wrap) -> np.ndarray:
@@ -501,20 +499,20 @@ def arc_counting_diagnostic(a: CircularSet, b: CircularSet, k: int) -> ArcCounti
     # the witnesses: the first index of each distinct gap, ascending
     j_a = np.sort(np.unique(_gaps(*a._residues, a.wrap), return_index=True)[1])
 
-    sums = torus_pairsums(xs, ys, q).tolist()
+    sums = torus_pairsums(xs, ys, q).array()
     total = len(sums)
     floor_size, oversized = divmod(total, k)
     sizes = [floor_size + 1] * oversized + [floor_size] * (k - oversized)
     # the arc of each sorted sum, then of a_i + b and a_{i+1} + b, i a witness
     arc = np.repeat(np.arange(k), sizes)
-    x, y, at = (np.array(v, dtype=dtype) for v in (xs, ys, sums))
-    u, v = (arc[np.searchsorted(at, (x[i, None] + y) % q)] for i in (j_a, (j_a + 1) % len(xs)))
+    x, y = (v.astype(dtype, copy=False) for v in (xs, ys))
+    u, v = (arc[np.searchsorted(sums, (x[i, None] + y) % q)] for i in (j_a, (j_a + 1) % len(xs)))
     count = int((u == v).sum())
 
     upper = sum(sz * (sz - 1) // 2 for sz in sizes)
     lower = len(b) * (len(j_a) - k)
-    bounds = tuple((TorusPoint._from_residue(sums[e - sz], q),
-                    TorusPoint._from_residue(sums[e - 1], q)) if sz else None
+    bounds = tuple((TorusPoint._from_residue(int(sums[e - sz]), q),
+                    TorusPoint._from_residue(int(sums[e - 1]), q)) if sz else None
                    for sz, e in zip(sizes, np.cumsum(sizes).tolist()))
     sum_cap = Fraction(total * total, 2 * k)
     derived = k + Fraction(total * total, 2 * k * len(b))

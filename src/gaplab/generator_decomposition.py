@@ -214,12 +214,11 @@ class _Instance:
             raise SubsetViolationError("C must be a subset of B")
         (res_b, res_c), q = common_scale(b._residues, c._residues)
         # lowest terms: q becomes the lcm of B's denominators, C lying in B
-        g = gcd(q, *res_b)
+        g = gcd(q, int(np.gcd.reduce(res_b)))
         q //= g
         # differences and prefix sums of residues stay below 2q in absolute value
-        dtype = int_dtype(2 * q)
-        res = np.array([n // g for n in res_b], dtype=dtype)
-        c_pos = np.searchsorted(res, np.array([n // g for n in res_c], dtype=dtype))
+        res, res_c = ((r // g).astype(int_dtype(2 * q)) for r in (res_b, res_c))
+        c_pos = np.searchsorted(res, res_c)
         self.q = q
         self.c_pos = c_pos
         self.minus = _OrientedEngine(res, c_pos, q, reflect=False)

@@ -1,13 +1,13 @@
 """Nearest-neighbour structure of finite sets on the d-dimensional torus.
 
-Decisions run on residues: a cloud keeps its points as integer rows over
-the least common denominator of its coordinates, and distances compare as
-folded squared norms over that scale, whose largest value d*(scale//2)^2
-picks the array dtype through exact_torus.int_dtype: int64 while it fits,
-Python ints on object arrays beyond.  Fractions are lifted for reports
-only, and only when read (a cloud's points on first read), so every
-decision is reproducible bit for bit; floats only appear in logged summary
-ratios.
+Decisions run on residues: a cloud keeps its points as one array of
+integer rows over the least common denominator of its coordinates, and
+distances compare as folded squared norms over that scale, whose largest
+value d*(scale//2)^2 picks the array dtype through exact_torus.int_dtype:
+int64 while it fits, Python ints on object arrays beyond.  Fractions are
+lifted for reports only, and only when read (a cloud's points on first
+read), so every decision is reproducible bit for bit; floats only appear in
+logged summary ratios.
 
 The census of a cloud is the set of difference vectors to a nearest neighbour,
 one deterministic choice per point: by all pairs, a tile of points at a time
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -45,7 +44,7 @@ import numpy as np
 
 from .exact_torus import (Cleared, LazyFields, TorusPoint, TorusVector, _coerce, _unread,
                           as_rational, common_scale, int_dtype, residue_over, residues,
-                          signed_residues, torus_dist_sq)
+                          signed_residues, sorted_unique, torus_dist_sq)
 from .gap_spectrum import CollisionError, TooFewPointsError
 from .sumset_engine import torus_pairsums
 
@@ -83,13 +82,15 @@ def _sq_norms(diffs, scale: int):
 @dataclass(frozen=True)
 class PointCloud(LazyFields):
     """Finite set of distinct points on the d-torus, kept sorted; _rows holds
-    them as residue rows over the least common denominator, in that order.
+    them as residue rows over the least common denominator, in that order:
+    one n x d array (int64, object past int64), sorted as tuples sort, by
+    _row_key.
 
     A cloud built from values (or from an exact_torus.Cleared, read with no
     Fraction built) or rows is held unread (exact_torus.LazyFields):
-    it keeps only _rows, which length, dimension, membership and every census
-    kernel read, ``points``, the tuple of TorusVectors, is lifted on first
-    read, and an unread cloud is written from its rows.
+    it keeps only _rows, which length, dimension, membership, sums and every
+    census kernel read as that array, ``points``, the tuple of TorusVectors,
+    is lifted on first read, and an unread cloud is written from its rows.
     """
 
     points: Tuple[TorusVector, ...]
@@ -104,12 +105,7 @@ class PointCloud(LazyFields):
     @classmethod
     def from_values(cls, rows: Iterable[Sequence] | Cleared) -> "PointCloud":
         if type(rows) is not Cleared:
-            vals = []
-            for row in rows:
-                coords = [c if type(c) is Fraction else _coerce(c) for c in row]
-                if not coords:
-                    raise ValueError("torus vectors need at least one coordinate")
-                vals.append(coords)
+            vals = [[c if type(c) is Fraction else _coerce(c) for c in row] for row in rows]
             ints, scale = residues(c for v in vals for c in v)
             it = iter(ints)
             rows = Cleared(tuple(tuple(itertools.islice(it, len(v))) for v in vals), scale)
@@ -121,20 +117,21 @@ class PointCloud(LazyFields):
             raise TooFewPointsError("a cloud needs at least one point")
         if len(dims) != 1:
             raise InvalidConfigurationError("mixed dimensions in one cloud")
-        flat = itertools.chain.from_iterable
-        if min(flat(int_rows)) < 0 or max(flat(int_rows)) >= scale:
-            int_rows = [tuple(x % scale for x in r) for r in int_rows]
-        if len(set(int_rows)) != len(int_rows):
+        # folded onto the torus as Python ints, then held on the cloud's dtype
+        cloud = cls._from_rows(np.array(int_rows, dtype=object) % scale, scale)
+        rows = cloud._rows[0]
+        if (rows[1:] == rows[:-1]).all(axis=1).any():
             raise InvalidConfigurationError("cloud points must be distinct")
-        return cls._from_rows(int_rows, scale)
+        return cloud
 
     @classmethod
-    def _from_rows(cls, rows, scale: int) -> "PointCloud":
-        # Internal: distinct rows of residues mod scale, reduced to lowest terms.
-        g = math.gcd(scale, *itertools.chain.from_iterable(rows))
-        rows = sorted(rows) if g == 1 else sorted(tuple(x // g for x in r) for r in rows)
+    def _from_rows(cls, rows: np.ndarray, scale: int) -> "PointCloud":
+        # Internal: an n x d array of distinct rows of residues mod scale,
+        # brought to lowest terms and sorted.
+        g = math.gcd(scale, int(np.gcd.reduce(rows, axis=None)))
+        rows = (rows // g).astype(int_dtype(scale // g), copy=False)
         # (rows, scale) with points[i] == rows[i] / scale coordinatewise
-        return _unread(cls, _rows=(rows, scale // g))
+        return _unread(cls, _rows=(rows[np.argsort(_row_key(rows, scale // g))], scale // g))
 
     def _lift(self) -> dict:
         return {"points": _lift_rows(*self._rows)}
@@ -144,7 +141,7 @@ class PointCloud(LazyFields):
 
     @property
     def dim(self) -> int:
-        return len(self._rows[0][0])
+        return self._rows[0].shape[1]
 
     def __len__(self) -> int:
         return len(self._rows[0])
@@ -159,23 +156,23 @@ class PointCloud(LazyFields):
         if type(p) is not TorusVector:
             return False
         rows, scale = self._rows
-        row = tuple(residue_over(c.value, scale) if type(c) is TorusPoint else None
-                    for c in p.coords)
-        if None in row:
+        row = [residue_over(c.value, scale) if type(c) is TorusPoint else None
+               for c in p.coords]
+        if None in row or len(row) != rows.shape[1]:
             return False
-        i = bisect_left(rows, row)
-        return i < len(rows) and rows[i] == row
+        return bool((rows == np.array(row, dtype=rows.dtype)).all(axis=1).any())
 
     def negate(self) -> "PointCloud":
         rows, scale = self._rows
-        return PointCloud._from_rows([tuple(-x % scale for x in r) for r in rows], scale)
+        return PointCloud._from_rows(-rows % scale, scale)
 
     def common_scale(self) -> int:
         return self._rows[1]
 
 
-def _lift_rows(rows, scale: int) -> Tuple[TorusVector, ...]:
-    """TorusVectors of residue rows over scale, one Fraction per distinct residue."""
+def _lift_rows(rows: np.ndarray, scale: int) -> Tuple[TorusVector, ...]:
+    """TorusVectors of an array of residue rows over scale, one Fraction per distinct residue."""
+    rows = rows.tolist()
     lift = {x: TorusPoint._from_residue(x, scale)
             for x in set(itertools.chain.from_iterable(rows))}
     return tuple(TorusVector._from_points(tuple(map(lift.__getitem__, r))) for r in rows)
@@ -188,9 +185,8 @@ def _sum_table(a: PointCloud, b: PointCloud):
     d = a.dim
     if d != b.dim:
         raise InvalidConfigurationError("dimension mismatch in cloud sum")
-    (fa, fb), scale = common_scale(*(([x for r in rows for x in r], q)
-                                     for rows, q in (a._rows, b._rows)))
-    ra, rb = (np.array(f, dtype=int_dtype(2 * scale)).reshape(-1, d) for f in (fa, fb))
+    rows, scale = common_scale(a._rows, b._rows)
+    ra, rb = (r.astype(int_dtype(2 * scale), copy=False) for r in rows)
     pairs = ((ra[:, None] + rb[None, :]) % scale).reshape(-1, d)
     _, first, at = np.unique(_row_key(pairs, scale), return_index=True, return_inverse=True)
     return pairs[first], ra, at.reshape(len(ra), -1), scale
@@ -209,7 +205,7 @@ def _row_key(rows: np.ndarray, scale: int) -> np.ndarray:
 def cloud_sumset(a: PointCloud, b: PointCloud) -> PointCloud:
     """All pairwise sums of two clouds, as a cloud."""
     sums, _, _, scale = _sum_table(a, b)
-    return PointCloud._from_rows(list(map(tuple, sums.tolist())), scale)
+    return PointCloud._from_rows(sums, scale)
 
 
 @dataclass(frozen=True)
@@ -288,10 +284,10 @@ def _least(pts, scale: int, i, j, nsq):
     return nsq[r[o], k[o]], vec[o], j[r[o], k[o]]
 
 
-def _brute_rows_numpy(rows: List[Tuple[int, ...]], scale: int):
+def _brute_rows_numpy(rows: np.ndarray, scale: int):
     """Exact nearest neighbours by all pairs, a tile of points at a time, scored on columns."""
-    bound = _norm_bound(len(rows[0]), scale)
-    arr = np.array(rows, dtype=int_dtype(bound))
+    bound = _norm_bound(rows.shape[1], scale)
+    arr = rows.astype(int_dtype(bound), copy=False)
     cols = list(arr.T.copy())
     every, tiles = np.arange(len(rows)), []
     for i in np.split(every, range(0, len(rows), max(1, _TILE // len(rows)))[1:]):
@@ -320,7 +316,7 @@ def _brute_rows_exact(cloud: PointCloud) -> List[Tuple[Fraction, tuple, int]]:
     return out
 
 
-def _grid_rows(rows: List[Tuple[int, ...]], scale: int):
+def _grid_rows(rows: np.ndarray, scale: int):
     """Exact nearest neighbours by a circular sweep; agrees with brute force.
 
     Sorted along the axis with the most distinct residues, all points are
@@ -330,13 +326,12 @@ def _grid_rows(rows: List[Tuple[int, ...]], scale: int):
     exceeds the point's best (tied minimisers are all seen), or where the
     other direction has been.
     """
-    n, d = len(rows), len(rows[0])
+    n, d = rows.shape
     bound = _norm_bound(d, scale)
-    dtype = int_dtype(bound)
-    axis = max(range(d), key=lambda t: len({r[t] for r in rows}))
-    arr = np.array(rows, dtype=dtype)
-    order = np.argsort(arr[:, axis], kind="stable")
-    pts = arr[order]
+    dtype, guard = int_dtype(bound), int_dtype(bound, (scale - 1) ** 2)
+    axis = int(np.argmax([len(sorted_unique(c)) for c in rows.T]))
+    order = np.argsort(rows[:, axis], kind="stable")
+    pts = rows[order].astype(dtype, copy=False)
     cols = list(pts.T.copy())
     key = cols[axis]
     best_nsq = np.full(n, bound + 1, dtype=dtype)
@@ -349,6 +344,7 @@ def _grid_rows(rows: List[Tuple[int, ...]], scale: int):
         for t, sign in ((0, 1), (1, -1)):
             i = np.flatnonzero(reach[t] == w0 - 1)
             gap = sign * (key[(i + sign * w0) % n] - key[i]) % scale
+            gap = gap.astype(guard, copy=False)  # gap * gap may pass bound when d <= 3
             i = i[(gap * gap <= best_nsq[i]) & (reach[1 - t][i] < n - w0)]
             reach[t][i] = ws[-1]
             j = (i[:, None] + sign * ws) % n
@@ -628,7 +624,7 @@ def max_ball_depth(a: PointCloud, b: PointCloud) -> BallDepthReport:
     depth = _depths(sums, ra, scale, radii)
     d = a.dim
     best = int(depth.max())
-    deepest, = _lift_rows(sums[depth == best][:1].tolist(), scale)
+    deepest, = _lift_rows(sums[depth == best][:1], scale)
     return BallDepthReport(d, best, deepest, Fraction(best * 3 ** d, 4 ** d))
 
 
@@ -725,14 +721,13 @@ def extract_core(a: PointCloud, b: PointCloud, epsilon, kappa=None) -> CoreExtra
         covered |= member[best_c]
         r_sizes.append(int(covered.sum()))
         thetas.append(Fraction(len(a) - r_sizes[-1], len(a)))
-    kept = np.flatnonzero(covered).tolist()
-    core = PointCloud._from_rows([a._rows[0][i] for i in kept], a._rows[1])
-    core_census, _ = _distinct_rows(vec[kept], a._rows[1])
+    core = PointCloud._from_rows(a._rows[0][covered], a._rows[1])
+    core_census, _ = _distinct_rows(vec[covered], a._rows[1])
     rounds = len(r_sizes)
     size_ok = len(core) >= (1 - eps) * len(a)
     census_ok = len(core_census) <= rounds * l
     return CoreExtractionTrace(eps, kap, d, len(a), len(b), n_sums, threshold, l,
-                               _lift_rows(sums[chosen].tolist(), scale), tuple(r_sizes),
+                               _lift_rows(sums[chosen], scale), tuple(r_sizes),
                                tuple(thetas), core, len(core_census), rounds * l,
                                max(upsilon_sizes), upsilon_ok, size_ok, census_ok)
 
@@ -765,7 +760,7 @@ def _square_block(m: int) -> PointCloud:
         raise InvalidConfigurationError("m must be at least 2")
     ints = sorted({i * i for i in range(1, m + 1)}
                   | set(range(m * m + 1, 2 * m * m - m + 1)))
-    return PointCloud._from_rows([(v,) for v in ints], 4 * m * m)
+    return PointCloud._from_rows(np.array(ints, dtype=int_dtype(4 * m * m))[:, None], 4 * m * m)
 
 
 def tightness_example(m: int) -> TightnessReport:
@@ -778,7 +773,7 @@ def tightness_example(m: int) -> TightnessReport:
     cloud = _square_block(m)
     census, _ = _distinct_rows(_census_rows(cloud, "auto")[1][1], cloud._rows[1])
     # the block lies on the circle: A + A of its ascending 1-d residues
-    ints = [v for v, in cloud._rows[0]]
+    ints = cloud._rows[0][:, 0]
     n_sums = len(torus_pairsums(ints, ints, cloud._rows[1]))
     eps = Fraction(1, 2 * m)
     floor = m - eps * m * m

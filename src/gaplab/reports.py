@@ -169,7 +169,7 @@ def _rows_text(rows, scale: int, depth: int, memo: dict) -> str:
             items = [_array_text(["%s"] * len(r), depth + 1) for r in rows]
             texts = _value_texts(_flat_ints(rows), scale, memo)
             return _array_text(items, depth) % tuple(texts.tolist())
-        rows = _int_array(rows)
+        rows = _flat_ints(rows).reshape(len(rows), -1)
     elif rows.ndim == 1:
         return _values_text(rows, scale, depth)
     item = _array_text(["%s"] * rows.shape[1], depth + 1)
@@ -179,7 +179,7 @@ def _rows_text(rows, scale: int, depth: int, memo: dict) -> str:
 
 def _records_text(cls: type, fields: dict, depth: int, memo: dict) -> str:
     """The array, its bracket at depth, of cls records whose fields are given as
-    (rows, scale[, indices]), rows indexed by record unless indices pick them.
+    (rows, scale[, indices]), rows an int array indexed by record unless indices pick them.
 
     Each field is one column of texts, gathered from _value_texts by index; the
     records are one % over a whole-array template and the columns' flat tuple.
@@ -189,7 +189,7 @@ def _records_text(cls: type, fields: dict, depth: int, memo: dict) -> str:
     for name in names:
         rows, scale, *index = fields[name]
         if id(rows) not in texts:  # a field's rows, held by fields, are read once
-            texts[id(rows)] = _value_texts(_int_array(rows), scale, memo)
+            texts[id(rows)] = _value_texts(rows, scale, memo)
         column = texts[id(rows)][index[0]] if index else texts[id(rows)]
         members.append((name, "%s" if column.ndim == 1 else
                         _array_text(["%s"] * column.shape[1], depth + 2)))
@@ -197,11 +197,6 @@ def _records_text(cls: type, fields: dict, depth: int, memo: dict) -> str:
     record = _object_text(members, depth + 1)
     flat = np.concatenate(columns, axis=1)
     return _array_text([record] * len(flat), depth) % tuple(flat.ravel().tolist())
-
-
-def _int_array(rows) -> np.ndarray:
-    """Rows of ints of one length (tuples, or an array as it is) as a 2-d array."""
-    return rows if type(rows) is np.ndarray else _flat_ints(rows).reshape(len(rows), -1)
 
 
 def _flat_ints(rows) -> np.ndarray:

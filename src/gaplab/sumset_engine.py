@@ -12,11 +12,12 @@ same words), a chunked outer sum otherwise (sorted int64 offsets; past int64
 and up to a span of 2^124, two 62-bit limbs added with carry and sorted on
 the sum's top 64 bits; past that, Python ints in object arrays).  Dense sums
 stay bitmap words (_Bitmap) and every other set ascending offsets from a
-Python-int base (_Sorted) until their ints are read: the size of a sum that
-nobody prints costs a popcount or a length, and the torus folds [q, 2q) onto
-[0, q) as a shifted OR of words, by moving the base, or on the offsets
-(62-bit limbs past int64).  A + A of one set (the same list as both
-operands) forms each unordered pair once on every path, and on the dense
+Python-int base (_Sorted) until their ints are read, as one ascending array
+(int64, object past it) by array(), the form every kernel here takes: the
+size of a sum that nobody prints costs a popcount or a length, and the torus
+folds [q, 2q) onto [0, q) as a shifted OR of words, by moving the base, or on
+the offsets (62-bit limbs past int64).  A + A of one set (the same array as
+both operands) forms each unordered pair once on every path, and on the dense
 word kernel it also skips the output words that are already all ones.  A set
 (an exact_torus.LazyFields type) lifts its elements to ints, Fractions or
 torus points only when ``elements`` is first read, so a sum that nobody
@@ -92,7 +93,7 @@ class _Bitmap:
 
     lo is a Python int of any size.  The set-bit count is taken once, here
     (or handed over by a kernel that already has it); the ints are extracted
-    only by tolist().
+    only by array().
     """
 
     __slots__ = ("words", "lo", "count")
@@ -114,8 +115,8 @@ class _Bitmap:
         bits = np.unpackbits(self.words.view(np.uint8), bitorder="little")
         return _Sorted(np.flatnonzero(bits), self.lo)
 
-    def tolist(self) -> list:
-        return self.sorted().tolist()
+    def array(self) -> np.ndarray:
+        return self.sorted().array()
 
 
 class _Sorted:
@@ -126,7 +127,7 @@ class _Sorted:
     or, for two-limb sums, top the uint64 top 64 bits of each offset and low
     the shift bits below them.  Two-limb offsets whose tops are all distinct
     may come unordered; they are sorted on first read.  The ints are built
-    only by tolist().
+    only by array().
     """
 
     __slots__ = ("top", "base", "low", "shift", "ordered")
@@ -136,9 +137,9 @@ class _Sorted:
         self.top, self.base, self.low, self.shift, self.ordered = top, base, low, shift, ordered
 
     @classmethod
-    def of(cls, ints: list) -> "_Sorted":
-        """Ascending distinct Python ints, as offsets from the first."""
-        return cls(_offsets(ints), ints[0]) if ints else cls(np.zeros(0, dtype=np.int64), 0)
+    def of(cls, ints: np.ndarray) -> "_Sorted":
+        """An ascending array of distinct ints, as offsets from the first."""
+        return cls(_offsets(ints), int(ints[0])) if len(ints) else cls(ints.astype(np.int64), 0)
 
     def __len__(self) -> int:
         return len(self.top)
@@ -156,16 +157,16 @@ class _Sorted:
             return tuple(int(self.top[i]) for i in rows)
         return tuple((int(self.top[i]) << self.shift) + int(self.low[i]) for i in rows)
 
-    def tolist(self) -> list:
+    def array(self) -> np.ndarray:
+        """The ints as an ascending array: int64 while they fit, object past that."""
         self._order()
         top, base = self.top, self.base
         if self.low is not None:
-            s = self.shift
-            return [(t << s) + n + base for t, n in zip(top.tolist(), self.low.tolist())]
+            top = (top.astype(object) << self.shift) + self.low.astype(object)
         # offsets are never negative, so base and its largest sum bound them all
-        if len(top) and -INT64_MAX <= base and base + int(top[-1]) <= INT64_MAX:
-            return (top + base).tolist()
-        return [t + base for t in top.tolist()]
+        fits = not len(top) or -INT64_MAX <= base and base + int(top[-1]) <= INT64_MAX
+        ints = (top if fits else top.astype(object, copy=False)) + base
+        return ints.astype(np.int64, copy=False) if fits else ints
 
 
 def _lift(ints: list, scale: int, dom: Domain) -> tuple:
@@ -213,8 +214,9 @@ class FiniteExactSet(LazyFields):
         else:
             coerce = _coerce if dom is Domain.TORUS else as_rational
             ints, scale = residues([coerce(x) for x in elements])
-        ints = {n % scale for n in ints} if dom is Domain.TORUS else set(ints)
-        self.__dict__.update(_ints=_Sorted.of(sorted(ints)), _scale=scale, domain=dom)
+        ints = sorted({n % scale for n in ints} if dom is Domain.TORUS else set(ints))
+        ints = np.array(ints, dtype=int_dtype(0, *map(abs, ints[:1] + ints[-1:])))
+        self.__dict__.update(_ints=_Sorted.of(ints), _scale=scale, domain=dom)
 
     @classmethod
     def integers(cls, xs: Iterable[int] | Cleared) -> "FiniteExactSet":
@@ -234,7 +236,7 @@ class FiniteExactSet(LazyFields):
         return _unread(cls, _ints=ints, _scale=scale, domain=dom)
 
     def _lift(self) -> dict:
-        return {"elements": _lift(self._ints.tolist(), self._scale, self.domain)}
+        return {"elements": _lift(self._ints.array().tolist(), self._scale, self.domain)}
 
     @cached_property
     def element_set(self) -> frozenset:
@@ -243,7 +245,7 @@ class FiniteExactSet(LazyFields):
     @cached_property
     def _key(self) -> tuple:
         # Lowest terms make the key canonical: equal sets, equal keys.
-        ints = self._ints.tolist()
+        ints = self._ints.array().tolist()
         g = gcd(self._scale, *ints)
         return self.domain, self._scale // g, tuple(n // g for n in ints)
 
@@ -274,12 +276,13 @@ class FiniteExactSet(LazyFields):
 
 def negate(x: FiniteExactSet) -> FiniteExactSet:
     """-x, read off the ascending ints backwards: n -> -n, or q - n on the torus."""
-    ints, q, dom = x._ints.tolist(), x._scale, x.domain
+    ints, q, dom = x._ints.array(), x._scale, x.domain
     if dom is not Domain.TORUS:
-        neg = [-n for n in reversed(ints)]
+        neg = -ints[::-1]  # array() holds int64 only from -INT64_MAX up
     else:
-        zero = ints[:1] == [0]  # 0 is its own negative and stays first
-        neg = ints[:zero] + [q - n for n in reversed(ints[zero:])]
+        ints = ints.astype(int_dtype(q), copy=False)
+        zero = int(len(ints) > 0 and ints[0] == 0)  # 0 is its own negative and stays first
+        neg = np.concatenate([ints[:zero], q - ints[zero:][::-1]])
     return FiniteExactSet._from_ints(_Sorted.of(neg), q, dom)
 
 
@@ -294,16 +297,16 @@ def sumset(x: FiniteExactSet, y: FiniteExactSet) -> FiniteExactSet:
     dom = x.domain
     if not len(x) or not len(y):
         return FiniteExactSet((), dom)
-    xs = x._ints.tolist()
-    ys = xs if y is x else y._ints.tolist()
+    xs = x._ints.array()
+    ys = xs if y is x else y._ints.array()
     (xs, ys), scale = common_scale((xs, x._scale), (ys, y._scale))
     if dom is Domain.TORUS:
         return FiniteExactSet._from_ints(torus_pairsums(xs, ys, scale), scale, dom)
     return FiniteExactSet._from_ints(_pairsums_int(xs, ys), scale, dom)
 
 
-def torus_pairsums(xs: list, ys: list, q: int):
-    """Distinct residues mod q of x + y, for nonempty ascending residue lists.
+def torus_pairsums(xs: np.ndarray, ys: np.ndarray, q: int):
+    """Distinct residues mod q of x + y, for nonempty ascending residue arrays.
 
     Words over exactly [0, q) (a _Bitmap with lo 0) when the dense kernel
     ran and that map is at most twice the size of its words.  Otherwise a
@@ -333,8 +336,8 @@ def torus_pairsums(xs: list, ys: list, q: int):
         return _Sorted(folded[run_starts(folded)], 0)
     if q <= LIMB_SPAN_LIMIT:
         return _fold_limbs(sums, q)
-    ints = np.array(sums.tolist(), dtype=object)
-    return _Sorted.of(sorted_unique(np.where(ints >= q, ints - q, ints)).tolist())
+    ints = sums.array()  # past LIMB_SPAN_LIMIT, an object array
+    return _Sorted.of(sorted_unique(np.where(ints >= q, ints - q, ints)))
 
 
 def _fold_limbs(sums: _Sorted, q: int) -> _Sorted:
@@ -404,35 +407,35 @@ def doubling_ratio(x: FiniteExactSet) -> Fraction:
     return Fraction(len(sumset(x, x)), len(x))
 
 
-def _pairsums_int(xs: list, ys: list):
-    """Distinct pairwise sums of two sorted nonempty lists of Python ints.
+def _pairsums_int(xs: np.ndarray, ys: np.ndarray):
+    """Distinct pairwise sums of two ascending nonempty int arrays.
 
     The span of the sums and the cost of each kernel pick the path, not the
     magnitude of the ints: every kernel runs on offsets from xs[0] + ys[0].
     The words of a _Bitmap from the dense path, sorted offsets (a _Sorted)
     from the outer path.
     """
-    lo = xs[0] + ys[0]
-    span_out = xs[-1] + ys[-1] - lo + 1
+    lo = int(xs[0]) + int(ys[0])
+    span_out = int(xs[-1]) + int(ys[-1]) - lo + 1
     # Of the dense (loop, segment) orders whose segment fits, run the one
     # with fewer word ORs; on a tie, the narrower segment, then xs looping.
     orders = ((xs, ys), (ys, xs))
-    costs = [(len(p) * (s[-1] - s[0] + 64), s[-1] - s[0], i)
-             for i, (p, s) in enumerate(orders) if s[-1] - s[0] < DENSE_SEG_LIMIT]
+    costs = [(len(p) * (w + 64), w, i) for i, (p, s) in enumerate(orders)
+             if (w := int(s[-1]) - int(s[0])) < DENSE_SEG_LIMIT]
     if costs and span_out <= DENSE_SPAN_LIMIT and len(xs) * len(ys) >= span_out // 16:
         return _dense_pairsums(*orders[min(costs)[2]], lo, span_out)
     return _outer_pairsums(xs, ys)
 
 
-def _offsets(xs: list) -> np.ndarray:
-    """x - xs[0] for ascending Python ints: int64 while the span fits, object past it."""
-    x0, dtype = xs[0], int_dtype(xs[-1] - xs[0])
-    if dtype is np.int64 and -INT64_MAX <= x0 and xs[-1] <= INT64_MAX:
-        return np.asarray(xs, dtype=np.int64) - x0
-    return np.array([x - x0 for x in xs], dtype=dtype)
+def _offsets(xs: np.ndarray) -> np.ndarray:
+    """xs - xs[0] for an ascending int array: int64 while the span fits, object past it."""
+    x0 = int(xs[0])
+    if int_dtype(int(xs[-1]) - x0) is np.int64:
+        return (xs - x0).astype(np.int64, copy=False)
+    return xs.astype(object) - x0
 
 
-def _limbs(xs: list) -> tuple:
+def _limbs(xs: np.ndarray) -> tuple:
     """(high, low): x - xs[0] split into two 62-bit uint64 limbs, for spans below 2^124."""
     offs = _offsets(xs)
     return (offs >> _LIMB_BITS).astype(np.uint64), (offs & _LIMB_MASK).astype(np.uint64)
@@ -474,7 +477,7 @@ def _block_sums(a: np.ndarray, b: np.ndarray, chunk: list) -> np.ndarray:
     return sums[0] if len(sums) == 1 else np.concatenate(sums)
 
 
-def _outer_pairsums(xs: list, ys: list) -> _Sorted:
+def _outer_pairsums(xs: np.ndarray, ys: np.ndarray) -> _Sorted:
     """Distinct pair sums, sorted, for any span.
 
     Offsets whose sums fit int64, or whose span reaches LIMB_SPAN_LIMIT
@@ -483,8 +486,8 @@ def _outer_pairsums(xs: list, ys: list) -> _Sorted:
     and sorted on the sum's top 64 bits (_distinct_limbs).  Rows are taken
     about _CHUNK_PAIRS pairs at a time.
     """
-    base = xs[0] + ys[0]
-    span = xs[-1] + ys[-1] - base
+    base = int(xs[0]) + int(ys[0])
+    span = int(xs[-1]) + int(ys[-1]) - base
     same = xs is ys
     chunks = _pair_blocks(len(xs), len(ys), same, _CHUNK_PAIRS)
     if span <= INT64_MAX or span >= LIMB_SPAN_LIMIT:
@@ -619,7 +622,7 @@ def _trimmed_ors(out: np.ndarray, base: np.ndarray, a_off: np.ndarray) -> None:
         start = stop
 
 
-def _dense_pairsums(xs: list, ys: list, lo: int, span_out: int) -> _Bitmap:
+def _dense_pairsums(xs: np.ndarray, ys: np.ndarray, lo: int, span_out: int) -> _Bitmap:
     # ys is the bitmap segment, OR-ed once per element of xs from its row
     # shifted by that element's bit-shift class, one class at a time;
     # _pairsums_int alone decides which operand plays which part.
@@ -688,14 +691,14 @@ class CoverResult(LazyFields):
 
     def _lift(self) -> dict:
         universe, scale, dom, ints, wit_c, wit_b = self._ints
-        lifted, elems = _lift(universe.tolist(), scale, dom), _lift(ints, scale, dom)
+        lifted, elems = _lift(universe.tolist(), scale, dom), _lift(ints.tolist(), scale, dom)
         certificate = {key: (elems[c], elems[e]) for key, c, e
                        in zip(lifted, wit_c.tolist(), wit_b.tolist())}
         del self.__dict__["_ints"]  # no read needs it once both fields are stored
         return {"universe": lifted, "certificate": certificate}
 
 
-def _difference_table(ints: list, scale: int, dom: Domain):
+def _difference_table(ints: np.ndarray, scale: int, dom: Domain):
     """(universe, pos, writers, starts): B - B from one stable sort of its |B| x |B| table.
 
     universe is B - B ascending and pos[i, j] the index of b_i - b_j in it.
@@ -707,7 +710,7 @@ def _difference_table(ints: list, scale: int, dom: Domain):
     sort's keys live in the table's own buffer, freed before pos is
     scattered, and pos and writers are int32 below 2^31 entries.
     """
-    o = np.array(ints, dtype=int_dtype(scale)) if dom is Domain.TORUS else _offsets(ints)
+    o = ints.astype(int_dtype(scale), copy=False) if dom is Domain.TORUS else _offsets(ints)
     d = np.subtract.outer(o, o)
     if dom is Domain.TORUS:
         np.add(d, scale, out=d, where=d < 0)
@@ -755,7 +758,7 @@ def minimal_difference_cover(b: FiniteExactSet, exact_limit: int = EXACT_LIMIT,
     if not len(b):
         return CoverResult((), True, (), {})
     # Candidates are the rows i of the set's ascending ints.
-    dom, ints, scale = b.domain, b._ints.tolist(), b._scale
+    dom, ints, scale = b.domain, b._ints.array(), b._scale
     n = len(ints)
     universe, pos, writers, starts = _difference_table(ints, scale, dom)
 
@@ -828,7 +831,7 @@ def minimal_difference_cover(b: FiniteExactSet, exact_limit: int = EXACT_LIMIT,
         nodes = min(nodes, node_budget)
 
     cover_rows = sorted(best)
-    cover = _lift([ints[i] for i in cover_rows], scale, dom)
+    cover = _lift(ints[cover_rows].tolist(), scale, dom)
     # Witness each difference by its smallest covering c, then its smallest
     # b: the first occurrence of its index in the cover rows, row-major.
     # The whole table is dropped first: the cover's rows can be all of it.

@@ -28,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .exact_torus import TorusVector, common_scale
+from .exact_torus import TorusVector, common_scale, int_dtype
 from .extremal_constructions import build_cover_forcing_set, exact_ap_free
 from .gap_spectrum import (APUnionSpec, CircularSet, CollisionError,
                            _distinct_gap_count, _residue_sumset_size, ap_union_gap_check,
@@ -194,6 +194,7 @@ def check_arc_count(seed: int = 0, trials: int = 100) -> tuple:
         # independent pair recount on ints: each sum's arc is the first whose
         # cumulative size passes the sum's rank
         (xs, ys), q = common_scale(a._residues, b._residues)
+        xs, ys = xs.tolist(), ys.tolist()  # the recount runs on Python ints
         sums = sorted({(x + y) % q for x in xs for y in ys})
         floor, oversized = divmod(len(sums), k)
         ends = list(accumulate(floor + (i < oversized) for i in range(k)))
@@ -367,7 +368,7 @@ def _census_cloud(seed: int, t: int) -> PointCloud:
         rows = set()
         while len(rows) < n:
             rows.add(tuple(rng.randrange(q) for _ in range(d)))
-    return PointCloud._from_rows(list(rows), q)
+    return PointCloud._from_rows(np.array(list(rows), dtype=int_dtype(q)), q)
 
 
 @_check("sumset-performance")

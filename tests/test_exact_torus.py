@@ -16,6 +16,8 @@ from gaplab.exact_torus import (INT64_MAX, Cleared, TorusPoint, TorusVector, as_
                                 stable_sort, torus_dist_sq, torus_norm, torus_norm_sq_d)
 from gaplab.nn_census import _norm_bound, _sq_norms
 
+from conftest import held_rows, int_array
+
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=997)
 unit_rationals = st.fractions(min_value=0, max_value=Fraction(996, 997),
                               max_denominator=997)
@@ -155,13 +157,33 @@ scales = st.one_of(st.integers(1, 10 ** 6), st.integers((1 << 62) - 3, (1 << 62)
 @given(st.lists(scales, min_size=1, max_size=4), st.data())
 @settings(deadline=None)
 def test_common_scale_matches_fraction_reference(qs, data):
-    families = [(data.draw(st.lists(st.integers(0, s - 1), max_size=6)), s) for s in qs]
+    # each family an int array: int64 while its values fit (near 2^62 and 2^63 at
+    # those scales), object past that, or object whatever it holds
+    families = []
+    for s in qs:
+        ints = int_array(data.draw(st.lists(st.integers(0, s - 1), max_size=6)))
+        families.append((ints.astype(object) if data.draw(st.booleans()) else ints, s))
     got, q = common_scale(*families)
     assert q == reduce(lambda a, b: a * b // gcd(a, b), qs)
     for (ints, s), scaled in zip(families, got):
-        assert [Fraction(n, q) for n in scaled] == [Fraction(n, s) for n in ints]
+        assert type(scaled) is np.ndarray and scaled.dtype != np.uint64
+        assert [Fraction(n, q) for n in scaled.tolist()] == [Fraction(n, s) for n in ints.tolist()]
         if s == q:
             assert scaled is ints
+        else:
+            assert scaled.dtype == int_dtype(max(scaled.tolist(), default=0))
+
+
+@pytest.mark.parametrize("n, s, f", [
+    ((1 << 62) - 1, (1 << 62) + 1, 2), ((1 << 61) + 1, 1 << 62, 4), (INT64_MAX, 1 << 63, 3),
+    (0, 1 << 63, 1 << 70), (3, 7, (1 << 62) // 3)])
+def test_common_scale_picks_the_dtype_of_the_largest_scaled_value(n, s, f):
+    # scaled magnitudes 2^63 - 2, 2^63 + 4, 3 (2^63 - 1), 0 and 2^62 - 1: int64
+    # exactly while int_dtype allows them, never numpy's uint64
+    for ints in (int_array([0, n]), int_array([-n, 0])):
+        (scaled, _), q = common_scale((ints, s), (int_array([]), s * f))
+        assert q == s * f and scaled.tolist() == [v * f for v in ints.tolist()]
+        assert scaled.dtype == int_dtype(n * f)
 
 
 @given(scales, st.data())
@@ -329,7 +351,7 @@ def test_constructors_read_a_cleared_as_its_values(rows, factor):
     if type(want) is tuple:
         assert got == want
     else:
-        assert got._rows == want._rows
+        assert held_rows(got) == held_rows(want)
         assert list(got.points) == sorted({TorusVector(r) for r in rows})  # folded onto the torus
     if any(len(r) != 1 for r in rows):
         return
@@ -342,11 +364,11 @@ def test_constructors_read_a_cleared_as_its_values(rows, factor):
         (got._residues[0].tolist(), got._residues[1], got.labels)
         == (want._residues[0].tolist(), want._residues[1], want.labels))
     for make in (FiniteExactSet.rationals, FiniteExactSet.torus):
-        assert ((make(flat)._ints.tolist(), make(flat)._scale)
-                == (make(values)._ints.tolist(), make(values)._scale))
+        assert ((make(flat)._ints.array().tolist(), make(flat)._scale)
+                == (make(values)._ints.array().tolist(), make(values)._scale))
     if all(v.denominator == 1 for v in values):
         got, want = FiniteExactSet.integers(flat), FiniteExactSet.integers(map(int, values))
-        assert (got._ints.tolist(), got._scale) == (want._ints.tolist(), 1)
+        assert (got._ints.array().tolist(), got._scale) == (want._ints.array().tolist(), 1)
     else:
         first = next(v for v in values if v.denominator != 1)
         assert _outcome(lambda: FiniteExactSet.integers(flat)) == (

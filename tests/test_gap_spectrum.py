@@ -26,6 +26,8 @@ from gaplab.gap_spectrum import (APUnionSpec, ArcCountingReport, CircularSet,
                                  sumset_size, three_gap_check)
 from gaplab.sumset_engine import FiniteExactSet, sumset, torus_pairsums
 
+from conftest import int_array
+
 
 def test_orbit_of_five_eighths():
     rep = three_gap_check(Fraction(5, 8), 4)
@@ -311,7 +313,7 @@ def test_ap_union_matches_fraction_reference(q, k, data):
 def test_residue_constructor_matches_public_constructor(q, wrap, data):
     ints = sorted(data.draw(st.sets(st.integers(0, q - 1), min_size=1, max_size=30)))
     labels = data.draw(st.one_of(st.none(), st.permutations(range(len(ints))).map(tuple)))
-    fast = CircularSet._from_residues(ints, q, labels, wrap)
+    fast = CircularSet._from_residues(int_array(ints, q), q, labels, wrap)
     public = CircularSet.from_values([Fraction(r, q) for r in ints], labels, wrap)
     assert fast == public and hash(fast) == hash(public)
     assert fast.points == public.points and fast.labels == public.labels
@@ -535,7 +537,8 @@ def parent_arc_counting_diagnostic(a, b, k):
     j_a = tuple(sorted(witness.values()))
 
     (xs, ys), q = common_scale(a._residues, b._residues)
-    sums = torus_pairsums(xs, ys, q).tolist()
+    sums = torus_pairsums(xs, ys, q).array().tolist()
+    xs, ys = xs.tolist(), ys.tolist()
     pos = {n: t for t, n in enumerate(sums)}
     total = len(sums)
     floor_size, oversized = divmod(total, k)
@@ -728,7 +731,9 @@ def _spy_counts(monkeypatch):
     calls = []
 
     def spy(xs, ys, q):
-        calls.append((list(xs), list(ys), q))
+        # the holders' arrays reach the kernel as they are: no list between them
+        assert type(xs) is type(ys) is np.ndarray
+        calls.append((xs.tolist(), ys.tolist(), q))
         return torus_pairsums(xs, ys, q)
 
     monkeypatch.setattr(gap_spectrum, "torus_pairsums", spy)

@@ -23,6 +23,8 @@ from gaplab.generator_decomposition import (NonMemberTargetError,
                                             verify_generation)
 from gaplab.sumset_engine import difference_set, minimal_difference_cover
 
+from conftest import int_array
+
 
 def tenths(*nums):
     return CircularSet.from_values([Fraction(n, 10) for n in nums])
@@ -369,7 +371,7 @@ def test_instance_scale_is_the_least_common_denominator(p, dtype):
     # unions) may keep a scale above their least common denominator: here
     # 2p, though every point lies on 1/p.  The instance still works over p,
     # so the int64 switch sits where the points' own denominators put it.
-    b = CircularSet._from_residues([0, 2 * (p // 3), 2 * (2 * p // 3)], 2 * p)
+    b = CircularSet._from_residues(int_array([0, 2 * (p // 3), 2 * (2 * p // 3)], 2 * p), 2 * p)
     c = CircularSet.from_values([pt.value for pt in b.points])
     inst = _Instance(b, c)
     assert inst.q == p and inst.universe.dtype == dtype

@@ -28,6 +28,8 @@ from gaplab.nn_census import (EpsilonRangeError, GramKissingReport, GreedyStallE
                               tightness_example)
 from gaplab.gap_spectrum import CollisionError, TooFewPointsError
 
+from conftest import held_rows, int_array
+
 
 def cloud_1d(*vals):
     return PointCloud.from_values([(Fraction(v) % 1,) for v in vals])
@@ -397,7 +399,7 @@ def test_sweep_resolves_fully_tied_lattices(k, d):
     # offsets and brute force runs several tiles; (5, 4) has n > 512 and
     # one row in brute force's last tile.
     cloud = _int_cloud(list(itertools.product(range(k), repeat=d)), k)
-    rows, scale = cloud._rows
+    rows, scale = list(map(tuple, cloud._rows[0].tolist())), cloud._rows[1]
     at = {row: t for t, row in enumerate(rows)}
     want = [(1, (-1,) + (0,) * (d - 1), at[((row[0] - 1) % k,) + row[1:]])
             for row in rows]
@@ -442,7 +444,7 @@ def test_residue_rows_match_public_constructor():
         fast = PointCloud.from_values(sorted(rows, reverse=True))
         public = PointCloud(tuple(TorusVector.of(*r) for r in rows))
         assert fast == public
-        assert fast._rows == public._rows
+        assert held_rows(fast) == held_rows(public)
         assert fast.common_scale() == public.common_scale()
         assert fast.negate() == PointCloud(tuple(-p for p in public.points))
         assert cloud_sumset(fast, fast) == PointCloud(
@@ -600,7 +602,7 @@ def _check_core(a, b, eps, kap, omit=False):
         return False
     got = extract_core(*args)
     assert {f.name: getattr(got, f.name) for f in fields(got)} == want
-    assert got.core._rows == want["core"]._rows
+    assert held_rows(got.core) == held_rows(want["core"])
     return True
 
 
@@ -738,7 +740,7 @@ def test_census_kernels_agree_at_every_scale(q, d, n, seed):
     rows = {(1,) + (0,) * (d - 1)}
     while len(rows) < n:
         rows.add(tuple(coord() for _ in range(d)))
-    cloud = PointCloud._from_rows(rows, q)
+    cloud = PointCloud._from_rows(int_array(sorted(rows)), q)
     rows, scale = cloud._rows
     assert scale == q
     want = _tuples(_nn_module._brute_rows_numpy(rows, q))
@@ -749,6 +751,49 @@ def test_census_kernels_agree_at_every_scale(q, d, n, seed):
     if n <= 30:
         assert [(Fraction(m, q * q), tuple(Fraction(x, q) for x in v), j)
                 for m, v, j in want] == _brute_rows_exact(cloud)
+
+
+def _two_clusters(q, d, seed=0):
+    """300 + 300 distinct points over q whose coordinates lie in two clusters of width
+    10^6, at 0 and at 3q/10: the sweep's axis offsets reach about 7q/10."""
+    rng = random.Random(seed)
+    rows = set()
+    while len(rows) < 600:
+        at = q * 3 // 10 if len(rows) >= 300 else 0
+        rows.add(tuple(at + rng.randrange(10 ** 6) for _ in range(d)))
+    return _int_cloud(sorted(rows), q)
+
+
+def test_grid_sweep_stops_where_its_axis_offset_squared_passes_the_best(monkeypatch):
+    # d = 1 over q = 5*10^9 + 11: the norm bound (q // 2)^2 fits int64, but an axis
+    # offset past 3.04*10^9 squared does not.  Wrapped negative in int64, the square
+    # kept each direction sweeping into the far cluster (22 256 pairs scored);
+    # squared exactly, the sweep scores 14 448 pairs
+    q = 5 * 10 ** 9 + 11
+    cloud = _two_clusters(q, 1)
+    rows, scale = cloud._rows
+    assert int_dtype(_nn_module._norm_bound(1, q)) is np.int64 and (q - 1) ** 2 > INT64_MAX
+    scored, real = [], _nn_module._sq_norms
+
+    def spy(diffs, scale):
+        nsq = real(diffs, scale)
+        scored.append(nsq.size)
+        return nsq
+    monkeypatch.setattr(_nn_module, "_sq_norms", spy)
+    got = _nn_module._grid_rows(rows, scale)
+    assert sum(scored) == 14448
+    assert _tuples(got) == _tuples(_nn_module._brute_rows_numpy(rows, scale))
+
+
+@pytest.mark.parametrize("d, q", [(1, 5 * 10 ** 9 + 11), (2, 4 * 10 ** 9 + 7),
+                                  (3, 3 * 10 ** 9 + 300_000_007)])
+def test_grid_equals_brute_where_the_axis_square_passes_int64(d, q):
+    # each q inside its dimension's window: d * (q // 2)^2 fits int64, (q - 1)^2 does not
+    assert int_dtype(_nn_module._norm_bound(d, q)) is np.int64 and (q - 1) ** 2 > INT64_MAX
+    cloud = _two_clusters(q, d, seed=d)
+    assert cloud.common_scale() == q
+    ran, grid = _nn_module._census_rows(cloud, "grid")
+    assert _tuples(grid) == _tuples(_nn_module._census_rows(cloud, "brute")[1])
 
 
 @pytest.mark.parametrize("q, dtype", [((1 << 32) - 1, np.int64), (1 << 32, object)])
@@ -779,7 +824,7 @@ def test_every_cloud_holds_its_residue_rows():
     public = PointCloud((TorusVector.of(Fraction(1, 2), Fraction(1, 3)),
                          TorusVector.of(Fraction(0), Fraction(1, 6))))
     fast = PointCloud.from_values([(Fraction(0), Fraction(1, 6)), ("1/2", "1/3")])
-    assert public._rows == fast._rows == ([(0, 1), (3, 2)], 6)
+    assert held_rows(public) == held_rows(fast) == ([[0, 1], [3, 2]], 6, np.int64)
     for cloud in (public, fast, public.negate(), cloud_sumset(public, fast),
                   tightness_example(3).cloud):
         assert "_rows" in vars(cloud)

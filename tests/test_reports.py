@@ -17,6 +17,8 @@ from gaplab.nn_census import CensusReport, NNRecord, PointCloud, _brute_rows_exa
 from gaplab.reports import _residue_texts, _values_text, canonical_json, to_jsonable
 from gaplab.sumset_engine import FiniteExactSet, sumset
 
+from conftest import held_rows, int_array
+
 
 def reference(x) -> str:
     return json.dumps(to_jsonable(x), sort_keys=True, indent=2)
@@ -157,7 +159,7 @@ CENSUS_CLOUDS = list(_census_clouds())
 @pytest.mark.parametrize("rows, q", CENSUS_CLOUDS,
                          ids=[f"d{len(rows[0])}-q{q}" for rows, q in CENSUS_CLOUDS])
 def test_an_unread_census_is_written_from_its_rows(rows, q, method, lifts):
-    cloud = PointCloud._from_rows(rows, q)
+    cloud = PointCloud._from_rows(int_array(rows), q)
     rep = nn_census(cloud, method)
     docs = [rep, {"report": rep}, [1, {"a": [rep]}, rep]]
     unread = [canonical_json(doc) for doc in docs]
@@ -215,8 +217,8 @@ def test_an_echo_over_scale_one_equals_the_reference(rows):
 
 
 def test_census_residues_reduce_over_the_cloud_scale():
-    cloud = PointCloud._from_rows([(0, 0), (4, 6), (6, 8), (10, 2)], 12)
-    assert cloud._rows == ([(0, 0), (2, 3), (3, 4), (5, 1)], 6)
+    cloud = PointCloud._from_rows(int_array([(0, 0), (4, 6), (6, 8), (10, 2)]), 12)
+    assert held_rows(cloud) == ([[0, 0], [2, 3], [3, 4], [5, 1]], 6, np.int64)
     text = canonical_json(nn_census(cloud, "brute"))
     assert json.loads(text)["records"][1] == {
         "diff": ["1/6", "1/6"], "dist_sq": "1/18", "nearest": ["1/2", "2/3"],
@@ -280,8 +282,8 @@ def test_an_unserialisable_object_raises_to_jsonables_error():
 def test_unread_clouds_over_two_scales_share_one_document(lifts):
     # the same residues over 5, 7 and 49 (a census's squared distances) must not
     # share texts, and each cloud is written at two depths
-    a = PointCloud._from_rows([(1, 2), (3, 4), (0, 1)], 5)
-    b = PointCloud._from_rows([(1, 2), (3, 4), (0, 1)], 7)
+    a = PointCloud._from_rows(int_array([(1, 2), (3, 4), (0, 1)]), 5)
+    b = PointCloud._from_rows(int_array([(1, 2), (3, 4), (0, 1)]), 7)
     doc = {"a": a, "b": [b, {"a": a}], "census": nn_census(b, "brute")}
     text = canonical_json(doc)
     assert lifts == []

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from gaplab import sumset_engine as se
 from gaplab.exact_torus import TorusPoint, as_rational, int_dtype, reduce_mod1, residues
 from gaplab.gap_spectrum import fractional_orbit, sumset_size
+from conftest import int_array
 from gaplab.sumset_engine import (Domain, DomainMismatchError, FiniteExactSet,
                                   difference_set, doubling_ratio,
                                   minimal_difference_cover, negate, sumset)
@@ -22,6 +23,12 @@ from gaplab.sumset_engine import (Domain, DomainMismatchError, FiniteExactSet,
 
 def brute_sum(xs, ys):
     return sorted({a + b for a in xs for b in ys})
+
+
+def _arrays(xs, ys):
+    """Operand lists as the kernels' int arrays: one array when they are one list (A + A)."""
+    a = int_array(xs)
+    return a, a if ys is xs else int_array(ys)
 
 
 def test_integer_sumset_matches_brute():
@@ -408,8 +415,8 @@ def _path_of(xs, ys):
     """(ascending sums, the path that ran, the result object)."""
     with pytest.MonkeyPatch.context() as mp:
         seen = _spy_paths(mp)
-        got = se._pairsums_int(xs, ys)
-    return got.tolist(), seen[0], got
+        got = se._pairsums_int(*_arrays(xs, ys))
+    return got.array().tolist(), seen[0], got
 
 
 @pytest.mark.parametrize("base", [0, -(1 << 63) - 17, -(1 << 200), (1 << 63) + 5, 1 << 90])
@@ -443,7 +450,7 @@ def test_a_constructed_set_holds_sorted_offsets_at_each_span(base, span):
     a = FiniteExactSet.integers(xs[::-1] + xs[:3])
     held = a._ints
     assert type(held) is se._Sorted and held.base == xs[0] and held.low is None
-    assert held.top.dtype == int_dtype(span) and held.tolist() == xs and len(a) == len(xs)
+    assert held.top.dtype == int_dtype(span) and held.array().tolist() == xs and len(a) == len(xs)
     b = FiniteExactSet.integers(_spanning(-base // 3, 7, 5, rng))
     c = FiniteExactSet.integers(_spanning(base, span - 7, 30, rng))
     for x, y in ((a, b), (b, a), (c, b), (a, a)):
@@ -504,10 +511,10 @@ def test_wide_sums_read_and_count_like_the_set(lo, raw, same):
     # a count read before the ints, and ints read unsorted-first, from two limbs
     xs = sorted({lo + r for r in raw} | {lo})
     ys = xs if same else sorted({lo // 2 + r // 3 for r in raw})
-    got = se._pairsums_int(xs, ys)
+    got = se._pairsums_int(*_arrays(xs, ys))
     want = brute_sum(xs, ys)
     assert len(got) == len(want)
-    assert got.tolist() == want
+    assert got.array().tolist() == want
 
 
 @pytest.mark.parametrize("q", [(1 << 63) + 1, (1 << 64) + 13, (1 << 70) + 1, (1 << 100) + 7,
@@ -531,9 +538,9 @@ def test_narrow_torus_sets_over_a_modulus_past_int64(q, where, same):
     # the sums of residues near both ends of the circle span past int64: two
     # limbs, or Python ints past the limbs
     wide = where in ("ends", "circle")
-    assert (se._pairsums_int(xs, ys).low is not None) == (wide and 2 * q < LIMB_LIMIT)
-    got = se.torus_pairsums(xs, ys, q)
-    assert len(got) == len(want) and got.tolist() == want
+    assert (se._pairsums_int(*_arrays(xs, ys)).low is not None) == (wide and 2 * q < LIMB_LIMIT)
+    got = se.torus_pairsums(*_arrays(xs, ys), q)
+    assert len(got) == len(want) and got.array().tolist() == want
     a = FiniteExactSet.torus([Fraction(n, q) for n in xs])
     b = a if same else FiniteExactSet.torus([Fraction(n, q) for n in ys])
     assert sumset(a, b).elements == tuple(TorusPoint(Fraction(n, q)) for n in want)
@@ -553,10 +560,10 @@ def test_torus_negation_keeps_zero_first_in_every_form(q, form):
     assert {"words": type(held) is se._Bitmap,
             "int64": type(held) is se._Sorted and held.top.dtype == np.int64,
             "limbs": type(held) is se._Sorted and held.low is not None}[form]
-    assert held.tolist() == sorted({(x - y) % q for x in xs for y in xs})
+    assert held.array().tolist() == sorted({(x - y) % q for x in xs for y in xs})
     for s in (a, d, negate(a)):
-        ints = s._ints.tolist()
-        got = negate(s)._ints.tolist()
+        ints = s._ints.array().tolist()
+        got = negate(s)._ints.array().tolist()
         assert got[0] == 0 and got == sorted({-n % q for n in ints})
         assert negate(negate(s)) == s and hash(negate(negate(s))) == hash(s)
 
@@ -616,9 +623,9 @@ def test_scatter_in_blocks_matches_one_block(monkeypatch, chunk):
     real = se._pair_blocks
     monkeypatch.setattr(se, "_pair_blocks", lambda n_a, n_b, same, budget:
                         real(n_a, n_b, same, min(budget, chunk)))
-    same, ran = _kernels(lambda: se.torus_pairsums(xs, xs, q))
+    same, ran = _kernels(lambda: se.torus_pairsums(*_arrays(xs, xs), q))
     assert ran == ["dense", "scatter"] and type(same) is se._Bitmap
-    assert same.tolist() == sorted({(a + b) % q for a in xs for b in xs})
+    assert same.array().tolist() == sorted({(a + b) % q for a in xs for b in xs})
 
 
 # ---------------------------------------------------------------------------
@@ -634,20 +641,18 @@ def _spy_dense(monkeypatch):
     kernel = se._dense_pairsums
 
     def spy(xs, ys, lo, span_out):
-        calls.append((list(xs), list(ys)))
+        calls.append((xs.tolist(), ys.tolist()))
         return kernel(xs, ys, lo, span_out)
     monkeypatch.setattr(se, "_dense_pairsums", spy)
     return calls
 
 
 def _pairsums_sorted(xs, ys):
-    got = se._pairsums_int(xs, ys)
-    if hasattr(got, "tolist"):
-        # an int64 array or dense words: ascending and distinct, as many as counted
-        ints = got.tolist()
-        assert ints == sorted(set(ints)) and len(ints) == len(got)
-        got = ints
-    return sorted(got)
+    got = se._pairsums_int(*_arrays(xs, ys))
+    # sorted offsets or dense words: ascending and distinct, as many as counted
+    ints = got.array().tolist()
+    assert ints == sorted(set(ints)) and len(ints) == len(got)
+    return ints
 
 
 @st.composite
@@ -831,7 +836,8 @@ def test_identical_operands_match_a_copy_and_brute(xs):
 @settings(deadline=None, max_examples=200)
 def test_identical_torus_operands_fold_like_a_copy(q, raw):
     xs = sorted({n % q for n in raw})
-    same, _ = _identical_and_copy(xs, lambda x, y: se.torus_pairsums(x, y, q).tolist())
+    same, _ = _identical_and_copy(
+        xs, lambda x, y: se.torus_pairsums(*_arrays(x, y), q).array().tolist())
     assert same == sorted({(a + b) % q for a in xs for b in xs})
 
 
@@ -841,7 +847,7 @@ def test_a_set_that_fills_within_one_check_interval(monkeypatch):
     n = 1 << 18
     xs = list(range(n))
     runs = _spy_runs(monkeypatch)
-    sums, ran = _kernels(lambda: se._pairsums_int(xs, xs).tolist())
+    sums, ran = _kernels(lambda: se._pairsums_int(*_arrays(xs, xs)).array().tolist())
     assert sums == list(range(2 * n - 1)) and ran == ["dense", "trimmed"]
     # the element 0 alone fills words [0, 4096)
     assert runs[0][0] == 0 and runs[0][1] > 4096
@@ -855,11 +861,11 @@ def test_an_orbit_doubling_never_fills_a_word(monkeypatch):
     n, q = 6000, 300001
     xs = sorted(k * 123457 % q for k in range(1, n + 1))
     runs = _spy_runs(monkeypatch)
-    sums, ran = _kernels(lambda: se._pairsums_int(xs, xs))
+    sums, ran = _kernels(lambda: se._pairsums_int(*_arrays(xs, xs)))
     assert ran == ["dense", "trimmed"]
     assert runs and set(runs) == {(0, 0)}
-    assert sums.tolist() == _pairsums_sorted(xs, list(xs))
-    assert len(se.torus_pairsums(xs, xs, q)) == 2 * n - 1
+    assert sums.array().tolist() == _pairsums_sorted(xs, list(xs))
+    assert len(se.torus_pairsums(*_arrays(xs, xs), q)) == 2 * n - 1
 
 
 def test_two_far_clusters_fill_separate_runs(monkeypatch):
@@ -922,7 +928,7 @@ def test_identical_operands_at_the_int64_edge_past_the_limb_span(xs):
     # spans past the limb limit, from int64-edge elements: A + A on Python
     # ints forms each unordered pair once, as A + copy(A) forms them all
     assert _identical_and_copy(xs) == (brute_sum(xs, xs), ["outer"])
-    assert se._pairsums_int(xs, xs).top.dtype == object
+    assert se._pairsums_int(*_arrays(xs, xs)).top.dtype == object
 
 
 @pytest.mark.parametrize("xs, path", [
@@ -967,7 +973,8 @@ def test_the_class_kernel_matches_brute_and_a_copy(words, classes):
     ys = _class_operand(words, classes[::-1], 300, 2)
 
     def dense(a, b):
-        return se._dense_pairsums(a, b, a[0] + b[0], a[-1] + b[-1] - a[0] - b[0] + 1).tolist()
+        lo, span = a[0] + b[0], a[-1] + b[-1] - a[0] - b[0] + 1
+        return se._dense_pairsums(*_arrays(a, b), lo, span).array().tolist()
     assert _words_only(lambda: dense(xs, xs)) == (brute_sum(xs, xs), ["dense", "trimmed"])
     assert _words_only(lambda: dense(xs, list(xs))) == (brute_sum(xs, xs), ["dense"])
     want = brute_sum(xs, ys)
@@ -982,15 +989,16 @@ def test_a_dense_call_holds_no_64_row_table():
     # call's traced peak, its output words included, stays under 2 MiB
     xs = sorted(random.Random(0).sample(range(1 << 20), 8000))
     lo, span = 2 * xs[0], 2 * (xs[-1] - xs[0]) + 1
+    a = int_array(xs)
     tracemalloc.start()
     try:
-        got, ran = _kernels(lambda: se._dense_pairsums(xs, xs, lo, span))
+        got, ran = _kernels(lambda: se._dense_pairsums(a, a, lo, span))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20, peak
     assert ran == ["dense", "trimmed"]
-    assert np.array_equal(got.words, se._dense_pairsums(xs, list(xs), lo, span).words)
+    assert np.array_equal(got.words, se._dense_pairsums(a, int_array(xs), lo, span).words)
 
 
 # ---------------------------------------------------------------------------
@@ -1030,15 +1038,16 @@ def test_dense_words_count_and_read_like_the_outer_and_hash_oracles(operands):
     xs, ys = operands
     lo, hi = xs[0] + ys[0], xs[-1] + ys[-1]
     assert -I64_MAX <= lo and hi <= I64_MAX
-    scattered = se._dense_pairsums(xs, ys, lo, hi - lo + 1)
+    scattered = se._dense_pairsums(*_arrays(xs, ys), lo, hi - lo + 1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(se, "SCATTER_SPAN_LIMIT", 0)
-        ored = se._dense_pairsums(xs, ys, lo, hi - lo + 1)
+        ored = se._dense_pairsums(*_arrays(xs, ys), lo, hi - lo + 1)
     for got in (scattered, ored):
         assert type(got) is se._Bitmap and got.lo == lo
-        ints = got.tolist()
+        ints = got.array().tolist()
         assert len(got) == len(ints)
-        assert ints == se._outer_pairsums(xs, ys).tolist() == brute_sum(xs, ys)
+        outer = se._outer_pairsums(*_arrays(xs, ys)).array().tolist()
+        assert ints == outer == brute_sum(xs, ys)
     assert np.array_equal(scattered.words, ored.words)
 
 
@@ -1057,12 +1066,13 @@ def test_torus_fold_keeps_words_over_exactly_zero_to_q(monkeypatch, q, where, sa
     xs = _torus_operand(rng, q, where, 300)
     ys = xs if same else _torus_operand(rng, q, where, 200)
     seen = _spy_paths(monkeypatch)
-    got = se.torus_pairsums(xs, ys, q)
+    got = se.torus_pairsums(*_arrays(xs, ys), q)
     assert seen == ["dense"]
     assert type(got) is se._Bitmap and got.lo == 0 and len(got.words) == (q + 63) >> 6
     want = sorted({(a + b) % q for a in xs for b in ys})
-    assert got.tolist() == want and len(got) == len(want)
-    assert want == sorted({n % q for n in se._outer_pairsums(xs, ys).tolist()})
+    assert got.array().tolist() == want and len(got) == len(want)
+    outer = se._outer_pairsums(*_arrays(xs, ys)).array().tolist()
+    assert want == sorted({n % q for n in outer})
 
 
 def test_narrow_sums_on_a_wide_circle_are_read_out_of_their_words(monkeypatch):
@@ -1072,9 +1082,9 @@ def test_narrow_sums_on_a_wide_circle_are_read_out_of_their_words(monkeypatch):
     for base in (5, q - 3000):
         xs = list(range(base, base + 1500, 3))
         seen = _spy_paths(monkeypatch)
-        got = se.torus_pairsums(xs, xs, q)
+        got = se.torus_pairsums(*_arrays(xs, xs), q)
         assert seen == ["dense"] and isinstance(got, se._Sorted)
-        assert got.tolist() == sorted({(a + b) % q for a in xs for b in xs})
+        assert got.array().tolist() == sorted({(a + b) % q for a in xs for b in xs})
 
 
 def _bitmap(ints, lo, n_words):
@@ -1144,7 +1154,7 @@ def test_one_set_compares_and_hashes_alike_in_every_form(q):
         else:
             assert held.low is not None and not held.ordered
         assert "_key" not in vars(same) and same == a and hash(same) == hash(a)
-        assert held.tolist() == a._ints.tolist() == xs
+        assert held.array().tolist() == a._ints.array().tolist() == xs
 
 
 def test_torus_sums_in_either_order_compare_on_their_words():
@@ -1294,7 +1304,7 @@ def reference_cover(b: FiniteExactSet, exact_limit: int = 24,
     if not elems:
         return se.CoverResult((), True, (), {})
     # The set algebra below runs on the set's own ints, in step with elems.
-    dom, ints, scale = b.domain, b._ints.tolist(), b._scale
+    dom, ints, scale = b.domain, b._ints.array().tolist(), b._scale
     wrap = (lambda d: d % scale) if dom is Domain.TORUS else (lambda d: d)
     orig = dict(zip(ints, elems))
     universe = sorted({wrap(p - q) for p in ints for q in ints})
@@ -1516,7 +1526,8 @@ def test_cover_node_budget_runs_out_on_the_greedy_cover():
 def test_integer_cover_at_the_int64_spread(spread, dtype, lo):
     # differences of offsets from lo reach +-spread
     vals = [lo, lo + 1, lo + 3, lo + spread - 2, lo + spread]
-    assert se._difference_table([v - lo for v in vals], 1, Domain.INTEGERS)[0].dtype == dtype
+    offsets = int_array([v - lo for v in vals])
+    assert se._difference_table(offsets, 1, Domain.INTEGERS)[0].dtype == dtype
     cov = _assert_cover_matches_reference(FiniteExactSet.integers(vals))
     assert max(cov.universe) == spread
 
@@ -1528,7 +1539,7 @@ def test_torus_cover_at_the_int64_fold(q, dtype):
     # residues near 0 and near q: differences reach -(q - 1) before the fold
     # adds q, and folded ones reach both ends of [0, q)
     ints = [0, 1, 2, q - 3, q - 1]
-    assert se._difference_table(ints, q, Domain.TORUS)[0].dtype == dtype
+    assert se._difference_table(int_array(ints), q, Domain.TORUS)[0].dtype == dtype
     cov = _assert_cover_matches_reference(
         FiniteExactSet.torus([Fraction(n, q) for n in ints]))
     assert cov.universe[-1] == TorusPoint(Fraction(q - 1, q))
@@ -1677,7 +1688,7 @@ def test_clearing_matches_the_parent(case):
     domain, values = case
     ints, scale = _parent_clearing(values, domain)
     got = FiniteExactSet(values, domain)
-    assert got._ints.tolist() == sorted(set(ints)) and len(got._ints) == len(ints)
+    assert got._ints.array().tolist() == sorted(set(ints)) and len(got._ints) == len(ints)
     assert got._scale == scale
     assert got.elements == se._lift(sorted(ints), scale, domain)
 
